@@ -154,6 +154,9 @@ def _parse_snr(value, what: str = "--snr-db") -> list[float]:
     return [float(v) for v in value]
 
 
+_GRID_FORM = "r,b[,refines,shrink]"
+
+
 def _parse_grid(value) -> GridSpec:
     if isinstance(value, GridSpec):
         return value
@@ -161,20 +164,19 @@ def _parse_grid(value) -> GridSpec:
         try:
             return GridSpec(**value)
         except TypeError as e:
-            raise OutOfRange(f"grid config: {e}") from None
+            raise OutOfRange(f"grid config: {e}; the grid is {_GRID_FORM}") from None
     if isinstance(value, str):
         parts = [p.strip() for p in value.split(",")]
     else:
         parts = list(value)
-    if not 3 <= len(parts) <= 5:
-        raise OutOfRange("--grid expects r,b,a2[,refines,shrink]")
+    if len(parts) not in (2, 4):
+        raise OutOfRange(f"--grid expects {_GRID_FORM} (2 or 4 fields), got {value!r}")
     try:
-        steps = [int(p) for p in parts[:3]]
-        refines = int(parts[3]) if len(parts) > 3 else 4
-        shrink = float(parts[4]) if len(parts) > 4 else 0.25
+        steps = [int(p) for p in parts[:2]]
+        schedule = [int(parts[2]), float(parts[3])] if len(parts) == 4 else []
     except ValueError:
         raise OutOfRange(f"--grid has a bad entry: {value!r}") from None
-    return GridSpec(steps[0], steps[1], steps[2], refines, shrink)
+    return GridSpec(*steps, *schedule)
 
 
 def _parse_params(value) -> GdpcParams:
@@ -223,7 +225,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--channel", help="p1,p2,q,n1,n2 (linear powers)")
         p.add_argument("--out", help="output path (default: stdout)")
         if grid:
-            p.add_argument("--grid", help="search grid r,b,a2[,refines,shrink]")
+            p.add_argument("--grid", help=f"search grid {_GRID_FORM}")
 
     p = sub.add_parser("frontier", help="trace a rate-region boundary over gamma")
     common(p)

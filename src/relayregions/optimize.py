@@ -5,17 +5,20 @@ Two optimization problems appear:
 * the no-interference region maximizes the min of two terms over the
   cooperative split beta3. The first term strictly increases with beta3
   and the second strictly decreases, so the max sits at their unique
-  crossing (or at beta3 = 1 when they never meet) and bisection on the
-  difference nails it to machine precision;
+  crossing, or at beta3 = 1 when they never meet. With s = sqrt(1-beta3)
+  the crossing is the positive root of a quadratic in s, solved in
+  closed form;
 
 * the encoder-informed inner bound maximizes min(r1_sum, r2_sum) over
-  the box (rho, beta, alpha2). The min of two smooth surfaces has a
-  ridge where the active term switches, which rules out plain gradient
-  methods; instead a full grid is evaluated (vectorized), then the box
-  is repeatedly shrunk around the incumbent. Everything is pure and
-  reproducible: no randomness, and ties within 1e-12 of the round's
-  best value resolve to the lexicographically smallest (rho, beta,
-  alpha2). The incumbent always stays in the candidate set, so the
+  (rho, beta, alpha2). The optimal alpha2 has a closed form at every
+  (rho, beta) (see ``rates``), which leaves a search over the box
+  (rho, beta). The min of two smooth surfaces has a ridge where the
+  active term switches, which rules out plain gradient methods; instead
+  a full grid is evaluated (vectorized), then the box is repeatedly
+  shrunk around the incumbent. Everything is pure and reproducible: no
+  randomness, and ties within 1e-12 of the round's best value resolve
+  to the lexicographically smallest (rho, beta), each with its smallest
+  tied alpha2. The incumbent always stays in the candidate set, so the
   value never decreases across refinement rounds.
 """
 
@@ -37,9 +40,7 @@ from .model import (
     rho_upper_bound,
     validate_channel,
 )
-from .rates import _clamp_array, _sum_terms, cap_c, gdpc_rates, nostate_terms
-
-_TIE_TOL = 1e-12
+from .rates import _TIE_TOL, _best_alpha2, cap_c, gdpc_rates, nostate_terms
 
 
 @dataclass(frozen=True)
@@ -49,12 +50,11 @@ class GridSpec:
 
     steps_rho: int = 33
     steps_beta: int = 33
-    steps_alpha2: int = 33
     refine_iters: int = 4
     refine_shrink: float = 0.25
 
     def __post_init__(self) -> None:
-        for name in ("steps_rho", "steps_beta", "steps_alpha2"):
+        for name in ("steps_rho", "steps_beta"):
             v = getattr(self, name)
             if not isinstance(v, int) or v < 2:
                 raise OutOfRange(f"{name} must be an integer >= 2, got {v!r}")
@@ -70,8 +70,9 @@ DEFAULT_GRID = GridSpec()
 @dataclass(frozen=True)
 class OptResult:
     """Search outcome. ``value`` is recomputed at ``best`` through the
-    scalar rate path, never copied from a grid cell. ``trace`` holds the
-    incumbent after each round."""
+    scalar rate path, never copied from a grid cell. ``evaluations``
+    counts the (rho, beta) cells searched. ``trace`` holds the incumbent
+    after each round."""
 
     best: GdpcParams
     value: float
@@ -89,31 +90,29 @@ def max_beta_nostate(c: ChannelParams, gamma: float) -> tuple[float, float]:
     """Best cooperative split of the no-interference region at a fixed
     power split gamma: returns (beta3_star, value in bits).
 
-    At an interior optimum the two terms are equal to well under 1e-10;
-    when the increasing term stays below the decreasing one on all of
-    [0, 1] the optimum is the endpoint beta3 = 1.
+    With g = (1-gamma)*p1, D1 = gamma*p1 + n1 and D2 = gamma*p1 + n2, the
+    two terms meet where s = sqrt(1 - beta3) solves A s^2 + B s + C = 0
+    for A = g*D2, B = 2*sqrt(g*p2)*D1 and C = (g + p2)*D1 - g*D2. When
+    C >= 0 the increasing term never overtakes the decreasing one and the
+    optimum is the endpoint beta3 = 1.
     """
     validate_channel(c)
     _check_gamma(gamma)
-    if (1.0 - gamma) * c.p1 <= 0.0:
+    g = (1.0 - gamma) * c.p1
+    if g <= 0.0:
         # no common power at all: both terms vanish
         return 0.0, 0.0
-
-    def diff(b: float) -> float:
-        t1, t2 = nostate_terms(c, gamma, b)
-        return t1 - t2
-
-    if diff(1.0) < 0.0:
-        return 1.0, min(nostate_terms(c, gamma, 1.0))
-    lo, hi = 0.0, 1.0
-    # diff(0) = -t2(0) < 0 <= diff(1): bisect the sign change
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if diff(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    beta = 0.5 * (lo + hi)
+    d1 = gamma * c.p1 + c.n1
+    d2 = gamma * c.p1 + c.n2
+    cc = (g + c.p2) * d1 - g * d2
+    if cc >= 0.0:
+        beta = 1.0
+    else:
+        aa = g * d2
+        bb = 2.0 * math.sqrt(g * c.p2) * d1
+        # the positive root, in the form that avoids cancellation
+        s = -2.0 * cc / (bb + math.sqrt(bb * bb - 4.0 * aa * cc))
+        beta = 1.0 - s * s
     return beta, min(nostate_terms(c, gamma, beta))
 
 
@@ -130,8 +129,9 @@ def max_r02_gdpc(
     *,
     freeze_rho: bool = False,
 ) -> OptResult:
-    """Maximize min(r1_sum, r2_sum) over (rho, beta, alpha2) at fixed
-    gamma by vectorized grid search plus box shrinking.
+    """Maximize min(r1_sum, r2_sum) at fixed gamma: vectorized grid search
+    plus box shrinking over (rho, beta), with the exact alpha2 at every
+    cell.
 
     ``freeze_rho`` pins rho = 0, which is the plain-binning baseline
     without interference cancellation.
@@ -140,8 +140,8 @@ def max_r02_gdpc(
     _check_gamma(gamma)
     grid = grid if grid is not None else DEFAULT_GRID
     rho_hi = 0.0 if freeze_rho else rho_upper_bound(c, gamma)
-    bounds = ((0.0, rho_hi), (0.0, 1.0), (0.0, 1.0))
-    steps = (grid.steps_rho, grid.steps_beta, grid.steps_alpha2)
+    bounds = ((0.0, rho_hi), (0.0, 1.0))
+    steps = (grid.steps_rho, grid.steps_beta)
     boxes = list(bounds)
     best: tuple[float, float, float] | None = None
     best_v = -math.inf
@@ -149,16 +149,16 @@ def max_r02_gdpc(
     trace: list[tuple[GdpcParams, float]] = []
     for _ in range(grid.refine_iters + 1):
         axes = [_axis(lo, hi, n) for (lo, hi), n in zip(boxes, steps)]
-        rr, bb, aa = np.meshgrid(*axes, indexing="ij")
-        t1, t2, _ = _sum_terms(c.p1, c.p2, c.q, c.n1, c.n2, gamma, rr, bb, aa)
-        v = np.minimum(_clamp_array(t1), _clamp_array(t2)).ravel()
+        rr, bb = np.meshgrid(*axes, indexing="ij")
+        aa, v = _best_alpha2(c.p1, c.p2, c.q, c.n1, c.n2, gamma, rr, bb)
+        v = v.ravel()
         evaluations += v.size
         vmax = float(v.max())
         threshold = max(vmax - _TIE_TOL, best_v)
         eligible = v >= threshold
         if eligible.any():
-            # first hit in C order is the lexicographically smallest knob
-            # tuple, because every axis is ascending
+            # first hit in C order is the lexicographically smallest
+            # (rho, beta), because both axes are ascending
             flat = int(np.argmax(eligible))
             cand = (
                 float(rr.ravel()[flat]),
@@ -174,9 +174,10 @@ def max_r02_gdpc(
                 best, best_v = cand, cand_v
         params = GdpcParams(gamma=gamma, rho=best[0], beta=best[1], alpha2=best[2])
         trace.append((params, best_v))
-        # shrink the box around the incumbent, clipped to the full bounds
+        # shrink the (rho, beta) box around the incumbent, clipped to the
+        # full bounds
         new_boxes = []
-        for (lo0, hi0), (lo, hi), center in zip(bounds, boxes, best):
+        for (lo0, hi0), (lo, hi), center in zip(bounds, boxes, best[:2]):
             half = 0.5 * (hi - lo) * grid.refine_shrink
             new_boxes.append((max(lo0, center - half), min(hi0, center + half)))
         boxes = new_boxes
@@ -196,6 +197,18 @@ def _check_scheme(scheme: str) -> str:
     return scheme
 
 
+def _solve(
+    c: ChannelParams, scheme: str, gamma: float, grid: GridSpec | None
+) -> tuple[float, float, float, float]:
+    """(rho, beta, alpha2, value) of one scheme at one gamma. For the
+    exact region beta is the cooperative split beta3 and rho = alpha2 = 0."""
+    if scheme in ("gdpc", "dpc"):
+        res = max_r02_gdpc(c, gamma, grid, freeze_rho=scheme == "dpc")
+        return res.best.rho, res.best.beta, res.best.alpha2, res.value
+    beta, value = max_beta_nostate(c, gamma)
+    return 0.0, beta, 0.0, value
+
+
 def frontier(
     c: ChannelParams,
     scheme: str,
@@ -205,10 +218,10 @@ def frontier(
     """Trace the (r1, r02) boundary of one scheme over a gamma grid.
 
     gdpc and dpc dispatch to the box search (dpc with rho frozen at 0);
-    informed-both and nostate-outer coincide and use the bisection. The
-    gamma grid is sorted and deduplicated, and points that a later point
-    strictly dominates (grid jitter can make r02 wiggle upward) are
-    dropped so the result is a monotone staircase.
+    informed-both and nostate-outer coincide and use the closed-form
+    cooperative split. The gamma grid is sorted and deduplicated, and
+    points that a later point strictly dominates (grid jitter can make
+    r02 wiggle upward) are dropped so the result is a monotone staircase.
     """
     validate_channel(c)
     _check_scheme(scheme)
@@ -216,15 +229,8 @@ def frontier(
     pts: list[FrontierPoint] = []
     for gamma in gammas:
         r1 = cap_c(gamma * c.p1 / c.n1)
-        if scheme in ("gdpc", "dpc"):
-            res = max_r02_gdpc(c, gamma, grid, freeze_rho=scheme == "dpc")
-            b = res.best
-            pts.append(
-                FrontierPoint(gamma, b.rho, b.beta, b.alpha2, RatePoint.clamped(r1, res.value))
-            )
-        else:
-            beta, value = max_beta_nostate(c, gamma)
-            pts.append(FrontierPoint(gamma, 0.0, beta, 0.0, RatePoint.clamped(r1, value)))
+        rho, beta, alpha2, value = _solve(c, scheme, gamma, grid)
+        pts.append(FrontierPoint(gamma, rho, beta, alpha2, RatePoint.clamped(r1, value)))
     kept: list[FrontierPoint] = []
     best_later = -math.inf
     for p in reversed(pts):
@@ -269,9 +275,6 @@ def sweep_snr(
             rows.append(SweepRow(snr_db=snr, n1=n1, rate=None, skipped=True))
             continue
         ch = ChannelParams(p1=base.p1, p2=base.p2, q=base.q, n1=n1, n2=base.n2)
-        if scheme in ("gdpc", "dpc"):
-            rate = max_r02_gdpc(ch, 0.0, grid, freeze_rho=scheme == "dpc").value
-        else:
-            rate = max_beta_nostate(ch, 0.0)[1]
+        rate = _solve(ch, scheme, 0.0, grid)[3]
         rows.append(SweepRow(snr_db=snr, n1=n1, rate=rate, skipped=False))
     return tuple(rows)

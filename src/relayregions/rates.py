@@ -25,6 +25,14 @@ the leftover interference power, the two sum-rate bounds are
 
 and alpha2 is the inflation factor of the common binning layer.
 
+a and c do not depend on alpha2, while b and d are convex quadratics in
+it, minimized at the Costa points pwt/(pwt + n1 + gamma*p1) and
+pwt/(pwt + n2 + gamma*p1) (Costa, "Writing on dirty paper", 1983). So
+min(r1_sum, r2_sum) peaks over alpha2 in [0, 1] at alpha2 = 0, at one of
+the two Costa points, or where the bounds cross, c*b(alpha2) =
+a*d(alpha2), a quadratic (or, degenerately, linear) equation. The
+optimizer evaluates those candidates instead of searching alpha2.
+
 Interference known everywhere (or absent): the capacity region is the
 no-interference one. With power split gamma and cooperative split beta3,
 
@@ -60,6 +68,8 @@ from .model import (
 )
 
 _LN2 = math.log(2.0)
+# values within this many bits of the best count as ties
+_TIE_TOL = 1e-12
 
 
 class NegativeArgument(RelayRegionsError, ValueError):
@@ -80,6 +90,29 @@ def qprime(c: ChannelParams, gamma: float, rho: float) -> float:
     return (math.sqrt(c.q) - math.sqrt(spent)) ** 2
 
 
+def _alpha2_free_terms(p1, p2, q, n1, n2, gamma, rho, beta):
+    """The parts of the sum-rate bounds that alpha2 does not touch,
+    elementwise: (pwt, qprime, a, c, n1 + gamma*p1, n2 + gamma*p1)."""
+    gbar = 1.0 - gamma
+    pw = (1.0 - rho) * gbar * p1
+    pwt = (1.0 - beta * beta) * pw
+    qp = (np.sqrt(q) - np.sqrt(rho * gbar * p1)) ** 2
+    gp1 = gamma * p1
+    a = pwt * (pwt + qp + gp1 + n1)
+    c = pwt * (pw + p2 + qp + 2.0 * beta * np.sqrt(pw * p2) + gp1 + n2)
+    return pwt, qp, a, c, n1 + gp1, n2 + gp1
+
+
+def _binned(pwt, qp, noise, alpha2):
+    """b (noise = n1 + gamma*p1) or d (noise = n2 + gamma*p1) at alpha2."""
+    return (1.0 - alpha2) ** 2 * pwt * qp + noise * (pwt + alpha2**2 * qp)
+
+
+def _log_ratios(a, b, c, d):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return 0.5 * np.log2(a / b), 0.5 * np.log2(c / d)
+
+
 def _sum_terms(p1, p2, q, n1, n2, gamma, rho, beta, alpha2):
     """Unclamped log-ratio sum-rate terms, elementwise over numpy inputs.
 
@@ -87,19 +120,41 @@ def _sum_terms(p1, p2, q, n1, n2, gamma, rho, beta, alpha2):
     only occur together with zero numerators; callers clamp the resulting
     non-finite values to 0.
     """
-    gbar = 1.0 - gamma
-    pw = (1.0 - rho) * gbar * p1
-    pwt = (1.0 - beta * beta) * pw
-    qp = (np.sqrt(q) - np.sqrt(rho * gbar * p1)) ** 2
-    gp1 = gamma * p1
-    a = pwt * (pwt + qp + gp1 + n1)
-    b = (1.0 - alpha2) ** 2 * pwt * qp + (n1 + gp1) * (pwt + alpha2**2 * qp)
-    c = pwt * (pw + p2 + qp + 2.0 * beta * np.sqrt(pw * p2) + gp1 + n2)
-    d = (1.0 - alpha2) ** 2 * pwt * qp + (n2 + gp1) * (pwt + alpha2**2 * qp)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        r1 = 0.5 * np.log2(a / b)
-        r2 = 0.5 * np.log2(c / d)
+    pwt, qp, a, c, m1, m2 = _alpha2_free_terms(p1, p2, q, n1, n2, gamma, rho, beta)
+    b = _binned(pwt, qp, m1, alpha2)
+    d = _binned(pwt, qp, m2, alpha2)
+    r1, r2 = _log_ratios(a, b, c, d)
     return r1, r2, (a, b, c, d, qp)
+
+
+def _best_alpha2(p1, p2, q, n1, n2, gamma, rho, beta):
+    """Exact maximizer of min(r1_sum, r2_sum) over alpha2 in [0, 1],
+    elementwise over numpy inputs.
+
+    Returns (alpha2, value) with the value clamped. The six candidates
+    (0, the two Costa points, the two quadratic roots and the linear root
+    of c*b - a*d = 0) are evaluated in one stacked pass; a candidate that
+    is not finite or falls outside [0, 1] is replaced by 0. Of the
+    candidates within _TIE_TOL of the best value the smallest wins.
+    """
+    pwt, qp, a, c, m1, m2 = _alpha2_free_terms(p1, p2, q, n1, n2, gamma, rho, beta)
+    # c*b(x) - a*d(x) = k2*x^2 + k1*x + k0
+    k2 = qp * ((pwt + m1) * c - (pwt + m2) * a)
+    k1 = -2.0 * pwt * qp * (c - a)
+    k0 = pwt * ((qp + m1) * c - (qp + m2) * a)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        h = -0.5 * (k1 + np.copysign(np.sqrt(k1 * k1 - 4.0 * k2 * k0), k1))
+        cand = np.stack(
+            np.broadcast_arrays(
+                0.0, pwt / (pwt + m1), pwt / (pwt + m2), h / k2, k0 / h, -k0 / k1
+            )
+        )
+    cand = np.where(np.isfinite(cand) & (cand >= 0.0) & (cand <= 1.0), cand, 0.0)
+    r1, r2 = _log_ratios(a, _binned(pwt, qp, m1, cand), c, _binned(pwt, qp, m2, cand))
+    v = np.minimum(_clamp_array(r1), _clamp_array(r2))
+    tied = v >= v.max(axis=0) - _TIE_TOL
+    pick = np.argmin(np.where(tied, cand, np.inf), axis=0)[np.newaxis]
+    return np.take_along_axis(cand, pick, 0)[0], np.take_along_axis(v, pick, 0)[0]
 
 
 def _clamp_array(r):

@@ -146,7 +146,7 @@ def test_criterion_5_region_ordering_across_snr(capsys):
 def test_criterion_6_reduction_without_state(capsys):
     with criterion(capsys, 6, "q = 0 collapses the inner bound onto the exact region"):
         rng = np.random.default_rng(20260806)
-        fine = GridSpec(33, 33, 3, 9, 0.25)
+        fine = GridSpec(33, 33, 9, 0.25)
         for _ in range(100):
             p1 = rng.uniform(0.2, 4.0)
             p2 = rng.uniform(0.0, 4.0)

@@ -6,7 +6,7 @@ from relayregions import ChannelParams, GdpcParams, gdpc_rates
 from relayregions.cli import main
 
 CHANNEL = "1,1,2,0.1,1"
-TINY_GRID = "5,5,5,1,0.5"
+TINY_GRID = "5,5,1,0.5"
 
 
 def run(capsys, *argv):
@@ -56,6 +56,33 @@ class TestFrontierCommand:
         code, _, err = run(capsys, "frontier", "--channel", "1,1,1,2,1")
         assert code == 2
         assert "error:" in err
+
+
+class TestGridFlag:
+    @pytest.mark.parametrize("grid", ["5,5", "5,5,1,0.5"])
+    def test_two_or_four_fields_run(self, capsys, grid):
+        code, out, _ = run(
+            capsys, "frontier", "--channel", CHANNEL, "--gamma-grid", "0:1:3",
+            "--grid", grid,
+        )
+        assert code == 0
+        assert len(out.strip().split("\n")) > 1
+
+    @pytest.mark.parametrize("grid", ["5,5,5", "5,5,5,1,0.5"])
+    def test_old_alpha2_field_is_rejected(self, capsys, grid):
+        code, _, err = run(
+            capsys, "frontier", "--channel", CHANNEL, "--gamma-grid", "0:1:3",
+            "--grid", grid,
+        )
+        assert code == 2
+        assert "r,b[,refines,shrink]" in err
+
+    def test_config_alpha2_steps_are_rejected(self, capsys, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"channel": CHANNEL, "grid": {"steps_alpha2": 5}}))
+        code, _, err = run(capsys, "frontier", "--config", str(cfg))
+        assert code == 2
+        assert "r,b[,refines,shrink]" in err
 
 
 class TestSweepCommand:
