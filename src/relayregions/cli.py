@@ -212,6 +212,17 @@ def _pick(flag, cfg: dict, key: str, default=None):
     return default
 
 
+def _as_int(name: str, value) -> int:
+    """An integer-valued config field: 4.9 is rejected, not truncated."""
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        raise OutOfRange(f"{name} must be an integer, got {value!r}") from None
+    if isinstance(value, bool) or not number.is_integer():
+        raise OutOfRange(f"{name} must be an integer, got {value!r}")
+    return int(number)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="relayregions",
@@ -408,7 +419,7 @@ def _cmd_dmc(args, cfg: dict) -> int:
     dmc_cfg = cfg.get("dmc", {}) if isinstance(cfg.get("dmc"), dict) else {}
     spec = _parse_dmc_spec(cfg, args.pipes)
     bounds = _pick(args.bounds, dmc_cfg, "bounds", "informed-source")
-    denominator = int(_pick(args.denominator, dmc_cfg, "denominator", 8))
+    denominator = _as_int("denominator", _pick(args.denominator, dmc_cfg, "denominator", 8))
     objective = _pick(args.objective, dmc_cfg, "objective", "r02")
     result = dmc_maximize(spec, bounds=bounds, denominator=denominator, objective=objective)
     payload = _round12(

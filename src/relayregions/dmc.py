@@ -10,12 +10,19 @@ summation. dmc_maximize enumerates all strategies whose conditional
 probabilities are multiples of 1/denominator, which is crude but exact:
 an oracle, not a solver.
 
+Each bound is written once, in _TERMS, as signed conditional mutual
+informations. The scalar evaluators read it one strategy at a time;
+dmc_maximize also reads it to screen chunks of candidates in numpy and
+sends only the near-best ones through the scalar evaluators, so its
+answer is the one the scalar loop would give.
+
 Axis order everywhere: (s, u1, u2, x1, x2, y1, y2); the channel tensor
 is indexed [s][x1][x2][y1][y2].
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -28,6 +35,13 @@ AXES = ("s", "u1", "u2", "x1", "x2", "y1", "y2")
 _PMF_TOL = 1e-12
 _MAX_ALPHABET = 4
 _MAX_CANDIDATES = 10**8
+# joint cells (candidates x |s,u1,u2,x1,x2,y1,y2|) screened at once, which
+# caps the screen's memory at a few MB whatever the candidate count
+_CHUNK_CELLS = 2**16
+# a screened candidate whose primary rate is this close to the best one
+# screened so far is re-evaluated by the scalar evaluators; the batched
+# and scalar rates agree to ~1e-14 bits, far inside half this width
+_CONFIRM_BITS = 1e-9
 
 
 class NotNormalized(RelayRegionsError, ValueError):
@@ -108,10 +122,13 @@ def compose_full(d: DmcSpec, a: AuxJoint) -> np.ndarray:
         raise OutOfRange(
             f"aux joint shape {a.pmf.shape} does not match spec sizes {d.sizes[:5]}"
         )
-    marg_s = a.pmf.sum(axis=(1, 2, 3, 4))
+    _check_state_law(d, a.pmf.sum(axis=(1, 2, 3, 4)))
+    return a.pmf[..., None, None] * d.channel[:, None, None, :, :, :, :]
+
+
+def _check_state_law(d: DmcSpec, marg_s: np.ndarray) -> None:
     if np.abs(marg_s - d.p_s).max() > _PMF_TOL:
         raise NotNormalized("aux joint marginal over s must equal p_s")
-    return a.pmf[..., None, None] * d.channel[:, None, None, :, :, :, :]
 
 
 def _entropy_bits(p: np.ndarray) -> float:
@@ -145,49 +162,113 @@ def discrete_cmi(joint: np.ndarray, axes, set_a, set_b, set_c=()) -> float:
     return max(0.0, val)
 
 
+# Each bound as its two rates. A rate is the min over its expressions; an
+# expression is its first term I(a; b | c) plus (+1) or minus (-1) the
+# others, in order.
+_TERMS = {
+    "informed-both": {
+        "r1": (((+1, ("x1",), ("y1",), ("s", "u1", "x2")),),),
+        "r02": (
+            ((+1, ("u2",), ("y1",), ("s", "u1")),),
+            ((+1, ("u1", "u2"), ("y2",), ()), (-1, ("u1", "u2"), ("s",), ())),
+        ),
+    },
+    "informed-source": {
+        "r1": (
+            ((+1, ("u1",), ("y1",), ("u2", "x2")), (-1, ("u1",), ("s",), ("u2", "x2"))),
+        ),
+        "r02": (
+            ((+1, ("u2",), ("y1",), ("x2",)), (-1, ("u2",), ("s",), ("x2",))),
+            ((+1, ("u2", "x2"), ("y2",), ()), (-1, ("u2",), ("s",), ("x2",))),
+        ),
+    },
+}
+
+
+def _combine(terms: dict, cmi, minimum) -> tuple:
+    """(r1, r02) of one _TERMS entry before the rate clamp. cmi(a, b, c)
+    is called once per distinct term; minimum is min for floats and
+    np.minimum for batches."""
+    values = {}
+
+    def expression(expr):
+        total = None
+        for sign, *term in expr:
+            key = tuple(term)
+            if key not in values:
+                values[key] = cmi(*key)
+            v = values[key]
+            total = v if total is None else (total + v if sign > 0 else total - v)
+        return total
+
+    return tuple(
+        functools.reduce(minimum, [expression(e) for e in terms[rate]])
+        for rate in ("r1", "r02")
+    )
+
+
+def _evaluate(d: DmcSpec, a: AuxJoint, terms: dict) -> RatePoint:
+    full = compose_full(d, a)
+    return RatePoint.clamped(
+        *_combine(terms, lambda *t: discrete_cmi(full, AXES, *t), min)
+    )
+
+
 def eval_informed_both(d: DmcSpec, a: AuxJoint) -> RatePoint:
     """Achievable pair when source and relay both know the interference:
     every bound conditions on s, and no binning penalty appears."""
-    full = compose_full(d, a)
-    r1 = discrete_cmi(full, AXES, ("x1",), ("y1",), ("s", "u1", "x2"))
-    t1 = discrete_cmi(full, AXES, ("u2",), ("y1",), ("s", "u1"))
-    t2 = discrete_cmi(full, AXES, ("u1", "u2"), ("y2",)) - discrete_cmi(
-        full, AXES, ("u1", "u2"), ("s",)
-    )
-    return RatePoint.clamped(r1, min(t1, t2))
+    return _evaluate(d, a, _TERMS["informed-both"])
 
 
 def eval_informed_source(d: DmcSpec, a: AuxJoint) -> RatePoint:
     """Achievable pair when only the source knows the interference: each
     mutual information pays the binning penalty I(aux; s | ...)."""
-    full = compose_full(d, a)
-    r1 = discrete_cmi(full, AXES, ("u1",), ("y1",), ("u2", "x2")) - discrete_cmi(
-        full, AXES, ("u1",), ("s",), ("u2", "x2")
+    return _evaluate(d, a, _TERMS["informed-source"])
+
+
+def _screen(d: DmcSpec, pmf: np.ndarray, terms: dict) -> tuple[np.ndarray, np.ndarray]:
+    """Batched (r1, r02) of aux joints stacked on a leading axis, with
+    the scalar evaluators' clamps. Sums run in another order than in
+    discrete_cmi, so the rates agree with theirs up to rounding only."""
+    n = pmf.shape[0]
+    # joints indexed [s][u1][u2][x1][x2][y1][y2][candidate]: with the
+    # candidates innermost, every marginal sum adds contiguous rows, ~10x
+    # faster than reducing strided axes of candidate-major joints
+    joint = (
+        np.moveaxis(pmf, 0, -1)[..., None, None, :]
+        * d.channel[:, None, None, :, :, :, :, None]
     )
-    penalty = discrete_cmi(full, AXES, ("u2",), ("s",), ("x2",))
-    t1 = discrete_cmi(full, AXES, ("u2",), ("y1",), ("x2",)) - penalty
-    t2 = discrete_cmi(full, AXES, ("u2", "x2"), ("y2",)) - penalty
-    return RatePoint.clamped(r1, min(t1, t2))
+    entropies: dict[frozenset, np.ndarray] = {}
 
+    def h(keep: frozenset) -> np.ndarray:
+        if keep not in entropies:
+            drop = tuple(i for i, name in enumerate(AXES) if name not in keep)
+            marg = joint.sum(axis=drop).reshape(-1, n)
+            plogp = marg * np.log2(np.where(marg > 0.0, marg, 1.0))
+            entropies[keep] = -plogp.sum(axis=0)
+        return entropies[keep]
 
-_BOUNDS = {
-    "informed-both": eval_informed_both,
-    "informed-source": eval_informed_source,
-}
+    def cmi(a, b, c):
+        a, b, c = frozenset(a), frozenset(b), frozenset(c)
+        return np.maximum(h(a | c) + h(b | c) - h(c) - h(a | b | c), 0.0)
+
+    r1, r02 = _combine(terms, cmi, np.minimum)
+    return np.maximum(r1, 0.0), np.maximum(r02, 0.0)
 
 
 def _compositions(total: int, cells: int) -> np.ndarray:
     """All nonneg integer vectors of the given length summing to total,
-    in lexicographic order, as an (count, cells) array."""
-    out = []
-    for bars in itertools.combinations(range(total + cells - 1), cells - 1):
-        prev = -1
-        row = []
-        for b in (*bars, total + cells - 1):
-            row.append(b - prev - 1)
-            prev = b
-        out.append(row)
-    return np.array(out, dtype=float)
+    in lexicographic order, as an (count, cells) array: the gaps between
+    cells - 1 bars placed among total + cells - 1 slots."""
+    slots, bars = total + cells - 1, cells - 1
+    count = math.comb(slots, bars)
+    pos = np.fromiter(
+        itertools.chain.from_iterable(itertools.combinations(range(slots), bars)),
+        dtype=np.int64,
+        count=count * bars,
+    ).reshape(count, bars)
+    edges = np.hstack([np.full((count, 1), -1), pos, np.full((count, 1), slots)])
+    return (np.diff(edges, axis=1) - 1).astype(float)
 
 
 @dataclass(frozen=True)
@@ -211,14 +292,28 @@ def dmc_maximize(
     the other coordinate and then by the lexicographically smallest
     flattened pmf, so the argmax is reproducible and independent of
     enumeration order.
+
+    Screen: candidates are enumerated in chunks of at most _CHUNK_CELLS
+    joint cells, and numpy computes each chunk's joints and rates at
+    once. Confirm: a candidate whose screened primary rate is within
+    _CONFIRM_BITS (1e-9 bits) of the best screened so far, its own chunk
+    included, is rebuilt as an AuxJoint, evaluated by eval_informed_*
+    and compared as above. Why this is exact: screened and scalar rates
+    differ by rounding only (measured ~1e-14 bits), so the candidate
+    that the scalar comparison over all candidates picks screens within
+    twice that of every other one. It is therefore always confirmed and
+    then wins the comparison, which is the scalar one. When every key
+    ties, every candidate is confirmed. evaluations counts the
+    candidates screened.
     """
-    if bounds not in _BOUNDS:
-        raise OutOfRange(f"bounds must be one of {tuple(_BOUNDS)}, got {bounds!r}")
-    if denominator not in (4, 8, 16):
-        raise OutOfRange(f"denominator must be 4, 8 or 16, got {denominator!r}")
+    if not isinstance(bounds, str) or bounds not in _TERMS:
+        raise OutOfRange(f"bounds must be one of {tuple(_TERMS)}, got {bounds!r}")
+    if not isinstance(denominator, (int, np.integer)) or denominator not in (4, 8, 16):
+        raise OutOfRange(f"denominator must be the integer 4, 8 or 16, got {denominator!r}")
     if objective not in ("r02", "r1"):
         raise OutOfRange(f"objective must be 'r02' or 'r1', got {objective!r}")
-    evaluate = _BOUNDS[bounds]
+    terms = _TERMS[bounds]
+    denominator = int(denominator)
     ns, nu1, nu2, nx1, nx2 = d.sizes[:5]
     cells = nu1 * nu2 * nx1 * nx2
     per_state = math.comb(denominator + cells - 1, cells - 1)
@@ -229,26 +324,35 @@ def dmc_maximize(
         )
     cond = _compositions(denominator, cells) / float(denominator)
     shape = (ns, nu1, nu2, nx1, nx2)
+    step = max(1, _CHUNK_CELLS // math.prod(d.sizes))
+    primary = 1 if objective == "r02" else 0
+    screen_best = -math.inf
     best_key: tuple[float, float] | None = None
     best_flat: tuple[float, ...] | None = None
     best_aux: AuxJoint | None = None
     best_rate: RatePoint | None = None
-    evaluations = 0
-    for combo in itertools.product(range(per_state), repeat=ns):
-        pmf = (cond[list(combo)] * d.p_s[:, None]).reshape(shape)
-        aux = AuxJoint(pmf)
-        rate = evaluate(d, aux)
-        evaluations += 1
-        key = (rate.r02, rate.r1) if objective == "r02" else (rate.r1, rate.r02)
-        flat = tuple(pmf.ravel())
-        if (
-            best_key is None
-            or key > best_key
-            or (key == best_key and flat < best_flat)
-        ):
-            best_key, best_flat, best_aux, best_rate = key, flat, aux, rate
+    for start in range(0, total, step):
+        # itertools.product order over the per-state composition indices
+        index = np.arange(start, min(start + step, total))
+        combos = np.stack(np.unravel_index(index, (per_state,) * ns), axis=1)
+        pmf = (cond[combos] * d.p_s[:, None]).reshape(-1, *shape)
+        _check_pmf("aux joint", pmf, axis=(1, 2, 3, 4, 5))
+        _check_state_law(d, pmf.sum(axis=(2, 3, 4, 5)))
+        screened = _screen(d, pmf, terms)[primary]
+        screen_best = max(screen_best, float(screened.max()))
+        for i in np.flatnonzero(screened >= screen_best - _CONFIRM_BITS):
+            aux = AuxJoint(pmf[i])
+            rate = _evaluate(d, aux, terms)
+            key = (rate.r02, rate.r1) if objective == "r02" else (rate.r1, rate.r02)
+            flat = tuple(aux.pmf.ravel())
+            if (
+                best_key is None
+                or key > best_key
+                or (key == best_key and flat < best_flat)
+            ):
+                best_key, best_flat, best_aux, best_rate = key, flat, aux, rate
     return DmcOptResult(
-        best=best_aux, value=best_rate, evaluations=evaluations, bounds=bounds
+        best=best_aux, value=best_rate, evaluations=total, bounds=bounds
     )
 
 

@@ -179,6 +179,13 @@ class TestDmcCommand:
         assert code == 0
         assert json.loads(out)["value"]["r02"] == 1.0
 
+    def test_fractional_denominator_rejected(self, capsys, tmp_path):
+        cfg = tmp_path / "dmc.json"
+        cfg.write_text(json.dumps({"dmc": {"denominator": 4.9}}))
+        code, _, err = run(capsys, "dmc", "--pipes", "--config", str(cfg))
+        assert code == 2
+        assert "denominator" in err
+
 
 class TestPointCommand:
     def test_prints_intermediate_quantities(self, capsys):

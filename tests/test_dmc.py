@@ -1,5 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relayregions import (
     AXES,
@@ -16,6 +20,9 @@ from relayregions import (
     eval_informed_source,
     make_degraded_channel,
 )
+from relayregions import dmc
+
+BOUNDS = {"informed-source": eval_informed_source, "informed-both": eval_informed_both}
 
 
 def _random_spec(rng, sizes):
@@ -183,11 +190,14 @@ class TestMaximize:
         assert res.evaluations == 330
 
     def test_finer_denominator_never_hurts(self):
-        # denominator 8 refines denominator 4, so the optimum is nested
+        # each denominator refines the one before, so the optima are nested
         d = binary_pipes_spec()
         v4 = dmc_maximize(d, bounds="informed-source", denominator=4).value.r02
         v8 = dmc_maximize(d, bounds="informed-source", denominator=8).value.r02
+        res16 = dmc_maximize(d, bounds="informed-source", denominator=16)
         assert v8 >= v4 - 1e-12
+        assert res16.value.r02 >= v8 - 1e-12
+        assert res16.evaluations == 245_157
 
     def test_r1_objective(self):
         res = dmc_maximize(binary_pipes_spec(), bounds="informed-both",
@@ -208,6 +218,10 @@ class TestMaximize:
             dmc_maximize(d, denominator=5)
         with pytest.raises(OutOfRange):
             dmc_maximize(d, objective="r3")
+        with pytest.raises(OutOfRange):
+            dmc_maximize(d, denominator=8.0)
+        with pytest.raises(OutOfRange):
+            dmc_maximize(d, bounds=["x"])
 
     def test_deterministic(self):
         d = binary_pipes_spec()
@@ -215,6 +229,127 @@ class TestMaximize:
         r2 = dmc_maximize(d, bounds="informed-source", denominator=4)
         assert np.array_equal(r1.best.pmf, r2.best.pmf)
         assert r1.value == r2.value
+
+
+def _lex_compositions(total, cells):
+    if cells == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in _lex_compositions(total - first, cells - 1):
+            yield (first, *rest)
+
+
+def _reference_maximize(d, bounds, denominator, objective):
+    """The search as a plain loop: every candidate through AuxJoint and
+    the scalar evaluator, in itertools.product order."""
+    evaluate = BOUNDS[bounds]
+    ns, nu1, nu2, nx1, nx2 = d.sizes[:5]
+    cells = nu1 * nu2 * nx1 * nx2
+    cond = np.array(list(_lex_compositions(denominator, cells)), dtype=float) / float(denominator)
+    best = None
+    evaluations = 0
+    for combo in itertools.product(range(len(cond)), repeat=ns):
+        pmf = (cond[list(combo)] * d.p_s[:, None]).reshape(ns, nu1, nu2, nx1, nx2)
+        rate = evaluate(d, AuxJoint(pmf))
+        evaluations += 1
+        key = (rate.r02, rate.r1) if objective == "r02" else (rate.r1, rate.r02)
+        flat = tuple(pmf.ravel())
+        if best is None or key > best[0] or (key == best[0] and flat < best[1]):
+            best = (key, flat, pmf, rate)
+    return best[2], best[3], evaluations
+
+
+def _assert_matches_reference(d, bounds, denominator, objective):
+    res = dmc_maximize(d, bounds=bounds, denominator=denominator, objective=objective)
+    pmf, value, evaluations = _reference_maximize(d, bounds, denominator, objective)
+    assert np.array_equal(res.best.pmf, pmf)
+    assert res.value == value
+    assert res.evaluations == evaluations
+
+
+class TestBatchedSearch:
+    """dmc_maximize screens candidates in numpy batches; its answer must
+    be bit for bit the plain loop's."""
+
+    @pytest.mark.parametrize("bounds", sorted(BOUNDS))
+    @pytest.mark.parametrize("objective", ["r02", "r1"])
+    def test_pipes_match_reference(self, bounds, objective):
+        _assert_matches_reference(binary_pipes_spec(), bounds, 4, objective)
+
+    @pytest.mark.parametrize(
+        "seed,sizes,bounds,objective",
+        [
+            (0, (2, 1, 2, 2, 1, 2, 2), "informed-source", "r02"),
+            (1, (2, 2, 1, 2, 1, 2, 2), "informed-both", "r02"),
+            (2, (1, 2, 2, 2, 1, 2, 3), "informed-source", "r1"),
+            (3, (3, 1, 1, 2, 1, 3, 2), "informed-both", "r1"),
+        ],
+    )
+    def test_random_specs_match_reference(self, seed, sizes, bounds, objective):
+        d = _random_spec(np.random.default_rng(seed), sizes)
+        _assert_matches_reference(d, bounds, 4, objective)
+
+    def test_several_chunks_match_reference(self):
+        d = binary_pipes_spec()
+        assert 6435 * int(np.prod(d.sizes)) > 2 * dmc._CHUNK_CELLS
+        _assert_matches_reference(d, "informed-source", 8, "r02")
+
+    def test_tiny_chunks_match_reference(self, monkeypatch):
+        # seven candidates per chunk: the running screen maximum rises
+        # across many chunk boundaries
+        d = _random_spec(np.random.default_rng(7), (1, 1, 2, 2, 2, 2, 2))
+        monkeypatch.setattr(dmc, "_CHUNK_CELLS", 7 * int(np.prod(d.sizes)))
+        for bounds in sorted(BOUNDS):
+            _assert_matches_reference(d, bounds, 4, "r02")
+
+    def test_flat_channel_every_key_ties(self):
+        # outputs independent of inputs: every rate is 0, so the pmf
+        # tie-break alone picks the answer
+        sizes = (1, 1, 2, 2, 2, 2, 2)
+        d = DmcSpec(sizes=sizes, p_s=np.ones(1), channel=np.full((1, 2, 2, 2, 2), 0.25))
+        res = dmc_maximize(d, bounds="informed-source", denominator=4)
+        assert (res.value.r1, res.value.r02) == (0.0, 0.0)
+        _assert_matches_reference(d, "informed-source", 4, "r02")
+
+
+def _random_strategies(rng, d, count):
+    """Aux joints mixing exact zeros (rational grid points) with
+    Dirichlet draws."""
+    ns = d.sizes[0]
+    cells = int(np.prod(d.sizes[1:5]))
+    pmfs = []
+    for k in range(count):
+        if k % 2:
+            cond = rng.multinomial(4, np.ones(cells) / cells, size=ns) / 4.0
+        else:
+            cond = rng.dirichlet(np.full(cells, 0.5), size=ns)
+        pmfs.append((d.p_s[:, None] * cond).reshape(d.sizes[:5]))
+    return np.stack(pmfs)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    sizes=st.tuples(*[st.integers(1, 3)] * 7),
+    bounds=st.sampled_from(sorted(BOUNDS)),
+)
+def test_screen_matches_scalar_evaluators(seed, sizes, bounds):
+    rng = np.random.default_rng(seed)
+    d = _random_spec(rng, sizes)
+    pmfs = _random_strategies(rng, d, 8)
+    r1, r02 = dmc._screen(d, pmfs, dmc._TERMS[bounds])
+    for i, pmf in enumerate(pmfs):
+        want = BOUNDS[bounds](d, AuxJoint(pmf))
+        assert abs(r1[i] - want.r1) <= 1e-12
+        assert abs(r02[i] - want.r02) <= 1e-12
+
+
+class TestCompositions:
+    @pytest.mark.parametrize("total,cells", [(4, 1), (4, 2), (0, 3), (4, 4), (8, 3), (3, 6)])
+    def test_lexicographic_order(self, total, cells):
+        want = [c for c in itertools.product(range(total + 1), repeat=cells) if sum(c) == total]
+        assert dmc._compositions(total, cells).tolist() == [list(c) for c in want]
 
 
 class TestFactories:
