@@ -381,8 +381,8 @@ def _cmd_verify(args, cfg: dict) -> int:
     tol = float(_pick(args.tol, cfg, "tol", 1e-9))
     if tol <= 0:
         raise OutOfRange(f"tol must be > 0, got {tol}")
-    seed = int(_pick(args.seed, cfg, "seed", 0))
-    mc_samples = int(_pick(args.mc_samples, cfg, "mc_samples", 10**6))
+    seed = _as_int("seed", _pick(args.seed, cfg, "seed", 0))
+    mc_samples = _as_int("mc_samples", _pick(args.mc_samples, cfg, "mc_samples", 10**6))
     if defaulted:
         print(
             "note: no channel given; using the example channel "

@@ -13,16 +13,24 @@ Agreement between the two routes is what the verify_* reports certify.
 The constructions deliberately contain deterministic linear relations
 (the relay input is a scaled copy of a layer the source also sends), so
 the naive four-determinant formula would hit singular submatrices.
-Before evaluating, each label set is reduced to a subset that is
-linearly independent given the conditioning set; dropping a label that
-is almost surely a linear function of the others leaves the mutual
-information unchanged.
+Instead, one sequential Cholesky pass in label order gives each label's
+residual variance r given the labels kept before it. A label with r at
+most _RANK_TOL is almost surely a linear function of those and is
+dropped, which leaves the mutual information unchanged. The log-det of
+a kept block is the sum of its log r, so with C reduced first and A and
+B each reduced on top of it, the formula collapses to
+
+    I(A; B | C) = sum over kept b in B of
+                  ( log r(b | C, earlier b) - log r(b | C, A, earlier b) ) / (2 ln 2)
+
+that is, one extra pass of B's kept labels on top of C and A.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import mul
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -70,7 +78,9 @@ class CovarianceSystem:
             )
         if len(set(self.labels)) != len(self.labels):
             raise OutOfRange("labels must be unique")
-        if not np.allclose(sigma, sigma.T, rtol=0.0, atol=1e-9):
+        if not np.isfinite(sigma).all():
+            raise OutOfRange("sigma must be finite")
+        if not (np.abs(sigma - sigma.T) <= 1e-9).all():
             raise OutOfRange("sigma must be symmetric")
         if float(np.linalg.eigvalsh(sigma).min(initial=0.0)) < _PSD_TOL:
             raise OutOfRange("sigma is not positive semidefinite")
@@ -92,39 +102,32 @@ class CovarianceSystem:
         return float(self.sigma[self.index(a), self.index(b)])
 
 
-def _residual_variance(sigma: np.ndarray, kept: list[int], j: int) -> float:
-    """Variance of component j left after projecting onto span(kept)."""
-    if not kept:
-        return float(sigma[j, j])
-    m = sigma[np.ix_(kept, kept)]
-    v = sigma[kept, j]
-    try:
-        sol = np.linalg.solve(m, v)
-    except np.linalg.LinAlgError:
-        sol = np.linalg.lstsq(m, v, rcond=None)[0]
-    return float(sigma[j, j] - v @ sol)
+def _extend(
+    s: list[list[float]], factor: list, cand: list[int], tol: float = _RANK_TOL
+) -> tuple[list, list[float]]:
+    """Extend a Cholesky factor by the labels of cand, in order.
 
-
-def _reduce(sigma: np.ndarray, base: list[int], cand: list[int]) -> list[int]:
-    """Subset of cand that stays linearly independent on top of base."""
-    kept = list(base)
-    out = []
+    factor is a list of (index, row) pairs: row holds that label's entries
+    of the lower-triangular factor of the covariance of the labels before
+    it, its last entry the square root of its residual variance. A
+    candidate is kept iff its residual variance given every label kept
+    before it exceeds tol. Returns the extended factor (a new list) and
+    the log residual variance of each kept candidate; the log-det of a
+    kept block is the sum of those logs over its labels.
+    """
+    factor = list(factor)
+    logs = []
     for j in cand:
-        if _residual_variance(sigma, kept, j) > _RANK_TOL:
-            out.append(j)
-            kept.append(j)
-    return out
-
-
-def _logdet(sigma: np.ndarray, rows: list[int]) -> float:
-    if not rows:
-        return 0.0
-    sign, val = np.linalg.slogdet(sigma[np.ix_(rows, rows)])
-    if sign <= 0.0 or val <= _LOGDET_FLOOR:
-        raise SingularSubmatrix(
-            "singular covariance submatrix; eliminate dependent labels first"
-        )
-    return float(val)
+        s_j = s[j]  # sigma is symmetric: row j is column j
+        ell: list[float] = []
+        for k, row in factor:
+            ell.append((s_j[k] - sum(map(mul, row, ell))) / row[-1])
+        r = s_j[j] - sum(map(mul, ell, ell))
+        if r > tol:
+            ell.append(math.sqrt(r))
+            factor.append((j, ell))
+            logs.append(math.log(r))
+    return factor, logs
 
 
 def _unique_indices(cov: CovarianceSystem, labels: Iterable[str]) -> list[int]:
@@ -145,8 +148,8 @@ def gaussian_cmi(
     """Conditional mutual information I(A; B | C) in bits.
 
     Labels appearing in C (or determined by C, or redundant within their
-    own set) are eliminated before the determinant formula is applied, so
-    the deterministic relations of the constructions are handled exactly.
+    own set) are eliminated by the residual-variance pass, so the
+    deterministic relations of the constructions are handled exactly.
     An empty A or B after elimination gives 0. If a label survives in
     both A and B the information diverges and SingularSubmatrix is raised.
     """
@@ -159,21 +162,27 @@ def gaussian_cmi(
 def _cmi_from_sigma(
     sigma: np.ndarray, a_idx: list[int], b_idx: list[int], c_idx: list[int]
 ) -> float:
-    c_kept = _reduce(sigma, [], c_idx)
-    a_kept = _reduce(sigma, c_kept, a_idx)
-    b_kept = _reduce(sigma, c_kept, b_idx)
-    if not a_kept or not b_kept:
+    s = sigma.tolist()
+    c_fac, c_logs = _extend(s, [], c_idx)
+    a_fac, a_logs = _extend(s, c_fac, a_idx)
+    b_fac, b_logs = _extend(s, c_fac, b_idx)
+    if not a_logs or not b_logs:
         return 0.0
-    if set(a_kept) & set(b_kept):
+    b_kept = [j for j, _ in b_fac[len(c_fac):]]
+    if any(j in b_kept for j, _ in a_fac[len(c_fac):]):
         raise SingularSubmatrix(
             "a non-degenerate label sits in both sets; mutual information diverges"
         )
-    val = (
-        _logdet(sigma, a_kept + c_kept)
-        + _logdet(sigma, b_kept + c_kept)
-        - _logdet(sigma, c_kept)
-        - _logdet(sigma, a_kept + b_kept + c_kept)
-    ) / (2.0 * _LN2)
+    # B again, now after C and A: every pivot must stay positive
+    _, ab_logs = _extend(s, a_fac, b_kept, tol=0.0)
+    lc, la, lb, lab = sum(c_logs), sum(a_logs), sum(b_logs), sum(ab_logs)
+    # the log-dets of C, A+C, B+C and A+B+C
+    logdet_min = min(lc, lc + la, lc + lb, lc + la + lab)
+    if len(ab_logs) < len(b_kept) or logdet_min <= _LOGDET_FLOOR:
+        raise SingularSubmatrix(
+            "singular covariance submatrix; eliminate dependent labels first"
+        )
+    val = (lb - lab) / (2.0 * _LN2)
     if val < 0.0:
         if val < -1e-9:
             raise SingularSubmatrix(
@@ -188,6 +197,17 @@ def _assemble(labels: tuple[str, ...], mix: np.ndarray, variances) -> Covariance
     given variances: sigma = mix diag(variances) mix^T (exactly PSD)."""
     sigma = (mix * np.asarray(variances, dtype=float)) @ mix.T
     return CovarianceSystem(tuple(labels), sigma)
+
+
+def _check_powers(cov: CovarianceSystem, c: ChannelParams) -> CovarianceSystem:
+    """Both inputs within their power budgets, up to rounding relative to
+    the budget once it exceeds 1."""
+    for label, power in (("X1", c.p1), ("X2", c.p2)):
+        if cov.var(label) > power + 1e-9 * max(1.0, power):
+            raise OutOfRange(
+                f"{label} power {cov.var(label)} exceeds its budget {power}"
+            )
+    return cov
 
 
 class InformedBothCoeffs(NamedTuple):
@@ -260,10 +280,7 @@ def build_cov_informed_both(
             [1.0, 1.0, 1.0, 1.0, 1.0, 1.0],  # Y2
         ]
     )
-    cov = _assemble(labels, mix, variances)
-    assert cov.var("X1") <= c.p1 + 1e-9
-    assert cov.var("X2") <= c.p2 + 1e-9
-    return cov
+    return _check_powers(_assemble(labels, mix, variances), c)
 
 
 def build_cov_informed_source(c: ChannelParams, g: GdpcParams) -> CovarianceSystem:
@@ -317,10 +334,7 @@ def build_cov_informed_source(c: ChannelParams, g: GdpcParams) -> CovarianceSyst
             [kappa, 1.0, 1.0 + c_uw, 1.0, 1.0, 1.0],  # Y2
         ]
     )
-    cov = _assemble(labels, mix, variances)
-    assert cov.var("X1") <= c.p1 + 1e-9
-    assert cov.var("X2") <= c.p2 + 1e-9
-    return cov
+    return _check_powers(_assemble(labels, mix, variances), c)
 
 
 @dataclass(frozen=True)
@@ -423,6 +437,16 @@ def verify_informed_both(
     return VerifyReport.from_terms("informed-both-capacity", tol, details)
 
 
+def _half_log2_ratio(name: str, num: float, den: float) -> float:
+    """0.5*log2(num/den) of a closed-form ratio; a log 0 or 0/0 limit
+    (the binning power vanishes) raises SingularSubmatrix."""
+    if not (num > 0.0 and den > 0.0):
+        raise SingularSubmatrix(
+            f"closed-form ratio {name} = {num}/{den} has no finite log"
+        )
+    return 0.5 * math.log2(num / den)
+
+
 def verify_gdpc(c: ChannelParams, g: GdpcParams, tol: float = 1e-9) -> VerifyReport:
     """Check the closed-form a/b, c/d log ratios and the private rate
     against the covariance oracle for the encoder-informed construction.
@@ -443,12 +467,12 @@ def verify_gdpc(c: ChannelParams, g: GdpcParams, tol: float = 1e-9) -> VerifyRep
         TermCheck(
             term="I(U2;Y1|X2)-I(U2;Sprime|X2)",
             oracle=gaussian_cmi(cov, ["U2"], ["Y1"], ["X2"]) - gp_common,
-            closed=0.5 * math.log2(k.a / k.b),
+            closed=_half_log2_ratio("a/b", k.a, k.b),
         ),
         TermCheck(
             term="I(U2,X2;Y2)-I(U2;Sprime|X2)",
             oracle=gaussian_cmi(cov, ["U2", "X2"], ["Y2"]) - gp_common,
-            closed=0.5 * math.log2(k.c / k.d),
+            closed=_half_log2_ratio("c/d", k.c, k.d),
         ),
     )
     return VerifyReport.from_terms("gdpc-closed-forms", tol, details)
@@ -483,7 +507,7 @@ def sample_mi_estimate(
 ) -> float:
     """Monte-Carlo replica of gaussian_cmi: draw n_samples joint Gaussian
     vectors, form the sample covariance (divisor n-1) and evaluate the
-    same reduced log-determinant formula on it.
+    same residual-variance route on it.
 
     Sampling uses numpy's default PCG64 generator seeded with ``seed``
     and the symmetric eigendecomposition factor of sigma, so results are

@@ -148,6 +148,20 @@ class TestVerifyCommand:
         assert code == 2
         assert "tol" in err
 
+    @pytest.mark.parametrize(
+        "fields, name",
+        [
+            ({"seed": 1.9, "mc_samples": 20000.7}, "seed"),
+            ({"seed": 1, "mc_samples": 20000.7}, "mc_samples"),
+        ],
+    )
+    def test_fractional_integer_fields_rejected(self, capsys, tmp_path, fields, name):
+        cfg = tmp_path / "verify.json"
+        cfg.write_text(json.dumps(fields))
+        code, _, err = run(capsys, "verify", "--config", str(cfg))
+        assert code == 2
+        assert name in err
+
 
 class TestDmcCommand:
     def test_pipes_json(self, capsys):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from relayregions import (
     ChannelParams,
@@ -23,8 +24,10 @@ from relayregions import (
     verify_informed_both,
     verify_relay_identity,
 )
+from relayregions.gaussian import _LOGDET_FLOOR, _RANK_TOL, _cmi_from_sigma
 
 EXAMPLE = ChannelParams(1.0, 1.0, 1.0, 0.1, 1.0)
+PROPERTY = settings(deadline=None, derandomize=True, database=None, max_examples=300)
 
 
 def _pair(r):
@@ -58,6 +61,11 @@ class TestCovarianceSystem:
     def test_rejects_asymmetric(self):
         with pytest.raises(OutOfRange):
             CovarianceSystem(("A", "B"), np.array([[1.0, 0.5], [0.2, 1.0]]))
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(OutOfRange, match="finite"):
+            CovarianceSystem(("A", "B"), np.array([[bad, 0.0], [0.0, 1.0]]))
 
     def test_rejects_indefinite(self):
         with pytest.raises(OutOfRange):
@@ -123,6 +131,136 @@ class TestGaussianCmi:
         assert gaussian_cmi(_pair(0.5), ["A"], []) == 0.0
 
 
+# Reference: the four-determinant formula on subsets reduced with
+# np.linalg.solve and evaluated with np.linalg.slogdet, an independent
+# route to the value the residual-variance pass computes.
+def _ref_residual_variance(sigma, kept, j):
+    if not kept:
+        return float(sigma[j, j])
+    m = sigma[np.ix_(kept, kept)]
+    v = sigma[kept, j]
+    try:
+        sol = np.linalg.solve(m, v)
+    except np.linalg.LinAlgError:
+        sol = np.linalg.lstsq(m, v, rcond=None)[0]
+    return float(sigma[j, j] - v @ sol)
+
+
+def _ref_reduce(sigma, base, cand):
+    kept = list(base)
+    out = []
+    for j in cand:
+        if _ref_residual_variance(sigma, kept, j) > _RANK_TOL:
+            out.append(j)
+            kept.append(j)
+    return out
+
+
+def _ref_logdet(sigma, rows):
+    if not rows:
+        return 0.0
+    sign, val = np.linalg.slogdet(sigma[np.ix_(rows, rows)])
+    if sign <= 0.0 or val <= _LOGDET_FLOOR:
+        raise SingularSubmatrix("singular covariance submatrix")
+    return float(val)
+
+
+def _ref_cmi(sigma, a_idx, b_idx, c_idx):
+    c_kept = _ref_reduce(sigma, [], c_idx)
+    a_kept = _ref_reduce(sigma, c_kept, a_idx)
+    b_kept = _ref_reduce(sigma, c_kept, b_idx)
+    if not a_kept or not b_kept:
+        return 0.0
+    if set(a_kept) & set(b_kept):
+        raise SingularSubmatrix("a label sits in both sets")
+    val = (
+        _ref_logdet(sigma, a_kept + c_kept)
+        + _ref_logdet(sigma, b_kept + c_kept)
+        - _ref_logdet(sigma, c_kept)
+        - _ref_logdet(sigma, a_kept + b_kept + c_kept)
+    ) / (2.0 * math.log(2.0))
+    if val < 0.0:
+        if val < -1e-9:
+            raise SingularSubmatrix(f"mutual information evaluated to {val}")
+        return 0.0
+    return val
+
+
+@st.composite
+def low_rank_mixes(draw):
+    """Labels = mix @ basis over fewer independent components than labels,
+    with small integer mixing weights, so many labels are exact linear
+    functions of others; and disjoint A, B, C in a drawn order."""
+    n = draw(st.integers(2, 7))
+    r = draw(st.integers(1, n))
+    mix = np.array(
+        draw(st.lists(st.lists(st.integers(-2, 2), min_size=r, max_size=r),
+                      min_size=n, max_size=n)),
+        dtype=float,
+    )
+    var = draw(st.lists(st.floats(0.25, 2.0), min_size=r, max_size=r))
+    roles = draw(st.lists(st.sampled_from("ABC-"), min_size=n, max_size=n))
+    order = draw(st.permutations(range(n)))
+    sets = [[i for i in order if roles[i] == role] for role in "ABC"]
+    return mix, (mix * np.array(var)) @ mix.T, sets
+
+
+def _rank(mix, rows):
+    return int(np.linalg.matrix_rank(mix[rows])) if rows else 0
+
+
+def _finite(mix, a, b, c):
+    """I(A;B|C) is finite iff span(A,C) and span(B,C) meet only in span(C)."""
+    return _rank(mix, a + c) + _rank(mix, b + c) - _rank(mix, a + b + c) == _rank(mix, c)
+
+
+def _well_conditioned(sigma, a, b, c):
+    # both routes lose about eps*cond bits on the kept block; at
+    # cond < 1e5 that stays far below 1e-11
+    c_kept = _ref_reduce(sigma, [], c)
+    kept = _ref_reduce(sigma, c_kept, a) + _ref_reduce(sigma, c_kept, b) + c_kept
+    return not kept or np.linalg.cond(sigma[np.ix_(kept, kept)]) < 1e5
+
+
+class TestResidualRoute:
+    @PROPERTY
+    @given(low_rank_mixes(), st.booleans())
+    def test_matches_solve_and_slogdet_route(self, drawn, shared):
+        mix, sigma, (a, b, c) = drawn
+        if shared:
+            # one label put first in both A and B: if C does not
+            # determine it, both routes must raise, else it drops out
+            extra = [i for i in range(len(mix)) if i not in a + b + c]
+            assume(extra)
+            a, b = [extra[0]] + a, [extra[0]] + b
+            if _rank(mix, c + extra[:1]) > _rank(mix, c):
+                with pytest.raises(SingularSubmatrix):
+                    _ref_cmi(sigma, a, b, c)
+                with pytest.raises(SingularSubmatrix):
+                    _cmi_from_sigma(sigma, a, b, c)
+                return
+        # an infinite information has no value to match: both routes
+        # return rounding noise or raise there
+        assume(_finite(mix, a, b, c) and _well_conditioned(sigma, a, b, c))
+        want = _ref_cmi(sigma, a, b, c)
+        got = _cmi_from_sigma(sigma, a, b, c)
+        assert got == pytest.approx(want, abs=1e-11)
+
+    @PROPERTY
+    @given(low_rank_mixes(), st.randoms(use_true_random=False))
+    def test_label_order_does_not_matter(self, drawn, rnd):
+        mix, sigma, (a, b, c) = drawn
+        assume(_finite(mix, a, b, c) and _well_conditioned(sigma, a, b, c))
+        cov = CovarianceSystem(tuple(f"L{i}" for i in range(len(mix))), sigma)
+        names = [[cov.labels[i] for i in s] for s in (a, b, c)]
+        want = gaussian_cmi(cov, *names)
+        shuffled = [rnd.sample(s, len(s)) for s in names]
+        assert gaussian_cmi(cov, *shuffled) == pytest.approx(want, abs=1e-11)
+        assert gaussian_cmi(cov, names[1], names[0], names[2]) == pytest.approx(
+            want, abs=1e-11
+        )
+
+
 class TestInformedBothCov:
     def test_power_constraints_exact(self):
         rng = np.random.default_rng(3)
@@ -166,6 +304,17 @@ class TestInformedBothCov:
         )
         assert k.p_fresh == pytest.approx(p.beta * gbar_p1, abs=1e-12)
         assert k.lam**2 * k.p_coop == pytest.approx((1 - p.beta) * gbar_p1, abs=1e-12)
+
+    def test_power_check_is_relative_above_unit_budget(self):
+        # at this scale X2's variance exceeds p2 by 1.9e-9 from rounding
+        c = ChannelParams(
+            13484212.383636696, 5665736.390140798, 36386011.51134933,
+            6187322.527706158, 28690876.355495475,
+        )
+        p = InformedBothParams(0.6299332015096252, 0.19640741415922677)
+        cov = build_cov_informed_both(c, p)
+        assert cov.var("X2") == pytest.approx(c.p2, rel=1e-12)
+        assert verify_informed_both(c, p).passed
 
     def test_verify_passes(self):
         rep = verify_informed_both(EXAMPLE, InformedBothParams(0.5, 0.5))
@@ -232,6 +381,19 @@ class TestInformedSourceCov:
         assert rep.passed
         assert rep.max_abs_diff < 1e-12
         assert len(rep.details) == 3
+
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            GdpcParams(0.2, 0.3, 1.0, 0.5),
+            GdpcParams(0.0, rho_upper_bound(EXAMPLE, 0.0), 0.4, 0.5),
+        ],
+        ids=["beta=1", "gamma=0,rho=bound"],
+    )
+    def test_degenerate_closed_form_is_typed(self, g):
+        with pytest.raises(SingularSubmatrix):
+            verify_gdpc(EXAMPLE, g)
 
 
 class TestRelayIdentity:
