@@ -20,6 +20,26 @@ Two optimization problems appear:
   to the lexicographically smallest (rho, beta), each with its smallest
   tied alpha2. The incumbent always stays in the candidate set, so the
   value never decreases across refinement rounds.
+
+A frontier or an SNR sweep solves the second problem at many (channel,
+gamma) rows, and a dpc row (rho frozen at 0) is only 33 cells a round,
+so one solve at a time would be mostly numpy call overhead. The search
+therefore carries a leading row axis through every round: each row keeps
+its own box, incumbent, tie-break, evaluation count and trace, and all
+rows of a pass go through one kernel call per round. Rows run in order,
+in passes of at most ``_PASS_CELLS`` grid cells, so the 21 rows of a
+default dpc frontier share one pass while a 33 x 33 gdpc row runs alone.
+``max_r02_gdpc`` is the batch of one.
+
+A row's result is bit-identical to searching it alone. Every cell value
+is computed elementwise by the same float operations in the same order,
+whatever its neighbours; the axes are built by ``np.linspace``'s own
+arithmetic; and every selection (threshold, first eligible cell, tie
+rule, box shrink) reads only that row. A pass evaluates all its rows on
+its widest rho axis, so a row whose box is a single point along an axis
+holds that point repeatedly; the repeats give the same values, the first
+eligible cell is unchanged, and the evaluation count counts the point
+once.
 """
 
 from __future__ import annotations
@@ -65,6 +85,11 @@ class GridSpec:
 
 
 DEFAULT_GRID = GridSpec()
+
+# Most (rho, beta) cells one pass of the batched search evaluates: the
+# 33-cell rows of a dpc frontier share a pass, a 33 x 33 gdpc row runs
+# alone, and a pass's arrays stay small whatever the row count.
+_PASS_CELLS = 2048
 
 
 @dataclass(frozen=True)
@@ -116,12 +141,6 @@ def max_beta_nostate(c: ChannelParams, gamma: float) -> tuple[float, float]:
     return beta, min(nostate_terms(c, gamma, beta))
 
 
-def _axis(lo: float, hi: float, steps: int) -> np.ndarray:
-    if hi <= lo:
-        return np.array([lo])
-    return np.linspace(lo, hi, steps)
-
-
 def max_r02_gdpc(
     c: ChannelParams,
     gamma: float,
@@ -138,57 +157,103 @@ def max_r02_gdpc(
     """
     validate_channel(c)
     _check_gamma(gamma)
+    return _search([(c, gamma)], grid, freeze_rho)[0]
+
+
+def _search(problems, grid: GridSpec | None, freeze_rho: bool) -> list[OptResult]:
+    """``max_r02_gdpc`` of every (channel, gamma) row, all rows at once.
+
+    Rows run in order, in passes of at most _PASS_CELLS grid cells. A
+    row's rho axis has one point when its rho bound is 0 (dpc, gamma = 1
+    or q = 0) and steps_rho points otherwise; a pass evaluates its rows on
+    the widest of them. The inputs are trusted: callers validate them.
+    """
     grid = grid if grid is not None else DEFAULT_GRID
-    rho_hi = 0.0 if freeze_rho else rho_upper_bound(c, gamma)
-    bounds = ((0.0, rho_hi), (0.0, 1.0))
-    steps = (grid.steps_rho, grid.steps_beta)
-    boxes = list(bounds)
-    best: tuple[float, float, float] | None = None
-    best_v = -math.inf
-    evaluations = 0
-    trace: list[tuple[GdpcParams, float]] = []
+    rho_hi = [0.0 if freeze_rho else rho_upper_bound(c, gamma) for c, gamma in problems]
+    widths = [grid.steps_rho if hi > 0.0 else 1 for hi in rho_hi]
+    results: list[OptResult] = []
+    start = 0
+    while start < len(problems):
+        stop, n_rho = start + 1, widths[start]
+        while stop < len(problems) and (
+            (stop + 1 - start) * max(n_rho, widths[stop]) * grid.steps_beta <= _PASS_CELLS
+        ):
+            n_rho = max(n_rho, widths[stop])
+            stop += 1
+        results += _search_pass(problems[start:stop], rho_hi[start:stop], n_rho, grid)
+        start = stop
+    return results
+
+
+def _search_pass(problems, rho_hi, n_rho: int, grid: GridSpec) -> list[OptResult]:
+    """Grid-then-shrink over the (rho, beta) boxes of one pass's rows,
+    with a leading row axis on every array; see the module docstring for
+    why each row's result equals a search of that row alone."""
+    n = len(problems)
+    rows = np.arange(n)
+    # p1, p2, q, n1, n2 and gamma, each as an (n, 1, 1) column
+    knobs = np.array([(c.p1, c.p2, c.q, c.n1, c.n2, gamma) for c, gamma in problems], dtype=float)
+    knobs = knobs.T[:, :, np.newaxis, np.newaxis]
+    n_beta = grid.steps_beta
+    # row-wise (rho, beta) boxes, their full bounds, and the incumbent
+    # (rho, beta, alpha2, value); an infinite start loses every comparison
+    top = np.array([rho_hi, np.ones(n)])
+    lo, hi = np.zeros_like(top), top
+    best = np.full((4, n), math.inf)
+    best[3] = -math.inf
+    trace, spread = [], []
     for _ in range(grid.refine_iters + 1):
-        axes = [_axis(lo, hi, n) for (lo, hi), n in zip(boxes, steps)]
-        rr, bb = np.meshgrid(*axes, indexing="ij")
-        aa, v = _best_alpha2(c.p1, c.p2, c.q, c.n1, c.n2, gamma, rr, bb)
-        v = v.ravel()
-        evaluations += v.size
-        vmax = float(v.max())
-        threshold = max(vmax - _TIE_TOL, best_v)
-        eligible = v >= threshold
-        if eligible.any():
-            # first hit in C order is the lexicographically smallest
-            # (rho, beta), because both axes are ascending
-            flat = int(np.argmax(eligible))
-            cand = (
-                float(rr.ravel()[flat]),
-                float(bb.ravel()[flat]),
-                float(aa.ravel()[flat]),
-            )
-            cand_v = float(v[flat])
-            if (
-                best is None
-                or cand_v > best_v + _TIE_TOL
-                or (cand_v >= best_v and cand < best)
-            ):
-                best, best_v = cand, cand_v
-        params = GdpcParams(gamma=gamma, rho=best[0], beta=best[1], alpha2=best[2])
-        trace.append((params, best_v))
-        # shrink the (rho, beta) box around the incumbent, clipped to the
-        # full bounds
-        new_boxes = []
-        for (lo0, hi0), (lo, hi), center in zip(bounds, boxes, best[:2]):
-            half = 0.5 * (hi - lo) * grid.refine_shrink
-            new_boxes.append((max(lo0, center - half), min(hi0, center + half)))
-        boxes = new_boxes
-    g = GdpcParams(gamma=gamma, rho=best[0], beta=best[1], alpha2=best[2])
-    r = gdpc_rates(c, g)
-    return OptResult(
-        best=g,
-        value=min(r.r1_sum, r.r2_sum),
-        evaluations=evaluations,
-        trace=tuple(trace),
-    )
+        rho = _axes(lo[0], hi[0], n_rho)
+        beta = _axes(lo[1], hi[1], n_beta)
+        spread.append(hi > lo)
+        aa, v = _best_alpha2(*knobs, rho[:, :, np.newaxis], beta[:, np.newaxis, :])
+        aa, v = aa.reshape(n, -1), v.reshape(n, -1)
+        threshold = np.maximum(v.max(axis=1) - _TIE_TOL, best[3])
+        # first hit in C order is the lexicographically smallest
+        # (rho, beta), because both axes are ascending
+        flat = (v >= threshold[:, np.newaxis]).argmax(axis=1)
+        i_rho, i_beta = np.divmod(flat, n_beta)
+        cand = np.array([rho[rows, i_rho], beta[rows, i_beta], aa[rows, flat], v[rows, flat]])
+        (cr, cb, ca, cv), (br, bb, ba, bv) = cand, best
+        smaller = (cr < br) | ((cr == br) & ((cb < bb) | ((cb == bb) & (ca < ba))))
+        # a row with no cell at its threshold has cv < bv and keeps its best
+        best = np.where((cv > bv + _TIE_TOL) | ((cv >= bv) & smaller), cand, best)
+        trace.append(best)
+        # shrink each box around its incumbent, clipped to the full bounds
+        half = 0.5 * (hi - lo) * grid.refine_shrink
+        lo, hi = np.maximum(0.0, best[:2] - half), np.minimum(top, best[:2] + half)
+    # an axis whose box has shrunk to a point counts once
+    steps = np.array([[grid.steps_rho], [n_beta]])
+    evaluations = np.where(spread, steps, 1).prod(axis=1).sum(axis=0)
+    results = []
+    history = np.array(trace).transpose(2, 0, 1).tolist()
+    for (c, gamma), rounds, cells in zip(problems, history, evaluations.tolist()):
+        path = tuple((GdpcParams(gamma, r, b, a), value) for r, b, a, value in rounds)
+        g = path[-1][0]
+        r = gdpc_rates(c, g)
+        results.append(
+            OptResult(best=g, value=min(r.r1_sum, r.r2_sum), evaluations=cells, trace=path)
+        )
+    return results
+
+
+def _axes(lo: np.ndarray, hi: np.ndarray, n: int) -> np.ndarray:
+    """np.linspace(lo[i], hi[i], n) for every row i, bit for bit, by
+    linspace's own arithmetic. A row with hi == lo holds lo n times; a
+    search of that row alone would evaluate it once."""
+    if n == 1:
+        return lo[:, np.newaxis]
+    delta = hi - lo
+    step = delta / (n - 1)
+    pos = np.arange(n, dtype=float)
+    y = pos * step[:, np.newaxis]
+    if not step.all():
+        # linspace divides first when the step is 0 or underflows
+        zero = step == 0.0
+        y[zero] = pos / (n - 1) * delta[zero, np.newaxis]
+    y += lo[:, np.newaxis]
+    y[:, -1] = hi
+    return y
 
 
 def _check_scheme(scheme: str) -> str:
@@ -197,16 +262,22 @@ def _check_scheme(scheme: str) -> str:
     return scheme
 
 
-def _solve(
-    c: ChannelParams, scheme: str, gamma: float, grid: GridSpec | None
-) -> tuple[float, float, float, float]:
-    """(rho, beta, alpha2, value) of one scheme at one gamma. For the
-    exact region beta is the cooperative split beta3 and rho = alpha2 = 0."""
+def _solve_all(
+    scheme: str, problems, grid: GridSpec | None
+) -> list[tuple[float, float, float, float]]:
+    """(rho, beta, alpha2, value) of one scheme for every (channel, gamma)
+    row. gdpc and dpc run one batched box search; for the exact region
+    beta is the cooperative split beta3 and rho = alpha2 = 0."""
     if scheme in ("gdpc", "dpc"):
-        res = max_r02_gdpc(c, gamma, grid, freeze_rho=scheme == "dpc")
-        return res.best.rho, res.best.beta, res.best.alpha2, res.value
-    beta, value = max_beta_nostate(c, gamma)
-    return 0.0, beta, 0.0, value
+        return [
+            (res.best.rho, res.best.beta, res.best.alpha2, res.value)
+            for res in _search(problems, grid, scheme == "dpc")
+        ]
+    solved = []
+    for c, gamma in problems:
+        beta, value = max_beta_nostate(c, gamma)
+        solved.append((0.0, beta, 0.0, value))
+    return solved
 
 
 def frontier(
@@ -222,19 +293,26 @@ def frontier(
     cooperative split. The gamma grid is sorted and deduplicated, and
     points that a later point strictly dominates (grid jitter can make
     r02 wiggle upward) are dropped so the result is a monotone staircase.
+    Of points with equal r1 and r02 the smallest gamma is kept.
     """
     validate_channel(c)
     _check_scheme(scheme)
     gammas = sorted({_check_gamma(float(g)) for g in gamma_grid})
-    pts: list[FrontierPoint] = []
-    for gamma in gammas:
-        r1 = cap_c(gamma * c.p1 / c.n1)
-        rho, beta, alpha2, value = _solve(c, scheme, gamma, grid)
-        pts.append(FrontierPoint(gamma, rho, beta, alpha2, RatePoint.clamped(r1, value)))
+    if not gammas:
+        raise OutOfRange("gamma_grid must hold at least one gamma")
+    solved = _solve_all(scheme, [(c, gamma) for gamma in gammas], grid)
+    pts = [
+        FrontierPoint(gamma, rho, beta, alpha2, RatePoint.clamped(cap_c(gamma * c.p1 / c.n1), r02))
+        for gamma, (rho, beta, alpha2, r02) in zip(gammas, solved)
+    ]
     kept: list[FrontierPoint] = []
     best_later = -math.inf
     for p in reversed(pts):
         if p.rate.r02 >= best_later:
+            if kept and kept[-1].rate.r1 == p.rate.r1:
+                # gammas too close to move r1 (a subnormal gamma next to
+                # 0): the smaller gamma reaches at least the same r02
+                kept.pop()
             kept.append(p)
             best_later = p.rate.r02
     kept.reverse()
@@ -267,14 +345,26 @@ def sweep_snr(
     """
     validate_channel(base)
     _check_scheme(scheme)
-    rows: list[SweepRow] = []
+    points: list[tuple[float, float, ChannelParams | None]] = []
     for snr in snr_db_list:
         snr = float(snr)
-        n1 = base.p1 / 10.0 ** (snr / 10.0)
-        if n1 >= base.n2:
-            rows.append(SweepRow(snr_db=snr, n1=n1, rate=None, skipped=True))
-            continue
-        ch = ChannelParams(p1=base.p1, p2=base.p2, q=base.q, n1=n1, n2=base.n2)
-        rate = _solve(ch, scheme, 0.0, grid)[3]
-        rows.append(SweepRow(snr_db=snr, n1=n1, rate=rate, skipped=False))
-    return tuple(rows)
+        try:
+            n1 = base.p1 / 10.0 ** (snr / 10.0)
+        except ArithmeticError:  # 10**(snr/10) overflows, or underflows to 0
+            n1 = math.nan
+        if not 0.0 < n1 < math.inf:
+            raise OutOfRange(
+                f"snr_db {snr} gives n1 = p1/10**(snr_db/10) = {n1}, "
+                "not a positive finite power"
+            )
+        # n1 reaching n2 is not a valid channel: the row is skipped
+        ch = ChannelParams(base.p1, base.p2, base.q, n1, base.n2) if n1 < base.n2 else None
+        points.append((snr, n1, ch))
+    if not points:
+        raise OutOfRange("snr_db_list must hold at least one SNR")
+    kept = [(ch, 0.0) for _, _, ch in points if ch is not None]
+    rates = iter([value for *_, value in _solve_all(scheme, kept, grid)])
+    return tuple(
+        SweepRow(snr_db=snr, n1=n1, rate=None if ch is None else next(rates), skipped=ch is None)
+        for snr, n1, ch in points
+    )

@@ -103,9 +103,22 @@ def _alpha2_free_terms(p1, p2, q, n1, n2, gamma, rho, beta):
     return pwt, qp, a, c, n1 + gp1, n2 + gp1
 
 
-def _binned(pwt, qp, noise, alpha2):
-    """b (noise = n1 + gamma*p1) or d (noise = n2 + gamma*p1) at alpha2."""
-    return (1.0 - alpha2) ** 2 * pwt * qp + noise * (pwt + alpha2**2 * qp)
+def _binned_pair(pwt, qp, m1, m2, alpha2):
+    """b and d at alpha2 (m1 = n1 + gamma*p1, m2 = n2 + gamma*p1). They
+    share (1-alpha2)^2*pwt*qprime and pwt + alpha2^2*qprime. An array
+    alpha2 must have the full broadcast shape: the products are formed in
+    place in arrays of its shape."""
+    shared = (1.0 - alpha2) ** 2
+    shared *= pwt
+    shared *= qp
+    inner = alpha2**2
+    inner *= qp
+    inner += pwt
+    b = m1 * inner
+    b += shared
+    d = m2 * inner
+    d += shared
+    return b, d
 
 
 def _log_ratios(a, b, c, d):
@@ -121,21 +134,24 @@ def _sum_terms(p1, p2, q, n1, n2, gamma, rho, beta, alpha2):
     non-finite values to 0.
     """
     pwt, qp, a, c, m1, m2 = _alpha2_free_terms(p1, p2, q, n1, n2, gamma, rho, beta)
-    b = _binned(pwt, qp, m1, alpha2)
-    d = _binned(pwt, qp, m2, alpha2)
+    b, d = _binned_pair(pwt, qp, m1, m2, alpha2)
     r1, r2 = _log_ratios(a, b, c, d)
     return r1, r2, (a, b, c, d, qp)
 
 
 def _best_alpha2(p1, p2, q, n1, n2, gamma, rho, beta):
     """Exact maximizer of min(r1_sum, r2_sum) over alpha2 in [0, 1],
-    elementwise over numpy inputs.
+    elementwise over numpy inputs that broadcast against each other: a
+    grid passes its axes as rho of shape (..., n_rho, 1) and beta of shape
+    (..., 1, n_beta) rather than meshgridded copies, so the terms that
+    depend on rho alone are computed once per rho.
 
     Returns (alpha2, value) with the value clamped. The six candidates
     (0, the two Costa points, the two quadratic roots and the linear root
     of c*b - a*d = 0) are evaluated in one stacked pass; a candidate that
     is not finite or falls outside [0, 1] is replaced by 0. Of the
-    candidates within _TIE_TOL of the best value the smallest wins.
+    candidates within _TIE_TOL of the best value the smallest wins, and
+    its own value is returned, not the best one.
     """
     pwt, qp, a, c, m1, m2 = _alpha2_free_terms(p1, p2, q, n1, n2, gamma, rho, beta)
     # c*b(x) - a*d(x) = k2*x^2 + k1*x + k0
@@ -144,17 +160,29 @@ def _best_alpha2(p1, p2, q, n1, n2, gamma, rho, beta):
     k0 = pwt * ((qp + m1) * c - (qp + m2) * a)
     with np.errstate(divide="ignore", invalid="ignore"):
         h = -0.5 * (k1 + np.copysign(np.sqrt(k1 * k1 - 4.0 * k2 * k0), k1))
-        cand = np.stack(
-            np.broadcast_arrays(
-                0.0, pwt / (pwt + m1), pwt / (pwt + m2), h / k2, k0 / h, -k0 / k1
-            )
-        )
-    cand = np.where(np.isfinite(cand) & (cand >= 0.0) & (cand <= 1.0), cand, 0.0)
-    r1, r2 = _log_ratios(a, _binned(pwt, qp, m1, cand), c, _binned(pwt, qp, m2, cand))
-    v = np.minimum(_clamp_array(r1), _clamp_array(r2))
+        # h has the full broadcast shape: k2 involves every input
+        cand = np.empty((6,) + h.shape)
+        cand[0] = 0.0
+        np.divide(pwt, pwt + m1, out=cand[1])
+        np.divide(pwt, pwt + m2, out=cand[2])
+        np.divide(h, k2, out=cand[3])
+        np.divide(k0, h, out=cand[4])
+        np.divide(-k0, k1, out=cand[5])
+        # nan and +-inf fail one of the two comparisons; zeros of either
+        # sign become candidate 0's +0.0
+        cand = np.where((cand > 0.0) & (cand <= 1.0), cand, 0.0)
+        b, d = _binned_pair(pwt, qp, m1, m2, cand)
+        r = np.empty((2,) + cand.shape)
+        np.divide(a, b, out=r[0])
+        np.divide(c, d, out=r[1])
+        r = 0.5 * np.log2(r, out=r)
+    r = _clamp_array(r)
+    v = np.minimum(r[0], r[1])
     tied = v >= v.max(axis=0) - _TIE_TOL
-    pick = np.argmin(np.where(tied, cand, np.inf), axis=0)[np.newaxis]
-    return np.take_along_axis(cand, pick, 0)[0], np.take_along_axis(v, pick, 0)[0]
+    # candidates equal to the pick share its value: the same operations
+    # computed both
+    alpha2 = np.where(tied, cand, np.inf).min(axis=0)
+    return alpha2, np.where(cand == alpha2, v, -np.inf).max(axis=0)
 
 
 def _clamp_array(r):

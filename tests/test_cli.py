@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -7,6 +8,7 @@ from relayregions.cli import main
 
 CHANNEL = "1,1,2,0.1,1"
 TINY_GRID = "5,5,1,0.5"
+DATA = Path(__file__).parent / "data"
 
 
 def run(capsys, *argv):
@@ -56,6 +58,32 @@ class TestFrontierCommand:
         code, _, err = run(capsys, "frontier", "--channel", "1,1,1,2,1")
         assert code == 2
         assert "error:" in err
+
+    def test_empty_gamma_list_rejected(self, capsys, tmp_path):
+        code, _, err = run(capsys, "frontier", "--channel", CHANNEL, "--gamma-grid", ",")
+        assert code == 2 and "gamma" in err
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"channel": CHANNEL, "gamma_grid": []}))
+        code, _, err = run(capsys, "frontier", "--config", str(cfg))
+        assert code == 2 and "gamma" in err
+
+
+class TestGoldenOutputs:
+    """Default-grid CSVs of the example channel, written before the box
+    search was batched over gamma; the output must not move by a byte."""
+
+    @pytest.mark.parametrize(
+        "name,argv",
+        [
+            ("frontier_gdpc.csv", ["frontier", "--scheme", "gdpc", "--gamma-grid", "0:1:21"]),
+            ("frontier_dpc.csv", ["frontier", "--scheme", "dpc", "--gamma-grid", "0:1:21"]),
+            ("sweep_gdpc.csv", ["sweep-snr", "--scheme", "gdpc", "--snr-db", "0:30:5"]),
+        ],
+    )
+    def test_byte_identical(self, capsys, name, argv):
+        code, out, _ = run(capsys, *argv, "--channel", "1,1,1,0.1,1")
+        assert code == 0
+        assert out.encode() == (DATA / name).read_bytes()
 
 
 class TestGridFlag:
@@ -110,6 +138,15 @@ class TestSweepCommand:
 
     def test_missing_snr_axis(self, capsys):
         code, _, err = run(capsys, "sweep-snr", "--channel", CHANNEL)
+        assert code == 2
+        assert "snr" in err
+
+    @pytest.mark.parametrize("snr", ["4000", "-4000", "-inf", ","])
+    def test_unusable_snr_list_rejected(self, capsys, snr):
+        code, _, err = run(
+            capsys, "sweep-snr", "--channel", "1,1,1,0.1,1", f"--snr-db={snr}",
+            "--grid", TINY_GRID,
+        )
         assert code == 2
         assert "snr" in err
 

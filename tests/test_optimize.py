@@ -1,13 +1,16 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from relayregions import (
     ChannelParams,
     DEFAULT_GRID,
     GdpcParams,
     GridSpec,
+    OptResult,
     OutOfRange,
     cap_c,
     frontier,
@@ -15,7 +18,16 @@ from relayregions import (
     max_beta_nostate,
     max_r02_gdpc,
     nostate_terms,
+    rho_upper_bound,
     sweep_snr,
+)
+from relayregions import optimize
+from relayregions.rates import (
+    _TIE_TOL,
+    _alpha2_free_terms,
+    _best_alpha2,
+    _clamp_array,
+    _log_ratios,
 )
 
 ANCHOR = ChannelParams(1.0, 1.0, 0.0, 0.1, 1.0)
@@ -128,6 +140,13 @@ class TestFrontier:
             assert p.rho == 0.0 and p.alpha2 == 0.0
         assert f.points[0].rate.r02 == pytest.approx(0.5 * math.log2(4.6), abs=1e-9)
 
+    def test_gammas_with_equal_private_rate_collapse(self):
+        # a subnormal gamma leaves r1 = cap_c(gamma*p1/n1) at exactly 0
+        c = ChannelParams(1.0, 0.0, 0.0, 1.0, 2.0)
+        for scheme in ("dpc", "nostate-outer"):
+            f = frontier(c, scheme, [0.0, 5e-324, 0.5], GridSpec(5, 5, 1, 0.5))
+            assert [p.gamma for p in f.points] == [0.0, 0.5]
+
     def test_dpc_never_beats_gdpc(self):
         grid = GridSpec(9, 9, 2, 0.25)
         for gamma in (0.0, 0.4):
@@ -169,3 +188,234 @@ class TestSweepSnr:
     def test_outer_scheme_value(self):
         rows = sweep_snr(ANCHOR, [10.0], "nostate-outer")
         assert rows[0].rate == pytest.approx(0.5 * math.log2(4.6), abs=1e-9)
+
+    def test_rejects_unrepresentable_snr(self):
+        # 10**(snr/10) overflows (4000), underflows to 0 (-4000, -inf), or
+        # p1 over it overflows (-3100); nan is no SNR at all
+        for snr in (4000.0, -4000.0, -3100.0, -math.inf, math.inf, math.nan):
+            with pytest.raises(OutOfRange):
+                sweep_snr(STATEFUL, [10.0, snr], "gdpc", GridSpec(5, 5, 1, 0.5))
+
+    def test_empty_lists_are_rejected(self):
+        with pytest.raises(OutOfRange):
+            sweep_snr(STATEFUL, [], "gdpc")
+        with pytest.raises(OutOfRange):
+            frontier(STATEFUL, "gdpc", [])
+
+
+# ---------------------------------------------------------------------------
+# The batched box search against the per-gamma search it replaced. The
+# reference below is that search and its six-candidate alpha2 kernel as
+# they stood, one (channel, gamma) at a time on meshgridded axes; the
+# batched one must reproduce every field of its OptResult bit for bit.
+
+
+def _reference_best_alpha2(p1, p2, q, n1, n2, gamma, rho, beta):
+    def binned(pwt, qp, noise, alpha2):
+        return (1.0 - alpha2) ** 2 * pwt * qp + noise * (pwt + alpha2**2 * qp)
+
+    pwt, qp, a, c, m1, m2 = _alpha2_free_terms(p1, p2, q, n1, n2, gamma, rho, beta)
+    k2 = qp * ((pwt + m1) * c - (pwt + m2) * a)
+    k1 = -2.0 * pwt * qp * (c - a)
+    k0 = pwt * ((qp + m1) * c - (qp + m2) * a)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        h = -0.5 * (k1 + np.copysign(np.sqrt(k1 * k1 - 4.0 * k2 * k0), k1))
+        cand = np.stack(
+            np.broadcast_arrays(
+                0.0, pwt / (pwt + m1), pwt / (pwt + m2), h / k2, k0 / h, -k0 / k1
+            )
+        )
+    cand = np.where(np.isfinite(cand) & (cand >= 0.0) & (cand <= 1.0), cand, 0.0)
+    r1, r2 = _log_ratios(a, binned(pwt, qp, m1, cand), c, binned(pwt, qp, m2, cand))
+    v = np.minimum(_clamp_array(r1), _clamp_array(r2))
+    tied = v >= v.max(axis=0) - _TIE_TOL
+    pick = np.argmin(np.where(tied, cand, np.inf), axis=0)[np.newaxis]
+    return np.take_along_axis(cand, pick, 0)[0], np.take_along_axis(v, pick, 0)[0]
+
+
+def _reference_axis(lo, hi, steps):
+    if hi <= lo:
+        return np.array([lo])
+    return np.linspace(lo, hi, steps)
+
+
+def _reference_max_r02_gdpc(c, gamma, grid=None, *, freeze_rho=False):
+    grid = grid if grid is not None else DEFAULT_GRID
+    rho_hi = 0.0 if freeze_rho else rho_upper_bound(c, gamma)
+    bounds = ((0.0, rho_hi), (0.0, 1.0))
+    steps = (grid.steps_rho, grid.steps_beta)
+    boxes = list(bounds)
+    best = None
+    best_v = -math.inf
+    evaluations = 0
+    trace = []
+    for _ in range(grid.refine_iters + 1):
+        axes = [_reference_axis(lo, hi, n) for (lo, hi), n in zip(boxes, steps)]
+        rr, bb = np.meshgrid(*axes, indexing="ij")
+        aa, v = _reference_best_alpha2(c.p1, c.p2, c.q, c.n1, c.n2, gamma, rr, bb)
+        v = v.ravel()
+        evaluations += v.size
+        vmax = float(v.max())
+        threshold = max(vmax - _TIE_TOL, best_v)
+        eligible = v >= threshold
+        if eligible.any():
+            flat = int(np.argmax(eligible))
+            cand = (
+                float(rr.ravel()[flat]),
+                float(bb.ravel()[flat]),
+                float(aa.ravel()[flat]),
+            )
+            cand_v = float(v[flat])
+            if (
+                best is None
+                or cand_v > best_v + _TIE_TOL
+                or (cand_v >= best_v and cand < best)
+            ):
+                best, best_v = cand, cand_v
+        params = GdpcParams(gamma=gamma, rho=best[0], beta=best[1], alpha2=best[2])
+        trace.append((params, best_v))
+        new_boxes = []
+        for (lo0, hi0), (lo, hi), center in zip(bounds, boxes, best[:2]):
+            half = 0.5 * (hi - lo) * grid.refine_shrink
+            new_boxes.append((max(lo0, center - half), min(hi0, center + half)))
+        boxes = new_boxes
+    g = GdpcParams(gamma=gamma, rho=best[0], beta=best[1], alpha2=best[2])
+    r = gdpc_rates(c, g)
+    return OptResult(
+        best=g, value=min(r.r1_sum, r.r2_sum), evaluations=evaluations, trace=tuple(trace)
+    )
+
+
+def _assert_same_results(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g == w
+        # == treats -0.0 and 0.0 alike; the CSV writer does not
+        assert repr(g) == repr(w)
+
+
+PROPERTY = settings(deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def search_rows(draw):
+    """Rows of (channel, gamma) over a pool of up to three channels at
+    scales 1e-12..1e8, gammas with duplicates, 0 and 1."""
+
+    def unit(lo, hi):
+        return draw(st.floats(lo, hi, allow_nan=False, allow_infinity=False))
+
+    pool = []
+    for _ in range(draw(st.integers(1, 3))):
+        k = 10.0 ** unit(-12.0, 8.0)
+        n1 = unit(0.05, 1.0)
+        # a q far below p1 moves the value by less than the tie tolerance
+        # over alpha2, so tied candidates differ
+        q = draw(st.sampled_from([0.0, unit(0.1, 4.0), 10.0 ** unit(-15.0, -10.0)]))
+        p2 = draw(st.sampled_from([0.0, unit(0.0, 4.0)]))
+        p1, n2 = unit(0.2, 4.0), n1 * unit(1.5, 8.0)
+        pool.append(ChannelParams(p1 * k, p2 * k, q * k, n1 * k, n2 * k))
+    gamma = st.one_of(st.sampled_from([0.0, 1.0, 0.5]), st.floats(0.0, 1.0))
+    rows = draw(st.lists(st.tuples(st.sampled_from(pool), gamma), min_size=1, max_size=12))
+    return rows + rows[: draw(st.integers(0, 2))]
+
+
+small_grids = st.builds(
+    GridSpec,
+    st.integers(2, 9),
+    st.integers(2, 9),
+    st.integers(0, 4),
+    # the tiny factors shrink a box to a single point within a round
+    st.one_of(st.floats(0.05, 0.95), st.sampled_from([1e-17, 1e-300])),
+)
+
+
+class TestBatchedSearch:
+    @settings(PROPERTY, max_examples=100)
+    @given(search_rows(), st.randoms(use_true_random=False))
+    def test_kernel_matches_meshgrid_kernel(self, rows, rnd):
+        # random ascending axes, one row per (channel, gamma)
+        n_rho, n_beta = rnd.randint(1, 6), rnd.randint(1, 6)
+        rho = np.sort(
+            [[rnd.uniform(0, rho_upper_bound(c, g)) for _ in range(n_rho)] for c, g in rows]
+        )
+        beta = np.sort([[rnd.choice([1.0, rnd.random()]) for _ in range(n_beta)] for _ in rows])
+        knobs = np.array([(c.p1, c.p2, c.q, c.n1, c.n2, g) for c, g in rows])
+        got = _best_alpha2(
+            *knobs.T[:, :, np.newaxis, np.newaxis], rho[:, :, np.newaxis], beta[:, np.newaxis, :]
+        )
+        for i, (c, g) in enumerate(rows):
+            rr, bb = np.meshgrid(rho[i], beta[i], indexing="ij")
+            want = _reference_best_alpha2(c.p1, c.p2, c.q, c.n1, c.n2, g, rr, bb)
+            for x, y in zip(got, want):
+                assert x[i].tobytes() == y.tobytes()
+
+    @settings(PROPERTY, max_examples=150)
+    @given(search_rows(), small_grids, st.booleans(), st.sampled_from([1, 40, 200, 2048]))
+    def test_matches_per_gamma_search(self, rows, grid, freeze_rho, pass_cells):
+        want = [_reference_max_r02_gdpc(c, g, grid, freeze_rho=freeze_rho) for c, g in rows]
+        with mock.patch.object(optimize, "_PASS_CELLS", pass_cells):
+            got = optimize._search(rows, grid, freeze_rho)
+        _assert_same_results(got, want)
+
+    def test_dpc_frontier_over_several_passes(self):
+        gammas = [float(g) for g in np.linspace(0.0, 1.0, 101)]
+        assert 101 * DEFAULT_GRID.steps_beta > optimize._PASS_CELLS
+        got = optimize._search([(STATEFUL, g) for g in gammas], None, True)
+        want = [_reference_max_r02_gdpc(STATEFUL, g, freeze_rho=True) for g in gammas]
+        _assert_same_results(got, want)
+
+    def test_gdpc_rows_at_default_grid(self):
+        gammas = [0.0, 0.35, 0.97]
+        got = optimize._search([(STATEFUL, g) for g in gammas], None, False)
+        want = [_reference_max_r02_gdpc(STATEFUL, g) for g in gammas]
+        _assert_same_results(got, want)
+
+    def test_zero_rho_bound_row_shares_a_pass(self):
+        # at gamma = 1 nothing is left to cancel with, so that row's rho
+        # axis has one point while its pass mates have five
+        grid = GridSpec(5, 5, 2, 0.25)
+        rows = [(STATEFUL, 0.3), (STATEFUL, 1.0), (STATEFUL, 0.6)]
+        assert len(rows) * 5 * 5 <= optimize._PASS_CELLS
+        got = optimize._search(rows, grid, False)
+        assert got[1].evaluations == (grid.refine_iters + 1) * grid.steps_beta
+        assert got[0].evaluations == (grid.refine_iters + 1) * 5 * 5
+        _assert_same_results(got, [_reference_max_r02_gdpc(c, g, grid) for c, g in rows])
+
+    def test_tie_moves_the_incumbent_to_smaller_knobs(self):
+        # the second round's beta axis holds 0.5 one ulp low at the same
+        # value, and the tie rule takes it
+        c = ChannelParams(3.1, 3.8, 3.8, 1.0, 2.75)
+        grid = GridSpec(3, 3, 1, 0.9)
+        got = optimize._search([(c, 0.0), (c, 0.5)], grid, False)
+        assert [p.beta for p, _ in got[0].trace] == [0.5, 0.49999999999999994]
+        _assert_same_results(got, [_reference_max_r02_gdpc(c, g, grid) for g in (0.0, 0.5)])
+
+    def test_axes_match_linspace(self):
+        lo = np.array([0.0, 0.25, 0.5, 1e-310, 0.0, 0.3])
+        hi = np.array([1.0, 0.75, 0.5, 2e-310, 5e-324, 0.3 + 2**-50])
+        for n in (2, 5, 33):
+            got = optimize._axes(lo, hi, n)
+            for row, (a, b) in zip(got, zip(lo, hi)):
+                assert row.tobytes() == np.linspace(a, b, n).tobytes()
+
+
+class TestSchemeOrdering:
+    @settings(PROPERTY, max_examples=25)
+    @given(search_rows())
+    def test_dpc_below_gdpc_below_outer(self, rows):
+        c = rows[0][0]
+        gammas = sorted({g for _, g in rows} | {0.0, 0.25, 0.5, 0.75, 1.0})
+        values = {
+            scheme: [v for *_, v in optimize._solve_all(scheme, [(c, g) for g in gammas], None)]
+            for scheme in ("dpc", "gdpc", "nostate-outer")
+        }
+        for gamma, dpc, gdpc, outer in zip(gammas, *values.values()):
+            assert dpc <= gdpc + 1e-9, (gamma, dpc, gdpc)
+            assert gdpc <= outer + 1e-9, (gamma, gdpc, outer)
+        for scheme in values:
+            f = frontier(c, scheme, gammas)
+            r1 = [p.rate.r1 for p in f.points]
+            r02 = [p.rate.r02 for p in f.points]
+            assert all(b > a for a, b in zip(r1, r1[1:]))
+            assert all(b <= a for a, b in zip(r02, r02[1:]))
