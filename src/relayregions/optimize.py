@@ -29,7 +29,8 @@ its own box, incumbent, tie-break, evaluation count and trace, and all
 rows of a pass go through one kernel call per round. Rows run in order,
 in passes of at most ``_PASS_CELLS`` grid cells, so the 21 rows of a
 default dpc frontier share one pass while a 33 x 33 gdpc row runs alone.
-``max_r02_gdpc`` is the batch of one.
+``max_r02_gdpc`` is the pass of one row, and a row that fills a pass
+alone is solved by calling it.
 
 A row's result is bit-identical to searching it alone. Every cell value
 is computed elementwise by the same float operations in the same order,
@@ -157,7 +158,9 @@ def max_r02_gdpc(
     """
     validate_channel(c)
     _check_gamma(gamma)
-    return _search([(c, gamma)], grid, freeze_rho)[0]
+    grid = grid if grid is not None else DEFAULT_GRID
+    hi = 0.0 if freeze_rho else rho_upper_bound(c, gamma)
+    return _search_pass([(c, gamma)], [hi], grid.steps_rho if hi > 0.0 else 1, grid)[0]
 
 
 def _search(problems, grid: GridSpec | None, freeze_rho: bool) -> list[OptResult]:
@@ -166,7 +169,10 @@ def _search(problems, grid: GridSpec | None, freeze_rho: bool) -> list[OptResult
     Rows run in order, in passes of at most _PASS_CELLS grid cells. A
     row's rho axis has one point when its rho bound is 0 (dpc, gamma = 1
     or q = 0) and steps_rho points otherwise; a pass evaluates its rows on
-    the widest of them. The inputs are trusted: callers validate them.
+    the widest of them. A row that fills a pass alone (every gdpc row on
+    the default grid) is a plain ``max_r02_gdpc`` call, so each lone
+    solve is one call of the per-point search, and its cost and cells
+    stay attributed to it. The inputs are trusted: callers validate them.
     """
     grid = grid if grid is not None else DEFAULT_GRID
     rho_hi = [0.0 if freeze_rho else rho_upper_bound(c, gamma) for c, gamma in problems]
@@ -180,7 +186,11 @@ def _search(problems, grid: GridSpec | None, freeze_rho: bool) -> list[OptResult
         ):
             n_rho = max(n_rho, widths[stop])
             stop += 1
-        results += _search_pass(problems[start:stop], rho_hi[start:stop], n_rho, grid)
+        if stop - start == 1:
+            c, gamma = problems[start]
+            results.append(max_r02_gdpc(c, gamma, grid, freeze_rho=freeze_rho))
+        else:
+            results += _search_pass(problems[start:stop], rho_hi[start:stop], n_rho, grid)
         start = stop
     return results
 

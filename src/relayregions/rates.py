@@ -107,7 +107,8 @@ def _binned_pair(pwt, qp, m1, m2, alpha2):
     """b and d at alpha2 (m1 = n1 + gamma*p1, m2 = n2 + gamma*p1). They
     share (1-alpha2)^2*pwt*qprime and pwt + alpha2^2*qprime. An array
     alpha2 must have the full broadcast shape: the products are formed in
-    place in arrays of its shape."""
+    place in arrays of its shape. The scalar rates pass a float and
+    ``_best_alpha2`` its full candidate stack."""
     shared = (1.0 - alpha2) ** 2
     shared *= pwt
     shared *= qp

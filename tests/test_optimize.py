@@ -371,6 +371,16 @@ class TestBatchedSearch:
         want = [_reference_max_r02_gdpc(STATEFUL, g) for g in gammas]
         _assert_same_results(got, want)
 
+    def test_lone_rows_are_max_r02_gdpc_calls(self):
+        # a 33 x 33 gdpc row fills a pass alone and is solved by the
+        # per-point search; the 33-cell dpc rows share one pass
+        gammas = [0.0, 0.35, 0.97]
+        with mock.patch.object(optimize, "max_r02_gdpc", wraps=optimize.max_r02_gdpc) as spy:
+            optimize.frontier(STATEFUL, "gdpc", gammas)
+            assert spy.call_count == len(gammas)
+            optimize.frontier(STATEFUL, "dpc", gammas)
+            assert spy.call_count == len(gammas)
+
     def test_zero_rho_bound_row_shares_a_pass(self):
         # at gamma = 1 nothing is left to cancel with, so that row's rho
         # axis has one point while its pass mates have five
