@@ -89,14 +89,20 @@ def _write_output(path: str | None, text: str) -> None:
         raise
 
 
+def _floats(values, what: str) -> list[float]:
+    """Entries of a flag or config list as floats; a non-number, or an
+    integer too large for a float, is an input error."""
+    try:
+        return [float(v) for v in values]
+    except (TypeError, ValueError, OverflowError):
+        raise OutOfRange(f"{what} has an entry that is not a float: {values!r}") from None
+
+
 def _parse_floats(text: str, n: int, what: str) -> list[float]:
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != n:
         raise OutOfRange(f"{what} expects {n} comma-separated numbers, got {text!r}")
-    try:
-        return [float(p) for p in parts]
-    except ValueError:
-        raise OutOfRange(f"{what} has a non-numeric entry: {text!r}") from None
+    return _floats(parts, what)
 
 
 def _parse_channel(value) -> ChannelParams:
@@ -104,12 +110,12 @@ def _parse_channel(value) -> ChannelParams:
         return value
     if isinstance(value, dict):
         try:
-            return ChannelParams(**{k: float(v) for k, v in value.items()})
+            return ChannelParams(**dict(zip(value, _floats(value.values(), "channel config"))))
         except TypeError as e:
             raise OutOfRange(f"channel config: {e}") from None
-    vals = _parse_floats(value, 5, "--channel") if isinstance(value, str) else [
-        float(v) for v in value
-    ]
+    vals = _parse_floats(value, 5, "--channel") if isinstance(value, str) else _floats(
+        value, "channel"
+    )
     if len(vals) != 5:
         raise OutOfRange("channel expects p1,p2,q,n1,n2")
     return ChannelParams(*vals)
@@ -129,8 +135,8 @@ def _parse_range(value, what: str) -> list[float]:
             raise OutOfRange(f"{what} needs at least one point, got n={n}")
         return [float(v) for v in np.linspace(a, b, n)]
     if isinstance(value, str):
-        return [float(p) for p in value.split(",") if p.strip()]
-    return [float(v) for v in value]
+        value = [p for p in value.split(",") if p.strip()]
+    return _floats(value, what)
 
 
 def _parse_snr(value, what: str = "--snr-db") -> list[float]:
@@ -150,8 +156,8 @@ def _parse_snr(value, what: str = "--snr-db") -> list[float]:
             raise OutOfRange(f"{what} range {value!r} contains no points")
         return [a + i * step for i in range(count)]
     if isinstance(value, str):
-        return [float(p) for p in value.split(",") if p.strip()]
-    return [float(v) for v in value]
+        value = [p for p in value.split(",") if p.strip()]
+    return _floats(value, what)
 
 
 _GRID_FORM = "r,b[,refines,shrink]"
@@ -182,12 +188,12 @@ def _parse_grid(value) -> GridSpec:
 def _parse_params(value) -> GdpcParams:
     if isinstance(value, dict):
         try:
-            return GdpcParams(**{k: float(v) for k, v in value.items()})
+            return GdpcParams(**dict(zip(value, _floats(value.values(), "params config"))))
         except TypeError as e:
             raise OutOfRange(f"params config: {e}") from None
-    vals = _parse_floats(value, 4, "--params") if isinstance(value, str) else [
-        float(v) for v in value
-    ]
+    vals = _parse_floats(value, 4, "--params") if isinstance(value, str) else _floats(
+        value, "params"
+    )
     if len(vals) != 4:
         raise OutOfRange("params expects gamma,rho,beta,alpha2")
     return GdpcParams(*vals)
@@ -214,6 +220,8 @@ def _pick(flag, cfg: dict, key: str, default=None):
 
 def _as_int(name: str, value) -> int:
     """An integer-valued config field: 4.9 is rejected, not truncated."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value  # exact, even past float range
     try:
         number = float(value)
     except (TypeError, ValueError):

@@ -505,24 +505,51 @@ def sample_mi_estimate(
     n_samples: int,
     seed: int,
 ) -> float:
-    """Monte-Carlo replica of gaussian_cmi: draw n_samples joint Gaussian
-    vectors, form the sample covariance (divisor n-1) and evaluate the
+    """Monte-Carlo replica of gaussian_cmi: draw the sample covariance
+    (divisor n-1) of n_samples joint Gaussian vectors and evaluate the
     same residual-variance route on it.
 
-    Sampling uses numpy's default PCG64 generator seeded with ``seed``
-    and the symmetric eigendecomposition factor of sigma, so results are
-    reproducible run to run.
+    The sample covariance is not formed from n_samples vectors. With
+    sigma = F F^T (F the symmetric eigendecomposition factor, which also
+    covers a rank-deficient sigma), the centred sample covariance of n
+    draws is Wishart with n-1 degrees of freedom and scale sigma/(n-1),
+    i.e. F W F^T / (n-1) with W ~ Wishart(n-1, I). By the Bartlett
+    decomposition W = A A^T, where A is lower triangular with
+    A[i,i]^2 ~ chi^2(n-1-i) and A[i,j] ~ N(0,1) below the diagonal, all
+    independent. Drawing A takes d(d+1)/2 variates for d labels, so the
+    cost does not grow with n_samples, and the result has exactly the
+    law of the n-vector sample covariance.
+
+    n_samples must be an integer of at least 1000 and above the label
+    count. Sampling uses numpy's default PCG64 generator seeded with
+    ``seed``, so results are reproducible run to run.
     """
-    if n_samples < 1000:
-        raise OutOfRange(f"n_samples must be >= 1000, got {n_samples}")
-    w, vecs = np.linalg.eigh(cov.sigma)
-    factor = vecs * np.sqrt(np.clip(w, 0.0, None))
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal((n_samples, len(cov.labels))) @ factor.T
-    x -= x.mean(axis=0)
-    sample_sigma = (x.T @ x) / (n_samples - 1)
-    sample_sigma = 0.5 * (sample_sigma + sample_sigma.T)
+    floor = max(1000, len(cov.labels) + 1)
+    if (
+        isinstance(n_samples, bool)
+        or not isinstance(n_samples, (int, np.integer))
+        or n_samples < floor
+    ):
+        raise OutOfRange(f"n_samples must be an integer >= {floor}, got {n_samples!r}")
+    sample_sigma = _sample_covariance(cov.sigma, n_samples, seed)
     a_idx = _unique_indices(cov, set_a)
     b_idx = _unique_indices(cov, set_b)
     c_idx = _unique_indices(cov, set_c)
     return _cmi_from_sigma(sample_sigma, a_idx, b_idx, c_idx)
+
+
+def _sample_covariance(sigma: np.ndarray, n_samples: int, seed: int) -> np.ndarray:
+    """One Bartlett draw of the divisor-(n-1) sample covariance of
+    n_samples vectors with covariance sigma (n_samples > dim of sigma)."""
+    d = sigma.shape[0]
+    # Past ~1e32 degrees of freedom the draw's relative spread is below
+    # double resolution, so the cap only keeps float(n-1) finite.
+    dof = float(min(n_samples - 1, 10**300))
+    w, vecs = np.linalg.eigh(sigma)
+    factor = vecs * np.sqrt(np.clip(w, 0.0, None))
+    rng = np.random.default_rng(seed)
+    bartlett = np.diag(np.sqrt(rng.chisquare(dof - np.arange(d))))
+    bartlett[np.tril_indices(d, -1)] = rng.standard_normal(d * (d - 1) // 2)
+    root = factor @ (bartlett / math.sqrt(dof))
+    sample_sigma = root @ root.T
+    return 0.5 * (sample_sigma + sample_sigma.T)

@@ -9,6 +9,11 @@ from relayregions.cli import main
 CHANNEL = "1,1,2,0.1,1"
 TINY_GRID = "5,5,1,0.5"
 DATA = Path(__file__).parent / "data"
+# The Monte-Carlo cross-check passes within 0.01 bits. Its estimator's sd
+# is about 0.008 bits at 20,000 samples, so that count passed only on
+# lucky draws; at 320,000 the sd is about 0.002 bits.
+MC_SAMPLES = "320000"
+HUGE_INT = 10**400  # a JSON integer with no float value
 
 
 def run(capsys, *argv):
@@ -155,7 +160,7 @@ class TestVerifyCommand:
     def test_default_channel_note_and_report(self, capsys, tmp_path):
         out_path = tmp_path / "report.json"
         code, out, _ = run(
-            capsys, "verify", "--mc-samples", "20000", "--out", str(out_path)
+            capsys, "verify", "--mc-samples", MC_SAMPLES, "--out", str(out_path)
         )
         assert code == 0
         assert out.splitlines()[0].startswith("note:")
@@ -175,10 +180,17 @@ class TestVerifyCommand:
 
     def test_explicit_channel_has_no_note(self, capsys):
         code, out, _ = run(
-            capsys, "verify", "--channel", CHANNEL, "--mc-samples", "20000"
+            capsys, "verify", "--channel", CHANNEL, "--mc-samples", MC_SAMPLES
         )
         assert code == 0
         assert not out.startswith("note:")
+
+    def test_sample_count_past_float_range_runs(self, capsys, tmp_path):
+        cfg = tmp_path / "verify.json"
+        cfg.write_text(json.dumps({"mc_samples": HUGE_INT}))
+        code, out, _ = run(capsys, "verify", "--config", str(cfg))
+        assert code == 0
+        assert "monte-carlo-crosscheck: PASS" in out
 
     def test_zero_tol_rejected(self, capsys):
         code, _, err = run(capsys, "verify", "--tol", "0")
@@ -294,6 +306,28 @@ class TestConfigMerge:
         code, out, _ = run(capsys, "point", "--config", str(cfg))
         assert code == 0
         assert "r_private" in out
+
+    @pytest.mark.parametrize(
+        "command, fields, name",
+        [
+            ("frontier", {"gamma_grid": [0.5, HUGE_INT]}, "gamma"),
+            ("sweep-snr", {"snr_db": [10, HUGE_INT]}, "snr"),
+            ("point", {"params": [0.2, 0.1, 0.4, HUGE_INT]}, "params"),
+            ("point", {"params": [0.2, 0.1, 0.4, 0.5], "channel": {
+                "p1": 1, "p2": 1, "q": 2, "n1": 0.1, "n2": HUGE_INT}}, "channel"),
+            ("frontier", {"gamma_grid": [0.5, None]}, "gamma"),
+            ("frontier", {"gamma_grid": 5}, "gamma"),
+        ],
+        ids=["gamma_grid", "snr_db", "params", "channel", "null-entry", "not-a-list"],
+    )
+    def test_entry_that_is_not_a_float_is_input_error(
+        self, capsys, tmp_path, command, fields, name
+    ):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"channel": CHANNEL, "grid": TINY_GRID, **fields}))
+        code, _, err = run(capsys, command, "--config", str(cfg))
+        assert code == 2
+        assert name in err
 
     def test_missing_config_file(self, capsys):
         code, _, err = run(capsys, "point", "--config", "/no/such/file.json")

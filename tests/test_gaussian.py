@@ -24,7 +24,12 @@ from relayregions import (
     verify_informed_both,
     verify_relay_identity,
 )
-from relayregions.gaussian import _LOGDET_FLOOR, _RANK_TOL, _cmi_from_sigma
+from relayregions.gaussian import (
+    _LOGDET_FLOOR,
+    _RANK_TOL,
+    _cmi_from_sigma,
+    _sample_covariance,
+)
 
 EXAMPLE = ChannelParams(1.0, 1.0, 1.0, 0.1, 1.0)
 PROPERTY = settings(deadline=None, derandomize=True, database=None, max_examples=300)
@@ -415,6 +420,30 @@ class TestSampleEstimate:
         with pytest.raises(OutOfRange):
             sample_mi_estimate(_pair(0.5), ["A"], ["B"], [], 999, 0)
 
+    @pytest.mark.parametrize("n", [0, -5, 1e6, 2000.0, True, "5000", None], ids=repr)
+    def test_rejects_non_integer_sample(self, n):
+        with pytest.raises(OutOfRange):
+            sample_mi_estimate(_pair(0.5), ["A"], ["B"], [], n, 0)
+
+    def test_needs_more_samples_than_labels(self):
+        labels = tuple(f"L{i}" for i in range(1000))
+        cov = CovarianceSystem(labels, np.eye(1000))
+        with pytest.raises(OutOfRange):
+            sample_mi_estimate(cov, ["L0"], ["L1"], [], 1000, 0)
+
+    @pytest.mark.parametrize(
+        "n",
+        [1000, np.int64(5000), 10**12, 10**30, 10**400],
+        ids=["1e3", "int64", "1e12", "1e30", "1e400"],
+    )
+    def test_any_integer_count_is_finite(self, n):
+        cov = build_cov_informed_both(EXAMPLE, InformedBothParams(0.5, 0.5))
+        est = sample_mi_estimate(cov, ["U1", "U2"], ["Y2"], [], n, 3)
+        assert math.isfinite(est)
+        if n >= 10**12:
+            exact = gaussian_cmi(cov, ["U1", "U2"], ["Y2"])
+            assert est == pytest.approx(exact, abs=1e-4)
+
     def test_reproducible(self):
         v1 = sample_mi_estimate(_pair(0.5), ["A"], ["B"], [], 5000, 42)
         v2 = sample_mi_estimate(_pair(0.5), ["A"], ["B"], [], 5000, 42)
@@ -425,6 +454,66 @@ class TestSampleEstimate:
         exact = gaussian_cmi(cov, ["U1", "U2"], ["Y2"])
         est = sample_mi_estimate(cov, ["U1", "U2"], ["Y2"], [], 200_000, 7)
         assert est == pytest.approx(exact, abs=0.02)
+
+
+LAW_DRAWS = 2000
+LAW_N = 1000
+# Each statistic below is a mean over LAW_DRAWS independent draws, so it
+# is close to normal. 4.5 standard errors leave a two-sided chance of
+# about 7e-6 per entry, or about 1e-3 over the 216 entry statistics.
+LAW_Z = 4.5
+
+
+@pytest.fixture(
+    scope="module",
+    params=[
+        (EXAMPLE, InformedBothParams(0.5, 0.5)),
+        (ChannelParams(1.0, 0.0, 1.0, 0.1, 1.0), InformedBothParams(0.5, 0.5)),
+        (EXAMPLE, InformedBothParams(0.5, 1.0)),
+    ],
+    ids=["example", "p2=0", "beta=1"],
+)
+def wishart_draws(request):
+    """Sample covariances of LAW_N vectors, one per seed, next to sigma."""
+    sigma = build_cov_informed_both(*request.param).sigma
+    draws = np.array([_sample_covariance(sigma, LAW_N, s) for s in range(LAW_DRAWS)])
+    return sigma, draws
+
+
+class TestSampleCovarianceLaw:
+    """The drawn matrix follows the law of the divisor-(n-1) sample
+    covariance of n vectors, Wishart(n-1, sigma/(n-1)): mean sigma and
+    entry variances (sigma_ij^2 + sigma_ii sigma_jj)/(n-1)."""
+
+    @staticmethod
+    def _entry_var(sigma):
+        d = np.diag(sigma)
+        return (sigma**2 + np.outer(d, d)) / (LAW_N - 1)
+
+    def test_mean_is_sigma(self, wishart_draws):
+        sigma, draws = wishart_draws
+        var = self._entry_var(sigma)
+        live = var > 0.0  # a label with zero variance is checked as a null direction
+        z = (draws.mean(axis=0) - sigma)[live] / np.sqrt(var[live] / LAW_DRAWS)
+        assert np.abs(z).max() <= LAW_Z
+
+    def test_entry_variance_matches_wishart(self, wishart_draws):
+        sigma, draws = wishart_draws
+        var = self._entry_var(sigma)
+        live = var > 0.0
+        # each entry is near-normal at n = 1000 (excess kurtosis O(1/n)), so
+        # its sample variance has standard error var * sqrt(2/(K-1))
+        se = var[live] * math.sqrt(2.0 / (LAW_DRAWS - 1))
+        z = (draws.var(axis=0, ddof=1)[live] - var[live]) / se
+        assert np.abs(z).max() <= LAW_Z
+
+    def test_keeps_the_null_space(self, wishart_draws):
+        sigma, draws = wishart_draws
+        w, vecs = np.linalg.eigh(sigma)
+        null = vecs[:, w <= 1e-12 * w.max()]
+        assert null.shape[1] >= 2  # 8 labels built from 6 independent components
+        spread = np.abs(np.einsum("ki,nkl,lj->nij", null, draws, null)).max()
+        assert spread <= 64 * np.finfo(float).eps * w.max()
 
 
 class TestReports:
