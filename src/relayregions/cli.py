@@ -10,8 +10,10 @@ Commands:
                  intermediate quantity
 
 Configuration can come from a JSON file (``--config``) and from flags;
-flags win field by field. Powers are linear everywhere except the
-``--snr-db`` axis of sweep-snr, which is the one deliberate dB boundary.
+flags win field by field. Each option is one row of ``_OPTIONS``: config
+key (also the flag's dest), default and parser. Powers are linear
+everywhere except the ``--snr-db`` axis of sweep-snr, which is the one
+deliberate dB boundary.
 Every number in CSV or JSON output is rendered with 12 significant
 digits and files are written atomically (write to a temp file in the
 same directory, then rename), so identical configs produce byte
@@ -22,9 +24,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
+from dataclasses import fields
 
 import numpy as np
 
@@ -48,7 +52,7 @@ from .model import (
     SCHEMES,
     rho_upper_bound,
 )
-from .optimize import GridSpec, frontier, sweep_snr
+from .optimize import DEFAULT_GRID, GridSpec, frontier, sweep_snr
 from .rates import gdpc_coeffs, gdpc_rates
 
 EXAMPLE_CHANNEL = ChannelParams(p1=1.0, p2=1.0, q=1.0, n1=0.1, n2=1.0)
@@ -60,10 +64,6 @@ def _fmt(x: float) -> str:
 
 def _round12(obj):
     """Recursively snap floats to 12 significant digits for JSON."""
-    if isinstance(obj, bool):
-        return obj
-    if isinstance(obj, (int, str)) or obj is None:
-        return obj
     if isinstance(obj, float):
         return float(_fmt(obj))
     if isinstance(obj, dict):
@@ -89,114 +89,187 @@ def _write_output(path: str | None, text: str) -> None:
         raise
 
 
-def _floats(values, what: str) -> list[float]:
-    """Entries of a flag or config list as floats; a non-number, or an
-    integer too large for a float, is an input error."""
+def _float(value) -> float:
+    """A float field: a bool, a non-number, or an integer too large for a
+    float is an input error."""
     try:
-        return [float(v) for v in values]
+        if not isinstance(value, bool):
+            return float(value)
     except (TypeError, ValueError, OverflowError):
-        raise OutOfRange(f"{what} has an entry that is not a float: {values!r}") from None
+        pass
+    raise OutOfRange(f"expects a number, got {value!r}")
 
 
-def _parse_floats(text: str, n: int, what: str) -> list[float]:
-    parts = [p.strip() for p in text.split(",")]
-    if len(parts) != n:
-        raise OutOfRange(f"{what} expects {n} comma-separated numbers, got {text!r}")
-    return _floats(parts, what)
+def _floats(values) -> list[float]:
+    try:
+        return [_float(v) for v in values]
+    except TypeError:
+        raise OutOfRange(f"expects a list of numbers, got {values!r}") from None
 
 
-def _parse_channel(value) -> ChannelParams:
-    if isinstance(value, ChannelParams):
-        return value
-    if isinstance(value, dict):
-        try:
-            return ChannelParams(**dict(zip(value, _floats(value.values(), "channel config"))))
-        except TypeError as e:
-            raise OutOfRange(f"channel config: {e}") from None
-    vals = _parse_floats(value, 5, "--channel") if isinstance(value, str) else _floats(
-        value, "channel"
-    )
-    if len(vals) != 5:
-        raise OutOfRange("channel expects p1,p2,q,n1,n2")
-    return ChannelParams(*vals)
+def _as_int(value) -> int:
+    """An integer field: 4.9 and true are rejected, not truncated."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value  # exact, even past float range
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        number = math.nan
+    if isinstance(value, bool) or not number.is_integer():
+        raise OutOfRange(f"must be an integer, got {value!r}")
+    return int(number)
 
 
-def _parse_range(value, what: str) -> list[float]:
-    """Either 'a:b:n' (n evenly spaced points) or a comma/JSON list."""
-    if isinstance(value, str) and ":" in value:
-        parts = value.split(":")
-        if len(parts) != 3:
-            raise OutOfRange(f"{what} range must be a:b:n, got {value!r}")
-        try:
-            a, b, n = float(parts[0]), float(parts[1]), int(parts[2])
-        except ValueError:
-            raise OutOfRange(f"{what} range has a bad entry: {value!r}") from None
-        if n < 1:
-            raise OutOfRange(f"{what} needs at least one point, got n={n}")
-        return [float(v) for v in np.linspace(a, b, n)]
-    if isinstance(value, str):
-        value = [p for p in value.split(",") if p.strip()]
-    return _floats(value, what)
+def _text(value) -> str:
+    if not isinstance(value, str):
+        raise OutOfRange(f"expects a string, got {value!r}")
+    return value
 
 
-def _parse_snr(value, what: str = "--snr-db") -> list[float]:
-    """Either 'a:b:step' (inclusive arithmetic ladder) or a list."""
-    if isinstance(value, str) and ":" in value:
-        parts = value.split(":")
-        if len(parts) != 3:
-            raise OutOfRange(f"{what} range must be a:b:step, got {value!r}")
-        try:
-            a, b, step = (float(p) for p in parts)
-        except ValueError:
-            raise OutOfRange(f"{what} range has a bad entry: {value!r}") from None
-        if step <= 0:
-            raise OutOfRange(f"{what} step must be > 0, got {step}")
-        count = int(np.floor((b - a) / step + 1e-9)) + 1
-        if count < 1:
-            raise OutOfRange(f"{what} range {value!r} contains no points")
-        return [a + i * step for i in range(count)]
-    if isinstance(value, str):
-        value = [p for p in value.split(",") if p.strip()]
-    return _floats(value, what)
+def _tol(value) -> float:
+    tol = _float(value)
+    if not 0 < tol < math.inf:
+        raise OutOfRange(f"must be finite and > 0, got {tol}")
+    return tol
+
+
+def _record(cls):
+    """A parser for the dataclass cls from its float fields as a comma
+    string, a list, or an object keyed by field name."""
+    names = [f.name for f in fields(cls)]
+
+    def parse(value):
+        if isinstance(value, dict):
+            if set(value) != set(names):
+                raise OutOfRange(f"needs exactly the keys {names}, got {list(value)}")
+            value = [value[name] for name in names]
+        elif isinstance(value, str):
+            value = value.split(",")
+        numbers = _floats(value)
+        if len(numbers) != len(names):
+            raise OutOfRange(f"expects {','.join(names)}, got {value!r}")
+        return cls(*numbers)
+
+    return parse
+
+
+def _linspace(a: float, b: float, n: float) -> list[float]:
+    """a:b:n, n evenly spaced points."""
+    n = _as_int(n)
+    if n < 1:
+        raise OutOfRange(f"needs at least one point, got n={n}")
+    return [float(v) for v in np.linspace(a, b, n)]
+
+
+def _ladder(a: float, b: float, step: float) -> list[float]:
+    """a:b:step, the inclusive arithmetic ladder."""
+    if not step > 0:
+        raise OutOfRange(f"step must be > 0, got {step}")
+    span = (b - a) / step + 1e-9
+    if not 0 <= span < math.inf:
+        raise OutOfRange(f"range {a}:{b}:{step} has no points or no end")
+    return [a + i * step for i in range(math.floor(span) + 1)]
+
+
+def _axis(expand):
+    """A parser for 'a:b:x', expanded by expand(a, b, x), or a comma or
+    JSON list of numbers."""
+
+    def parse(value) -> list[float]:
+        if isinstance(value, str) and ":" in value:
+            ends = value.split(":")
+            if len(ends) != 3:
+                raise OutOfRange(f"a range has three fields a:b:x, got {value!r}")
+            return expand(*_floats(ends))
+        if isinstance(value, str):
+            value = [p for p in value.split(",") if p.strip()]
+        return _floats(value)
+
+    return parse
 
 
 _GRID_FORM = "r,b[,refines,shrink]"
 
 
-def _parse_grid(value) -> GridSpec:
-    if isinstance(value, GridSpec):
-        return value
-    if isinstance(value, dict):
-        try:
-            return GridSpec(**value)
-        except TypeError as e:
-            raise OutOfRange(f"grid config: {e}; the grid is {_GRID_FORM}") from None
+def _grid(value) -> GridSpec:
+    """r,b[,refines,shrink] as a comma string or a list, or an object of
+    GridSpec fields."""
     if isinstance(value, str):
-        parts = [p.strip() for p in value.split(",")]
-    else:
-        parts = list(value)
-    if len(parts) not in (2, 4):
-        raise OutOfRange(f"--grid expects {_GRID_FORM} (2 or 4 fields), got {value!r}")
+        value = value.split(",")
+    if isinstance(value, list) and len(value) in (2, 4):
+        value = dict(zip([f.name for f in fields(GridSpec)], value))
+    if not isinstance(value, dict):
+        raise OutOfRange(f"expects {_GRID_FORM} (2 or 4 fields), got {value!r}")
     try:
-        steps = [int(p) for p in parts[:2]]
-        schedule = [int(parts[2]), float(parts[3])] if len(parts) == 4 else []
-    except ValueError:
-        raise OutOfRange(f"--grid has a bad entry: {value!r}") from None
-    return GridSpec(*steps, *schedule)
+        return GridSpec(
+            **{k: _float(v) if k == "refine_shrink" else _as_int(v) for k, v in value.items()}
+        )
+    except TypeError as e:
+        raise OutOfRange(f"{e}; the grid is {_GRID_FORM}") from None
 
 
-def _parse_params(value) -> GdpcParams:
-    if isinstance(value, dict):
+_PIPES = object()  # what --pipes stores as the dmc spec; no JSON value is it
+
+
+def _dmc_spec(value) -> DmcSpec:
+    if value is _PIPES:
+        return binary_pipes_spec()
+    try:
+        sizes = tuple(_as_int(v) for v in value["sizes"])
+        p_s = np.array(value["p_s"], dtype=float)
+        channel = np.array(value["channel"], dtype=float)
+    except (KeyError, TypeError, ValueError, OverflowError) as e:
+        raise OutOfRange(f"needs sizes, p_s and channel arrays: {e}") from None
+    return DmcSpec(sizes=sizes, p_s=p_s, channel=channel)
+
+
+class _Required(str):
+    """The default of a field that must be given: the flag to name if it is not."""
+
+
+# One row per option: config key (also the flag's dest): (default, parser).
+# Defaults are stated parsed; the parser takes a flag string or a JSON value.
+# scheme, bounds and objective are checked against their choices by the
+# function that takes them, which names the field.
+_OPTIONS = {
+    "channel": (EXAMPLE_CHANNEL, _record(ChannelParams)),
+    "out": (None, _text),
+    "grid": (DEFAULT_GRID, _grid),
+    "scheme": ("gdpc", _text),
+    "gamma_grid": (_linspace(0.0, 1.0, 21), _axis(_linspace)),
+    "snr_db": (_Required("--snr-db"), _axis(_ladder)),
+    "params": (_Required("--params gamma,rho,beta,alpha2"), _record(GdpcParams)),
+    "tol": (1e-9, _tol),
+    "seed": (0, _as_int),
+    "mc_samples": (10**6, _as_int),
+    "dmc": (_Required("--pipes"), _dmc_spec),
+    "bounds": ("informed-source", _text),
+    "denominator": (8, _as_int),
+    "objective": ("r02", _text),
+}
+_DMC_KEYS = ("bounds", "denominator", "objective")  # read from the config's dmc object
+
+
+def _options(args: argparse.Namespace, cfg: dict) -> argparse.Namespace:
+    """Each table field the subcommand defines, from its flag, else its
+    config key, else its default, parsed in table order. A JSON null
+    counts as absent."""
+    given = vars(args)
+    dmc_cfg = cfg["dmc"] if isinstance(cfg.get("dmc"), dict) else {}
+    opts = argparse.Namespace()
+    for key, (default, parse) in _OPTIONS.items():
+        if key not in given:
+            continue
+        raw = given[key]
+        if raw is None:
+            raw = (dmc_cfg if key in _DMC_KEYS else cfg).get(key)
+        if raw is None and isinstance(default, _Required):
+            raise OutOfRange(f"{args.command} needs {default} (or {key} in the config)")
         try:
-            return GdpcParams(**dict(zip(value, _floats(value.values(), "params config"))))
-        except TypeError as e:
-            raise OutOfRange(f"params config: {e}") from None
-    vals = _parse_floats(value, 4, "--params") if isinstance(value, str) else _floats(
-        value, "params"
-    )
-    if len(vals) != 4:
-        raise OutOfRange("params expects gamma,rho,beta,alpha2")
-    return GdpcParams(*vals)
+            setattr(opts, key, default if raw is None else parse(raw))
+        except RelayRegionsError as e:
+            raise type(e)(f"{key}: {e}") from None
+    return opts
 
 
 def _load_config(path: str | None) -> dict:
@@ -209,28 +282,6 @@ def _load_config(path: str | None) -> dict:
     return cfg
 
 
-def _pick(flag, cfg: dict, key: str, default=None):
-    """Flag beats config beats default."""
-    if flag is not None:
-        return flag
-    if key in cfg:
-        return cfg[key]
-    return default
-
-
-def _as_int(name: str, value) -> int:
-    """An integer-valued config field: 4.9 is rejected, not truncated."""
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value  # exact, even past float range
-    try:
-        number = float(value)
-    except (TypeError, ValueError):
-        raise OutOfRange(f"{name} must be an integer, got {value!r}") from None
-    if isinstance(value, bool) or not number.is_integer():
-        raise OutOfRange(f"{name} must be an integer, got {value!r}")
-    return int(number)
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="relayregions",
@@ -239,9 +290,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, grid: bool = True) -> None:
+    def common(p: argparse.ArgumentParser, grid: bool = True, channel: bool = True) -> None:
         p.add_argument("--config", help="JSON config file; flags override it")
-        p.add_argument("--channel", help="p1,p2,q,n1,n2 (linear powers)")
+        if channel:
+            p.add_argument("--channel", help="p1,p2,q,n1,n2 (linear powers)")
         p.add_argument("--out", help="output path (default: stdout)")
         if grid:
             p.add_argument("--grid", help=f"search grid {_GRID_FORM}")
@@ -258,15 +310,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="cross-check closed forms against the oracle")
     common(p, grid=False)
-    p.add_argument("--tol", type=float, help="pass tolerance in bits (default 1e-9)")
-    p.add_argument("--seed", type=int, help="seed for draws and sampling (default 0)")
-    p.add_argument(
-        "--mc-samples", type=int, help="Monte-Carlo sample count (default 1000000)"
-    )
+    for flag, kind, text in (
+        ("--tol", float, "pass tolerance in bits"),
+        ("--seed", int, "seed for draws and sampling"),
+        ("--mc-samples", int, "Monte-Carlo sample count"),
+    ):
+        default = _OPTIONS[flag[2:].replace("-", "_")][0]
+        p.add_argument(flag, type=kind, help=f"{text} (default {default})")
 
     p = sub.add_parser("dmc", help="brute-force a small discrete channel")
-    common(p, grid=False)
-    p.add_argument("--pipes", action="store_true", help="use the built-in noiseless binary spec")
+    common(p, grid=False, channel=False)
+    p.add_argument("--pipes", dest="dmc", action="store_const", const=_PIPES,
+                   help="use the built-in noiseless binary spec")
     p.add_argument("--bounds", choices=("informed-source", "informed-both"))
     p.add_argument("--denominator", type=int, choices=(4, 8, 16))
     p.add_argument("--objective", choices=("r02", "r1"))
@@ -277,19 +332,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _get_channel(args, cfg: dict) -> tuple[ChannelParams, bool]:
-    raw = _pick(args.channel, cfg, "channel")
-    if raw is None:
-        return EXAMPLE_CHANNEL, True
-    return _parse_channel(raw), False
-
-
-def _cmd_frontier(args, cfg: dict) -> int:
-    channel, _ = _get_channel(args, cfg)
-    scheme = _pick(args.scheme, cfg, "scheme", "gdpc")
-    gammas = _parse_range(_pick(args.gamma_grid, cfg, "gamma_grid", "0:1:21"), "--gamma-grid")
-    grid = _parse_grid(_pick(args.grid, cfg, "grid", GridSpec()))
-    front = frontier(channel, scheme, gammas, grid)
+def _cmd_frontier(o: argparse.Namespace) -> int:
+    front = frontier(o.channel, o.scheme, o.gamma_grid, o.grid)
     lines = ["scheme,gamma,rho,beta,alpha2,r1,r02"]
     for pt in front.points:
         lines.append(
@@ -305,26 +349,19 @@ def _cmd_frontier(args, cfg: dict) -> int:
                 )
             )
         )
-    _write_output(_pick(args.out, cfg, "out"), "\n".join(lines) + "\n")
+    _write_output(o.out, "\n".join(lines) + "\n")
     return 0
 
 
-def _cmd_sweep(args, cfg: dict) -> int:
-    channel, _ = _get_channel(args, cfg)
-    scheme = _pick(args.scheme, cfg, "scheme", "gdpc")
-    raw_snr = _pick(args.snr_db, cfg, "snr_db")
-    if raw_snr is None:
-        raise OutOfRange("sweep-snr needs --snr-db (or snr_db in the config)")
-    snrs = _parse_snr(raw_snr)
-    grid = _parse_grid(_pick(args.grid, cfg, "grid", GridSpec()))
-    rows = sweep_snr(channel, snrs, scheme, grid)
+def _cmd_sweep(o: argparse.Namespace) -> int:
+    rows = sweep_snr(o.channel, o.snr_db, o.scheme, o.grid)
     lines = ["scheme,snr_db,n1,rate,skipped"]
     for row in rows:
         rate = "" if row.rate is None else _fmt(row.rate)
         lines.append(
-            f"{scheme},{_fmt(row.snr_db)},{_fmt(row.n1)},{rate},{int(row.skipped)}"
+            f"{o.scheme},{_fmt(row.snr_db)},{_fmt(row.n1)},{rate},{int(row.skipped)}"
         )
-    _write_output(_pick(args.out, cfg, "out"), "\n".join(lines) + "\n")
+    _write_output(o.out, "\n".join(lines) + "\n")
     return 0
 
 
@@ -384,75 +421,43 @@ def _verify_reports(
     return reports
 
 
-def _cmd_verify(args, cfg: dict) -> int:
-    channel, defaulted = _get_channel(args, cfg)
-    tol = float(_pick(args.tol, cfg, "tol", 1e-9))
-    if tol <= 0:
-        raise OutOfRange(f"tol must be > 0, got {tol}")
-    seed = _as_int("seed", _pick(args.seed, cfg, "seed", 0))
-    mc_samples = _as_int("mc_samples", _pick(args.mc_samples, cfg, "mc_samples", 10**6))
-    if defaulted:
+def _cmd_verify(o: argparse.Namespace) -> int:
+    if o.channel is EXAMPLE_CHANNEL:  # parsing always builds a new one
         print(
             "note: no channel given; using the example channel "
             "p1=1 p2=1 q=1 n1=0.1 n2=1 (noise powers ordered n1 < n2: "
             "the relay branch is the cleaner one by construction)"
         )
-    reports = _verify_reports(channel, tol, seed, mc_samples)
+    reports = _verify_reports(o.channel, o.tol, o.seed, o.mc_samples)
     for rep in reports:
         status = "PASS" if rep.passed else "FAIL"
         print(f"{rep.name}: {status} max_abs_diff={_fmt(rep.max_abs_diff)} tol={_fmt(rep.tol)}")
-    out = _pick(args.out, cfg, "out")
-    if out is not None:
+    if o.out is not None:
         payload = _round12([rep.to_dict() for rep in reports])
-        _write_output(out, json.dumps(payload, indent=2) + "\n")
+        _write_output(o.out, json.dumps(payload, indent=2) + "\n")
     return 0 if all(rep.passed for rep in reports) else 1
 
 
-def _parse_dmc_spec(cfg: dict, use_pipes: bool) -> DmcSpec:
-    if use_pipes:
-        return binary_pipes_spec()
-    raw = cfg.get("dmc")
-    if raw is None:
-        raise OutOfRange("dmc needs --pipes or a 'dmc' object in the config")
-    try:
-        sizes = tuple(int(v) for v in raw["sizes"])
-        p_s = np.array(raw["p_s"], dtype=float)
-        channel = np.array(raw["channel"], dtype=float)
-    except (KeyError, TypeError, ValueError) as e:
-        raise OutOfRange(f"dmc config needs sizes, p_s and channel arrays: {e}") from None
-    return DmcSpec(sizes=sizes, p_s=p_s, channel=channel)
-
-
-def _cmd_dmc(args, cfg: dict) -> int:
-    dmc_cfg = cfg.get("dmc", {}) if isinstance(cfg.get("dmc"), dict) else {}
-    spec = _parse_dmc_spec(cfg, args.pipes)
-    bounds = _pick(args.bounds, dmc_cfg, "bounds", "informed-source")
-    denominator = _as_int("denominator", _pick(args.denominator, dmc_cfg, "denominator", 8))
-    objective = _pick(args.objective, dmc_cfg, "objective", "r02")
-    result = dmc_maximize(spec, bounds=bounds, denominator=denominator, objective=objective)
+def _cmd_dmc(o: argparse.Namespace) -> int:
+    result = dmc_maximize(o.dmc, bounds=o.bounds, denominator=o.denominator, objective=o.objective)
     payload = _round12(
         {
             "bounds": result.bounds,
-            "denominator": denominator,
-            "objective": objective,
+            "denominator": o.denominator,
+            "objective": o.objective,
             "evaluations": result.evaluations,
             "value": {"r1": result.value.r1, "r02": result.value.r02},
             "best_pmf": result.best.pmf.tolist(),
             "axis_order": ["s", "u1", "u2", "x1", "x2"],
         }
     )
-    _write_output(_pick(args.out, cfg, "out"), json.dumps(payload, indent=2) + "\n")
+    _write_output(o.out, json.dumps(payload, indent=2) + "\n")
     return 0
 
 
-def _cmd_point(args, cfg: dict) -> int:
-    channel, _ = _get_channel(args, cfg)
-    raw = _pick(args.params, cfg, "params")
-    if raw is None:
-        raise OutOfRange("point needs --params gamma,rho,beta,alpha2 (or params in the config)")
-    params = _parse_params(raw)
-    coeffs = gdpc_coeffs(channel, params)
-    r = gdpc_rates(channel, params)
+def _cmd_point(o: argparse.Namespace) -> int:
+    coeffs = gdpc_coeffs(o.channel, o.params)
+    r = gdpc_rates(o.channel, o.params)
     values = {
         "qprime": coeffs.qprime,
         "a": coeffs.a,
@@ -465,9 +470,8 @@ def _cmd_point(args, cfg: dict) -> int:
     }
     for name, value in values.items():
         print(f"{name} {_fmt(value)}")
-    out = _pick(args.out, cfg, "out")
-    if out is not None:
-        _write_output(out, json.dumps(_round12(values), indent=2) + "\n")
+    if o.out is not None:
+        _write_output(o.out, json.dumps(_round12(values), indent=2) + "\n")
     return 0
 
 
@@ -481,15 +485,10 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        cfg = _load_config(args.config)
-        return _COMMANDS[args.command](args, cfg)
-    except RelayRegionsError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except (OSError, json.JSONDecodeError, ValueError) as e:
+        return _COMMANDS[args.command](_options(args, _load_config(args.config)))
+    except (RelayRegionsError, OSError, ValueError) as e:  # a JSONDecodeError is a ValueError
         print(f"error: {e}", file=sys.stderr)
         return 2
 

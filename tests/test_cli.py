@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 from relayregions import ChannelParams, GdpcParams, gdpc_rates
-from relayregions.cli import main
+from relayregions.cli import _COMMANDS, _DMC_KEYS, _OPTIONS, _build_parser, main
 
 CHANNEL = "1,1,2,0.1,1"
 TINY_GRID = "5,5,1,0.5"
@@ -89,6 +89,21 @@ class TestGoldenOutputs:
         code, out, _ = run(capsys, *argv, "--channel", "1,1,1,0.1,1")
         assert code == 0
         assert out.encode() == (DATA / name).read_bytes()
+
+    @pytest.mark.parametrize(
+        "name,command",
+        [
+            ("frontier_gdpc", "frontier"),
+            ("frontier_dpc", "frontier"),
+            ("sweep_gdpc", "sweep-snr"),
+        ],
+    )
+    def test_config_file_twin(self, capsys, name, command):
+        """The same runs given as a --config JSON (channel as an object, a
+        list and a string; SNRs and grid as lists) instead of flags."""
+        code, out, _ = run(capsys, command, "--config", str(DATA / f"{name}.json"))
+        assert code == 0
+        assert out.encode() == (DATA / f"{name}.csv").read_bytes()
 
 
 class TestGridFlag:
@@ -242,6 +257,20 @@ class TestDmcCommand:
         assert code == 0
         assert json.loads(out)["value"]["r02"] == 1.0
 
+    def test_has_no_channel_flag(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["dmc", "--pipes", "--channel", "1,2"])
+        assert exc.value.code == 2
+
+    def test_fractional_size_rejected(self, capsys, tmp_path):
+        cfg = tmp_path / "dmc.json"
+        cfg.write_text(json.dumps({
+            "dmc": {"sizes": [1, 1, 2.9, 2, 2, 2, 2], "p_s": [1.0], "channel": [0.0]}
+        }))
+        code, _, err = run(capsys, "dmc", "--config", str(cfg))
+        assert code == 2
+        assert "must be an integer, got 2.9" in err
+
     def test_fractional_denominator_rejected(self, capsys, tmp_path):
         cfg = tmp_path / "dmc.json"
         cfg.write_text(json.dumps({"dmc": {"denominator": 4.9}}))
@@ -329,6 +358,44 @@ class TestConfigMerge:
         assert code == 2
         assert name in err
 
+    @pytest.mark.parametrize(
+        "command, fields, name",
+        [
+            ("frontier", {"grid": [5.9, 5]}, "grid"),
+            ("frontier", {"grid": [5, 5, True, 0.5]}, "grid"),
+            ("sweep-snr", {"snr_db": "10", "grid": 5}, "grid"),
+            ("point", {"params": [0.2, 0.1, 0.4, 0.5], "channel": {
+                "p1": True, "p2": 1, "q": 2, "n1": 0.1, "n2": 1}}, "channel"),
+            ("verify", {"tol": True}, "tol"),
+        ],
+        ids=["fractional-grid", "bool-refines", "grid-not-a-list", "bool-channel", "bool-tol"],
+    )
+    def test_no_silent_coercion(self, capsys, tmp_path, command, fields, name):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"channel": CHANNEL, "grid": TINY_GRID, **fields}))
+        code, _, err = run(capsys, command, "--config", str(cfg))
+        assert code == 2
+        assert f"error: {name}:" in err
+
+    def test_integral_grid_object_runs(self, capsys, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({
+            "channel": CHANNEL, "gamma_grid": "0:1:2", "grid": {"steps_rho": 5.0, "steps_beta": 5}
+        }))
+        code, out, _ = run(capsys, "frontier", "--config", str(cfg))
+        assert code == 0
+        assert len(out.strip().split("\n")) == 3
+
+    @pytest.mark.parametrize("argv, name", [
+        (["verify", "--tol", "nan"], "tol"),
+        (["verify", "--tol", "inf"], "tol"),
+        (["sweep-snr", "--snr-db=0:inf:1", "--grid", TINY_GRID], "snr_db"),
+    ])
+    def test_unusable_flag_values_rejected(self, capsys, argv, name):
+        code, _, err = run(capsys, *argv, "--channel", CHANNEL)
+        assert code == 2
+        assert f"error: {name}:" in err
+
     def test_missing_config_file(self, capsys):
         code, _, err = run(capsys, "point", "--config", "/no/such/file.json")
         assert code == 2
@@ -338,3 +405,52 @@ class TestConfigMerge:
         cfg.write_text("not json {")
         code, _, err = run(capsys, "point", "--config", str(cfg))
         assert code == 2
+
+
+def _table_fields():
+    """Every (subcommand, config field) pair the option table defines."""
+    return [
+        (command, key)
+        for command in _COMMANDS
+        for key in _OPTIONS
+        if key in vars(_build_parser().parse_args([command]))
+    ]
+
+
+# a valid config for each subcommand, small enough to run in milliseconds
+BASE_CONFIG = {
+    "frontier": {"channel": CHANNEL, "grid": TINY_GRID, "gamma_grid": "0:1:2"},
+    "sweep-snr": {"channel": CHANNEL, "grid": TINY_GRID, "snr_db": "10"},
+    "verify": {"mc_samples": int(MC_SAMPLES)},
+    "dmc": {"dmc": {"denominator": 4}},
+    "point": {"params": [0.2, 0.1, 0.4, 0.5]},
+}
+
+
+class TestOptionTable:
+    """Each field of each subcommand, given an unusable config value, is
+    an input error that names the field; it never raises out of main."""
+
+    def test_every_subcommand_and_field_is_covered(self):
+        pairs = _table_fields()
+        assert {command for command, _ in pairs} == set(BASE_CONFIG)
+        assert ("dmc", "channel") not in pairs
+        assert ("dmc", "denominator") in pairs and ("verify", "seed") in pairs
+
+    @pytest.mark.parametrize("command, key", _table_fields())
+    @pytest.mark.parametrize(
+        "value", [HUGE_INT, float("nan"), True, [[1]]], ids=["huge", "nan", "true", "nested"]
+    )
+    def test_bad_value(self, capsys, tmp_path, command, key, value):
+        cfg = json.loads(json.dumps(BASE_CONFIG[command]))
+        (cfg["dmc"] if key in _DMC_KEYS else cfg)[key] = value
+        argv = [command, "--config", str(tmp_path / "run.json")]
+        if command == "dmc" and key != "dmc":
+            argv.append("--pipes")
+        (tmp_path / "run.json").write_text(json.dumps(cfg))
+        code, _, err = run(capsys, *argv)
+        if key in ("seed", "mc_samples") and value is HUGE_INT:
+            assert code == 0  # an exact integer, even past float range
+        else:
+            assert code == 2
+            assert key in err
