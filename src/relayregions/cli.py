@@ -23,6 +23,7 @@ identical outputs.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -120,6 +121,13 @@ def _as_int(value) -> int:
     return int(number)
 
 
+def _seed(value) -> int:
+    seed = _as_int(value)
+    if seed < 0:
+        raise OutOfRange(f"must be >= 0, got {seed}")
+    return seed
+
+
 def _text(value) -> str:
     if not isinstance(value, str):
         raise OutOfRange(f"expects a string, got {value!r}")
@@ -211,13 +219,21 @@ def _grid(value) -> GridSpec:
 _PIPES = object()  # what --pipes stores as the dmc spec; no JSON value is it
 
 
+def _nested_floats(value):
+    """Nested lists with every entry through _float: a bool is rejected,
+    not read as 1.0."""
+    if isinstance(value, list):
+        return [_nested_floats(v) for v in value]
+    return _float(value)
+
+
 def _dmc_spec(value) -> DmcSpec:
     if value is _PIPES:
         return binary_pipes_spec()
     try:
         sizes = tuple(_as_int(v) for v in value["sizes"])
-        p_s = np.array(value["p_s"], dtype=float)
-        channel = np.array(value["channel"], dtype=float)
+        p_s = np.array(_nested_floats(value["p_s"]), dtype=float)
+        channel = np.array(_nested_floats(value["channel"]), dtype=float)
     except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise OutOfRange(f"needs sizes, p_s and channel arrays: {e}") from None
     return DmcSpec(sizes=sizes, p_s=p_s, channel=channel)
@@ -240,7 +256,7 @@ _OPTIONS = {
     "snr_db": (_Required("--snr-db"), _axis(_ladder)),
     "params": (_Required("--params gamma,rho,beta,alpha2"), _record(GdpcParams)),
     "tol": (1e-9, _tol),
-    "seed": (0, _as_int),
+    "seed": (0, _seed),
     "mc_samples": (10**6, _as_int),
     "dmc": (_Required("--pipes"), _dmc_spec),
     "bounds": ("informed-source", _text),
@@ -282,6 +298,7 @@ def _load_config(path: str | None) -> dict:
     return cfg
 
 
+@functools.cache  # built on the first main call, not at import
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="relayregions",

@@ -41,6 +41,13 @@ its widest rho axis, so a row whose box is a single point along an axis
 holds that point repeatedly; the repeats give the same values, the first
 eligible cell is unchanged, and the evaluation count counts the point
 once.
+
+Inputs are validated once, at the public entries (``frontier``,
+``sweep_snr``, ``max_r02_gdpc``, ``max_beta_nostate``; a ``GridSpec``
+checks itself when built). The private helpers trust the rows handed
+down, except that the nostate search calls the public ``nostate_terms``
+once per gamma, and the closing value, ``rates._gdpc_rates``, raises
+OutOfRange when the chosen point's rate terms leave the float range.
 """
 
 from __future__ import annotations
@@ -61,13 +68,18 @@ from .model import (
     rho_upper_bound,
     validate_channel,
 )
-from .rates import _TIE_TOL, _best_alpha2, cap_c, gdpc_rates, nostate_terms
+from .rates import _TIE_TOL, _best_alpha2, _gdpc_rates, cap_c, nostate_terms
+
+
+_MAX_GRID_CELLS = 10**6
 
 
 @dataclass(frozen=True)
 class GridSpec:
     """Grid-then-shrink search schedule. refine_shrink is the factor the
-    box width contracts by per refinement round."""
+    box width contracts by per refinement round. A round evaluates
+    steps_rho * steps_beta cells, at most ``_MAX_GRID_CELLS`` = 10**6:
+    at the limit one round's temporaries take about 0.4 GB."""
 
     steps_rho: int = 33
     steps_beta: int = 33
@@ -79,6 +91,11 @@ class GridSpec:
             v = getattr(self, name)
             if not isinstance(v, int) or v < 2:
                 raise OutOfRange(f"{name} must be an integer >= 2, got {v!r}")
+        if self.steps_rho * self.steps_beta > _MAX_GRID_CELLS:
+            raise OutOfRange(
+                f"steps_rho * steps_beta must be <= {_MAX_GRID_CELLS}, "
+                f"got {self.steps_rho} * {self.steps_beta}"
+            )
         if not isinstance(self.refine_iters, int) or self.refine_iters < 0:
             raise OutOfRange(f"refine_iters must be an integer >= 0, got {self.refine_iters!r}")
         if not 0.0 < self.refine_shrink < 1.0:
@@ -122,8 +139,11 @@ def max_beta_nostate(c: ChannelParams, gamma: float) -> tuple[float, float]:
     C >= 0 the increasing term never overtakes the decreasing one and the
     optimum is the endpoint beta3 = 1.
     """
-    validate_channel(c)
-    _check_gamma(gamma)
+    return _max_beta_nostate(validate_channel(c), _check_gamma(gamma))
+
+
+def _max_beta_nostate(c: ChannelParams, gamma: float) -> tuple[float, float]:
+    """``max_beta_nostate`` of inputs the caller has validated."""
     g = (1.0 - gamma) * c.p1
     if g <= 0.0:
         # no common power at all: both terms vanish
@@ -240,7 +260,7 @@ def _search_pass(problems, rho_hi, n_rho: int, grid: GridSpec) -> list[OptResult
     for (c, gamma), rounds, cells in zip(problems, history, evaluations.tolist()):
         path = tuple((GdpcParams(gamma, r, b, a), value) for r, b, a, value in rounds)
         g = path[-1][0]
-        r = gdpc_rates(c, g)
+        r = _gdpc_rates(c, g)
         results.append(
             OptResult(best=g, value=min(r.r1_sum, r.r2_sum), evaluations=cells, trace=path)
         )
@@ -285,7 +305,7 @@ def _solve_all(
         ]
     solved = []
     for c, gamma in problems:
-        beta, value = max_beta_nostate(c, gamma)
+        beta, value = _max_beta_nostate(c, gamma)
         solved.append((0.0, beta, 0.0, value))
     return solved
 

@@ -46,7 +46,8 @@ the two agree only through the mapping beta3 = 1 - beta**2, which the
 test suite checks on the q = 0 reduction.
 
 Negative or 0/0-indeterminate expressions clamp to exactly 0 (they mark
-useless parameter choices, not invalid inputs).
+useless parameter choices, not invalid inputs). Terms that leave the
+float range mark nothing, so the scalar gdpc rates raise OutOfRange.
 """
 
 from __future__ import annotations
@@ -153,13 +154,22 @@ def _best_alpha2(p1, p2, q, n1, n2, gamma, rho, beta):
     is not finite or falls outside [0, 1] is replaced by 0. Of the
     candidates within _TIE_TOL of the best value the smallest wins, and
     its own value is returned, not the best one.
+
+    The clamp runs once, after the min: a candidate's value is
+    min(r1_sum, r2_sum) where both terms are finite and positive, and
+    +0.0 where either is nan, +-inf or <= 0, exactly as if each term were
+    clamped first. The guard needs the max as well as the min: a term
+    that overflows to +inf (a/b at p1 = 1e300 with n1 = 1e-300) clamps to
+    0, which a test of min > 0 alone would miss. Overflow, 0/0 and log 0
+    are silent here; the scalar path, ``_gdpc_rates``, reports such a
+    point as OutOfRange.
     """
-    pwt, qp, a, c, m1, m2 = _alpha2_free_terms(p1, p2, q, n1, n2, gamma, rho, beta)
-    # c*b(x) - a*d(x) = k2*x^2 + k1*x + k0
-    k2 = qp * ((pwt + m1) * c - (pwt + m2) * a)
-    k1 = -2.0 * pwt * qp * (c - a)
-    k0 = pwt * ((qp + m1) * c - (qp + m2) * a)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(all="ignore"):
+        pwt, qp, a, c, m1, m2 = _alpha2_free_terms(p1, p2, q, n1, n2, gamma, rho, beta)
+        # c*b(x) - a*d(x) = k2*x^2 + k1*x + k0
+        k2 = qp * ((pwt + m1) * c - (pwt + m2) * a)
+        k1 = -2.0 * pwt * qp * (c - a)
+        k0 = pwt * ((qp + m1) * c - (qp + m2) * a)
         h = -0.5 * (k1 + np.copysign(np.sqrt(k1 * k1 - 4.0 * k2 * k0), k1))
         # h has the full broadcast shape: k2 involves every input
         cand = np.empty((6,) + h.shape)
@@ -176,9 +186,10 @@ def _best_alpha2(p1, p2, q, n1, n2, gamma, rho, beta):
         r = np.empty((2,) + cand.shape)
         np.divide(a, b, out=r[0])
         np.divide(c, d, out=r[1])
-        r = 0.5 * np.log2(r, out=r)
-    r = _clamp_array(r)
-    v = np.minimum(r[0], r[1])
+        np.log2(r, out=r)
+        r *= 0.5
+        v = np.minimum(r[0], r[1])
+        v = np.where((v > 0.0) & (np.maximum(r[0], r[1]) < math.inf), v, 0.0)
     tied = v >= v.max(axis=0) - _TIE_TOL
     # candidates equal to the pick share its value: the same operations
     # computed both
@@ -187,7 +198,9 @@ def _best_alpha2(p1, p2, q, n1, n2, gamma, rho, beta):
 
 
 def _clamp_array(r):
-    """Map negative, nan and -inf entries to 0.0 (clamping convention)."""
+    """Map negative, nan and -inf entries to 0.0 (clamping convention),
+    elementwise: each sum-rate term clamped on its own, the mapping that
+    the single clamps of ``_best_alpha2`` and ``_gdpc_rates`` reproduce."""
     return np.where(np.isfinite(r) & (r > 0.0), r, 0.0)
 
 
@@ -210,15 +223,33 @@ def gdpc_rates(c: ChannelParams, g: GdpcParams) -> GdpcRates:
     """Clamped sum-rate bounds and the private rate at one point.
 
     The achievable sum rate of the scheme is min(r1_sum, r2_sum); the
-    private rate cap_c(gamma*p1/n1) comes on top of it.
+    private rate cap_c(gamma*p1/n1) comes on top of it. A point whose
+    terms leave the float range raises OutOfRange instead of clamping.
     """
-    validate_gdpc(c, g)
-    r1, r2, _ = _sum_terms(
-        c.p1, c.p2, c.q, c.n1, c.n2, g.gamma, g.rho, g.beta, g.alpha2
-    )
+    return _gdpc_rates(c, validate_gdpc(c, g))
+
+
+def _gdpc_rates(c: ChannelParams, g: GdpcParams) -> GdpcRates:
+    """``gdpc_rates`` of inputs the caller has validated.
+
+    Only a point whose powers leave the float range can make a, b, c or d
+    overflow, or a ratio a/b or c/d reach +inf (b = 0 forces a = 0 in
+    exact arithmetic, unless b underflows); its clamped rate would read 0
+    without a word, so such a point is OutOfRange.
+    """
+    with np.errstate(all="ignore"):  # a point out of range raises below
+        r1, r2, (a, b, cc, d, _) = _sum_terms(
+            c.p1, c.p2, c.q, c.n1, c.n2, g.gamma, g.rho, g.beta, g.alpha2
+        )
+    if not all(map(math.isfinite, (a, b, cc, d))) or math.inf in (r1, r2):
+        raise OutOfRange(
+            f"the rate terms a/b = {a}/{b} and c/d = {cc}/{d} leave the "
+            f"float range at {g} on {c}"
+        )
+    # with +inf ruled out, > 0 is the whole clamp: nan, -inf and -0.0 fail it
     return GdpcRates(
-        r1_sum=float(_clamp_array(r1)),
-        r2_sum=float(_clamp_array(r2)),
+        r1_sum=float(r1) if r1 > 0.0 else 0.0,
+        r2_sum=float(r2) if r2 > 0.0 else 0.0,
         r_private=cap_c(g.gamma * c.p1 / c.n1),
     )
 

@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -105,6 +107,30 @@ class TestGoldenOutputs:
         assert code == 0
         assert out.encode() == (DATA / f"{name}.csv").read_bytes()
 
+    def test_parser_reused_across_calls(self, capsys):
+        """The argparse tree is built once per process; a failed parse and
+        the other subcommands leave it able to give the golden bytes."""
+        _build_parser.cache_clear()
+        with pytest.raises(SystemExit) as exc:
+            main(["frontier", "--no-such-flag"])
+        assert exc.value.code == 2
+        assert run(capsys, "verify", "--mc-samples", MC_SAMPLES)[0] == 0
+        assert run(capsys, "dmc", "--pipes")[0] == 0
+        code, out, _ = run(
+            capsys, "frontier", "--scheme", "gdpc", "--gamma-grid", "0:1:21",
+            "--channel", "1,1,1,0.1,1",
+        )
+        assert code == 0
+        assert out.encode() == (DATA / "frontier_gdpc.csv").read_bytes()
+        assert _build_parser.cache_info().misses == 1
+
+    def test_parser_is_not_built_at_import(self):
+        probe = (
+            "import relayregions.cli as cli; "
+            "assert cli._build_parser.cache_info().currsize == 0"
+        )
+        subprocess.run([sys.executable, "-c", probe], check=True)
+
 
 class TestGridFlag:
     @pytest.mark.parametrize("grid", ["5,5", "5,5,1,0.5"])
@@ -124,6 +150,14 @@ class TestGridFlag:
         )
         assert code == 2
         assert "r,b[,refines,shrink]" in err
+
+    @pytest.mark.parametrize("steps", [HUGE_INT, 10**29], ids=["huge", "1e29"])
+    def test_oversized_grid_is_input_error(self, capsys, tmp_path, steps):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"channel": CHANNEL, "grid": [steps, 5]}))
+        code, _, err = run(capsys, "frontier", "--config", str(cfg))
+        assert code == 2
+        assert err.startswith("error: grid: steps_rho * steps_beta must be <= 1000000")
 
     def test_config_alpha2_steps_are_rejected(self, capsys, tmp_path):
         cfg = tmp_path / "run.json"
@@ -171,6 +205,27 @@ class TestSweepCommand:
         assert "snr" in err
 
 
+class TestFloatRange:
+    """Powers at the edge of the float range give an input error, not a
+    silent rate of 0 with RuntimeWarnings."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["frontier", "--scheme", "gdpc", "--gamma-grid", "0",
+             "--channel", "1e300,1,1,1e-300,2e-300"],
+            ["sweep-snr", "--snr-db", "0", "--channel", "1e300,1,1,1e-300,1e301"],
+        ],
+        ids=["frontier", "sweep-snr"],
+    )
+    def test_overflow_is_input_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv, "--grid", TINY_GRID)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: the rate terms") and "float range" in err
+        assert "Warning" not in err
+
+
 class TestVerifyCommand:
     def test_default_channel_note_and_report(self, capsys, tmp_path):
         out_path = tmp_path / "report.json"
@@ -211,6 +266,11 @@ class TestVerifyCommand:
         code, _, err = run(capsys, "verify", "--tol", "0")
         assert code == 2
         assert "tol" in err
+
+    def test_negative_seed_rejected(self, capsys):
+        code, _, err = run(capsys, "verify", "--seed", "-1")
+        assert code == 2
+        assert err.startswith("error: seed: must be >= 0, got -1")
 
     @pytest.mark.parametrize(
         "fields, name",
@@ -256,6 +316,25 @@ class TestDmcCommand:
         code, out, _ = run(capsys, "dmc", "--config", str(cfg))
         assert code == 0
         assert json.loads(out)["value"]["r02"] == 1.0
+
+    @pytest.mark.parametrize("key", ["p_s", "channel"])
+    def test_bool_entry_rejected(self, capsys, tmp_path, key):
+        # a one-state spec whose outputs copy the inputs
+        spec = {
+            "sizes": [1, 1, 2, 2, 2, 2, 2],
+            "p_s": [1.0],
+            "channel": [[[[[1.0 if (y1, y2) == (x1, x2) else 0.0 for y2 in range(2)]
+                           for y1 in range(2)] for x2 in range(2)] for x1 in range(2)]],
+        }
+        if key == "p_s":
+            spec["p_s"] = [True]
+        else:
+            spec["channel"][0][0][0][0][0] = True
+        cfg = tmp_path / "dmc.json"
+        cfg.write_text(json.dumps({"dmc": {**spec, "denominator": 4}}))
+        code, _, err = run(capsys, "dmc", "--config", str(cfg))
+        assert code == 2
+        assert err.startswith("error: dmc:") and "got True" in err
 
     def test_has_no_channel_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -53,6 +53,13 @@ def test_grid_spec_validation():
         GridSpec(steps_beta=2.5)
 
 
+def test_grid_spec_cell_limit():
+    assert GridSpec(1000, 1000).steps_rho == 1000
+    for steps in ((1001, 1000), (10**29, 5), (5, 10**400)):
+        with pytest.raises(OutOfRange, match="steps_rho \\* steps_beta"):
+            GridSpec(*steps)
+
+
 class TestMaxBetaNostate:
     def test_anchor_point(self):
         beta, value = max_beta_nostate(ANCHOR, 0.0)
@@ -158,6 +165,12 @@ class TestFrontier:
         with pytest.raises(OutOfRange):
             frontier(STATEFUL, "bogus", [0.0, 0.5])
 
+    @pytest.mark.parametrize("scheme", ["gdpc", "dpc"])
+    def test_out_of_float_range_is_an_error(self, scheme):
+        c = ChannelParams(1e300, 1.0, 1.0, 1e-300, 2e-300)
+        with pytest.raises(OutOfRange, match="float range"):
+            frontier(c, scheme, [0.0])
+
     def test_r1_is_private_capacity(self):
         f = frontier(STATEFUL, "gdpc", [0.0, 0.5], GridSpec(5, 5, 1, 0.5))
         for p in f.points:
@@ -195,6 +208,13 @@ class TestSweepSnr:
         for snr in (4000.0, -4000.0, -3100.0, -math.inf, math.inf, math.nan):
             with pytest.raises(OutOfRange):
                 sweep_snr(STATEFUL, [10.0, snr], "gdpc", GridSpec(5, 5, 1, 0.5))
+
+    def test_out_of_float_range_is_an_error(self):
+        # n1 = p1 at 0 dB: a = pwt*(pwt + ...) overflows, and the
+        # clamped rate would read 0
+        base = ChannelParams(1e300, 1.0, 1.0, 1e-300, 1e301)
+        with pytest.raises(OutOfRange, match="float range"):
+            sweep_snr(base, [0.0], "gdpc", GridSpec(5, 5, 1, 0.5))
 
     def test_empty_lists_are_rejected(self):
         with pytest.raises(OutOfRange):
@@ -357,6 +377,14 @@ class TestBatchedSearch:
         with mock.patch.object(optimize, "_PASS_CELLS", pass_cells):
             got = optimize._search(rows, grid, freeze_rho)
         _assert_same_results(got, want)
+
+    @settings(PROPERTY, max_examples=60)
+    @given(search_rows(), small_grids, st.booleans())
+    def test_value_is_the_scalar_rate_at_best(self, rows, grid, freeze_rho):
+        for c, gamma in rows[:3]:
+            res = max_r02_gdpc(c, gamma, grid, freeze_rho=freeze_rho)
+            want = min(gdpc_rates(c, res.best)[:2])
+            assert repr(res.value) == repr(want)
 
     def test_dpc_frontier_over_several_passes(self):
         gammas = [float(g) for g in np.linspace(0.0, 1.0, 101)]

@@ -1,7 +1,10 @@
 import math
+import warnings
+from dataclasses import astuple
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from relayregions import (
     ChannelParams,
@@ -15,6 +18,13 @@ from relayregions import (
     nostate_terms,
     qprime,
     relay_rate_informed_both,
+)
+from relayregions.rates import (
+    _TIE_TOL,
+    _alpha2_free_terms,
+    _best_alpha2,
+    _binned_pair,
+    _clamp_array,
 )
 
 EXAMPLE = ChannelParams(1.0, 1.0, 1.0, 0.1, 1.0)
@@ -143,3 +153,85 @@ def test_gdpc_alpha2_inert_without_state():
         r = gdpc_rates(c, GdpcParams(0.3, 0.0, 0.6, a2))
         assert r.r1_sum == pytest.approx(base.r1_sum, abs=1e-15)
         assert r.r2_sum == pytest.approx(base.r2_sum, abs=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# Powers near the float range. a = pwt*(pwt + ...) overflows on OVERFLOW;
+# on UNDERFLOW b = pwt*(qprime + n1) underflows to 0 while a does not.
+
+OVERFLOW = ChannelParams(1e300, 1.0, 1.0, 1e-300, 2e-300)
+UNDERFLOW = ChannelParams(1e-160, 0.0, 0.0, 1e-300, 2e-300)
+
+
+@pytest.mark.parametrize("c", [OVERFLOW, UNDERFLOW], ids=["overflow", "underflow"])
+def test_gdpc_rates_out_of_float_range_is_an_error(c):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a typed error, not a RuntimeWarning
+        with pytest.raises(OutOfRange, match="float range"):
+            gdpc_rates(c, GdpcParams(0.0, 0.0, 0.0, 0.0))
+
+
+def _parent_best_alpha2(p1, p2, q, n1, n2, gamma, rho, beta):
+    """``_best_alpha2`` as it stood when each log-ratio term was clamped
+    before the min, on the 12-entry stack: the reference for the kernel
+    that clamps the 6-entry min once."""
+    pwt, qp, a, c, m1, m2 = _alpha2_free_terms(p1, p2, q, n1, n2, gamma, rho, beta)
+    k2 = qp * ((pwt + m1) * c - (pwt + m2) * a)
+    k1 = -2.0 * pwt * qp * (c - a)
+    k0 = pwt * ((qp + m1) * c - (qp + m2) * a)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        h = -0.5 * (k1 + np.copysign(np.sqrt(k1 * k1 - 4.0 * k2 * k0), k1))
+        cand = np.empty((6,) + h.shape)
+        cand[0] = 0.0
+        np.divide(pwt, pwt + m1, out=cand[1])
+        np.divide(pwt, pwt + m2, out=cand[2])
+        np.divide(h, k2, out=cand[3])
+        np.divide(k0, h, out=cand[4])
+        np.divide(-k0, k1, out=cand[5])
+        cand = np.where((cand > 0.0) & (cand <= 1.0), cand, 0.0)
+        b, d = _binned_pair(pwt, qp, m1, m2, cand)
+        r = np.empty((2,) + cand.shape)
+        np.divide(a, b, out=r[0])
+        np.divide(c, d, out=r[1])
+        r = 0.5 * np.log2(r, out=r)
+    r = _clamp_array(r)
+    v = np.minimum(r[0], r[1])
+    tied = v >= v.max(axis=0) - _TIE_TOL
+    alpha2 = np.where(tied, cand, np.inf).min(axis=0)
+    return alpha2, np.where(cand == alpha2, v, -np.inf).max(axis=0)
+
+
+PROPERTY = settings(deadline=None, derandomize=True, database=None)
+powers = st.floats(-300.0, 300.0).map(lambda e: 10.0**e)
+units = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+
+
+@st.composite
+def kernel_rows(draw):
+    """One channel at scales 1e-300..1e300 (p2 and q possibly 0), a gamma
+    (0 and 1 included), and ascending rho and beta axes shaped as the
+    search passes them, rho within its bound."""
+    p1, n1, n2 = draw(powers), draw(powers), draw(powers)
+    p2, q = (draw(st.one_of(st.just(0.0), powers)) for _ in range(2))
+    gamma = draw(units)
+    gbar_p1 = (1.0 - gamma) * p1
+    rho_hi = min(1.0, q / gbar_p1) if gbar_p1 > 0.0 and q > 0.0 else 0.0
+    rho = sorted(rho_hi * u for u in draw(st.lists(units, min_size=1, max_size=4)))
+    beta = sorted(draw(st.lists(units, min_size=1, max_size=4)))
+    return (p1, p2, q, n1, n2, gamma), rho, beta
+
+
+@settings(PROPERTY, max_examples=300)
+@given(kernel_rows())
+@example(((*astuple(OVERFLOW), 0.0), [0.0, 0.5, 1.0], [0.0, 0.5, 1.0]))
+@example(((*astuple(UNDERFLOW), 0.0), [0.0], [0.0, 1.0]))
+def test_single_clamp_matches_per_term_clamp(row):
+    knobs, rho, beta = row
+    axes = np.array(rho)[:, np.newaxis], np.array(beta)[np.newaxis, :]
+    got = _best_alpha2(*knobs, *axes)
+    with np.errstate(all="ignore"):
+        want = _parent_best_alpha2(*knobs, *axes)
+    for x, y in zip(got, want):
+        # bitwise, through int64, so the sign of a zero counts
+        assert np.array_equal(x.view(np.int64), y.view(np.int64))
+
