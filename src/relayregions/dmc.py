@@ -11,10 +11,12 @@ probabilities are multiples of 1/denominator, which is crude but exact:
 an oracle, not a solver.
 
 Each bound is written once, in _TERMS, as signed conditional mutual
-informations. The scalar evaluators read it one strategy at a time;
-dmc_maximize also reads it to screen chunks of candidates in numpy and
-sends only the near-best ones through the scalar evaluators, so its
-answer is the one the scalar loop would give.
+informations. The scalar evaluators read it one strategy at a time:
+they build the strategy's joint, check it once, and send every term
+through _cmi with one entropy memo, so each marginal entropy is computed
+once per strategy. dmc_maximize also reads _TERMS to screen chunks of
+candidates in numpy, then confirms only the near-best ones through the
+same scalar route, so its answer is the one the scalar loop would give.
 
 Axis order everywhere: (s, u1, u2, x1, x2, y1, y2); the channel tensor
 is indexed [s][x1][x2][y1][y2].
@@ -39,7 +41,7 @@ _MAX_CANDIDATES = 10**8
 # caps the screen's memory at a few MB whatever the candidate count
 _CHUNK_CELLS = 2**16
 # a screened candidate whose primary rate is this close to the best one
-# screened so far is re-evaluated by the scalar evaluators; the batched
+# screened so far is re-evaluated by the scalar evaluators' route; the batched
 # and scalar rates agree to ~1e-14 bits, far inside half this width
 _CONFIRM_BITS = 1e-9
 
@@ -57,7 +59,9 @@ def _check_pmf(name: str, p: np.ndarray, axis=None) -> None:
     if (p < 0).any():
         raise NotNormalized(f"{name} has negative entries")
     sums = p.sum() if axis is None else p.sum(axis=axis)
-    if not np.allclose(sums, 1.0, rtol=0.0, atol=_PMF_TOL):
+    # np.allclose(sums, 1.0, rtol=0.0, atol=_PMF_TOL) without its overhead:
+    # nan and +-inf fail the comparison
+    if not (np.abs(sums - 1.0) <= _PMF_TOL).all():
         raise NotNormalized(f"{name} must sum to 1 within {_PMF_TOL}")
 
 
@@ -123,7 +127,11 @@ def compose_full(d: DmcSpec, a: AuxJoint) -> np.ndarray:
             f"aux joint shape {a.pmf.shape} does not match spec sizes {d.sizes[:5]}"
         )
     _check_state_law(d, a.pmf.sum(axis=(1, 2, 3, 4)))
-    return a.pmf[..., None, None] * d.channel[:, None, None, :, :, :, :]
+    return _joint(d, a.pmf)
+
+
+def _joint(d: DmcSpec, pmf: np.ndarray) -> np.ndarray:
+    return pmf[..., None, None] * d.channel[:, None, None, :, :, :, :]
 
 
 def _check_state_law(d: DmcSpec, marg_s: np.ndarray) -> None:
@@ -152,14 +160,22 @@ def discrete_cmi(joint: np.ndarray, axes, set_a, set_b, set_c=()) -> float:
     groups = (set(set_a), set(set_b), set(set_c))
     if groups[0] & groups[1] or groups[0] & groups[2] or groups[1] & groups[2]:
         raise OutOfRange("the three axis sets must be disjoint")
+    return _cmi(joint, axes, set_a, set_b, set_c, {})
 
-    def h(keep: set) -> float:
-        drop = tuple(i for i, name in enumerate(axes) if name not in keep)
-        return _entropy_bits(joint.sum(axis=drop)) if drop else _entropy_bits(joint)
 
-    a, b, c = groups
-    val = h(a | c) + h(b | c) - h(c) - h(a | b | c)
-    return max(0.0, val)
+def _cmi(joint: np.ndarray, axes: tuple, set_a, set_b, set_c, memo: dict) -> float:
+    """discrete_cmi of arguments the caller has checked. memo maps a set
+    of kept axes to its marginal entropy; the terms of one bound share
+    it, so each marginal entropy of their joint is computed once."""
+
+    def h(keep: frozenset) -> float:
+        if keep not in memo:
+            drop = tuple(i for i, name in enumerate(axes) if name not in keep)
+            memo[keep] = _entropy_bits(joint.sum(axis=drop)) if drop else _entropy_bits(joint)
+        return memo[keep]
+
+    a, b, c = frozenset(set_a), frozenset(set_b), frozenset(set_c)
+    return max(0.0, h(a | c) + h(b | c) - h(c) - h(a | b | c))
 
 
 # Each bound as its two rates. A rate is the min over its expressions; an
@@ -209,8 +225,15 @@ def _combine(terms: dict, cmi, minimum) -> tuple:
 
 def _evaluate(d: DmcSpec, a: AuxJoint, terms: dict) -> RatePoint:
     full = compose_full(d, a)
+    _check_pmf("joint", full)
+    return _rates(full, terms)
+
+
+def _rates(full: np.ndarray, terms: dict) -> RatePoint:
+    """The clamped (r1, r02) of one _TERMS entry on a checked joint."""
+    memo: dict[frozenset, float] = {}
     return RatePoint.clamped(
-        *_combine(terms, lambda *t: discrete_cmi(full, AXES, *t), min)
+        *_combine(terms, lambda *t: _cmi(full, AXES, *t, memo), min)
     )
 
 
@@ -294,16 +317,20 @@ def dmc_maximize(
     enumeration order.
 
     Screen: candidates are enumerated in chunks of at most _CHUNK_CELLS
-    joint cells, and numpy computes each chunk's joints and rates at
-    once. Confirm: a candidate whose screened primary rate is within
-    _CONFIRM_BITS (1e-9 bits) of the best screened so far, its own chunk
-    included, is rebuilt as an AuxJoint, evaluated by eval_informed_*
-    and compared as above. Why this is exact: screened and scalar rates
-    differ by rounding only (measured ~1e-14 bits), so the candidate
-    that the scalar comparison over all candidates picks screens within
-    twice that of every other one. It is therefore always confirmed and
-    then wins the comparison, which is the scalar one. When every key
-    ties, every candidate is confirmed. evaluations counts the
+    joint cells; each chunk's pmfs and state marginals are checked once,
+    and numpy computes the chunk's joints and rates at once. Confirm: a
+    candidate whose screened primary rate is within _CONFIRM_BITS (1e-9
+    bits) of the best screened so far, its own chunk included, is
+    evaluated by the scalar route of eval_informed_* (the same joint, the
+    same marginal sums and entropies, one memo per candidate) straight
+    from its slice of the chunk, which the chunk's checks already cover,
+    and compared as above; only the winner is built as an AuxJoint. Why
+    this is exact: screened and scalar rates differ by rounding only
+    (measured ~1e-14 bits), so the candidate that the scalar comparison
+    over all candidates picks screens within twice that of every other
+    one. It is therefore always confirmed and then wins the comparison,
+    which is the scalar one. When every key ties, every candidate is
+    confirmed. evaluations counts the
     candidates screened.
     """
     if not isinstance(bounds, str) or bounds not in _TERMS:
@@ -329,7 +356,7 @@ def dmc_maximize(
     screen_best = -math.inf
     best_key: tuple[float, float] | None = None
     best_flat: tuple[float, ...] | None = None
-    best_aux: AuxJoint | None = None
+    best_pmf: np.ndarray | None = None
     best_rate: RatePoint | None = None
     for start in range(0, total, step):
         # itertools.product order over the per-state composition indices
@@ -341,18 +368,17 @@ def dmc_maximize(
         screened = _screen(d, pmf, terms)[primary]
         screen_best = max(screen_best, float(screened.max()))
         for i in np.flatnonzero(screened >= screen_best - _CONFIRM_BITS):
-            aux = AuxJoint(pmf[i])
-            rate = _evaluate(d, aux, terms)
+            rate = _rates(_joint(d, pmf[i]), terms)
             key = (rate.r02, rate.r1) if objective == "r02" else (rate.r1, rate.r02)
-            flat = tuple(aux.pmf.ravel())
+            flat = tuple(pmf[i].ravel())
             if (
                 best_key is None
                 or key > best_key
                 or (key == best_key and flat < best_flat)
             ):
-                best_key, best_flat, best_aux, best_rate = key, flat, aux, rate
+                best_key, best_flat, best_pmf, best_rate = key, flat, pmf[i], rate
     return DmcOptResult(
-        best=best_aux, value=best_rate, evaluations=total, bounds=bounds
+        best=AuxJoint(best_pmf), value=best_rate, evaluations=total, bounds=bounds
     )
 
 

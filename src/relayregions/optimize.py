@@ -138,6 +138,10 @@ def max_beta_nostate(c: ChannelParams, gamma: float) -> tuple[float, float]:
     for A = g*D2, B = 2*sqrt(g*p2)*D1 and C = (g + p2)*D1 - g*D2. When
     C >= 0 the increasing term never overtakes the decreasing one and the
     optimum is the endpoint beta3 = 1.
+
+    Powers near the float range can overflow the discriminant
+    B^2 - 4 A C or either term; the search then raises OutOfRange
+    instead of returning a split or a value that reads inf.
     """
     return _max_beta_nostate(validate_channel(c), _check_gamma(gamma))
 
@@ -156,10 +160,24 @@ def _max_beta_nostate(c: ChannelParams, gamma: float) -> tuple[float, float]:
     else:
         aa = g * d2
         bb = 2.0 * math.sqrt(g * c.p2) * d1
+        disc = bb * bb - 4.0 * aa * cc
+        # nan when cc is inf - inf; an overflowed disc would make s read 0
+        if not math.isfinite(disc):
+            raise _nostate_out_of_range(c, gamma, "B^2 - 4AC", disc)
         # the positive root, in the form that avoids cancellation
-        s = -2.0 * cc / (bb + math.sqrt(bb * bb - 4.0 * aa * cc))
+        s = -2.0 * cc / (bb + math.sqrt(disc))
         beta = 1.0 - s * s
-    return beta, min(nostate_terms(c, gamma, beta))
+    t1, t2 = nostate_terms(c, gamma, beta)
+    if not (math.isfinite(t1) and math.isfinite(t2)):
+        raise _nostate_out_of_range(c, gamma, "the terms", (t1, t2))
+    return beta, min(t1, t2)
+
+
+def _nostate_out_of_range(c: ChannelParams, gamma: float, what: str, value) -> OutOfRange:
+    return OutOfRange(
+        f"the no-interference search leaves the float range at gamma = {gamma} "
+        f"on {c}: {what} = {value}"
+    )
 
 
 def max_r02_gdpc(

@@ -77,7 +77,8 @@ class TestFrontierCommand:
 
 class TestGoldenOutputs:
     """Default-grid CSVs of the example channel, written before the box
-    search was batched over gamma; the output must not move by a byte."""
+    search was batched over gamma, and dmc JSON; the output must not move
+    by a byte."""
 
     @pytest.mark.parametrize(
         "name,argv",
@@ -106,6 +107,23 @@ class TestGoldenOutputs:
         code, out, _ = run(capsys, command, "--config", str(DATA / f"{name}.json"))
         assert code == 0
         assert out.encode() == (DATA / f"{name}.csv").read_bytes()
+
+    @pytest.mark.parametrize(
+        "name,argv",
+        [
+            ("dmc_pipes_d8.out.json", ["dmc", "--pipes", "--denominator", "8"]),
+            # a two-state noisy spec, p_s in sixteenths, informed-both at
+            # denominator 4 (both set in the config)
+            ("dmc_two_state.out.json", ["dmc", "--config", str(DATA / "dmc_two_state.json")]),
+        ],
+        ids=["pipes", "two-state"],
+    )
+    def test_dmc_byte_identical(self, capsys, name, argv):
+        """dmc JSON written before the confirm path shared one entropy
+        memo per candidate."""
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert out.encode() == (DATA / name).read_bytes()
 
     def test_parser_reused_across_calls(self, capsys):
         """The argparse tree is built once per process; a failed parse and
@@ -224,6 +242,18 @@ class TestFloatRange:
         assert out == ""
         assert err.startswith("error: the rate terms") and "float range" in err
         assert "Warning" not in err
+
+    def test_nostate_overflow_is_input_error(self, capsys):
+        # at gamma = 0.5 the crossing's C is inf - inf: the split read nan
+        # and the error named beta3 instead of the float range
+        code, out, err = run(
+            capsys, "frontier", "--scheme", "nostate-outer", "--gamma-grid", "0,0.5",
+            "--channel", "1e300,1,1,1e-300,2e-300",
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: the no-interference search") and "float range" in err
+        assert "beta3" not in err and "Warning" not in err
 
 
 class TestVerifyCommand:

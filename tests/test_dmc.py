@@ -11,6 +11,7 @@ from relayregions import (
     DmcSpec,
     NotNormalized,
     OutOfRange,
+    RatePoint,
     TooLarge,
     binary_pipes_spec,
     compose_full,
@@ -240,10 +241,32 @@ def _lex_compositions(total, cells):
             yield (first, *rest)
 
 
+def _per_term_cmi(joint, set_a, set_b, set_c):
+    """discrete_cmi's arithmetic as it stood before the entropy memo: each
+    call sums and takes the entropy of its own four marginals."""
+
+    def h(keep):
+        drop = tuple(i for i, name in enumerate(AXES) if name not in keep)
+        flat = (joint.sum(axis=drop) if drop else joint).ravel()
+        pos = flat[flat > 0.0]
+        return float(-(pos * np.log2(pos)).sum())
+
+    a, b, c = set(set_a), set(set_b), set(set_c)
+    return max(0.0, h(a | c) + h(b | c) - h(c) - h(a | b | c))
+
+
+def _per_term_evaluate(d, a, bounds):
+    """The scalar evaluators as they stood before the entropy memo: the
+    composed joint, then one discrete_cmi call per distinct term."""
+    full = compose_full(d, a)
+    return RatePoint.clamped(
+        *dmc._combine(dmc._TERMS[bounds], lambda *t: _per_term_cmi(full, *t), min)
+    )
+
+
 def _reference_maximize(d, bounds, denominator, objective):
     """The search as a plain loop: every candidate through AuxJoint and
-    the scalar evaluator, in itertools.product order."""
-    evaluate = BOUNDS[bounds]
+    the per-term scalar route, in itertools.product order."""
     ns, nu1, nu2, nx1, nx2 = d.sizes[:5]
     cells = nu1 * nu2 * nx1 * nx2
     cond = np.array(list(_lex_compositions(denominator, cells)), dtype=float) / float(denominator)
@@ -251,7 +274,7 @@ def _reference_maximize(d, bounds, denominator, objective):
     evaluations = 0
     for combo in itertools.product(range(len(cond)), repeat=ns):
         pmf = (cond[list(combo)] * d.p_s[:, None]).reshape(ns, nu1, nu2, nx1, nx2)
-        rate = evaluate(d, AuxJoint(pmf))
+        rate = _per_term_evaluate(d, AuxJoint(pmf), bounds)
         evaluations += 1
         key = (rate.r02, rate.r1) if objective == "r02" else (rate.r1, rate.r02)
         flat = tuple(pmf.ravel())
@@ -343,6 +366,83 @@ def test_screen_matches_scalar_evaluators(seed, sizes, bounds):
         want = BOUNDS[bounds](d, AuxJoint(pmf))
         assert abs(r1[i] - want.r1) <= 1e-12
         assert abs(r02[i] - want.r02) <= 1e-12
+
+
+@settings(derandomize=True, max_examples=80, deadline=None, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    sizes=st.tuples(*[st.integers(1, 3)] * 7),
+    bounds=st.sampled_from(sorted(BOUNDS)),
+)
+def test_evaluators_match_per_term_route(seed, sizes, bounds):
+    """One check and one entropy memo per strategy give the per-term
+    route's rates bit for bit (repr tells -0.0 from 0.0), and the public
+    discrete_cmi its value on every term."""
+    rng = np.random.default_rng(seed)
+    d = _random_spec(rng, sizes)
+    terms = {tuple(t) for rate in dmc._TERMS[bounds].values() for e in rate for _, *t in e}
+    for pmf in _random_strategies(rng, d, 6):
+        a = AuxJoint(pmf)
+        assert repr(BOUNDS[bounds](d, a)) == repr(_per_term_evaluate(d, a, bounds))
+        full = compose_full(d, a)
+        for t in terms:
+            assert repr(discrete_cmi(full, AXES, *t)) == repr(_per_term_cmi(full, *t))
+
+
+def _allclose_check(p, axis=None):
+    """_check_pmf as it stood: negative entries first, then np.allclose."""
+    if (p < 0).any():
+        return False
+    sums = p.sum() if axis is None else p.sum(axis=axis)
+    return bool(np.allclose(sums, 1.0, rtol=0.0, atol=1e-12))
+
+
+def _rows(shape, axis, last):
+    """Uniform rows over the axes summed, with the very last entry set to
+    last: one row's sum moves, the others stay exactly 1."""
+    p = np.ones(shape) / np.prod([shape[i] for i in axis])
+    p.flat[-1] = last
+    return p
+
+
+_EDGE = [1.0 + 1e-12, 1.0 - 1e-12, 1.0 + 2e-12, 1.0 - 2e-12]
+_PMF_TABLE = [
+    *[(f"sum={x!r}", np.array([x]), None) for x in _EDGE],
+    # the float neighbours of 1 +- 1e-12 decide which side the bound falls
+    *[
+        (f"sum=1{sign}1e-12{step:+d}ulp", np.array([x]), None)
+        for sign, edge in (("+", 1.0 + 1e-12), ("-", 1.0 - 1e-12))
+        for step, x in (
+            (-1, np.nextafter(edge, 0.0)),
+            (+1, np.nextafter(edge, 2.0)),
+        )
+    ],
+    ("sum=1", np.array([0.25, 0.75]), None),
+    ("nan", np.array([0.5, np.nan]), None),
+    ("+inf", np.array([0.5, np.inf]), None),
+    ("-inf", np.array([0.5, -np.inf]), None),
+    ("negative-entry", np.array([1.5, -0.5]), None),
+    ("negative-zero", np.array([1.0, -0.0]), None),
+    *[
+        (f"channel-rows-last={x!r}", _rows((2, 2, 2, 2, 2), (3, 4), x - 0.75), (3, 4))
+        for x in [1.0, *_EDGE, np.nan]
+    ],
+    *[
+        (f"chunk-last={x!r}", _rows((3, 2, 1, 2, 2, 1), (1, 2, 3, 4, 5), x - 0.875), (1, 2, 3, 4, 5))
+        for x in [1.0, *_EDGE, np.inf]
+    ],
+]
+
+
+@pytest.mark.parametrize(
+    "p,axis", [case[1:] for case in _PMF_TABLE], ids=[case[0] for case in _PMF_TABLE]
+)
+def test_check_pmf_matches_allclose(p, axis):
+    if _allclose_check(p, axis):
+        dmc._check_pmf("p", p, axis=axis)
+    else:
+        with pytest.raises(NotNormalized):
+            dmc._check_pmf("p", p, axis=axis)
 
 
 class TestCompositions:

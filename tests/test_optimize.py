@@ -31,6 +31,7 @@ from relayregions.rates import (
 )
 
 ANCHOR = ChannelParams(1.0, 1.0, 0.0, 0.1, 1.0)
+PROPERTY = settings(deadline=None, derandomize=True, database=None)
 STATEFUL = ChannelParams(1.0, 1.0, 2.0, 0.1, 1.0)
 
 
@@ -88,6 +89,56 @@ class TestMaxBetaNostate:
     def test_gamma_out_of_range(self):
         with pytest.raises(OutOfRange):
             max_beta_nostate(ANCHOR, 1.5)
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.5])
+    @pytest.mark.parametrize(
+        "c",
+        [
+            # both terms +inf at gamma = 0; C = inf - inf at 0.5
+            ChannelParams(1e300, 1.0, 1.0, 1e-300, 2e-300),
+            ChannelParams(1e200, 1e200, 1.0, 1e-200, 2e-200),
+            # B^2 overflows: the root read s = 0, beta3 = 1 where it is 8/9
+            ChannelParams(1e200, 1e200, 1.0, 1.0, 3.0),
+        ],
+    )
+    def test_out_of_float_range_is_an_error(self, c, gamma):
+        with pytest.raises(OutOfRange, match="float range"):
+            max_beta_nostate(c, gamma)
+
+    @settings(PROPERTY, max_examples=300)
+    @given(
+        st.floats(-12.0, 8.0),
+        st.floats(0.2, 4.0),
+        st.sampled_from([0.0, 1.0, 0.3]) | st.floats(0.0, 4.0),
+        st.floats(0.05, 1.0),
+        st.floats(1.5, 8.0),
+        st.sampled_from([0.0, 1.0, 0.5]) | st.floats(0.0, 1.0),
+    )
+    def test_matches_parent_formula_bitwise(self, scale, p1, p2, n1, ratio, gamma):
+        k = 10.0**scale
+        c = ChannelParams(p1 * k, p2 * k, 1.0, n1 * k, n1 * ratio * k)
+        got = max_beta_nostate(c, gamma)
+        want = _parent_max_beta_nostate(c, gamma)
+        assert repr(got) == repr(want)
+
+
+def _parent_max_beta_nostate(c, gamma):
+    """max_beta_nostate before the float-range checks, kept as the
+    reference its finite results must match bit for bit."""
+    g = (1.0 - gamma) * c.p1
+    if g <= 0.0:
+        return 0.0, 0.0
+    d1 = gamma * c.p1 + c.n1
+    d2 = gamma * c.p1 + c.n2
+    cc = (g + c.p2) * d1 - g * d2
+    if cc >= 0.0:
+        beta = 1.0
+    else:
+        aa = g * d2
+        bb = 2.0 * math.sqrt(g * c.p2) * d1
+        s = -2.0 * cc / (bb + math.sqrt(bb * bb - 4.0 * aa * cc))
+        beta = 1.0 - s * s
+    return beta, min(nostate_terms(c, gamma, beta))
 
 
 class TestMaxR02Gdpc:
@@ -312,9 +363,6 @@ def _assert_same_results(got, want):
         assert g == w
         # == treats -0.0 and 0.0 alike; the CSV writer does not
         assert repr(g) == repr(w)
-
-
-PROPERTY = settings(deadline=None, derandomize=True, database=None)
 
 
 @st.composite
