@@ -224,13 +224,13 @@ def _combine(terms: dict, cmi, minimum) -> tuple:
 
 
 def _evaluate(d: DmcSpec, a: AuxJoint, terms: dict) -> RatePoint:
-    full = compose_full(d, a)
-    _check_pmf("joint", full)
-    return _rates(full, terms)
+    return _rates(compose_full(d, a), terms)
 
 
 def _rates(full: np.ndarray, terms: dict) -> RatePoint:
-    """The clamped (r1, r02) of one _TERMS entry on a checked joint."""
+    """The clamped (r1, r02) of one _TERMS entry on a joint composed from
+    a checked spec and aux joint. The joint is not checked again: the
+    factors' rounding can compound past the tolerance each one passed."""
     memo: dict[frozenset, float] = {}
     return RatePoint.clamped(
         *_combine(terms, lambda *t: _cmi(full, AXES, *t, memo), min)

@@ -41,10 +41,9 @@ from .model import (
     InformedBothParams,
     OutOfRange,
     RelayRegionsError,
-    validate_channel,
     validate_gdpc,
 )
-from .rates import cap_c, gdpc_coeffs
+from .rates import cap_c, gdpc_coeffs, nostate_terms
 
 _LN2 = math.log(2.0)
 _RANK_TOL = 1e-10
@@ -230,7 +229,6 @@ def informed_both_coeffs(
     the relay, whose combined power is p_coop = (sqrt((1-beta)(1-gamma)p1)
     + sqrt(p2))^2. lam is the source's share of the cooperative codeword.
     """
-    validate_channel(c)
     gbar_p1 = (1.0 - p.gamma) * c.p1
     p_coop = (math.sqrt((1.0 - p.beta) * gbar_p1) + math.sqrt(c.p2)) ** 2
     p_fresh = p.beta * gbar_p1
@@ -405,12 +403,13 @@ def verify_informed_both(
     fresh layer undecoded folds its power into the private signal.
 
     Every compared value is free of q, which is the claimed interference
-    independence of the capacity region.
+    independence of the capacity region. The two sum-rate rows compare
+    against ``rates.nostate_terms``, the closed form the region uses.
     """
     cov = build_cov_informed_both(c, p)
     gbar_p1 = (1.0 - p.gamma) * c.p1
     gp1 = p.gamma * c.p1
-    cross = 2.0 * math.sqrt((1.0 - p.beta) * gbar_p1 * c.p2)
+    relay, combine = nostate_terms(c, p.gamma, p.beta)
     details = (
         TermCheck(
             term="I(X1;Y1|S,U1,U2,X2)",
@@ -425,13 +424,13 @@ def verify_informed_both(
         TermCheck(
             term="I(U2;Y1|S,U1)",
             oracle=gaussian_cmi(cov, ["U2"], ["Y1"], ["S", "U1"]),
-            closed=cap_c(p.beta * gbar_p1 / (gp1 + c.n1)),
+            closed=relay,
         ),
         TermCheck(
             term="I(U1,U2;Y2)-I(U1,U2;S)",
             oracle=gaussian_cmi(cov, ["U1", "U2"], ["Y2"])
             - gaussian_cmi(cov, ["U1", "U2"], ["S"]),
-            closed=cap_c((gbar_p1 + c.p2 + cross) / (gp1 + c.n2)),
+            closed=combine,
         ),
     )
     return VerifyReport.from_terms("informed-both-capacity", tol, details)

@@ -15,7 +15,10 @@ Conventions shared by every module:
 * an analytic rate expression that comes out negative, or lands on a
   0/0 boundary (vanishing signal layers), is exposed as exactly 0.0.
 
-All types are frozen dataclasses, safe to share between workers.
+All types are frozen dataclasses that check their invariants when they
+are built, so a value of one is valid and safe to share between workers.
+The one condition no type can hold, the channel-coupled bound on rho, is
+checked by ``validate_gdpc``.
 """
 
 from __future__ import annotations
@@ -50,6 +53,14 @@ def _require_finite(name: str, value: float) -> float:
     return float(value)
 
 
+def _require_unit(name: str, value: float) -> float:
+    """``value`` as a float if it lies in [0, 1]; nan and +-inf fail the
+    comparison and raise with everything else outside the interval."""
+    if not 0.0 <= value <= 1.0:
+        raise OutOfRange(f"{name} must lie in [0, 1], got {value}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class ChannelParams:
     """Channel-side constants: powers p1, p2, interference power q and
@@ -80,15 +91,6 @@ class ChannelParams:
             )
 
 
-def validate_channel(c: ChannelParams) -> ChannelParams:
-    """Return ``c`` after re-running its invariant checks.
-
-    Constructing ChannelParams already validates; this exists so call
-    sites handed an unknown object can force the checks explicitly.
-    """
-    return ChannelParams(c.p1, c.p2, c.q, c.n1, c.n2)
-
-
 def rho_upper_bound(c: ChannelParams, gamma: float) -> float:
     """Largest admissible interference-cancellation fraction rho for a
     given private-power split gamma: min(1, q / ((1-gamma) p1)), and 0
@@ -117,18 +119,17 @@ class GdpcParams:
 
     def __post_init__(self) -> None:
         for name in ("gamma", "rho", "beta", "alpha2"):
-            v = _require_finite(name, getattr(self, name))
-            if not 0.0 <= v <= 1.0:
-                raise OutOfRange(f"{name} must lie in [0, 1], got {v}")
+            _require_unit(name, getattr(self, name))
 
 
 def validate_gdpc(c: ChannelParams, g: GdpcParams) -> GdpcParams:
     """Check the channel-coupled bound on rho and return ``g``.
 
     rho may not exceed min(1, q/((1-gamma) p1)); when (1-gamma) p1 = 0 or
-    q = 0 there is nothing to cancel and rho must be exactly 0.
+    q = 0 there is nothing to cancel and rho must be exactly 0. Every
+    other condition is held by the types: a ChannelParams or GdpcParams
+    is valid because it was constructed.
     """
-    validate_channel(c)
     bound = rho_upper_bound(c, g.gamma)
     if bound == 0.0:
         if g.rho != 0.0:
@@ -152,9 +153,7 @@ class InformedBothParams:
 
     def __post_init__(self) -> None:
         for name in ("gamma", "beta"):
-            v = _require_finite(name, getattr(self, name))
-            if not 0.0 <= v <= 1.0:
-                raise OutOfRange(f"{name} must lie in [0, 1], got {v}")
+            _require_unit(name, getattr(self, name))
 
 
 @dataclass(frozen=True)

@@ -42,12 +42,14 @@ holds that point repeatedly; the repeats give the same values, the first
 eligible cell is unchanged, and the evaluation count counts the point
 once.
 
-Inputs are validated once, at the public entries (``frontier``,
-``sweep_snr``, ``max_r02_gdpc``, ``max_beta_nostate``; a ``GridSpec``
-checks itself when built). The private helpers trust the rows handed
-down, except that the nostate search calls the public ``nostate_terms``
-once per gamma, and the closing value, ``rates._gdpc_rates``, raises
-OutOfRange when the chosen point's rate terms leave the float range.
+Validity is held by the types: a ``ChannelParams``, ``GdpcParams`` or
+``GridSpec`` checks itself when built, so no function here re-checks
+one. Only bare floats are checked where they enter: a gamma must lie in
+[0, 1] (``model._require_unit``). The rows of a frontier or sweep go
+through the same public functions as a single call: ``max_beta_nostate``
+per nostate gamma, and ``rates.gdpc_rates`` for each searched row's
+closing value, which checks the chosen point's rho bound and raises
+OutOfRange when its rate terms leave the float range.
 """
 
 from __future__ import annotations
@@ -65,10 +67,10 @@ from .model import (
     OutOfRange,
     RatePoint,
     SCHEMES,
+    _require_unit,
     rho_upper_bound,
-    validate_channel,
 )
-from .rates import _TIE_TOL, _best_alpha2, _gdpc_rates, cap_c, nostate_terms
+from .rates import _TIE_TOL, _best_alpha2, cap_c, gdpc_rates, nostate_terms
 
 
 _MAX_GRID_CELLS = 10**6
@@ -123,12 +125,6 @@ class OptResult:
     trace: tuple[tuple[GdpcParams, float], ...] = ()
 
 
-def _check_gamma(gamma: float) -> float:
-    if not 0.0 <= gamma <= 1.0:
-        raise OutOfRange(f"gamma must lie in [0, 1], got {gamma}")
-    return float(gamma)
-
-
 def max_beta_nostate(c: ChannelParams, gamma: float) -> tuple[float, float]:
     """Best cooperative split of the no-interference region at a fixed
     power split gamma: returns (beta3_star, value in bits).
@@ -143,11 +139,7 @@ def max_beta_nostate(c: ChannelParams, gamma: float) -> tuple[float, float]:
     B^2 - 4 A C or either term; the search then raises OutOfRange
     instead of returning a split or a value that reads inf.
     """
-    return _max_beta_nostate(validate_channel(c), _check_gamma(gamma))
-
-
-def _max_beta_nostate(c: ChannelParams, gamma: float) -> tuple[float, float]:
-    """``max_beta_nostate`` of inputs the caller has validated."""
+    gamma = _require_unit("gamma", gamma)
     g = (1.0 - gamma) * c.p1
     if g <= 0.0:
         # no common power at all: both terms vanish
@@ -194,8 +186,7 @@ def max_r02_gdpc(
     ``freeze_rho`` pins rho = 0, which is the plain-binning baseline
     without interference cancellation.
     """
-    validate_channel(c)
-    _check_gamma(gamma)
+    _require_unit("gamma", gamma)
     grid = grid if grid is not None else DEFAULT_GRID
     hi = 0.0 if freeze_rho else rho_upper_bound(c, gamma)
     return _search_pass([(c, gamma)], [hi], grid.steps_rho if hi > 0.0 else 1, grid)[0]
@@ -210,7 +201,7 @@ def _search(problems, grid: GridSpec | None, freeze_rho: bool) -> list[OptResult
     the widest of them. A row that fills a pass alone (every gdpc row on
     the default grid) is a plain ``max_r02_gdpc`` call, so each lone
     solve is one call of the per-point search, and its cost and cells
-    stay attributed to it. The inputs are trusted: callers validate them.
+    stay attributed to it. Callers check each gamma.
     """
     grid = grid if grid is not None else DEFAULT_GRID
     rho_hi = [0.0 if freeze_rho else rho_upper_bound(c, gamma) for c, gamma in problems]
@@ -278,7 +269,7 @@ def _search_pass(problems, rho_hi, n_rho: int, grid: GridSpec) -> list[OptResult
     for (c, gamma), rounds, cells in zip(problems, history, evaluations.tolist()):
         path = tuple((GdpcParams(gamma, r, b, a), value) for r, b, a, value in rounds)
         g = path[-1][0]
-        r = _gdpc_rates(c, g)
+        r = gdpc_rates(c, g)
         results.append(
             OptResult(best=g, value=min(r.r1_sum, r.r2_sum), evaluations=cells, trace=path)
         )
@@ -323,7 +314,7 @@ def _solve_all(
         ]
     solved = []
     for c, gamma in problems:
-        beta, value = _max_beta_nostate(c, gamma)
+        beta, value = max_beta_nostate(c, gamma)
         solved.append((0.0, beta, 0.0, value))
     return solved
 
@@ -343,9 +334,8 @@ def frontier(
     r02 wiggle upward) are dropped so the result is a monotone staircase.
     Of points with equal r1 and r02 the smallest gamma is kept.
     """
-    validate_channel(c)
     _check_scheme(scheme)
-    gammas = sorted({_check_gamma(float(g)) for g in gamma_grid})
+    gammas = sorted({_require_unit("gamma", float(g)) for g in gamma_grid})
     if not gammas:
         raise OutOfRange("gamma_grid must hold at least one gamma")
     solved = _solve_all(scheme, [(c, gamma) for gamma in gammas], grid)
@@ -391,7 +381,6 @@ def sweep_snr(
     be represented (the far branch must be noisier) and are emitted as
     skipped rows rather than silently dropped. Rows keep input order.
     """
-    validate_channel(base)
     _check_scheme(scheme)
     points: list[tuple[float, float, ChannelParams | None]] = []
     for snr in snr_db_list:

@@ -64,7 +64,7 @@ from .model import (
     OutOfRange,
     RatePoint,
     RelayRegionsError,
-    validate_channel,
+    _require_unit,
     validate_gdpc,
 )
 
@@ -161,7 +161,7 @@ def _best_alpha2(p1, p2, q, n1, n2, gamma, rho, beta):
     clamped first. The guard needs the max as well as the min: a term
     that overflows to +inf (a/b at p1 = 1e300 with n1 = 1e-300) clamps to
     0, which a test of min > 0 alone would miss. Overflow, 0/0 and log 0
-    are silent here; the scalar path, ``_gdpc_rates``, reports such a
+    are silent here; the scalar path, ``gdpc_rates``, reports such a
     point as OutOfRange.
     """
     with np.errstate(all="ignore"):
@@ -200,7 +200,7 @@ def _best_alpha2(p1, p2, q, n1, n2, gamma, rho, beta):
 def _clamp_array(r):
     """Map negative, nan and -inf entries to 0.0 (clamping convention),
     elementwise: each sum-rate term clamped on its own, the mapping that
-    the single clamps of ``_best_alpha2`` and ``_gdpc_rates`` reproduce."""
+    the single clamps of ``_best_alpha2`` and ``gdpc_rates`` reproduce."""
     return np.where(np.isfinite(r) & (r > 0.0), r, 0.0)
 
 
@@ -223,20 +223,14 @@ def gdpc_rates(c: ChannelParams, g: GdpcParams) -> GdpcRates:
     """Clamped sum-rate bounds and the private rate at one point.
 
     The achievable sum rate of the scheme is min(r1_sum, r2_sum); the
-    private rate cap_c(gamma*p1/n1) comes on top of it. A point whose
-    terms leave the float range raises OutOfRange instead of clamping.
-    """
-    return _gdpc_rates(c, validate_gdpc(c, g))
-
-
-def _gdpc_rates(c: ChannelParams, g: GdpcParams) -> GdpcRates:
-    """``gdpc_rates`` of inputs the caller has validated.
+    private rate cap_c(gamma*p1/n1) comes on top of it.
 
     Only a point whose powers leave the float range can make a, b, c or d
     overflow, or a ratio a/b or c/d reach +inf (b = 0 forces a = 0 in
     exact arithmetic, unless b underflows); its clamped rate would read 0
-    without a word, so such a point is OutOfRange.
+    without a word, so such a point raises OutOfRange instead.
     """
+    validate_gdpc(c, g)
     with np.errstate(all="ignore"):  # a point out of range raises below
         r1, r2, (a, b, cc, d, _) = _sum_terms(
             c.p1, c.p2, c.q, c.n1, c.n2, g.gamma, g.rho, g.beta, g.alpha2
@@ -254,12 +248,6 @@ def _gdpc_rates(c: ChannelParams, g: GdpcParams) -> GdpcRates:
     )
 
 
-def _check_unit(name: str, v: float) -> float:
-    if not 0.0 <= v <= 1.0:
-        raise OutOfRange(f"{name} must lie in [0, 1], got {v}")
-    return float(v)
-
-
 def nostate_terms(c: ChannelParams, gamma: float, beta3: float) -> tuple[float, float]:
     """The two competing sum-rate terms of the no-interference region.
 
@@ -267,9 +255,8 @@ def nostate_terms(c: ChannelParams, gamma: float, beta3: float) -> tuple[float, 
     (far-user combining) term decreases; their min is what the region
     maximizes over beta3.
     """
-    validate_channel(c)
-    _check_unit("gamma", gamma)
-    _check_unit("beta3", beta3)
+    _require_unit("gamma", gamma)
+    _require_unit("beta3", beta3)
     gbar_p1 = (1.0 - gamma) * c.p1
     t1 = cap_c(beta3 * gbar_p1 / (gamma * c.p1 + c.n1))
     cross = 2.0 * math.sqrt((1.0 - beta3) * gbar_p1 * c.p2)
@@ -288,4 +275,4 @@ def relay_rate_informed_both(c: ChannelParams) -> float:
     when source and relay both know the interference; independent of q."""
     from .optimize import max_beta_nostate
 
-    return max_beta_nostate(validate_channel(c), 0.0)[1]
+    return max_beta_nostate(c, 0.0)[1]

@@ -78,7 +78,8 @@ class TestFrontierCommand:
 class TestGoldenOutputs:
     """Default-grid CSVs of the example channel, written before the box
     search was batched over gamma, and dmc JSON; the output must not move
-    by a byte."""
+    by a byte. The nostate frontier and the point report were written
+    before the range checks moved into the model types."""
 
     @pytest.mark.parametrize(
         "name,argv",
@@ -86,6 +87,11 @@ class TestGoldenOutputs:
             ("frontier_gdpc.csv", ["frontier", "--scheme", "gdpc", "--gamma-grid", "0:1:21"]),
             ("frontier_dpc.csv", ["frontier", "--scheme", "dpc", "--gamma-grid", "0:1:21"]),
             ("sweep_gdpc.csv", ["sweep-snr", "--scheme", "gdpc", "--snr-db", "0:30:5"]),
+            (
+                "frontier_nostate.csv",
+                ["frontier", "--scheme", "nostate-outer", "--gamma-grid", "0:1:101"],
+            ),
+            ("point.out", ["point", "--params", "0.2,0.3,0.4,0.5"]),
         ],
     )
     def test_byte_identical(self, capsys, name, argv):

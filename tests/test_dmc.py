@@ -183,6 +183,19 @@ class TestEvaluators:
             pt = eval_informed_source(d, _random_aux(rng, d))
             assert pt.r1 >= 0.0 and pt.r02 >= 0.0
 
+    @pytest.mark.parametrize("bounds", sorted(BOUNDS))
+    def test_evaluators_accept_the_search_answer(self, bounds):
+        # p_s and every channel row each pass the 1e-12 check, but their
+        # joint misses 1 by about 1.8e-12: the evaluators must still give
+        # back the value the search confirmed for its best strategy
+        ch = np.zeros((2, 2, 1, 2, 2))
+        for s, x1, y1, y2 in itertools.product(range(2), repeat=4):
+            ch[s, x1, 0, y1, y2] = (0.9 if y1 == x1 ^ s else 0.1) * (0.8 if y2 == y1 else 0.2)
+        ch *= 1 - 0.9e-12
+        d = DmcSpec(sizes=(2, 1, 2, 2, 1, 2, 2), p_s=(0.75 - 0.9e-12, 0.25), channel=ch)
+        r = dmc_maximize(d, bounds, 4)
+        assert repr(BOUNDS[bounds](d, r.best)) == repr(r.value)
+
 
 class TestMaximize:
     def test_pipes_reach_one_bit(self):

@@ -16,8 +16,12 @@ from relayregions import (
     RatePoint,
     RelayRegionsError,
     SCHEMES,
+    frontier,
+    max_beta_nostate,
+    max_r02_gdpc,
+    nostate_terms,
+    qprime,
     rho_upper_bound,
-    validate_channel,
     validate_gdpc,
 )
 
@@ -26,7 +30,7 @@ def test_channel_params_roundtrip():
     c = ChannelParams(p1=2.0, p2=0.5, q=1.5, n1=0.2, n2=0.9)
     assert c.p1 == 2.0
     assert c.n2 == 0.9
-    validate_channel(c)
+    assert dataclasses.replace(c) == c
 
 
 def test_channel_params_rejects_bad_powers():
@@ -150,3 +154,36 @@ def test_frontier_rejects_non_monotone():
 def test_nan_gamma_rejected():
     with pytest.raises(OutOfRange):
         GdpcParams(math.nan, 0.0, 0.0, 0.0)
+
+
+_C = ChannelParams(1.0, 1.0, 1.0, 0.1, 1.0)
+# every entry that takes a bare knob in [0, 1], with the knob at v
+_UNIT_KNOBS = {
+    "GdpcParams.gamma": lambda v: GdpcParams(v, 0.0, 0.5, 0.5),
+    "GdpcParams.rho": lambda v: GdpcParams(0.5, v, 0.5, 0.5),
+    "GdpcParams.beta": lambda v: GdpcParams(0.5, 0.0, v, 0.5),
+    "GdpcParams.alpha2": lambda v: GdpcParams(0.5, 0.0, 0.5, v),
+    "InformedBothParams.gamma": lambda v: InformedBothParams(v, 0.5),
+    "InformedBothParams.beta": lambda v: InformedBothParams(0.5, v),
+    "nostate_terms.gamma": lambda v: nostate_terms(_C, v, 0.5),
+    "nostate_terms.beta3": lambda v: nostate_terms(_C, 0.5, v),
+    "max_beta_nostate": lambda v: max_beta_nostate(_C, v),
+    "max_r02_gdpc": lambda v: max_r02_gdpc(_C, v),
+    "frontier": lambda v: frontier(_C, "gdpc", [v]),
+    "qprime.gamma": lambda v: qprime(_C, v, 0.0),
+    "qprime.rho": lambda v: qprime(_C, 0.2, v),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_UNIT_KNOBS))
+@pytest.mark.parametrize("v", [-0.1, 1.1, math.nan, math.inf, -math.inf])
+def test_unit_knob_out_of_range(entry, v):
+    """One range check, one message, whichever entry the knob comes in by."""
+    with pytest.raises(OutOfRange, match=r"must lie in \[0, 1\]"):
+        _UNIT_KNOBS[entry](v)
+
+
+@pytest.mark.parametrize("entry", sorted(_UNIT_KNOBS))
+@pytest.mark.parametrize("v", [0.0, 1.0])
+def test_unit_knob_edges_accepted(entry, v):
+    _UNIT_KNOBS[entry](v)
