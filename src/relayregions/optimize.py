@@ -30,7 +30,9 @@ rows of a pass go through one kernel call per round. Rows run in order,
 in passes of at most ``_PASS_CELLS`` grid cells, so the 21 rows of a
 default dpc frontier share one pass while a 33 x 33 gdpc row runs alone.
 ``max_r02_gdpc`` is the pass of one row, and a row that fills a pass
-alone is solved by calling it.
+alone is solved by calling it. A row's trace is read straight from the
+round history as ``(rho, beta, alpha2, value)`` float tuples; only its
+final incumbent is built as a ``GdpcParams``.
 
 A row's result is bit-identical to searching it alone. Every cell value
 is computed elementwise by the same float operations in the same order,
@@ -117,12 +119,13 @@ class OptResult:
     """Search outcome. ``value`` is recomputed at ``best`` through the
     scalar rate path, never copied from a grid cell. ``evaluations``
     counts the (rho, beta) cells searched. ``trace`` holds the incumbent
-    after each round."""
+    after each round as a plain ``(rho, beta, alpha2, value)`` float
+    tuple, the round's grid value; gamma is ``best.gamma``."""
 
     best: GdpcParams
     value: float
     evaluations: int
-    trace: tuple[tuple[GdpcParams, float], ...] = ()
+    trace: tuple[tuple[float, float, float, float], ...] = ()
 
 
 def max_beta_nostate(c: ChannelParams, gamma: float) -> tuple[float, float]:
@@ -156,8 +159,11 @@ def max_beta_nostate(c: ChannelParams, gamma: float) -> tuple[float, float]:
         # nan when cc is inf - inf; an overflowed disc would make s read 0
         if not math.isfinite(disc):
             raise _nostate_out_of_range(c, gamma, "B^2 - 4AC", disc)
-        # the positive root, in the form that avoids cancellation
-        s = -2.0 * cc / (bb + math.sqrt(disc))
+        # the positive root, in the form that avoids cancellation, unless
+        # B = 0 and 4AC underflowed (p2 = 0 at tiny powers): that form is
+        # 0/0 there, and A s^2 + C = 0 gives the root directly
+        den = bb + math.sqrt(disc)
+        s = -2.0 * cc / den if den > 0.0 else math.sqrt(-cc / aa)
         beta = 1.0 - s * s
     t1, t2 = nostate_terms(c, gamma, beta)
     if not (math.isfinite(t1) and math.isfinite(t2)):
@@ -267,8 +273,8 @@ def _search_pass(problems, rho_hi, n_rho: int, grid: GridSpec) -> list[OptResult
     results = []
     history = np.array(trace).transpose(2, 0, 1).tolist()
     for (c, gamma), rounds, cells in zip(problems, history, evaluations.tolist()):
-        path = tuple((GdpcParams(gamma, r, b, a), value) for r, b, a, value in rounds)
-        g = path[-1][0]
+        path = tuple(map(tuple, rounds))
+        g = GdpcParams(gamma, *path[-1][:3])
         r = gdpc_rates(c, g)
         results.append(
             OptResult(best=g, value=min(r.r1_sum, r.r2_sum), evaluations=cells, trace=path)

@@ -155,14 +155,17 @@ def _best_alpha2(p1, p2, q, n1, n2, gamma, rho, beta):
     candidates within _TIE_TOL of the best value the smallest wins, and
     its own value is returned, not the best one.
 
-    The clamp runs once, after the min: a candidate's value is
-    min(r1_sum, r2_sum) where both terms are finite and positive, and
-    +0.0 where either is nan, +-inf or <= 0, exactly as if each term were
-    clamped first. The guard needs the max as well as the min: a term
-    that overflows to +inf (a/b at p1 = 1e300 with n1 = 1e-300) clamps to
-    0, which a test of min > 0 alone would miss. Overflow, 0/0 and log 0
-    are silent here; the scalar path, ``gdpc_rates``, reports such a
-    point as OutOfRange.
+    The log and the clamp each run once, after the min. The value is
+    0.5*log2(min(a/b, c/d)): np.log2 never decreases and halving is
+    exact, so it is min(r1_sum, r2_sum) bit for bit at one log per
+    candidate, and np.minimum passes a nan ratio through to a nan value.
+    It is kept where both terms are finite and positive, and +0.0 where
+    either is nan, +-inf or <= 0, exactly as if each term were clamped
+    first. The guard needs the max as well as the
+    min: a term that overflows to +inf (a/b at p1 = 1e300 with
+    n1 = 1e-300) clamps to 0, which a test of min > 0 alone would miss.
+    Overflow, 0/0 and log 0 are silent here; the scalar path,
+    ``gdpc_rates``, reports such a point as OutOfRange.
     """
     with np.errstate(all="ignore"):
         pwt, qp, a, c, m1, m2 = _alpha2_free_terms(p1, p2, q, n1, n2, gamma, rho, beta)
@@ -183,13 +186,12 @@ def _best_alpha2(p1, p2, q, n1, n2, gamma, rho, beta):
         # sign become candidate 0's +0.0
         cand = np.where((cand > 0.0) & (cand <= 1.0), cand, 0.0)
         b, d = _binned_pair(pwt, qp, m1, m2, cand)
-        r = np.empty((2,) + cand.shape)
-        np.divide(a, b, out=r[0])
-        np.divide(c, d, out=r[1])
-        np.log2(r, out=r)
-        r *= 0.5
-        v = np.minimum(r[0], r[1])
-        v = np.where((v > 0.0) & (np.maximum(r[0], r[1]) < math.inf), v, 0.0)
+        r1 = np.divide(a, b, out=b)
+        r2 = np.divide(c, d, out=d)
+        v = np.minimum(r1, r2)
+        np.log2(v, out=v)
+        v *= 0.5
+        v = np.where((v > 0.0) & (np.maximum(r1, r2, out=r1) < math.inf), v, 0.0)
     tied = v >= v.max(axis=0) - _TIE_TOL
     # candidates equal to the pick share its value: the same operations
     # computed both
@@ -268,11 +270,3 @@ def nostate_region(c: ChannelParams, gamma: float, beta3: float) -> RatePoint:
     """Rate pair of the no-interference capacity region at (gamma, beta3)."""
     t1, t2 = nostate_terms(c, gamma, beta3)
     return RatePoint.clamped(cap_c(gamma * c.p1 / c.n1), min(t1, t2))
-
-
-def relay_rate_informed_both(c: ChannelParams) -> float:
-    """Best sum rate of the relay channel (no private layer, gamma = 0)
-    when source and relay both know the interference; independent of q."""
-    from .optimize import max_beta_nostate
-
-    return max_beta_nostate(c, 0.0)[1]

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from relayregions import ChannelParams, GdpcParams, gdpc_rates
+from relayregions import ChannelParams, GdpcParams, cap_c, gdpc_rates
 from relayregions.cli import _COMMANDS, _DMC_KEYS, _OPTIONS, _build_parser, main
 
 CHANNEL = "1,1,2,0.1,1"
@@ -260,6 +260,19 @@ class TestFloatRange:
         assert out == ""
         assert err.startswith("error: the no-interference search") and "float range" in err
         assert "beta3" not in err and "Warning" not in err
+
+    def test_nostate_without_relay_power(self, capsys):
+        # p2 = 0 makes B = 0 and 4AC underflows, so the crossing's
+        # cancellation-free root divided 0 by 0
+        code, out, err = run(
+            capsys, "frontier", "--scheme", "nostate-outer", "--gamma-grid", "0",
+            "--channel", "1,0,1,1e-200,2e-200",
+        )
+        assert (code, err) == (0, "")
+        row = out.splitlines()[1].split(",")
+        # the split solves A s^2 + C = 0: s^2 = (n2 - n1)/n2
+        r02 = format(cap_c(0.5e200), ".12g")
+        assert row == ["nostate-outer", "0", "0", "0.5", "0", "0", r02]
 
 
 class TestVerifyCommand:

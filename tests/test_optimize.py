@@ -1,9 +1,10 @@
 import math
+from dataclasses import astuple
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from relayregions import (
     ChannelParams,
@@ -163,7 +164,7 @@ class TestMaxR02Gdpc:
 
     def test_refinement_never_regresses(self):
         res = max_r02_gdpc(STATEFUL, 0.2, GridSpec(7, 7, 5, 0.3))
-        values = [v for _, v in res.trace]
+        values = [v for *_, v in res.trace]
         assert len(values) == 6
         assert all(b >= a - 1e-15 for a, b in zip(values, values[1:]))
 
@@ -176,6 +177,15 @@ class TestMaxR02Gdpc:
     def test_evaluation_count(self):
         res = max_r02_gdpc(STATEFUL, 0.3, GridSpec(5, 6, 2, 0.25))
         assert res.evaluations == 5 * 6 * 3
+
+    def test_trace_is_float_rounds(self):
+        grid = GridSpec(7, 7, 3, 0.3)
+        res = max_r02_gdpc(STATEFUL, 0.2, grid)
+        assert len(res.trace) == grid.refine_iters + 1
+        assert all(len(row) == 4 for row in res.trace)
+        assert all(type(x) is float for row in res.trace for x in row)
+        rho, beta, alpha2, _ = res.trace[-1]
+        assert res.best == GdpcParams(0.2, rho, beta, alpha2)
 
 
 class TestFrontier:
@@ -281,7 +291,9 @@ class TestSweepSnr:
 # batched one must reproduce every field of its OptResult bit for bit.
 
 
-def _reference_best_alpha2(p1, p2, q, n1, n2, gamma, rho, beta):
+def _reference_products(p1, p2, q, n1, n2, gamma, rho, beta):
+    """The six alpha2 candidates of every cell, and a, b, c, d at each."""
+
     def binned(pwt, qp, noise, alpha2):
         return (1.0 - alpha2) ** 2 * pwt * qp + noise * (pwt + alpha2**2 * qp)
 
@@ -297,7 +309,13 @@ def _reference_best_alpha2(p1, p2, q, n1, n2, gamma, rho, beta):
             )
         )
     cand = np.where(np.isfinite(cand) & (cand >= 0.0) & (cand <= 1.0), cand, 0.0)
-    r1, r2 = _log_ratios(a, binned(pwt, qp, m1, cand), c, binned(pwt, qp, m2, cand))
+    return cand, a, binned(pwt, qp, m1, cand), c, binned(pwt, qp, m2, cand)
+
+
+def _reference_best_alpha2(p1, p2, q, n1, n2, gamma, rho, beta):
+    """The kernel with a log of each ratio, then the min and the clamp."""
+    cand, a, b, c, d = _reference_products(p1, p2, q, n1, n2, gamma, rho, beta)
+    r1, r2 = _log_ratios(a, b, c, d)
     v = np.minimum(_clamp_array(r1), _clamp_array(r2))
     tied = v >= v.max(axis=0) - _TIE_TOL
     pick = np.argmin(np.where(tied, cand, np.inf), axis=0)[np.newaxis]
@@ -343,8 +361,7 @@ def _reference_max_r02_gdpc(c, gamma, grid=None, *, freeze_rho=False):
                 or (cand_v >= best_v and cand < best)
             ):
                 best, best_v = cand, cand_v
-        params = GdpcParams(gamma=gamma, rho=best[0], beta=best[1], alpha2=best[2])
-        trace.append((params, best_v))
+        trace.append((*best, best_v))
         new_boxes = []
         for (lo0, hi0), (lo, hi), center in zip(bounds, boxes, best[:2]):
             half = 0.5 * (hi - lo) * grid.refine_shrink
@@ -474,7 +491,7 @@ class TestBatchedSearch:
         c = ChannelParams(3.1, 3.8, 3.8, 1.0, 2.75)
         grid = GridSpec(3, 3, 1, 0.9)
         got = optimize._search([(c, 0.0), (c, 0.5)], grid, False)
-        assert [p.beta for p, _ in got[0].trace] == [0.5, 0.49999999999999994]
+        assert [beta for _, beta, _, _ in got[0].trace] == [0.5, 0.49999999999999994]
         _assert_same_results(got, [_reference_max_r02_gdpc(c, g, grid) for g in (0.0, 0.5)])
 
     def test_axes_match_linspace(self):
@@ -484,6 +501,100 @@ class TestBatchedSearch:
             got = optimize._axes(lo, hi, n)
             for row, (a, b) in zip(got, zip(lo, hi)):
                 assert row.tobytes() == np.linspace(a, b, n).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# The kernel takes one log per candidate, 0.5*log2(min(a/b, c/d)), where
+# the reference takes the log of each ratio and then the min. The two
+# agree bit for bit only because np.log2 never decreases. The cells below
+# hold ratios that are equal or a few ulps apart, where a log that dipped
+# would show, and ratios of nan (0/0) and +inf.
+
+# at gamma = 0.5 the rho bound is 1; four cells tie exactly, one by 1-4
+# ulps, and beta = 1 gives pwt = 0, so a/b = 0/0 at alpha2 = 0
+STATEFUL_CELLS = ((*astuple(STATEFUL), 0.5), [0.0, 0.25, 0.5], [0.0, 0.5, 1.0])
+# b underflows to 0 while a does not: a/b = +inf
+UNDERFLOW_CELLS = ((1e-160, 0.0, 0.0, 1e-300, 2e-300, 0.0), [0.0], [0.0, 0.5, 1.0])
+
+
+def _ratios(knobs, rho, beta):
+    axes = np.array(rho)[:, np.newaxis], np.array(beta)[np.newaxis, :]
+    with np.errstate(all="ignore"):
+        _, a, b, c, d = _reference_products(*knobs, *axes)
+        return a / b, c / d
+
+
+def _ulps_apart(x, y):
+    """How many floats apart x and y are where both are finite and
+    positive, -1 elsewhere."""
+    both = np.isfinite(x) & np.isfinite(y) & (x > 0.0) & (y > 0.0)
+    return np.where(both, np.abs(x.view(np.int64) - y.view(np.int64)), -1)
+
+
+def _has_near_tie(row):
+    ulps = _ulps_apart(*_ratios(*row))
+    return bool(((ulps >= 0) & (ulps <= 4)).any())
+
+
+@st.composite
+def tie_cells(draw):
+    """Knobs of a channel at scale 1e-12..1e8 with interference (the
+    crossing candidates need it), a gamma, a rho axis within its bound
+    and a beta axis that holds 1 (so a/b = 0/0 in those cells)."""
+    k = 10.0 ** draw(st.floats(-12.0, 8.0))
+    q = draw(st.floats(0.1, 4.0) | st.floats(-15.0, -10.0).map(lambda e: 10.0**e))
+    p2 = draw(st.just(0.0) | st.floats(0.0, 4.0))
+    p1, n1 = draw(st.floats(0.2, 4.0)), draw(st.floats(0.05, 1.0))
+    c = ChannelParams(p1 * k, p2 * k, q * k, n1 * k, n1 * draw(st.floats(1.5, 8.0)) * k)
+    units = st.floats(0.0, 1.0)
+    gamma = draw(st.sampled_from([0.0, 0.5]) | units)
+    rho_hi = rho_upper_bound(c, gamma)
+    rho = sorted(rho_hi * u for u in draw(st.lists(units, min_size=2, max_size=5)))
+    beta = sorted(draw(st.lists(units, min_size=2, max_size=4)) + [1.0])
+    return (*astuple(c), gamma), rho, beta
+
+
+class TestOneLog:
+    def test_examples_hold_ties_nan_and_inf(self):
+        r1, r2 = _ratios(*STATEFUL_CELLS)
+        ulps = _ulps_apart(r1, r2)
+        assert (ulps == 0).any()
+        assert ((ulps > 0) & (ulps <= 4)).any()
+        assert np.isnan(r1).any()
+        r1, _ = _ratios(*UNDERFLOW_CELLS)
+        assert np.isposinf(r1).any()
+
+    @settings(PROPERTY, max_examples=150)
+    @given(tie_cells().filter(_has_near_tie))
+    @example(STATEFUL_CELLS)
+    @example(UNDERFLOW_CELLS)
+    def test_matches_two_log_reference_at_ties(self, row):
+        knobs, rho, beta = row
+        axes = np.array(rho)[:, np.newaxis], np.array(beta)[np.newaxis, :]
+        got = _best_alpha2(*knobs, *axes)
+        with np.errstate(all="ignore"):
+            want = _reference_best_alpha2(*knobs, *axes)
+        for x, y in zip(got, want):
+            assert x.tobytes() == y.tobytes()
+
+    def test_log2_never_decreases_across_neighbours(self):
+        rng = np.random.default_rng(0)
+        start = np.concatenate(
+            [
+                10.0 ** rng.uniform(-300.0, 300.0, 100_000),
+                # near 1, where log2 crosses 0, and at powers of two,
+                # where it is exact
+                1.0 + rng.uniform(-1e-6, 1e-6, 10_000),
+                2.0 ** np.arange(-996.0, 997.0),
+            ]
+        )
+        for _ in range(4):
+            start = np.nextafter(start, 0.0)
+        run = [start]
+        for _ in range(8):
+            run.append(np.nextafter(run[-1], np.inf))
+        logs = np.log2(np.array(run))
+        assert (np.diff(logs, axis=0) >= 0.0).all()
 
 
 class TestSchemeOrdering:

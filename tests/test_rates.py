@@ -14,10 +14,10 @@ from relayregions import (
     cap_c,
     gdpc_coeffs,
     gdpc_rates,
+    max_beta_nostate,
     nostate_region,
     nostate_terms,
     qprime,
-    relay_rate_informed_both,
 )
 from relayregions.rates import (
     _TIE_TOL,
@@ -135,14 +135,13 @@ def test_nostate_region_returns_rate_point():
 
 
 def test_relay_rate_informed_both_anchor():
+    # the relay channel's rate (gamma = 0) when every node knows the state
     c = ChannelParams(1.0, 1.0, 0.0, 0.1, 1.0)
-    assert relay_rate_informed_both(c) == pytest.approx(
-        0.5 * math.log2(4.6), abs=1e-9
-    )
+    assert max_beta_nostate(c, 0.0)[1] == pytest.approx(0.5 * math.log2(4.6), abs=1e-9)
     # interference power is irrelevant when every node knows the state
     c_q = ChannelParams(1.0, 1.0, 7.0, 0.1, 1.0)
-    assert relay_rate_informed_both(c_q) == pytest.approx(
-        relay_rate_informed_both(c), abs=1e-12
+    assert max_beta_nostate(c_q, 0.0)[1] == pytest.approx(
+        max_beta_nostate(c, 0.0)[1], abs=1e-12
     )
 
 
