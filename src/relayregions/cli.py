@@ -10,8 +10,12 @@ Commands:
                  intermediate quantity
 
 Configuration can come from a JSON file (``--config``) and from flags;
-flags win field by field. Each option is one row of ``_OPTIONS``: config
-key (also the flag's dest), default and parser. Powers are linear
+flags win field by field. ``_OPTIONS`` is the whole option surface: one
+row per config key holds its default, parser and help, and each
+``_COMMANDS`` row names the keys its subcommand takes. argparse only maps
+a flag (the key with ``-`` for ``_``) to its key as a plain string, so a
+flag and a config value go through the same parser, and a choice is
+checked only by the function that takes it. Powers are linear
 everywhere except the ``--snr-db`` axis of sweep-snr, which is the one
 deliberate dB boundary.
 Every number in CSV or JSON output is rendered with 12 significant
@@ -109,9 +113,16 @@ def _floats(values) -> list[float]:
 
 
 def _as_int(value) -> int:
-    """An integer field: 4.9 and true are rejected, not truncated."""
+    """An integer field: 4.9 and true are rejected, not truncated; an
+    integer, or a string that spells one, is read exactly, even past
+    float range."""
+    if isinstance(value, str):
+        try:
+            return int(value)
+        except ValueError:
+            pass
     if isinstance(value, int) and not isinstance(value, bool):
-        return value  # exact, even past float range
+        return value
     try:
         number = float(value)
     except (TypeError, ValueError):
@@ -243,25 +254,27 @@ class _Required(str):
     """The default of a field that must be given: the flag to name if it is not."""
 
 
-# One row per option: config key (also the flag's dest): (default, parser).
-# Defaults are stated parsed; the parser takes a flag string or a JSON value.
-# scheme, bounds and objective are checked against their choices by the
-# function that takes them, which names the field.
+# One row per option: config key (also the flag's dest): (default, parser,
+# help). Defaults are stated parsed; the parser takes a flag string or a
+# JSON value. scheme, bounds, denominator and objective are checked against
+# their choices by the function that takes them, which names the field.
 _OPTIONS = {
-    "channel": (EXAMPLE_CHANNEL, _record(ChannelParams)),
-    "out": (None, _text),
-    "grid": (DEFAULT_GRID, _grid),
-    "scheme": ("gdpc", _text),
-    "gamma_grid": (_linspace(0.0, 1.0, 21), _axis(_linspace)),
-    "snr_db": (_Required("--snr-db"), _axis(_ladder)),
-    "params": (_Required("--params gamma,rho,beta,alpha2"), _record(GdpcParams)),
-    "tol": (1e-9, _tol),
-    "seed": (0, _seed),
-    "mc_samples": (10**6, _as_int),
-    "dmc": (_Required("--pipes"), _dmc_spec),
-    "bounds": ("informed-source", _text),
-    "denominator": (8, _as_int),
-    "objective": ("r02", _text),
+    "channel": (EXAMPLE_CHANNEL, _record(ChannelParams), "p1,p2,q,n1,n2 (linear powers)"),
+    "out": (None, _text, "output path (default: stdout)"),
+    "grid": (DEFAULT_GRID, _grid, f"search grid {_GRID_FORM}"),
+    "scheme": ("gdpc", _text, f"one of {', '.join(SCHEMES)}"),
+    "gamma_grid": (_linspace(0.0, 1.0, 21), _axis(_linspace), "a:b:n or explicit comma list"),
+    "snr_db": (_Required("--snr-db"), _axis(_ladder), "a:b:step or explicit comma list"),
+    "params": (
+        _Required("--params gamma,rho,beta,alpha2"), _record(GdpcParams), "gamma,rho,beta,alpha2"
+    ),
+    "tol": (1e-9, _tol, "pass tolerance in bits"),
+    "seed": (0, _seed, "seed for draws and sampling"),
+    "mc_samples": (10**6, _as_int, "Monte-Carlo sample count"),
+    "dmc": (_Required("--pipes"), _dmc_spec, "use the built-in noiseless binary spec"),
+    "bounds": ("informed-source", _text, "informed-source or informed-both"),
+    "denominator": (8, _as_int, "4, 8 or 16"),
+    "objective": ("r02", _text, "r02 or r1"),
 }
 _DMC_KEYS = ("bounds", "denominator", "objective")  # read from the config's dmc object
 
@@ -273,7 +286,7 @@ def _options(args: argparse.Namespace, cfg: dict) -> argparse.Namespace:
     given = vars(args)
     dmc_cfg = cfg["dmc"] if isinstance(cfg.get("dmc"), dict) else {}
     opts = argparse.Namespace()
-    for key, (default, parse) in _OPTIONS.items():
+    for key, (default, parse, _) in _OPTIONS.items():
         if key not in given:
             continue
         raw = given[key]
@@ -300,52 +313,26 @@ def _load_config(path: str | None) -> dict:
 
 @functools.cache  # built on the first main call, not at import
 def _build_parser() -> argparse.ArgumentParser:
+    """One subparser per ``_COMMANDS`` row and one string flag per key it
+    takes; ``--pipes``, which stores the built-in spec as ``dmc``, is the
+    one flag that holds no string."""
     parser = argparse.ArgumentParser(
         prog="relayregions",
         description="Rate regions of the relay broadcast channel with "
         "additive interference known at the encoder(s).",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser, grid: bool = True, channel: bool = True) -> None:
+    for command, (_, summary, keys) in _COMMANDS.items():
+        p = sub.add_parser(command, help=summary)
         p.add_argument("--config", help="JSON config file; flags override it")
-        if channel:
-            p.add_argument("--channel", help="p1,p2,q,n1,n2 (linear powers)")
-        p.add_argument("--out", help="output path (default: stdout)")
-        if grid:
-            p.add_argument("--grid", help=f"search grid {_GRID_FORM}")
-
-    p = sub.add_parser("frontier", help="trace a rate-region boundary over gamma")
-    common(p)
-    p.add_argument("--scheme", choices=SCHEMES)
-    p.add_argument("--gamma-grid", help="a:b:n or explicit comma list")
-
-    p = sub.add_parser("sweep-snr", help="relay-channel rate versus SNR (dB)")
-    common(p)
-    p.add_argument("--scheme", choices=SCHEMES)
-    p.add_argument("--snr-db", help="a:b:step or explicit comma list")
-
-    p = sub.add_parser("verify", help="cross-check closed forms against the oracle")
-    common(p, grid=False)
-    for flag, kind, text in (
-        ("--tol", float, "pass tolerance in bits"),
-        ("--seed", int, "seed for draws and sampling"),
-        ("--mc-samples", int, "Monte-Carlo sample count"),
-    ):
-        default = _OPTIONS[flag[2:].replace("-", "_")][0]
-        p.add_argument(flag, type=kind, help=f"{text} (default {default})")
-
-    p = sub.add_parser("dmc", help="brute-force a small discrete channel")
-    common(p, grid=False, channel=False)
-    p.add_argument("--pipes", dest="dmc", action="store_const", const=_PIPES,
-                   help="use the built-in noiseless binary spec")
-    p.add_argument("--bounds", choices=("informed-source", "informed-both"))
-    p.add_argument("--denominator", type=int, choices=(4, 8, 16))
-    p.add_argument("--objective", choices=("r02", "r1"))
-
-    p = sub.add_parser("point", help="evaluate one (gamma,rho,beta,alpha2) tuple")
-    common(p, grid=False)
-    p.add_argument("--params", help="gamma,rho,beta,alpha2")
+        for key in keys:
+            default, _, text = _OPTIONS[key]
+            if isinstance(default, (str, int, float)) and not isinstance(default, _Required):
+                text = f"{text} (default {default})"
+            if key == "dmc":
+                p.add_argument("--pipes", dest=key, action="store_const", const=_PIPES, help=text)
+            else:
+                p.add_argument("--" + key.replace("_", "-"), help=text)
     return parser
 
 
@@ -492,19 +479,26 @@ def _cmd_point(o: argparse.Namespace) -> int:
     return 0
 
 
+# One row per subcommand: handler, help, and the _OPTIONS keys it takes
+# in the order its help lists them.
 _COMMANDS = {
-    "frontier": _cmd_frontier,
-    "sweep-snr": _cmd_sweep,
-    "verify": _cmd_verify,
-    "dmc": _cmd_dmc,
-    "point": _cmd_point,
+    "frontier": (_cmd_frontier, "trace a rate-region boundary over gamma",
+                 ("channel", "out", "grid", "scheme", "gamma_grid")),
+    "sweep-snr": (_cmd_sweep, "relay-channel rate versus SNR (dB)",
+                  ("channel", "out", "grid", "scheme", "snr_db")),
+    "verify": (_cmd_verify, "cross-check closed forms against the oracle",
+               ("channel", "out", "tol", "seed", "mc_samples")),
+    "dmc": (_cmd_dmc, "brute-force a small discrete channel",
+            ("out", "dmc", "bounds", "denominator", "objective")),
+    "point": (_cmd_point, "evaluate one (gamma,rho,beta,alpha2) tuple",
+              ("channel", "out", "params")),
 }
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](_options(args, _load_config(args.config)))
+        return _COMMANDS[args.command][0](_options(args, _load_config(args.config)))
     except (RelayRegionsError, OSError, ValueError) as e:  # a JSONDecodeError is a ValueError
         print(f"error: {e}", file=sys.stderr)
         return 2

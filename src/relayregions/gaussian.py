@@ -193,8 +193,12 @@ def _cmi_from_sigma(
 
 def _assemble(labels: tuple[str, ...], mix: np.ndarray, variances) -> CovarianceSystem:
     """Covariance of labels = mix @ basis, basis independent with the
-    given variances: sigma = mix diag(variances) mix^T (exactly PSD)."""
-    sigma = (mix * np.asarray(variances, dtype=float)) @ mix.T
+    given variances: sigma = mix diag(variances) mix^T (exactly PSD).
+    Near the float range the product overflows or reads inf - inf;
+    CovarianceSystem rejects that non-finite sigma with OutOfRange, so
+    numpy need not warn first."""
+    with np.errstate(all="ignore"):
+        sigma = (mix * np.asarray(variances, dtype=float)) @ mix.T
     return CovarianceSystem(tuple(labels), sigma)
 
 

@@ -17,6 +17,8 @@ Conventions shared by every module:
 
 All types are frozen dataclasses that check their invariants when they
 are built, so a value of one is valid and safe to share between workers.
+The parameter types store each field as a Python float, so a numpy
+scalar passed in (a float32 among them) computes as a float from then on.
 The one condition no type can hold, the channel-coupled bound on rho, is
 checked by ``validate_gdpc``.
 """
@@ -74,7 +76,7 @@ class ChannelParams:
 
     def __post_init__(self) -> None:
         for name in ("p1", "p2", "q", "n1", "n2"):
-            _require_finite(name, getattr(self, name))
+            object.__setattr__(self, name, _require_finite(name, getattr(self, name)))
         if self.p1 <= 0:
             raise NonPositive(f"p1 must be > 0, got {self.p1}")
         if self.n1 <= 0:
@@ -119,7 +121,7 @@ class GdpcParams:
 
     def __post_init__(self) -> None:
         for name in ("gamma", "rho", "beta", "alpha2"):
-            _require_unit(name, getattr(self, name))
+            object.__setattr__(self, name, _require_unit(name, getattr(self, name)))
 
 
 def validate_gdpc(c: ChannelParams, g: GdpcParams) -> GdpcParams:
@@ -153,7 +155,7 @@ class InformedBothParams:
 
     def __post_init__(self) -> None:
         for name in ("gamma", "beta"):
-            _require_unit(name, getattr(self, name))
+            object.__setattr__(self, name, _require_unit(name, getattr(self, name)))
 
 
 @dataclass(frozen=True)

@@ -62,7 +62,6 @@ from .model import (
     GdpcCoeffs,
     GdpcParams,
     OutOfRange,
-    RatePoint,
     RelayRegionsError,
     _require_unit,
     validate_gdpc,
@@ -199,13 +198,6 @@ def _best_alpha2(p1, p2, q, n1, n2, gamma, rho, beta):
     return alpha2, np.where(cand == alpha2, v, -np.inf).max(axis=0)
 
 
-def _clamp_array(r):
-    """Map negative, nan and -inf entries to 0.0 (clamping convention),
-    elementwise: each sum-rate term clamped on its own, the mapping that
-    the single clamps of ``_best_alpha2`` and ``gdpc_rates`` reproduce."""
-    return np.where(np.isfinite(r) & (r > 0.0), r, 0.0)
-
-
 class GdpcRates(NamedTuple):
     r1_sum: float
     r2_sum: float
@@ -264,9 +256,3 @@ def nostate_terms(c: ChannelParams, gamma: float, beta3: float) -> tuple[float, 
     cross = 2.0 * math.sqrt((1.0 - beta3) * gbar_p1 * c.p2)
     t2 = cap_c((gbar_p1 + c.p2 + cross) / (gamma * c.p1 + c.n2))
     return t1, t2
-
-
-def nostate_region(c: ChannelParams, gamma: float, beta3: float) -> RatePoint:
-    """Rate pair of the no-interference capacity region at (gamma, beta3)."""
-    t1, t2 = nostate_terms(c, gamma, beta3)
-    return RatePoint.clamped(cap_c(gamma * c.p1 / c.n1), min(t1, t2))

@@ -1,12 +1,13 @@
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from relayregions import ChannelParams, GdpcParams, cap_c, gdpc_rates
-from relayregions.cli import _COMMANDS, _DMC_KEYS, _OPTIONS, _build_parser, main
+from relayregions import SCHEMES, ChannelParams, GdpcParams, RelayRegionsError, cap_c, gdpc_rates
+from relayregions.cli import _COMMANDS, _DMC_KEYS, _OPTIONS, _build_parser, _options, main
 
 CHANNEL = "1,1,2,0.1,1"
 TINY_GRID = "5,5,1,0.5"
@@ -57,9 +58,10 @@ class TestFrontierCommand:
         assert "nostate-outer," in out
 
     def test_rejects_unknown_scheme(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["frontier", "--scheme", "bogus"])
-        assert exc.value.code == 2
+        # checked by frontier, the function that takes the scheme
+        code, out, err = run(capsys, "frontier", "--scheme", "bogus")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: unknown scheme 'bogus', want one of")
 
     def test_bad_channel_is_input_error(self, capsys):
         code, _, err = run(capsys, "frontier", "--channel", "1,1,1,2,1")
@@ -582,3 +584,120 @@ class TestOptionTable:
         else:
             assert code == 2
             assert key in err
+
+
+# Good and bad values of each option key, each spelled as a flag string
+# and as the config entry that holds the same value. dmc has no string flag
+# (--pipes stores the built-in spec), so it has no twin.
+TWINS = {
+    "channel": [("1,1,2,0.1,1", {"p1": 1, "p2": 1, "q": 2, "n1": 0.1, "n2": 1}),
+                ("1,1,1,2,1", [1, 1, 1, 2, 1])],
+    "out": [("run.out", "run.out"), ("no-such-dir/run.out", "no-such-dir/run.out")],
+    "grid": [("5.0,5", [5.0, 5]), ("5,0", [5, 0])],
+    "scheme": [("dpc", "dpc"), ("bogus", "bogus")],
+    "gamma_grid": [("0:1:3.0", "0:1:3.0"), ("0,x", [0, "x"])],
+    "snr_db": [("10:20:5", [10, 15, 20]), ("0:inf:1", "0:inf:1")],
+    "params": [("0.2,0.1,0.4,0.5", [0.2, 0.1, 0.4, 0.5]), ("0.2,0.1,0.4,2", [0.2, 0.1, 0.4, 2])],
+    "tol": [("1e-6", 1e-6), ("0", 0)],
+    "seed": [("5.0", 5.0), ("9007199254740993", 9007199254740993), (str(HUGE_INT), HUGE_INT),
+             ("-1", -1), ("1.5", 1.5)],
+    "mc_samples": [("2e4", 20000), ("4.9", 4.9)],
+    "bounds": [("informed-both", "informed-both"), ("bogus", "bogus")],
+    "denominator": [("8.0", 8.0), ("5", 5), ("4.9", 4.9)],
+    "objective": [("r1", "r1"), ("bogus", "bogus")],
+}
+# the verify report need not pass here, only match between the two routes
+TWIN_BASE = {**BASE_CONFIG, "verify": {"mc_samples": 20000}}
+
+
+def _resolve(argv, cfg):
+    """The options main would run with, or the message it would print."""
+    try:
+        return vars(_options(_build_parser().parse_args(argv), cfg))
+    except RelayRegionsError as e:
+        return f"error: {e}"
+
+
+class TestFlagConfigTwin:
+    """A value means the same whether a flag or the config gives it: one
+    parser per option, and each choice is checked by the function that
+    takes it."""
+
+    def test_every_flag_has_twins(self):
+        keys = {key for _, key in _table_fields()} - {"dmc"}
+        assert keys == set(TWINS)
+        assert all(len(values) >= 2 for values in TWINS.values())
+
+    @pytest.mark.parametrize(
+        "command, key, flag, entry",
+        [
+            pytest.param(command, key, flag, entry, id=f"{command}-{key}-{flag[:24]}")
+            for command, key in _table_fields()
+            for flag, entry in TWINS.get(key, ())
+        ],
+    )
+    def test_flag_and_config_agree(self, capsys, tmp_path, monkeypatch, command, key, flag, entry):
+        monkeypatch.chdir(tmp_path)
+        base = json.loads(json.dumps(TWIN_BASE[command]))
+        cfg = json.loads(json.dumps(base))
+        (cfg["dmc"] if key in _DMC_KEYS else cfg)[key] = entry
+        (tmp_path / "base.json").write_text(json.dumps(base))
+        (tmp_path / "twin.json").write_text(json.dumps(cfg))
+        extra = ["--pipes"] if command == "dmc" else []
+        by_flag = [command, *extra, "--config", "base.json", "--" + key.replace("_", "-"), flag]
+        by_config = [command, *extra, "--config", "twin.json"]
+
+        got_flag, got_config = _resolve(by_flag, base), _resolve(by_config, cfg)
+        if isinstance(got_flag, str) or isinstance(got_config, str):
+            # the message may echo the value as it was spelled
+            for argv in (by_flag, by_config):
+                code, out, err = run(capsys, *argv)
+                assert (code, out) == (2, "") and err.startswith(f"error: {key}:")
+            return
+        # DmcSpec compares by identity; both routes take --pipes
+        got_flag.pop("dmc", None), got_config.pop("dmc", None)
+        assert got_flag == got_config
+        # an output path that cannot be written names its random temp file
+        ran_flag, ran_config = (
+            re.sub(r"\.relayregions-\w+", ".relayregions-*", str(run(capsys, *argv)))
+            for argv in (by_flag, by_config)
+        )
+        assert ran_flag == ran_config
+
+    @pytest.mark.parametrize("text", ["9007199254740993", str(HUGE_INT)], ids=["2**53+1", "401-digit"])
+    def test_integer_flag_is_read_exactly(self, text):
+        assert _resolve(["verify", "--seed", text], {})["seed"] == int(text)
+
+    def test_verify_report_from_float_spellings(self, capsys):
+        assert run(capsys, "verify", "--seed", "1.0", "--mc-samples", "2e4") == run(
+            capsys, "verify", "--seed", "1", "--mc-samples", "20000"
+        )
+
+
+# every option whose value is one of a few, with those values
+CHOICES = {
+    "scheme": SCHEMES,
+    "bounds": ("informed-source", "informed-both"),
+    "denominator": ("4", "8", "16"),
+    "objective": ("r02", "r1"),
+}
+
+
+@pytest.mark.parametrize("command", list(_COMMANDS))
+def test_help_names_every_flag_and_choice(capsys, monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "200")  # argparse wraps at hyphens: informed-|source
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    lines = {}  # each flag's help entry, on one line
+    for line in capsys.readouterr().out.split("options:")[1].splitlines()[1:]:
+        if line.lstrip().startswith("-"):
+            flag = line.split()[0]
+            lines[flag] = line
+        else:
+            lines[flag] += line
+    keys = _COMMANDS[command][2]
+    flags = ["--pipes" if key == "dmc" else "--" + key.replace("_", "-") for key in keys]
+    assert set(lines) == {"-h,", "--config", *flags}
+    for key, flag in zip(keys, flags):
+        assert all(choice in lines[flag] for choice in CHOICES.get(key, ()))

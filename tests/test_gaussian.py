@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -514,6 +515,20 @@ class TestSampleCovarianceLaw:
         assert null.shape[1] >= 2  # 8 labels built from 6 independent components
         spread = np.abs(np.einsum("ki,nkl,lj->nij", null, draws, null)).max()
         assert spread <= 64 * np.finfo(float).eps * w.max()
+
+
+def test_assemble_past_float_range_raises_without_warning():
+    """sigma's product overflows to nan; CovarianceSystem rejects it, and
+    numpy says nothing first."""
+    c = ChannelParams(
+        4.396429386339809e-299, 2.770549746612979e214, 1.4169195198104736e-280,
+        6.212520831057459e137, 1.7046449361437926e300,
+    )
+    g = GdpcParams(0.2997118905373848, 0.12428327649956394, 0.42268722119765845, 0.028319671145462966)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OutOfRange, match="sigma must be finite"):
+            verify_gdpc(c, g)
 
 
 class TestReports:

@@ -1,6 +1,8 @@
 import dataclasses
 import math
+import warnings
 
+import numpy as np
 import pytest
 
 from relayregions import (
@@ -8,6 +10,7 @@ from relayregions import (
     Frontier,
     FrontierPoint,
     GdpcParams,
+    GridSpec,
     InformedBothParams,
     Negative,
     NonDegraded,
@@ -17,6 +20,7 @@ from relayregions import (
     RelayRegionsError,
     SCHEMES,
     frontier,
+    gdpc_rates,
     max_beta_nostate,
     max_r02_gdpc,
     nostate_terms,
@@ -187,3 +191,45 @@ def test_unit_knob_out_of_range(entry, v):
 @pytest.mark.parametrize("v", [0.0, 1.0])
 def test_unit_knob_edges_accepted(entry, v):
     _UNIT_KNOBS[entry](v)
+
+
+_TINY = GridSpec(5, 5, 1, 0.5)
+# each public computation that reads a channel and knobs
+_ENTRIES = {
+    "gdpc_rates": lambda c, g: gdpc_rates(c, g),
+    "max_beta_nostate": lambda c, g: max_beta_nostate(c, g.gamma),
+    "max_r02_gdpc": lambda c, g: max_r02_gdpc(c, g.gamma, _TINY),
+    "frontier": lambda c, g: frontier(c, "gdpc", [g.gamma], _TINY),
+}
+
+
+@pytest.mark.parametrize(
+    "kind, channel, knobs",
+    [
+        (np.float32, (1.3, 0.7, 2.1, 0.1, 1.0), (0.3, 0.2, 0.4, 0.5)),
+        (np.float64, (1.3, 0.7, 2.1, 0.1, 1.0), (0.3, 0.2, 0.4, 0.5)),
+        (int, (3, 1, 2, 1, 4), (0, 0, 1, 1)),
+    ],
+    ids=["float32", "float64", "int"],
+)
+def test_params_store_python_floats(kind, channel, knobs):
+    """A channel and knobs built from numpy scalars or ints compute as the
+    plain floats of the same values: a float32 field kept as float32
+    computed in single precision."""
+    c = ChannelParams(*map(kind, channel))
+    g = GdpcParams(*map(kind, knobs))
+    p = InformedBothParams(kind(knobs[0]), kind(knobs[2]))
+    for params in (c, g, p):
+        assert all(type(getattr(params, f.name)) is float for f in dataclasses.fields(params))
+    plain_c = ChannelParams(*(float(kind(v)) for v in channel))
+    plain_g = GdpcParams(*(float(kind(v)) for v in knobs))
+    assert repr(c) == repr(plain_c) and repr(g) == repr(plain_g)
+    for name, entry in _ENTRIES.items():
+        assert repr(entry(c, g)) == repr(entry(plain_c, plain_g)), name
+
+
+def test_float64_channel_at_extreme_powers_warns_nothing():
+    c = ChannelParams(*map(np.float64, (1e-300, 1.0, 1e300, 0.1, 1.0)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert rho_upper_bound(c, 0.5) == 1.0

@@ -27,13 +27,19 @@ from relayregions.rates import (
     _TIE_TOL,
     _alpha2_free_terms,
     _best_alpha2,
-    _clamp_array,
     _log_ratios,
 )
 
 ANCHOR = ChannelParams(1.0, 1.0, 0.0, 0.1, 1.0)
 PROPERTY = settings(deadline=None, derandomize=True, database=None)
 STATEFUL = ChannelParams(1.0, 1.0, 2.0, 0.1, 1.0)
+
+
+def _clamp_array(r):
+    """Map negative, nan and -inf entries to 0.0 (clamping convention),
+    elementwise: each sum-rate term clamped on its own, the mapping that
+    the single clamps of ``_best_alpha2`` and ``gdpc_rates`` reproduce."""
+    return np.where(np.isfinite(r) & (r > 0.0), r, 0.0)
 
 
 def test_grid_spec_defaults():
