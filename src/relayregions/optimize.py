@@ -117,10 +117,11 @@ _PASS_CELLS = 2048
 @dataclass(frozen=True)
 class OptResult:
     """Search outcome. ``value`` is recomputed at ``best`` through the
-    scalar rate path, never copied from a grid cell. ``evaluations``
-    counts the (rho, beta) cells searched. ``trace`` holds the incumbent
-    after each round as a plain ``(rho, beta, alpha2, value)`` float
-    tuple, the round's grid value; gamma is ``best.gamma``."""
+    scalar rate path, which runs the grid's float operations, so it
+    equals the last trace value bit for bit. ``evaluations`` counts the
+    (rho, beta) cells searched. ``trace`` holds the incumbent after each
+    round as a plain ``(rho, beta, alpha2, value)`` float tuple, the
+    round's grid value; gamma is ``best.gamma``."""
 
     best: GdpcParams
     value: float

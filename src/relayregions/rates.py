@@ -11,7 +11,8 @@ power (1-gamma)*p1 splits again, a fraction rho spent subtracting a
 scaled copy of the interference and the rest, pw = (1-rho)(1-gamma)*p1,
 spent on a binned codeword correlated (coefficient beta) with the relay
 input. With pwt = (1-beta^2)*pw the part of that codeword independent
-of the relay input, and
+of the relay input (pwt = pw when p2 = 0: a relay input of 0 reveals
+none of it), and
 
     qprime = (sqrt(q) - sqrt(rho*(1-gamma)*p1))^2
 
@@ -47,7 +48,9 @@ test suite checks on the q = 0 reduction.
 
 Negative or 0/0-indeterminate expressions clamp to exactly 0 (they mark
 useless parameter choices, not invalid inputs). Terms that leave the
-float range mark nothing, so the scalar gdpc rates raise OutOfRange.
+float range mark nothing, so ``gdpc_rates`` and ``gdpc_coeffs`` raise
+OutOfRange there: both read one checked evaluation at a point, which
+runs the grid kernel's float operations.
 """
 
 from __future__ import annotations
@@ -83,20 +86,15 @@ def cap_c(x: float) -> float:
     return 0.5 * math.log1p(x) / _LN2
 
 
-def qprime(c: ChannelParams, gamma: float, rho: float) -> float:
-    """Residual interference power (sqrt(q) - sqrt(rho*(1-gamma)*p1))^2."""
-    validate_gdpc(c, GdpcParams(gamma=gamma, rho=rho, beta=0.0, alpha2=0.0))
-    spent = rho * (1.0 - gamma) * c.p1
-    return (math.sqrt(c.q) - math.sqrt(spent)) ** 2
-
-
 def _alpha2_free_terms(p1, p2, q, n1, n2, gamma, rho, beta):
     """The parts of the sum-rate bounds that alpha2 does not touch,
     elementwise: (pwt, qprime, a, c, n1 + gamma*p1, n2 + gamma*p1)."""
     gbar = 1.0 - gamma
     pw = (1.0 - rho) * gbar * p1
-    pwt = (1.0 - beta * beta) * pw
-    qp = (np.sqrt(q) - np.sqrt(rho * gbar * p1)) ** 2
+    # with no relay power X2 = 0 reveals nothing: all of pw stays unknown
+    pwt = (1.0 - beta * beta * (p2 > 0.0)) * pw
+    qs = np.sqrt(q) - np.sqrt(rho * gbar * p1)
+    qp = qs * qs
     gp1 = gamma * p1
     a = pwt * (pwt + qp + gp1 + n1)
     c = pwt * (pw + p2 + qp + 2.0 * beta * np.sqrt(pw * p2) + gp1 + n2)
@@ -108,11 +106,13 @@ def _binned_pair(pwt, qp, m1, m2, alpha2):
     share (1-alpha2)^2*pwt*qprime and pwt + alpha2^2*qprime. An array
     alpha2 must have the full broadcast shape: the products are formed in
     place in arrays of its shape. The scalar rates pass a float and
-    ``_best_alpha2`` its full candidate stack."""
-    shared = (1.0 - alpha2) ** 2
+    ``_best_alpha2`` its full candidate stack. Squares are products, as
+    numpy forms them on arrays, so a float rounds as a grid cell does."""
+    shared = 1.0 - alpha2
+    shared *= shared
     shared *= pwt
     shared *= qp
-    inner = alpha2**2
+    inner = alpha2 * alpha2
     inner *= qp
     inner += pwt
     b = m1 * inner
@@ -125,19 +125,6 @@ def _binned_pair(pwt, qp, m1, m2, alpha2):
 def _log_ratios(a, b, c, d):
     with np.errstate(divide="ignore", invalid="ignore"):
         return 0.5 * np.log2(a / b), 0.5 * np.log2(c / d)
-
-
-def _sum_terms(p1, p2, q, n1, n2, gamma, rho, beta, alpha2):
-    """Unclamped log-ratio sum-rate terms, elementwise over numpy inputs.
-
-    Returns (r1_sum, r2_sum, (a, b, c, d, qprime)). Zero denominators can
-    only occur together with zero numerators; callers clamp the resulting
-    non-finite values to 0.
-    """
-    pwt, qp, a, c, m1, m2 = _alpha2_free_terms(p1, p2, q, n1, n2, gamma, rho, beta)
-    b, d = _binned_pair(pwt, qp, m1, m2, alpha2)
-    r1, r2 = _log_ratios(a, b, c, d)
-    return r1, r2, (a, b, c, d, qp)
 
 
 def _best_alpha2(p1, p2, q, n1, n2, gamma, rho, beta):
@@ -204,12 +191,29 @@ class GdpcRates(NamedTuple):
     r_private: float
 
 
+def _gdpc_point(c: ChannelParams, g: GdpcParams):
+    """(a, b, c, d, qprime) and the unclamped 0.5*log2(a/b), 0.5*log2(c/d)
+    at one point. Only powers out of the float range make a term overflow
+    or a ratio reach +inf (b = 0 forces a = 0 in exact arithmetic, unless
+    b underflows); such a point raises OutOfRange, without a warning."""
+    validate_gdpc(c, g)
+    with np.errstate(all="ignore"):  # a point out of range raises below
+        pwt, qp, a, cc, m1, m2 = _alpha2_free_terms(
+            c.p1, c.p2, c.q, c.n1, c.n2, g.gamma, g.rho, g.beta
+        )
+        b, d = _binned_pair(pwt, qp, m1, m2, g.alpha2)
+        r1, r2 = _log_ratios(a, b, cc, d)
+    if not all(map(math.isfinite, (a, b, cc, d))) or math.inf in (r1, r2):
+        raise OutOfRange(
+            f"the rate terms a/b = {a}/{b} and c/d = {cc}/{d} leave the "
+            f"float range at {g} on {c}"
+        )
+    return (a, b, cc, d, qp), r1, r2
+
+
 def gdpc_coeffs(c: ChannelParams, g: GdpcParams) -> GdpcCoeffs:
     """The a, b, c, d products and qprime at one parameter point."""
-    validate_gdpc(c, g)
-    _, _, (a, b, cc, d, qp) = _sum_terms(
-        c.p1, c.p2, c.q, c.n1, c.n2, g.gamma, g.rho, g.beta, g.alpha2
-    )
+    a, b, cc, d, qp = _gdpc_point(c, g)[0]
     return GdpcCoeffs(a=float(a), b=float(b), c=float(cc), d=float(d), qprime=float(qp))
 
 
@@ -217,23 +221,10 @@ def gdpc_rates(c: ChannelParams, g: GdpcParams) -> GdpcRates:
     """Clamped sum-rate bounds and the private rate at one point.
 
     The achievable sum rate of the scheme is min(r1_sum, r2_sum); the
-    private rate cap_c(gamma*p1/n1) comes on top of it.
-
-    Only a point whose powers leave the float range can make a, b, c or d
-    overflow, or a ratio a/b or c/d reach +inf (b = 0 forces a = 0 in
-    exact arithmetic, unless b underflows); its clamped rate would read 0
-    without a word, so such a point raises OutOfRange instead.
+    private rate cap_c(gamma*p1/n1) comes on top of it. Terms out of the
+    float range raise OutOfRange: their clamp would read 0 without a word.
     """
-    validate_gdpc(c, g)
-    with np.errstate(all="ignore"):  # a point out of range raises below
-        r1, r2, (a, b, cc, d, _) = _sum_terms(
-            c.p1, c.p2, c.q, c.n1, c.n2, g.gamma, g.rho, g.beta, g.alpha2
-        )
-    if not all(map(math.isfinite, (a, b, cc, d))) or math.inf in (r1, r2):
-        raise OutOfRange(
-            f"the rate terms a/b = {a}/{b} and c/d = {cc}/{d} leave the "
-            f"float range at {g} on {c}"
-        )
+    _, r1, r2 = _gdpc_point(c, g)
     # with +inf ruled out, > 0 is the whole clamp: nan, -inf and -0.0 fail it
     return GdpcRates(
         r1_sum=float(r1) if r1 > 0.0 else 0.0,

@@ -1,4 +1,5 @@
 import json
+import os
 import re
 import subprocess
 import sys
@@ -251,6 +252,19 @@ class TestFloatRange:
         assert err.startswith("error: the rate terms") and "float range" in err
         assert "Warning" not in err
 
+    def test_point_overflow_is_input_error(self):
+        # the coefficients printed by point made numpy warn before the
+        # typed error; a warning made an error is a traceback and exit 1
+        proc = subprocess.run(
+            [sys.executable, "-m", "relayregions.cli", "point",
+             "--channel", "1e300,1,1,1e-300,1", "--params", "0,0,0,0"],
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONWARNINGS": "error::RuntimeWarning"},
+        )
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr.startswith("error: the rate terms") and "float range" in proc.stderr
+        assert "Warning" not in proc.stderr
+
     def test_nostate_overflow_is_input_error(self, capsys):
         # at gamma = 0.5 the crossing's C is inf - inf: the split read nan
         # and the error named beta3 instead of the float range
@@ -275,6 +289,46 @@ class TestFloatRange:
         # the split solves A s^2 + C = 0: s^2 = (n2 - n1)/n2
         r02 = format(cap_c(0.5e200), ".12g")
         assert row == ["nostate-outer", "0", "0", "0.5", "0", "0", r02]
+
+
+class TestWithoutRelayPower:
+    """At p2 = 0 the binning correlation beta does nothing, and the search
+    keeps beta = 0: the rows are the ones the search printed when beta
+    still shrank the unknown power."""
+
+    FRONTIER_ROWS = [
+        "0,0,0,0.5,0,0.5",
+        "0.2,0,0,0.4,0.792481250361,0.368482797083",
+        "0.4,0,0,0.3,1.16096404744,0.257286586415",
+        "0.6,0,0,0.2,1.40367746103,0.160964047444",
+        "0.8,0,0,0.1,1.58496250072,0.0760015467225",
+        "1,0,0,0,1.72971580932,0",
+    ]
+
+    @pytest.mark.parametrize("scheme", ["gdpc", "dpc"])
+    def test_frontier(self, capsys, scheme):
+        code, out, _ = run(
+            capsys, "frontier", "--scheme", scheme, "--gamma-grid", "0:1:6",
+            "--channel", "1,0,1,0.1,1",
+        )
+        assert code == 0
+        assert out.splitlines() == [
+            "scheme,gamma,rho,beta,alpha2,r1,r02",
+            *(f"{scheme},{row}" for row in self.FRONTIER_ROWS),
+        ]
+
+    def test_sweep(self, capsys):
+        code, out, _ = run(
+            capsys, "sweep-snr", "--snr-db", "0:30:10", "--channel", "1,0,1,0.1,1",
+        )
+        assert code == 0
+        assert out.splitlines() == [
+            "scheme,snr_db,n1,rate,skipped",
+            "gdpc,0,1,,1",
+            "gdpc,10,0.1,0.5,0",
+            "gdpc,20,0.01,0.5,0",
+            "gdpc,30,0.001,0.5,0",
+        ]
 
 
 class TestVerifyCommand:
@@ -305,6 +359,16 @@ class TestVerifyCommand:
         )
         assert code == 0
         assert not out.startswith("note:")
+
+    @pytest.mark.parametrize("seed", ["0", "1", "2", "3"])
+    @pytest.mark.parametrize("channel", ["1,0,1,0.1,1", "2,0,3,0.2,0.9", "4,0,4,1,8"])
+    def test_channel_without_relay_power(self, capsys, channel, seed):
+        # with p2 = 0 the relay input is 0 and reveals none of the binning
+        # codeword: the gdpc closed forms failed by up to 0.56 bits
+        code, out, _ = run(capsys, "verify", "--channel", channel, "--seed", seed)
+        assert code == 0
+        assert out.count("gdpc-closed-forms: PASS") == 4
+        assert "FAIL" not in out
 
     def test_sample_count_past_float_range_runs(self, capsys, tmp_path):
         cfg = tmp_path / "verify.json"
@@ -436,6 +500,54 @@ class TestPointCommand:
         )
         assert code == 2
         assert "rho" in err
+
+
+class TestInputRejections:
+    """Each rejection branch of the option parsers exits 2 with an error
+    line and prints nothing on stdout."""
+
+    @pytest.mark.parametrize(
+        "argv, name",
+        [
+            (["frontier", "--channel", "1,2,3"], "channel"),
+            (["frontier", "--channel", CHANNEL, "--gamma-grid", "0:1:0"], "gamma_grid"),
+            (["frontier", "--channel", CHANNEL, "--gamma-grid", "0:1"], "gamma_grid"),
+            (["sweep-snr", "--channel", CHANNEL, "--snr-db", "0:10:0"], "snr_db"),
+        ],
+        ids=["channel-fields", "no-points", "two-fields", "zero-step"],
+    )
+    def test_flag(self, capsys, argv, name):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {name}:")
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"channel": {"p1": 1}}', "error: channel: needs exactly the keys"),
+            ("[1, 2]", "error: config file must hold a JSON object"),
+        ],
+        ids=["channel-keys", "not-an-object"],
+    )
+    def test_config(self, capsys, tmp_path, text, message):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(text)
+        code, out, err = run(capsys, "frontier", "--config", str(cfg))
+        assert (code, out) == (2, "")
+        assert err.startswith(message)
+
+    def test_out_naming_a_directory(self, capsys, tmp_path):
+        taken = tmp_path / "taken"
+        taken.mkdir()
+        code, out, err = run(
+            capsys, "frontier", "--channel", CHANNEL, "--gamma-grid", "0:1:2",
+            "--grid", TINY_GRID, "--out", str(taken),
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error:")
+        # the temporary file the output was written to is gone
+        assert not list(tmp_path.glob(".relayregions-*"))
+        assert not list(taken.iterdir())
 
 
 class TestConfigMerge:

@@ -73,6 +73,26 @@ class TestSpecValidation:
         with pytest.raises(NotNormalized):
             AuxJoint(np.full((1, 1, 2, 2, 2), 0.2))
 
+    def test_sizes_must_list_seven_axes(self):
+        with pytest.raises(OutOfRange, match="sizes must list 7"):
+            DmcSpec(sizes=(1, 1, 2, 2, 2, 2), p_s=np.ones(1), channel=np.ones((1, 2, 2, 2, 2)) / 4)
+
+    def test_p_s_shape(self):
+        with pytest.raises(OutOfRange, match="p_s must have shape"):
+            DmcSpec(
+                sizes=(2, 1, 2, 2, 2, 2, 2),
+                p_s=np.ones(3) / 3,
+                channel=np.ones((2, 2, 2, 2, 2)) / 4,
+            )
+
+    def test_channel_shape(self):
+        with pytest.raises(OutOfRange, match="channel must be indexed"):
+            DmcSpec(sizes=(1, 1, 2, 2, 2, 2, 2), p_s=np.ones(1), channel=np.ones((1, 2, 2, 4)) / 4)
+
+    def test_aux_joint_must_be_five_dimensional(self):
+        with pytest.raises(OutOfRange, match="5-dimensional"):
+            AuxJoint(np.full((1, 2, 2, 2), 1 / 8))
+
 
 class TestCompose:
     def test_shape_mismatch(self):
@@ -108,6 +128,11 @@ class TestCompose:
 
 
 class TestDiscreteCmi:
+    def test_one_name_per_axis(self):
+        joint = np.full((2,) * 7, 1 / 2**7)
+        with pytest.raises(OutOfRange, match="7 axes but 6 names"):
+            discrete_cmi(joint, AXES[:6], ["s"], ["u1"])
+
     def test_disjointness_required(self):
         joint = np.full((1, 1, 2, 2, 2, 2, 2), 1 / 32)
         with pytest.raises(OutOfRange):

@@ -389,6 +389,20 @@ class TestInformedSourceCov:
         assert len(rep.details) == 3
 
 
+    @pytest.mark.parametrize("beta", [0.0, 0.4, 1.0])
+    def test_verify_passes_without_relay_power(self, beta):
+        # X2 = 0 reveals none of the binning codeword: all of pw is unknown
+        c = ChannelParams(1.0, 0.0, 1.0, 0.1, 1.0)
+        rep = verify_gdpc(c, GdpcParams(0.2, 0.3, beta, 0.5))
+        assert rep.passed
+        assert rep.max_abs_diff < 1e-12
+
+    def test_underflowed_denominator_is_out_of_range(self):
+        # b = pwt*(qprime + n1) underflows to 0 while a does not
+        c = ChannelParams(1e-160, 1e-160, 1e-200, 1e-300, 2e-300)
+        with pytest.raises(OutOfRange, match="float range"):
+            verify_gdpc(c, GdpcParams(0.0, 0.0, 0.0, 0.0))
+
     @pytest.mark.parametrize(
         "g",
         [

@@ -20,11 +20,11 @@ from relayregions import (
     RelayRegionsError,
     SCHEMES,
     frontier,
+    gdpc_coeffs,
     gdpc_rates,
     max_beta_nostate,
     max_r02_gdpc,
     nostate_terms,
-    qprime,
     rho_upper_bound,
     validate_gdpc,
 )
@@ -42,6 +42,8 @@ def test_channel_params_rejects_bad_powers():
         ChannelParams(0.0, 1.0, 1.0, 0.1, 1.0)
     with pytest.raises(NonPositive):
         ChannelParams(1.0, 1.0, 1.0, 0.0, 1.0)
+    with pytest.raises(NonPositive, match="n2"):
+        ChannelParams(1.0, 1.0, 1.0, 0.1, 0.0)
     with pytest.raises(OutOfRange):
         ChannelParams(1.0, 1.0, 1.0, 0.1, float("nan"))
     with pytest.raises(Negative):
@@ -174,8 +176,9 @@ _UNIT_KNOBS = {
     "max_beta_nostate": lambda v: max_beta_nostate(_C, v),
     "max_r02_gdpc": lambda v: max_r02_gdpc(_C, v),
     "frontier": lambda v: frontier(_C, "gdpc", [v]),
-    "qprime.gamma": lambda v: qprime(_C, v, 0.0),
-    "qprime.rho": lambda v: qprime(_C, 0.2, v),
+    # the residual interference power, read off the gdpc coefficients
+    "qprime.gamma": lambda v: gdpc_coeffs(_C, GdpcParams(v, 0.0, 0.0, 0.0)).qprime,
+    "qprime.rho": lambda v: gdpc_coeffs(_C, GdpcParams(0.2, v, 0.0, 0.0)).qprime,
 }
 
 

@@ -510,6 +510,55 @@ class TestBatchedSearch:
 
 
 # ---------------------------------------------------------------------------
+# A row's closing value, one scalar gdpc_rates call at its best point, is
+# the value its last grid round found there: the scalar path and the grid
+# kernel square, divide and take logs by the same float operations.
+
+
+@st.composite
+def closing_channels(draw):
+    """A channel drawn as region-trace draws them, at scale 1e-12..1e8,
+    with p2 and q each 0 one time in five. The fields come from a seeded
+    generator, so a draw is a generic channel rather than one of the
+    boundary values hypothesis favours."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    k = 10.0 ** rng.uniform(-12.0, 8.0)
+    p1, p2, q, n1, ratio = rng.uniform([0.2, 0.0, 0.1, 0.05, 1.5], [4.0, 4.0, 4.0, 1.0, 8.0])
+    p2, q = (0.0 if rng.random() < 0.2 else v for v in (p2, q))
+    return ChannelParams(p1 * k, p2 * k, q * k, n1 * k, n1 * ratio * k)
+
+
+def _assert_closing_is_last_grid_value(results):
+    for res in results:
+        # float.hex tells -0.0 from 0.0
+        assert res.value.hex() == res.trace[-1][3].hex(), res
+
+
+class TestClosingIsGridValue:
+    @settings(PROPERTY, max_examples=60)
+    @given(closing_channels())
+    @example(ChannelParams(1.3, 0.0, 0.7, 0.4, 1.5))
+    @example(ChannelParams(1.3, 2.1, 0.0, 0.4, 1.5))
+    def test_frontier_rows(self, c):
+        # 21-gamma gdpc and dpc frontiers, and a 301-gamma dpc frontier:
+        # squaring by C pow missed on about 1 row in 2,500, and dpc rows
+        # are cheap
+        for n, freeze_rho in ((21, False), (21, True), (301, True)):
+            rows = [(c, float(g)) for g in np.linspace(0.0, 1.0, n)]
+            _assert_closing_is_last_grid_value(optimize._search(rows, None, freeze_rho))
+
+    def test_dpc_row_where_pow_and_product_differ(self):
+        # squaring with C pow on the closing only read one ulp above the
+        # grid value at gamma = 0.13
+        c = ChannelParams(1.0, 1.0, 2.0, 0.1, 1.0)
+        gammas = [float(g) for g in np.linspace(0.0, 1.0, 101)]
+        results = optimize._search([(c, g) for g in gammas], None, True)
+        assert gammas[13] == 0.13
+        assert results[13].value == 0.6545741087580708
+        _assert_closing_is_last_grid_value(results)
+
+
+# ---------------------------------------------------------------------------
 # The kernel takes one log per candidate, 0.5*log2(min(a/b, c/d)), where
 # the reference takes the log of each ratio and then the min. The two
 # agree bit for bit only because np.log2 never decreases. The cells below

@@ -16,7 +16,6 @@ from relayregions import (
     gdpc_rates,
     max_beta_nostate,
     nostate_terms,
-    qprime,
 )
 from relayregions.rates import (
     _TIE_TOL,
@@ -46,6 +45,10 @@ def test_cap_c_values():
 def test_cap_c_rejects_negative():
     with pytest.raises(NegativeArgument):
         cap_c(-1e-9)
+
+
+def qprime(c, gamma, rho):
+    return gdpc_coeffs(c, GdpcParams(gamma, rho, 0.0, 0.0)).qprime
 
 
 def test_qprime_frozen_value():
@@ -91,9 +94,9 @@ def test_gdpc_rates_match_coeff_ratios():
 
 
 def test_gdpc_rates_clamp_negative_ratio():
-    # nearly all private power plus a strong residual state can drive the
-    # second ratio below one; the reported rate clamps at zero
-    c = ChannelParams(1.0, 0.0, 4.0, 0.1, 1.0)
+    # strong correlation with a weak relay plus a strong residual state
+    # can drive the second ratio below one; the reported rate clamps at zero
+    c = ChannelParams(1.0, 0.01, 4.0, 0.1, 1.0)
     g = GdpcParams(0.0, 0.0, 0.9, 0.5)
     co = gdpc_coeffs(c, g)
     assert co.c < co.d
@@ -165,6 +168,15 @@ def test_gdpc_rates_out_of_float_range_is_an_error(c):
         warnings.simplefilter("error")  # a typed error, not a RuntimeWarning
         with pytest.raises(OutOfRange, match="float range"):
             gdpc_rates(c, GdpcParams(0.0, 0.0, 0.0, 0.0))
+
+
+@pytest.mark.parametrize("c", [OVERFLOW, UNDERFLOW], ids=["overflow", "underflow"])
+def test_gdpc_coeffs_out_of_float_range_is_an_error(c):
+    # the coefficients go through the same checked evaluation as the rates
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OutOfRange, match="float range"):
+            gdpc_coeffs(c, GdpcParams(0.0, 0.0, 0.0, 0.0))
 
 
 def _parent_best_alpha2(p1, p2, q, n1, n2, gamma, rho, beta):
