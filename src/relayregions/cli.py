@@ -410,7 +410,7 @@ def _verify_reports(
     estimate = sample_mi_estimate(cov, ["U1", "U2"], ["Y2"], [], mc_samples, seed)
     exact = gaussian_cmi(cov, ["U1", "U2"], ["Y2"], [])
     reports.append(
-        VerifyReport.from_terms(
+        VerifyReport(
             "monte-carlo-crosscheck",
             0.01,
             (

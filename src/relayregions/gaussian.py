@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from operator import mul
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 import numpy as np
 
@@ -43,7 +43,7 @@ from .model import (
     RelayRegionsError,
     validate_gdpc,
 )
-from .rates import cap_c, gdpc_coeffs, nostate_terms
+from .rates import _gdpc_point, cap_c, nostate_terms
 
 _LN2 = math.log(2.0)
 _RANK_TOL = 1e-10
@@ -213,40 +213,6 @@ def _check_powers(cov: CovarianceSystem, c: ChannelParams) -> CovarianceSystem:
     return cov
 
 
-class InformedBothCoeffs(NamedTuple):
-    """Derived constants of the both-informed construction."""
-
-    p_coop: float
-    p_fresh: float
-    lam: float
-    alpha1: float
-    alpha2: float
-
-
-def informed_both_coeffs(
-    c: ChannelParams, p: InformedBothParams
-) -> InformedBothCoeffs:
-    """Layer powers and inflation factors of the both-informed scheme.
-
-    The common power (1-gamma)*p1 splits into a fresh part beta*(1-gamma)*p1
-    carried alone by the source and a cooperative part sent coherently with
-    the relay, whose combined power is p_coop = (sqrt((1-beta)(1-gamma)p1)
-    + sqrt(p2))^2. lam is the source's share of the cooperative codeword.
-    """
-    gbar_p1 = (1.0 - p.gamma) * c.p1
-    p_coop = (math.sqrt((1.0 - p.beta) * gbar_p1) + math.sqrt(c.p2)) ** 2
-    p_fresh = p.beta * gbar_p1
-    lam = math.sqrt((1.0 - p.beta) * gbar_p1 / p_coop) if p_coop > 0.0 else 0.0
-    den = p_coop + p_fresh + p.gamma * c.p1 + c.n2
-    return InformedBothCoeffs(
-        p_coop=p_coop,
-        p_fresh=p_fresh,
-        lam=lam,
-        alpha1=p_coop / den,
-        alpha2=p_fresh / den,
-    )
-
-
 def build_cov_informed_both(
     c: ChannelParams, p: InformedBothParams
 ) -> CovarianceSystem:
@@ -264,21 +230,29 @@ def build_cov_informed_both(
         Y1 = X1 + S + Z1
         Y2 = Y1 + X2 + Z2p
 
-    Both power constraints hold with equality by construction.
+    The source alone sends the fresh power p_fresh = beta*(1-gamma)*p1.
+    The cooperative codeword, sent coherently with the relay, has power
+    p_coop = (sqrt((1-beta)(1-gamma)p1) + sqrt(p2))^2, and lam is the
+    source's share of it. Both power constraints hold with equality.
     """
-    k = informed_both_coeffs(c, p)
-    variances = (c.q, k.p_coop, k.p_fresh, p.gamma * c.p1, c.n1, c.n2 - c.n1)
+    gbar_p1 = (1.0 - p.gamma) * c.p1
+    p_coop = (math.sqrt((1.0 - p.beta) * gbar_p1) + math.sqrt(c.p2)) ** 2
+    p_fresh = p.beta * gbar_p1
+    lam = math.sqrt((1.0 - p.beta) * gbar_p1 / p_coop) if p_coop > 0.0 else 0.0
+    den = p_coop + p_fresh + p.gamma * c.p1 + c.n2
+    alpha1, alpha2 = p_coop / den, p_fresh / den
+    variances = (c.q, p_coop, p_fresh, p.gamma * c.p1, c.n1, c.n2 - c.n1)
     labels = ("S", "U1", "U2", "X1p", "X1", "X2", "Y1", "Y2")
     #          S         V1     V2   X1p  Z1   Z2p
     mix = np.array(
         [
             [1.0, 0.0, 0.0, 0.0, 0.0, 0.0],  # S
-            [k.alpha1, 1.0, 0.0, 0.0, 0.0, 0.0],  # U1
-            [k.alpha2, 0.0, 1.0, 0.0, 0.0, 0.0],  # U2
+            [alpha1, 1.0, 0.0, 0.0, 0.0, 0.0],  # U1
+            [alpha2, 0.0, 1.0, 0.0, 0.0, 0.0],  # U2
             [0.0, 0.0, 0.0, 1.0, 0.0, 0.0],  # X1p
-            [0.0, k.lam, 1.0, 1.0, 0.0, 0.0],  # X1
-            [0.0, 1.0 - k.lam, 0.0, 0.0, 0.0, 0.0],  # X2
-            [1.0, k.lam, 1.0, 1.0, 1.0, 0.0],  # Y1
+            [0.0, lam, 1.0, 1.0, 0.0, 0.0],  # X1
+            [0.0, 1.0 - lam, 0.0, 0.0, 0.0, 0.0],  # X2
+            [1.0, lam, 1.0, 1.0, 1.0, 0.0],  # Y1
             [1.0, 1.0, 1.0, 1.0, 1.0, 1.0],  # Y2
         ]
     )
@@ -366,22 +340,15 @@ class VerifyReport:
 
     name: str
     tol: float
-    max_abs_diff: float
-    passed: bool
     details: tuple[TermCheck, ...]
 
-    @classmethod
-    def from_terms(
-        cls, name: str, tol: float, details: tuple[TermCheck, ...]
-    ) -> "VerifyReport":
-        worst = max(t.abs_diff for t in details)
-        return cls(
-            name=name,
-            tol=tol,
-            max_abs_diff=worst,
-            passed=worst <= tol,
-            details=details,
-        )
+    @property
+    def max_abs_diff(self) -> float:
+        return max(t.abs_diff for t in self.details)
+
+    @property
+    def passed(self) -> bool:
+        return self.max_abs_diff <= self.tol
 
     def to_dict(self) -> dict:
         return {
@@ -409,21 +376,27 @@ def verify_informed_both(
     Every compared value is free of q, which is the claimed interference
     independence of the capacity region. The two sum-rate rows compare
     against ``rates.nostate_terms``, the closed form the region uses.
+    A closed form outside the float range raises OutOfRange before the
+    covariance is built.
     """
-    cov = build_cov_informed_both(c, p)
     gbar_p1 = (1.0 - p.gamma) * c.p1
     gp1 = p.gamma * c.p1
+    private = cap_c(gp1 / c.n1)
+    partial = cap_c((gp1 + p.beta * gbar_p1) / c.n1)
     relay, combine = nostate_terms(c, p.gamma, p.beta)
+    if not all(map(math.isfinite, (private, partial, relay, combine))):
+        raise OutOfRange(f"the closed forms leave the float range at {p} on {c}")
+    cov = build_cov_informed_both(c, p)
     details = (
         TermCheck(
             term="I(X1;Y1|S,U1,U2,X2)",
             oracle=gaussian_cmi(cov, ["X1"], ["Y1"], ["S", "U1", "U2", "X2"]),
-            closed=cap_c(gp1 / c.n1),
+            closed=private,
         ),
         TermCheck(
             term="I(X1;Y1|S,U1,X2)",
             oracle=gaussian_cmi(cov, ["X1"], ["Y1"], ["S", "U1", "X2"]),
-            closed=cap_c((gp1 + p.beta * gbar_p1) / c.n1),
+            closed=partial,
         ),
         TermCheck(
             term="I(U2;Y1|S,U1)",
@@ -437,28 +410,22 @@ def verify_informed_both(
             closed=combine,
         ),
     )
-    return VerifyReport.from_terms("informed-both-capacity", tol, details)
-
-
-def _half_log2_ratio(name: str, num: float, den: float) -> float:
-    """0.5*log2(num/den) of a closed-form ratio; a log 0 or 0/0 limit
-    (the binning power vanishes) raises SingularSubmatrix."""
-    if not (num > 0.0 and den > 0.0):
-        raise SingularSubmatrix(
-            f"closed-form ratio {name} = {num}/{den} has no finite log"
-        )
-    return 0.5 * math.log2(num / den)
+    return VerifyReport("informed-both-capacity", tol, details)
 
 
 def verify_gdpc(c: ChannelParams, g: GdpcParams, tol: float = 1e-9) -> VerifyReport:
     """Check the closed-form a/b, c/d log ratios and the private rate
     against the covariance oracle for the encoder-informed construction.
 
-    The closed forms are compared unclamped, so agreement is meaningful
-    even where a parameter choice drives a bound negative.
+    The closed forms are the unclamped log ratios of ``rates``' one
+    checked evaluation, so agreement is meaningful even where a bound is
+    negative. A ratio with no finite log (log 0, a 0/0 limit where the
+    binning power vanishes, an underflow) raises SingularSubmatrix.
     """
     cov = build_cov_informed_source(c, g)
-    k = gdpc_coeffs(c, g)
+    _, r1, r2 = _gdpc_point(c, g)
+    if not (math.isfinite(r1) and math.isfinite(r2)):
+        raise SingularSubmatrix(f"a closed-form ratio has no finite log at {g} on {c}")
     gp_common = gaussian_cmi(cov, ["U2"], ["Sprime"], ["X2"])
     details = (
         TermCheck(
@@ -470,15 +437,15 @@ def verify_gdpc(c: ChannelParams, g: GdpcParams, tol: float = 1e-9) -> VerifyRep
         TermCheck(
             term="I(U2;Y1|X2)-I(U2;Sprime|X2)",
             oracle=gaussian_cmi(cov, ["U2"], ["Y1"], ["X2"]) - gp_common,
-            closed=_half_log2_ratio("a/b", k.a, k.b),
+            closed=float(r1),
         ),
         TermCheck(
             term="I(U2,X2;Y2)-I(U2;Sprime|X2)",
             oracle=gaussian_cmi(cov, ["U2", "X2"], ["Y2"]) - gp_common,
-            closed=_half_log2_ratio("c/d", k.c, k.d),
+            closed=float(r2),
         ),
     )
-    return VerifyReport.from_terms("gdpc-closed-forms", tol, details)
+    return VerifyReport("gdpc-closed-forms", tol, details)
 
 
 def verify_relay_identity(
@@ -497,7 +464,7 @@ def verify_relay_identity(
     lhs = gaussian_cmi(cov, ["U2"], ["Y1"], ["S", "X2"])
     rhs = gaussian_cmi(cov, ["U2"], ["Y1"], ["S", "U1"])
     details = (TermCheck(term="I(U2;Y1|S,X2) vs I(U2;Y1|S,U1)", oracle=lhs, closed=rhs),)
-    return VerifyReport.from_terms("relay-rate-identity", tol, details)
+    return VerifyReport("relay-rate-identity", tol, details)
 
 
 def sample_mi_estimate(

@@ -1,3 +1,4 @@
+import json
 import math
 import warnings
 
@@ -11,6 +12,7 @@ from relayregions import (
     GdpcParams,
     InformedBothParams,
     OutOfRange,
+    RelayRegionsError,
     SingularSubmatrix,
     TermCheck,
     VerifyReport,
@@ -18,7 +20,7 @@ from relayregions import (
     build_cov_informed_both,
     build_cov_informed_source,
     gaussian_cmi,
-    informed_both_coeffs,
+    gdpc_rates,
     rho_upper_bound,
     sample_mi_estimate,
     verify_gdpc,
@@ -31,6 +33,7 @@ from relayregions.gaussian import (
     _cmi_from_sigma,
     _sample_covariance,
 )
+from relayregions.rates import _gdpc_point
 
 EXAMPLE = ChannelParams(1.0, 1.0, 1.0, 0.1, 1.0)
 PROPERTY = settings(deadline=None, derandomize=True, database=None, max_examples=300)
@@ -303,13 +306,18 @@ class TestInformedBothCov:
     def test_coeffs_consistent(self):
         c = ChannelParams(1.0, 2.0, 1.0, 0.1, 1.0)
         p = InformedBothParams(0.25, 0.6)
-        k = informed_both_coeffs(c, p)
+        cov = build_cov_informed_both(c, p)
         gbar_p1 = (1 - p.gamma) * c.p1
-        assert k.p_coop == pytest.approx(
+        # U1 = alpha1*S + V1, X1 = lam*V1 + V2 + X1p and X2 = (1-lam)*V1
+        p_coop = cov.cov("U1", "X1") + cov.cov("U1", "X2")
+        assert p_coop == pytest.approx(
             (math.sqrt((1 - p.beta) * gbar_p1) + math.sqrt(c.p2)) ** 2, abs=1e-12
         )
-        assert k.p_fresh == pytest.approx(p.beta * gbar_p1, abs=1e-12)
-        assert k.lam**2 * k.p_coop == pytest.approx((1 - p.beta) * gbar_p1, abs=1e-12)
+        # U2 = alpha2*S + V2: its covariance with X1 is p_fresh
+        assert cov.cov("U2", "X1") == pytest.approx(p.beta * gbar_p1, abs=1e-12)
+        # lam^2 * p_coop, from cov(U1, X1) = lam * p_coop
+        lam_sq_p_coop = cov.cov("U1", "X1") ** 2 / p_coop
+        assert lam_sq_p_coop == pytest.approx((1 - p.beta) * gbar_p1, abs=1e-12)
 
     def test_power_check_is_relative_above_unit_budget(self):
         # at this scale X2's variance exceeds p2 by 1.9e-9 from rounding
@@ -545,18 +553,150 @@ def test_assemble_past_float_range_raises_without_warning():
             verify_gdpc(c, g)
 
 
+def _oracle_verify_draws(n, seed):
+    """Channels and gdpc knobs over the oracle-verify benchmark ranges:
+    one factor log-uniform in 1e-12..1e8 scales every power and noise."""
+    rng = np.random.default_rng(seed)
+    for _ in range(n):
+        k = 10.0 ** rng.uniform(-12.0, 8.0)
+        n1 = rng.uniform(0.05, 1.0)
+        c = ChannelParams(
+            rng.uniform(0.2, 4.0) * k, rng.uniform(0.0, 4.0) * k,
+            rng.uniform(0.1, 4.0) * k, n1 * k, n1 * rng.uniform(1.5, 8.0) * k,
+        )
+        gamma = rng.uniform(0.0, 0.97)
+        rho = rng.uniform(0.0, 1.0) * rho_upper_bound(c, gamma)
+        yield c, GdpcParams(gamma, rho, rng.uniform(0.0, 0.98), rng.uniform(0.0, 1.0))
+
+
+# math.log2 and np.log2 of a/b differ by one ulp on this point
+ULP_EXAMPLE = (
+    ChannelParams(
+        9.121006056631554e-05, 3.7142381297886255e-05, 8.320527743925754e-05,
+        5.463695831077184e-06, 8.765029248455559e-06,
+    ),
+    GdpcParams(
+        0.13535117755947312, 0.7773748719903223, 0.4616405549049589,
+        0.7702831136082241,
+    ),
+)
+
+
+def _closed_misses(c, g):
+    """The gdpc report's a/b and c/d closed values that differ, as bits,
+    from the checked evaluation's unclamped log ratios, or where positive
+    from ``gdpc_rates``; () if verify_gdpc raises a typed error."""
+    try:
+        rep = verify_gdpc(c, g)
+    except RelayRegionsError:
+        return ()
+    _, r1, r2 = _gdpc_point(c, g)
+    rates = gdpc_rates(c, g)
+    return tuple(
+        (term.term, term.closed, float(ratio), clamped)
+        for term, ratio, clamped in zip(rep.details[1:], (r1, r2), rates[:2])
+        if term.closed.hex() != float(ratio).hex()
+        or (ratio > 0.0 and term.closed.hex() != clamped.hex())
+    )
+
+
+class TestVerifyCertifiesLibraryFloats:
+    def test_ulp_example(self):
+        c, g = ULP_EXAMPLE
+        assert verify_gdpc(c, g).passed
+        assert _closed_misses(c, g) == ()
+
+    def test_oracle_verify_draws(self):
+        misses = [
+            (c, g, miss)
+            for c, g in _oracle_verify_draws(2000, 0)
+            for miss in _closed_misses(c, g)
+        ]
+        assert misses == []
+
+def _extreme_draws(n, seed):
+    """Channels with powers log-uniform over 1e-300..1e300 (p2 = 0 on 15%
+    of draws, q = 0 on 10%) and n2/n1 from 1 + 1e-12 to 1e8, with knobs
+    from {0, 1, uniform} and rho scaled by its bound."""
+    rng = np.random.default_rng(seed)
+
+    def knob():
+        return float(rng.choice([0.0, 1.0, rng.uniform()]))
+
+    for _ in range(n):
+        p1, p2, q, n1 = 10.0 ** rng.uniform(-300.0, 300.0, 4)
+        p2 *= rng.uniform() >= 0.15
+        q *= rng.uniform() >= 0.10
+        n2 = n1 * (1.0 + 10.0 ** rng.uniform(-12.0, 8.0))
+        c = ChannelParams(float(p1), float(p2), float(q), float(n1), float(n2))
+        gamma = knob()
+        g = GdpcParams(gamma, knob() * rho_upper_bound(c, gamma), knob(), knob())
+        yield c, g, InformedBothParams(knob(), knob())
+
+
+# closed forms past the float range: rows 1-2 read cap_c(inf) in (a),
+# the cross term of nostate_terms overflows before its square root in (b)
+FLOAT_RANGE_CASES = [
+    (
+        ChannelParams(
+            1.912876620639354e+249, 3.3531497959108084e-126, 6.292669901169704e+290,
+            6.227326762591902e-98, 7.922947683685271e-97,
+        ),
+        InformedBothParams(0.19026780185398773, 0.0),
+    ),
+    (
+        ChannelParams(
+            1.7117031358579987e+107, 7.437269015303797e+266, 2.9683479802586536e-33,
+            1.978944940775071e+264, 6.318926681740827e+268,
+        ),
+        InformedBothParams(0.0, 0.0),
+    ),
+]
+
+
+def _assert_total(verify, c, params):
+    """A verify entry returns a report of finite values that is strict
+    JSON, or raises a RelayRegionsError."""
+    try:
+        rep = verify(c, params)
+    except RelayRegionsError:
+        return
+    for t in rep.details:
+        assert all(map(math.isfinite, (t.oracle, t.closed, t.abs_diff))), (c, params, t)
+    json.dumps(rep.to_dict(), allow_nan=False)
+
+
+class TestVerifyTotality:
+    @pytest.mark.parametrize("c, p", FLOAT_RANGE_CASES, ids=["cap_c(inf)", "cross-term"])
+    def test_informed_both_out_of_float_range(self, c, p):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _assert_total(verify_informed_both, c, p)
+            with pytest.raises(OutOfRange, match="float range"):
+                verify_informed_both(c, p)
+
+    def test_extreme_draws(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for c, g, p in _extreme_draws(5000, 0):
+                _assert_total(verify_gdpc, c, g)
+                _assert_total(verify_informed_both, c, p)
+                _assert_total(verify_relay_identity, c, p)
+
 class TestReports:
     def test_term_check(self):
         t = TermCheck("x", 1.0, 1.0 + 1e-12)
         assert t.abs_diff == pytest.approx(1e-12, rel=1e-3)
         assert set(t.to_dict()) == {"term", "oracle", "closed", "abs_diff"}
 
-    def test_from_terms_sets_outcome(self):
+    def test_outcome_follows_details(self):
         good = TermCheck("g", 0.5, 0.5)
         bad = TermCheck("b", 0.5, 0.6)
-        rep = VerifyReport.from_terms("demo", 1e-3, (good, bad))
+        rep = VerifyReport("demo", 1e-3, (good, bad))
         assert not rep.passed
         assert rep.max_abs_diff == pytest.approx(0.1)
+        assert VerifyReport("demo", 0.2, (good, bad)).passed
         d = rep.to_dict()
+        assert list(d) == ["name", "tol", "max_abs_diff", "pass", "details"]
         assert d["pass"] is False
         assert len(d["details"]) == 2

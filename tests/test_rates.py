@@ -210,22 +210,30 @@ def _parent_best_alpha2(p1, p2, q, n1, n2, gamma, rho, beta):
 
 
 PROPERTY = settings(deadline=None, derandomize=True, database=None)
-powers = st.floats(-300.0, 300.0).map(lambda e: 10.0**e)
-units = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
 
 
 @st.composite
 def kernel_rows(draw):
     """One channel at scales 1e-300..1e300 (p2 and q possibly 0), a gamma
     (0 and 1 included), and ascending rho and beta axes shaped as the
-    search passes them, rho within its bound."""
-    p1, n1, n2 = draw(powers), draw(powers), draw(powers)
-    p2, q = (draw(st.one_of(st.just(0.0), powers)) for _ in range(2))
-    gamma = draw(units)
+    search passes them, rho within its bound.
+
+    Everything but the edge branches comes from a numpy generator seeded
+    by one draw: derandomized hypothesis float draws favour their bounds.
+    Each branch list holds fresh generator values, so hypothesis does not
+    rerun a seed with only the branches copied between draws."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    p1, n1, n2, p2, q = (10.0 ** rng.uniform(-300.0, 300.0, 5)).tolist()
+    p2, q = draw(st.sampled_from([0.0, p2])), draw(st.sampled_from([0.0, q]))
+
+    def unit():
+        return draw(st.sampled_from([0.0, 1.0, *rng.uniform(size=2).tolist()]))
+
+    gamma = unit()
     gbar_p1 = (1.0 - gamma) * p1
     rho_hi = min(1.0, q / gbar_p1) if gbar_p1 > 0.0 and q > 0.0 else 0.0
-    rho = sorted(rho_hi * u for u in draw(st.lists(units, min_size=1, max_size=4)))
-    beta = sorted(draw(st.lists(units, min_size=1, max_size=4)))
+    rho = sorted(rho_hi * unit() for _ in range(rng.integers(1, 5)))
+    beta = sorted(unit() for _ in range(rng.integers(1, 5)))
     return (p1, p2, q, n1, n2, gamma), rho, beta
 
 
