@@ -423,7 +423,7 @@ def verify_gdpc(c: ChannelParams, g: GdpcParams, tol: float = 1e-9) -> VerifyRep
     binning power vanishes, an underflow) raises SingularSubmatrix.
     """
     cov = build_cov_informed_source(c, g)
-    _, r1, r2 = _gdpc_point(c, g)
+    _, r1, r2 = _gdpc_point([(c, g)])
     if not (math.isfinite(r1) and math.isfinite(r2)):
         raise SingularSubmatrix(f"a closed-form ratio has no finite log at {g} on {c}")
     gp_common = gaussian_cmi(cov, ["U2"], ["Sprime"], ["X2"])

@@ -24,34 +24,41 @@ Two optimization problems appear:
 A frontier or an SNR sweep solves the second problem at many (channel,
 gamma) rows, and a dpc row (rho frozen at 0) is only 33 cells a round,
 so one solve at a time would be mostly numpy call overhead. The search
-therefore carries a leading row axis through every round: each row keeps
-its own box, incumbent, tie-break, evaluation count and trace, and all
-rows of a pass go through one kernel call per round. Rows run in order,
-in passes of at most ``_PASS_CELLS`` grid cells, so the 21 rows of a
+therefore carries a leading row axis through the cell arrays of every
+round, and all rows of a pass go through one kernel call per round.
+Numpy holds only those arrays: the axes, the kernel's values, each row's
+max, its first cell at the threshold and that cell's knobs. Each row's
+box, incumbent, tie-break, evaluation count and trace are plain Python
+floats and ints, since a handful of numpy calls on row-sized arrays
+would cost more than the arithmetic they do. Rows run in order, in
+passes of at most ``_PASS_CELLS`` grid cells, so the 21 rows of a
 default dpc frontier share one pass while a 33 x 33 gdpc row runs alone.
 ``max_r02_gdpc`` is the pass of one row, and a row that fills a pass
-alone is solved by calling it. A row's trace is read straight from the
-round history as ``(rho, beta, alpha2, value)`` float tuples; only its
-final incumbent is built as a ``GdpcParams``.
+alone is solved by calling it. A row's trace is its incumbents as
+``(rho, beta, alpha2, value)`` float tuples; only its final incumbent is
+built as a ``GdpcParams``, and a pass closes with one checked evaluation
+of all its incumbents (``rates._gdpc_point``).
 
 A row's result is bit-identical to searching it alone. Every cell value
 is computed elementwise by the same float operations in the same order,
 whatever its neighbours; the axes are built by ``np.linspace``'s own
 arithmetic; and every selection (threshold, first eligible cell, tie
-rule, box shrink) reads only that row. A pass evaluates all its rows on
-its widest rho axis, so a row whose box is a single point along an axis
-holds that point repeatedly; the repeats give the same values, the first
-eligible cell is unchanged, and the evaluation count counts the point
-once.
+rule, box shrink and clip) reads only that row, by the same IEEE
+operations whether numpy or Python does them. A pass evaluates all its
+rows on its widest rho axis, so a row whose box is a single point along
+an axis holds that point repeatedly; the repeats give the same values,
+the first eligible cell is unchanged, and the evaluation count counts
+the point once.
 
 Validity is held by the types: a ``ChannelParams``, ``GdpcParams`` or
 ``GridSpec`` checks itself when built, so no function here re-checks
 one. Only bare floats are checked where they enter: a gamma must lie in
 [0, 1] (``model._require_unit``). The rows of a frontier or sweep go
-through the same public functions as a single call: ``max_beta_nostate``
-per nostate gamma, and ``rates.gdpc_rates`` for each searched row's
-closing value, which checks the chosen point's rho bound and raises
-OutOfRange when its rate terms leave the float range.
+through the same checks as a single call: ``max_beta_nostate`` per
+nostate gamma, and for the searched rows the pass's closing, the
+evaluation ``rates.gdpc_rates`` reads, which checks each chosen point's
+rho bound and raises OutOfRange for the first row whose rate terms
+leave the float range.
 """
 
 from __future__ import annotations
@@ -72,10 +79,11 @@ from .model import (
     _require_unit,
     rho_upper_bound,
 )
-from .rates import _TIE_TOL, _best_alpha2, cap_c, gdpc_rates, nostate_terms
+from .rates import _TIE_TOL, _best_alpha2, _gdpc_point, cap_c, nostate_terms
 
 
 _MAX_GRID_CELLS = 10**6
+_MAX_SEARCH_CELLS = 10**7
 
 
 @dataclass(frozen=True)
@@ -83,7 +91,10 @@ class GridSpec:
     """Grid-then-shrink search schedule. refine_shrink is the factor the
     box width contracts by per refinement round. A round evaluates
     steps_rho * steps_beta cells, at most ``_MAX_GRID_CELLS`` = 10**6:
-    at the limit one round's temporaries take about 0.4 GB."""
+    at the limit one round's temporaries take about 0.4 GB. A search of
+    one row runs refine_iters + 1 rounds, at most ``_MAX_SEARCH_CELLS`` =
+    10**7 cells in all: a few seconds, where an unbounded round count
+    would run for hours and grow the trace by a tuple a round."""
 
     steps_rho: int = 33
     steps_beta: int = 33
@@ -102,6 +113,11 @@ class GridSpec:
             )
         if not isinstance(self.refine_iters, int) or self.refine_iters < 0:
             raise OutOfRange(f"refine_iters must be an integer >= 0, got {self.refine_iters!r}")
+        if self.steps_rho * self.steps_beta * (self.refine_iters + 1) > _MAX_SEARCH_CELLS:
+            raise OutOfRange(
+                f"steps_rho * steps_beta * (refine_iters + 1) must be <= {_MAX_SEARCH_CELLS}, "
+                f"got {self.steps_rho} * {self.steps_beta} * {self.refine_iters + 1}"
+            )
         if not 0.0 < self.refine_shrink < 1.0:
             raise OutOfRange(f"refine_shrink must lie in (0, 1), got {self.refine_shrink}")
 
@@ -117,11 +133,12 @@ _PASS_CELLS = 2048
 @dataclass(frozen=True)
 class OptResult:
     """Search outcome. ``value`` is recomputed at ``best`` through the
-    scalar rate path, which runs the grid's float operations, so it
-    equals the last trace value bit for bit. ``evaluations`` counts the
-    (rho, beta) cells searched. ``trace`` holds the incumbent after each
-    round as a plain ``(rho, beta, alpha2, value)`` float tuple, the
-    round's grid value; gamma is ``best.gamma``."""
+    checked evaluation ``gdpc_rates`` reads, which runs the grid's float
+    operations, so it equals the last trace value bit for bit.
+    ``evaluations`` counts the (rho, beta) cells searched. ``trace`` holds
+    the incumbent after each round as a plain ``(rho, beta, alpha2,
+    value)`` float tuple, the round's grid value; gamma is
+    ``best.gamma``."""
 
     best: GdpcParams
     value: float
@@ -232,72 +249,98 @@ def _search(problems, grid: GridSpec | None, freeze_rho: bool) -> list[OptResult
 
 
 def _search_pass(problems, rho_hi, n_rho: int, grid: GridSpec) -> list[OptResult]:
-    """Grid-then-shrink over the (rho, beta) boxes of one pass's rows,
-    with a leading row axis on every array; see the module docstring for
-    why each row's result equals a search of that row alone."""
+    """Grid-then-shrink over the (rho, beta) boxes of one pass's rows; see
+    the module docstring for why each row's result equals a search of
+    that row alone. Each row's box, incumbent, trace and cell count are
+    plain floats and ints, numpy holds only the cell arrays, and the pass
+    closes with one checked evaluation of all its incumbents."""
     n = len(problems)
     rows = np.arange(n)
     # p1, p2, q, n1, n2 and gamma, each as an (n, 1, 1) column
     knobs = np.array([(c.p1, c.p2, c.q, c.n1, c.n2, gamma) for c, gamma in problems], dtype=float)
     knobs = knobs.T[:, :, np.newaxis, np.newaxis]
-    n_beta = grid.steps_beta
-    # row-wise (rho, beta) boxes, their full bounds, and the incumbent
-    # (rho, beta, alpha2, value); an infinite start loses every comparison
-    top = np.array([rho_hi, np.ones(n)])
-    lo, hi = np.zeros_like(top), top
-    best = np.full((4, n), math.inf)
-    best[3] = -math.inf
-    trace, spread = [], []
+    steps_rho, n_beta, shrink = grid.steps_rho, grid.steps_beta, grid.refine_shrink
+    # each row's (rho, beta) box with its cell count so far, and its
+    # incumbent (rho, beta, alpha2, value); an infinite start loses every
+    # comparison
+    boxes = [(0.0, hi, 0.0, 1.0, 0) for hi in rho_hi]
+    best = [(math.inf, math.inf, math.inf, -math.inf)] * n
+    history = []
     for _ in range(grid.refine_iters + 1):
-        rho = _axes(lo[0], hi[0], n_rho)
-        beta = _axes(lo[1], hi[1], n_beta)
-        spread.append(hi > lo)
+        rlo, rhi, blo, bhi, _ = zip(*boxes)
+        rho = _axes(rlo, rhi, n_rho)
+        beta = _axes(blo, bhi, n_beta)
         aa, v = _best_alpha2(*knobs, rho[:, :, np.newaxis], beta[:, np.newaxis, :])
         aa, v = aa.reshape(n, -1), v.reshape(n, -1)
-        threshold = np.maximum(v.max(axis=1) - _TIE_TOL, best[3])
+        threshold = [
+            t if t >= inc[3] else inc[3]
+            for t, inc in zip((v.max(axis=1) - _TIE_TOL).tolist(), best)
+        ]
         # first hit in C order is the lexicographically smallest
         # (rho, beta), because both axes are ascending
-        flat = (v >= threshold[:, np.newaxis]).argmax(axis=1)
+        flat = (v >= np.array(threshold)[:, np.newaxis]).argmax(axis=1)
         i_rho, i_beta = np.divmod(flat, n_beta)
-        cand = np.array([rho[rows, i_rho], beta[rows, i_beta], aa[rows, flat], v[rows, flat]])
-        (cr, cb, ca, cv), (br, bb, ba, bv) = cand, best
-        smaller = (cr < br) | ((cr == br) & ((cb < bb) | ((cb == bb) & (ca < ba))))
-        # a row with no cell at its threshold has cv < bv and keeps its best
-        best = np.where((cv > bv + _TIE_TOL) | ((cv >= bv) & smaller), cand, best)
-        trace.append(best)
-        # shrink each box around its incumbent, clipped to the full bounds
-        half = 0.5 * (hi - lo) * grid.refine_shrink
-        lo, hi = np.maximum(0.0, best[:2] - half), np.minimum(top, best[:2] + half)
-    # an axis whose box has shrunk to a point counts once
-    steps = np.array([[grid.steps_rho], [n_beta]])
-    evaluations = np.where(spread, steps, 1).prod(axis=1).sum(axis=0)
-    results = []
-    history = np.array(trace).transpose(2, 0, 1).tolist()
-    for (c, gamma), rounds, cells in zip(problems, history, evaluations.tolist()):
-        path = tuple(map(tuple, rounds))
-        g = GdpcParams(gamma, *path[-1][:3])
-        r = gdpc_rates(c, g)
-        results.append(
-            OptResult(best=g, value=min(r.r1_sum, r.r2_sum), evaluations=cells, trace=path)
+        cands = zip(
+            rho[rows, i_rho].tolist(),
+            beta[rows, i_beta].tolist(),
+            aa[rows, flat].tolist(),
+            v[rows, flat].tolist(),
         )
-    return results
+        rounds = zip(cands, best, boxes, rho_hi)
+        best, boxes = [], []
+        for cand, inc, (rlo, rhi, blo, bhi, k), top in rounds:
+            # a row with no cell at its threshold has cv < bv and keeps its
+            # incumbent. Tuple order is the tie rule: a cand that matches
+            # inc in (rho, beta, alpha2) has cv >= bv here, so is not smaller
+            cv, bv = cand[3], inc[3]
+            if cv > bv + _TIE_TOL or (cv >= bv and cand < inc):
+                inc = cand
+            best.append(inc)
+            # an axis whose box has shrunk to a point counts once
+            k += (steps_rho if rhi > rlo else 1) * (n_beta if bhi > blo else 1)
+            # shrink the box around the incumbent, clipped to the full bounds
+            half = 0.5 * (rhi - rlo) * shrink
+            rlo, rhi = inc[0] - half, inc[0] + half
+            half = 0.5 * (bhi - blo) * shrink
+            blo, bhi = inc[1] - half, inc[1] + half
+            boxes.append(
+                (rlo if rlo > 0.0 else 0.0, rhi if rhi < top else top,
+                 blo if blo > 0.0 else 0.0, bhi if bhi < 1.0 else 1.0, k)
+            )
+        history.append(best)
+    params = [GdpcParams(gamma, *inc[:3]) for (_, gamma), inc in zip(problems, best)]
+    _, r1s, r2s = _gdpc_point([(c, g) for (c, _), g in zip(problems, params)])
+    r1s, r2s = np.atleast_1d(r1s).tolist(), np.atleast_1d(r2s).tolist()
+    # the clamp of gdpc_rates: nan, -inf and -0.0 read +0.0
+    return [
+        OptResult(
+            best=g,
+            value=min(r1 if r1 > 0.0 else 0.0, r2 if r2 > 0.0 else 0.0),
+            evaluations=box[4],
+            trace=path,
+        )
+        for g, r1, r2, box, path in zip(params, r1s, r2s, boxes, zip(*history))
+    ]
 
 
-def _axes(lo: np.ndarray, hi: np.ndarray, n: int) -> np.ndarray:
-    """np.linspace(lo[i], hi[i], n) for every row i, bit for bit, by
-    linspace's own arithmetic. A row with hi == lo holds lo n times; a
-    search of that row alone would evaluate it once."""
+def _axes(lo, hi, n: int) -> np.ndarray:
+    """np.linspace(lo[i], hi[i], n) for every row i of the float sequences
+    lo and hi, bit for bit, by linspace's own arithmetic. A row with
+    hi == lo holds lo n times; a search of that row alone would evaluate
+    it once."""
     if n == 1:
-        return lo[:, np.newaxis]
-    delta = hi - lo
-    step = delta / (n - 1)
+        return np.array(lo)[:, np.newaxis]
+    step = [(b - a) / (n - 1) for a, b in zip(lo, hi)]
+    # lo and step as (rows, 1) columns, converted in one call
+    lo_step = np.array((lo, step))[:, :, np.newaxis]
     pos = np.arange(n, dtype=float)
-    y = pos * step[:, np.newaxis]
-    if not step.all():
+    y = pos * lo_step[1]
+    if 0.0 in step:
         # linspace divides first when the step is 0 or underflows
-        zero = step == 0.0
+        zero = lo_step[1, :, 0] == 0.0
+        delta = np.array([b - a for a, b in zip(lo, hi)])
         y[zero] = pos / (n - 1) * delta[zero, np.newaxis]
-    y += lo[:, np.newaxis]
+    y += lo_step[0]
     y[:, -1] = hi
     return y
 

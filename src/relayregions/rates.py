@@ -49,8 +49,9 @@ test suite checks on the q = 0 reduction.
 Negative or 0/0-indeterminate expressions clamp to exactly 0 (they mark
 useless parameter choices, not invalid inputs). Terms that leave the
 float range mark nothing, so ``gdpc_rates`` and ``gdpc_coeffs`` raise
-OutOfRange there: both read one checked evaluation at a point, which
-runs the grid kernel's float operations.
+OutOfRange there: both read one checked evaluation, which runs the grid
+kernel's float operations elementwise, at one point for them and at
+every incumbent of a pass for the box search.
 """
 
 from __future__ import annotations
@@ -191,29 +192,40 @@ class GdpcRates(NamedTuple):
     r_private: float
 
 
-def _gdpc_point(c: ChannelParams, g: GdpcParams):
+def _gdpc_point(points):
     """(a, b, c, d, qprime) and the unclamped 0.5*log2(a/b), 0.5*log2(c/d)
-    at one point. Only powers out of the float range make a term overflow
-    or a ratio reach +inf (b = 0 forces a = 0 in exact arithmetic, unless
-    b underflows); such a point raises OutOfRange, without a warning."""
-    validate_gdpc(c, g)
+    at every (channel, GdpcParams) pair of ``points``, elementwise by the
+    grid kernel's float operations: each is an array with one entry per
+    pair, or a scalar when there is one pair. Only powers out of the
+    float range make a term overflow or a ratio reach +inf (b = 0 forces
+    a = 0 in exact arithmetic, unless b underflows). Pairs are checked in
+    order, each through ``validate_gdpc`` and then its terms, and the
+    first bad pair raises OutOfRange, without a warning."""
+    knobs = [(c.p1, c.p2, c.q, c.n1, c.n2, g.gamma, g.rho, g.beta, g.alpha2) for c, g in points]
+    # one pair runs on floats: numpy's cost per call on arrays of one
+    # entry would be most of a scalar evaluation
+    one = len(knobs) == 1
+    p1, p2, q, n1, n2, gamma, rho, beta, alpha2 = knobs[0] if one else np.array(knobs).T
     with np.errstate(all="ignore"):  # a point out of range raises below
-        pwt, qp, a, cc, m1, m2 = _alpha2_free_terms(
-            c.p1, c.p2, c.q, c.n1, c.n2, g.gamma, g.rho, g.beta
-        )
-        b, d = _binned_pair(pwt, qp, m1, m2, g.alpha2)
+        pwt, qp, a, cc, m1, m2 = _alpha2_free_terms(p1, p2, q, n1, n2, gamma, rho, beta)
+        b, d = _binned_pair(pwt, qp, m1, m2, alpha2)
         r1, r2 = _log_ratios(a, b, cc, d)
-    if not all(map(math.isfinite, (a, b, cc, d))) or math.inf in (r1, r2):
-        raise OutOfRange(
-            f"the rate terms a/b = {a}/{b} and c/d = {cc}/{d} leave the "
-            f"float range at {g} on {c}"
-        )
+    terms = (a, b, cc, d, r1, r2)
+    for (c, g), (ta, tb, tc, td, t1, t2) in zip(
+        points, (terms,) if one else zip(*(t.tolist() for t in terms))
+    ):
+        validate_gdpc(c, g)
+        if not all(map(math.isfinite, (ta, tb, tc, td))) or math.inf in (t1, t2):
+            raise OutOfRange(
+                f"the rate terms a/b = {ta}/{tb} and c/d = {tc}/{td} leave the "
+                f"float range at {g} on {c}"
+            )
     return (a, b, cc, d, qp), r1, r2
 
 
 def gdpc_coeffs(c: ChannelParams, g: GdpcParams) -> GdpcCoeffs:
     """The a, b, c, d products and qprime at one parameter point."""
-    a, b, cc, d, qp = _gdpc_point(c, g)[0]
+    a, b, cc, d, qp = _gdpc_point([(c, g)])[0]
     return GdpcCoeffs(a=float(a), b=float(b), c=float(cc), d=float(d), qprime=float(qp))
 
 
@@ -224,7 +236,7 @@ def gdpc_rates(c: ChannelParams, g: GdpcParams) -> GdpcRates:
     private rate cap_c(gamma*p1/n1) comes on top of it. Terms out of the
     float range raise OutOfRange: their clamp would read 0 without a word.
     """
-    _, r1, r2 = _gdpc_point(c, g)
+    _, r1, r2 = _gdpc_point([(c, g)])
     # with +inf ruled out, > 0 is the whole clamp: nan, -inf and -0.0 fail it
     return GdpcRates(
         r1_sum=float(r1) if r1 > 0.0 else 0.0,

@@ -186,6 +186,22 @@ class TestGridFlag:
         assert code == 2
         assert err.startswith("error: grid: steps_rho * steps_beta must be <= 1000000")
 
+    def test_unbounded_refine_rounds_are_input_error(self):
+        # each round is 4 cells, but 10**8 + 1 rounds would run for hours
+        argv = [
+            "frontier", "--scheme", "dpc", "--gamma-grid", "0",
+            "--channel", "1,1,1,0.1,1", "--grid", "2,2,100000000,0.5",
+        ]
+        proc = subprocess.run(
+            [sys.executable, "-m", "relayregions.cli", *argv],
+            capture_output=True, text=True, timeout=30,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith(
+            "error: grid: steps_rho * steps_beta * (refine_iters + 1) must be <= 10000000"
+        )
+
     def test_config_alpha2_steps_are_rejected(self, capsys, tmp_path):
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({"channel": CHANNEL, "grid": {"steps_alpha2": 5}}))

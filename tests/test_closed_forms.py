@@ -19,17 +19,27 @@ from relayregions import (
 PROPERTY = settings(deadline=None, derandomize=True, database=None)
 
 
+# Each field comes from a numpy generator seeded by one draw: derandomized
+# hypothesis float draws favour their bounds, so most examples would
+# repeat a few boundary channels.
+seeds = st.integers(0, 2**32 - 1)
+
+
+def _uniform(lo, hi):
+    """Uniform over [lo, hi) from a generator seeded by one draw: a float
+    for float bounds, an array for lists of bounds."""
+    return seeds.map(lambda seed: np.random.default_rng(seed).uniform(lo, hi))
+
+
 @st.composite
 def channels(draw, q_min=0.1):
-    def unit(lo, hi):
-        return draw(st.floats(lo, hi, allow_nan=False, allow_infinity=False))
-
-    p1, p2, q, n1 = unit(0.2, 4.0), unit(0.0, 4.0), unit(q_min, 4.0), unit(0.05, 1.0)
-    return ChannelParams(p1, p2, q, n1, n1 * unit(1.5, 8.0))
+    fields = draw(_uniform([0.2, 0.0, q_min, 0.05, 1.5], [4.0, 4.0, 4.0, 1.0, 8.0]))
+    p1, p2, q, n1, ratio = fields.tolist()
+    return ChannelParams(p1, p2, q, n1, n1 * ratio)
 
 
-gammas = st.floats(0.0, 0.97, allow_nan=False)
-scales = st.floats(-12.0, 8.0, allow_nan=False).map(lambda e: 10.0**e)
+gammas = _uniform(0.0, 0.97)
+scales = _uniform(-12.0, 8.0).map(lambda e: 10.0**e)
 
 
 # every example sweeps 20,001 points, so a failure is reported unshrunk

@@ -590,7 +590,7 @@ def _closed_misses(c, g):
         rep = verify_gdpc(c, g)
     except RelayRegionsError:
         return ()
-    _, r1, r2 = _gdpc_point(c, g)
+    _, r1, r2 = _gdpc_point([(c, g)])
     rates = gdpc_rates(c, g)
     return tuple(
         (term.term, term.closed, float(ratio), clamped)

@@ -68,6 +68,32 @@ def test_grid_spec_cell_limit():
             GridSpec(*steps)
 
 
+def test_grid_spec_round_limit():
+    # each round fits, but 10**8 + 1 of them would run for hours
+    with pytest.raises(OutOfRange, match="\\(refine_iters \\+ 1\\) must be <= 10000000"):
+        GridSpec(2, 2, 10**8, 0.5)
+    for spec in ((1000, 1000, 10), (2, 2, 10**400)):
+        with pytest.raises(OutOfRange, match="refine_iters"):
+            GridSpec(*spec)
+    # the dense reference grid, the largest round and the limit itself
+    for spec in ((500, 500, 8, 0.25), (1000, 1000), (1000, 1000, 9), (2, 5, 10**6 - 1)):
+        assert GridSpec(*spec).steps_rho == spec[0]
+
+
+@st.composite
+def nostate_rows(draw):
+    """(scale exponent, p1, p2, n1, n2/n1, gamma) over the acceptance-test
+    ranges, from a generator seeded by one draw (see ``_rng``), with p2
+    and gamma on an edge value half the time."""
+    rng = _rng(draw)
+    scale, p1, p2, n1, ratio, gamma = rng.uniform(
+        [-12.0, 0.2, 0.0, 0.05, 1.5, 0.0], [8.0, 4.0, 4.0, 1.0, 8.0, 1.0]
+    ).tolist()
+    p2 = draw(st.sampled_from([0.0, 1.0, 0.3]) | st.just(p2))
+    gamma = draw(st.sampled_from([0.0, 1.0, 0.5]) | st.just(gamma))
+    return scale, p1, p2, n1, ratio, gamma
+
+
 class TestMaxBetaNostate:
     def test_anchor_point(self):
         beta, value = max_beta_nostate(ANCHOR, 0.0)
@@ -113,15 +139,9 @@ class TestMaxBetaNostate:
             max_beta_nostate(c, gamma)
 
     @settings(PROPERTY, max_examples=300)
-    @given(
-        st.floats(-12.0, 8.0),
-        st.floats(0.2, 4.0),
-        st.sampled_from([0.0, 1.0, 0.3]) | st.floats(0.0, 4.0),
-        st.floats(0.05, 1.0),
-        st.floats(1.5, 8.0),
-        st.sampled_from([0.0, 1.0, 0.5]) | st.floats(0.0, 1.0),
-    )
-    def test_matches_parent_formula_bitwise(self, scale, p1, p2, n1, ratio, gamma):
+    @given(nostate_rows())
+    def test_matches_parent_formula_bitwise(self, row):
+        scale, p1, p2, n1, ratio, gamma = row
         k = 10.0**scale
         c = ChannelParams(p1 * k, p2 * k, 1.0, n1 * k, n1 * ratio * k)
         got = max_beta_nostate(c, gamma)
@@ -512,9 +532,190 @@ class TestBatchedSearch:
         lo = np.array([0.0, 0.25, 0.5, 1e-310, 0.0, 0.3])
         hi = np.array([1.0, 0.75, 0.5, 2e-310, 5e-324, 0.3 + 2**-50])
         for n in (2, 5, 33):
-            got = optimize._axes(lo, hi, n)
+            # the pass hands each box's ends over as a tuple of floats
+            got = optimize._axes(tuple(lo.tolist()), tuple(hi.tolist()), n)
             for row, (a, b) in zip(got, zip(lo, hi)):
                 assert row.tobytes() == np.linspace(a, b, n).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# The pass keeps each row's box, incumbent, trace and cell count in plain
+# floats and closes with one checked evaluation of all its incumbents.
+# The reference below is the pass as it stood before: that state in
+# (2, n) and (4, n) arrays, axes built from array rows, and one scalar
+# gdpc_rates call per row. The threshold, the tie rule, the shrink and
+# the clip are the same IEEE operations on the same floats, so every
+# OptResult must be equal in == and in repr.
+
+
+def _reference_axes(lo, hi, n):
+    if n == 1:
+        return lo[:, np.newaxis]
+    delta = hi - lo
+    step = delta / (n - 1)
+    pos = np.arange(n, dtype=float)
+    y = pos * step[:, np.newaxis]
+    if not step.all():
+        zero = step == 0.0
+        y[zero] = pos / (n - 1) * delta[zero, np.newaxis]
+    y += lo[:, np.newaxis]
+    y[:, -1] = hi
+    return y
+
+
+def _reference_search_pass(problems, rho_hi, n_rho, grid):
+    n = len(problems)
+    rows = np.arange(n)
+    knobs = np.array([(c.p1, c.p2, c.q, c.n1, c.n2, gamma) for c, gamma in problems], dtype=float)
+    knobs = knobs.T[:, :, np.newaxis, np.newaxis]
+    n_beta = grid.steps_beta
+    top = np.array([rho_hi, np.ones(n)])
+    lo, hi = np.zeros_like(top), top
+    best = np.full((4, n), math.inf)
+    best[3] = -math.inf
+    trace, spread = [], []
+    for _ in range(grid.refine_iters + 1):
+        rho = _reference_axes(lo[0], hi[0], n_rho)
+        beta = _reference_axes(lo[1], hi[1], n_beta)
+        spread.append(hi > lo)
+        aa, v = _best_alpha2(*knobs, rho[:, :, np.newaxis], beta[:, np.newaxis, :])
+        aa, v = aa.reshape(n, -1), v.reshape(n, -1)
+        threshold = np.maximum(v.max(axis=1) - _TIE_TOL, best[3])
+        flat = (v >= threshold[:, np.newaxis]).argmax(axis=1)
+        i_rho, i_beta = np.divmod(flat, n_beta)
+        cand = np.array([rho[rows, i_rho], beta[rows, i_beta], aa[rows, flat], v[rows, flat]])
+        (cr, cb, ca, cv), (br, bb, ba, bv) = cand, best
+        smaller = (cr < br) | ((cr == br) & ((cb < bb) | ((cb == bb) & (ca < ba))))
+        best = np.where((cv > bv + _TIE_TOL) | ((cv >= bv) & smaller), cand, best)
+        trace.append(best)
+        half = 0.5 * (hi - lo) * grid.refine_shrink
+        lo, hi = np.maximum(0.0, best[:2] - half), np.minimum(top, best[:2] + half)
+    steps = np.array([[grid.steps_rho], [n_beta]])
+    evaluations = np.where(spread, steps, 1).prod(axis=1).sum(axis=0)
+    results = []
+    history = np.array(trace).transpose(2, 0, 1).tolist()
+    for (c, gamma), rounds, cells in zip(problems, history, evaluations.tolist()):
+        path = tuple(map(tuple, rounds))
+        g = GdpcParams(gamma, *path[-1][:3])
+        r = gdpc_rates(c, g)
+        results.append(
+            OptResult(best=g, value=min(r.r1_sum, r.r2_sum), evaluations=cells, trace=path)
+        )
+    return results
+
+
+def _draw_pass(rng):
+    """A pass as ``_search`` forms one: rows over a pool of up to three
+    channels at scales 1e-12..1e8, where q = 0 gives a row a rho bound of
+    0 next to rows with a bound above 0; gammas with 0 (the rho bound
+    clips) and 1 (every cell ties at 0); rho frozen one time in four; and
+    a small grid whose shrink of 1e-17 or 1e-300 collapses the boxes."""
+    pool = []
+    for _ in range(rng.integers(1, 4)):
+        k = 10.0 ** rng.uniform(-12.0, 8.0)
+        p1, p2, q, n1, ratio = rng.uniform([0.2, 0.0, 0.1, 0.05, 1.5], [4.0, 4.0, 4.0, 1.0, 8.0])
+        p2 = rng.choice([0.0, p2])
+        q = rng.choice([0.0, q, 10.0 ** rng.uniform(-15.0, -10.0)])
+        pool.append(ChannelParams(p1 * k, p2 * k, q * k, n1 * k, n1 * ratio * k))
+    rows = [
+        (pool[rng.integers(len(pool))], float(rng.choice([0.0, 1.0, rng.uniform()])))
+        for _ in range(rng.integers(1, 9))
+    ]
+    shrink = float(rng.choice([1e-17, 1e-300, rng.uniform(0.05, 0.95)]))
+    grid = GridSpec(*rng.integers(2, 8, 2).tolist(), int(rng.integers(0, 5)), shrink)
+    frozen = rng.uniform() < 0.25
+    rho_hi = [0.0 if frozen else rho_upper_bound(c, g) for c, g in rows]
+    return rows, rho_hi, grid.steps_rho if max(rho_hi) > 0.0 else 1, grid
+
+
+def _pass_edges(rows, rho_hi, grid, results):
+    """The edges a pass reaches: rho bounds of 0 and above 0 together, an
+    incumbent on the lower or the upper end of an axis with a later round
+    to clip, a box collapsed to a point, and exact ties at value 0."""
+    edges = set()
+    if min(rho_hi) == 0.0 < max(rho_hi):
+        edges.add("mixed bounds")
+    full = (grid.refine_iters + 1) * grid.steps_beta
+    for hi, res in zip(rho_hi, results):
+        for rho, beta, _, _ in res.trace[:-1]:
+            if rho == 0.0 < hi or beta == 0.0:
+                edges.add("clip at 0")
+            if rho == hi > 0.0 or beta == 1.0:
+                edges.add("clip at bound")
+        if res.evaluations < full * (grid.steps_rho if hi > 0.0 else 1):
+            edges.add(f"collapse at {grid.refine_shrink:g}")
+        if res.value == 0.0:
+            edges.add("ties")
+    return edges
+
+
+class TestPassBookkeeping:
+    @settings(PROPERTY, max_examples=150)
+    @given(st.integers(0, 2**32 - 1))
+    def test_matches_reference_pass(self, seed):
+        rows, rho_hi, n_rho, grid = _draw_pass(np.random.default_rng(seed))
+        got = optimize._search_pass(rows, rho_hi, n_rho, grid)
+        _assert_same_results(got, _reference_search_pass(rows, rho_hi, n_rho, grid))
+
+    def test_seeded_passes_reach_every_edge(self):
+        edges = set()
+        for seed in range(60):
+            rows, rho_hi, n_rho, grid = _draw_pass(np.random.default_rng(seed))
+            got = optimize._search_pass(rows, rho_hi, n_rho, grid)
+            _assert_same_results(got, _reference_search_pass(rows, rho_hi, n_rho, grid))
+            edges |= _pass_edges(rows, rho_hi, grid, got)
+        assert edges == {
+            "mixed bounds", "clip at 0", "clip at bound",
+            "collapse at 1e-17", "collapse at 1e-300", "ties",
+        }
+
+    def test_exact_tie_at_a_positive_value(self):
+        # the second round's beta axis holds 0.5 one ulp low at the same
+        # value as 0.5, and the tie rule moves the incumbent there; the
+        # q = 0 row has a rho bound of 0 in the same pass
+        c = ChannelParams(3.1, 3.8, 3.8, 1.0, 2.75)
+        rows = [(c, 0.0), (c, 0.5), (ANCHOR, 0.0)]
+        rho_hi = [rho_upper_bound(ch, g) for ch, g in rows]
+        grid = GridSpec(3, 3, 1, 0.9)
+        got = optimize._search_pass(rows, rho_hi, 3, grid)
+        assert [beta for _, beta, _, _ in got[0].trace] == [0.5, 0.49999999999999994]
+        assert got[0].trace[0][3] == got[0].trace[1][3]
+        _assert_same_results(got, _reference_search_pass(rows, rho_hi, 3, grid))
+
+    def test_threshold_holds_the_incumbent_value(self):
+        # a synthetic kernel over beta alone: round 1 (axis step 1/8)
+        # peaks at beta = 0.5; round 2 (step 1/16) adds 0.3125 within the
+        # tie tolerance below that value and 0.4375 at it. The threshold
+        # is the incumbent's value, so the first cell at it is 0.4375,
+        # which ties and moves the incumbent to the smaller knob.
+        def kernel(p1, p2, q, n1, n2, gamma, rho, beta):
+            beta = beta + 0.0 * rho  # the full (row, rho, beta) shape
+            v = np.select([beta == 0.5, beta == 0.4375, beta == 0.3125], [1.0, 1.0, 1.0 - 0.5e-12])
+            return np.zeros_like(v), v
+
+        rows = [(ANCHOR, 0.0), (ANCHOR, 0.5)]
+        grid = GridSpec(2, 9, 1, 0.5)
+        with mock.patch.object(optimize, "_best_alpha2", kernel):
+            got = optimize._search_pass(rows, [0.0, 0.0], 1, grid)
+        with mock.patch(__name__ + "._best_alpha2", kernel):
+            want = _reference_search_pass(rows, [0.0, 0.0], 1, grid)
+        assert [beta for _, beta, _, _ in got[0].trace] == [0.5, 0.4375]
+        _assert_same_results(got, want)
+
+    def test_closing_raises_for_the_first_bad_row(self):
+        # the middle row's terms leave the float range, and so do the
+        # last row's; the pass names the first, as per-row closings did
+        fine = ChannelParams(1.0, 1.0, 1.0, 0.1, 1.0)
+        huge = ChannelParams(1e300, 1.0, 1.0, 1e-300, 1.0)
+        rows = [(fine, 0.5), (huge, 0.0), (huge, 0.25)]
+        grid = GridSpec(3, 3, 0, 0.5)
+        rho_hi = [0.0] * 3
+        with pytest.raises(OutOfRange) as got:
+            optimize._search_pass(rows, rho_hi, 1, grid)
+        with pytest.raises(OutOfRange) as want:
+            _reference_search_pass(rows, rho_hi, 1, grid)
+        assert str(got.value) == str(want.value)
+        assert "GdpcParams(gamma=0.0," in str(got.value)
 
 
 # ---------------------------------------------------------------------------
