@@ -14,9 +14,6 @@ from .model import (
     FrontierPoint,
     GdpcParams,
     InformedBothParams,
-    Negative,
-    NonDegraded,
-    NonPositive,
     OutOfRange,
     RatePoint,
     RelayRegionsError,
@@ -25,18 +22,15 @@ from .model import (
     validate_gdpc,
 )
 from .rates import (
-    NegativeArgument,
     cap_c,
     gdpc_coeffs,
     gdpc_rates,
     nostate_terms,
 )
 from .gaussian import (
-    CovarianceSystem,
     SingularSubmatrix,
     TermCheck,
     VerifyReport,
-    ZeroStatePower,
     build_cov_informed_both,
     build_cov_informed_source,
     gaussian_cmi,
@@ -46,7 +40,6 @@ from .gaussian import (
     verify_relay_identity,
 )
 from .optimize import (
-    DEFAULT_GRID,
     GridSpec,
     OptResult,
     frontier,
@@ -55,39 +48,26 @@ from .optimize import (
     sweep_snr,
 )
 from .dmc import (
-    AXES,
     AuxJoint,
     DmcSpec,
-    NotNormalized,
-    TooLarge,
     binary_pipes_spec,
-    compose_full,
     discrete_cmi,
     dmc_maximize,
     eval_informed_both,
     eval_informed_source,
-    make_degraded_channel,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AXES",
     "AuxJoint",
     "ChannelParams",
-    "CovarianceSystem",
-    "DEFAULT_GRID",
     "DmcSpec",
     "Frontier",
     "FrontierPoint",
     "GdpcParams",
     "GridSpec",
     "InformedBothParams",
-    "Negative",
-    "NegativeArgument",
-    "NonDegraded",
-    "NonPositive",
-    "NotNormalized",
     "OptResult",
     "OutOfRange",
     "RatePoint",
@@ -95,14 +75,11 @@ __all__ = [
     "SCHEMES",
     "SingularSubmatrix",
     "TermCheck",
-    "TooLarge",
     "VerifyReport",
-    "ZeroStatePower",
     "binary_pipes_spec",
     "build_cov_informed_both",
     "build_cov_informed_source",
     "cap_c",
-    "compose_full",
     "discrete_cmi",
     "dmc_maximize",
     "eval_informed_both",
@@ -111,7 +88,6 @@ __all__ = [
     "gaussian_cmi",
     "gdpc_coeffs",
     "gdpc_rates",
-    "make_degraded_channel",
     "max_beta_nostate",
     "max_r02_gdpc",
     "nostate_terms",

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import OutOfRange, RatePoint, RelayRegionsError
+from .model import OutOfRange, RatePoint
 
 AXES = ("s", "u1", "u2", "x1", "x2", "y1", "y2")
 _PMF_TOL = 1e-12
@@ -46,23 +46,14 @@ _CHUNK_CELLS = 2**16
 _CONFIRM_BITS = 1e-9
 
 
-class NotNormalized(RelayRegionsError, ValueError):
-    """A pmf does not sum to 1 (or has negative mass, or marginals that
-    contradict the channel spec)."""
-
-
-class TooLarge(RelayRegionsError, ValueError):
-    """The requested enumeration exceeds the candidate budget."""
-
-
 def _check_pmf(name: str, p: np.ndarray, axis=None) -> None:
     if (p < 0).any():
-        raise NotNormalized(f"{name} has negative entries")
+        raise OutOfRange(f"{name} has negative entries")
     sums = p.sum() if axis is None else p.sum(axis=axis)
     # np.allclose(sums, 1.0, rtol=0.0, atol=_PMF_TOL) without its overhead:
     # nan and +-inf fail the comparison
     if not (np.abs(sums - 1.0) <= _PMF_TOL).all():
-        raise NotNormalized(f"{name} must sum to 1 within {_PMF_TOL}")
+        raise OutOfRange(f"{name} must sum to 1 within {_PMF_TOL}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,7 +127,7 @@ def _joint(d: DmcSpec, pmf: np.ndarray) -> np.ndarray:
 
 def _check_state_law(d: DmcSpec, marg_s: np.ndarray) -> None:
     if np.abs(marg_s - d.p_s).max() > _PMF_TOL:
-        raise NotNormalized("aux joint marginal over s must equal p_s")
+        raise OutOfRange("aux joint marginal over s must equal p_s")
 
 
 def _entropy_bits(p: np.ndarray) -> float:
@@ -346,7 +337,7 @@ def dmc_maximize(
     per_state = math.comb(denominator + cells - 1, cells - 1)
     total = per_state**ns
     if total > _MAX_CANDIDATES:
-        raise TooLarge(
+        raise OutOfRange(
             f"{total} candidate strategies exceed the {_MAX_CANDIDATES} budget"
         )
     cond = _compositions(denominator, cells) / float(denominator)

@@ -56,10 +56,6 @@ class SingularSubmatrix(RelayRegionsError, ArithmeticError):
     even after redundant labels were eliminated."""
 
 
-class ZeroStatePower(RelayRegionsError, ValueError):
-    """The encoder-informed construction needs interference power q > 0."""
-
-
 @dataclass(frozen=True, eq=False)
 class CovarianceSystem:
     """A labeled joint Gaussian covariance over named scalar variables."""
@@ -277,7 +273,7 @@ def build_cov_informed_source(c: ChannelParams, g: GdpcParams) -> CovarianceSyst
     """
     validate_gdpc(c, g)
     if c.q <= 0.0:
-        raise ZeroStatePower(
+        raise OutOfRange(
             "interference power q must be > 0 for the encoder-informed "
             "construction; with q = 0 use the no-interference region"
         )

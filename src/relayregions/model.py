@@ -33,20 +33,8 @@ class RelayRegionsError(Exception):
     """Base class for every error raised by this package."""
 
 
-class NonPositive(RelayRegionsError, ValueError):
-    """A parameter that must be strictly positive is zero or negative."""
-
-
-class Negative(RelayRegionsError, ValueError):
-    """A parameter that must be nonnegative is negative."""
-
-
-class NonDegraded(RelayRegionsError, ValueError):
-    """Noise powers violate the degradedness requirement n1 < n2."""
-
-
 class OutOfRange(RelayRegionsError, ValueError):
-    """A value lies outside its admissible interval."""
+    """An input lies outside its domain, or a workload exceeds its budget."""
 
 
 def _require_finite(name: str, value: float) -> float:
@@ -77,18 +65,14 @@ class ChannelParams:
     def __post_init__(self) -> None:
         for name in ("p1", "p2", "q", "n1", "n2"):
             object.__setattr__(self, name, _require_finite(name, getattr(self, name)))
-        if self.p1 <= 0:
-            raise NonPositive(f"p1 must be > 0, got {self.p1}")
-        if self.n1 <= 0:
-            raise NonPositive(f"n1 must be > 0, got {self.n1}")
-        if self.n2 <= 0:
-            raise NonPositive(f"n2 must be > 0, got {self.n2}")
-        if self.p2 < 0:
-            raise Negative(f"p2 must be >= 0, got {self.p2}")
-        if self.q < 0:
-            raise Negative(f"q must be >= 0, got {self.q}")
+        for name in ("p1", "n1", "n2"):
+            if (v := getattr(self, name)) <= 0:
+                raise OutOfRange(f"{name} must be > 0, got {v}")
+        for name in ("p2", "q"):
+            if (v := getattr(self, name)) < 0:
+                raise OutOfRange(f"{name} must be >= 0, got {v}")
         if self.n1 >= self.n2:
-            raise NonDegraded(
+            raise OutOfRange(
                 f"need n1 < n2 (far branch noisier), got n1={self.n1}, n2={self.n2}"
             )
 
@@ -202,6 +186,11 @@ class GdpcCoeffs:
 SCHEMES = ("gdpc", "dpc", "informed-both", "nostate-outer")
 
 
+def _check_scheme(scheme: str) -> None:
+    if scheme not in SCHEMES:
+        raise OutOfRange(f"unknown scheme {scheme!r}, want one of {SCHEMES}")
+
+
 @dataclass(frozen=True)
 class FrontierPoint:
     """One frontier sample: the power split gamma, the optimizing knobs
@@ -226,8 +215,7 @@ class Frontier:
     points: tuple[FrontierPoint, ...]
 
     def __post_init__(self) -> None:
-        if self.scheme not in SCHEMES:
-            raise OutOfRange(f"unknown scheme {self.scheme!r}, want one of {SCHEMES}")
+        _check_scheme(self.scheme)
         for prev, cur in zip(self.points, self.points[1:]):
             if cur.rate.r1 <= prev.rate.r1:
                 raise OutOfRange("frontier r1 coordinates must strictly increase")

@@ -75,7 +75,7 @@ from .model import (
     GdpcParams,
     OutOfRange,
     RatePoint,
-    SCHEMES,
+    _check_scheme,
     _require_unit,
     rho_upper_bound,
 )
@@ -345,12 +345,6 @@ def _axes(lo, hi, n: int) -> np.ndarray:
     return y
 
 
-def _check_scheme(scheme: str) -> str:
-    if scheme not in SCHEMES:
-        raise OutOfRange(f"unknown scheme {scheme!r}, want one of {SCHEMES}")
-    return scheme
-
-
 def _solve_all(
     scheme: str, problems, grid: GridSpec | None
 ) -> list[tuple[float, float, float, float]]:
@@ -415,7 +409,10 @@ class SweepRow:
     snr_db: float
     n1: float
     rate: float | None
-    skipped: bool
+
+    @property
+    def skipped(self) -> bool:
+        return self.rate is None
 
 
 def sweep_snr(
@@ -452,6 +449,6 @@ def sweep_snr(
     kept = [(ch, 0.0) for _, _, ch in points if ch is not None]
     rates = iter([value for *_, value in _solve_all(scheme, kept, grid)])
     return tuple(
-        SweepRow(snr_db=snr, n1=n1, rate=None if ch is None else next(rates), skipped=ch is None)
+        SweepRow(snr_db=snr, n1=n1, rate=None if ch is None else next(rates))
         for snr, n1, ch in points
     )

@@ -66,7 +66,6 @@ from .model import (
     GdpcCoeffs,
     GdpcParams,
     OutOfRange,
-    RelayRegionsError,
     _require_unit,
     validate_gdpc,
 )
@@ -76,14 +75,11 @@ _LN2 = math.log(2.0)
 _TIE_TOL = 1e-12
 
 
-class NegativeArgument(RelayRegionsError, ValueError):
-    """cap_c called with a negative SNR-like argument."""
-
-
 def cap_c(x: float) -> float:
-    """Gaussian capacity function 0.5*log2(1+x), x >= 0, in bits."""
-    if x < 0:
-        raise NegativeArgument(f"cap_c argument must be >= 0, got {x}")
+    """Gaussian capacity function 0.5*log2(1+x), x >= 0, in bits; a
+    negative or nan x raises OutOfRange."""
+    if not x >= 0:
+        raise OutOfRange(f"cap_c argument must be >= 0, got {x}")
     return 0.5 * math.log1p(x) / _LN2
 
 

@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 
 from relayregions import (
-    AXES,
     AuxJoint,
     ChannelParams,
     DmcSpec,
@@ -25,7 +24,6 @@ from relayregions import (
     binary_pipes_spec,
     build_cov_informed_both,
     build_cov_informed_source,
-    compose_full,
     discrete_cmi,
     dmc_maximize,
     gaussian_cmi,
@@ -39,6 +37,7 @@ from relayregions import (
     verify_informed_both,
     verify_relay_identity,
 )
+from relayregions.dmc import AXES, compose_full
 
 
 @contextlib.contextmanager

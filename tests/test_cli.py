@@ -18,6 +18,15 @@ DATA = Path(__file__).parent / "data"
 # lucky draws; at 320,000 the sd is about 0.002 bits.
 MC_SAMPLES = "320000"
 HUGE_INT = 10**400  # a JSON integer with no float value
+# input errors the CLI reports with their message and exit code 2, the
+# config paths relative to the repository root
+ERROR_RUNS = [
+    "point --channel 0,1,1,0.1,1 --params 0,0,0,0",
+    "point --channel 1,-1,1,0.1,1 --params 0,0,0,0",
+    "point --channel 1,1,1,1,0.5 --params 0,0,0,0",
+    "dmc --config tests/data/dmc_p_s.json",
+    "dmc --config tests/data/dmc_too_large.json",
+]
 
 
 def run(capsys, *argv):
@@ -133,6 +142,17 @@ class TestGoldenOutputs:
         code, out, _ = run(capsys, *argv)
         assert code == 0
         assert out.encode() == (DATA / name).read_bytes()
+
+    def test_errors_byte_identical(self, capsys, monkeypatch):
+        """stderr and exit code of each input error, written while each
+        check still raised its own exception type."""
+        monkeypatch.chdir(DATA.parent.parent)
+        lines = []
+        for args in ERROR_RUNS:
+            code, out, err = run(capsys, *args.split())
+            assert out == ""
+            lines += [f"$ relayregions {args}\n", err, f"exit {code}\n"]
+        assert "".join(lines).encode() == (DATA / "errors.out").read_bytes()
 
     def test_parser_reused_across_calls(self, capsys):
         """The argparse tree is built once per process; a failed parse and

@@ -1,0 +1,148 @@
+"""Input errors and the public surface.
+
+Every input outside its domain, and every workload over its budget,
+raises OutOfRange, which is both a RelayRegionsError and a ValueError.
+SingularSubmatrix is the one other error type: a determinant the oracle
+needs vanished.
+"""
+
+import inspect
+
+import numpy as np
+import pytest
+
+import relayregions
+from relayregions import (
+    AuxJoint,
+    ChannelParams,
+    DmcSpec,
+    GdpcParams,
+    OutOfRange,
+    RelayRegionsError,
+    SingularSubmatrix,
+    build_cov_informed_source,
+    cap_c,
+    dmc_maximize,
+)
+from relayregions import cli, dmc, gaussian, model, optimize, rates
+from relayregions.dmc import AXES, compose_full, make_degraded_channel
+from relayregions.gaussian import CovarianceSystem
+from relayregions.optimize import DEFAULT_GRID
+
+_TWO_STATES = dict(sizes=(2, 1, 1, 1, 1, 1, 1), channel=np.ones((2, 1, 1, 1, 1)))
+
+# one row per domain or budget check, with the message it raises
+REJECTIONS = [
+    ("p1", lambda: ChannelParams(0.0, 1.0, 1.0, 0.1, 1.0), "p1 must be > 0, got 0.0"),
+    ("n1", lambda: ChannelParams(1.0, 1.0, 1.0, 0.0, 1.0), "n1 must be > 0, got 0.0"),
+    ("n2", lambda: ChannelParams(1.0, 1.0, 1.0, 0.1, -1.0), "n2 must be > 0, got -1.0"),
+    ("p2", lambda: ChannelParams(1.0, -1.0, 1.0, 0.1, 1.0), "p2 must be >= 0, got -1.0"),
+    ("q", lambda: ChannelParams(1.0, 1.0, -2.0, 0.1, 1.0), "q must be >= 0, got -2.0"),
+    (
+        "n1<n2",
+        lambda: ChannelParams(1.0, 1.0, 1.0, 1.0, 0.5),
+        "need n1 < n2 (far branch noisier), got n1=1.0, n2=0.5",
+    ),
+    ("cap_c", lambda: cap_c(-1e-9), "cap_c argument must be >= 0, got -1e-09"),
+    # nan fails every comparison, so an x < 0 test would let it through
+    ("cap_c-nan", lambda: cap_c(float("nan")), "cap_c argument must be >= 0, got nan"),
+    (
+        "q=0-source-cov",
+        lambda: build_cov_informed_source(
+            ChannelParams(1.0, 1.0, 0.0, 0.1, 1.0), GdpcParams(0.2, 0.0, 0.4, 0.5)
+        ),
+        "interference power q must be > 0 for the encoder-informed construction; "
+        "with q = 0 use the no-interference region",
+    ),
+    ("p_s-sum", lambda: DmcSpec((1,) * 7, [0.9], [[[[[1.0]]]]]), "p_s must sum to 1 within 1e-12"),
+    ("p_s-sign", lambda: DmcSpec(p_s=[1.5, -0.5], **_TWO_STATES), "p_s has negative entries"),
+    (
+        "state-law",
+        lambda: compose_full(
+            DmcSpec(p_s=[0.5, 0.5], **_TWO_STATES), AuxJoint(np.reshape([0.9, 0.1], (2, 1, 1, 1, 1)))
+        ),
+        "aux joint marginal over s must equal p_s",
+    ),
+    (
+        "degraded-rows",
+        lambda: make_degraded_channel(np.full((1, 2, 2, 2), 0.4), np.full((2, 2, 2), 0.5)),
+        "p(y1|x1,x2,s) must sum to 1 within 1e-12",
+    ),
+    (
+        "budget",
+        lambda: dmc_maximize(DmcSpec((2, 4, 4, 4, 4, 1, 1), [0.5, 0.5], np.ones((2, 4, 4, 1, 1)))),
+        "259947629107353817789888594944 candidate strategies exceed the 100000000 budget",
+    ),
+]
+
+
+@pytest.mark.parametrize("call,message", [r[1:] for r in REJECTIONS], ids=[r[0] for r in REJECTIONS])
+def test_rejection_is_out_of_range(call, message):
+    with pytest.raises(OutOfRange) as info:
+        call()
+    assert str(info.value) == message
+    assert isinstance(info.value, ValueError)
+    assert isinstance(info.value, RelayRegionsError)
+
+
+def test_three_error_types():
+    defined = {
+        cls
+        for module in (cli, dmc, gaussian, model, optimize, rates)
+        for _, cls in inspect.getmembers(module, inspect.isclass)
+        if issubclass(cls, BaseException) and cls.__module__ == module.__name__
+    }
+    assert defined == {RelayRegionsError, OutOfRange, SingularSubmatrix}
+
+
+def test_public_surface():
+    assert set(relayregions.__all__) == {
+        "AuxJoint",
+        "ChannelParams",
+        "DmcSpec",
+        "Frontier",
+        "FrontierPoint",
+        "GdpcParams",
+        "GridSpec",
+        "InformedBothParams",
+        "OptResult",
+        "OutOfRange",
+        "RatePoint",
+        "RelayRegionsError",
+        "SCHEMES",
+        "SingularSubmatrix",
+        "TermCheck",
+        "VerifyReport",
+        "binary_pipes_spec",
+        "build_cov_informed_both",
+        "build_cov_informed_source",
+        "cap_c",
+        "discrete_cmi",
+        "dmc_maximize",
+        "eval_informed_both",
+        "eval_informed_source",
+        "frontier",
+        "gaussian_cmi",
+        "gdpc_coeffs",
+        "gdpc_rates",
+        "max_beta_nostate",
+        "max_r02_gdpc",
+        "nostate_terms",
+        "rho_upper_bound",
+        "sample_mi_estimate",
+        "sweep_snr",
+        "validate_gdpc",
+        "verify_gdpc",
+        "verify_informed_both",
+        "verify_relay_identity",
+        "__version__",
+    }
+    # names only tests use stay importable from their modules (above)
+    dropped = {
+        "AXES": AXES,
+        "CovarianceSystem": CovarianceSystem,
+        "DEFAULT_GRID": DEFAULT_GRID,
+        "compose_full": compose_full,
+        "make_degraded_channel": make_degraded_channel,
+    }
+    assert not [name for name in dropped if hasattr(relayregions, name)]

@@ -8,7 +8,6 @@ from hypothesis import assume, given, settings, strategies as st
 
 from relayregions import (
     ChannelParams,
-    CovarianceSystem,
     GdpcParams,
     InformedBothParams,
     OutOfRange,
@@ -16,7 +15,6 @@ from relayregions import (
     SingularSubmatrix,
     TermCheck,
     VerifyReport,
-    ZeroStatePower,
     build_cov_informed_both,
     build_cov_informed_source,
     gaussian_cmi,
@@ -28,6 +26,7 @@ from relayregions import (
     verify_relay_identity,
 )
 from relayregions.gaussian import (
+    CovarianceSystem,
     _LOGDET_FLOOR,
     _RANK_TOL,
     _cmi_from_sigma,
@@ -207,11 +206,12 @@ def low_rank_mixes(draw):
                       min_size=n, max_size=n)),
         dtype=float,
     )
-    var = draw(st.lists(st.floats(0.25, 2.0), min_size=r, max_size=r))
+    # variances from a seeded generator: hypothesis favours float bounds
+    var = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).uniform(0.25, 2.0, r)
     roles = draw(st.lists(st.sampled_from("ABC-"), min_size=n, max_size=n))
     order = draw(st.permutations(range(n)))
     sets = [[i for i in order if roles[i] == role] for role in "ABC"]
-    return mix, (mix * np.array(var)) @ mix.T, sets
+    return mix, (mix * var) @ mix.T, sets
 
 
 def _rank(mix, rows):
@@ -351,7 +351,7 @@ class TestInformedBothCov:
 class TestInformedSourceCov:
     def test_zero_state_power_rejected(self):
         c = ChannelParams(1.0, 1.0, 0.0, 0.1, 1.0)
-        with pytest.raises(ZeroStatePower):
+        with pytest.raises(OutOfRange, match="interference power q must be > 0"):
             build_cov_informed_source(c, GdpcParams(0.2, 0.0, 0.4, 0.5))
 
     def test_power_constraints_exact(self):
@@ -674,6 +674,15 @@ class TestVerifyTotality:
             _assert_total(verify_informed_both, c, p)
             with pytest.raises(OutOfRange, match="float range"):
                 verify_informed_both(c, p)
+
+    def test_informed_both_nan_argument_of_cap_c(self):
+        # gamma*p1 + n2 overflows, so nostate_terms forms inf/inf = nan,
+        # which cap_c rejects before the float-range check is reached
+        c = ChannelParams(1.7e308, 1.7e308, 1.0, 1.0, 1.7e308)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OutOfRange, match="cap_c argument must be >= 0, got nan"):
+                verify_informed_both(c, InformedBothParams(0.5, 0.5))
 
     def test_extreme_draws(self):
         with warnings.catch_warnings():

@@ -8,7 +8,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from relayregions import (
     ChannelParams,
-    DEFAULT_GRID,
     GdpcParams,
     GridSpec,
     OptResult,
@@ -23,6 +22,7 @@ from relayregions import (
     sweep_snr,
 )
 from relayregions import optimize
+from relayregions.optimize import DEFAULT_GRID
 from relayregions.rates import (
     _TIE_TOL,
     _alpha2_free_terms,

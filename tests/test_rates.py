@@ -9,7 +9,6 @@ from hypothesis import example, given, settings, strategies as st
 from relayregions import (
     ChannelParams,
     GdpcParams,
-    NegativeArgument,
     OutOfRange,
     cap_c,
     gdpc_coeffs,
@@ -43,7 +42,7 @@ def test_cap_c_values():
 
 
 def test_cap_c_rejects_negative():
-    with pytest.raises(NegativeArgument):
+    with pytest.raises(OutOfRange, match="cap_c argument must be >= 0, got -1e-09"):
         cap_c(-1e-9)
 
 
