@@ -43,7 +43,7 @@ from .model import (
     RelayRegionsError,
     validate_gdpc,
 )
-from .rates import _gdpc_point, cap_c, nostate_terms
+from .rates import _gdpc_point, _private_rate, cap_c, nostate_terms
 
 _LN2 = math.log(2.0)
 _RANK_TOL = 1e-10
@@ -377,11 +377,12 @@ def verify_informed_both(
     """
     gbar_p1 = (1.0 - p.gamma) * c.p1
     gp1 = p.gamma * c.p1
-    private = cap_c(gp1 / c.n1)
+    private = _private_rate(c, p.gamma)
     partial = cap_c((gp1 + p.beta * gbar_p1) / c.n1)
-    relay, combine = nostate_terms(c, p.gamma, p.beta)
-    if not all(map(math.isfinite, (private, partial, relay, combine))):
+    # the private rate and nostate_terms check their own arguments
+    if partial == math.inf:
         raise OutOfRange(f"the closed forms leave the float range at {p} on {c}")
+    relay, combine = nostate_terms(c, p.gamma, p.beta)
     cov = build_cov_informed_both(c, p)
     details = (
         TermCheck(
@@ -422,13 +423,14 @@ def verify_gdpc(c: ChannelParams, g: GdpcParams, tol: float = 1e-9) -> VerifyRep
     _, r1, r2 = _gdpc_point([(c, g)])
     if not (math.isfinite(r1) and math.isfinite(r2)):
         raise SingularSubmatrix(f"a closed-form ratio has no finite log at {g} on {c}")
+    private = _private_rate(c, g.gamma)
     gp_common = gaussian_cmi(cov, ["U2"], ["Sprime"], ["X2"])
     details = (
         TermCheck(
             term="I(U1;Y1|U2,X2)-I(U1;Sprime|U2,X2)",
             oracle=gaussian_cmi(cov, ["U1"], ["Y1"], ["U2", "X2"])
             - gaussian_cmi(cov, ["U1"], ["Sprime"], ["U2", "X2"]),
-            closed=cap_c(g.gamma * c.p1 / c.n1),
+            closed=private,
         ),
         TermCheck(
             term="I(U2;Y1|X2)-I(U2;Sprime|X2)",

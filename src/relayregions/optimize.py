@@ -79,7 +79,7 @@ from .model import (
     _require_unit,
     rho_upper_bound,
 )
-from .rates import _TIE_TOL, _best_alpha2, _gdpc_point, cap_c, nostate_terms
+from .rates import _TIE_TOL, _best_alpha2, _gdpc_point, _private_rate, nostate_terms
 
 
 _MAX_GRID_CELLS = 10**6
@@ -157,8 +157,9 @@ def max_beta_nostate(c: ChannelParams, gamma: float) -> tuple[float, float]:
     optimum is the endpoint beta3 = 1.
 
     Powers near the float range can overflow the discriminant
-    B^2 - 4 A C or either term; the search then raises OutOfRange
-    instead of returning a split or a value that reads inf.
+    B^2 - 4 A C, or either term (``nostate_terms`` rejects those); the
+    search then raises OutOfRange instead of returning a split or a
+    value that reads inf.
     """
     gamma = _require_unit("gamma", gamma)
     g = (1.0 - gamma) * c.p1
@@ -176,24 +177,17 @@ def max_beta_nostate(c: ChannelParams, gamma: float) -> tuple[float, float]:
         disc = bb * bb - 4.0 * aa * cc
         # nan when cc is inf - inf; an overflowed disc would make s read 0
         if not math.isfinite(disc):
-            raise _nostate_out_of_range(c, gamma, "B^2 - 4AC", disc)
+            raise OutOfRange(
+                f"the no-interference search leaves the float range at gamma = {gamma} "
+                f"on {c}: B^2 - 4AC = {disc}"
+            )
         # the positive root, in the form that avoids cancellation, unless
         # B = 0 and 4AC underflowed (p2 = 0 at tiny powers): that form is
         # 0/0 there, and A s^2 + C = 0 gives the root directly
         den = bb + math.sqrt(disc)
         s = -2.0 * cc / den if den > 0.0 else math.sqrt(-cc / aa)
         beta = 1.0 - s * s
-    t1, t2 = nostate_terms(c, gamma, beta)
-    if not (math.isfinite(t1) and math.isfinite(t2)):
-        raise _nostate_out_of_range(c, gamma, "the terms", (t1, t2))
-    return beta, min(t1, t2)
-
-
-def _nostate_out_of_range(c: ChannelParams, gamma: float, what: str, value) -> OutOfRange:
-    return OutOfRange(
-        f"the no-interference search leaves the float range at gamma = {gamma} "
-        f"on {c}: {what} = {value}"
-    )
+    return beta, min(nostate_terms(c, gamma, beta))
 
 
 def max_r02_gdpc(
@@ -384,7 +378,7 @@ def frontier(
         raise OutOfRange("gamma_grid must hold at least one gamma")
     solved = _solve_all(scheme, [(c, gamma) for gamma in gammas], grid)
     pts = [
-        FrontierPoint(gamma, rho, beta, alpha2, RatePoint.clamped(cap_c(gamma * c.p1 / c.n1), r02))
+        FrontierPoint(gamma, rho, beta, alpha2, RatePoint.clamped(_private_rate(c, gamma), r02))
         for gamma, (rho, beta, alpha2, r02) in zip(gammas, solved)
     ]
     kept: list[FrontierPoint] = []

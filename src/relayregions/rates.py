@@ -51,7 +51,9 @@ useless parameter choices, not invalid inputs). Terms that leave the
 float range mark nothing, so ``gdpc_rates`` and ``gdpc_coeffs`` raise
 OutOfRange there: both read one checked evaluation, which runs the grid
 kernel's float operations elementwise, at one point for them and at
-every incumbent of a pass for the box search.
+every incumbent of a pass for the box search. The private rate and
+``nostate_terms`` raise OutOfRange too where a capacity argument leaves
+the float range.
 """
 
 from __future__ import annotations
@@ -81,6 +83,17 @@ def cap_c(x: float) -> float:
     if not x >= 0:
         raise OutOfRange(f"cap_c argument must be >= 0, got {x}")
     return 0.5 * math.log1p(x) / _LN2
+
+
+def _private_rate(c: ChannelParams, gamma: float) -> float:
+    """cap_c(gamma*p1/n1), the rate of the private layer. An argument that
+    overflows raises OutOfRange instead of reading a rate of inf."""
+    x = gamma * c.p1 / c.n1
+    if not math.isfinite(x):
+        raise OutOfRange(
+            f"the closed forms leave the float range at gamma = {gamma} on {c}: cap_c of [{x}]"
+        )
+    return cap_c(x)
 
 
 def _alpha2_free_terms(p1, p2, q, n1, n2, gamma, rho, beta):
@@ -237,7 +250,7 @@ def gdpc_rates(c: ChannelParams, g: GdpcParams) -> GdpcRates:
     return GdpcRates(
         r1_sum=float(r1) if r1 > 0.0 else 0.0,
         r2_sum=float(r2) if r2 > 0.0 else 0.0,
-        r_private=cap_c(g.gamma * c.p1 / c.n1),
+        r_private=_private_rate(c, g.gamma),
     )
 
 
@@ -246,12 +259,22 @@ def nostate_terms(c: ChannelParams, gamma: float, beta3: float) -> tuple[float, 
 
     The first (relay decoding) term increases with beta3, the second
     (far-user combining) term decreases; their min is what the region
-    maximizes over beta3.
+    maximizes over beta3. Powers whose sums or ratios leave the float
+    range raise OutOfRange.
     """
     _require_unit("gamma", gamma)
     _require_unit("beta3", beta3)
     gbar_p1 = (1.0 - gamma) * c.p1
-    t1 = cap_c(beta3 * gbar_p1 / (gamma * c.p1 + c.n1))
     cross = 2.0 * math.sqrt((1.0 - beta3) * gbar_p1 * c.p2)
-    t2 = cap_c((gbar_p1 + c.p2 + cross) / (gamma * c.p1 + c.n2))
-    return t1, t2
+    d1 = gamma * c.p1 + c.n1
+    d2 = gamma * c.p1 + c.n2
+    x1 = beta3 * gbar_p1 / d1
+    x2 = (gbar_p1 + c.p2 + cross) / d2
+    # an overflowed sum reads as a rate of inf, as nan (inf/inf) or as a
+    # silent 0 (x/inf)
+    if not all(map(math.isfinite, (d1, d2, x1, x2))):
+        raise OutOfRange(
+            f"the closed forms leave the float range at gamma = {gamma}, beta3 = {beta3} "
+            f"on {c}: cap_c of [{x1}, {x2}]"
+        )
+    return cap_c(x1), cap_c(x2)

@@ -1,0 +1,172 @@
+"""The reference implementations the tests compare the library against,
+one per computation, and the hypothesis settings the property tests
+share: the alpha2 kernel with a log of each ratio and each term clamped
+(``_reference_best_alpha2``), the box search one row at a time on
+meshgridded axes (``_reference_max_r02_gdpc``), and the DMC search as a
+loop over every candidate with one public ``discrete_cmi`` call per term
+(``_reference_maximize``).
+
+A change that makes one of these computations faster points the tests of
+its existing reference at the new code. It does not freeze the code it
+replaces as a second reference: the tests would then guard two
+references of one computation that must be kept equal.
+"""
+
+import itertools
+import math
+
+import numpy as np
+from hypothesis import settings
+
+from relayregions import (
+    AuxJoint,
+    GdpcParams,
+    OptResult,
+    RatePoint,
+    discrete_cmi,
+    gdpc_rates,
+    rho_upper_bound,
+)
+from relayregions import dmc
+from relayregions.dmc import AXES, compose_full
+from relayregions.optimize import DEFAULT_GRID
+from relayregions.rates import _TIE_TOL, _alpha2_free_terms, _log_ratios
+
+# derandomized: a property draws the same examples on every run, seeded
+# from its source, so a change to its body draws new ones
+PROPERTY = settings(deadline=None, derandomize=True, database=None)
+
+
+def _clamp_array(r):
+    """Map negative, nan and -inf entries to 0.0 (clamping convention),
+    elementwise: each sum-rate term clamped on its own, the mapping that
+    the single clamps of ``_best_alpha2`` and ``gdpc_rates`` reproduce."""
+    return np.where(np.isfinite(r) & (r > 0.0), r, 0.0)
+
+
+def _reference_products(p1, p2, q, n1, n2, gamma, rho, beta):
+    """The six alpha2 candidates of every cell, and a, b, c, d at each."""
+
+    def binned(pwt, qp, noise, alpha2):
+        return (1.0 - alpha2) ** 2 * pwt * qp + noise * (pwt + alpha2**2 * qp)
+
+    pwt, qp, a, c, m1, m2 = _alpha2_free_terms(p1, p2, q, n1, n2, gamma, rho, beta)
+    k2 = qp * ((pwt + m1) * c - (pwt + m2) * a)
+    k1 = -2.0 * pwt * qp * (c - a)
+    k0 = pwt * ((qp + m1) * c - (qp + m2) * a)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        h = -0.5 * (k1 + np.copysign(np.sqrt(k1 * k1 - 4.0 * k2 * k0), k1))
+        cand = np.stack(
+            np.broadcast_arrays(
+                0.0, pwt / (pwt + m1), pwt / (pwt + m2), h / k2, k0 / h, -k0 / k1
+            )
+        )
+    cand = np.where(np.isfinite(cand) & (cand >= 0.0) & (cand <= 1.0), cand, 0.0)
+    return cand, a, binned(pwt, qp, m1, cand), c, binned(pwt, qp, m2, cand)
+
+
+def _reference_best_alpha2(p1, p2, q, n1, n2, gamma, rho, beta):
+    """The kernel with a log of each ratio, then the min and the clamp.
+    Overflow, 0/0 and log 0 are silent, as in the kernel."""
+    with np.errstate(all="ignore"):
+        cand, a, b, c, d = _reference_products(p1, p2, q, n1, n2, gamma, rho, beta)
+        r1, r2 = _log_ratios(a, b, c, d)
+    v = np.minimum(_clamp_array(r1), _clamp_array(r2))
+    tied = v >= v.max(axis=0) - _TIE_TOL
+    pick = np.argmin(np.where(tied, cand, np.inf), axis=0)[np.newaxis]
+    return np.take_along_axis(cand, pick, 0)[0], np.take_along_axis(v, pick, 0)[0]
+
+
+def _reference_axis(lo, hi, steps):
+    if hi <= lo:
+        return np.array([lo])
+    return np.linspace(lo, hi, steps)
+
+
+def _reference_max_r02_gdpc(c, gamma, grid=None, *, freeze_rho=False):
+    """``max_r02_gdpc`` of one row: each round evaluates the meshgridded
+    box through ``_reference_best_alpha2``, keeps the first cell within
+    the tie tolerance of the round's best and not below the incumbent,
+    and takes it on a clear gain or on a tie at smaller knobs; the box
+    then shrinks around the incumbent, clipped to the bounds."""
+    grid = grid if grid is not None else DEFAULT_GRID
+    rho_hi = 0.0 if freeze_rho else rho_upper_bound(c, gamma)
+    bounds = ((0.0, rho_hi), (0.0, 1.0))
+    steps = (grid.steps_rho, grid.steps_beta)
+    boxes = list(bounds)
+    best = None
+    best_v = -math.inf
+    evaluations = 0
+    trace = []
+    for _ in range(grid.refine_iters + 1):
+        axes = [_reference_axis(lo, hi, n) for (lo, hi), n in zip(boxes, steps)]
+        rr, bb = np.meshgrid(*axes, indexing="ij")
+        aa, v = _reference_best_alpha2(c.p1, c.p2, c.q, c.n1, c.n2, gamma, rr, bb)
+        v = v.ravel()
+        evaluations += v.size
+        vmax = float(v.max())
+        threshold = max(vmax - _TIE_TOL, best_v)
+        eligible = v >= threshold
+        if eligible.any():
+            flat = int(np.argmax(eligible))
+            cand = (
+                float(rr.ravel()[flat]),
+                float(bb.ravel()[flat]),
+                float(aa.ravel()[flat]),
+            )
+            cand_v = float(v[flat])
+            if (
+                best is None
+                or cand_v > best_v + _TIE_TOL
+                or (cand_v >= best_v and cand < best)
+            ):
+                best, best_v = cand, cand_v
+        trace.append((*best, best_v))
+        new_boxes = []
+        for (lo0, hi0), (lo, hi), center in zip(bounds, boxes, best[:2]):
+            half = 0.5 * (hi - lo) * grid.refine_shrink
+            new_boxes.append((max(lo0, center - half), min(hi0, center + half)))
+        boxes = new_boxes
+    g = GdpcParams(gamma=gamma, rho=best[0], beta=best[1], alpha2=best[2])
+    r = gdpc_rates(c, g)
+    return OptResult(
+        best=g, value=min(r.r1_sum, r.r2_sum), evaluations=evaluations, trace=tuple(trace)
+    )
+
+
+def _product_compositions(total, cells):
+    """The tuples of ``cells`` non-negative integers that sum to ``total``,
+    in lexicographic order: ``itertools.product`` of all entries but the
+    last, filtered by their sum, with the last taking what they leave."""
+    heads = itertools.product(range(total + 1), repeat=cells - 1)
+    return [(*head, total - sum(head)) for head in heads if sum(head) <= total]
+
+
+def _per_term_evaluate(d, a, bounds):
+    """The rates of one strategy from its composed joint, with one public
+    ``discrete_cmi`` call per term of the bound."""
+    full = compose_full(d, a)
+    return RatePoint.clamped(
+        *dmc._combine(dmc._TERMS[bounds], lambda *t: discrete_cmi(full, AXES, *t), min)
+    )
+
+
+def _reference_maximize(d, bounds, denominator, objective):
+    """The search as a plain loop: every candidate through AuxJoint and
+    ``_per_term_evaluate``, in itertools.product order. The highest key
+    wins, and of equal keys the lexicographically smallest flattened
+    pmf."""
+    ns, nu1, nu2, nx1, nx2 = d.sizes[:5]
+    cells = nu1 * nu2 * nx1 * nx2
+    cond = np.array(_product_compositions(denominator, cells), dtype=float) / float(denominator)
+    best = None
+    evaluations = 0
+    for combo in itertools.product(range(len(cond)), repeat=ns):
+        pmf = (cond[list(combo)] * d.p_s[:, None]).reshape(ns, nu1, nu2, nx1, nx2)
+        rate = _per_term_evaluate(d, AuxJoint(pmf), bounds)
+        evaluations += 1
+        key = (rate.r02, rate.r1) if objective == "r02" else (rate.r1, rate.r02)
+        flat = tuple(pmf.ravel())
+        if best is None or key > best[0] or (key == best[0] and flat < best[1]):
+            best = (key, flat, pmf, rate)
+    return best[2], best[3], evaluations

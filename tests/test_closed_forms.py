@@ -16,7 +16,7 @@ from relayregions import (
     nostate_terms,
 )
 
-PROPERTY = settings(deadline=None, derandomize=True, database=None)
+from references import PROPERTY
 
 
 # Each field comes from a numpy generator seeded by one draw: derandomized

@@ -10,7 +10,6 @@ from relayregions import (
     AuxJoint,
     DmcSpec,
     OutOfRange,
-    RatePoint,
     binary_pipes_spec,
     discrete_cmi,
     dmc_maximize,
@@ -19,6 +18,8 @@ from relayregions import (
 )
 from relayregions import dmc
 from relayregions.dmc import AXES, compose_full, make_degraded_channel
+
+from references import PROPERTY, _per_term_evaluate, _product_compositions, _reference_maximize
 
 BOUNDS = {"informed-source": eval_informed_source, "informed-both": eval_informed_both}
 
@@ -267,57 +268,6 @@ class TestMaximize:
         assert r1.value == r2.value
 
 
-def _lex_compositions(total, cells):
-    if cells == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _lex_compositions(total - first, cells - 1):
-            yield (first, *rest)
-
-
-def _per_term_cmi(joint, set_a, set_b, set_c):
-    """discrete_cmi's arithmetic as it stood before the entropy memo: each
-    call sums and takes the entropy of its own four marginals."""
-
-    def h(keep):
-        drop = tuple(i for i, name in enumerate(AXES) if name not in keep)
-        flat = (joint.sum(axis=drop) if drop else joint).ravel()
-        pos = flat[flat > 0.0]
-        return float(-(pos * np.log2(pos)).sum())
-
-    a, b, c = set(set_a), set(set_b), set(set_c)
-    return max(0.0, h(a | c) + h(b | c) - h(c) - h(a | b | c))
-
-
-def _per_term_evaluate(d, a, bounds):
-    """The scalar evaluators as they stood before the entropy memo: the
-    composed joint, then one discrete_cmi call per distinct term."""
-    full = compose_full(d, a)
-    return RatePoint.clamped(
-        *dmc._combine(dmc._TERMS[bounds], lambda *t: _per_term_cmi(full, *t), min)
-    )
-
-
-def _reference_maximize(d, bounds, denominator, objective):
-    """The search as a plain loop: every candidate through AuxJoint and
-    the per-term scalar route, in itertools.product order."""
-    ns, nu1, nu2, nx1, nx2 = d.sizes[:5]
-    cells = nu1 * nu2 * nx1 * nx2
-    cond = np.array(list(_lex_compositions(denominator, cells)), dtype=float) / float(denominator)
-    best = None
-    evaluations = 0
-    for combo in itertools.product(range(len(cond)), repeat=ns):
-        pmf = (cond[list(combo)] * d.p_s[:, None]).reshape(ns, nu1, nu2, nx1, nx2)
-        rate = _per_term_evaluate(d, AuxJoint(pmf), bounds)
-        evaluations += 1
-        key = (rate.r02, rate.r1) if objective == "r02" else (rate.r1, rate.r02)
-        flat = tuple(pmf.ravel())
-        if best is None or key > best[0] or (key == best[0] and flat < best[1]):
-            best = (key, flat, pmf, rate)
-    return best[2], best[3], evaluations
-
-
 def _assert_matches_reference(d, bounds, denominator, objective):
     res = dmc_maximize(d, bounds=bounds, denominator=denominator, objective=objective)
     pmf, value, evaluations = _reference_maximize(d, bounds, denominator, objective)
@@ -386,7 +336,7 @@ def _random_strategies(rng, d, count):
     return np.stack(pmfs)
 
 
-@settings(derandomize=True, max_examples=60, deadline=None)
+@settings(PROPERTY, max_examples=60)
 @given(
     seed=st.integers(0, 2**32 - 1),
     sizes=st.tuples(*[st.integers(1, 3)] * 7),
@@ -403,25 +353,21 @@ def test_screen_matches_scalar_evaluators(seed, sizes, bounds):
         assert abs(r02[i] - want.r02) <= 1e-12
 
 
-@settings(derandomize=True, max_examples=80, deadline=None, database=None)
+@settings(PROPERTY, max_examples=80)
 @given(
     seed=st.integers(0, 2**32 - 1),
     sizes=st.tuples(*[st.integers(1, 3)] * 7),
     bounds=st.sampled_from(sorted(BOUNDS)),
 )
 def test_evaluators_match_per_term_route(seed, sizes, bounds):
-    """One check and one entropy memo per strategy give the per-term
-    route's rates bit for bit (repr tells -0.0 from 0.0), and the public
-    discrete_cmi its value on every term."""
+    """One check and one entropy memo per strategy give the rates of one
+    public discrete_cmi call per term bit for bit (repr tells -0.0 from
+    0.0)."""
     rng = np.random.default_rng(seed)
     d = _random_spec(rng, sizes)
-    terms = {tuple(t) for rate in dmc._TERMS[bounds].values() for e in rate for _, *t in e}
     for pmf in _random_strategies(rng, d, 6):
         a = AuxJoint(pmf)
         assert repr(BOUNDS[bounds](d, a)) == repr(_per_term_evaluate(d, a, bounds))
-        full = compose_full(d, a)
-        for t in terms:
-            assert repr(discrete_cmi(full, AXES, *t)) == repr(_per_term_cmi(full, *t))
 
 
 def _allclose_check(p, axis=None):
@@ -484,7 +430,7 @@ def test_check_pmf_matches_allclose(p, axis):
 class TestCompositions:
     @pytest.mark.parametrize("total,cells", [(4, 1), (4, 2), (0, 3), (4, 4), (8, 3), (3, 6)])
     def test_lexicographic_order(self, total, cells):
-        want = [c for c in itertools.product(range(total + 1), repeat=cells) if sum(c) == total]
+        want = _product_compositions(total, cells)
         assert dmc._compositions(total, cells).tolist() == [list(c) for c in want]
 
 

@@ -23,6 +23,9 @@ from relayregions import (
     build_cov_informed_source,
     cap_c,
     dmc_maximize,
+    frontier,
+    gdpc_rates,
+    nostate_terms,
 )
 from relayregions import cli, dmc, gaussian, model, optimize, rates
 from relayregions.dmc import AXES, compose_full, make_degraded_channel
@@ -30,6 +33,8 @@ from relayregions.gaussian import CovarianceSystem
 from relayregions.optimize import DEFAULT_GRID
 
 _TWO_STATES = dict(sizes=(2, 1, 1, 1, 1, 1, 1), channel=np.ones((2, 1, 1, 1, 1)))
+# gamma*p1/n1 overflows at any gamma above about 1e-292
+_HUGE_SNR = ChannelParams(1e300, 1.0, 1.0, 1e-300, 2e-300)
 
 # one row per domain or budget check, with the message it raises
 REJECTIONS = [
@@ -46,6 +51,22 @@ REJECTIONS = [
     ("cap_c", lambda: cap_c(-1e-9), "cap_c argument must be >= 0, got -1e-09"),
     # nan fails every comparison, so an x < 0 test would let it through
     ("cap_c-nan", lambda: cap_c(float("nan")), "cap_c argument must be >= 0, got nan"),
+    (
+        "nostate_terms",
+        lambda: nostate_terms(ChannelParams(1e308, 1e308, 1.0, 1.0, 1.5e308), 0.0, 0.5),
+        "the closed forms leave the float range at gamma = 0.0, beta3 = 0.5 on "
+        "ChannelParams(p1=1e+308, p2=1e+308, q=1.0, n1=1.0, n2=1.5e+308): cap_c of [5e+307, inf]",
+    ),
+    (
+        "gdpc_rates-private",
+        lambda: gdpc_rates(_HUGE_SNR, GdpcParams(1.0, 0.0, 0.0, 0.0)),
+        f"the closed forms leave the float range at gamma = 1.0 on {_HUGE_SNR}: cap_c of [inf]",
+    ),
+    (
+        "frontier-private",
+        lambda: frontier(_HUGE_SNR, "dpc", [1.0]),
+        f"the closed forms leave the float range at gamma = 1.0 on {_HUGE_SNR}: cap_c of [inf]",
+    ),
     (
         "q=0-source-cov",
         lambda: build_cov_informed_source(

@@ -34,8 +34,9 @@ from relayregions.gaussian import (
 )
 from relayregions.rates import _gdpc_point
 
+from references import PROPERTY
+
 EXAMPLE = ChannelParams(1.0, 1.0, 1.0, 0.1, 1.0)
-PROPERTY = settings(deadline=None, derandomize=True, database=None, max_examples=300)
 
 
 def _pair(r):
@@ -232,7 +233,7 @@ def _well_conditioned(sigma, a, b, c):
 
 
 class TestResidualRoute:
-    @PROPERTY
+    @settings(PROPERTY, max_examples=300)
     @given(low_rank_mixes(), st.booleans())
     def test_matches_solve_and_slogdet_route(self, drawn, shared):
         mix, sigma, (a, b, c) = drawn
@@ -255,7 +256,7 @@ class TestResidualRoute:
         got = _cmi_from_sigma(sigma, a, b, c)
         assert got == pytest.approx(want, abs=1e-11)
 
-    @PROPERTY
+    @settings(PROPERTY, max_examples=300)
     @given(low_rank_mixes(), st.randoms(use_true_random=False))
     def test_label_order_does_not_matter(self, drawn, rnd):
         mix, sigma, (a, b, c) = drawn
@@ -635,7 +636,8 @@ def _extreme_draws(n, seed):
 
 
 # closed forms past the float range: rows 1-2 read cap_c(inf) in (a),
-# the cross term of nostate_terms overflows before its square root in (b)
+# the cross term of nostate_terms overflows before its square root in (b),
+# and only row 2's argument overflows in (c)
 FLOAT_RANGE_CASES = [
     (
         ChannelParams(
@@ -651,6 +653,7 @@ FLOAT_RANGE_CASES = [
         ),
         InformedBothParams(0.0, 0.0),
     ),
+    (ChannelParams(1.5e308, 1.0, 1.0, 0.5, 1.0), InformedBothParams(0.5, 1.0)),
 ]
 
 
@@ -667,7 +670,9 @@ def _assert_total(verify, c, params):
 
 
 class TestVerifyTotality:
-    @pytest.mark.parametrize("c, p", FLOAT_RANGE_CASES, ids=["cap_c(inf)", "cross-term"])
+    @pytest.mark.parametrize(
+        "c, p", FLOAT_RANGE_CASES, ids=["cap_c(inf)", "cross-term", "partial-rate"]
+    )
     def test_informed_both_out_of_float_range(self, c, p):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -676,13 +681,16 @@ class TestVerifyTotality:
                 verify_informed_both(c, p)
 
     def test_informed_both_nan_argument_of_cap_c(self):
-        # gamma*p1 + n2 overflows, so nostate_terms forms inf/inf = nan,
-        # which cap_c rejects before the float-range check is reached
+        # gamma*p1 + n2 overflows, so the far user's argument is
+        # inf/inf = nan: the error names the float range and the point
         c = ChannelParams(1.7e308, 1.7e308, 1.0, 1.0, 1.7e308)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(OutOfRange, match="cap_c argument must be >= 0, got nan"):
+            with pytest.raises(OutOfRange) as info:
                 verify_informed_both(c, InformedBothParams(0.5, 0.5))
+        assert str(info.value).startswith(
+            f"the closed forms leave the float range at gamma = 0.5, beta3 = 0.5 on {c}: cap_c of "
+        )
 
     def test_extreme_draws(self):
         with warnings.catch_warnings():

@@ -10,7 +10,6 @@ from relayregions import (
     ChannelParams,
     GdpcParams,
     GridSpec,
-    OptResult,
     OutOfRange,
     cap_c,
     frontier,
@@ -23,23 +22,14 @@ from relayregions import (
 )
 from relayregions import optimize
 from relayregions.optimize import DEFAULT_GRID
-from relayregions.rates import (
-    _TIE_TOL,
-    _alpha2_free_terms,
-    _best_alpha2,
-    _log_ratios,
-)
+from relayregions.rates import _best_alpha2
+
+import references
+from references import PROPERTY, _reference_best_alpha2, _reference_max_r02_gdpc
+from references import _reference_products
 
 ANCHOR = ChannelParams(1.0, 1.0, 0.0, 0.1, 1.0)
-PROPERTY = settings(deadline=None, derandomize=True, database=None)
 STATEFUL = ChannelParams(1.0, 1.0, 2.0, 0.1, 1.0)
-
-
-def _clamp_array(r):
-    """Map negative, nan and -inf entries to 0.0 (clamping convention),
-    elementwise: each sum-rate term clamped on its own, the mapping that
-    the single clamps of ``_best_alpha2`` and ``gdpc_rates`` reproduce."""
-    return np.where(np.isfinite(r) & (r > 0.0), r, 0.0)
 
 
 def test_grid_spec_defaults():
@@ -311,93 +301,10 @@ class TestSweepSnr:
 
 
 # ---------------------------------------------------------------------------
-# The batched box search against the per-gamma search it replaced. The
-# reference below is that search and its six-candidate alpha2 kernel as
-# they stood, one (channel, gamma) at a time on meshgridded axes; the
-# batched one must reproduce every field of its OptResult bit for bit.
-
-
-def _reference_products(p1, p2, q, n1, n2, gamma, rho, beta):
-    """The six alpha2 candidates of every cell, and a, b, c, d at each."""
-
-    def binned(pwt, qp, noise, alpha2):
-        return (1.0 - alpha2) ** 2 * pwt * qp + noise * (pwt + alpha2**2 * qp)
-
-    pwt, qp, a, c, m1, m2 = _alpha2_free_terms(p1, p2, q, n1, n2, gamma, rho, beta)
-    k2 = qp * ((pwt + m1) * c - (pwt + m2) * a)
-    k1 = -2.0 * pwt * qp * (c - a)
-    k0 = pwt * ((qp + m1) * c - (qp + m2) * a)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        h = -0.5 * (k1 + np.copysign(np.sqrt(k1 * k1 - 4.0 * k2 * k0), k1))
-        cand = np.stack(
-            np.broadcast_arrays(
-                0.0, pwt / (pwt + m1), pwt / (pwt + m2), h / k2, k0 / h, -k0 / k1
-            )
-        )
-    cand = np.where(np.isfinite(cand) & (cand >= 0.0) & (cand <= 1.0), cand, 0.0)
-    return cand, a, binned(pwt, qp, m1, cand), c, binned(pwt, qp, m2, cand)
-
-
-def _reference_best_alpha2(p1, p2, q, n1, n2, gamma, rho, beta):
-    """The kernel with a log of each ratio, then the min and the clamp."""
-    cand, a, b, c, d = _reference_products(p1, p2, q, n1, n2, gamma, rho, beta)
-    r1, r2 = _log_ratios(a, b, c, d)
-    v = np.minimum(_clamp_array(r1), _clamp_array(r2))
-    tied = v >= v.max(axis=0) - _TIE_TOL
-    pick = np.argmin(np.where(tied, cand, np.inf), axis=0)[np.newaxis]
-    return np.take_along_axis(cand, pick, 0)[0], np.take_along_axis(v, pick, 0)[0]
-
-
-def _reference_axis(lo, hi, steps):
-    if hi <= lo:
-        return np.array([lo])
-    return np.linspace(lo, hi, steps)
-
-
-def _reference_max_r02_gdpc(c, gamma, grid=None, *, freeze_rho=False):
-    grid = grid if grid is not None else DEFAULT_GRID
-    rho_hi = 0.0 if freeze_rho else rho_upper_bound(c, gamma)
-    bounds = ((0.0, rho_hi), (0.0, 1.0))
-    steps = (grid.steps_rho, grid.steps_beta)
-    boxes = list(bounds)
-    best = None
-    best_v = -math.inf
-    evaluations = 0
-    trace = []
-    for _ in range(grid.refine_iters + 1):
-        axes = [_reference_axis(lo, hi, n) for (lo, hi), n in zip(boxes, steps)]
-        rr, bb = np.meshgrid(*axes, indexing="ij")
-        aa, v = _reference_best_alpha2(c.p1, c.p2, c.q, c.n1, c.n2, gamma, rr, bb)
-        v = v.ravel()
-        evaluations += v.size
-        vmax = float(v.max())
-        threshold = max(vmax - _TIE_TOL, best_v)
-        eligible = v >= threshold
-        if eligible.any():
-            flat = int(np.argmax(eligible))
-            cand = (
-                float(rr.ravel()[flat]),
-                float(bb.ravel()[flat]),
-                float(aa.ravel()[flat]),
-            )
-            cand_v = float(v[flat])
-            if (
-                best is None
-                or cand_v > best_v + _TIE_TOL
-                or (cand_v >= best_v and cand < best)
-            ):
-                best, best_v = cand, cand_v
-        trace.append((*best, best_v))
-        new_boxes = []
-        for (lo0, hi0), (lo, hi), center in zip(bounds, boxes, best[:2]):
-            half = 0.5 * (hi - lo) * grid.refine_shrink
-            new_boxes.append((max(lo0, center - half), min(hi0, center + half)))
-        boxes = new_boxes
-    g = GdpcParams(gamma=gamma, rho=best[0], beta=best[1], alpha2=best[2])
-    r = gdpc_rates(c, g)
-    return OptResult(
-        best=g, value=min(r.r1_sum, r.r2_sum), evaluations=evaluations, trace=tuple(trace)
-    )
+# The batched box search against the single-row reference search, one
+# (channel, gamma) at a time on meshgridded axes with the two-log alpha2
+# kernel: the batched one must reproduce every field of its OptResult
+# bit for bit.
 
 
 def _assert_same_results(got, want):
@@ -541,67 +448,18 @@ class TestBatchedSearch:
 # ---------------------------------------------------------------------------
 # The pass keeps each row's box, incumbent, trace and cell count in plain
 # floats and closes with one checked evaluation of all its incumbents.
-# The reference below is the pass as it stood before: that state in
-# (2, n) and (4, n) arrays, axes built from array rows, and one scalar
-# gdpc_rates call per row. The threshold, the tie rule, the shrink and
-# the clip are the same IEEE operations on the same floats, so every
-# OptResult must be equal in == and in repr.
+# Each row's OptResult must equal, in == and in repr, the single-row
+# reference search of that row: the threshold, the tie rule, the shrink
+# and the clip are the same IEEE operations on the same floats.
 
 
-def _reference_axes(lo, hi, n):
-    if n == 1:
-        return lo[:, np.newaxis]
-    delta = hi - lo
-    step = delta / (n - 1)
-    pos = np.arange(n, dtype=float)
-    y = pos * step[:, np.newaxis]
-    if not step.all():
-        zero = step == 0.0
-        y[zero] = pos / (n - 1) * delta[zero, np.newaxis]
-    y += lo[:, np.newaxis]
-    y[:, -1] = hi
-    return y
-
-
-def _reference_search_pass(problems, rho_hi, n_rho, grid):
-    n = len(problems)
-    rows = np.arange(n)
-    knobs = np.array([(c.p1, c.p2, c.q, c.n1, c.n2, gamma) for c, gamma in problems], dtype=float)
-    knobs = knobs.T[:, :, np.newaxis, np.newaxis]
-    n_beta = grid.steps_beta
-    top = np.array([rho_hi, np.ones(n)])
-    lo, hi = np.zeros_like(top), top
-    best = np.full((4, n), math.inf)
-    best[3] = -math.inf
-    trace, spread = [], []
-    for _ in range(grid.refine_iters + 1):
-        rho = _reference_axes(lo[0], hi[0], n_rho)
-        beta = _reference_axes(lo[1], hi[1], n_beta)
-        spread.append(hi > lo)
-        aa, v = _best_alpha2(*knobs, rho[:, :, np.newaxis], beta[:, np.newaxis, :])
-        aa, v = aa.reshape(n, -1), v.reshape(n, -1)
-        threshold = np.maximum(v.max(axis=1) - _TIE_TOL, best[3])
-        flat = (v >= threshold[:, np.newaxis]).argmax(axis=1)
-        i_rho, i_beta = np.divmod(flat, n_beta)
-        cand = np.array([rho[rows, i_rho], beta[rows, i_beta], aa[rows, flat], v[rows, flat]])
-        (cr, cb, ca, cv), (br, bb, ba, bv) = cand, best
-        smaller = (cr < br) | ((cr == br) & ((cb < bb) | ((cb == bb) & (ca < ba))))
-        best = np.where((cv > bv + _TIE_TOL) | ((cv >= bv) & smaller), cand, best)
-        trace.append(best)
-        half = 0.5 * (hi - lo) * grid.refine_shrink
-        lo, hi = np.maximum(0.0, best[:2] - half), np.minimum(top, best[:2] + half)
-    steps = np.array([[grid.steps_rho], [n_beta]])
-    evaluations = np.where(spread, steps, 1).prod(axis=1).sum(axis=0)
-    results = []
-    history = np.array(trace).transpose(2, 0, 1).tolist()
-    for (c, gamma), rounds, cells in zip(problems, history, evaluations.tolist()):
-        path = tuple(map(tuple, rounds))
-        g = GdpcParams(gamma, *path[-1][:3])
-        r = gdpc_rates(c, g)
-        results.append(
-            OptResult(best=g, value=min(r.r1_sum, r.r2_sum), evaluations=cells, trace=path)
-        )
-    return results
+def _reference_pass(rows, rho_hi, grid):
+    """The reference search of each row of a pass, in order; a row whose
+    rho bound is 0 searches rho = 0 alone, as the pass does."""
+    return [
+        _reference_max_r02_gdpc(c, gamma, grid, freeze_rho=hi == 0.0)
+        for (c, gamma), hi in zip(rows, rho_hi)
+    ]
 
 
 def _draw_pass(rng):
@@ -655,14 +513,14 @@ class TestPassBookkeeping:
     def test_matches_reference_pass(self, seed):
         rows, rho_hi, n_rho, grid = _draw_pass(np.random.default_rng(seed))
         got = optimize._search_pass(rows, rho_hi, n_rho, grid)
-        _assert_same_results(got, _reference_search_pass(rows, rho_hi, n_rho, grid))
+        _assert_same_results(got, _reference_pass(rows, rho_hi, grid))
 
     def test_seeded_passes_reach_every_edge(self):
         edges = set()
         for seed in range(60):
             rows, rho_hi, n_rho, grid = _draw_pass(np.random.default_rng(seed))
             got = optimize._search_pass(rows, rho_hi, n_rho, grid)
-            _assert_same_results(got, _reference_search_pass(rows, rho_hi, n_rho, grid))
+            _assert_same_results(got, _reference_pass(rows, rho_hi, grid))
             edges |= _pass_edges(rows, rho_hi, grid, got)
         assert edges == {
             "mixed bounds", "clip at 0", "clip at bound",
@@ -680,7 +538,7 @@ class TestPassBookkeeping:
         got = optimize._search_pass(rows, rho_hi, 3, grid)
         assert [beta for _, beta, _, _ in got[0].trace] == [0.5, 0.49999999999999994]
         assert got[0].trace[0][3] == got[0].trace[1][3]
-        _assert_same_results(got, _reference_search_pass(rows, rho_hi, 3, grid))
+        _assert_same_results(got, _reference_pass(rows, rho_hi, grid))
 
     def test_threshold_holds_the_incumbent_value(self):
         # a synthetic kernel over beta alone: round 1 (axis step 1/8)
@@ -697,8 +555,8 @@ class TestPassBookkeeping:
         grid = GridSpec(2, 9, 1, 0.5)
         with mock.patch.object(optimize, "_best_alpha2", kernel):
             got = optimize._search_pass(rows, [0.0, 0.0], 1, grid)
-        with mock.patch(__name__ + "._best_alpha2", kernel):
-            want = _reference_search_pass(rows, [0.0, 0.0], 1, grid)
+        with mock.patch.object(references, "_reference_best_alpha2", kernel):
+            want = _reference_pass(rows, [0.0, 0.0], grid)
         assert [beta for _, beta, _, _ in got[0].trace] == [0.5, 0.4375]
         _assert_same_results(got, want)
 
@@ -713,7 +571,7 @@ class TestPassBookkeeping:
         with pytest.raises(OutOfRange) as got:
             optimize._search_pass(rows, rho_hi, 1, grid)
         with pytest.raises(OutOfRange) as want:
-            _reference_search_pass(rows, rho_hi, 1, grid)
+            _reference_pass(rows, rho_hi, grid)
         assert str(got.value) == str(want.value)
         assert "GdpcParams(gamma=0.0," in str(got.value)
 

@@ -16,22 +16,12 @@ from relayregions import (
     max_beta_nostate,
     nostate_terms,
 )
-from relayregions.rates import (
-    _TIE_TOL,
-    _alpha2_free_terms,
-    _best_alpha2,
-    _binned_pair,
-)
+from relayregions.rates import _best_alpha2
+
+from references import PROPERTY, _reference_best_alpha2
 
 EXAMPLE = ChannelParams(1.0, 1.0, 1.0, 0.1, 1.0)
 KNOBS = GdpcParams(0.2, 0.3, 0.4, 0.5)
-
-
-def _clamp_array(r):
-    """Map negative, nan and -inf entries to 0.0 (clamping convention),
-    elementwise: each sum-rate term clamped on its own, the mapping that
-    the single clamps of ``_best_alpha2`` and ``gdpc_rates`` reproduce."""
-    return np.where(np.isfinite(r) & (r > 0.0), r, 0.0)
 
 
 def test_cap_c_values():
@@ -178,39 +168,6 @@ def test_gdpc_coeffs_out_of_float_range_is_an_error(c):
             gdpc_coeffs(c, GdpcParams(0.0, 0.0, 0.0, 0.0))
 
 
-def _parent_best_alpha2(p1, p2, q, n1, n2, gamma, rho, beta):
-    """``_best_alpha2`` as it stood when each log-ratio term was clamped
-    before the min, on the 12-entry stack: the reference for the kernel
-    that clamps the 6-entry min once."""
-    pwt, qp, a, c, m1, m2 = _alpha2_free_terms(p1, p2, q, n1, n2, gamma, rho, beta)
-    k2 = qp * ((pwt + m1) * c - (pwt + m2) * a)
-    k1 = -2.0 * pwt * qp * (c - a)
-    k0 = pwt * ((qp + m1) * c - (qp + m2) * a)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        h = -0.5 * (k1 + np.copysign(np.sqrt(k1 * k1 - 4.0 * k2 * k0), k1))
-        cand = np.empty((6,) + h.shape)
-        cand[0] = 0.0
-        np.divide(pwt, pwt + m1, out=cand[1])
-        np.divide(pwt, pwt + m2, out=cand[2])
-        np.divide(h, k2, out=cand[3])
-        np.divide(k0, h, out=cand[4])
-        np.divide(-k0, k1, out=cand[5])
-        cand = np.where((cand > 0.0) & (cand <= 1.0), cand, 0.0)
-        b, d = _binned_pair(pwt, qp, m1, m2, cand)
-        r = np.empty((2,) + cand.shape)
-        np.divide(a, b, out=r[0])
-        np.divide(c, d, out=r[1])
-        r = 0.5 * np.log2(r, out=r)
-    r = _clamp_array(r)
-    v = np.minimum(r[0], r[1])
-    tied = v >= v.max(axis=0) - _TIE_TOL
-    alpha2 = np.where(tied, cand, np.inf).min(axis=0)
-    return alpha2, np.where(cand == alpha2, v, -np.inf).max(axis=0)
-
-
-PROPERTY = settings(deadline=None, derandomize=True, database=None)
-
-
 @st.composite
 def kernel_rows(draw):
     """One channel at scales 1e-300..1e300 (p2 and q possibly 0), a gamma
@@ -244,8 +201,7 @@ def test_single_clamp_matches_per_term_clamp(row):
     knobs, rho, beta = row
     axes = np.array(rho)[:, np.newaxis], np.array(beta)[np.newaxis, :]
     got = _best_alpha2(*knobs, *axes)
-    with np.errstate(all="ignore"):
-        want = _parent_best_alpha2(*knobs, *axes)
+    want = _reference_best_alpha2(*knobs, *axes)
     for x, y in zip(got, want):
         # bitwise, through int64, so the sign of a zero counts
         assert np.array_equal(x.view(np.int64), y.view(np.int64))

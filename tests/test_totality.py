@@ -13,7 +13,8 @@ from hypothesis import given, settings, strategies as st
 
 from relayregions import ChannelParams, GridSpec, RelayRegionsError, frontier, max_r02_gdpc
 
-PROPERTY = settings(deadline=None, derandomize=True, database=None)
+from references import PROPERTY
+
 # three 5 x 5 gdpc rows share one pass, so a pass closes several rows
 SMALL = GridSpec(5, 5, 2, 0.25)
 
