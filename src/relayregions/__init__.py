@@ -21,12 +21,7 @@ from .model import (
     rho_upper_bound,
     validate_gdpc,
 )
-from .rates import (
-    cap_c,
-    gdpc_coeffs,
-    gdpc_rates,
-    nostate_terms,
-)
+from .rates import cap_c, gdpc_rates, nostate_terms
 from .gaussian import (
     SingularSubmatrix,
     TermCheck,
@@ -86,7 +81,6 @@ __all__ = [
     "eval_informed_source",
     "frontier",
     "gaussian_cmi",
-    "gdpc_coeffs",
     "gdpc_rates",
     "max_beta_nostate",
     "max_r02_gdpc",

@@ -58,7 +58,7 @@ from .model import (
     rho_upper_bound,
 )
 from .optimize import DEFAULT_GRID, GridSpec, frontier, sweep_snr
-from .rates import gdpc_coeffs, gdpc_rates
+from .rates import gdpc_rates
 
 EXAMPLE_CHANNEL = ChannelParams(p1=1.0, p2=1.0, q=1.0, n1=0.1, n2=1.0)
 
@@ -460,14 +460,13 @@ def _cmd_dmc(o: argparse.Namespace) -> int:
 
 
 def _cmd_point(o: argparse.Namespace) -> int:
-    coeffs = gdpc_coeffs(o.channel, o.params)
     r = gdpc_rates(o.channel, o.params)
     values = {
-        "qprime": coeffs.qprime,
-        "a": coeffs.a,
-        "b": coeffs.b,
-        "c": coeffs.c,
-        "d": coeffs.d,
+        "qprime": r.qprime,
+        "a": r.a,
+        "b": r.b,
+        "c": r.c,
+        "d": r.d,
         "r1_sum": r.r1_sum,
         "r2_sum": r.r2_sum,
         "r_private": r.r_private,

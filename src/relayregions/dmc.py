@@ -10,8 +10,9 @@ summation. dmc_maximize enumerates all strategies whose conditional
 probabilities are multiples of 1/denominator, which is crude but exact:
 an oracle, not a solver.
 
-Each bound is written once, in _TERMS, as signed conditional mutual
-informations. The scalar evaluators read it one strategy at a time:
+Each bound is written once, as signed conditional mutual informations,
+in ``model._TERMS``, which the Gaussian oracle reads too. The scalar
+evaluators read it one strategy at a time:
 they build the strategy's joint, check it once, and send every term
 through _cmi with one entropy memo, so each marginal entropy is computed
 once per strategy. dmc_maximize also reads _TERMS to screen chunks of
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import OutOfRange, RatePoint
+from .model import _TERMS, OutOfRange, RatePoint, _expression
 
 AXES = ("s", "u1", "u2", "x1", "x2", "y1", "y2")
 _PMF_TOL = 1e-12
@@ -169,47 +170,13 @@ def _cmi(joint: np.ndarray, axes: tuple, set_a, set_b, set_c, memo: dict) -> flo
     return max(0.0, h(a | c) + h(b | c) - h(c) - h(a | b | c))
 
 
-# Each bound as its two rates. A rate is the min over its expressions; an
-# expression is its first term I(a; b | c) plus (+1) or minus (-1) the
-# others, in order.
-_TERMS = {
-    "informed-both": {
-        "r1": (((+1, ("x1",), ("y1",), ("s", "u1", "x2")),),),
-        "r02": (
-            ((+1, ("u2",), ("y1",), ("s", "u1")),),
-            ((+1, ("u1", "u2"), ("y2",), ()), (-1, ("u1", "u2"), ("s",), ())),
-        ),
-    },
-    "informed-source": {
-        "r1": (
-            ((+1, ("u1",), ("y1",), ("u2", "x2")), (-1, ("u1",), ("s",), ("u2", "x2"))),
-        ),
-        "r02": (
-            ((+1, ("u2",), ("y1",), ("x2",)), (-1, ("u2",), ("s",), ("x2",))),
-            ((+1, ("u2", "x2"), ("y2",), ()), (-1, ("u2",), ("s",), ("x2",))),
-        ),
-    },
-}
-
-
 def _combine(terms: dict, cmi, minimum) -> tuple:
     """(r1, r02) of one _TERMS entry before the rate clamp. cmi(a, b, c)
     is called once per distinct term; minimum is min for floats and
     np.minimum for batches."""
-    values = {}
-
-    def expression(expr):
-        total = None
-        for sign, *term in expr:
-            key = tuple(term)
-            if key not in values:
-                values[key] = cmi(*key)
-            v = values[key]
-            total = v if total is None else (total + v if sign > 0 else total - v)
-        return total
-
+    values: dict = {}
     return tuple(
-        functools.reduce(minimum, [expression(e) for e in terms[rate]])
+        functools.reduce(minimum, [_expression(e, cmi, values) for e in terms[rate]])
         for rate in ("r1", "r02")
     )
 

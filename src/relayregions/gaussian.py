@@ -28,6 +28,7 @@ that is, one extra pass of B's kept labels on top of C and A.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from operator import mul
@@ -36,11 +37,13 @@ from typing import Iterable
 import numpy as np
 
 from .model import (
+    _TERMS,
     ChannelParams,
     GdpcParams,
     InformedBothParams,
     OutOfRange,
     RelayRegionsError,
+    _expression,
     validate_gdpc,
 )
 from .rates import _gdpc_point, _private_rate, cap_c, nostate_terms
@@ -232,7 +235,8 @@ def build_cov_informed_both(
     source's share of it. Both power constraints hold with equality.
     """
     gbar_p1 = (1.0 - p.gamma) * c.p1
-    p_coop = (math.sqrt((1.0 - p.beta) * gbar_p1) + math.sqrt(c.p2)) ** 2
+    root = math.sqrt((1.0 - p.beta) * gbar_p1) + math.sqrt(c.p2)
+    p_coop = root * root  # inf on overflow, which CovarianceSystem rejects
     p_fresh = p.beta * gbar_p1
     lam = math.sqrt((1.0 - p.beta) * gbar_p1 / p_coop) if p_coop > 0.0 else 0.0
     den = p_coop + p_fresh + p.gamma * c.p1 + c.n2
@@ -356,6 +360,39 @@ class VerifyReport:
         }
 
 
+def _region_rows(terms: dict, s: str) -> tuple:
+    """(label, expression) of each expression of a ``model._TERMS`` entry,
+    r1 then r02, with axis s read as the label s and every other axis as
+    its upper-case name."""
+    rows = []
+    for expr in terms["r1"] + terms["r02"]:
+        expr = tuple(
+            (sign, *(tuple(s if x == "s" else x.upper() for x in axes) for axes in term))
+            for sign, *term in expr
+        )
+        label = "".join(
+            f"{'-' if sign < 0 else '+' if i else ''}I({','.join(a)};{','.join(b)}"
+            f"{'|' if c else ''}{','.join(c)})"
+            for i, (sign, a, b, c) in enumerate(expr)
+        )
+        rows.append((label, expr))
+    return tuple(rows)
+
+
+_INFORMED_BOTH_ROWS = _region_rows(_TERMS["informed-both"], "S")
+_GDPC_ROWS = _region_rows(_TERMS["informed-source"], "Sprime")
+
+
+def _region_checks(cov: CovarianceSystem, rows: tuple, closed: tuple) -> tuple:
+    """A TermCheck per row against its closed form; shared terms run once."""
+    values: dict = {}
+    cmi = functools.partial(gaussian_cmi, cov)
+    return tuple(
+        TermCheck(label, _expression(expr, cmi, values), x)
+        for (label, expr), x in zip(rows, closed)
+    )
+
+
 def verify_informed_both(
     c: ChannelParams, p: InformedBothParams, tol: float = 1e-9
 ) -> VerifyReport:
@@ -375,38 +412,16 @@ def verify_informed_both(
     A closed form outside the float range raises OutOfRange before the
     covariance is built.
     """
-    gbar_p1 = (1.0 - p.gamma) * c.p1
-    gp1 = p.gamma * c.p1
     private = _private_rate(c, p.gamma)
-    partial = cap_c((gp1 + p.beta * gbar_p1) / c.n1)
+    partial = cap_c((p.gamma * c.p1 + p.beta * ((1.0 - p.gamma) * c.p1)) / c.n1)
     # the private rate and nostate_terms check their own arguments
     if partial == math.inf:
         raise OutOfRange(f"the closed forms leave the float range at {p} on {c}")
     relay, combine = nostate_terms(c, p.gamma, p.beta)
     cov = build_cov_informed_both(c, p)
-    details = (
-        TermCheck(
-            term="I(X1;Y1|S,U1,U2,X2)",
-            oracle=gaussian_cmi(cov, ["X1"], ["Y1"], ["S", "U1", "U2", "X2"]),
-            closed=private,
-        ),
-        TermCheck(
-            term="I(X1;Y1|S,U1,X2)",
-            oracle=gaussian_cmi(cov, ["X1"], ["Y1"], ["S", "U1", "X2"]),
-            closed=partial,
-        ),
-        TermCheck(
-            term="I(U2;Y1|S,U1)",
-            oracle=gaussian_cmi(cov, ["U2"], ["Y1"], ["S", "U1"]),
-            closed=relay,
-        ),
-        TermCheck(
-            term="I(U1,U2;Y2)-I(U1,U2;S)",
-            oracle=gaussian_cmi(cov, ["U1", "U2"], ["Y2"])
-            - gaussian_cmi(cov, ["U1", "U2"], ["S"]),
-            closed=combine,
-        ),
-    )
+    gated = gaussian_cmi(cov, ["X1"], ["Y1"], ["S", "U1", "U2", "X2"])
+    details = (TermCheck("I(X1;Y1|S,U1,U2,X2)", gated, private),
+               *_region_checks(cov, _INFORMED_BOTH_ROWS, (partial, relay, combine)))
     return VerifyReport("informed-both-capacity", tol, details)
 
 
@@ -423,27 +438,8 @@ def verify_gdpc(c: ChannelParams, g: GdpcParams, tol: float = 1e-9) -> VerifyRep
     _, r1, r2 = _gdpc_point([(c, g)])
     if not (math.isfinite(r1) and math.isfinite(r2)):
         raise SingularSubmatrix(f"a closed-form ratio has no finite log at {g} on {c}")
-    private = _private_rate(c, g.gamma)
-    gp_common = gaussian_cmi(cov, ["U2"], ["Sprime"], ["X2"])
-    details = (
-        TermCheck(
-            term="I(U1;Y1|U2,X2)-I(U1;Sprime|U2,X2)",
-            oracle=gaussian_cmi(cov, ["U1"], ["Y1"], ["U2", "X2"])
-            - gaussian_cmi(cov, ["U1"], ["Sprime"], ["U2", "X2"]),
-            closed=private,
-        ),
-        TermCheck(
-            term="I(U2;Y1|X2)-I(U2;Sprime|X2)",
-            oracle=gaussian_cmi(cov, ["U2"], ["Y1"], ["X2"]) - gp_common,
-            closed=float(r1),
-        ),
-        TermCheck(
-            term="I(U2,X2;Y2)-I(U2;Sprime|X2)",
-            oracle=gaussian_cmi(cov, ["U2", "X2"], ["Y2"]) - gp_common,
-            closed=float(r2),
-        ),
-    )
-    return VerifyReport("gdpc-closed-forms", tol, details)
+    closed = (_private_rate(c, g.gamma), float(r1), float(r2))
+    return VerifyReport("gdpc-closed-forms", tol, _region_checks(cov, _GDPC_ROWS, closed))
 
 
 def verify_relay_identity(

@@ -20,7 +20,7 @@ are built, so a value of one is valid and safe to share between workers.
 The parameter types store each field as a Python float, so a numpy
 scalar passed in (a float32 among them) computes as a float from then on.
 The one condition no type can hold, the channel-coupled bound on rho, is
-checked by ``validate_gdpc``.
+checked by ``validate_gdpc``. A field of -0.0 is stored as +0.0.
 """
 
 from __future__ import annotations
@@ -40,15 +40,15 @@ class OutOfRange(RelayRegionsError, ValueError):
 def _require_finite(name: str, value: float) -> float:
     if not math.isfinite(value):
         raise OutOfRange(f"{name} must be finite, got {value!r}")
-    return float(value)
+    return float(value) + 0.0  # -0.0 reads +0.0; exact for every other float
 
 
 def _require_unit(name: str, value: float) -> float:
-    """``value`` as a float if it lies in [0, 1]; nan and +-inf fail the
-    comparison and raise with everything else outside the interval."""
+    """``value`` as a float (-0.0 as +0.0) if it lies in [0, 1]; nan and
+    +-inf fail the comparison and raise with the rest outside it."""
     if not 0.0 <= value <= 1.0:
         raise OutOfRange(f"{name} must lie in [0, 1], got {value}")
-    return float(value)
+    return float(value) + 0.0
 
 
 @dataclass(frozen=True)
@@ -166,21 +166,8 @@ class RatePoint:
 
 
 def _clamp_rate(x: float) -> float:
-    if math.isnan(x) or x < 0.0:
-        return 0.0
-    return float(x)
-
-
-@dataclass(frozen=True)
-class GdpcCoeffs:
-    """The four power products a, b, c, d whose log ratios give the two
-    sum-rate bounds, plus the residual interference power qprime."""
-
-    a: float
-    b: float
-    c: float
-    d: float
-    qprime: float
+    """The rate clamp: nan, every negative value and -0.0 read +0.0."""
+    return float(x) if x > 0.0 else 0.0
 
 
 SCHEMES = ("gdpc", "dpc", "informed-both", "nostate-outer")
@@ -221,3 +208,40 @@ class Frontier:
                 raise OutOfRange("frontier r1 coordinates must strictly increase")
             if cur.rate.r02 > prev.rate.r02:
                 raise OutOfRange("frontier r02 coordinates must be non-increasing")
+
+
+# Both achievable regions, stated once on the axes (s, u1, u2, x1, x2, y1,
+# y2) of the discrete channel: ``dmc`` sums them out, ``gaussian`` reads
+# them off each construction's covariance. Each bound is its two rates. A
+# rate is the min over its expressions; an expression is its first term
+# I(a; b | c) plus (+1) or minus (-1) the others, in order.
+_TERMS = {
+    "informed-both": {
+        "r1": (((+1, ("x1",), ("y1",), ("s", "u1", "x2")),),),
+        "r02": (
+            ((+1, ("u2",), ("y1",), ("s", "u1")),),
+            ((+1, ("u1", "u2"), ("y2",), ()), (-1, ("u1", "u2"), ("s",), ())),
+        ),
+    },
+    "informed-source": {
+        "r1": (
+            ((+1, ("u1",), ("y1",), ("u2", "x2")), (-1, ("u1",), ("s",), ("u2", "x2"))),
+        ),
+        "r02": (
+            ((+1, ("u2",), ("y1",), ("x2",)), (-1, ("u2",), ("s",), ("x2",))),
+            ((+1, ("u2", "x2"), ("y2",), ()), (-1, ("u2",), ("s",), ("x2",))),
+        ),
+    },
+}
+
+
+def _expression(expr, cmi, values: dict):
+    """The value of one _TERMS expression; cmi(a, b, c) runs once per term
+    not yet in values, which keeps each term for the bound's other ones."""
+    total = None
+    for sign, a, b, c in expr:
+        v = values.get((a, b, c))
+        if v is None:
+            v = values[a, b, c] = cmi(a, b, c)
+        total = v if total is None else (total + v if sign > 0 else total - v)
+    return total

@@ -76,10 +76,11 @@ from .model import (
     OutOfRange,
     RatePoint,
     _check_scheme,
+    _clamp_rate,
     _require_unit,
     rho_upper_bound,
 )
-from .rates import _TIE_TOL, _best_alpha2, _gdpc_point, _private_rate, nostate_terms
+from .rates import _TIE_TOL, _balanced, _best_alpha2, _gdpc_point, _private_rate, nostate_terms
 
 
 _MAX_GRID_CELLS = 10**6
@@ -156,24 +157,25 @@ def max_beta_nostate(c: ChannelParams, gamma: float) -> tuple[float, float]:
     C >= 0 the increasing term never overtakes the decreasing one and the
     optimum is the endpoint beta3 = 1.
 
-    Powers near the float range can overflow the discriminant
-    B^2 - 4 A C, or either term (``nostate_terms`` rejects those); the
-    search then raises OutOfRange instead of returning a split or a
-    value that reads inf.
+    The root is found on the ``rates._balanced`` powers, which keeps
+    its bits. Powers whose spread still overflows the discriminant
+    B^2 - 4 A C, or either term (``nostate_terms`` rejects those), raise
+    OutOfRange instead of returning a split or a value that reads inf.
     """
     gamma = _require_unit("gamma", gamma)
-    g = (1.0 - gamma) * c.p1
+    p1, p2, n1, n2 = _balanced(c)
+    g = (1.0 - gamma) * p1
     if g <= 0.0:
         # no common power at all: both terms vanish
         return 0.0, 0.0
-    d1 = gamma * c.p1 + c.n1
-    d2 = gamma * c.p1 + c.n2
-    cc = (g + c.p2) * d1 - g * d2
+    d1 = gamma * p1 + n1
+    d2 = gamma * p1 + n2
+    cc = (g + p2) * d1 - g * d2
     if cc >= 0.0:
         beta = 1.0
     else:
         aa = g * d2
-        bb = 2.0 * math.sqrt(g * c.p2) * d1
+        bb = 2.0 * math.sqrt(g * p2) * d1
         disc = bb * bb - 4.0 * aa * cc
         # nan when cc is inf - inf; an overflowed disc would make s read 0
         if not math.isfinite(disc):
@@ -305,11 +307,10 @@ def _search_pass(problems, rho_hi, n_rho: int, grid: GridSpec) -> list[OptResult
     params = [GdpcParams(gamma, *inc[:3]) for (_, gamma), inc in zip(problems, best)]
     _, r1s, r2s = _gdpc_point([(c, g) for (c, _), g in zip(problems, params)])
     r1s, r2s = np.atleast_1d(r1s).tolist(), np.atleast_1d(r2s).tolist()
-    # the clamp of gdpc_rates: nan, -inf and -0.0 read +0.0
     return [
         OptResult(
             best=g,
-            value=min(r1 if r1 > 0.0 else 0.0, r2 if r2 > 0.0 else 0.0),
+            value=min(_clamp_rate(r1), _clamp_rate(r2)),
             evaluations=box[4],
             trace=path,
         )

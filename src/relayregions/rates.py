@@ -48,12 +48,14 @@ test suite checks on the q = 0 reduction.
 
 Negative or 0/0-indeterminate expressions clamp to exactly 0 (they mark
 useless parameter choices, not invalid inputs). Terms that leave the
-float range mark nothing, so ``gdpc_rates`` and ``gdpc_coeffs`` raise
-OutOfRange there: both read one checked evaluation, which runs the grid
-kernel's float operations elementwise, at one point for them and at
-every incumbent of a pass for the box search. The private rate and
-``nostate_terms`` raise OutOfRange too where a capacity argument leaves
-the float range.
+float range mark nothing, so ``gdpc_rates`` raises OutOfRange there: it
+reads one checked evaluation, which runs the grid kernel's float
+operations elementwise, at one point for it and at every incumbent of a
+pass for the box search. The private rate and ``nostate_terms`` raise
+OutOfRange too where a capacity argument leaves the float range. The
+no-interference forms are ratios of powers, so they run on the powers
+times one power of two (``_balanced``): a product of two powers past the
+float range no longer rejects a channel whose ratios are representable.
 """
 
 from __future__ import annotations
@@ -65,9 +67,9 @@ import numpy as np
 
 from .model import (
     ChannelParams,
-    GdpcCoeffs,
     GdpcParams,
     OutOfRange,
+    _clamp_rate,
     _require_unit,
     validate_gdpc,
 )
@@ -196,9 +198,17 @@ def _best_alpha2(p1, p2, q, n1, n2, gamma, rho, beta):
 
 
 class GdpcRates(NamedTuple):
+    """The clamped sum-rate bounds and the private rate, with the products
+    a, b, c, d whose log ratios the bounds are, and qprime."""
+
     r1_sum: float
     r2_sum: float
     r_private: float
+    a: float
+    b: float
+    c: float
+    d: float
+    qprime: float
 
 
 def _gdpc_point(points):
@@ -232,12 +242,6 @@ def _gdpc_point(points):
     return (a, b, cc, d, qp), r1, r2
 
 
-def gdpc_coeffs(c: ChannelParams, g: GdpcParams) -> GdpcCoeffs:
-    """The a, b, c, d products and qprime at one parameter point."""
-    a, b, cc, d, qp = _gdpc_point([(c, g)])[0]
-    return GdpcCoeffs(a=float(a), b=float(b), c=float(cc), d=float(d), qprime=float(qp))
-
-
 def gdpc_rates(c: ChannelParams, g: GdpcParams) -> GdpcRates:
     """Clamped sum-rate bounds and the private rate at one point.
 
@@ -245,13 +249,22 @@ def gdpc_rates(c: ChannelParams, g: GdpcParams) -> GdpcRates:
     private rate cap_c(gamma*p1/n1) comes on top of it. Terms out of the
     float range raise OutOfRange: their clamp would read 0 without a word.
     """
-    _, r1, r2 = _gdpc_point([(c, g)])
-    # with +inf ruled out, > 0 is the whole clamp: nan, -inf and -0.0 fail it
+    products, r1, r2 = _gdpc_point([(c, g)])
     return GdpcRates(
-        r1_sum=float(r1) if r1 > 0.0 else 0.0,
-        r2_sum=float(r2) if r2 > 0.0 else 0.0,
-        r_private=_private_rate(c, g.gamma),
+        _clamp_rate(r1), _clamp_rate(r2), _private_rate(c, g.gamma), *map(float, products)
     )
+
+
+def _balanced(c: ChannelParams) -> tuple[float, float, float, float]:
+    """p1, p2, n1 and n2 times the power of two that centres their binary
+    exponents on 0, so a product of two stays in range where their ratio
+    does. Every ratio keeps its bits, and no normal power leaves the
+    normal range. q is left out: the no-interference forms do not use it."""
+    # the binary exponents of the smallest nonzero and the largest power
+    lo = math.frexp(min(c.p1, c.n1, c.p2 or c.n1))[1]
+    hi = math.frexp(max(c.p1, c.p2, c.n2))[1]
+    k = min(max(-((lo + hi) // 2), -1021 - lo), 1024 - hi)
+    return math.ldexp(c.p1, k), math.ldexp(c.p2, k), math.ldexp(c.n1, k), math.ldexp(c.n2, k)
 
 
 def nostate_terms(c: ChannelParams, gamma: float, beta3: float) -> tuple[float, float]:
@@ -259,17 +272,18 @@ def nostate_terms(c: ChannelParams, gamma: float, beta3: float) -> tuple[float, 
 
     The first (relay decoding) term increases with beta3, the second
     (far-user combining) term decreases; their min is what the region
-    maximizes over beta3. Powers whose sums or ratios leave the float
-    range raise OutOfRange.
+    maximizes over beta3. They run on the ``_balanced`` powers; a sum or
+    ratio that still leaves the float range raises OutOfRange.
     """
-    _require_unit("gamma", gamma)
-    _require_unit("beta3", beta3)
-    gbar_p1 = (1.0 - gamma) * c.p1
-    cross = 2.0 * math.sqrt((1.0 - beta3) * gbar_p1 * c.p2)
-    d1 = gamma * c.p1 + c.n1
-    d2 = gamma * c.p1 + c.n2
+    gamma = _require_unit("gamma", gamma)
+    beta3 = _require_unit("beta3", beta3)
+    p1, p2, n1, n2 = _balanced(c)
+    gbar_p1 = (1.0 - gamma) * p1
+    cross = 2.0 * math.sqrt((1.0 - beta3) * gbar_p1 * p2)
+    d1 = gamma * p1 + n1
+    d2 = gamma * p1 + n2
     x1 = beta3 * gbar_p1 / d1
-    x2 = (gbar_p1 + c.p2 + cross) / d2
+    x2 = (gbar_p1 + p2 + cross) / d2
     # an overflowed sum reads as a rate of inf, as nan (inf/inf) or as a
     # silent 0 (x/inf)
     if not all(map(math.isfinite, (d1, d2, x1, x2))):

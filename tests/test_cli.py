@@ -5,10 +5,12 @@ import subprocess
 import sys
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
 from relayregions import SCHEMES, ChannelParams, GdpcParams, RelayRegionsError, cap_c, gdpc_rates
+from relayregions import rates
 from relayregions.cli import _COMMANDS, _DMC_KEYS, _OPTIONS, _build_parser, _options, main
 
 CHANNEL = "1,1,2,0.1,1"
@@ -532,6 +534,13 @@ class TestPointCommand:
         assert float(got["r1_sum"]) == pytest.approx(want.r1_sum, abs=1e-11)
         assert got["qprime"] == "0.260204102887"
 
+    def test_one_checked_evaluation(self, capsys):
+        # the products and the rates come from one evaluation
+        with mock.patch.object(rates, "_gdpc_point", wraps=rates._gdpc_point) as spy:
+            code, _, _ = run(capsys, "point", "--params", "0.2,0.3,0.4,0.5")
+        assert code == 0
+        assert spy.call_count == 1
+
     def test_missing_params(self, capsys):
         code, _, err = run(capsys, "point", "--channel", CHANNEL)
         assert code == 2
@@ -543,6 +552,21 @@ class TestPointCommand:
         )
         assert code == 2
         assert "rho" in err
+
+
+class TestNegativeZero:
+    """A knob of -0 reads 0: no output carries the sign of a zero input."""
+
+    def test_gamma_grid(self, capsys):
+        want = run(capsys, "frontier", "--scheme", "dpc", "--gamma-grid", "0,1")
+        assert want[0] == 0
+        for grid in ("-0,0,1", "0,-0,1", "-0,1"):
+            assert run(capsys, "frontier", "--scheme", "dpc", f"--gamma-grid={grid}") == want
+
+    def test_point_params(self, capsys):
+        want = run(capsys, "point", "--params", "0,0,0,0")
+        assert want[0] == 0
+        assert run(capsys, "point", "--params=-0,-0,-0,-0") == want
 
 
 class TestInputRejections:

@@ -53,9 +53,17 @@ REJECTIONS = [
     ("cap_c-nan", lambda: cap_c(float("nan")), "cap_c argument must be >= 0, got nan"),
     (
         "nostate_terms",
-        lambda: nostate_terms(ChannelParams(1e308, 1e308, 1.0, 1.0, 1.5e308), 0.0, 0.5),
-        "the closed forms leave the float range at gamma = 0.0, beta3 = 0.5 on "
-        "ChannelParams(p1=1e+308, p2=1e+308, q=1.0, n1=1.0, n2=1.5e+308): cap_c of [5e+307, inf]",
+        lambda: nostate_terms(ChannelParams(1e308, 1e308, 1.0, 0.25, 1.5e308), 0.0, 0.5),
+        "the closed forms leave the float range at gamma = 0.0, beta3 = 0.5 on ChannelParams("
+        "p1=1e+308, p2=1e+308, q=1.0, n1=0.25, n2=1.5e+308): cap_c of [inf, 2.2761423749153966]",
+    ),
+    # a subnormal n1 leaves the powers too spread to scale: gamma*p1 + n2
+    # overflows, and the far user's argument is inf/inf
+    (
+        "nostate_terms-nan",
+        lambda: nostate_terms(ChannelParams(1.7e308, 1.7e308, 1.0, 5e-324, 1.7e308), 0.5, 0.5),
+        "the closed forms leave the float range at gamma = 0.5, beta3 = 0.5 on ChannelParams("
+        "p1=1.7e+308, p2=1.7e+308, q=1.0, n1=5e-324, n2=1.7e+308): cap_c of [0.5, nan]",
     ),
     (
         "gdpc_rates-private",
@@ -144,7 +152,6 @@ def test_public_surface():
         "eval_informed_source",
         "frontier",
         "gaussian_cmi",
-        "gdpc_coeffs",
         "gdpc_rates",
         "max_beta_nostate",
         "max_r02_gdpc",

@@ -1,6 +1,7 @@
 import json
 import math
 import warnings
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -636,8 +637,8 @@ def _extreme_draws(n, seed):
 
 
 # closed forms past the float range: rows 1-2 read cap_c(inf) in (a),
-# the cross term of nostate_terms overflows before its square root in (b),
-# and only row 2's argument overflows in (c)
+# the cross term of nostate_terms overflows and so does the far user's
+# ratio in (b), and only row 2's argument overflows in (c)
 FLOAT_RANGE_CASES = [
     (
         ChannelParams(
@@ -646,13 +647,7 @@ FLOAT_RANGE_CASES = [
         ),
         InformedBothParams(0.19026780185398773, 0.0),
     ),
-    (
-        ChannelParams(
-            1.7117031358579987e+107, 7.437269015303797e+266, 2.9683479802586536e-33,
-            1.978944940775071e+264, 6.318926681740827e+268,
-        ),
-        InformedBothParams(0.0, 0.0),
-    ),
+    (ChannelParams(1e200, 1e200, 1.0, 1e-200, 2e-200), InformedBothParams(0.0, 0.0)),
     (ChannelParams(1.5e308, 1.0, 1.0, 0.5, 1.0), InformedBothParams(0.5, 1.0)),
 ]
 
@@ -680,16 +675,33 @@ class TestVerifyTotality:
             with pytest.raises(OutOfRange, match="float range"):
                 verify_informed_both(c, p)
 
-    def test_informed_both_nan_argument_of_cap_c(self):
-        # gamma*p1 + n2 overflows, so the far user's argument is
-        # inf/inf = nan: the error names the float range and the point
+    def test_informed_both_cooperative_power_overflow(self):
+        # the closed forms answer, but the cooperative power
+        # (sqrt((1-beta)(1-gamma)p1) + sqrt(p2))^2 overflows: the
+        # covariance check rejects it, not an OverflowError
         c = ChannelParams(1.7e308, 1.7e308, 1.0, 1.0, 1.7e308)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(OutOfRange) as info:
                 verify_informed_both(c, InformedBothParams(0.5, 0.5))
-        assert str(info.value).startswith(
-            f"the closed forms leave the float range at gamma = 0.5, beta3 = 0.5 on {c}: cap_c of "
+        assert str(info.value) == "sigma must be finite"
+
+    def test_informed_both_products_past_the_float_range(self):
+        # the cross term sqrt(p1*p2) overflows in the powers as given;
+        # the report passes, with the closed forms of the same channel
+        # scaled down, where no product overflows
+        c = ChannelParams(
+            1.7117031358579987e+107, 7.437269015303797e+266, 2.9683479802586536e-33,
+            1.978944940775071e+264, 6.318926681740827e+268,
+        )
+        scaled = ChannelParams(*(2.0**-400 * v for v in astuple(c)))
+        p = InformedBothParams(0.0, 0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got, want = verify_informed_both(c, p), verify_informed_both(scaled, p)
+        assert got.passed
+        assert [t.closed for t in got.details] == pytest.approx(
+            [t.closed for t in want.details], rel=1e-12
         )
 
     def test_extreme_draws(self):
@@ -701,6 +713,26 @@ class TestVerifyTotality:
                 _assert_total(verify_relay_identity, c, p)
 
 class TestReports:
+    def test_region_rows(self):
+        # the region rows come from one table: every label, in order
+        p = InformedBothParams(0.5, 0.5)
+
+        def terms(rep):
+            return [t.term for t in rep.details]
+
+        assert terms(verify_informed_both(EXAMPLE, p)) == [
+            "I(X1;Y1|S,U1,U2,X2)",
+            "I(X1;Y1|S,U1,X2)",
+            "I(U2;Y1|S,U1)",
+            "I(U1,U2;Y2)-I(U1,U2;S)",
+        ]
+        assert terms(verify_gdpc(EXAMPLE, GdpcParams(0.2, 0.3, 0.4, 0.5))) == [
+            "I(U1;Y1|U2,X2)-I(U1;Sprime|U2,X2)",
+            "I(U2;Y1|X2)-I(U2;Sprime|X2)",
+            "I(U2,X2;Y2)-I(U2;Sprime|X2)",
+        ]
+        assert terms(verify_relay_identity(EXAMPLE, p)) == ["I(U2;Y1|S,X2) vs I(U2;Y1|S,U1)"]
+
     def test_term_check(self):
         t = TermCheck("x", 1.0, 1.0 + 1e-12)
         assert t.abs_diff == pytest.approx(1e-12, rel=1e-3)

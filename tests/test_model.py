@@ -17,7 +17,6 @@ from relayregions import (
     RelayRegionsError,
     SCHEMES,
     frontier,
-    gdpc_coeffs,
     gdpc_rates,
     max_beta_nostate,
     max_r02_gdpc,
@@ -171,9 +170,9 @@ _UNIT_KNOBS = {
     "max_beta_nostate": lambda v: max_beta_nostate(_C, v),
     "max_r02_gdpc": lambda v: max_r02_gdpc(_C, v),
     "frontier": lambda v: frontier(_C, "gdpc", [v]),
-    # the residual interference power, read off the gdpc coefficients
-    "qprime.gamma": lambda v: gdpc_coeffs(_C, GdpcParams(v, 0.0, 0.0, 0.0)).qprime,
-    "qprime.rho": lambda v: gdpc_coeffs(_C, GdpcParams(0.2, v, 0.0, 0.0)).qprime,
+    # the residual interference power, read off the gdpc products
+    "qprime.gamma": lambda v: gdpc_rates(_C, GdpcParams(v, 0.0, 0.0, 0.0)).qprime,
+    "qprime.rho": lambda v: gdpc_rates(_C, GdpcParams(0.2, v, 0.0, 0.0)).qprime,
 }
 
 

@@ -120,13 +120,32 @@ class TestMaxBetaNostate:
             # both terms +inf at gamma = 0; C = inf - inf at 0.5
             ChannelParams(1e300, 1.0, 1.0, 1e-300, 2e-300),
             ChannelParams(1e200, 1e200, 1.0, 1e-200, 2e-200),
-            # B^2 overflows: the root read s = 0, beta3 = 1 where it is 8/9
-            ChannelParams(1e200, 1e200, 1.0, 1.0, 3.0),
+            # the far user's ratio p2/n2 overflows at every gamma
+            ChannelParams(1e-200, 1e200, 1.0, 1e-200, 2e-200),
         ],
     )
     def test_out_of_float_range_is_an_error(self, c, gamma):
         with pytest.raises(OutOfRange, match="float range"):
             max_beta_nostate(c, gamma)
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.5])
+    @pytest.mark.parametrize(
+        "c, beta0",
+        [
+            (ChannelParams(1e200, 1e200, 1.0, 1e99, 1e100), 0.36),
+            # B^2 overflowed in the powers as given: s read 0, beta3 read 1
+            (ChannelParams(1e200, 1e200, 1.0, 1.0, 3.0), 8.0 / 9.0),
+        ],
+    )
+    def test_products_past_the_float_range_answer(self, c, beta0, gamma):
+        # sqrt(g*p2) and (g + p2)*D1 overflow, but every ratio of the
+        # region is representable: the answer is that of the same
+        # channel scaled down, where no product overflows
+        got = max_beta_nostate(c, gamma)
+        k = 2.0**-400
+        want = max_beta_nostate(ChannelParams(*(k * v for v in astuple(c))), gamma)
+        assert got == pytest.approx(want, rel=1e-12)
+        assert got[0] == pytest.approx(beta0 if gamma == 0.0 else 1.0, rel=1e-12)
 
     @settings(PROPERTY, max_examples=300)
     @given(nostate_rows())
@@ -425,15 +444,6 @@ class TestBatchedSearch:
         assert got[1].evaluations == (grid.refine_iters + 1) * grid.steps_beta
         assert got[0].evaluations == (grid.refine_iters + 1) * 5 * 5
         _assert_same_results(got, [_reference_max_r02_gdpc(c, g, grid) for c, g in rows])
-
-    def test_tie_moves_the_incumbent_to_smaller_knobs(self):
-        # the second round's beta axis holds 0.5 one ulp low at the same
-        # value, and the tie rule takes it
-        c = ChannelParams(3.1, 3.8, 3.8, 1.0, 2.75)
-        grid = GridSpec(3, 3, 1, 0.9)
-        got = optimize._search([(c, 0.0), (c, 0.5)], grid, False)
-        assert [beta for _, beta, _, _ in got[0].trace] == [0.5, 0.49999999999999994]
-        _assert_same_results(got, [_reference_max_r02_gdpc(c, g, grid) for g in (0.0, 0.5)])
 
     def test_axes_match_linspace(self):
         lo = np.array([0.0, 0.25, 0.5, 1e-310, 0.0, 0.3])

@@ -11,7 +11,6 @@ from relayregions import (
     GdpcParams,
     OutOfRange,
     cap_c,
-    gdpc_coeffs,
     gdpc_rates,
     max_beta_nostate,
     nostate_terms,
@@ -37,7 +36,7 @@ def test_cap_c_rejects_negative():
 
 
 def qprime(c, gamma, rho):
-    return gdpc_coeffs(c, GdpcParams(gamma, rho, 0.0, 0.0)).qprime
+    return gdpc_rates(c, GdpcParams(gamma, rho, 0.0, 0.0)).qprime
 
 
 def test_qprime_frozen_value():
@@ -60,7 +59,7 @@ def test_qprime_validates():
 
 
 def test_gdpc_coeffs_frozen():
-    co = gdpc_coeffs(EXAMPLE, KNOBS)
+    co = gdpc_rates(EXAMPLE, KNOBS)
     assert co.a == pytest.approx(0.48479616999791714, abs=1e-14)
     assert co.b == pytest.approx(0.19123531021598397, abs=1e-14)
     assert co.c == pytest.approx(1.702316111556071, abs=1e-14)
@@ -76,7 +75,7 @@ def test_gdpc_rates_frozen():
 
 
 def test_gdpc_rates_match_coeff_ratios():
-    co = gdpc_coeffs(EXAMPLE, KNOBS)
+    co = gdpc_rates(EXAMPLE, KNOBS)
     r = gdpc_rates(EXAMPLE, KNOBS)
     assert r.r1_sum == pytest.approx(0.5 * math.log2(co.a / co.b), abs=1e-15)
     assert r.r2_sum == pytest.approx(0.5 * math.log2(co.c / co.d), abs=1e-15)
@@ -87,7 +86,7 @@ def test_gdpc_rates_clamp_negative_ratio():
     # can drive the second ratio below one; the reported rate clamps at zero
     c = ChannelParams(1.0, 0.01, 4.0, 0.1, 1.0)
     g = GdpcParams(0.0, 0.0, 0.9, 0.5)
-    co = gdpc_coeffs(c, g)
+    co = gdpc_rates(c, g)
     assert co.c < co.d
     r = gdpc_rates(c, g)
     assert r.r2_sum == 0.0
@@ -121,6 +120,21 @@ def test_nostate_terms_endpoints():
     assert t2 == pytest.approx(cap_c(2.0), abs=1e-15)
     _, t2_full = nostate_terms(c, 0.0, 0.0)
     assert t2_full == pytest.approx(cap_c(4.0), abs=1e-15)
+
+
+def test_nostate_forms_keep_their_bits_under_power_of_two_scaling():
+    # they run on the powers times one power of two chosen from their
+    # exponents, so scaling the channel by another one changes no bit
+    rng = np.random.default_rng(0)
+    for _ in range(300):
+        p1, p2, n1 = (10.0 ** rng.uniform(-60.0, 60.0, 3)).tolist()
+        n2 = n1 * (1.0 + 10.0 ** rng.uniform(-12.0, 8.0))
+        c = ChannelParams(p1, p2 * (rng.uniform() > 0.2), 1.0, n1, n2)
+        k = 2.0 ** int(rng.integers(-700, 700))
+        scaled = ChannelParams(c.p1 * k, c.p2 * k, c.q, c.n1 * k, c.n2 * k)
+        gamma, beta3 = rng.uniform(size=2).tolist()
+        assert repr(nostate_terms(scaled, gamma, beta3)) == repr(nostate_terms(c, gamma, beta3))
+        assert repr(max_beta_nostate(scaled, gamma)) == repr(max_beta_nostate(c, gamma))
 
 
 def test_relay_rate_informed_both_anchor():
@@ -161,11 +175,11 @@ def test_gdpc_rates_out_of_float_range_is_an_error(c):
 
 @pytest.mark.parametrize("c", [OVERFLOW, UNDERFLOW], ids=["overflow", "underflow"])
 def test_gdpc_coeffs_out_of_float_range_is_an_error(c):
-    # the coefficients go through the same checked evaluation as the rates
+    # the products go through the same checked evaluation as the rates
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(OutOfRange, match="float range"):
-            gdpc_coeffs(c, GdpcParams(0.0, 0.0, 0.0, 0.0))
+            gdpc_rates(c, GdpcParams(0.0, 0.0, 0.0, 0.0)).a
 
 
 @st.composite
