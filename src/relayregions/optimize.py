@@ -34,7 +34,13 @@ would cost more than the arithmetic they do. Rows run in order, in
 passes of at most ``_PASS_CELLS`` grid cells, so the 21 rows of a
 default dpc frontier share one pass while a 33 x 33 gdpc row runs alone.
 ``max_r02_gdpc`` is the pass of one row, and a row that fills a pass
-alone is solved by calling it. A row's trace is its incumbents as
+alone is solved by calling it. A pass of one row hands the kernel its
+six channel knobs as Python floats, as ``rates._gdpc_point`` does for
+one pair, and a pass of several rows as (n, 1, 1) columns: about a dozen
+of the kernel's numpy calls act on the knobs alone, and on arrays of
+one entry each would cost a call's dispatch for one multiply. Each
+operation rounds a float as it rounds an array entry, so both give the
+same bits. A row's trace is its incumbents as
 ``(rho, beta, alpha2, value)`` float tuples; only its final incumbent is
 built as a ``GdpcParams``, and a pass closes with one checked evaluation
 of all its incumbents (``rates._gdpc_point``).
@@ -80,7 +86,7 @@ from .model import (
     _require_unit,
     rho_upper_bound,
 )
-from .rates import _TIE_TOL, _balanced, _best_alpha2, _gdpc_point, _private_rate, nostate_terms
+from .rates import _TIE_TOL, _balanced, _best_alpha2, _gdpc_point, _nostate_terms, _private_rate
 
 
 _MAX_GRID_CELLS = 10**6
@@ -157,9 +163,9 @@ def max_beta_nostate(c: ChannelParams, gamma: float) -> tuple[float, float]:
     C >= 0 the increasing term never overtakes the decreasing one and the
     optimum is the endpoint beta3 = 1.
 
-    The root is found on the ``rates._balanced`` powers, which keeps
-    its bits. Powers whose spread still overflows the discriminant
-    B^2 - 4 A C, or either term (``nostate_terms`` rejects those), raise
+    The root and both terms are found on the ``rates._balanced`` powers,
+    computed once, which keeps their bits. Powers whose spread still
+    overflows the discriminant B^2 - 4 A C, or either term, raise
     OutOfRange instead of returning a split or a value that reads inf.
     """
     gamma = _require_unit("gamma", gamma)
@@ -188,8 +194,10 @@ def max_beta_nostate(c: ChannelParams, gamma: float) -> tuple[float, float]:
         # 0/0 there, and A s^2 + C = 0 gives the root directly
         den = bb + math.sqrt(disc)
         s = -2.0 * cc / den if den > 0.0 else math.sqrt(-cc / aa)
-        beta = 1.0 - s * s
-    return beta, min(nostate_terms(c, gamma, beta))
+        # s lies in (0, 1) in exact arithmetic; the check keeps a rounding
+        # past 1 from passing a negative split on
+        beta = _require_unit("beta3", 1.0 - s * s)
+    return beta, min(_nostate_terms(c, p1, p2, n1, n2, gamma, beta))
 
 
 def max_r02_gdpc(
@@ -206,7 +214,7 @@ def max_r02_gdpc(
     ``freeze_rho`` pins rho = 0, which is the plain-binning baseline
     without interference cancellation.
     """
-    _require_unit("gamma", gamma)
+    gamma = _require_unit("gamma", gamma)
     grid = grid if grid is not None else DEFAULT_GRID
     hi = 0.0 if freeze_rho else rho_upper_bound(c, gamma)
     return _search_pass([(c, gamma)], [hi], grid.steps_rho if hi > 0.0 else 1, grid)[0]
@@ -252,9 +260,10 @@ def _search_pass(problems, rho_hi, n_rho: int, grid: GridSpec) -> list[OptResult
     closes with one checked evaluation of all its incumbents."""
     n = len(problems)
     rows = np.arange(n)
-    # p1, p2, q, n1, n2 and gamma, each as an (n, 1, 1) column
-    knobs = np.array([(c.p1, c.p2, c.q, c.n1, c.n2, gamma) for c, gamma in problems], dtype=float)
-    knobs = knobs.T[:, :, np.newaxis, np.newaxis]
+    # p1, p2, q, n1, n2 and gamma: floats for one row, else each as an
+    # (n, 1, 1) column
+    knobs = [(c.p1, c.p2, c.q, c.n1, c.n2, gamma) for c, gamma in problems]
+    knobs = knobs[0] if n == 1 else np.array(knobs, dtype=float).T[:, :, np.newaxis, np.newaxis]
     steps_rho, n_beta, shrink = grid.steps_rho, grid.steps_beta, grid.refine_shrink
     # each row's (rho, beta) box with its cell count so far, and its
     # incumbent (rho, beta, alpha2, value); an infinite start loses every

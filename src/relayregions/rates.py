@@ -27,12 +27,17 @@ the leftover interference power, the two sum-rate bounds are
 and alpha2 is the inflation factor of the common binning layer.
 
 a and c do not depend on alpha2, while b and d are convex quadratics in
-it, minimized at the Costa points pwt/(pwt + n1 + gamma*p1) and
-pwt/(pwt + n2 + gamma*p1) (Costa, "Writing on dirty paper", 1983). So
-min(r1_sum, r2_sum) peaks over alpha2 in [0, 1] at alpha2 = 0, at one of
-the two Costa points, or where the bounds cross, c*b(alpha2) =
-a*d(alpha2), a quadratic (or, degenerately, linear) equation. The
-optimizer evaluates those candidates instead of searching alpha2.
+it, minimized at the Costa points A1 = pwt/(pwt + n1 + gamma*p1) and
+A2 = pwt/(pwt + n2 + gamma*p1) (Costa, "Writing on dirty paper", 1983).
+So a/b rises up to A1 and falls after it, c/d does the same about A2,
+and A2 <= A1 because n1 < n2. Below A2 both bounds rise and above A1
+both fall, so min(r1_sum, r2_sum) peaks over alpha2 in [0, 1] at A2, at
+A1, or where the bounds cross in the bracket [A2, A1]: at a root of the
+quadratic c*b(alpha2) = a*d(alpha2), whose other root lies outside the
+bracket. The optimizer evaluates those three candidates and alpha2 = 0
+instead of searching alpha2. 0 is kept for the tie rule: where pwt = 0
+or qprime = 0 every alpha2 gives the same value, and the smallest tied
+candidate is the one returned.
 
 Interference known everywhere (or absent): the capacity region is the
 no-interference one. With power split gamma and cooperative split beta3,
@@ -146,12 +151,24 @@ def _best_alpha2(p1, p2, q, n1, n2, gamma, rho, beta):
     (..., 1, n_beta) rather than meshgridded copies, so the terms that
     depend on rho alone are computed once per rho.
 
-    Returns (alpha2, value) with the value clamped. The six candidates
-    (0, the two Costa points, the two quadratic roots and the linear root
-    of c*b - a*d = 0) are evaluated in one stacked pass; a candidate that
-    is not finite or falls outside [0, 1] is replaced by 0. Of the
-    candidates within _TIE_TOL of the best value the smallest wins, and
-    its own value is returned, not the best one.
+    Returns (alpha2, value) with the value clamped. Four candidates are
+    evaluated in one stacked pass, in this order: +0.0, the far user's
+    Costa point A2, the smaller root of c*b - a*d = 0 that lies in the
+    bracket [A2, A1] (+0.0 when neither root does) and the near user's
+    Costa point A1; the module docstring says why they suffice for
+    n1 < n2. The roots are h/k2 and k0/h of k2*x^2 - 2*kh*x + k0 with
+    h = kh + sign(kh)*sqrt(kh^2 - k2*k0), and where the quadratic
+    degenerates to a linear equation (k2 = 0) k0/h is the linear root.
+    The three coefficients are first scaled by the power of two that
+    brings |kh| into [0.5, 1): the roots keep every bit, and the
+    discriminant stays in range wherever the coefficients are. Unscaled,
+    it over- or underflowed at channel powers beyond about 1e+-38 and
+    lost the crossing. A candidate that is not positive (nan, or a zero
+    of either sign) becomes +0.0; none exceeds 1, since pwt/(pwt + m) <= 1
+    for m > 0. Every candidate's value is computed by the same float
+    operations. Of the candidates within _TIE_TOL of the best value the
+    smallest wins, and its own value is returned, not the best one:
+    where pwt = 0 or qprime = 0 every candidate ties and +0.0 wins.
 
     The log and the clamp each run once, after the min. The value is
     0.5*log2(min(a/b, c/d)): np.log2 never decreases and halving is
@@ -167,29 +184,49 @@ def _best_alpha2(p1, p2, q, n1, n2, gamma, rho, beta):
     """
     with np.errstate(all="ignore"):
         pwt, qp, a, c, m1, m2 = _alpha2_free_terms(p1, p2, q, n1, n2, gamma, rho, beta)
-        # c*b(x) - a*d(x) = k2*x^2 + k1*x + k0
-        k2 = qp * ((pwt + m1) * c - (pwt + m2) * a)
-        k1 = -2.0 * pwt * qp * (c - a)
-        k0 = pwt * ((qp + m1) * c - (qp + m2) * a)
-        h = -0.5 * (k1 + np.copysign(np.sqrt(k1 * k1 - 4.0 * k2 * k0), k1))
-        # h has the full broadcast shape: k2 involves every input
-        cand = np.empty((6,) + h.shape)
-        cand[0] = 0.0
-        np.divide(pwt, pwt + m1, out=cand[1])
-        np.divide(pwt, pwt + m2, out=cand[2])
-        np.divide(h, k2, out=cand[3])
-        np.divide(k0, h, out=cand[4])
-        np.divide(-k0, k1, out=cand[5])
-        # nan and +-inf fail one of the two comparisons; zeros of either
-        # sign become candidate 0's +0.0
-        cand = np.where((cand > 0.0) & (cand <= 1.0), cand, 0.0)
+        s1 = pwt + m1
+        s2 = pwt + m2
+        # c*b(x) - a*d(x) = k2*x^2 - 2*kh*x + k0; k2 and k0 share a
+        # buffer, which then holds the two roots
+        x = s1 * c
+        x -= s2 * a
+        kk = np.empty((2,) + x.shape)
+        np.multiply(qp, x, out=kk[0])
+        x = (qp + m1) * c
+        x -= (qp + m2) * a
+        np.multiply(pwt, x, out=kk[1])
+        kh = pwt * qp
+        kh *= c - a
+        # |kh| into [0.5, 1), and k2 and k0 by the same power of two: the
+        # roots keep every bit, and the discriminant stays in range
+        # wherever the coefficients are
+        kh, e = np.frexp(kh)
+        np.ldexp(kk, -e, out=kk)
+        h = kh * kh
+        h -= kk[0] * kk[1]
+        np.sqrt(h, out=h)
+        np.copysign(h, kh, out=h)
+        h += kh
+        np.divide(h, kk[0], out=kk[0])
+        np.divide(kk[1], h, out=kk[1])
+        cand = np.zeros((4,) + h.shape)
+        a2 = np.divide(pwt, s2, out=cand[1])
+        a1 = np.divide(pwt, s1, out=cand[3])
+        inside = kk >= a2
+        inside &= kk <= a1
+        # a root outside [A2, A1], or nan, becomes nan, which fmin skips
+        root = np.fmin(*np.where(inside, kk, np.nan))
+        # nan fails the comparison, so it and zeros of either sign leave
+        # the +0.0 in place; A2 and A1 are +0.0 or positive already
+        np.copyto(cand[2], root, where=root > 0.0)
         b, d = _binned_pair(pwt, qp, m1, m2, cand)
         r1 = np.divide(a, b, out=b)
         r2 = np.divide(c, d, out=d)
         v = np.minimum(r1, r2)
         np.log2(v, out=v)
         v *= 0.5
-        v = np.where((v > 0.0) & (np.maximum(r1, r2, out=r1) < math.inf), v, 0.0)
+        # fmax reads nan (0/0), -inf (log 0) and negative values as +0.0
+        v = np.where(np.maximum(r1, r2, out=r1) < math.inf, np.fmax(v, 0.0, out=v), 0.0)
     tied = v >= v.max(axis=0) - _TIE_TOL
     # candidates equal to the pick share its value: the same operations
     # computed both
@@ -277,7 +314,12 @@ def nostate_terms(c: ChannelParams, gamma: float, beta3: float) -> tuple[float, 
     """
     gamma = _require_unit("gamma", gamma)
     beta3 = _require_unit("beta3", beta3)
-    p1, p2, n1, n2 = _balanced(c)
+    return _nostate_terms(c, *_balanced(c), gamma, beta3)
+
+
+def _nostate_terms(c, p1, p2, n1, n2, gamma, beta3):
+    """``nostate_terms`` on the ``_balanced`` powers p1, p2, n1, n2 of
+    ``c``, at a gamma and a beta3 already checked."""
     gbar_p1 = (1.0 - gamma) * p1
     cross = 2.0 * math.sqrt((1.0 - beta3) * gbar_p1 * p2)
     d1 = gamma * p1 + n1

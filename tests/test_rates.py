@@ -15,9 +15,9 @@ from relayregions import (
     max_beta_nostate,
     nostate_terms,
 )
-from relayregions.rates import _best_alpha2
+from relayregions.rates import _TIE_TOL, _alpha2_free_terms, _best_alpha2
 
-from references import PROPERTY, _reference_best_alpha2
+from references import PROPERTY, _reference_best_alpha2, _reference_products
 
 EXAMPLE = ChannelParams(1.0, 1.0, 1.0, 0.1, 1.0)
 KNOBS = GdpcParams(0.2, 0.3, 0.4, 0.5)
@@ -173,38 +173,64 @@ def test_gdpc_rates_out_of_float_range_is_an_error(c):
             gdpc_rates(c, GdpcParams(0.0, 0.0, 0.0, 0.0))
 
 
-@pytest.mark.parametrize("c", [OVERFLOW, UNDERFLOW], ids=["overflow", "underflow"])
-def test_gdpc_coeffs_out_of_float_range_is_an_error(c):
-    # the products go through the same checked evaluation as the rates
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(OutOfRange, match="float range"):
-            gdpc_rates(c, GdpcParams(0.0, 0.0, 0.0, 0.0)).a
+def _kernel_row(rng, pick, powers, steps=4):
+    """The channel of ``powers`` (p1, n1, n2, p2, q) with p2 and q possibly
+    0, a gamma (0 and 1 included), and ascending rho and beta axes of 1 to
+    ``steps`` points shaped as the search passes them, rho within its
+    bound. The continuous fields come from the numpy generator ``rng``;
+    ``pick`` chooses each edge branch from a list of options."""
+    p1, n1, n2, p2, q = powers
+    p2, q = pick([0.0, p2]), pick([0.0, q])
+
+    def unit():
+        return pick([0.0, 1.0, *rng.uniform(size=2).tolist()])
+
+    gamma = unit()
+    gbar_p1 = (1.0 - gamma) * p1
+    rho_hi = min(1.0, q / gbar_p1) if gbar_p1 > 0.0 and q > 0.0 else 0.0
+    rho = sorted(rho_hi * unit() for _ in range(rng.integers(1, steps + 1)))
+    beta = sorted(unit() for _ in range(rng.integers(1, steps + 1)))
+    return (p1, p2, q, n1, n2, gamma), rho, beta
 
 
 @st.composite
 def kernel_rows(draw):
-    """One channel at scales 1e-300..1e300 (p2 and q possibly 0), a gamma
-    (0 and 1 included), and ascending rho and beta axes shaped as the
-    search passes them, rho within its bound.
+    """``_kernel_row`` at scales 1e-300..1e300, each power drawn on its
+    own, with hypothesis choosing the edge branches.
 
     Everything but the edge branches comes from a numpy generator seeded
     by one draw: derandomized hypothesis float draws favour their bounds.
     Each branch list holds fresh generator values, so hypothesis does not
     rerun a seed with only the branches copied between draws."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    p1, n1, n2, p2, q = (10.0 ** rng.uniform(-300.0, 300.0, 5)).tolist()
-    p2, q = draw(st.sampled_from([0.0, p2])), draw(st.sampled_from([0.0, q]))
+    powers = (10.0 ** rng.uniform(-300.0, 300.0, 5)).tolist()
+    return _kernel_row(rng, lambda options: draw(st.sampled_from(options)), powers)
 
-    def unit():
-        return draw(st.sampled_from([0.0, 1.0, *rng.uniform(size=2).tolist()]))
 
-    gamma = unit()
-    gbar_p1 = (1.0 - gamma) * p1
-    rho_hi = min(1.0, q / gbar_p1) if gbar_p1 > 0.0 and q > 0.0 else 0.0
-    rho = sorted(rho_hi * unit() for _ in range(rng.integers(1, 5)))
-    beta = sorted(unit() for _ in range(rng.integers(1, 5)))
-    return (p1, p2, q, n1, n2, gamma), rho, beta
+def seeded_kernel_rows(count):
+    """``count`` rows of ``_kernel_row`` with up to 16 points an axis and
+    n1 < n2, as a channel has them, from seeds 0, 1, ..., with the
+    generator also choosing the edge branches, and each row's axes shaped
+    (n_rho, 1) and (1, n_beta).
+
+    Odd seeds draw each power on its own over 1e-300..1e300, as
+    ``kernel_rows`` does; their bounds rarely cross inside [0, 1]. Even
+    seeds draw the powers within two decades of one scale in that range,
+    where the crossing root and the ties between candidates are live, and
+    where a scale past about 1e+-38 took the discriminant of the crossing
+    quadratic out of the float range before its coefficients were scaled."""
+    for seed in range(count):
+        rng = np.random.default_rng(seed)
+        if seed % 2:
+            powers = 10.0 ** rng.uniform(-300.0, 300.0, 5)
+        else:
+            powers = 10.0 ** (rng.uniform(-298.0, 298.0) + rng.uniform(-2.0, 2.0, 5))
+        p1, n1, n2, p2, q = powers.tolist()
+        knobs, rho, beta = _kernel_row(
+            rng, lambda options: options[rng.integers(len(options))],
+            [p1, *sorted((n1, n2)), p2, q], steps=16,
+        )
+        yield knobs, np.array(rho)[:, np.newaxis], np.array(beta)[np.newaxis, :]
 
 
 @settings(PROPERTY, max_examples=300)
@@ -220,3 +246,69 @@ def test_single_clamp_matches_per_term_clamp(row):
         # bitwise, through int64, so the sign of a zero counts
         assert np.array_equal(x.view(np.int64), y.view(np.int64))
 
+
+# ---------------------------------------------------------------------------
+# The kernel evaluates four alpha2 candidates (0, the Costa points A2 and
+# A1, and the crossing root between them) where the reference evaluates
+# six. The two it drops are never the maximizer: the other root of the
+# quadratic lies outside [A2, A1], and the linear root is a root only
+# where k2 = 0, where the kept root is that root. That holds except where
+# a ratio at some candidate overflows to +inf: the clamp reads that
+# candidate as 0, and the objective in floats is no longer the min of two
+# bounds that each rise and then fall.
+
+
+def _bitwise_equal(x, y):
+    # through int64, so the sign of a zero counts
+    return np.array_equal(np.asarray(x).view(np.int64), np.asarray(y).view(np.int64))
+
+
+def test_four_candidates_lose_nothing_against_six():
+    picked_root = above = 0
+    for knobs, rho, beta in seeded_kernel_rows(2000):
+        alpha2, value = _best_alpha2(*knobs, rho, beta)
+        _, want = _reference_best_alpha2(*knobs, rho, beta)
+        with np.errstate(all="ignore"):
+            pwt, _, _, _, m1, m2 = _alpha2_free_terms(*knobs, rho, beta)
+            a2, a1 = pwt / (pwt + m2), pwt / (pwt + m1)
+            _, a, b, c, d = _reference_products(*knobs, rho, beta)
+            overflow = (np.isposinf(a / b) | np.isposinf(c / d)).any(axis=0)
+        zero = alpha2.view(np.int64) == 0  # +0.0, not -0.0
+        assert (zero | ((alpha2 >= a2) & (alpha2 <= a1))).all()
+        assert (overflow | (value >= want - _TIE_TOL)).all()
+        picked_root += int((~zero & (alpha2 != a2) & (alpha2 != a1)).sum())
+        above += int((value > want + _TIE_TOL).sum())
+    # the crossing root wins cells, and the scaled coefficients find it
+    # where the reference's discriminant left the float range
+    assert picked_root > 100
+    assert above > 0
+
+
+def test_float_knobs_match_array_knobs():
+    # a lone row's pass hands the kernel floats, a pass of several rows
+    # (n, 1, 1) columns
+    for knobs, rho, beta in seeded_kernel_rows(2000):
+        got = _best_alpha2(*knobs, rho, beta)
+        want = _best_alpha2(*(np.full((1, 1), k) for k in knobs), rho, beta)
+        for x, y in zip(got, want):
+            assert _bitwise_equal(x, y)
+
+
+def test_power_of_two_scale_changes_no_bit():
+    # every product and ratio of the kernel scales exactly by a power of
+    # two. Unscaled, the discriminant of the crossing quadratic (eighth
+    # powers of the channel) left the float range past about 2**+-128
+    rng = np.random.default_rng(0)
+    for _ in range(300):
+        p1, p2, q, n1, ratio = rng.uniform([0.2, 0.0, 0.1, 0.05, 1.5], [4.0, 4.0, 4.0, 1.0, 8.0])
+        knobs, rho, beta = _kernel_row(
+            rng, lambda options: options[rng.integers(len(options))],
+            [p1, n1, n1 * ratio, p2, q], steps=8,
+        )
+        axes = np.array(rho)[:, np.newaxis], np.array(beta)[np.newaxis, :]
+        want = _best_alpha2(*knobs, *axes)
+        for t in (-200, -130, 130, 200):
+            k = 2.0**t
+            got = _best_alpha2(*(v * k for v in knobs[:5]), knobs[5], *axes)
+            for x, y in zip(got, want):
+                assert _bitwise_equal(x, y)
