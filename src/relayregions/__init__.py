@@ -18,12 +18,12 @@ from .model import (
     RatePoint,
     RelayRegionsError,
     SCHEMES,
+    SingularSubmatrix,
     rho_upper_bound,
     validate_gdpc,
 )
 from .rates import cap_c, gdpc_rates, nostate_terms
 from .gaussian import (
-    SingularSubmatrix,
     TermCheck,
     VerifyReport,
     build_cov_informed_both,

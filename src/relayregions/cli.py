@@ -172,12 +172,24 @@ def _record(cls):
     return parse
 
 
+# Most points an a:b:x range expands to, checked before it is built: a
+# gdpc row on the default grid takes about 1.5 ms, so the longest range
+# runs in about three minutes
+_MAX_AXIS_POINTS = 10**5
+
+
+def _check_points(count: int) -> int:
+    if count > _MAX_AXIS_POINTS:
+        raise OutOfRange(f"a range must hold at most {_MAX_AXIS_POINTS} points, got {count}")
+    return count
+
+
 def _linspace(a: float, b: float, n: float) -> list[float]:
     """a:b:n, n evenly spaced points."""
     n = _as_int(n)
     if n < 1:
         raise OutOfRange(f"needs at least one point, got n={n}")
-    return [float(v) for v in np.linspace(a, b, n)]
+    return [float(v) for v in np.linspace(a, b, _check_points(n))]
 
 
 def _ladder(a: float, b: float, step: float) -> list[float]:
@@ -187,7 +199,7 @@ def _ladder(a: float, b: float, step: float) -> list[float]:
     span = (b - a) / step + 1e-9
     if not 0 <= span < math.inf:
         raise OutOfRange(f"range {a}:{b}:{step} has no points or no end")
-    return [a + i * step for i in range(math.floor(span) + 1)]
+    return [a + i * step for i in range(_check_points(math.floor(span) + 1))]
 
 
 def _axis(expand):
@@ -277,6 +289,7 @@ _OPTIONS = {
     "objective": ("r02", _text, "r02 or r1"),
 }
 _DMC_KEYS = ("bounds", "denominator", "objective")  # read from the config's dmc object
+_SPEC_KEYS = ("sizes", "p_s", "channel")  # the spec itself, read by _dmc_spec
 
 
 def _options(args: argparse.Namespace, cfg: dict) -> argparse.Namespace:
@@ -308,6 +321,16 @@ def _load_config(path: str | None) -> dict:
         cfg = json.load(handle)
     if not isinstance(cfg, dict):
         raise OutOfRange("config file must hold a JSON object")
+    # a key that nothing reads is a typo, not a value to drop silently
+    for key in cfg:
+        if key in _DMC_KEYS:
+            raise OutOfRange(f"config key {key!r} belongs in the dmc object")
+        if key not in _OPTIONS:
+            raise OutOfRange(f"unknown config key {key!r}")
+    if isinstance(cfg.get("dmc"), dict):
+        for key in cfg["dmc"]:
+            if key not in _SPEC_KEYS + _DMC_KEYS:
+                raise OutOfRange(f"unknown key {key!r} in the config's dmc object")
     return cfg
 
 

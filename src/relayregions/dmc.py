@@ -118,17 +118,13 @@ def compose_full(d: DmcSpec, a: AuxJoint) -> np.ndarray:
         raise OutOfRange(
             f"aux joint shape {a.pmf.shape} does not match spec sizes {d.sizes[:5]}"
         )
-    _check_state_law(d, a.pmf.sum(axis=(1, 2, 3, 4)))
+    if np.abs(a.pmf.sum(axis=(1, 2, 3, 4)) - d.p_s).max() > _PMF_TOL:
+        raise OutOfRange("aux joint marginal over s must equal p_s")
     return _joint(d, a.pmf)
 
 
 def _joint(d: DmcSpec, pmf: np.ndarray) -> np.ndarray:
     return pmf[..., None, None] * d.channel[:, None, None, :, :, :, :]
-
-
-def _check_state_law(d: DmcSpec, marg_s: np.ndarray) -> None:
-    if np.abs(marg_s - d.p_s).max() > _PMF_TOL:
-        raise OutOfRange("aux joint marginal over s must equal p_s")
 
 
 def _entropy_bits(p: np.ndarray) -> float:
@@ -181,10 +177,6 @@ def _combine(terms: dict, cmi, minimum) -> tuple:
     )
 
 
-def _evaluate(d: DmcSpec, a: AuxJoint, terms: dict) -> RatePoint:
-    return _rates(compose_full(d, a), terms)
-
-
 def _rates(full: np.ndarray, terms: dict) -> RatePoint:
     """The clamped (r1, r02) of one _TERMS entry on a joint composed from
     a checked spec and aux joint. The joint is not checked again: the
@@ -198,13 +190,13 @@ def _rates(full: np.ndarray, terms: dict) -> RatePoint:
 def eval_informed_both(d: DmcSpec, a: AuxJoint) -> RatePoint:
     """Achievable pair when source and relay both know the interference:
     every bound conditions on s, and no binning penalty appears."""
-    return _evaluate(d, a, _TERMS["informed-both"])
+    return _rates(compose_full(d, a), _TERMS["informed-both"])
 
 
 def eval_informed_source(d: DmcSpec, a: AuxJoint) -> RatePoint:
     """Achievable pair when only the source knows the interference: each
     mutual information pays the binning penalty I(aux; s | ...)."""
-    return _evaluate(d, a, _TERMS["informed-source"])
+    return _rates(compose_full(d, a), _TERMS["informed-source"])
 
 
 def _screen(d: DmcSpec, pmf: np.ndarray, terms: dict) -> tuple[np.ndarray, np.ndarray]:
@@ -275,8 +267,11 @@ def dmc_maximize(
     enumeration order.
 
     Screen: candidates are enumerated in chunks of at most _CHUNK_CELLS
-    joint cells; each chunk's pmfs and state marginals are checked once,
-    and numpy computes the chunk's joints and rates at once. Confirm: a
+    joint cells; each chunk's pmf sums are checked once, and numpy
+    computes the chunk's joints and rates at once. The state marginals
+    need no check: a candidate's is a sum of fl(k/denominator * p_s[s])
+    whose k/denominator sum to 1 exactly, so it lies within about 6e-14
+    of p_s[s], far inside _PMF_TOL. Confirm: a
     candidate whose screened primary rate is within _CONFIRM_BITS (1e-9
     bits) of the best screened so far, its own chunk included, is
     evaluated by the scalar route of eval_informed_* (the same joint, the
@@ -288,8 +283,7 @@ def dmc_maximize(
     over all candidates picks screens within twice that of every other
     one. It is therefore always confirmed and then wins the comparison,
     which is the scalar one. When every key ties, every candidate is
-    confirmed. evaluations counts the
-    candidates screened.
+    confirmed. evaluations counts the candidates screened.
     """
     if not isinstance(bounds, str) or bounds not in _TERMS:
         raise OutOfRange(f"bounds must be one of {tuple(_TERMS)}, got {bounds!r}")
@@ -312,32 +306,26 @@ def dmc_maximize(
     step = max(1, _CHUNK_CELLS // math.prod(d.sizes))
     primary = 1 if objective == "r02" else 0
     screen_best = -math.inf
-    best_key: tuple[float, float] | None = None
-    best_flat: tuple[float, ...] | None = None
-    best_pmf: np.ndarray | None = None
-    best_rate: RatePoint | None = None
+    # the incumbent (key, pmf, rate); its pmf is flattened only on a tie
+    best: tuple[tuple[float, float], np.ndarray, RatePoint] | None = None
     for start in range(0, total, step):
         # itertools.product order over the per-state composition indices
         index = np.arange(start, min(start + step, total))
         combos = np.stack(np.unravel_index(index, (per_state,) * ns), axis=1)
         pmf = (cond[combos] * d.p_s[:, None]).reshape(-1, *shape)
         _check_pmf("aux joint", pmf, axis=(1, 2, 3, 4, 5))
-        _check_state_law(d, pmf.sum(axis=(2, 3, 4, 5)))
         screened = _screen(d, pmf, terms)[primary]
         screen_best = max(screen_best, float(screened.max()))
         for i in np.flatnonzero(screened >= screen_best - _CONFIRM_BITS):
             rate = _rates(_joint(d, pmf[i]), terms)
             key = (rate.r02, rate.r1) if objective == "r02" else (rate.r1, rate.r02)
-            flat = tuple(pmf[i].ravel())
             if (
-                best_key is None
-                or key > best_key
-                or (key == best_key and flat < best_flat)
+                best is None
+                or key > best[0]
+                or (key == best[0] and tuple(pmf[i].ravel()) < tuple(best[1].ravel()))
             ):
-                best_key, best_flat, best_pmf, best_rate = key, flat, pmf[i], rate
-    return DmcOptResult(
-        best=AuxJoint(best_pmf), value=best_rate, evaluations=total, bounds=bounds
-    )
+                best = (key, pmf[i], rate)
+    return DmcOptResult(best=AuxJoint(best[1]), value=best[2], evaluations=total, bounds=bounds)
 
 
 def make_degraded_channel(p_y1: np.ndarray, p_y2_given_y1x2: np.ndarray) -> np.ndarray:

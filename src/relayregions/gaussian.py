@@ -42,7 +42,7 @@ from .model import (
     GdpcParams,
     InformedBothParams,
     OutOfRange,
-    RelayRegionsError,
+    SingularSubmatrix,
     _expression,
     validate_gdpc,
 )
@@ -52,11 +52,6 @@ _LN2 = math.log(2.0)
 _RANK_TOL = 1e-10
 _PSD_TOL = -1e-10
 _LOGDET_FLOOR = math.log(1e-300)
-
-
-class SingularSubmatrix(RelayRegionsError, ArithmeticError):
-    """A determinant needed by the mutual-information formula vanished
-    even after redundant labels were eliminated."""
 
 
 @dataclass(frozen=True, eq=False)

@@ -37,6 +37,11 @@ class OutOfRange(RelayRegionsError, ValueError):
     """An input lies outside its domain, or a workload exceeds its budget."""
 
 
+class SingularSubmatrix(RelayRegionsError, ArithmeticError):
+    """A determinant needed by the mutual-information formula vanished
+    even after redundant labels were eliminated."""
+
+
 def _require_finite(name: str, value: float) -> float:
     if not math.isfinite(value):
         raise OutOfRange(f"{name} must be finite, got {value!r}")

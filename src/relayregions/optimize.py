@@ -62,9 +62,10 @@ one. Only bare floats are checked where they enter: a gamma must lie in
 [0, 1] (``model._require_unit``). The rows of a frontier or sweep go
 through the same checks as a single call: ``max_beta_nostate`` per
 nostate gamma, and for the searched rows the pass's closing, the
-evaluation ``rates.gdpc_rates`` reads, which checks each chosen point's
-rho bound and raises OutOfRange for the first row whose rate terms
-leave the float range.
+evaluation ``rates.gdpc_rates`` reads, which raises OutOfRange for the
+first row whose rate terms leave the float range. An incumbent needs no
+``validate_gdpc``: its rho lies in [0, ``rho_upper_bound``], since the
+box is clipped to that bound and no axis point lies past its box end.
 """
 
 from __future__ import annotations

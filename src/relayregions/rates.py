@@ -255,8 +255,8 @@ def _gdpc_point(points):
     pair, or a scalar when there is one pair. Only powers out of the
     float range make a term overflow or a ratio reach +inf (b = 0 forces
     a = 0 in exact arithmetic, unless b underflows). Pairs are checked in
-    order, each through ``validate_gdpc`` and then its terms, and the
-    first bad pair raises OutOfRange, without a warning."""
+    order, and the first bad pair raises OutOfRange, without a warning.
+    Callers hold the pairs' rho bounds (``validate_gdpc``) already."""
     knobs = [(c.p1, c.p2, c.q, c.n1, c.n2, g.gamma, g.rho, g.beta, g.alpha2) for c, g in points]
     # one pair runs on floats: numpy's cost per call on arrays of one
     # entry would be most of a scalar evaluation
@@ -270,7 +270,6 @@ def _gdpc_point(points):
     for (c, g), (ta, tb, tc, td, t1, t2) in zip(
         points, (terms,) if one else zip(*(t.tolist() for t in terms))
     ):
-        validate_gdpc(c, g)
         if not all(map(math.isfinite, (ta, tb, tc, td))) or math.inf in (t1, t2):
             raise OutOfRange(
                 f"the rate terms a/b = {ta}/{tb} and c/d = {tc}/{td} leave the "
@@ -286,7 +285,7 @@ def gdpc_rates(c: ChannelParams, g: GdpcParams) -> GdpcRates:
     private rate cap_c(gamma*p1/n1) comes on top of it. Terms out of the
     float range raise OutOfRange: their clamp would read 0 without a word.
     """
-    products, r1, r2 = _gdpc_point([(c, g)])
+    products, r1, r2 = _gdpc_point([(c, validate_gdpc(c, g))])
     return GdpcRates(
         _clamp_rate(r1), _clamp_rate(r2), _private_rate(c, g.gamma), *map(float, products)
     )

@@ -9,9 +9,21 @@ from unittest import mock
 
 import pytest
 
-from relayregions import SCHEMES, ChannelParams, GdpcParams, RelayRegionsError, cap_c, gdpc_rates
+from relayregions import (
+    SCHEMES, ChannelParams, GdpcParams, OutOfRange, RelayRegionsError, cap_c, gdpc_rates,
+)
 from relayregions import rates
-from relayregions.cli import _COMMANDS, _DMC_KEYS, _OPTIONS, _build_parser, _options, main
+from relayregions.cli import (
+    _COMMANDS,
+    _DMC_KEYS,
+    _MAX_AXIS_POINTS,
+    _OPTIONS,
+    _build_parser,
+    _ladder,
+    _linspace,
+    _options,
+    main,
+)
 
 CHANNEL = "1,1,2,0.1,1"
 TINY_GRID = "5,5,1,0.5"
@@ -29,6 +41,10 @@ ERROR_RUNS = [
     "point --channel 1,1,1,1,0.5 --params 0,0,0,0",
     "dmc --config tests/data/dmc_p_s.json",
     "dmc --config tests/data/dmc_too_large.json",
+    "frontier --config tests/data/frontier_misspelt_key.json",
+    "dmc --pipes --config tests/data/dmc_top_level_key.json",
+    "frontier --gamma-grid 0:1:1e14",
+    "sweep-snr --snr-db 0:1e14:1",
 ]
 
 
@@ -615,6 +631,61 @@ class TestInputRejections:
         # the temporary file the output was written to is gone
         assert not list(tmp_path.glob(".relayregions-*"))
         assert not list(taken.iterdir())
+
+
+class TestConfigKeys:
+    """A config key that nothing reads is an input error naming the key;
+    a key another subcommand reads stays legal."""
+
+    @pytest.mark.parametrize(
+        "command, cfg, message",
+        [
+            ("frontier", {"gama_grid": "0:1:3"}, "error: unknown config key 'gama_grid'"),
+            ("point", {"config": "other.json"}, "error: unknown config key 'config'"),
+            *[
+                ("dmc", {key: value}, f"error: config key {key!r} belongs in the dmc object")
+                for key, value in (("bounds", "informed-both"), ("denominator", 4),
+                                   ("objective", "r1"))
+            ],
+            ("frontier", {"dmc": {"denominator": 4, "sizes ": [1]}},
+             "error: unknown key 'sizes ' in the config's dmc object"),
+        ],
+        ids=["misspelt", "config", "bounds", "denominator", "objective", "dmc-object"],
+    )
+    def test_unread_key_is_input_error(self, capsys, tmp_path, command, cfg, message):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(cfg))
+        extra = ["--pipes"] if command == "dmc" else []
+        code, out, err = run(capsys, command, *extra, "--config", str(path))
+        assert (code, out, err) == (2, "", message + "\n")
+
+    def test_keys_of_other_subcommands_stay_legal(self, capsys, tmp_path):
+        cfg = {key: value for base in BASE_CONFIG.values() for key, value in base.items()}
+        cfg["dmc"] = {"sizes": [1], "p_s": [1], "channel": [1], "bounds": "informed-both",
+                      "denominator": 4, "objective": "r1"}
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(cfg))
+        assert run(capsys, "frontier", "--config", str(path))[0] == 0
+        assert run(capsys, "dmc", "--pipes", "--config", str(path))[0] == 0
+
+
+class TestAxisBound:
+    """An a:b:x range holds at most _MAX_AXIS_POINTS points, counted from
+    a, b and x before any point is built."""
+
+    def test_bound_is_legal(self):
+        assert len(_linspace(0.0, 1.0, _MAX_AXIS_POINTS)) == _MAX_AXIS_POINTS
+        assert len(_ladder(1.0, _MAX_AXIS_POINTS, 1.0)) == _MAX_AXIS_POINTS
+
+    @pytest.mark.parametrize(
+        "expand, ends",
+        [(_linspace, (0.0, 1.0, _MAX_AXIS_POINTS + 1)), (_ladder, (0.0, _MAX_AXIS_POINTS, 1.0)),
+         (_linspace, (0.0, 1.0, 1e300)), (_ladder, (0.0, 1e300, 1.0))],
+        ids=["linspace-one-over", "ladder-one-over", "linspace-huge", "ladder-huge"],
+    )
+    def test_past_the_bound_is_input_error(self, expand, ends):
+        with pytest.raises(OutOfRange, match=f"a range must hold at most {_MAX_AXIS_POINTS} points"):
+            expand(*ends)
 
 
 class TestConfigMerge:

@@ -320,6 +320,34 @@ class TestBatchedSearch:
         assert (res.value.r1, res.value.r02) == (0.0, 0.0)
         _assert_matches_reference(d, "informed-source", 4, "r02")
 
+    @pytest.mark.parametrize("bounds", sorted(BOUNDS))
+    @pytest.mark.parametrize("objective", ["r02", "r1"])
+    def test_subnormal_state_ties_follow_pmf_order(self, bounds, objective):
+        # every key ties, and the state-0 rows round to zero or to p_s[0]:
+        # enumeration order is not the order of the flattened pmfs, so the
+        # tie-break must compare pmfs rather than keep the first candidate
+        sizes = (2, 1, 2, 2, 1, 2, 2)
+        d = DmcSpec(sizes=sizes, p_s=[5e-324, 1.0], channel=np.full((2, 2, 1, 2, 2), 0.25))
+        _assert_matches_reference(d, bounds, 4, objective)
+        best = dmc_maximize(d, bounds=bounds, denominator=4, objective=objective).best
+        assert not best.pmf[0].any()
+
+
+@pytest.mark.parametrize("shape", [(1, 1, 2, 1), (2, 2, 2, 2), (4, 2, 4, 2), (4, 4, 4, 4)])
+def test_candidate_state_marginals_match_p_s(shape):
+    """dmc_maximize checks no candidate's state marginal: it is a sum of
+    fl(k/den * p) whose k/den sum to 1 exactly, so it lies within about
+    cells * 2**-53 * p of p, 6e-14 at most, far inside the 1e-12 that
+    compose_full checks for a caller's joint. The candidates are composed
+    and summed as the search does, with p_s entries as states."""
+    cells = int(np.prod(shape))
+    rng = np.random.default_rng(cells)
+    p_s = np.concatenate([rng.uniform(size=20), [1.0, 0.1, 1 / 3, 1 - 2**-53, 5e-324, 1e-310]])
+    for den in (4, 8, 16):
+        k = rng.multinomial(den, rng.dirichlet(np.full(cells, 0.3)), size=(200, len(p_s)))
+        pmf = (k / float(den) * p_s[:, None]).reshape(-1, len(p_s), *shape)
+        assert np.abs(pmf.sum(axis=(2, 3, 4, 5)) - p_s).max() <= 6e-14
+
 
 def _random_strategies(rng, d, count):
     """Aux joints mixing exact zeros (rational grid points) with

@@ -356,6 +356,14 @@ class TestInformedSourceCov:
         with pytest.raises(OutOfRange, match="interference power q must be > 0"):
             build_cov_informed_source(c, GdpcParams(0.2, 0.0, 0.4, 0.5))
 
+    def test_rho_past_its_bound_rejected(self):
+        # the covariance build's check is verify_gdpc's one check of rho:
+        # the closed forms it compares against check the float range only
+        c = ChannelParams(1.0, 1.0, 0.4, 0.1, 1.0)
+        for check in (build_cov_informed_source, verify_gdpc):
+            with pytest.raises(OutOfRange, match="rho must be <= 0.5 for this channel, got 0.6"):
+                check(c, GdpcParams(0.2, 0.6, 0.4, 0.5))
+
     def test_power_constraints_exact(self):
         rng = np.random.default_rng(11)
         for _ in range(25):

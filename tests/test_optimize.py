@@ -19,6 +19,7 @@ from relayregions import (
     nostate_terms,
     rho_upper_bound,
     sweep_snr,
+    validate_gdpc,
 )
 from relayregions import optimize
 from relayregions.optimize import DEFAULT_GRID
@@ -402,6 +403,8 @@ class TestBatchedSearch:
         with mock.patch.object(optimize, "_PASS_CELLS", pass_cells):
             got = optimize._search(rows, grid, freeze_rho)
         _assert_same_results(got, want)
+        # the closing runs no validate_gdpc: every incumbent is in bounds
+        assert all(validate_gdpc(c, res.best) is res.best for (c, _), res in zip(rows, got))
 
     @settings(PROPERTY, max_examples=60)
     @given(search_rows(), small_grids(), st.booleans())
@@ -453,6 +456,8 @@ class TestBatchedSearch:
             got = optimize._axes(tuple(lo.tolist()), tuple(hi.tolist()), n)
             for row, (a, b) in zip(got, zip(lo, hi)):
                 assert row.tobytes() == np.linspace(a, b, n).tobytes()
+                # no point lies past its box end, so an incumbent keeps its box's bound
+                assert a <= row.min() and row.max() <= b
 
 
 # ---------------------------------------------------------------------------
@@ -524,6 +529,8 @@ class TestPassBookkeeping:
         rows, rho_hi, n_rho, grid = _draw_pass(np.random.default_rng(seed))
         got = optimize._search_pass(rows, rho_hi, n_rho, grid)
         _assert_same_results(got, _reference_pass(rows, rho_hi, grid))
+        # the closing runs no validate_gdpc: every incumbent is in bounds
+        assert all(validate_gdpc(c, res.best) is res.best for (c, _), res in zip(rows, got))
 
     def test_seeded_passes_reach_every_edge(self):
         edges = set()

@@ -58,13 +58,14 @@ def test_qprime_validates():
         qprime(c, 0.2, 0.6)
 
 
-def test_gdpc_coeffs_frozen():
-    co = gdpc_rates(EXAMPLE, KNOBS)
-    assert co.a == pytest.approx(0.48479616999791714, abs=1e-14)
-    assert co.b == pytest.approx(0.19123531021598397, abs=1e-14)
-    assert co.c == pytest.approx(1.702316111556071, abs=1e-14)
-    assert co.d == pytest.approx(0.6731412333654978, abs=1e-14)
-    assert co.qprime == pytest.approx(0.260204102886728, abs=1e-14)
+def test_gdpc_products_frozen():
+    # qprime at this point is pinned by test_qprime_frozen_value
+    r = gdpc_rates(EXAMPLE, KNOBS)
+    assert r.a == pytest.approx(0.48479616999791714, abs=1e-14)
+    assert r.b == pytest.approx(0.19123531021598397, abs=1e-14)
+    assert r.c == pytest.approx(1.702316111556071, abs=1e-14)
+    assert r.d == pytest.approx(0.6731412333654978, abs=1e-14)
+    assert r.qprime == qprime(EXAMPLE, KNOBS.gamma, KNOBS.rho)
 
 
 def test_gdpc_rates_frozen():
@@ -75,10 +76,9 @@ def test_gdpc_rates_frozen():
 
 
 def test_gdpc_rates_match_coeff_ratios():
-    co = gdpc_rates(EXAMPLE, KNOBS)
     r = gdpc_rates(EXAMPLE, KNOBS)
-    assert r.r1_sum == pytest.approx(0.5 * math.log2(co.a / co.b), abs=1e-15)
-    assert r.r2_sum == pytest.approx(0.5 * math.log2(co.c / co.d), abs=1e-15)
+    assert r.r1_sum == pytest.approx(0.5 * math.log2(r.a / r.b), abs=1e-15)
+    assert r.r2_sum == pytest.approx(0.5 * math.log2(r.c / r.d), abs=1e-15)
 
 
 def test_gdpc_rates_clamp_negative_ratio():
@@ -86,9 +86,8 @@ def test_gdpc_rates_clamp_negative_ratio():
     # can drive the second ratio below one; the reported rate clamps at zero
     c = ChannelParams(1.0, 0.01, 4.0, 0.1, 1.0)
     g = GdpcParams(0.0, 0.0, 0.9, 0.5)
-    co = gdpc_rates(c, g)
-    assert co.c < co.d
     r = gdpc_rates(c, g)
+    assert r.c < r.d
     assert r.r2_sum == 0.0
     assert r.r1_sum > 0.0
 
