@@ -11,13 +11,13 @@ probabilities are multiples of 1/denominator, which is crude but exact:
 an oracle, not a solver.
 
 Each bound is written once, as signed conditional mutual informations,
-in ``model._TERMS``, which the Gaussian oracle reads too. The scalar
-evaluators read it one strategy at a time:
-they build the strategy's joint, check it once, and send every term
-through _cmi with one entropy memo, so each marginal entropy is computed
-once per strategy. dmc_maximize also reads _TERMS to screen chunks of
-candidates in numpy, then confirms only the near-best ones through the
-same scalar route, so its answer is the one the scalar loop would give.
+in ``model._TERMS``, which the Gaussian oracle reads too. One evaluator
+reads it: _screen sums every term out of a stack of strategies at once,
+in numpy. The evaluators run it on a batch of one, and dmc_maximize on
+chunks of candidates. Rates within ``model._TIE_TOL`` (1e-12 bits) of
+each other tie, and ties go to the lexicographically smallest flattened
+pmf, so rounding noise does not pick the answer. discrete_cmi evaluates
+one term of a joint the caller builds.
 
 Axis order everywhere: (s, u1, u2, x1, x2, y1, y2); the channel tensor
 is indexed [s][x1][x2][y1][y2].
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import _TERMS, OutOfRange, RatePoint, _expression
+from .model import _TERMS, _TIE_TOL, OutOfRange, RatePoint, _expression
 
 AXES = ("s", "u1", "u2", "x1", "x2", "y1", "y2")
 _PMF_TOL = 1e-12
@@ -41,10 +41,6 @@ _MAX_CANDIDATES = 10**8
 # joint cells (candidates x |s,u1,u2,x1,x2,y1,y2|) screened at once, which
 # caps the screen's memory at a few MB whatever the candidate count
 _CHUNK_CELLS = 2**16
-# a screened candidate whose primary rate is this close to the best one
-# screened so far is re-evaluated by the scalar evaluators' route; the batched
-# and scalar rates agree to ~1e-14 bits, far inside half this width
-_CONFIRM_BITS = 1e-9
 
 
 def _check_pmf(name: str, p: np.ndarray, axis=None) -> None:
@@ -108,29 +104,23 @@ class AuxJoint:
         object.__setattr__(self, "pmf", pmf)
 
 
-def compose_full(d: DmcSpec, a: AuxJoint) -> np.ndarray:
-    """Full 7-dim joint p(s,u1,u2,x1,x2,y1,y2) = aux * channel.
-
-    The strategy's interference marginal must reproduce d.p_s: the
-    encoder chooses inputs given s, it does not choose s.
-    """
+def _check_aux(d: DmcSpec, a: AuxJoint) -> None:
+    """The aux joint must fit the spec's alphabets, and its interference
+    marginal must reproduce d.p_s: the encoder chooses inputs given s, it
+    does not choose s."""
     if a.pmf.shape != tuple(d.sizes[:5]):
         raise OutOfRange(
             f"aux joint shape {a.pmf.shape} does not match spec sizes {d.sizes[:5]}"
         )
     if np.abs(a.pmf.sum(axis=(1, 2, 3, 4)) - d.p_s).max() > _PMF_TOL:
         raise OutOfRange("aux joint marginal over s must equal p_s")
-    return _joint(d, a.pmf)
 
 
-def _joint(d: DmcSpec, pmf: np.ndarray) -> np.ndarray:
-    return pmf[..., None, None] * d.channel[:, None, None, :, :, :, :]
-
-
-def _entropy_bits(p: np.ndarray) -> float:
-    flat = np.asarray(p).ravel()
-    pos = flat[flat > 0.0]
-    return float(-(pos * np.log2(pos)).sum())
+def compose_full(d: DmcSpec, a: AuxJoint) -> np.ndarray:
+    """Full 7-dim joint p(s,u1,u2,x1,x2,y1,y2) = aux * channel of an aux
+    joint that fits the spec (see _check_aux)."""
+    _check_aux(d, a)
+    return a.pmf[..., None, None] * d.channel[:, None, None, :, :, :, :]
 
 
 def discrete_cmi(joint: np.ndarray, axes, set_a, set_b, set_c=()) -> float:
@@ -148,61 +138,54 @@ def discrete_cmi(joint: np.ndarray, axes, set_a, set_b, set_c=()) -> float:
     groups = (set(set_a), set(set_b), set(set_c))
     if groups[0] & groups[1] or groups[0] & groups[2] or groups[1] & groups[2]:
         raise OutOfRange("the three axis sets must be disjoint")
-    return _cmi(joint, axes, set_a, set_b, set_c, {})
 
+    def h(keep: set) -> float:
+        drop = tuple(i for i, name in enumerate(axes) if name not in keep)
+        p = joint.sum(axis=drop).ravel()
+        p = p[p > 0.0]
+        return float(-(p * np.log2(p)).sum())
 
-def _cmi(joint: np.ndarray, axes: tuple, set_a, set_b, set_c, memo: dict) -> float:
-    """discrete_cmi of arguments the caller has checked. memo maps a set
-    of kept axes to its marginal entropy; the terms of one bound share
-    it, so each marginal entropy of their joint is computed once."""
-
-    def h(keep: frozenset) -> float:
-        if keep not in memo:
-            drop = tuple(i for i, name in enumerate(axes) if name not in keep)
-            memo[keep] = _entropy_bits(joint.sum(axis=drop)) if drop else _entropy_bits(joint)
-        return memo[keep]
-
-    a, b, c = frozenset(set_a), frozenset(set_b), frozenset(set_c)
+    a, b, c = groups
     return max(0.0, h(a | c) + h(b | c) - h(c) - h(a | b | c))
 
 
-def _combine(terms: dict, cmi, minimum) -> tuple:
-    """(r1, r02) of one _TERMS entry before the rate clamp. cmi(a, b, c)
-    is called once per distinct term; minimum is min for floats and
-    np.minimum for batches."""
+def _combine(terms: dict, cmi) -> tuple:
+    """(r1, r02) of one _TERMS entry before the rate clamp; cmi(a, b, c)
+    is called once per distinct term."""
     values: dict = {}
     return tuple(
-        functools.reduce(minimum, [_expression(e, cmi, values) for e in terms[rate]])
+        functools.reduce(np.minimum, [_expression(e, cmi, values) for e in terms[rate]])
         for rate in ("r1", "r02")
     )
 
 
-def _rates(full: np.ndarray, terms: dict) -> RatePoint:
-    """The clamped (r1, r02) of one _TERMS entry on a joint composed from
-    a checked spec and aux joint. The joint is not checked again: the
-    factors' rounding can compound past the tolerance each one passed."""
-    memo: dict[frozenset, float] = {}
-    return RatePoint.clamped(
-        *_combine(terms, lambda *t: _cmi(full, AXES, *t, memo), min)
-    )
+def _rates(d: DmcSpec, pmf: np.ndarray, terms: dict) -> RatePoint:
+    """The (r1, r02) of one _TERMS entry on one aux joint, screened as a
+    batch of one. The joint is not checked: the factors' rounding can
+    compound past the tolerance each one passed."""
+    r1, r02 = _screen(d, pmf[None], terms)
+    return RatePoint.clamped(r1[0], r02[0])
 
 
 def eval_informed_both(d: DmcSpec, a: AuxJoint) -> RatePoint:
     """Achievable pair when source and relay both know the interference:
     every bound conditions on s, and no binning penalty appears."""
-    return _rates(compose_full(d, a), _TERMS["informed-both"])
+    _check_aux(d, a)
+    return _rates(d, a.pmf, _TERMS["informed-both"])
 
 
 def eval_informed_source(d: DmcSpec, a: AuxJoint) -> RatePoint:
     """Achievable pair when only the source knows the interference: each
     mutual information pays the binning penalty I(aux; s | ...)."""
-    return _rates(compose_full(d, a), _TERMS["informed-source"])
+    _check_aux(d, a)
+    return _rates(d, a.pmf, _TERMS["informed-source"])
 
 
 def _screen(d: DmcSpec, pmf: np.ndarray, terms: dict) -> tuple[np.ndarray, np.ndarray]:
-    """Batched (r1, r02) of aux joints stacked on a leading axis, with
-    the scalar evaluators' clamps. Sums run in another order than in
-    discrete_cmi, so the rates agree with theirs up to rounding only."""
+    """Batched (r1, r02) of aux joints stacked on a leading axis, each
+    term and each rate clamped at 0. Sums run in another order than in
+    discrete_cmi, and a candidate's sums in a batch of one run in another
+    order than in a larger batch, so rates agree up to rounding only."""
     n = pmf.shape[0]
     # joints indexed [s][u1][u2][x1][x2][y1][y2][candidate]: with the
     # candidates innermost, every marginal sum adds contiguous rows, ~10x
@@ -225,7 +208,7 @@ def _screen(d: DmcSpec, pmf: np.ndarray, terms: dict) -> tuple[np.ndarray, np.nd
         a, b, c = frozenset(a), frozenset(b), frozenset(c)
         return np.maximum(h(a | c) + h(b | c) - h(c) - h(a | b | c), 0.0)
 
-    r1, r02 = _combine(terms, cmi, np.minimum)
+    r1, r02 = _combine(terms, cmi)
     return np.maximum(r1, 0.0), np.maximum(r02, 0.0)
 
 
@@ -261,29 +244,28 @@ def dmc_maximize(
     """Exhaustively search strategies whose per-state conditional pmfs
     have entries in multiples of 1/denominator.
 
-    Maximizes the chosen coordinate (r02 by default), breaking ties by
-    the other coordinate and then by the lexicographically smallest
-    flattened pmf, so the argmax is reproducible and independent of
+    Maximizes the chosen coordinate (r02 by default). Rates within
+    model._TIE_TOL (1e-12 bits) of each other tie, so rounding noise
+    does not pick the answer: of the candidates whose primary rate lies
+    within that width of the best one, those whose other rate lies within
+    it of the best among them tie, and of these the lexicographically
+    smallest flattened pmf wins. The answer is independent of
     enumeration order.
 
-    Screen: candidates are enumerated in chunks of at most _CHUNK_CELLS
-    joint cells; each chunk's pmf sums are checked once, and numpy
-    computes the chunk's joints and rates at once. The state marginals
-    need no check: a candidate's is a sum of fl(k/denominator * p_s[s])
-    whose k/denominator sum to 1 exactly, so it lies within about 6e-14
-    of p_s[s], far inside _PMF_TOL. Confirm: a
-    candidate whose screened primary rate is within _CONFIRM_BITS (1e-9
-    bits) of the best screened so far, its own chunk included, is
-    evaluated by the scalar route of eval_informed_* (the same joint, the
-    same marginal sums and entropies, one memo per candidate) straight
-    from its slice of the chunk, which the chunk's checks already cover,
-    and compared as above; only the winner is built as an AuxJoint. Why
-    this is exact: screened and scalar rates differ by rounding only
-    (measured ~1e-14 bits), so the candidate that the scalar comparison
-    over all candidates picks screens within twice that of every other
-    one. It is therefore always confirmed and then wins the comparison,
-    which is the scalar one. When every key ties, every candidate is
-    confirmed. evaluations counts the candidates screened.
+    Candidates are enumerated in chunks of at most _CHUNK_CELLS joint
+    cells; each chunk's pmf sums are checked once, and _screen computes
+    the chunk's rates at once. The state marginals need no check: a
+    candidate's is a sum of fl(k/denominator * p_s[s]) whose
+    k/denominator sum to 1 exactly, so it lies within about 6e-14 of
+    p_s[s], far inside _PMF_TOL. A pool holds the keys and indices of
+    the candidates whose primary rate lies within the tie width of the
+    best screened so far, and drops the rest as that best rises. When it
+    outgrows a chunk it keeps one candidate per exact key pair, the one
+    with the smallest flattened pmf: candidates with equal keys tie or
+    drop out together, so no other one of them can win. So the pool is
+    bounded by the distinct keys near the best, not by the candidates.
+    value is the winner's rates screened alone, as eval_informed_*
+    return them. evaluations counts the candidates screened.
     """
     if not isinstance(bounds, str) or bounds not in _TERMS:
         raise OutOfRange(f"bounds must be one of {tuple(_TERMS)}, got {bounds!r}")
@@ -302,30 +284,37 @@ def dmc_maximize(
             f"{total} candidate strategies exceed the {_MAX_CANDIDATES} budget"
         )
     cond = _compositions(denominator, cells) / float(denominator)
-    shape = (ns, nu1, nu2, nx1, nx2)
-    step = max(1, _CHUNK_CELLS // math.prod(d.sizes))
-    primary = 1 if objective == "r02" else 0
-    screen_best = -math.inf
-    # the incumbent (key, pmf, rate); its pmf is flattened only on a tie
-    best: tuple[tuple[float, float], np.ndarray, RatePoint] | None = None
-    for start in range(0, total, step):
+
+    def strategies(index: np.ndarray) -> np.ndarray:
         # itertools.product order over the per-state composition indices
-        index = np.arange(start, min(start + step, total))
         combos = np.stack(np.unravel_index(index, (per_state,) * ns), axis=1)
-        pmf = (cond[combos] * d.p_s[:, None]).reshape(-1, *shape)
+        return (cond[combos] * d.p_s[:, None]).reshape(-1, ns, nu1, nu2, nx1, nx2)
+
+    step = max(1, _CHUNK_CELLS // math.prod(d.sizes))
+    top = -math.inf
+    # the pool: one column of (primary, secondary) rates per candidate index
+    keys, ids = np.empty((2, 0)), np.empty(0, dtype=np.int64)
+    for start in range(0, total, step):
+        index = np.arange(start, min(start + step, total))
+        pmf = strategies(index)
         _check_pmf("aux joint", pmf, axis=(1, 2, 3, 4, 5))
-        screened = _screen(d, pmf, terms)[primary]
-        screen_best = max(screen_best, float(screened.max()))
-        for i in np.flatnonzero(screened >= screen_best - _CONFIRM_BITS):
-            rate = _rates(_joint(d, pmf[i]), terms)
-            key = (rate.r02, rate.r1) if objective == "r02" else (rate.r1, rate.r02)
-            if (
-                best is None
-                or key > best[0]
-                or (key == best[0] and tuple(pmf[i].ravel()) < tuple(best[1].ravel()))
-            ):
-                best = (key, pmf[i], rate)
-    return DmcOptResult(best=AuxJoint(best[1]), value=best[2], evaluations=total, bounds=bounds)
+        rates = _screen(d, pmf, terms)
+        chunk = np.stack(rates[::-1] if objective == "r02" else rates)
+        top = max(top, float(chunk[0].max()))
+        keys, ids = np.hstack([keys, chunk]), np.concatenate([ids, index])
+        near = keys[0] >= top - _TIE_TOL
+        keys, ids = keys[:, near], ids[near]
+        if ids.size > step:
+            flat = strategies(ids).reshape(ids.size, -1)
+            order = np.lexsort((*flat.T[::-1], keys[1], keys[0]))
+            keys, ids = keys[:, order], ids[order]
+            first = np.r_[True, (keys[:, 1:] != keys[:, :-1]).any(axis=0)]
+            keys, ids = keys[:, first], ids[first]
+    tied = strategies(ids[keys[1] >= keys[1].max() - _TIE_TOL])
+    best = tied[np.lexsort(tied.reshape(len(tied), -1).T[::-1])[0]]
+    return DmcOptResult(
+        best=AuxJoint(best), value=_rates(d, best, terms), evaluations=total, bounds=bounds
+    )
 
 
 def make_degraded_channel(p_y1: np.ndarray, p_y2_given_y1x2: np.ndarray) -> np.ndarray:

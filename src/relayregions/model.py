@@ -170,6 +170,11 @@ class RatePoint:
         return cls(_clamp_rate(r1), _clamp_rate(r02))
 
 
+# rates within this many bits of the best count as ties, in every search:
+# the alpha2 kernel, the box search and the DMC search
+_TIE_TOL = 1e-12
+
+
 def _clamp_rate(x: float) -> float:
     """The rate clamp: nan, every negative value and -0.0 read +0.0."""
     return float(x) if x > 0.0 else 0.0

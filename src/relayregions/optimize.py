@@ -82,12 +82,13 @@ from .model import (
     GdpcParams,
     OutOfRange,
     RatePoint,
+    _TIE_TOL,
     _check_scheme,
     _clamp_rate,
     _require_unit,
     rho_upper_bound,
 )
-from .rates import _TIE_TOL, _balanced, _best_alpha2, _gdpc_point, _nostate_terms, _private_rate
+from .rates import _balanced, _best_alpha2, _gdpc_point, _nostate_terms, _private_rate
 
 
 _MAX_GRID_CELLS = 10**6

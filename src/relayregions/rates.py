@@ -74,14 +74,13 @@ from .model import (
     ChannelParams,
     GdpcParams,
     OutOfRange,
+    _TIE_TOL,
     _clamp_rate,
     _require_unit,
     validate_gdpc,
 )
 
 _LN2 = math.log(2.0)
-# values within this many bits of the best count as ties
-_TIE_TOL = 1e-12
 
 
 def cap_c(x: float) -> float:

@@ -30,7 +30,8 @@ from relayregions import (
 from relayregions import dmc
 from relayregions.dmc import AXES, compose_full
 from relayregions.optimize import DEFAULT_GRID
-from relayregions.rates import _TIE_TOL, _alpha2_free_terms, _log_ratios
+from relayregions.model import _TIE_TOL
+from relayregions.rates import _alpha2_free_terms, _log_ratios
 
 # derandomized: a property draws the same examples on every run, seeded
 # from its source, so a change to its body draws new ones
@@ -147,26 +148,27 @@ def _per_term_evaluate(d, a, bounds):
     ``discrete_cmi`` call per term of the bound."""
     full = compose_full(d, a)
     return RatePoint.clamped(
-        *dmc._combine(dmc._TERMS[bounds], lambda *t: discrete_cmi(full, AXES, *t), min)
+        *dmc._combine(dmc._TERMS[bounds], lambda *t: discrete_cmi(full, AXES, *t))
     )
 
 
 def _reference_maximize(d, bounds, denominator, objective):
     """The search as a plain loop: every candidate through AuxJoint and
-    ``_per_term_evaluate``, in itertools.product order. The highest key
-    wins, and of equal keys the lexicographically smallest flattened
-    pmf."""
+    ``_per_term_evaluate``, in itertools.product order. Of the candidates
+    whose primary rate lies within ``_TIE_TOL`` of the best one, those
+    whose other rate lies within ``_TIE_TOL`` of the best among them tie,
+    and of these the lexicographically smallest flattened pmf wins."""
     ns, nu1, nu2, nx1, nx2 = d.sizes[:5]
     cells = nu1 * nu2 * nx1 * nx2
     cond = np.array(_product_compositions(denominator, cells), dtype=float) / float(denominator)
-    best = None
-    evaluations = 0
+    found = []
     for combo in itertools.product(range(len(cond)), repeat=ns):
         pmf = (cond[list(combo)] * d.p_s[:, None]).reshape(ns, nu1, nu2, nx1, nx2)
         rate = _per_term_evaluate(d, AuxJoint(pmf), bounds)
-        evaluations += 1
         key = (rate.r02, rate.r1) if objective == "r02" else (rate.r1, rate.r02)
-        flat = tuple(pmf.ravel())
-        if best is None or key > best[0] or (key == best[0] and flat < best[1]):
-            best = (key, flat, pmf, rate)
-    return best[2], best[3], evaluations
+        found.append((key, tuple(pmf.ravel()), pmf, rate))
+    top = max(key[0] for key, *_ in found)
+    near = [f for f in found if f[0][0] >= top - _TIE_TOL]
+    second = max(key[1] for key, *_ in near)
+    best = min((f for f in near if f[0][1] >= second - _TIE_TOL), key=lambda f: f[1])
+    return best[2], best[3], len(found)

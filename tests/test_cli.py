@@ -152,12 +152,17 @@ class TestGoldenOutputs:
             # a two-state noisy spec, p_s in sixteenths, informed-both at
             # denominator 4 (both set in the config)
             ("dmc_two_state.out.json", ["dmc", "--config", str(DATA / "dmc_two_state.json")]),
+            # a plateau: every candidate's r1 is 0 up to rounding
+            (
+                "dmc_pipes_d8_r1.out.json",
+                ["dmc", "--pipes", "--denominator", "8", "--objective", "r1"],
+            ),
         ],
-        ids=["pipes", "two-state"],
+        ids=["pipes", "two-state", "pipes-r1"],
     )
     def test_dmc_byte_identical(self, capsys, name, argv):
-        """dmc JSON written before the confirm path shared one entropy
-        memo per candidate."""
+        """dmc JSON of the search that ties rates within 1e-12 bits and
+        breaks ties by the smallest pmf."""
         code, out, _ = run(capsys, *argv)
         assert code == 0
         assert out.encode() == (DATA / name).read_bytes()

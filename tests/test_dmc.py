@@ -1,5 +1,7 @@
 import itertools
 import re
+import tracemalloc
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from relayregions import (
     AuxJoint,
     DmcSpec,
     OutOfRange,
+    RatePoint,
     binary_pipes_spec,
     discrete_cmi,
     dmc_maximize,
@@ -31,6 +34,18 @@ def _random_spec(rng, sizes):
         ns, nx1, nx2, ny1, ny2
     )
     return DmcSpec(sizes=sizes, p_s=p_s, channel=channel)
+
+
+def _flat_spec():
+    """Outputs independent of inputs: every rate is 0 up to rounding."""
+    sizes = (1, 1, 2, 2, 2, 2, 2)
+    return DmcSpec(sizes=sizes, p_s=np.ones(1), channel=np.full((1, 2, 2, 2, 2), 0.25))
+
+
+def _subnormal_state_spec():
+    """A flat channel whose state-0 rows round to zero or to p_s[0]."""
+    sizes = (2, 1, 2, 2, 1, 2, 2)
+    return DmcSpec(sizes=sizes, p_s=[5e-324, 1.0], channel=np.full((2, 2, 1, 2, 2), 0.25))
 
 
 def _random_aux(rng, d):
@@ -210,7 +225,7 @@ class TestEvaluators:
     def test_evaluators_accept_the_search_answer(self, bounds):
         # p_s and every channel row each pass the 1e-12 check, but their
         # joint misses 1 by about 1.8e-12: the evaluators must still give
-        # back the value the search confirmed for its best strategy
+        # back the value the search reports for its best strategy
         ch = np.zeros((2, 2, 1, 2, 2))
         for s, x1, y1, y2 in itertools.product(range(2), repeat=4):
             ch[s, x1, 0, y1, y2] = (0.9 if y1 == x1 ^ s else 0.1) * (0.8 if y2 == y1 else 0.2)
@@ -227,14 +242,20 @@ class TestMaximize:
         assert res.evaluations == 330
 
     def test_finer_denominator_never_hurts(self):
-        # each denominator refines the one before, so the optima are nested
+        # each denominator refines the one before, so the optima are nested.
+        # Under r1 every candidate's r1 is 0 up to rounding (u1 is a
+        # singleton), so all tie and the best r02 decides: rounding noise
+        # in r1 must not pick the answer
         d = binary_pipes_spec()
-        v4 = dmc_maximize(d, bounds="informed-source", denominator=4).value.r02
-        v8 = dmc_maximize(d, bounds="informed-source", denominator=8).value.r02
-        res16 = dmc_maximize(d, bounds="informed-source", denominator=16)
-        assert v8 >= v4 - 1e-12
-        assert res16.value.r02 >= v8 - 1e-12
-        assert res16.evaluations == 245_157
+        for objective in ("r02", "r1"):
+            res = {
+                den: dmc_maximize(d, "informed-source", den, objective) for den in (4, 8, 16)
+            }
+            best = {den: getattr(r.value, objective) for den, r in res.items()}
+            assert best[8] >= best[4] - 1e-12
+            assert best[16] >= best[8] - 1e-12
+            assert res[16].evaluations == 245_157
+            assert res[8].value == res[16].value == RatePoint(0.0, 1.0)
 
     def test_r1_objective(self):
         res = dmc_maximize(binary_pipes_spec(), bounds="informed-both",
@@ -272,13 +293,16 @@ def _assert_matches_reference(d, bounds, denominator, objective):
     res = dmc_maximize(d, bounds=bounds, denominator=denominator, objective=objective)
     pmf, value, evaluations = _reference_maximize(d, bounds, denominator, objective)
     assert np.array_equal(res.best.pmf, pmf)
-    assert res.value == value
+    assert repr(res.value) == repr(BOUNDS[bounds](d, res.best))
+    assert abs(res.value.r1 - value.r1) <= 1e-12
+    assert abs(res.value.r02 - value.r02) <= 1e-12
     assert res.evaluations == evaluations
 
 
 class TestBatchedSearch:
-    """dmc_maximize screens candidates in numpy batches; its answer must
-    be bit for bit the plain loop's."""
+    """dmc_maximize screens candidates in numpy batches and keeps the tied
+    ones in a pool; it must pick the plain loop's pmf, and report what
+    the evaluators give for it, within 1e-12 bits of the loop's value."""
 
     @pytest.mark.parametrize("bounds", sorted(BOUNDS))
     @pytest.mark.parametrize("objective", ["r02", "r1"])
@@ -312,13 +336,51 @@ class TestBatchedSearch:
             _assert_matches_reference(d, bounds, 4, "r02")
 
     def test_flat_channel_every_key_ties(self):
-        # outputs independent of inputs: every rate is 0, so the pmf
-        # tie-break alone picks the answer
-        sizes = (1, 1, 2, 2, 2, 2, 2)
-        d = DmcSpec(sizes=sizes, p_s=np.ones(1), channel=np.full((1, 2, 2, 2, 2), 0.25))
+        # every rate is 0 up to rounding, so the pmf tie-break alone picks
+        # the answer
+        d = _flat_spec()
         res = dmc_maximize(d, bounds="informed-source", denominator=4)
         assert (res.value.r1, res.value.r02) == (0.0, 0.0)
         _assert_matches_reference(d, "informed-source", 4, "r02")
+
+    @pytest.mark.parametrize(
+        "spec,bounds,objective",
+        [
+            (_flat_spec, "informed-source", "r02"),
+            (_flat_spec, "informed-both", "r1"),
+            (binary_pipes_spec, "informed-source", "r1"),
+            (binary_pipes_spec, "informed-both", "r02"),
+            (_subnormal_state_spec, "informed-source", "r1"),
+        ],
+        ids=["flat-r02", "flat-r1", "pipes-r1", "pipes-r02", "subnormal-r1"],
+    )
+    def test_tiny_chunks_on_plateaus_match_reference(self, monkeypatch, spec, bounds, objective):
+        # three candidates per chunk: the pool of candidates tied on the
+        # primary key outgrows a chunk, and is cut to one per key, over
+        # and over
+        d = spec()
+        monkeypatch.setattr(dmc, "_CHUNK_CELLS", 3 * int(np.prod(d.sizes)))
+        _assert_matches_reference(d, bounds, 4, objective)
+
+    def test_tie_pool_is_bounded_by_distinct_keys(self, monkeypatch):
+        # 245,157 candidates whose keys take 8 distinct values: the memory
+        # held from one chunk to the next must not grow with the candidates
+        # (keeping each one's keys and index would take 24 bytes apiece)
+        held = []
+        screen = dmc._screen
+
+        def probe(*args):
+            held.append(tracemalloc.get_traced_memory()[0])
+            return screen(*args)
+
+        monkeypatch.setattr(dmc, "_screen", probe)
+        tracemalloc.start()
+        try:
+            res = dmc_maximize(_flat_spec(), "informed-source", 16)
+        finally:
+            tracemalloc.stop()
+        assert res.evaluations == 245_157 and len(held) > 100
+        assert max(held) - held[0] < 4 * 245_157
 
     @pytest.mark.parametrize("bounds", sorted(BOUNDS))
     @pytest.mark.parametrize("objective", ["r02", "r1"])
@@ -326,8 +388,7 @@ class TestBatchedSearch:
         # every key ties, and the state-0 rows round to zero or to p_s[0]:
         # enumeration order is not the order of the flattened pmfs, so the
         # tie-break must compare pmfs rather than keep the first candidate
-        sizes = (2, 1, 2, 2, 1, 2, 2)
-        d = DmcSpec(sizes=sizes, p_s=[5e-324, 1.0], channel=np.full((2, 2, 1, 2, 2), 0.25))
+        d = _subnormal_state_spec()
         _assert_matches_reference(d, bounds, 4, objective)
         best = dmc_maximize(d, bounds=bounds, denominator=4, objective=objective).best
         assert not best.pmf[0].any()
@@ -364,23 +425,6 @@ def _random_strategies(rng, d, count):
     return np.stack(pmfs)
 
 
-@settings(PROPERTY, max_examples=60)
-@given(
-    seed=st.integers(0, 2**32 - 1),
-    sizes=st.tuples(*[st.integers(1, 3)] * 7),
-    bounds=st.sampled_from(sorted(BOUNDS)),
-)
-def test_screen_matches_scalar_evaluators(seed, sizes, bounds):
-    rng = np.random.default_rng(seed)
-    d = _random_spec(rng, sizes)
-    pmfs = _random_strategies(rng, d, 8)
-    r1, r02 = dmc._screen(d, pmfs, dmc._TERMS[bounds])
-    for i, pmf in enumerate(pmfs):
-        want = BOUNDS[bounds](d, AuxJoint(pmf))
-        assert abs(r1[i] - want.r1) <= 1e-12
-        assert abs(r02[i] - want.r02) <= 1e-12
-
-
 @settings(PROPERTY, max_examples=80)
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -388,14 +432,19 @@ def test_screen_matches_scalar_evaluators(seed, sizes, bounds):
     bounds=st.sampled_from(sorted(BOUNDS)),
 )
 def test_evaluators_match_per_term_route(seed, sizes, bounds):
-    """One check and one entropy memo per strategy give the rates of one
-    public discrete_cmi call per term bit for bit (repr tells -0.0 from
-    0.0)."""
+    """The screen of a batch, and the evaluators' screen of a batch of
+    one, give the rates of one public discrete_cmi call per term up to
+    rounding."""
     rng = np.random.default_rng(seed)
     d = _random_spec(rng, sizes)
-    for pmf in _random_strategies(rng, d, 6):
+    pmfs = _random_strategies(rng, d, 8)
+    r1, r02 = dmc._screen(d, pmfs, dmc._TERMS[bounds])
+    for i, pmf in enumerate(pmfs):
         a = AuxJoint(pmf)
-        assert repr(BOUNDS[bounds](d, a)) == repr(_per_term_evaluate(d, a, bounds))
+        want = _per_term_evaluate(d, a, bounds)
+        for got in ((r1[i], r02[i]), astuple(BOUNDS[bounds](d, a))):
+            assert abs(got[0] - want.r1) <= 1e-12
+            assert abs(got[1] - want.r02) <= 1e-12
 
 
 def _allclose_check(p, axis=None):

@@ -15,7 +15,8 @@ from relayregions import (
     max_beta_nostate,
     nostate_terms,
 )
-from relayregions.rates import _TIE_TOL, _alpha2_free_terms, _best_alpha2
+from relayregions.model import _TIE_TOL
+from relayregions.rates import _alpha2_free_terms, _best_alpha2
 
 from references import PROPERTY, _reference_best_alpha2, _reference_products
 
