@@ -1,7 +1,6 @@
 import itertools
 import re
 import tracemalloc
-from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -425,6 +424,25 @@ def _random_strategies(rng, d, count):
     return np.stack(pmfs)
 
 
+@settings(PROPERTY, max_examples=60)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    sizes=st.tuples(*[st.integers(1, 3)] * 7),
+    bounds=st.sampled_from(sorted(BOUNDS)),
+)
+def test_screen_matches_scalar_evaluators(seed, sizes, bounds):
+    """The screen of a batch of eight gives, for each strategy, the rates
+    the evaluators give for it alone up to rounding."""
+    rng = np.random.default_rng(seed)
+    d = _random_spec(rng, sizes)
+    pmfs = _random_strategies(rng, d, 8)
+    r1, r02 = dmc._screen(d, pmfs, dmc._TERMS[bounds])
+    for i, pmf in enumerate(pmfs):
+        want = BOUNDS[bounds](d, AuxJoint(pmf))
+        assert abs(r1[i] - want.r1) <= 1e-12
+        assert abs(r02[i] - want.r02) <= 1e-12
+
+
 @settings(PROPERTY, max_examples=80)
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -432,19 +450,16 @@ def _random_strategies(rng, d, count):
     bounds=st.sampled_from(sorted(BOUNDS)),
 )
 def test_evaluators_match_per_term_route(seed, sizes, bounds):
-    """The screen of a batch, and the evaluators' screen of a batch of
-    one, give the rates of one public discrete_cmi call per term up to
-    rounding."""
+    """The evaluators' screen of a batch of one gives the rates of one
+    public discrete_cmi call per term up to rounding."""
     rng = np.random.default_rng(seed)
     d = _random_spec(rng, sizes)
-    pmfs = _random_strategies(rng, d, 8)
-    r1, r02 = dmc._screen(d, pmfs, dmc._TERMS[bounds])
-    for i, pmf in enumerate(pmfs):
+    for pmf in _random_strategies(rng, d, 6):
         a = AuxJoint(pmf)
+        got = BOUNDS[bounds](d, a)
         want = _per_term_evaluate(d, a, bounds)
-        for got in ((r1[i], r02[i]), astuple(BOUNDS[bounds](d, a))):
-            assert abs(got[0] - want.r1) <= 1e-12
-            assert abs(got[1] - want.r02) <= 1e-12
+        assert abs(got.r1 - want.r1) <= 1e-12
+        assert abs(got.r02 - want.r02) <= 1e-12
 
 
 def _allclose_check(p, axis=None):
