@@ -13,11 +13,14 @@ an oracle, not a solver.
 Each bound is written once, as signed conditional mutual informations,
 in ``model._TERMS``, which the Gaussian oracle reads too. One evaluator
 reads it: _screen sums every term out of a stack of strategies at once,
-in numpy. The evaluators run it on a batch of one, and dmc_maximize on
-chunks of candidates. Rates within ``model._TIE_TOL`` (1e-12 bits) of
-each other tie, and ties go to the lexicographically smallest flattened
-pmf, so rounding noise does not pick the answer. discrete_cmi evaluates
-one term of a joint the caller builds.
+in numpy, one entropy per marginal once one-symbol axes are dropped. The
+evaluators run it on a batch of one, and dmc_maximize on chunks drawn
+from a composition table built in numpy, with a tie pool of at most
+twice the distinct keys near the best plus a chunk. Rates within
+``model._TIE_TOL`` (1e-12 bits) of each other tie, and ties go to the
+lexicographically smallest flattened pmf, so rounding noise does not
+pick the answer. discrete_cmi evaluates one term of a joint the caller
+builds.
 
 Axis order everywhere: (s, u1, u2, x1, x2, y1, y2); the channel tensor
 is indexed [s][x1][x2][y1][y2].
@@ -26,7 +29,6 @@ is indexed [s][x1][x2][y1][y2].
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -67,9 +69,7 @@ class DmcSpec:
             raise OutOfRange(f"sizes must list {len(AXES)} cardinalities {AXES}")
         for name, n in zip(AXES, self.sizes):
             if not isinstance(n, (int, np.integer)) or not 1 <= n <= _MAX_ALPHABET:
-                raise OutOfRange(
-                    f"|{name}| must be an integer in [1, {_MAX_ALPHABET}], got {n!r}"
-                )
+                raise OutOfRange(f"|{name}| must be an integer in [1, {_MAX_ALPHABET}], got {n!r}")
         ns, nu1, nu2, nx1, nx2, ny1, ny2 = self.sizes
         p_s = np.array(self.p_s, dtype=float)
         channel = np.array(self.channel, dtype=float)
@@ -109,9 +109,7 @@ def _check_aux(d: DmcSpec, a: AuxJoint) -> None:
     marginal must reproduce d.p_s: the encoder chooses inputs given s, it
     does not choose s."""
     if a.pmf.shape != tuple(d.sizes[:5]):
-        raise OutOfRange(
-            f"aux joint shape {a.pmf.shape} does not match spec sizes {d.sizes[:5]}"
-        )
+        raise OutOfRange(f"aux joint shape {a.pmf.shape} does not match spec sizes {d.sizes[:5]}")
     if np.abs(a.pmf.sum(axis=(1, 2, 3, 4)) - d.p_s).max() > _PMF_TOL:
         raise OutOfRange("aux joint marginal over s must equal p_s")
 
@@ -195,8 +193,12 @@ def _screen(d: DmcSpec, pmf: np.ndarray, terms: dict) -> tuple[np.ndarray, np.nd
         * d.channel[:, None, None, :, :, :, :, None]
     )
     entropies: dict[frozenset, np.ndarray] = {}
+    # summing out a one-symbol axis is exact, so keep sets that differ
+    # only in such axes share one marginal and one entropy
+    wide = frozenset(name for name, k in zip(AXES, d.sizes) if k > 1)
 
     def h(keep: frozenset) -> np.ndarray:
+        keep &= wide
         if keep not in entropies:
             drop = tuple(i for i, name in enumerate(AXES) if name not in keep)
             marg = joint.sum(axis=drop).reshape(-1, n)
@@ -213,18 +215,21 @@ def _screen(d: DmcSpec, pmf: np.ndarray, terms: dict) -> tuple[np.ndarray, np.nd
 
 
 def _compositions(total: int, cells: int) -> np.ndarray:
-    """All nonneg integer vectors of the given length summing to total,
-    in lexicographic order, as an (count, cells) array: the gaps between
-    cells - 1 bars placed among total + cells - 1 slots."""
-    slots, bars = total + cells - 1, cells - 1
-    count = math.comb(slots, bars)
-    pos = np.fromiter(
-        itertools.chain.from_iterable(itertools.combinations(range(slots), bars)),
-        dtype=np.int64,
-        count=count * bars,
-    ).reshape(count, bars)
-    edges = np.hstack([np.full((count, 1), -1), pos, np.full((count, 1), slots)])
-    return (np.diff(edges, axis=1) - 1).astype(float)
+    """All nonneg integer vectors of length cells summing to total, in
+    lexicographic order, as floats, built column by column in place: a
+    prefix with r units left is followed by 0, 1, ..., r."""
+    out = np.empty((math.comb(total + cells - 1, cells - 1), cells))
+    ramp = np.arange(total + 1)
+    left = ramp[-1:]  # units left after each distinct prefix
+    for col in range(cells - 1):
+        parent, value = (left[:, None] >= ramp).nonzero()
+        for j in range(col):  # the earlier columns follow their prefix
+            out[: parent.size, j] = out[:, j][parent]
+        out[: parent.size, col] = value
+        left = left[parent]
+        left -= value
+    out[:, -1] = left
+    return out
 
 
 @dataclass(frozen=True)
@@ -236,10 +241,7 @@ class DmcOptResult:
 
 
 def dmc_maximize(
-    d: DmcSpec,
-    bounds: str = "informed-source",
-    denominator: int = 8,
-    objective: str = "r02",
+    d: DmcSpec, bounds: str = "informed-source", denominator: int = 8, objective: str = "r02"
 ) -> DmcOptResult:
     """Exhaustively search strategies whose per-state conditional pmfs
     have entries in multiples of 1/denominator.
@@ -253,18 +255,18 @@ def dmc_maximize(
     enumeration order.
 
     Candidates are enumerated in chunks of at most _CHUNK_CELLS joint
-    cells; each chunk's pmf sums are checked once, and _screen computes
-    the chunk's rates at once. The state marginals need no check: a
-    candidate's is a sum of fl(k/denominator * p_s[s]) whose
-    k/denominator sum to 1 exactly, so it lies within about 6e-14 of
-    p_s[s], far inside _PMF_TOL. A pool holds the keys and indices of
-    the candidates whose primary rate lies within the tie width of the
-    best screened so far, and drops the rest as that best rises. When it
-    outgrows a chunk it keeps one candidate per exact key pair, the one
-    with the smallest flattened pmf: candidates with equal keys tie or
-    drop out together, so no other one of them can win. So the pool is
-    bounded by the distinct keys near the best, not by the candidates.
-    value is the winner's rates screened alone, as eval_informed_*
+    cells from the _compositions table; each chunk's pmf sums are checked
+    once, and _screen computes the chunk's rates at once. The state
+    marginals need no check: a candidate's is a sum of
+    fl(k/denominator * p_s[s]) whose k/denominator sum to 1 exactly, so
+    it lies within about 6e-14 of p_s[s], far inside _PMF_TOL. A pool
+    keeps the keys and indices of the candidates within the tie width of
+    the best primary rate so far. Once it holds more than a chunk and
+    twice its size at its last compaction, it keeps one candidate per
+    exact key pair, the smallest flattened pmf: candidates with equal keys
+    tie or drop out together, so no other one can win. So between chunks
+    the pool holds at most twice the distinct keys near the best, plus a
+    chunk. value is the winner's rates screened alone, as eval_informed_*
     return them. evaluations counts the candidates screened.
     """
     if not isinstance(bounds, str) or bounds not in _TERMS:
@@ -280,9 +282,7 @@ def dmc_maximize(
     per_state = math.comb(denominator + cells - 1, cells - 1)
     total = per_state**ns
     if total > _MAX_CANDIDATES:
-        raise OutOfRange(
-            f"{total} candidate strategies exceed the {_MAX_CANDIDATES} budget"
-        )
+        raise OutOfRange(f"{total} candidate strategies exceed the {_MAX_CANDIDATES} budget")
     cond = _compositions(denominator, cells) / float(denominator)
 
     def strategies(index: np.ndarray) -> np.ndarray:
@@ -294,6 +294,7 @@ def dmc_maximize(
     top = -math.inf
     # the pool: one column of (primary, secondary) rates per candidate index
     keys, ids = np.empty((2, 0)), np.empty(0, dtype=np.int64)
+    kept = 0  # the pool's size after its last compaction
     for start in range(0, total, step):
         index = np.arange(start, min(start + step, total))
         pmf = strategies(index)
@@ -304,17 +305,16 @@ def dmc_maximize(
         keys, ids = np.hstack([keys, chunk]), np.concatenate([ids, index])
         near = keys[0] >= top - _TIE_TOL
         keys, ids = keys[:, near], ids[near]
-        if ids.size > step:
+        if ids.size > max(step, 2 * kept):
             flat = strategies(ids).reshape(ids.size, -1)
             order = np.lexsort((*flat.T[::-1], keys[1], keys[0]))
             keys, ids = keys[:, order], ids[order]
             first = np.r_[True, (keys[:, 1:] != keys[:, :-1]).any(axis=0)]
             keys, ids = keys[:, first], ids[first]
+            kept = ids.size
     tied = strategies(ids[keys[1] >= keys[1].max() - _TIE_TOL])
     best = tied[np.lexsort(tied.reshape(len(tied), -1).T[::-1])[0]]
-    return DmcOptResult(
-        best=AuxJoint(best), value=_rates(d, best, terms), evaluations=total, bounds=bounds
-    )
+    return DmcOptResult(AuxJoint(best), _rates(d, best, terms), total, bounds)
 
 
 def make_degraded_channel(p_y1: np.ndarray, p_y2_given_y1x2: np.ndarray) -> np.ndarray:

@@ -157,8 +157,15 @@ class TestGoldenOutputs:
                 "dmc_pipes_d8_r1.out.json",
                 ["dmc", "--pipes", "--denominator", "8", "--objective", "r1"],
             ),
+            ("dmc_pipes_d16.out.json", ["dmc", "--pipes", "--denominator", "16"]),
+            # the one golden whose distinct tied keys outnumber a chunk, so
+            # the pool waits to double before each compaction
+            (
+                "dmc_pipes_d16_r1.out.json",
+                ["dmc", "--pipes", "--denominator", "16", "--objective", "r1"],
+            ),
         ],
-        ids=["pipes", "two-state", "pipes-r1"],
+        ids=["pipes", "two-state", "pipes-r1", "pipes-d16", "pipes-d16-r1"],
     )
     def test_dmc_byte_identical(self, capsys, name, argv):
         """dmc JSON of the search that ties rates within 1e-12 bits and

@@ -1,4 +1,5 @@
 import itertools
+import math
 import re
 import tracemalloc
 
@@ -524,6 +525,29 @@ class TestCompositions:
     def test_lexicographic_order(self, total, cells):
         want = _product_compositions(total, cells)
         assert dmc._compositions(total, cells).tolist() == [list(c) for c in want]
+
+    @pytest.mark.parametrize("total,cells", [(8, 8), (16, 8)])
+    def test_large_tables(self, total, cells):
+        got = dmc._compositions(total, cells)
+        assert got.dtype == np.float64
+        assert got.shape == (math.comb(total + cells - 1, cells - 1), cells)
+        assert (got.sum(axis=1) == total).all()
+        # rows strictly increase in lexicographic order: at the first
+        # column where two neighbours differ, the later one is larger
+        step = np.diff(got, axis=0)
+        first = (step != 0).argmax(axis=1)
+        assert (step.any(axis=1) & (step[np.arange(len(step)), first] > 0)).all()
+
+    def test_build_peaks_near_the_table(self):
+        # 245,157 x 8 floats: the build holds a few index vectors besides
+        # the table, not copies of it
+        tracemalloc.start()
+        try:
+            table = dmc._compositions(16, 8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * table.nbytes
 
 
 class TestFactories:

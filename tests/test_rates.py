@@ -194,16 +194,24 @@ def _kernel_row(rng, pick, powers, steps=4):
 
 
 @st.composite
-def kernel_rows(draw):
+def kernel_rows(draw, near_scale=False):
     """``_kernel_row`` at scales 1e-300..1e300, each power drawn on its
-    own, with hypothesis choosing the edge branches.
+    own, with hypothesis choosing the edge branches. With ``near_scale``
+    the five powers lie within two decades of one scale in 1e-30..1e30,
+    with n1 < n2, where the crossing root decides cells; that range stays
+    inside the 1e+-38 past which the unscaled reference loses the root.
 
     Everything but the edge branches comes from a numpy generator seeded
     by one draw: derandomized hypothesis float draws favour their bounds.
     Each branch list holds fresh generator values, so hypothesis does not
     rerun a seed with only the branches copied between draws."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    powers = (10.0 ** rng.uniform(-300.0, 300.0, 5)).tolist()
+    if near_scale:
+        scale = rng.uniform(-28.0, 28.0) + rng.uniform(-2.0, 2.0, 5)
+        p1, n1, n2, p2, q = (10.0**scale).tolist()
+        powers = [p1, *sorted((n1, n2)), p2, q]
+    else:
+        powers = (10.0 ** rng.uniform(-300.0, 300.0, 5)).tolist()
     return _kernel_row(rng, lambda options: draw(st.sampled_from(options)), powers)
 
 
@@ -245,6 +253,18 @@ def test_single_clamp_matches_per_term_clamp(row):
     for x, y in zip(got, want):
         # bitwise, through int64, so the sign of a zero counts
         assert np.array_equal(x.view(np.int64), y.view(np.int64))
+
+
+@settings(PROPERTY, max_examples=300)
+@given(kernel_rows(near_scale=True))
+def test_single_clamp_matches_per_term_clamp_near_one_scale(row):
+    # the rows of the property above draw each power on its own, so their
+    # bounds rarely cross inside [0, 1] and the crossing root seldom
+    # decides a cell; near one scale it does
+    knobs, rho, beta = row
+    axes = np.array(rho)[:, np.newaxis], np.array(beta)[np.newaxis, :]
+    for x, y in zip(_best_alpha2(*knobs, *axes), _reference_best_alpha2(*knobs, *axes)):
+        assert _bitwise_equal(x, y)
 
 
 # ---------------------------------------------------------------------------

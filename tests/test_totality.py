@@ -1,9 +1,11 @@
 """Totality of the search entries: on every legal channel, ``frontier``
-(gdpc and dpc) and ``max_r02_gdpc`` return finite, non-negative rates or
-raise a RelayRegionsError, without a numpy warning. Channels have powers
-log-uniform over 1e-300..1e300, where terms overflow, underflow and
-lose every digit, and p2 and q each 0, the smallest subnormal or a
-random power."""
+(gdpc and dpc), ``max_r02_gdpc`` and ``dmc_maximize`` return finite,
+non-negative rates or raise a RelayRegionsError, without a numpy
+warning. Gaussian channels have powers log-uniform over 1e-300..1e300,
+where terms overflow, underflow and lose every digit, and p2 and q each
+0, the smallest subnormal or a random power. Discrete specs have
+alphabets of 1 to 3 symbols, p_s entries of 0 or the smallest subnormal,
+and channel rows that hold zeros."""
 
 import math
 import warnings
@@ -11,7 +13,15 @@ import warnings
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from relayregions import ChannelParams, GridSpec, RelayRegionsError, frontier, max_r02_gdpc
+from relayregions import (
+    ChannelParams,
+    DmcSpec,
+    GridSpec,
+    RelayRegionsError,
+    dmc_maximize,
+    frontier,
+    max_r02_gdpc,
+)
 
 from references import PROPERTY
 
@@ -60,3 +70,38 @@ def test_search_entries_answer_or_raise_typed(row):
     res = _total(lambda: max_r02_gdpc(c, gamma, SMALL))
     if res is not None:
         _assert_rates([res.value, *(entry[3] for entry in res.trace)])
+
+
+@st.composite
+def small_dmc_specs(draw):
+    """A spec with at most 2,000 strategies at denominator 4. The sizes,
+    p_s and the channel come from a generator seeded by one draw; whether
+    p_s holds a 0 or a subnormal and whether channel rows hold zeros are
+    explicit branches."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    while True:
+        sizes = rng.integers(1, 4, size=7).tolist()
+        if math.comb(math.prod(sizes[1:5]) + 3, 4) ** sizes[0] <= 2000:
+            break
+    ns, _, _, nx1, nx2, ny1, ny2 = sizes
+    p_s = rng.dirichlet(np.ones(ns))
+    if ns > 1:
+        p_s[0] = draw(st.sampled_from([0.0, 5e-324, p_s[0]]))
+        p_s[1:] *= (1.0 - p_s[0]) / p_s[1:].sum()
+    rows = rng.dirichlet(np.ones(ny1 * ny2), size=(ns, nx1, nx2))
+    if draw(st.booleans()):
+        # zero a random half of each row, never its largest entry
+        keep = (rng.uniform(size=rows.shape) < 0.5) | (rows == rows.max(axis=-1, keepdims=True))
+        rows = np.where(keep, rows, 0.0)
+        rows /= rows.sum(axis=-1, keepdims=True)
+    return DmcSpec(sizes=tuple(sizes), p_s=p_s, channel=rows.reshape(ns, nx1, nx2, ny1, ny2))
+
+
+@settings(PROPERTY, max_examples=150)
+@given(small_dmc_specs())
+def test_dmc_maximize_answers_or_raises_typed(d):
+    for bounds in ("informed-source", "informed-both"):
+        for objective in ("r02", "r1"):
+            res = _total(lambda: dmc_maximize(d, bounds, 4, objective))
+            if res is not None:
+                _assert_rates([res.value.r1, res.value.r02])
