@@ -44,6 +44,7 @@ from .model import (
     OutOfRange,
     SingularSubmatrix,
     _expression,
+    _scaled,
     validate_gdpc,
 )
 from .rates import _gdpc_point, _private_rate, cap_c, nostate_terms
@@ -403,15 +404,13 @@ def verify_informed_both(
 
     Every compared value is free of q, which is the claimed interference
     independence of the capacity region. The two sum-rate rows compare
-    against ``rates.nostate_terms``, the closed form the region uses.
-    A closed form outside the float range raises OutOfRange before the
-    covariance is built.
+    against ``rates.nostate_terms``, the closed form the region uses. The
+    closed forms run on the channel's scaled powers, the covariance on
+    the powers as given.
     """
-    private = _private_rate(c, p.gamma)
-    partial = cap_c((p.gamma * c.p1 + p.beta * ((1.0 - p.gamma) * c.p1)) / c.n1)
-    # the private rate and nostate_terms check their own arguments
-    if partial == math.inf:
-        raise OutOfRange(f"the closed forms leave the float range at {p} on {c}")
+    p1, _, _, n1, _ = _scaled(c)[0]
+    private = _private_rate(p1, n1, p.gamma)
+    partial = cap_c((p.gamma * p1 + p.beta * ((1.0 - p.gamma) * p1)) / n1)
     relay, combine = nostate_terms(c, p.gamma, p.beta)
     cov = build_cov_informed_both(c, p)
     gated = gaussian_cmi(cov, ["X1"], ["Y1"], ["S", "U1", "U2", "X2"])
@@ -425,15 +424,17 @@ def verify_gdpc(c: ChannelParams, g: GdpcParams, tol: float = 1e-9) -> VerifyRep
     against the covariance oracle for the encoder-informed construction.
 
     The closed forms are the unclamped log ratios of ``rates``' one
-    checked evaluation, so agreement is meaningful even where a bound is
-    negative. A ratio with no finite log (log 0, a 0/0 limit where the
-    binning power vanishes, an underflow) raises SingularSubmatrix.
+    evaluation of the gdpc terms, on the channel's scaled powers, so
+    agreement is meaningful even where a bound is negative. A ratio with
+    no finite log (log 0, or a 0/0 limit where the binning power
+    vanishes) raises SingularSubmatrix.
     """
     cov = build_cov_informed_source(c, g)
-    _, r1, r2 = _gdpc_point([(c, g)])
+    powers = _scaled(c)[0]
+    _, r1, r2 = _gdpc_point([(*powers, g.gamma, g.rho, g.beta, g.alpha2)])
     if not (math.isfinite(r1) and math.isfinite(r2)):
         raise SingularSubmatrix(f"a closed-form ratio has no finite log at {g} on {c}")
-    closed = (_private_rate(c, g.gamma), float(r1), float(r2))
+    closed = (_private_rate(powers[0], powers[3], g.gamma), float(r1), float(r2))
     return VerifyReport("gdpc-closed-forms", tol, _region_checks(cov, _GDPC_ROWS, closed))
 
 

@@ -13,7 +13,11 @@ Conventions shared by every module:
 * powers and noise variances are linear, never dB;
 * rates are bits per channel use, log base 2;
 * an analytic rate expression that comes out negative, or lands on a
-  0/0 boundary (vanishing signal layers), is exposed as exactly 0.0.
+  0/0 boundary (vanishing signal layers), is exposed as exactly 0.0;
+* rates depend on ratios of powers only: a channel's nonzero powers span
+  at most 2**500 (``ChannelParams``), and every closed form runs on them
+  times the even power of two that centres them (``_scaled``), where no
+  rate term leaves the float range.
 
 All types are frozen dataclasses that check their invariants when they
 are built, so a value of one is valid and safe to share between workers.
@@ -80,6 +84,32 @@ class ChannelParams:
             raise OutOfRange(
                 f"need n1 < n2 (far branch noisier), got n1={self.n1}, n2={self.n2}"
             )
+        lo, hi = _extremes(self)
+        if math.frexp(hi)[1] - math.frexp(lo)[1] > _MAX_SPAN:
+            raise OutOfRange(
+                f"the nonzero powers may span at most 2**{_MAX_SPAN} (about 1505 dB), "
+                f"got {lo} to {hi}"
+            )
+
+
+# The widest span of binary exponents of a channel's nonzero powers,
+# about 1505 dB. Centred, they lie in [2**-252, 2**250), so the widest
+# product of the closed forms (degree 4, B^2 - 4AC) stays below 2**1011.
+_MAX_SPAN = 500
+
+
+def _extremes(c: ChannelParams) -> tuple[float, float]:
+    """The smallest nonzero and the largest of the five powers of c."""
+    return min(c.p1, c.n1, c.p2 or c.p1, c.q or c.p1), max(c.p1, c.p2, c.q, c.n2)
+
+
+def _scaled(c: ChannelParams) -> tuple[tuple[float, float, float, float, float], int]:
+    """(p1, p2, q, n1, n2) times 2**k, and k: the even k that centres the
+    binary exponents of the smallest nonzero and the largest power. In the
+    normal range an even power of two keeps every bit, sqrt included."""
+    lo, hi = _extremes(c)
+    k = -(math.frexp(lo)[1] + math.frexp(hi)[1]) // 4 * 2
+    return tuple(math.ldexp(x, k) for x in (c.p1, c.p2, c.q, c.n1, c.n2)), k
 
 
 def rho_upper_bound(c: ChannelParams, gamma: float) -> float:

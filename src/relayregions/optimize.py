@@ -36,14 +36,15 @@ default dpc frontier share one pass while a 33 x 33 gdpc row runs alone.
 ``max_r02_gdpc`` is the pass of one row, and a row that fills a pass
 alone is solved by calling it. A pass of one row hands the kernel its
 six channel knobs as Python floats, as ``rates._gdpc_point`` does for
-one pair, and a pass of several rows as (n, 1, 1) columns: about a dozen
+one row, and a pass of several rows as (n, 1, 1) columns: about a dozen
 of the kernel's numpy calls act on the knobs alone, and on arrays of
 one entry each would cost a call's dispatch for one multiply. Each
 operation rounds a float as it rounds an array entry, so both give the
 same bits. A row's trace is its incumbents as
 ``(rho, beta, alpha2, value)`` float tuples; only its final incumbent is
-built as a ``GdpcParams``, and a pass closes with one checked evaluation
-of all its incumbents (``rates._gdpc_point``).
+built as a ``GdpcParams``, and a pass closes with one evaluation of all
+its incumbents (``rates._gdpc_point``). A row is the floats (p1, p2, q,
+n1, n2, gamma) on its channel's scaled powers (``model._scaled``).
 
 A row's result is bit-identical to searching it alone. Every cell value
 is computed elementwise by the same float operations in the same order,
@@ -58,14 +59,11 @@ the point once.
 
 Validity is held by the types: a ``ChannelParams``, ``GdpcParams`` or
 ``GridSpec`` checks itself when built, so no function here re-checks
-one. Only bare floats are checked where they enter: a gamma must lie in
-[0, 1] (``model._require_unit``). The rows of a frontier or sweep go
-through the same checks as a single call: ``max_beta_nostate`` per
-nostate gamma, and for the searched rows the pass's closing, the
-evaluation ``rates.gdpc_rates`` reads, which raises OutOfRange for the
-first row whose rate terms leave the float range. An incumbent needs no
-``validate_gdpc``: its rho lies in [0, ``rho_upper_bound``], since the
-box is clipped to that bound and no axis point lies past its box end.
+one, and on the scaled powers no term leaves the float range. Only bare
+floats are checked where they enter: a gamma must lie in [0, 1]
+(``model._require_unit``). An incumbent needs no ``validate_gdpc``: its
+rho lies in [0, ``rho_upper_bound``], since the box is clipped to that
+bound and no axis point lies past its box end.
 """
 
 from __future__ import annotations
@@ -86,9 +84,10 @@ from .model import (
     _check_scheme,
     _clamp_rate,
     _require_unit,
+    _scaled,
     rho_upper_bound,
 )
-from .rates import _balanced, _best_alpha2, _gdpc_point, _nostate_terms, _private_rate
+from .rates import _best_alpha2, _gdpc_point, _nostate_terms, _private_rate
 
 
 _MAX_GRID_CELLS = 10**6
@@ -142,7 +141,7 @@ _PASS_CELLS = 2048
 @dataclass(frozen=True)
 class OptResult:
     """Search outcome. ``value`` is recomputed at ``best`` through the
-    checked evaluation ``gdpc_rates`` reads, which runs the grid's float
+    evaluation ``gdpc_rates`` reads, which runs the grid's float
     operations, so it equals the last trace value bit for bit.
     ``evaluations`` counts the (rho, beta) cells searched. ``trace`` holds
     the incumbent after each round as a plain ``(rho, beta, alpha2,
@@ -165,13 +164,10 @@ def max_beta_nostate(c: ChannelParams, gamma: float) -> tuple[float, float]:
     C >= 0 the increasing term never overtakes the decreasing one and the
     optimum is the endpoint beta3 = 1.
 
-    The root and both terms are found on the ``rates._balanced`` powers,
-    computed once, which keeps their bits. Powers whose spread still
-    overflows the discriminant B^2 - 4 A C, or either term, raise
-    OutOfRange instead of returning a split or a value that reads inf.
+    The root and both terms are found on the channel's scaled powers.
     """
     gamma = _require_unit("gamma", gamma)
-    p1, p2, n1, n2 = _balanced(c)
+    p1, p2, q, n1, n2 = _scaled(c)[0]
     g = (1.0 - gamma) * p1
     if g <= 0.0:
         # no common power at all: both terms vanish
@@ -185,21 +181,15 @@ def max_beta_nostate(c: ChannelParams, gamma: float) -> tuple[float, float]:
         aa = g * d2
         bb = 2.0 * math.sqrt(g * p2) * d1
         disc = bb * bb - 4.0 * aa * cc
-        # nan when cc is inf - inf; an overflowed disc would make s read 0
-        if not math.isfinite(disc):
-            raise OutOfRange(
-                f"the no-interference search leaves the float range at gamma = {gamma} "
-                f"on {c}: B^2 - 4AC = {disc}"
-            )
         # the positive root, in the form that avoids cancellation, unless
-        # B = 0 and 4AC underflowed (p2 = 0 at tiny powers): that form is
-        # 0/0 there, and A s^2 + C = 0 gives the root directly
+        # B = 0 and 4AC underflowed (p2 = 0 and g tiny): that form is 0/0
+        # there, and A s^2 + C = 0 gives the root directly
         den = bb + math.sqrt(disc)
         s = -2.0 * cc / den if den > 0.0 else math.sqrt(-cc / aa)
         # s lies in (0, 1) in exact arithmetic; the check keeps a rounding
         # past 1 from passing a negative split on
         beta = _require_unit("beta3", 1.0 - s * s)
-    return beta, min(_nostate_terms(c, p1, p2, n1, n2, gamma, beta))
+    return beta, min(_nostate_terms(p1, p2, q, n1, n2, gamma, beta))
 
 
 def max_r02_gdpc(
@@ -219,11 +209,12 @@ def max_r02_gdpc(
     gamma = _require_unit("gamma", gamma)
     grid = grid if grid is not None else DEFAULT_GRID
     hi = 0.0 if freeze_rho else rho_upper_bound(c, gamma)
-    return _search_pass([(c, gamma)], [hi], grid.steps_rho if hi > 0.0 else 1, grid)[0]
+    row = (*_scaled(c)[0], gamma)
+    return _search_pass([row], [hi], grid.steps_rho if hi > 0.0 else 1, grid)[0]
 
 
 def _search(problems, grid: GridSpec | None, freeze_rho: bool) -> list[OptResult]:
-    """``max_r02_gdpc`` of every (channel, gamma) row, all rows at once.
+    """``max_r02_gdpc`` of every (channel, gamma) problem, all rows at once.
 
     Rows run in order, in passes of at most _PASS_CELLS grid cells. A
     row's rho axis has one point when its rho bound is 0 (dpc, gamma = 1
@@ -234,6 +225,9 @@ def _search(problems, grid: GridSpec | None, freeze_rho: bool) -> list[OptResult
     stay attributed to it. Callers check each gamma.
     """
     grid = grid if grid is not None else DEFAULT_GRID
+    # each channel is scaled once: a frontier's problems share one
+    powers = {c: _scaled(c)[0] for c in {c for c, _ in problems}}
+    rows = [(*powers[c], gamma) for c, gamma in problems]
     rho_hi = [0.0 if freeze_rho else rho_upper_bound(c, gamma) for c, gamma in problems]
     widths = [grid.steps_rho if hi > 0.0 else 1 for hi in rho_hi]
     results: list[OptResult] = []
@@ -249,23 +243,21 @@ def _search(problems, grid: GridSpec | None, freeze_rho: bool) -> list[OptResult
             c, gamma = problems[start]
             results.append(max_r02_gdpc(c, gamma, grid, freeze_rho=freeze_rho))
         else:
-            results += _search_pass(problems[start:stop], rho_hi[start:stop], n_rho, grid)
+            results += _search_pass(rows[start:stop], rho_hi[start:stop], n_rho, grid)
         start = stop
     return results
 
 
-def _search_pass(problems, rho_hi, n_rho: int, grid: GridSpec) -> list[OptResult]:
+def _search_pass(rows, rho_hi, n_rho: int, grid: GridSpec) -> list[OptResult]:
     """Grid-then-shrink over the (rho, beta) boxes of one pass's rows; see
     the module docstring for why each row's result equals a search of
     that row alone. Each row's box, incumbent, trace and cell count are
     plain floats and ints, numpy holds only the cell arrays, and the pass
-    closes with one checked evaluation of all its incumbents."""
-    n = len(problems)
-    rows = np.arange(n)
-    # p1, p2, q, n1, n2 and gamma: floats for one row, else each as an
-    # (n, 1, 1) column
-    knobs = [(c.p1, c.p2, c.q, c.n1, c.n2, gamma) for c, gamma in problems]
-    knobs = knobs[0] if n == 1 else np.array(knobs, dtype=float).T[:, :, np.newaxis, np.newaxis]
+    closes with one evaluation of all its incumbents."""
+    n = len(rows)
+    every = np.arange(n)
+    # the six knobs: floats for one row, else each as an (n, 1, 1) column
+    knobs = rows[0] if n == 1 else np.array(rows, dtype=float).T[:, :, np.newaxis, np.newaxis]
     steps_rho, n_beta, shrink = grid.steps_rho, grid.steps_beta, grid.refine_shrink
     # each row's (rho, beta) box with its cell count so far, and its
     # incumbent (rho, beta, alpha2, value); an infinite start loses every
@@ -288,10 +280,10 @@ def _search_pass(problems, rho_hi, n_rho: int, grid: GridSpec) -> list[OptResult
         flat = (v >= np.array(threshold)[:, np.newaxis]).argmax(axis=1)
         i_rho, i_beta = np.divmod(flat, n_beta)
         cands = zip(
-            rho[rows, i_rho].tolist(),
-            beta[rows, i_beta].tolist(),
-            aa[rows, flat].tolist(),
-            v[rows, flat].tolist(),
+            rho[every, i_rho].tolist(),
+            beta[every, i_beta].tolist(),
+            aa[every, flat].tolist(),
+            v[every, flat].tolist(),
         )
         rounds = zip(cands, best, boxes, rho_hi)
         best, boxes = [], []
@@ -315,8 +307,8 @@ def _search_pass(problems, rho_hi, n_rho: int, grid: GridSpec) -> list[OptResult
                  blo if blo > 0.0 else 0.0, bhi if bhi < 1.0 else 1.0, k)
             )
         history.append(best)
-    params = [GdpcParams(gamma, *inc[:3]) for (_, gamma), inc in zip(problems, best)]
-    _, r1s, r2s = _gdpc_point([(c, g) for (c, _), g in zip(problems, params)])
+    params = [GdpcParams(row[5], *inc[:3]) for row, inc in zip(rows, best)]
+    _, r1s, r2s = _gdpc_point([(*row, g.rho, g.beta, g.alpha2) for row, g in zip(rows, params)])
     r1s, r2s = np.atleast_1d(r1s).tolist(), np.atleast_1d(r2s).tolist()
     return [
         OptResult(
@@ -355,18 +347,15 @@ def _solve_all(
     scheme: str, problems, grid: GridSpec | None
 ) -> list[tuple[float, float, float, float]]:
     """(rho, beta, alpha2, value) of one scheme for every (channel, gamma)
-    row. gdpc and dpc run one batched box search; for the exact region
+    problem. gdpc and dpc run one batched box search; for the exact region
     beta is the cooperative split beta3 and rho = alpha2 = 0."""
     if scheme in ("gdpc", "dpc"):
         return [
             (res.best.rho, res.best.beta, res.best.alpha2, res.value)
             for res in _search(problems, grid, scheme == "dpc")
         ]
-    solved = []
-    for c, gamma in problems:
-        beta, value = max_beta_nostate(c, gamma)
-        solved.append((0.0, beta, 0.0, value))
-    return solved
+    splits = [max_beta_nostate(c, gamma) for c, gamma in problems]
+    return [(0.0, beta, 0.0, value) for beta, value in splits]
 
 
 def frontier(
@@ -389,9 +378,10 @@ def frontier(
     if not gammas:
         raise OutOfRange("gamma_grid must hold at least one gamma")
     solved = _solve_all(scheme, [(c, gamma) for gamma in gammas], grid)
+    p1, _, _, n1, _ = _scaled(c)[0]
     pts = [
-        FrontierPoint(gamma, rho, beta, alpha2, RatePoint.clamped(_private_rate(c, gamma), r02))
-        for gamma, (rho, beta, alpha2, r02) in zip(gammas, solved)
+        FrontierPoint(g, rho, beta, alpha2, RatePoint.clamped(_private_rate(p1, n1, g), r02))
+        for g, (rho, beta, alpha2, r02) in zip(gammas, solved)
     ]
     kept: list[FrontierPoint] = []
     best_later = -math.inf

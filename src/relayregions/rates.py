@@ -52,15 +52,11 @@ the two agree only through the mapping beta3 = 1 - beta**2, which the
 test suite checks on the q = 0 reduction.
 
 Negative or 0/0-indeterminate expressions clamp to exactly 0 (they mark
-useless parameter choices, not invalid inputs). Terms that leave the
-float range mark nothing, so ``gdpc_rates`` raises OutOfRange there: it
-reads one checked evaluation, which runs the grid kernel's float
-operations elementwise, at one point for it and at every incumbent of a
-pass for the box search. The private rate and ``nostate_terms`` raise
-OutOfRange too where a capacity argument leaves the float range. The
-no-interference forms are ratios of powers, so they run on the powers
-times one power of two (``_balanced``): a product of two powers past the
-float range no longer rejects a channel whose ratios are representable.
+useless parameter choices, not invalid inputs). Every form runs on the
+channel's scaled powers (``model._scaled``), where no term leaves the
+float range. The gdpc terms come from one evaluation by the grid
+kernel's float operations, at one point for ``gdpc_rates`` and at every
+incumbent of a pass for the box search.
 """
 
 from __future__ import annotations
@@ -77,6 +73,7 @@ from .model import (
     _TIE_TOL,
     _clamp_rate,
     _require_unit,
+    _scaled,
     validate_gdpc,
 )
 
@@ -91,15 +88,9 @@ def cap_c(x: float) -> float:
     return 0.5 * math.log1p(x) / _LN2
 
 
-def _private_rate(c: ChannelParams, gamma: float) -> float:
-    """cap_c(gamma*p1/n1), the rate of the private layer. An argument that
-    overflows raises OutOfRange instead of reading a rate of inf."""
-    x = gamma * c.p1 / c.n1
-    if not math.isfinite(x):
-        raise OutOfRange(
-            f"the closed forms leave the float range at gamma = {gamma} on {c}: cap_c of [{x}]"
-        )
-    return cap_c(x)
+def _private_rate(p1, n1, gamma):
+    """cap_c(gamma*p1/n1), the private layer's rate, on scaled powers."""
+    return cap_c(gamma * p1 / n1)
 
 
 def _alpha2_free_terms(p1, p2, q, n1, n2, gamma, rho, beta):
@@ -178,8 +169,7 @@ def _best_alpha2(p1, p2, q, n1, n2, gamma, rho, beta):
     first. The guard needs the max as well as the
     min: a term that overflows to +inf (a/b at p1 = 1e300 with
     n1 = 1e-300) clamps to 0, which a test of min > 0 alone would miss.
-    Overflow, 0/0 and log 0 are silent here; the scalar path,
-    ``gdpc_rates``, reports such a point as OutOfRange.
+    Overflow, 0/0 and log 0 are silent here.
     """
     with np.errstate(all="ignore"):
         pwt, qp, a, c, m1, m2 = _alpha2_free_terms(p1, p2, q, n1, n2, gamma, rho, beta)
@@ -247,59 +237,39 @@ class GdpcRates(NamedTuple):
     qprime: float
 
 
-def _gdpc_point(points):
+def _gdpc_point(rows):
     """(a, b, c, d, qprime) and the unclamped 0.5*log2(a/b), 0.5*log2(c/d)
-    at every (channel, GdpcParams) pair of ``points``, elementwise by the
-    grid kernel's float operations: each is an array with one entry per
-    pair, or a scalar when there is one pair. Only powers out of the
-    float range make a term overflow or a ratio reach +inf (b = 0 forces
-    a = 0 in exact arithmetic, unless b underflows). Pairs are checked in
-    order, and the first bad pair raises OutOfRange, without a warning.
-    Callers hold the pairs' rho bounds (``validate_gdpc``) already."""
-    knobs = [(c.p1, c.p2, c.q, c.n1, c.n2, g.gamma, g.rho, g.beta, g.alpha2) for c, g in points]
-    # one pair runs on floats: numpy's cost per call on arrays of one
+    at every row (p1, p2, q, n1, n2, gamma, rho, beta, alpha2) of ``rows``,
+    on a channel's scaled powers, elementwise by the grid kernel's float
+    operations: each is an array with one entry per row, or a scalar when
+    there is one row. Callers hold the rows' rho bounds already."""
+    # one row runs on floats: numpy's cost per call on arrays of one
     # entry would be most of a scalar evaluation
-    one = len(knobs) == 1
-    p1, p2, q, n1, n2, gamma, rho, beta, alpha2 = knobs[0] if one else np.array(knobs).T
-    with np.errstate(all="ignore"):  # a point out of range raises below
-        pwt, qp, a, cc, m1, m2 = _alpha2_free_terms(p1, p2, q, n1, n2, gamma, rho, beta)
-        b, d = _binned_pair(pwt, qp, m1, m2, alpha2)
-        r1, r2 = _log_ratios(a, b, cc, d)
-    terms = (a, b, cc, d, r1, r2)
-    for (c, g), (ta, tb, tc, td, t1, t2) in zip(
-        points, (terms,) if one else zip(*(t.tolist() for t in terms))
-    ):
-        if not all(map(math.isfinite, (ta, tb, tc, td))) or math.inf in (t1, t2):
-            raise OutOfRange(
-                f"the rate terms a/b = {ta}/{tb} and c/d = {tc}/{td} leave the "
-                f"float range at {g} on {c}"
-            )
-    return (a, b, cc, d, qp), r1, r2
+    p1, p2, q, n1, n2, gamma, rho, beta, alpha2 = rows[0] if len(rows) == 1 else np.array(rows).T
+    pwt, qp, a, c, m1, m2 = _alpha2_free_terms(p1, p2, q, n1, n2, gamma, rho, beta)
+    b, d = _binned_pair(pwt, qp, m1, m2, alpha2)
+    return (a, b, c, d, qp), *_log_ratios(a, b, c, d)
 
 
 def gdpc_rates(c: ChannelParams, g: GdpcParams) -> GdpcRates:
     """Clamped sum-rate bounds and the private rate at one point.
 
     The achievable sum rate of the scheme is min(r1_sum, r2_sum); the
-    private rate cap_c(gamma*p1/n1) comes on top of it. Terms out of the
-    float range raise OutOfRange: their clamp would read 0 without a word.
+    private rate cap_c(gamma*p1/n1) comes on top of it. The products a,
+    b, c, d and qprime come back exactly in the caller's scale, where one
+    past the float range raises OutOfRange.
     """
-    products, r1, r2 = _gdpc_point([(c, validate_gdpc(c, g))])
-    return GdpcRates(
-        _clamp_rate(r1), _clamp_rate(r2), _private_rate(c, g.gamma), *map(float, products)
-    )
-
-
-def _balanced(c: ChannelParams) -> tuple[float, float, float, float]:
-    """p1, p2, n1 and n2 times the power of two that centres their binary
-    exponents on 0, so a product of two stays in range where their ratio
-    does. Every ratio keeps its bits, and no normal power leaves the
-    normal range. q is left out: the no-interference forms do not use it."""
-    # the binary exponents of the smallest nonzero and the largest power
-    lo = math.frexp(min(c.p1, c.n1, c.p2 or c.n1))[1]
-    hi = math.frexp(max(c.p1, c.p2, c.n2))[1]
-    k = min(max(-((lo + hi) // 2), -1021 - lo), 1024 - hi)
-    return math.ldexp(c.p1, k), math.ldexp(c.p2, k), math.ldexp(c.n1, k), math.ldexp(c.n2, k)
+    validate_gdpc(c, g)
+    powers, k = _scaled(c)
+    (a, b, cc, d, qp), r1, r2 = _gdpc_point([(*powers, g.gamma, g.rho, g.beta, g.alpha2)])
+    try:  # a, b, c and d have degree 2 in the powers, qprime degree 1
+        products = [math.ldexp(x, -2 * k) for x in (a, b, cc, d)] + [math.ldexp(qp, -k)]
+    except OverflowError:
+        raise OutOfRange(
+            f"the products a, b, c, d and qprime leave the float range at {g} on {c}"
+        ) from None
+    r_private = _private_rate(powers[0], powers[3], g.gamma)
+    return GdpcRates(_clamp_rate(r1), _clamp_rate(r2), r_private, *products)
 
 
 def nostate_terms(c: ChannelParams, gamma: float, beta3: float) -> tuple[float, float]:
@@ -307,28 +277,16 @@ def nostate_terms(c: ChannelParams, gamma: float, beta3: float) -> tuple[float, 
 
     The first (relay decoding) term increases with beta3, the second
     (far-user combining) term decreases; their min is what the region
-    maximizes over beta3. They run on the ``_balanced`` powers; a sum or
-    ratio that still leaves the float range raises OutOfRange.
+    maximizes over beta3. They run on the channel's scaled powers.
     """
-    gamma = _require_unit("gamma", gamma)
-    beta3 = _require_unit("beta3", beta3)
-    return _nostate_terms(c, *_balanced(c), gamma, beta3)
+    gamma, beta3 = _require_unit("gamma", gamma), _require_unit("beta3", beta3)
+    return _nostate_terms(*_scaled(c)[0], gamma, beta3)
 
 
-def _nostate_terms(c, p1, p2, n1, n2, gamma, beta3):
-    """``nostate_terms`` on the ``_balanced`` powers p1, p2, n1, n2 of
-    ``c``, at a gamma and a beta3 already checked."""
+def _nostate_terms(p1, p2, q, n1, n2, gamma, beta3):
+    """``nostate_terms`` on a channel's scaled powers (q unused), at a
+    gamma and a beta3 already checked."""
     gbar_p1 = (1.0 - gamma) * p1
     cross = 2.0 * math.sqrt((1.0 - beta3) * gbar_p1 * p2)
-    d1 = gamma * p1 + n1
-    d2 = gamma * p1 + n2
-    x1 = beta3 * gbar_p1 / d1
-    x2 = (gbar_p1 + p2 + cross) / d2
-    # an overflowed sum reads as a rate of inf, as nan (inf/inf) or as a
-    # silent 0 (x/inf)
-    if not all(map(math.isfinite, (d1, d2, x1, x2))):
-        raise OutOfRange(
-            f"the closed forms leave the float range at gamma = {gamma}, beta3 = {beta3} "
-            f"on {c}: cap_c of [{x1}, {x2}]"
-        )
-    return cap_c(x1), cap_c(x2)
+    x1 = beta3 * gbar_p1 / (gamma * p1 + n1)
+    return cap_c(x1), cap_c((gbar_p1 + p2 + cross) / (gamma * p1 + n2))

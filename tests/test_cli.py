@@ -10,7 +10,7 @@ from unittest import mock
 import pytest
 
 from relayregions import (
-    SCHEMES, ChannelParams, GdpcParams, OutOfRange, RelayRegionsError, cap_c, gdpc_rates,
+    SCHEMES, ChannelParams, GdpcParams, OutOfRange, RelayRegionsError, gdpc_rates,
 )
 from relayregions import rates
 from relayregions.cli import (
@@ -33,6 +33,13 @@ DATA = Path(__file__).parent / "data"
 # lucky draws; at 320,000 the sd is about 0.002 bits.
 MC_SAMPLES = "320000"
 HUGE_INT = 10**400  # a JSON integer with no float value
+# the example channel 1,1,1,0.1,1 times 2^-600 and 2^600, as float reprs
+SCALED_EXAMPLES = [
+    "2.409919865102884e-181,2.409919865102884e-181,2.409919865102884e-181,"
+    "2.4099198651028843e-182,2.409919865102884e-181",
+    "4.149515568880993e+180,4.149515568880993e+180,4.149515568880993e+180,"
+    "4.149515568880993e+179,4.149515568880993e+180",
+]
 # input errors the CLI reports with their message and exit code 2, the
 # config paths relative to the repository root
 ERROR_RUNS = [
@@ -127,6 +134,23 @@ class TestGoldenOutputs:
     )
     def test_byte_identical(self, capsys, name, argv):
         code, out, _ = run(capsys, *argv, "--channel", "1,1,1,0.1,1")
+        assert code == 0
+        assert out.encode() == (DATA / name).read_bytes()
+
+    @pytest.mark.parametrize("channel", SCALED_EXAMPLES, ids=["2^-600", "2^600"])
+    @pytest.mark.parametrize(
+        "name,argv",
+        [
+            ("frontier_dpc.csv", ["--scheme", "dpc", "--gamma-grid", "0:1:21"]),
+            ("frontier_gdpc.csv", ["--scheme", "gdpc", "--gamma-grid", "0:1:21"]),
+            ("frontier_nostate.csv", ["--scheme", "nostate-outer", "--gamma-grid", "0:1:101"]),
+        ],
+        ids=["dpc", "gdpc", "nostate"],
+    )
+    def test_scaled_channel_byte_identical(self, capsys, name, argv, channel):
+        """The example channel times 2^-600 and 2^600 traces the example's
+        frontiers byte for byte: rates depend on ratios of powers only."""
+        code, out, _ = run(capsys, "frontier", *argv, "--channel", channel)
         assert code == 0
         assert out.encode() == (DATA / name).read_bytes()
 
@@ -300,8 +324,13 @@ class TestSweepCommand:
 
 
 class TestFloatRange:
-    """Powers at the edge of the float range give an input error, not a
-    silent rate of 0 with RuntimeWarnings."""
+    """A channel whose nonzero powers span more than 2^500 is an input
+    error, not a silent rate of 0 with RuntimeWarnings. These channels
+    span 2^1993 or more, and in the powers as given their rate terms leave
+    the float range."""
+
+    RULE = "the nonzero powers may span at most 2**500 (about 1505 dB), got "
+    SPAN = "error: channel: " + RULE
 
     @pytest.mark.parametrize(
         "argv",
@@ -316,7 +345,7 @@ class TestFloatRange:
         code, out, err = run(capsys, *argv, "--grid", TINY_GRID)
         assert code == 2
         assert out == ""
-        assert err.startswith("error: the rate terms") and "float range" in err
+        assert err.startswith(self.SPAN + "1e-300 to ")
         assert "Warning" not in err
 
     def test_point_overflow_is_input_error(self):
@@ -329,51 +358,54 @@ class TestFloatRange:
             env={**os.environ, "PYTHONWARNINGS": "error::RuntimeWarning"},
         )
         assert (proc.returncode, proc.stdout) == (2, "")
-        assert proc.stderr.startswith("error: the rate terms") and "float range" in proc.stderr
-        assert "Warning" not in proc.stderr
+        assert proc.stderr == self.SPAN + "1e-300 to 1e+300\n"
 
     def test_point_private_rate_overflow_is_input_error(self, capsys):
-        # gamma*p1/n1 overflows, so the private rate has no finite value
+        # gamma*p1/n1 overflows in the powers as given
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code, out, err = run(
                 capsys, "point", "--channel", "1e300,1,1,1e-300,2e-300", "--params", "1,0,0,0"
             )
-        c = ChannelParams(1e300, 1.0, 1.0, 1e-300, 2e-300)
         assert (code, out) == (2, "")
-        assert err == (
-            f"error: the closed forms leave the float range at gamma = 1.0 on {c}: cap_c of [inf]\n"
-        )
+        assert err == self.SPAN + "1e-300 to 1e+300\n"
 
     def test_nostate_overflow_is_input_error(self, capsys):
-        # at gamma = 0.5 the crossing's C is inf - inf: the split read nan
-        # and the error named beta3's range instead of the float range.
-        # gamma = 0 comes first, where the relay term's argument overflows.
+        # in the powers as given the relay term's argument overflows at
+        # gamma = 0, and the crossing's C is inf - inf at gamma = 0.5
         code, out, err = run(
             capsys, "frontier", "--scheme", "nostate-outer", "--gamma-grid", "0,0.5",
             "--channel", "1e300,1,1,1e-300,2e-300",
         )
-        assert code == 2
-        assert out == ""
-        c = ChannelParams(1e300, 1.0, 1.0, 1e-300, 2e-300)
-        assert err.startswith(
-            "error: the closed forms leave the float range at gamma = 0.0, beta3 = "
-        )
-        assert err.endswith(f" on {c}: cap_c of [inf, inf]\n")
-        assert "Warning" not in err
+        assert (code, out, err) == (2, "", self.SPAN + "1e-300 to 1e+300\n")
 
     def test_nostate_without_relay_power(self, capsys):
-        # p2 = 0 makes B = 0 and 4AC underflows, so the crossing's
-        # cancellation-free root divided 0 by 0
+        # p2 = 0 makes B = 0, and 4AC underflows in the powers as given;
+        # the channel spans 2^665. tests/test_optimize.py reaches that
+        # branch inside the domain
         code, out, err = run(
             capsys, "frontier", "--scheme", "nostate-outer", "--gamma-grid", "0",
             "--channel", "1,0,1,1e-200,2e-200",
         )
-        assert (code, err) == (0, "")
-        row = out.splitlines()[1].split(",")
-        # the split solves A s^2 + C = 0: s^2 = (n2 - n1)/n2
-        r02 = format(cap_c(0.5e200), ".12g")
-        assert row == ["nostate-outer", "0", "0", "0.5", "0", "0", r02]
+        assert (code, out, err) == (2, "", self.SPAN + "1e-200 to 1.0\n")
+
+    def test_point_products_past_the_float_range(self, capsys):
+        # the rates answer, but a = b = c = d = 1e600 in the caller's scale
+        code, out, err = run(
+            capsys, "point", "--channel", "1e300,1e300,1e300,1e300,2e300",
+            "--params", "0.5,0,0.5,0.5",
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: the products a, b, c, d and qprime leave the float range")
+
+    def test_snr_past_the_span_is_input_error(self, capsys):
+        # 1600 dB sets n1 = 1e-160, 2^532 below p1 = 1: that row's channel
+        # is the error
+        code, out, err = run(
+            capsys, "sweep-snr", "--snr-db", "10,1600", "--channel", "1,1,1,0.1,1",
+            "--grid", TINY_GRID,
+        )
+        assert (code, out, err) == (2, "", "error: " + self.RULE + "1e-160 to 1.0\n")
 
 
 class TestWithoutRelayPower:

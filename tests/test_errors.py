@@ -33,8 +33,10 @@ from relayregions.gaussian import CovarianceSystem
 from relayregions.optimize import DEFAULT_GRID
 
 _TWO_STATES = dict(sizes=(2, 1, 1, 1, 1, 1, 1), channel=np.ones((2, 1, 1, 1, 1)))
-# gamma*p1/n1 overflows at any gamma above about 1e-292
-_HUGE_SNR = ChannelParams(1e300, 1.0, 1.0, 1e-300, 2e-300)
+# powers that span 2**1993, where gamma*p1/n1 overflows at any gamma
+# above about 1e-292 in the powers as given
+_HUGE_SNR = (1e300, 1.0, 1.0, 1e-300, 2e-300)
+_SPAN = "the nonzero powers may span at most 2**500 (about 1505 dB), got"
 
 # one row per domain or budget check, with the message it raises
 REJECTIONS = [
@@ -48,32 +50,41 @@ REJECTIONS = [
         lambda: ChannelParams(1.0, 1.0, 1.0, 1.0, 0.5),
         "need n1 < n2 (far branch noisier), got n1=1.0, n2=0.5",
     ),
+    ("span", lambda: ChannelParams(1.0, 0.0, 0.0, 2.0**-500, 2.0), f"{_SPAN} 3.054936363499605e-151 to 2.0"),
     ("cap_c", lambda: cap_c(-1e-9), "cap_c argument must be >= 0, got -1e-09"),
     # nan fails every comparison, so an x < 0 test would let it through
     ("cap_c-nan", lambda: cap_c(float("nan")), "cap_c argument must be >= 0, got nan"),
+    # the four channels below span more than 2**500, and their closed
+    # forms leave the float range in the powers as given
     (
         "nostate_terms",
         lambda: nostate_terms(ChannelParams(1e308, 1e308, 1.0, 0.25, 1.5e308), 0.0, 0.5),
-        "the closed forms leave the float range at gamma = 0.0, beta3 = 0.5 on ChannelParams("
-        "p1=1e+308, p2=1e+308, q=1.0, n1=0.25, n2=1.5e+308): cap_c of [inf, 2.2761423749153966]",
+        f"{_SPAN} 0.25 to 1.5e+308",
     ),
-    # a subnormal n1 leaves the powers too spread to scale: gamma*p1 + n2
-    # overflows, and the far user's argument is inf/inf
     (
         "nostate_terms-nan",
         lambda: nostate_terms(ChannelParams(1.7e308, 1.7e308, 1.0, 5e-324, 1.7e308), 0.5, 0.5),
-        "the closed forms leave the float range at gamma = 0.5, beta3 = 0.5 on ChannelParams("
-        "p1=1.7e+308, p2=1.7e+308, q=1.0, n1=5e-324, n2=1.7e+308): cap_c of [0.5, nan]",
+        f"{_SPAN} 5e-324 to 1.7e+308",
     ),
     (
         "gdpc_rates-private",
-        lambda: gdpc_rates(_HUGE_SNR, GdpcParams(1.0, 0.0, 0.0, 0.0)),
-        f"the closed forms leave the float range at gamma = 1.0 on {_HUGE_SNR}: cap_c of [inf]",
+        lambda: gdpc_rates(ChannelParams(*_HUGE_SNR), GdpcParams(1.0, 0.0, 0.0, 0.0)),
+        f"{_SPAN} 1e-300 to 1e+300",
     ),
     (
         "frontier-private",
-        lambda: frontier(_HUGE_SNR, "dpc", [1.0]),
-        f"the closed forms leave the float range at gamma = 1.0 on {_HUGE_SNR}: cap_c of [inf]",
+        lambda: frontier(ChannelParams(*_HUGE_SNR), "dpc", [1.0]),
+        f"{_SPAN} 1e-300 to 1e+300",
+    ),
+    # the rates answer, but a = b = c = d = 1e600 in the caller's scale
+    (
+        "gdpc_rates-products",
+        lambda: gdpc_rates(
+            ChannelParams(1e300, 1e300, 1e300, 1e300, 2e300), GdpcParams(0.5, 0.0, 0.5, 0.5)
+        ),
+        "the products a, b, c, d and qprime leave the float range at GdpcParams(gamma=0.5, "
+        "rho=0.0, beta=0.5, alpha2=0.5) on ChannelParams(p1=1e+300, p2=1e+300, q=1e+300, "
+        "n1=1e+300, n2=2e+300)",
     ),
     (
         "q=0-source-cov",

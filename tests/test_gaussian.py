@@ -1,7 +1,7 @@
 import json
 import math
+import re
 import warnings
-from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -33,6 +33,7 @@ from relayregions.gaussian import (
     _cmi_from_sigma,
     _sample_covariance,
 )
+from relayregions.model import _scaled
 from relayregions.rates import _gdpc_point
 
 from references import PROPERTY
@@ -358,7 +359,7 @@ class TestInformedSourceCov:
 
     def test_rho_past_its_bound_rejected(self):
         # the covariance build's check is verify_gdpc's one check of rho:
-        # the closed forms it compares against check the float range only
+        # the closed forms it compares against check nothing
         c = ChannelParams(1.0, 1.0, 0.4, 0.1, 1.0)
         for check in (build_cov_informed_source, verify_gdpc):
             with pytest.raises(OutOfRange, match="rho must be <= 0.5 for this channel, got 0.6"):
@@ -415,11 +416,17 @@ class TestInformedSourceCov:
         assert rep.passed
         assert rep.max_abs_diff < 1e-12
 
-    def test_underflowed_denominator_is_out_of_range(self):
-        # b = pwt*(qprime + n1) underflows to 0 while a does not
+    def test_underflowed_denominator_answers(self):
+        # b = pwt*(qprime + n1) underflows to 0 in the powers as given,
+        # while a does not; the closed forms run on the scaled powers and
+        # read those of the channel scaled to k = 0, bit for bit
         c = ChannelParams(1e-160, 1e-160, 1e-200, 1e-300, 2e-300)
-        with pytest.raises(OutOfRange, match="float range"):
-            verify_gdpc(c, GdpcParams(0.0, 0.0, 0.0, 0.0))
+        g = GdpcParams(0.0, 0.0, 0.0, 0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = verify_gdpc(c, g)
+        want = gdpc_rates(ChannelParams(*_scaled(c)[0]), g)
+        assert [t.closed for t in rep.details] == [want.r_private, want.r1_sum, want.r2_sum]
 
     @pytest.mark.parametrize(
         "g",
@@ -551,16 +558,19 @@ class TestSampleCovarianceLaw:
 
 def test_assemble_past_float_range_raises_without_warning():
     """sigma's product overflows to nan; CovarianceSystem rejects it, and
-    numpy says nothing first."""
-    c = ChannelParams(
-        4.396429386339809e-299, 2.770549746612979e214, 1.4169195198104736e-280,
-        6.212520831057459e137, 1.7046449361437926e300,
-    )
+    numpy says nothing first. The covariance keeps the caller's scale, so
+    a channel inside the span bound reaches it."""
     g = GdpcParams(0.2997118905373848, 0.12428327649956394, 0.42268722119765845, 0.028319671145462966)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
+        # this channel spans 2^1990
+        with pytest.raises(OutOfRange, match=SPAN):
+            ChannelParams(
+                4.396429386339809e-299, 2.770549746612979e214, 1.4169195198104736e-280,
+                6.212520831057459e137, 1.7046449361437926e300,
+            )
         with pytest.raises(OutOfRange, match="sigma must be finite"):
-            verify_gdpc(c, g)
+            verify_gdpc(ChannelParams(1.7e308, 1.7e308, 1.7e308, 1e300, 1.7e308), g)
 
 
 def _oracle_verify_draws(n, seed):
@@ -600,7 +610,7 @@ def _closed_misses(c, g):
         rep = verify_gdpc(c, g)
     except RelayRegionsError:
         return ()
-    _, r1, r2 = _gdpc_point([(c, g)])
+    _, r1, r2 = _gdpc_point([(*_scaled(c)[0], g.gamma, g.rho, g.beta, g.alpha2)])
     rates = gdpc_rates(c, g)
     return tuple(
         (term.term, term.closed, float(ratio), clamped)
@@ -624,40 +634,43 @@ class TestVerifyCertifiesLibraryFloats:
         ]
         assert misses == []
 
-def _extreme_draws(n, seed):
-    """Channels with powers log-uniform over 1e-300..1e300 (p2 = 0 on 15%
-    of draws, q = 0 on 10%) and n2/n1 from 1 + 1e-12 to 1e8, with knobs
-    from {0, 1, uniform} and rho scaled by its bound."""
+def _extreme_draws(n, seed, near_scale=False):
+    """The powers (p1, p2, q, n1, n2) of channels with p1, p2, q and n1
+    log-uniform over 1e-300..1e300, or with ``near_scale`` within two
+    decades of one scale there (p2 = 0 on 15% of draws, q = 0 on 10%),
+    and n2/n1 from 1 + 1e-12 to 1e8; with six knobs from {0, 1, uniform}:
+    gamma, rho's fraction of its bound, beta and alpha2, then gamma and
+    beta of the informed-both construction. Most wide draws span more
+    than 2^500."""
     rng = np.random.default_rng(seed)
-
-    def knob():
-        return float(rng.choice([0.0, 1.0, rng.uniform()]))
-
     for _ in range(n):
-        p1, p2, q, n1 = 10.0 ** rng.uniform(-300.0, 300.0, 4)
+        if near_scale:
+            p1, p2, q, n1 = 10.0 ** (rng.uniform(-298.0, 298.0) + rng.uniform(-2.0, 2.0, 4))
+        else:
+            p1, p2, q, n1 = 10.0 ** rng.uniform(-300.0, 300.0, 4)
         p2 *= rng.uniform() >= 0.15
         q *= rng.uniform() >= 0.10
         n2 = n1 * (1.0 + 10.0 ** rng.uniform(-12.0, 8.0))
-        c = ChannelParams(float(p1), float(p2), float(q), float(n1), float(n2))
-        gamma = knob()
-        g = GdpcParams(gamma, knob() * rho_upper_bound(c, gamma), knob(), knob())
-        yield c, g, InformedBothParams(knob(), knob())
+        knobs = [float(rng.choice([0.0, 1.0, rng.uniform()])) for _ in range(6)]
+        yield [float(v) for v in (p1, p2, q, n1, n2)], knobs
 
 
-# closed forms past the float range: rows 1-2 read cap_c(inf) in (a),
-# the cross term of nostate_terms overflows and so does the far user's
-# ratio in (b), and only row 2's argument overflows in (c)
+# channels whose closed forms leave the float range in the powers as
+# given: rows 1-2 read cap_c(inf) in (a), the cross term of nostate_terms
+# overflows and so does the far user's ratio in (b), and only row 2's
+# argument overflows in (c). Each spans more than 2^500.
 FLOAT_RANGE_CASES = [
     (
-        ChannelParams(
+        (
             1.912876620639354e+249, 3.3531497959108084e-126, 6.292669901169704e+290,
             6.227326762591902e-98, 7.922947683685271e-97,
         ),
         InformedBothParams(0.19026780185398773, 0.0),
     ),
-    (ChannelParams(1e200, 1e200, 1.0, 1e-200, 2e-200), InformedBothParams(0.0, 0.0)),
-    (ChannelParams(1.5e308, 1.0, 1.0, 0.5, 1.0), InformedBothParams(0.5, 1.0)),
+    ((1e200, 1e200, 1.0, 1e-200, 2e-200), InformedBothParams(0.0, 0.0)),
+    ((1.5e308, 1.0, 1.0, 0.5, 1.0), InformedBothParams(0.5, 1.0)),
 ]
+SPAN = r"the nonzero powers may span at most 2\*\*500"
 
 
 def _assert_total(verify, c, params):
@@ -679,15 +692,15 @@ class TestVerifyTotality:
     def test_informed_both_out_of_float_range(self, c, p):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            _assert_total(verify_informed_both, c, p)
-            with pytest.raises(OutOfRange, match="float range"):
-                verify_informed_both(c, p)
+            with pytest.raises(OutOfRange, match=SPAN):
+                verify_informed_both(ChannelParams(*c), p)
 
     def test_informed_both_cooperative_power_overflow(self):
         # the closed forms answer, but the cooperative power
-        # (sqrt((1-beta)(1-gamma)p1) + sqrt(p2))^2 overflows: the
-        # covariance check rejects it, not an OverflowError
-        c = ChannelParams(1.7e308, 1.7e308, 1.0, 1.0, 1.7e308)
+        # (sqrt((1-beta)(1-gamma)p1) + sqrt(p2))^2 overflows in the
+        # caller's scale: the covariance check rejects it, not an
+        # OverflowError. The channel had q = n1 = 1, past the span bound.
+        c = ChannelParams(1.7e308, 1.7e308, 1e300, 1e300, 1.7e308)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(OutOfRange) as info:
@@ -695,30 +708,34 @@ class TestVerifyTotality:
         assert str(info.value) == "sigma must be finite"
 
     def test_informed_both_products_past_the_float_range(self):
-        # the cross term sqrt(p1*p2) overflows in the powers as given;
-        # the report passes, with the closed forms of the same channel
-        # scaled down, where no product overflows
-        c = ChannelParams(
-            1.7117031358579987e+107, 7.437269015303797e+266, 2.9683479802586536e-33,
-            1.978944940775071e+264, 6.318926681740827e+268,
-        )
-        scaled = ChannelParams(*(2.0**-400 * v for v in astuple(c)))
-        p = InformedBothParams(0.0, 0.0)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            got, want = verify_informed_both(c, p), verify_informed_both(scaled, p)
-        assert got.passed
-        assert [t.closed for t in got.details] == pytest.approx(
-            [t.closed for t in want.details], rel=1e-12
-        )
+        # the cross term sqrt(p1*p2) overflows in the powers as given; the
+        # channel spans 2^1002. Inside the bound every closed form runs on
+        # the scaled powers
+        with pytest.raises(OutOfRange, match=SPAN):
+            ChannelParams(
+                1.7117031358579987e+107, 7.437269015303797e+266, 2.9683479802586536e-33,
+                1.978944940775071e+264, 6.318926681740827e+268,
+            )
 
     def test_extreme_draws(self):
+        draws = [*_extreme_draws(5000, 0), *_extreme_draws(1000, 1, near_scale=True)]
+        built = 0
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for c, g, p in _extreme_draws(5000, 0):
+            for powers, (gamma, frac, beta, alpha2, gamma3, beta3) in draws:
+                try:
+                    c = ChannelParams(*powers)
+                except OutOfRange as e:
+                    # a channel past the span bound is the typed error
+                    assert re.match(SPAN, str(e)), powers
+                    continue
+                built += 1
+                g = GdpcParams(gamma, frac * rho_upper_bound(c, gamma), beta, alpha2)
+                p = InformedBothParams(gamma3, beta3)
                 _assert_total(verify_gdpc, c, g)
                 _assert_total(verify_informed_both, c, p)
                 _assert_total(verify_relay_identity, c, p)
+        assert built > 1000
 
 class TestReports:
     def test_region_rows(self):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import warnings
 
 import numpy as np
@@ -24,6 +25,7 @@ from relayregions import (
     rho_upper_bound,
     validate_gdpc,
 )
+from relayregions.model import _scaled
 
 
 def test_channel_params_roundtrip():
@@ -54,6 +56,40 @@ def test_channel_params_requires_noise_ordering():
         ChannelParams(1.0, 1.0, 1.0, 1.0, 1.0)
     with pytest.raises(OutOfRange, match="need n1 < n2"):
         ChannelParams(1.0, 1.0, 1.0, 2.0, 1.0)
+
+
+SPAN = r"the nonzero powers may span at most 2\*\*500 \(about 1505 dB\), got "
+
+
+@pytest.mark.parametrize(
+    "powers, lo, hi",
+    [
+        # binary exponents -498 and 2 are 500 apart, -499 and 2 are 501
+        ((1.0, 0.0, 0.0, 2.0**-499, 2.0), None, None),
+        ((1.0, 0.0, 0.0, 2.0**-500, 2.0), 2.0**-500, 2.0),
+        # a zero p2 or q is no power; a nonzero one counts, subnormal too
+        ((1.0, 5e-324, 1.0, 0.1, 1.0), 5e-324, 1.0),
+        ((1.0, 1.0, 2.0**600, 0.1, 1.0), 0.1, 2.0**600),
+        ((2.0**-1074, 0.0, 0.0, 2.0**-1000, 2.0**-575), None, None),
+    ],
+)
+def test_channel_powers_span_at_most_2_to_the_500(powers, lo, hi):
+    if lo is None:
+        ChannelParams(*powers)
+    else:
+        with pytest.raises(OutOfRange, match=SPAN + re.escape(f"{lo} to {hi}")):
+            ChannelParams(*powers)
+
+
+@pytest.mark.parametrize("k", [-1000, -2, 0, 2, 1000])
+def test_scaled_powers_are_centred_by_an_even_power_of_two(k):
+    c = ChannelParams(*(math.ldexp(v, k) for v in (1.0, 0.0, 3.0, 0.1, 1.0)))
+    powers, shift = _scaled(c)
+    assert shift % 2 == 0
+    assert powers == tuple(math.ldexp(v, shift) for v in dataclasses.astuple(c))
+    # the example channel itself needs no shift, and every multiple of it
+    # by an even power of two lands on the same powers
+    assert powers == (1.0, 0.0, 3.0, 0.1, 1.0) and shift == -k
 
 
 def test_errors_are_both_semantic_and_builtin():
@@ -226,7 +262,11 @@ def test_params_store_python_floats(kind, channel, knobs):
 
 
 def test_float64_channel_at_extreme_powers_warns_nothing():
-    c = ChannelParams(*map(np.float64, (1e-300, 1.0, 1e300, 0.1, 1.0)))
+    # the channel spans 2^1993, so it is the typed error; numpy float64
+    # fields warn nothing on the way
     with warnings.catch_warnings():
         warnings.simplefilter("error")
+        with pytest.raises(OutOfRange, match=SPAN):
+            ChannelParams(*map(np.float64, (1e-300, 1.0, 1e300, 0.1, 1.0)))
+        c = ChannelParams(*map(np.float64, (1e-75, 1.0, 1e75, 0.1, 1.0)))
         assert rho_upper_bound(c, 0.5) == 1.0

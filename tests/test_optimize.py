@@ -22,6 +22,7 @@ from relayregions import (
     validate_gdpc,
 )
 from relayregions import optimize
+from relayregions.model import _scaled
 from relayregions.optimize import DEFAULT_GRID
 from relayregions.rates import _best_alpha2
 
@@ -31,6 +32,13 @@ from references import _reference_products
 
 ANCHOR = ChannelParams(1.0, 1.0, 0.0, 0.1, 1.0)
 STATEFUL = ChannelParams(1.0, 1.0, 2.0, 0.1, 1.0)
+SPAN = r"the nonzero powers may span at most 2\*\*500"
+
+
+def _float_rows(rows):
+    """(channel, gamma) rows as a pass takes them: (p1, p2, q, n1, n2,
+    gamma) on each channel's scaled powers."""
+    return [(*_scaled(c)[0], gamma) for c, gamma in rows]
 
 
 def test_grid_spec_defaults():
@@ -118,24 +126,43 @@ class TestMaxBetaNostate:
     @pytest.mark.parametrize(
         "c",
         [
-            # both terms +inf at gamma = 0; C = inf - inf at 0.5
-            ChannelParams(1e300, 1.0, 1.0, 1e-300, 2e-300),
-            ChannelParams(1e200, 1e200, 1.0, 1e-200, 2e-200),
+            # in the powers as given both terms are +inf at gamma = 0, and C
+            # is inf - inf at 0.5
+            (1e300, 1.0, 1.0, 1e-300, 2e-300),
+            (1e200, 1e200, 1.0, 1e-200, 2e-200),
             # the far user's ratio p2/n2 overflows at every gamma
-            ChannelParams(1e-200, 1e200, 1.0, 1e-200, 2e-200),
+            (1e-200, 1e200, 1.0, 1e-200, 2e-200),
         ],
     )
     def test_out_of_float_range_is_an_error(self, c, gamma):
-        with pytest.raises(OutOfRange, match="float range"):
-            max_beta_nostate(c, gamma)
+        # each channel spans more than 2^500, so it is the error
+        with pytest.raises(OutOfRange, match=SPAN):
+            max_beta_nostate(ChannelParams(*c), gamma)
+
+    def test_root_without_relay_power_where_4ac_underflows(self):
+        # p2 = 0 makes B = 0, and 4AC underflows to 0 on the scaled powers:
+        # q centres the scale, which puts p1 and the noises near 2^-252,
+        # and g is 2^-53 p1. The root then solves A s^2 + C = 0
+        c = ChannelParams(1.0, 0.0, 2.0**499, 1.0, 2.0)
+        gamma = 1.0 - 2.0**-53
+        p1, _, _, n1, n2 = _scaled(c)[0]
+        g, d1, d2 = (1.0 - gamma) * p1, gamma * p1 + n1, gamma * p1 + n2
+        cc = g * d1 - g * d2
+        assert cc < 0.0 and 4.0 * (g * d2) * cc == 0.0
+        s = math.sqrt(-cc / (g * d2))
+        beta, value = max_beta_nostate(c, gamma)
+        assert beta == 1.0 - s * s
+        assert value == min(nostate_terms(c, gamma, beta))
+        # the terms balance there, as at the crossing of any channel
+        assert value == pytest.approx(max(nostate_terms(c, gamma, beta)), rel=1e-12)
 
     @pytest.mark.parametrize("gamma", [0.0, 0.5])
     @pytest.mark.parametrize(
         "c, beta0",
         [
-            (ChannelParams(1e200, 1e200, 1.0, 1e99, 1e100), 0.36),
-            # B^2 overflowed in the powers as given: s read 0, beta3 read 1
-            (ChannelParams(1e200, 1e200, 1.0, 1.0, 3.0), 8.0 / 9.0),
+            (ChannelParams(1e200, 1e200, 1e200, 1e99, 1e100), 0.36),
+            # B^2 overflows in the powers as given
+            (ChannelParams(1e200, 1e200, 1e200, 1e100, 3e100), 8.0 / 9.0),
         ],
     )
     def test_products_past_the_float_range_answer(self, c, beta0, gamma):
@@ -264,9 +291,9 @@ class TestFrontier:
 
     @pytest.mark.parametrize("scheme", ["gdpc", "dpc"])
     def test_out_of_float_range_is_an_error(self, scheme):
-        c = ChannelParams(1e300, 1.0, 1.0, 1e-300, 2e-300)
-        with pytest.raises(OutOfRange, match="float range"):
-            frontier(c, scheme, [0.0])
+        # the terms overflow in the powers as given; the channel spans 2^1993
+        with pytest.raises(OutOfRange, match=SPAN):
+            frontier(ChannelParams(1e300, 1.0, 1.0, 1e-300, 2e-300), scheme, [0.0])
 
     def test_r1_is_private_capacity(self):
         f = frontier(STATEFUL, "gdpc", [0.0, 0.5], GridSpec(5, 5, 1, 0.5))
@@ -301,17 +328,17 @@ class TestSweepSnr:
 
     def test_rejects_unrepresentable_snr(self):
         # 10**(snr/10) overflows (4000), underflows to 0 (-4000, -inf), or
-        # p1 over it overflows (-3100); nan is no SNR at all
-        for snr in (4000.0, -4000.0, -3100.0, -math.inf, math.inf, math.nan):
+        # p1 over it overflows (-3100); nan is no SNR at all. At 1510 dB n1
+        # lies 2^502 below p1, past the span bound
+        for snr in (4000.0, -4000.0, -3100.0, -math.inf, math.inf, math.nan, 1510.0):
             with pytest.raises(OutOfRange):
                 sweep_snr(STATEFUL, [10.0, snr], "gdpc", GridSpec(5, 5, 1, 0.5))
 
     def test_out_of_float_range_is_an_error(self):
-        # n1 = p1 at 0 dB: a = pwt*(pwt + ...) overflows, and the
-        # clamped rate would read 0
-        base = ChannelParams(1e300, 1.0, 1.0, 1e-300, 1e301)
-        with pytest.raises(OutOfRange, match="float range"):
-            sweep_snr(base, [0.0], "gdpc", GridSpec(5, 5, 1, 0.5))
+        # n1 = p1 at 0 dB, where a = pwt*(pwt + ...) overflows in the
+        # powers as given; the base channel spans 2^1997, so it is the error
+        with pytest.raises(OutOfRange, match=SPAN):
+            sweep_snr(ChannelParams(1e300, 1.0, 1.0, 1e-300, 1e301), [0.0], "gdpc")
 
     def test_empty_lists_are_rejected(self):
         with pytest.raises(OutOfRange):
@@ -527,7 +554,7 @@ class TestPassBookkeeping:
     @given(st.integers(0, 2**32 - 1))
     def test_matches_reference_pass(self, seed):
         rows, rho_hi, n_rho, grid = _draw_pass(np.random.default_rng(seed))
-        got = optimize._search_pass(rows, rho_hi, n_rho, grid)
+        got = optimize._search_pass(_float_rows(rows), rho_hi, n_rho, grid)
         _assert_same_results(got, _reference_pass(rows, rho_hi, grid))
         # the closing runs no validate_gdpc: every incumbent is in bounds
         assert all(validate_gdpc(c, res.best) is res.best for (c, _), res in zip(rows, got))
@@ -536,7 +563,7 @@ class TestPassBookkeeping:
         edges = set()
         for seed in range(60):
             rows, rho_hi, n_rho, grid = _draw_pass(np.random.default_rng(seed))
-            got = optimize._search_pass(rows, rho_hi, n_rho, grid)
+            got = optimize._search_pass(_float_rows(rows), rho_hi, n_rho, grid)
             _assert_same_results(got, _reference_pass(rows, rho_hi, grid))
             edges |= _pass_edges(rows, rho_hi, grid, got)
         assert edges == {
@@ -552,7 +579,7 @@ class TestPassBookkeeping:
         rows = [(c, 0.0), (c, 0.5), (ANCHOR, 0.0)]
         rho_hi = [rho_upper_bound(ch, g) for ch, g in rows]
         grid = GridSpec(3, 3, 1, 0.9)
-        got = optimize._search_pass(rows, rho_hi, 3, grid)
+        got = optimize._search_pass(_float_rows(rows), rho_hi, 3, grid)
         assert [beta for _, beta, _, _ in got[0].trace] == [0.5, 0.49999999999999994]
         assert got[0].trace[0][3] == got[0].trace[1][3]
         _assert_same_results(got, _reference_pass(rows, rho_hi, grid))
@@ -571,26 +598,11 @@ class TestPassBookkeeping:
         rows = [(ANCHOR, 0.0), (ANCHOR, 0.5)]
         grid = GridSpec(2, 9, 1, 0.5)
         with mock.patch.object(optimize, "_best_alpha2", kernel):
-            got = optimize._search_pass(rows, [0.0, 0.0], 1, grid)
+            got = optimize._search_pass(_float_rows(rows), [0.0, 0.0], 1, grid)
         with mock.patch.object(references, "_reference_best_alpha2", kernel):
             want = _reference_pass(rows, [0.0, 0.0], grid)
         assert [beta for _, beta, _, _ in got[0].trace] == [0.5, 0.4375]
         _assert_same_results(got, want)
-
-    def test_closing_raises_for_the_first_bad_row(self):
-        # the middle row's terms leave the float range, and so do the
-        # last row's; the pass names the first, as per-row closings did
-        fine = ChannelParams(1.0, 1.0, 1.0, 0.1, 1.0)
-        huge = ChannelParams(1e300, 1.0, 1.0, 1e-300, 1.0)
-        rows = [(fine, 0.5), (huge, 0.0), (huge, 0.25)]
-        grid = GridSpec(3, 3, 0, 0.5)
-        rho_hi = [0.0] * 3
-        with pytest.raises(OutOfRange) as got:
-            optimize._search_pass(rows, rho_hi, 1, grid)
-        with pytest.raises(OutOfRange) as want:
-            _reference_pass(rows, rho_hi, grid)
-        assert str(got.value) == str(want.value)
-        assert "GdpcParams(gamma=0.0," in str(got.value)
 
 
 # ---------------------------------------------------------------------------

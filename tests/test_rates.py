@@ -15,10 +15,10 @@ from relayregions import (
     max_beta_nostate,
     nostate_terms,
 )
-from relayregions.model import _TIE_TOL
-from relayregions.rates import _alpha2_free_terms, _best_alpha2
+from relayregions.model import _TIE_TOL, _scaled
+from relayregions.rates import _alpha2_free_terms, _best_alpha2, _binned_pair, _log_ratios
 
-from references import PROPERTY, _reference_best_alpha2, _reference_products
+from references import PROPERTY, _clamp_array, _reference_best_alpha2, _reference_products
 
 EXAMPLE = ChannelParams(1.0, 1.0, 1.0, 0.1, 1.0)
 KNOBS = GdpcParams(0.2, 0.3, 0.4, 0.5)
@@ -131,7 +131,8 @@ def test_nostate_forms_keep_their_bits_under_power_of_two_scaling():
         n2 = n1 * (1.0 + 10.0 ** rng.uniform(-12.0, 8.0))
         c = ChannelParams(p1, p2 * (rng.uniform() > 0.2), 1.0, n1, n2)
         k = 2.0 ** int(rng.integers(-700, 700))
-        scaled = ChannelParams(c.p1 * k, c.p2 * k, c.q, c.n1 * k, c.n2 * k)
+        # q scales too: the channel's span bound counts it
+        scaled = ChannelParams(*(k * v for v in astuple(c)))
         gamma, beta3 = rng.uniform(size=2).tolist()
         assert repr(nostate_terms(scaled, gamma, beta3)) == repr(nostate_terms(c, gamma, beta3))
         assert repr(max_beta_nostate(scaled, gamma)) == repr(max_beta_nostate(c, gamma))
@@ -158,19 +159,40 @@ def test_gdpc_alpha2_inert_without_state():
 
 
 # ---------------------------------------------------------------------------
-# Powers near the float range. a = pwt*(pwt + ...) overflows on OVERFLOW;
-# on UNDERFLOW b = pwt*(qprime + n1) underflows to 0 while a does not.
+# Powers near the float range. OVERFLOW spans 2^1993, past the channel
+# domain; a = pwt*(pwt + ...) overflows there. UNDERFLOW lies inside it:
+# in the powers as given, b = pwt*(qprime + n1) underflows to 0 while a
+# does not.
 
-OVERFLOW = ChannelParams(1e300, 1.0, 1.0, 1e-300, 2e-300)
-UNDERFLOW = ChannelParams(1e-160, 0.0, 0.0, 1e-300, 2e-300)
+OVERFLOW = (1e300, 1.0, 1.0, 1e-300, 2e-300)
+UNDERFLOW = (1e-160, 0.0, 0.0, 1e-300, 2e-300)
 
 
-@pytest.mark.parametrize("c", [OVERFLOW, UNDERFLOW], ids=["overflow", "underflow"])
+@pytest.mark.parametrize(
+    "c", [OVERFLOW, (1.0, 5e-324, 1.0, 0.1, 1.0)], ids=["overflow", "subnormal-p2"]
+)
 def test_gdpc_rates_out_of_float_range_is_an_error(c):
+    # a channel that spans more than 2^500 is the error
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # a typed error, not a RuntimeWarning
-        with pytest.raises(OutOfRange, match="float range"):
-            gdpc_rates(c, GdpcParams(0.0, 0.0, 0.0, 0.0))
+        with pytest.raises(OutOfRange, match=r"the nonzero powers may span at most 2\*\*500"):
+            gdpc_rates(ChannelParams(*c), GdpcParams(0.0, 0.0, 0.0, 0.0))
+
+
+def test_gdpc_rates_where_products_underflow():
+    # the rates are those of the channel scaled to k = 0, bit for bit; the
+    # products come back in the caller's scale, where b and d underflow
+    c, g = ChannelParams(*UNDERFLOW), GdpcParams(0.0, 0.0, 0.0, 0.0)
+    powers, k = _scaled(c)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got, want = gdpc_rates(c, g), gdpc_rates(ChannelParams(*powers), g)
+    assert _scaled(ChannelParams(*powers))[1] == 0
+    assert repr(got[:3]) == repr(want[:3])
+    assert got.r1_sum > 200.0
+    products = [math.ldexp(x, -2 * k) for x in want[3:7]] + [math.ldexp(want.qprime, -k)]
+    assert repr(got[3:]) == repr(tuple(products))
+    assert got.b == got.d == 0.0 < got.a
 
 
 def _kernel_row(rng, pick, powers, steps=4):
@@ -243,16 +265,20 @@ def seeded_kernel_rows(count):
 
 @settings(PROPERTY, max_examples=300)
 @given(kernel_rows())
-@example(((*astuple(OVERFLOW), 0.0), [0.0, 0.5, 1.0], [0.0, 0.5, 1.0]))
-@example(((*astuple(UNDERFLOW), 0.0), [0.0], [0.0, 1.0]))
+@example(((*OVERFLOW, 0.0), [0.0, 0.5, 1.0], [0.0, 0.5, 1.0]))
+@example(((*UNDERFLOW, 0.0), [0.0], [0.0, 1.0]))
 def test_single_clamp_matches_per_term_clamp(row):
     knobs, rho, beta = row
     axes = np.array(rho)[:, np.newaxis], np.array(beta)[np.newaxis, :]
-    got = _best_alpha2(*knobs, *axes)
-    want = _reference_best_alpha2(*knobs, *axes)
-    for x, y in zip(got, want):
-        # bitwise, through int64, so the sign of a zero counts
-        assert np.array_equal(x.view(np.int64), y.view(np.int64))
+    alpha2, value = _best_alpha2(*knobs, *axes)
+    # the one clamp after the min reads as a clamp of each term, in every cell
+    with np.errstate(all="ignore"):
+        pwt, qp, a, c, m1, m2 = _alpha2_free_terms(*knobs, *axes)
+        b, d = _binned_pair(pwt, qp, m1, m2, alpha2)
+        r1, r2 = _log_ratios(a, b, c, d)
+    assert _bitwise_equal(value, np.minimum(_clamp_array(r1), _clamp_array(r2)))
+    for x, y in zip((alpha2, value), _reference_best_alpha2(*knobs, *axes)):
+        assert _bitwise_equal(x, y)
 
 
 @settings(PROPERTY, max_examples=300)

@@ -1,0 +1,115 @@
+"""Metamorphic relations: properties that tie two runs together and need
+no reference value.
+
+Power-of-two scale. Every rate depends on ratios of powers only, so a
+channel and the same channel times 2^k must give the same bits from every
+public entry, for every even k in -1000..1000 at which each nonzero power
+stays a normal float. k is even because the search takes sqrt(q), and an
+odd power of two moves the rounding of a square root: the helper that
+scales each channel (``model._scaled``) uses even powers for that reason.
+Channels span at most 2^500; half of them hold the five powers within two
+decades of one scale, the others draw each power on its own over a
+window of 140 decades. Knobs take the edge values 0, 5e-324, 1 - 2^-53
+and 1, and rho its bound."""
+
+import math
+from dataclasses import astuple
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from relayregions import (
+    SCHEMES,
+    ChannelParams,
+    GdpcParams,
+    GridSpec,
+    OutOfRange,
+    frontier,
+    gdpc_rates,
+    max_beta_nostate,
+    max_r02_gdpc,
+    nostate_terms,
+    rho_upper_bound,
+    sweep_snr,
+)
+
+from references import PROPERTY
+
+SMALL = GridSpec(5, 5, 2, 0.25)
+PRODUCTS = "the products a, b, c, d and qprime leave the float range"
+
+
+@st.composite
+def scaled_rows(draw):
+    """A channel, four knobs, two SNRs in dB within 10 dB of the
+    channel's own, and the even shifts k to compare it at: the lowest
+    and the highest in -1000..1000 at which every nonzero power, the
+    sweep's n1 included, stays normal, +-300 where allowed, and one
+    more between them."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        exponents = rng.uniform(-280.0, 280.0) + rng.uniform(-2.0, 2.0, 4)
+    else:
+        exponents = rng.uniform(-220.0, 220.0) + rng.uniform(-70.0, 70.0, 4)
+    p1, p2, q, n1 = (10.0**exponents).tolist()
+    p2 = draw(st.sampled_from([0.0, p2]))
+    q = draw(st.sampled_from([0.0, q]))
+    n2 = n1 * (1.0 + 10.0 ** rng.uniform(-12.0, 8.0))
+    c = ChannelParams(p1, p2, q, n1, n2)
+    knobs = [draw(st.sampled_from([0.0, 5e-324, 1.0 - 2.0**-53, 1.0, u])) for u in rng.uniform(size=4)]
+    snrs = (10.0 * math.log10(p1 / n1) + rng.uniform(-10.0, 10.0, 2)).tolist()
+    # the binary exponents every shift must keep in the normal range
+    used = [v for v in (*astuple(c), *(p1 / 10.0 ** (s / 10.0) for s in snrs)) if v > 0.0]
+    lo = max(-1000, -1021 - min(math.frexp(v)[1] for v in used))
+    hi = min(1000, 1024 - max(math.frexp(v)[1] for v in used))
+    lo, hi = lo + lo % 2, hi - hi % 2
+    shifts = {lo, hi, lo + 2 * int(rng.integers(0, (hi - lo) // 2 + 1))}
+    shifts |= {k for k in (-300, 300) if lo <= k <= hi}
+    return c, knobs, snrs, sorted(shifts - {0})
+
+
+def _times(c, k):
+    return ChannelParams(*(math.ldexp(v, k) for v in astuple(c)))
+
+
+def _rates(c, g):
+    """The three rates of ``gdpc_rates``, or None where its products leave
+    the float range in the scale of ``c``."""
+    try:
+        return gdpc_rates(c, g)[:3]
+    except OutOfRange as e:
+        assert str(e).startswith(PRODUCTS), e
+        return None
+
+
+def _runs(c, knobs, snrs):
+    """repr of every entry's answer on c, with the sweep's n1 column read
+    in the scale of ``c`` itself (it is a power, so it scales)."""
+    gamma, rho, beta, alpha2 = knobs
+    g = GdpcParams(gamma, rho * rho_upper_bound(c, gamma), beta, alpha2)
+    out = {
+        "frontier": [frontier(c, s, [0.0, gamma, 0.5, 1.0], SMALL) for s in SCHEMES],
+        "sweep_snr": [
+            [(r.snr_db, r.rate) for r in sweep_snr(c, snrs, s, SMALL)] for s in SCHEMES
+        ],
+        "max_r02_gdpc": [max_r02_gdpc(c, gamma, SMALL, freeze_rho=f) for f in (False, True)],
+        "max_beta_nostate": max_beta_nostate(c, gamma),
+        "nostate_terms": nostate_terms(c, gamma, beta),
+    }
+    return {name: repr(v) for name, v in out.items()}, g
+
+
+@settings(PROPERTY, max_examples=60)
+@given(scaled_rows())
+def test_every_entry_keeps_its_bits_under_power_of_two_scale(row):
+    c, knobs, snrs, shifts = row
+    want, g = _runs(c, knobs, snrs)
+    want_rates = _rates(c, g)
+    for k in shifts:
+        scaled = _times(c, k)
+        got, g_scaled = _runs(scaled, knobs, snrs)
+        assert g_scaled == g, k
+        assert got == want, k
+        got_rates = _rates(scaled, g)
+        if None not in (got_rates, want_rates):
+            assert repr(got_rates) == repr(want_rates), k

@@ -1,11 +1,15 @@
-"""Totality of the search entries: on every legal channel, ``frontier``
-(gdpc and dpc), ``max_r02_gdpc`` and ``dmc_maximize`` return finite,
-non-negative rates or raise a RelayRegionsError, without a numpy
-warning. Gaussian channels have powers log-uniform over 1e-300..1e300,
-where terms overflow, underflow and lose every digit, and p2 and q each
-0, the smallest subnormal or a random power. Discrete specs have
-alphabets of 1 to 3 symbols, p_s entries of 0 or the smallest subnormal,
-and channel rows that hold zeros."""
+"""Totality over the domain: on every legal channel, every computing
+entry returns finite, non-negative rates or raises a RelayRegionsError,
+without a numpy warning. Gaussian rows are raw floats, so building the
+channel is part of the property: half of them hold the five powers within
+two decades of one scale in 1e-300..1e300, inside the span bound, and the
+other half draw each power on its own over that range, where most spread
+past it. Inside the bound an entry must answer: the only errors left are
+``gdpc_rates``' report of products that leave the float range in the
+caller's scale, and a ``sweep_snr`` row whose n1 leaves the domain. This
+is what guards the float-range checks the closed forms no longer make.
+Discrete specs have alphabets of 1 to 3 symbols, p_s entries of 0 or the
+smallest subnormal, and channel rows that hold zeros."""
 
 import math
 import warnings
@@ -14,33 +18,50 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from relayregions import (
+    SCHEMES,
     ChannelParams,
     DmcSpec,
+    GdpcParams,
     GridSpec,
     RelayRegionsError,
     dmc_maximize,
     frontier,
+    gdpc_rates,
+    max_beta_nostate,
     max_r02_gdpc,
+    nostate_terms,
+    rho_upper_bound,
+    sweep_snr,
 )
 
 from references import PROPERTY
 
 # three 5 x 5 gdpc rows share one pass, so a pass closes several rows
 SMALL = GridSpec(5, 5, 2, 0.25)
+SPAN = "the nonzero powers may span at most 2**500"
+PRODUCTS = "the products a, b, c, d and qprime leave the float range"
 
 
 @st.composite
 def extreme_rows(draw):
-    """A (channel, gamma) row. The continuous fields come from a generator
-    seeded by one draw, so they are generic rather than the bounds that
-    derandomized float draws favour; the edge values of p2 and q are
+    """Raw channel powers (p1, p2, q, n1, n2) and four knobs in [0, 1].
+    The continuous fields come from a generator seeded by one draw, so
+    they are generic rather than the bounds that derandomized float draws
+    favour; the scale's shape, the edge values of p2 and q (0, and on
+    wide rows 5e-324) and the knob edges 0, 5e-324, 1 - 2^-53 and 1 are
     explicit branches."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    p1, p2, q, n1 = (10.0 ** rng.uniform(-300.0, 300.0, 4)).tolist()
-    p2 = draw(st.sampled_from([0.0, 5e-324, p2]))
-    q = draw(st.sampled_from([0.0, 5e-324, q]))
+    if near := draw(st.booleans()):
+        exponents = rng.uniform(-298.0, 298.0) + rng.uniform(-2.0, 2.0, 4)
+    else:
+        exponents = rng.uniform(-300.0, 300.0, 4)
+    p1, p2, q, n1 = (10.0**exponents).tolist()
+    # a subnormal p2 or q would take most near-scale rows past the bound
+    p2 = draw(st.sampled_from([0.0, p2] if near else [0.0, 5e-324, p2]))
+    q = draw(st.sampled_from([0.0, q] if near else [0.0, 5e-324, q]))
     n2 = n1 * (1.0 + 10.0 ** rng.uniform(-12.0, 8.0))
-    return ChannelParams(p1, p2, q, n1, n2), float(rng.uniform())
+    knobs = [draw(st.sampled_from([0.0, 5e-324, 1.0 - 2.0**-53, 1.0, u])) for u in rng.uniform(size=4)]
+    return (p1, p2, q, n1, n2), knobs
 
 
 def _assert_rates(values):
@@ -48,28 +69,71 @@ def _assert_rates(values):
         assert math.isfinite(v) and v >= 0.0, values
 
 
-def _total(call):
-    """Run ``call`` under warnings-as-errors; a RelayRegionsError is an
-    answer, any other exception fails the test."""
+def _total(call, inside=False, allowed=()):
+    """Run ``call`` under warnings-as-errors. A RelayRegionsError is an
+    answer, except inside the span bound, where only an error whose
+    message starts with one of ``allowed`` is; any other exception fails
+    the test."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         try:
             return call()
-        except RelayRegionsError:
+        except RelayRegionsError as e:
+            assert not inside or str(e).startswith(allowed), e
             return None
+
+
+def _channel(powers):
+    """The channel of ``powers``, or None where it spans more than 2^500,
+    the one way a drawn row leaves the domain."""
+    return _total(lambda: ChannelParams(*powers), inside=True, allowed=SPAN)
 
 
 @settings(PROPERTY, max_examples=400)
 @given(extreme_rows())
 def test_search_entries_answer_or_raise_typed(row):
-    c, gamma = row
-    for scheme in ("gdpc", "dpc"):
-        f = _total(lambda: frontier(c, scheme, [0.0, gamma, 1.0], SMALL))
-        if f is not None:
-            _assert_rates([v for p in f.points for v in (p.rate.r1, p.rate.r02)])
-    res = _total(lambda: max_r02_gdpc(c, gamma, SMALL))
-    if res is not None:
-        _assert_rates([res.value, *(entry[3] for entry in res.trace)])
+    powers, (gamma, *_) = row
+    c = _channel(powers)
+    if c is None:
+        return
+    for scheme in SCHEMES:
+        f = _total(lambda: frontier(c, scheme, [0.0, gamma, 1.0], SMALL), inside=True)
+        _assert_rates([v for p in f.points for v in (p.rate.r1, p.rate.r02)])
+    res = _total(lambda: max_r02_gdpc(c, gamma, SMALL), inside=True)
+    _assert_rates([res.value, *(entry[3] for entry in res.trace)])
+
+
+@settings(PROPERTY, max_examples=400)
+@given(extreme_rows())
+def test_closed_forms_answer_or_raise_typed(row):
+    powers, (gamma, rho, beta, alpha2) = row
+    c = _channel(powers)
+    if c is None:
+        return
+    g = GdpcParams(gamma, rho * rho_upper_bound(c, gamma), beta, alpha2)
+    r = _total(lambda: gdpc_rates(c, g), inside=True, allowed=PRODUCTS)
+    if r is not None:
+        _assert_rates(r[:3])
+        assert all(map(math.isfinite, r[3:])), r
+    _assert_rates(_total(lambda: nostate_terms(c, gamma, beta), inside=True))
+    split, value = _total(lambda: max_beta_nostate(c, gamma), inside=True)
+    assert 0.0 <= split <= 1.0
+    _assert_rates([value])
+
+
+@settings(PROPERTY, max_examples=100)
+@given(extreme_rows(), st.floats(-3000.0, 3000.0))
+def test_sweep_snr_answers_or_raises_typed(row, snr):
+    powers, _ = row
+    c = _channel(powers)
+    if c is None:
+        return
+    for scheme in SCHEMES:
+        rows = _total(
+            lambda: sweep_snr(c, [snr], scheme, SMALL), inside=True, allowed=(SPAN, "snr_db ")
+        )
+        if rows is not None:
+            _assert_rates([r.rate for r in rows if not r.skipped])
 
 
 @st.composite
