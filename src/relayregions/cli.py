@@ -484,6 +484,10 @@ def _cmd_dmc(o: argparse.Namespace) -> int:
 
 def _cmd_point(o: argparse.Namespace) -> int:
     r = gdpc_rates(o.channel, o.params)
+    if math.inf in r[3:]:  # a product that cannot be printed
+        raise OutOfRange(
+            f"the products a, b, c, d and qprime leave the float range at {o.params} on {o.channel}"
+        )
     values = {
         "qprime": r.qprime,
         "a": r.a,

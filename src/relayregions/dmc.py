@@ -39,7 +39,9 @@ from .model import _TERMS, _TIE_TOL, OutOfRange, RatePoint, _expression
 AXES = ("s", "u1", "u2", "x1", "x2", "y1", "y2")
 _PMF_TOL = 1e-12
 _MAX_ALPHABET = 4
-_MAX_CANDIDATES = 10**8
+# joint cells (candidates x |s,u1,u2,x1,x2,y1,y2|) one search may screen:
+# this bounds its work and its composition table (per_state x cells <= it)
+_MAX_CELLS = 2**26
 # joint cells (candidates x |s,u1,u2,x1,x2,y1,y2|) screened at once, which
 # caps the screen's memory at a few MB whatever the candidate count
 _CHUNK_CELLS = 2**16
@@ -254,6 +256,8 @@ def dmc_maximize(
     smallest flattened pmf wins. The answer is independent of
     enumeration order.
 
+    A search of more than _MAX_CELLS joint cells (candidates times the
+    cells of a joint) raises OutOfRange before anything is built.
     Candidates are enumerated in chunks of at most _CHUNK_CELLS joint
     cells from the _compositions table; each chunk's pmf sums are checked
     once, and _screen computes the chunk's rates at once. The state
@@ -281,9 +285,13 @@ def dmc_maximize(
     cells = nu1 * nu2 * nx1 * nx2
     per_state = math.comb(denominator + cells - 1, cells - 1)
     total = per_state**ns
-    if total > _MAX_CANDIDATES:
-        raise OutOfRange(f"{total} candidate strategies exceed the {_MAX_CANDIDATES} budget")
-    cond = _compositions(denominator, cells) / float(denominator)
+    if total * math.prod(d.sizes) > _MAX_CELLS:
+        raise OutOfRange(
+            f"{total} candidate strategies of {math.prod(d.sizes)} joint cells each "
+            f"exceed the budget of {_MAX_CELLS} joint cells"
+        )
+    cond = _compositions(denominator, cells)
+    cond /= denominator
 
     def strategies(index: np.ndarray) -> np.ndarray:
         # itertools.product order over the per-state composition indices

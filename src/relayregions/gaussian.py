@@ -430,11 +430,10 @@ def verify_gdpc(c: ChannelParams, g: GdpcParams, tol: float = 1e-9) -> VerifyRep
     vanishes) raises SingularSubmatrix.
     """
     cov = build_cov_informed_source(c, g)
-    powers = _scaled(c)[0]
-    _, r1, r2 = _gdpc_point([(*powers, g.gamma, g.rho, g.beta, g.alpha2)])
+    _, _, r1, r2, private = _gdpc_point(c, g)
     if not (math.isfinite(r1) and math.isfinite(r2)):
         raise SingularSubmatrix(f"a closed-form ratio has no finite log at {g} on {c}")
-    closed = (_private_rate(powers[0], powers[3], g.gamma), float(r1), float(r2))
+    closed = (private, float(r1), float(r2))
     return VerifyReport("gdpc-closed-forms", tol, _region_checks(cov, _GDPC_ROWS, closed))
 
 

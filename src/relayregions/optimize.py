@@ -35,16 +35,18 @@ passes of at most ``_PASS_CELLS`` grid cells, so the 21 rows of a
 default dpc frontier share one pass while a 33 x 33 gdpc row runs alone.
 ``max_r02_gdpc`` is the pass of one row, and a row that fills a pass
 alone is solved by calling it. A pass of one row hands the kernel its
-six channel knobs as Python floats, as ``rates._gdpc_point`` does for
-one row, and a pass of several rows as (n, 1, 1) columns: about a dozen
-of the kernel's numpy calls act on the knobs alone, and on arrays of
-one entry each would cost a call's dispatch for one multiply. Each
-operation rounds a float as it rounds an array entry, so both give the
-same bits. A row's trace is its incumbents as
-``(rho, beta, alpha2, value)`` float tuples; only its final incumbent is
-built as a ``GdpcParams``, and a pass closes with one evaluation of all
-its incumbents (``rates._gdpc_point``). A row is the floats (p1, p2, q,
-n1, n2, gamma) on its channel's scaled powers (``model._scaled``).
+six channel knobs as Python floats, and a pass of several rows as
+(n, 1, 1) columns: about a dozen of the kernel's numpy calls act on the
+knobs alone, and on arrays of one entry each would cost a call's
+dispatch for one multiply. Each operation rounds a float as it rounds an
+array entry, so both give the same bits. A row's trace is its
+incumbents as ``(rho, beta, alpha2, value)`` float tuples; only its
+final incumbent is built as a ``GdpcParams``, and the row's value is the
+last round's grid value there, the value the search ranked.
+``gdpc_rates`` at that point runs the same float operations
+(``rates._gdpc_point``), so its min(r1_sum, r2_sum) is that value bit
+for bit. A row is the floats (p1, p2, q, n1, n2, gamma) on its
+channel's scaled powers (``model._scaled``).
 
 A row's result is bit-identical to searching it alone. Every cell value
 is computed elementwise by the same float operations in the same order,
@@ -82,12 +84,11 @@ from .model import (
     RatePoint,
     _TIE_TOL,
     _check_scheme,
-    _clamp_rate,
     _require_unit,
     _scaled,
     rho_upper_bound,
 )
-from .rates import _best_alpha2, _gdpc_point, _nostate_terms, _private_rate
+from .rates import _best_alpha2, _nostate_terms, _private_rate
 
 
 _MAX_GRID_CELLS = 10**6
@@ -140,13 +141,13 @@ _PASS_CELLS = 2048
 
 @dataclass(frozen=True)
 class OptResult:
-    """Search outcome. ``value`` is recomputed at ``best`` through the
-    evaluation ``gdpc_rates`` reads, which runs the grid's float
-    operations, so it equals the last trace value bit for bit.
-    ``evaluations`` counts the (rho, beta) cells searched. ``trace`` holds
-    the incumbent after each round as a plain ``(rho, beta, alpha2,
-    value)`` float tuple, the round's grid value; gamma is
-    ``best.gamma``."""
+    """Search outcome. ``value`` is the last round's grid value at
+    ``best``, the value the search ranked, so it is the last trace value;
+    ``gdpc_rates`` at ``best`` runs the grid's float operations, so
+    min(r1_sum, r2_sum) there equals it bit for bit. ``evaluations``
+    counts the (rho, beta) cells searched. ``trace`` holds the incumbent
+    after each round as a plain ``(rho, beta, alpha2, value)`` float
+    tuple, the round's grid value; gamma is ``best.gamma``."""
 
     best: GdpcParams
     value: float
@@ -252,8 +253,8 @@ def _search_pass(rows, rho_hi, n_rho: int, grid: GridSpec) -> list[OptResult]:
     """Grid-then-shrink over the (rho, beta) boxes of one pass's rows; see
     the module docstring for why each row's result equals a search of
     that row alone. Each row's box, incumbent, trace and cell count are
-    plain floats and ints, numpy holds only the cell arrays, and the pass
-    closes with one evaluation of all its incumbents."""
+    plain floats and ints, numpy holds only the cell arrays, and each
+    row's value is its incumbent's last grid value."""
     n = len(rows)
     every = np.arange(n)
     # the six knobs: floats for one row, else each as an (n, 1, 1) column
@@ -307,17 +308,9 @@ def _search_pass(rows, rho_hi, n_rho: int, grid: GridSpec) -> list[OptResult]:
                  blo if blo > 0.0 else 0.0, bhi if bhi < 1.0 else 1.0, k)
             )
         history.append(best)
-    params = [GdpcParams(row[5], *inc[:3]) for row, inc in zip(rows, best)]
-    _, r1s, r2s = _gdpc_point([(*row, g.rho, g.beta, g.alpha2) for row, g in zip(rows, params)])
-    r1s, r2s = np.atleast_1d(r1s).tolist(), np.atleast_1d(r2s).tolist()
     return [
-        OptResult(
-            best=g,
-            value=min(_clamp_rate(r1), _clamp_rate(r2)),
-            evaluations=box[4],
-            trace=path,
-        )
-        for g, r1, r2, box, path in zip(params, r1s, r2s, boxes, zip(*history))
+        OptResult(best=GdpcParams(row[5], *inc[:3]), value=inc[3], evaluations=box[4], trace=path)
+        for row, inc, box, path in zip(rows, best, boxes, zip(*history))
     ]
 
 

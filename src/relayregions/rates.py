@@ -54,9 +54,9 @@ test suite checks on the q = 0 reduction.
 Negative or 0/0-indeterminate expressions clamp to exactly 0 (they mark
 useless parameter choices, not invalid inputs). Every form runs on the
 channel's scaled powers (``model._scaled``), where no term leaves the
-float range. The gdpc terms come from one evaluation by the grid
-kernel's float operations, at one point for ``gdpc_rates`` and at every
-incumbent of a pass for the box search.
+float range. One point's gdpc terms come from one evaluation
+(``_gdpc_point``) by the grid kernel's float operations, so its clamped
+min(r1_sum, r2_sum) is the value the box search ranked there.
 """
 
 from __future__ import annotations
@@ -237,18 +237,16 @@ class GdpcRates(NamedTuple):
     qprime: float
 
 
-def _gdpc_point(rows):
-    """(a, b, c, d, qprime) and the unclamped 0.5*log2(a/b), 0.5*log2(c/d)
-    at every row (p1, p2, q, n1, n2, gamma, rho, beta, alpha2) of ``rows``,
-    on a channel's scaled powers, elementwise by the grid kernel's float
-    operations: each is an array with one entry per row, or a scalar when
-    there is one row. Callers hold the rows' rho bounds already."""
-    # one row runs on floats: numpy's cost per call on arrays of one
-    # entry would be most of a scalar evaluation
-    p1, p2, q, n1, n2, gamma, rho, beta, alpha2 = rows[0] if len(rows) == 1 else np.array(rows).T
-    pwt, qp, a, c, m1, m2 = _alpha2_free_terms(p1, p2, q, n1, n2, gamma, rho, beta)
-    b, d = _binned_pair(pwt, qp, m1, m2, alpha2)
-    return (a, b, c, d, qp), *_log_ratios(a, b, c, d)
+def _gdpc_point(c: ChannelParams, g: GdpcParams):
+    """The gdpc terms at one point of a channel, on its scaled powers
+    (``model._scaled``), by the grid kernel's float operations: the
+    products (a, b, c, d, qprime), the scale exponent k, the unclamped
+    0.5*log2(a/b) and 0.5*log2(c/d), and the private rate. Callers hold
+    the point's rho bound already."""
+    (p1, p2, q, n1, n2), k = _scaled(c)
+    pwt, qp, a, cc, m1, m2 = _alpha2_free_terms(p1, p2, q, n1, n2, g.gamma, g.rho, g.beta)
+    b, d = _binned_pair(pwt, qp, m1, m2, g.alpha2)
+    return (a, b, cc, d, qp), k, *_log_ratios(a, b, cc, d), _private_rate(p1, n1, g.gamma)
 
 
 def gdpc_rates(c: ChannelParams, g: GdpcParams) -> GdpcRates:
@@ -257,18 +255,13 @@ def gdpc_rates(c: ChannelParams, g: GdpcParams) -> GdpcRates:
     The achievable sum rate of the scheme is min(r1_sum, r2_sum); the
     private rate cap_c(gamma*p1/n1) comes on top of it. The products a,
     b, c, d and qprime come back exactly in the caller's scale, where one
-    past the float range raises OutOfRange.
+    past the float range reads +inf.
     """
     validate_gdpc(c, g)
-    powers, k = _scaled(c)
-    (a, b, cc, d, qp), r1, r2 = _gdpc_point([(*powers, g.gamma, g.rho, g.beta, g.alpha2)])
-    try:  # a, b, c and d have degree 2 in the powers, qprime degree 1
-        products = [math.ldexp(x, -2 * k) for x in (a, b, cc, d)] + [math.ldexp(qp, -k)]
-    except OverflowError:
-        raise OutOfRange(
-            f"the products a, b, c, d and qprime leave the float range at {g} on {c}"
-        ) from None
-    r_private = _private_rate(powers[0], powers[3], g.gamma)
+    (a, b, cc, d, qp), k, r1, r2, r_private = _gdpc_point(c, g)
+    # a, b, c and d have degree 2 in the powers, qprime degree 1
+    with np.errstate(over="ignore"):
+        products = np.ldexp((a, b, cc, d, qp), (-2 * k,) * 4 + (-k,)).tolist()
     return GdpcRates(_clamp_rate(r1), _clamp_rate(r2), r_private, *products)
 
 

@@ -48,6 +48,7 @@ ERROR_RUNS = [
     "point --channel 1,1,1,1,0.5 --params 0,0,0,0",
     "dmc --config tests/data/dmc_p_s.json",
     "dmc --config tests/data/dmc_too_large.json",
+    "dmc --config tests/data/dmc_many_cells.json",
     "frontier --config tests/data/frontier_misspelt_key.json",
     "dmc --pipes --config tests/data/dmc_top_level_key.json",
     "frontier --gamma-grid 0:1:1e14",

@@ -2,6 +2,7 @@ import itertools
 import math
 import re
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -265,8 +266,24 @@ class TestMaximize:
     def test_candidate_cap(self):
         rng = np.random.default_rng(2)
         d = _random_spec(rng, (4, 4, 4, 4, 4, 2, 2))
-        with pytest.raises(OutOfRange, match="candidate strategies exceed the 100000000 budget"):
+        with pytest.raises(OutOfRange, match="exceed the budget of 67108864 joint cells"):
             dmc_maximize(d, denominator=16)
+
+    @pytest.mark.parametrize(
+        "sizes,denominator,message",
+        [
+            # few enough candidates for a count alone, but each needs 192
+            # cells of the composition table: 89.7 GB in all
+            ((1, 4, 4, 4, 3, 1, 1), 4, "58409520 candidate strategies of 192 joint cells each"),
+            ((2, 1, 2, 2, 2, 4, 4), 8, "41409225 candidate strategies of 256 joint cells each"),
+        ],
+    )
+    def test_joint_cell_cap_is_checked_before_building(self, sizes, denominator, message):
+        rng = np.random.default_rng(3)
+        d = _random_spec(rng, sizes)
+        with mock.patch.object(dmc, "_compositions", side_effect=AssertionError("built")):
+            with pytest.raises(OutOfRange, match=message):
+                dmc_maximize(d, denominator=denominator)
 
     def test_bad_arguments(self):
         d = binary_pipes_spec()

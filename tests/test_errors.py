@@ -7,6 +7,7 @@ needs vanished.
 """
 
 import inspect
+import math
 
 import numpy as np
 import pytest
@@ -76,16 +77,6 @@ REJECTIONS = [
         lambda: frontier(ChannelParams(*_HUGE_SNR), "dpc", [1.0]),
         f"{_SPAN} 1e-300 to 1e+300",
     ),
-    # the rates answer, but a = b = c = d = 1e600 in the caller's scale
-    (
-        "gdpc_rates-products",
-        lambda: gdpc_rates(
-            ChannelParams(1e300, 1e300, 1e300, 1e300, 2e300), GdpcParams(0.5, 0.0, 0.5, 0.5)
-        ),
-        "the products a, b, c, d and qprime leave the float range at GdpcParams(gamma=0.5, "
-        "rho=0.0, beta=0.5, alpha2=0.5) on ChannelParams(p1=1e+300, p2=1e+300, q=1e+300, "
-        "n1=1e+300, n2=2e+300)",
-    ),
     (
         "q=0-source-cov",
         lambda: build_cov_informed_source(
@@ -111,7 +102,8 @@ REJECTIONS = [
     (
         "budget",
         lambda: dmc_maximize(DmcSpec((2, 4, 4, 4, 4, 1, 1), [0.5, 0.5], np.ones((2, 4, 4, 1, 1)))),
-        "259947629107353817789888594944 candidate strategies exceed the 100000000 budget",
+        "259947629107353817789888594944 candidate strategies of 512 joint cells each exceed "
+        "the budget of 67108864 joint cells",
     ),
 ]
 
@@ -123,6 +115,16 @@ def test_rejection_is_out_of_range(call, message):
     assert str(info.value) == message
     assert isinstance(info.value, ValueError)
     assert isinstance(info.value, RelayRegionsError)
+
+
+def test_gdpc_rates_answers_where_products_leave_the_float_range():
+    # a = b = c = d = 1e600 in the caller's scale read +inf; the rates are
+    # those of the channel scaled to k = 0, bit for bit
+    c, g = ChannelParams(1e300, 1e300, 1e300, 1e300, 2e300), GdpcParams(0.5, 0.0, 0.5, 0.5)
+    powers, k = model._scaled(c)
+    got, want = gdpc_rates(c, g), gdpc_rates(ChannelParams(*powers), g)
+    assert repr(got[:3]) == repr(want[:3])
+    assert got[3:] == (math.inf, math.inf, math.inf, math.inf, math.ldexp(want.qprime, -k))
 
 
 def test_three_error_types():

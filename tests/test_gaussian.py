@@ -610,7 +610,7 @@ def _closed_misses(c, g):
         rep = verify_gdpc(c, g)
     except RelayRegionsError:
         return ()
-    _, r1, r2 = _gdpc_point([(*_scaled(c)[0], g.gamma, g.rho, g.beta, g.alpha2)])
+    _, _, r1, r2, _ = _gdpc_point(c, g)
     rates = gdpc_rates(c, g)
     return tuple(
         (term.term, term.closed, float(ratio), clamped)

@@ -14,6 +14,7 @@ from relayregions import (
     gdpc_rates,
     max_beta_nostate,
     nostate_terms,
+    rho_upper_bound,
 )
 from relayregions.model import _TIE_TOL, _scaled
 from relayregions.rates import _alpha2_free_terms, _best_alpha2, _binned_pair, _log_ratios
@@ -277,8 +278,63 @@ def test_single_clamp_matches_per_term_clamp(row):
         b, d = _binned_pair(pwt, qp, m1, m2, alpha2)
         r1, r2 = _log_ratios(a, b, c, d)
     assert _bitwise_equal(value, np.minimum(_clamp_array(r1), _clamp_array(r2)))
-    for x, y in zip((alpha2, value), _reference_best_alpha2(*knobs, *axes)):
-        assert _bitwise_equal(x, y)
+
+
+def _scaled_row(c, gamma, rho, beta):
+    """The kernel row of channel ``c`` as the search hands it over: its
+    ``_scaled`` powers and gamma, a rho column and a beta row."""
+    return (*_scaled(c)[0], gamma), np.array(rho)[:, np.newaxis], np.array(beta)[np.newaxis, :]
+
+
+@st.composite
+def scaled_kernel_rows(draw):
+    """``_scaled_row`` of a channel inside the span bound: its five powers
+    within two decades of one scale, or each on its own within 75 decades
+    of one (10^150 < 2^500), with p2 and q possibly 0; a gamma, and
+    ascending rho (within its bound) and beta axes of 1 to 4 points, each
+    knob 0, 5e-324, 1 - 2^-53, 1 or random."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    spread = draw(st.sampled_from([2.0, 75.0]))
+    exponents = rng.uniform(-225.0 + spread, 225.0 - spread) + rng.uniform(-spread, spread, 5)
+    p1, p2, q, n1, n2 = (10.0**exponents).tolist()
+    p2, q = draw(st.sampled_from([0.0, p2])), draw(st.sampled_from([0.0, q]))
+    c = ChannelParams(p1, p2, q, *sorted((n1, n2)))
+
+    def unit():
+        return draw(st.sampled_from([0.0, 5e-324, 1.0 - 2.0**-53, 1.0, rng.uniform()]))
+
+    gamma = unit()
+    rho_hi = rho_upper_bound(c, gamma)
+    rho = sorted(rho_hi * unit() for _ in range(rng.integers(1, 5)))
+    return _scaled_row(c, gamma, rho, sorted(unit() for _ in range(rng.integers(1, 5))))
+
+
+@settings(PROPERTY, max_examples=300)
+@given(scaled_kernel_rows())
+# the kernel lies above the reference in three cells
+@example(
+    _scaled_row(
+        ChannelParams(
+            1.833123553124296e22, 4.407879603597833e56, 7.384156619776222e55,
+            1.511967036307221e-69, 4.700031097548437e26,
+        ),
+        0.0, [0.0, 5e-324, 0.3870594437057515], [0.204853154653174],
+    )
+)
+def test_kernel_never_below_reference_on_scaled_rows(row):
+    # the six-candidate reference takes the crossing from an unscaled
+    # discriminant, which leaves the normal range on some channels inside
+    # the span bound and loses the root there; the kernel never does
+    # worse, and picks +0.0 or an alpha2 between the Costa points
+    knobs, rho, beta = row
+    alpha2, value = _best_alpha2(*knobs, rho, beta)
+    _, want = _reference_best_alpha2(*knobs, rho, beta)
+    with np.errstate(all="ignore"):
+        pwt, _, _, _, m1, m2 = _alpha2_free_terms(*knobs, rho, beta)
+        a2, a1 = pwt / (pwt + m2), pwt / (pwt + m1)
+    zero = alpha2.view(np.int64) == 0  # +0.0, not -0.0
+    assert (zero | ((alpha2 >= a2) & (alpha2 <= a1))).all()
+    assert (value >= want - _TIE_TOL).all()
 
 
 @settings(PROPERTY, max_examples=300)

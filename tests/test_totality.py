@@ -4,9 +4,9 @@ without a numpy warning. Gaussian rows are raw floats, so building the
 channel is part of the property: half of them hold the five powers within
 two decades of one scale in 1e-300..1e300, inside the span bound, and the
 other half draw each power on its own over that range, where most spread
-past it. Inside the bound an entry must answer: the only errors left are
-``gdpc_rates``' report of products that leave the float range in the
-caller's scale, and a ``sweep_snr`` row whose n1 leaves the domain. This
+past it. Inside the bound an entry must answer: the only error left is a
+``sweep_snr`` row whose n1 leaves the domain, and ``gdpc_rates`` reports
+a product past the float range in the caller's scale as +inf. This
 is what guards the float-range checks the closed forms no longer make.
 Discrete specs have alphabets of 1 to 3 symbols, p_s entries of 0 or the
 smallest subnormal, and channel rows that hold zeros."""
@@ -39,7 +39,6 @@ from references import PROPERTY
 # three 5 x 5 gdpc rows share one pass, so a pass closes several rows
 SMALL = GridSpec(5, 5, 2, 0.25)
 SPAN = "the nonzero powers may span at most 2**500"
-PRODUCTS = "the products a, b, c, d and qprime leave the float range"
 
 
 @st.composite
@@ -111,10 +110,10 @@ def test_closed_forms_answer_or_raise_typed(row):
     if c is None:
         return
     g = GdpcParams(gamma, rho * rho_upper_bound(c, gamma), beta, alpha2)
-    r = _total(lambda: gdpc_rates(c, g), inside=True, allowed=PRODUCTS)
-    if r is not None:
-        _assert_rates(r[:3])
-        assert all(map(math.isfinite, r[3:])), r
+    r = _total(lambda: gdpc_rates(c, g), inside=True)
+    _assert_rates(r[:3])
+    # a product past the float range in the caller's scale reads +inf
+    assert all(v >= 0.0 for v in r[3:]), r
     _assert_rates(_total(lambda: nostate_terms(c, gamma, beta), inside=True))
     split, value = _total(lambda: max_beta_nostate(c, gamma), inside=True)
     assert 0.0 <= split <= 1.0
