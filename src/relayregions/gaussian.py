@@ -15,8 +15,11 @@ The constructions deliberately contain deterministic linear relations
 the naive four-determinant formula would hit singular submatrices.
 Instead, one sequential Cholesky pass in label order gives each label's
 residual variance r given the labels kept before it. A label with r at
-most _RANK_TOL is almost surely a linear function of those and is
-dropped, which leaves the mutual information unchanged. The log-det of
+most _RANK_TOL times its own variance is almost surely a linear function
+of those and is dropped, which leaves the mutual information unchanged.
+The rule is relative, so rescaling a label moves no decision, and it is
+the one rule of every pass, including the last: a label of B that the
+pass after C and A drops makes I(A;B|C) diverge. The log-det of
 a kept block is the sum of its log r, so with C reduced first and A and
 B each reduced on top of it, the formula collapses to
 
@@ -52,7 +55,6 @@ from .rates import _gdpc_point, _private_rate, cap_c, nostate_terms
 _LN2 = math.log(2.0)
 _RANK_TOL = 1e-10
 _PSD_TOL = -1e-10
-_LOGDET_FLOOR = math.log(1e-300)
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,16 +98,15 @@ class CovarianceSystem:
         return float(self.sigma[self.index(a), self.index(b)])
 
 
-def _extend(
-    s: list[list[float]], factor: list, cand: list[int], tol: float = _RANK_TOL
-) -> tuple[list, list[float]]:
+def _extend(s: list[list[float]], factor: list, cand: list[int]) -> tuple[list, list[float]]:
     """Extend a Cholesky factor by the labels of cand, in order.
 
     factor is a list of (index, row) pairs: row holds that label's entries
     of the lower-triangular factor of the covariance of the labels before
     it, its last entry the square root of its residual variance. A
     candidate is kept iff its residual variance given every label kept
-    before it exceeds tol. Returns the extended factor (a new list) and
+    before it exceeds _RANK_TOL times its own variance; this one relative
+    rule serves every pass. Returns the extended factor (a new list) and
     the log residual variance of each kept candidate; the log-det of a
     kept block is the sum of those logs over its labels.
     """
@@ -117,7 +118,7 @@ def _extend(
         for k, row in factor:
             ell.append((s_j[k] - sum(map(mul, row, ell))) / row[-1])
         r = s_j[j] - sum(map(mul, ell, ell))
-        if r > tol:
+        if r > _RANK_TOL * s_j[j]:
             ell.append(math.sqrt(r))
             factor.append((j, ell))
             logs.append(math.log(r))
@@ -144,8 +145,9 @@ def gaussian_cmi(
     Labels appearing in C (or determined by C, or redundant within their
     own set) are eliminated by the residual-variance pass, so the
     deterministic relations of the constructions are handled exactly.
-    An empty A or B after elimination gives 0. If a label survives in
-    both A and B the information diverges and SingularSubmatrix is raised.
+    An empty A or B after elimination gives 0. If A and C determine a
+    kept label of B (a label kept in both A and B, say) the information
+    diverges and SingularSubmatrix is raised.
     """
     a_idx = _unique_indices(cov, set_a)
     b_idx = _unique_indices(cov, set_b)
@@ -157,26 +159,21 @@ def _cmi_from_sigma(
     sigma: np.ndarray, a_idx: list[int], b_idx: list[int], c_idx: list[int]
 ) -> float:
     s = sigma.tolist()
-    c_fac, c_logs = _extend(s, [], c_idx)
+    c_fac, _ = _extend(s, [], c_idx)
     a_fac, a_logs = _extend(s, c_fac, a_idx)
     b_fac, b_logs = _extend(s, c_fac, b_idx)
     if not a_logs or not b_logs:
         return 0.0
+    # B again, now after C and A: a label of B that A and C determine
+    # (one kept in A too, say) is dropped, and the information diverges
     b_kept = [j for j, _ in b_fac[len(c_fac):]]
-    if any(j in b_kept for j, _ in a_fac[len(c_fac):]):
+    _, ab_logs = _extend(s, a_fac, b_kept)
+    if len(ab_logs) < len(b_kept):
         raise SingularSubmatrix(
-            "a non-degenerate label sits in both sets; mutual information diverges"
+            f"I(A;B|C) diverges: a label of B is, within {_RANK_TOL:g} of its "
+            "variance, a linear function of A and C"
         )
-    # B again, now after C and A: every pivot must stay positive
-    _, ab_logs = _extend(s, a_fac, b_kept, tol=0.0)
-    lc, la, lb, lab = sum(c_logs), sum(a_logs), sum(b_logs), sum(ab_logs)
-    # the log-dets of C, A+C, B+C and A+B+C
-    logdet_min = min(lc, lc + la, lc + lb, lc + la + lab)
-    if len(ab_logs) < len(b_kept) or logdet_min <= _LOGDET_FLOOR:
-        raise SingularSubmatrix(
-            "singular covariance submatrix; eliminate dependent labels first"
-        )
-    val = (lb - lab) / (2.0 * _LN2)
+    val = (sum(b_logs) - sum(ab_logs)) / (2.0 * _LN2)
     if val < 0.0:
         if val < -1e-9:
             raise SingularSubmatrix(

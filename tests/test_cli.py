@@ -488,6 +488,19 @@ class TestVerifyCommand:
         assert out.count("gdpc-closed-forms: PASS") == 4
         assert "FAIL" not in out
 
+    @pytest.mark.parametrize(
+        "channel", [SCALED_EXAMPLES[0], "1e-9,1e-9,1e-9,1e-10,1e-9"], ids=["2^-600", "1e-9"]
+    )
+    def test_tiny_scale_passes(self, capsys, channel):
+        # the oracle's dependence rule is relative to each label's
+        # variance; an absolute one failed both channels by up to 1.7 bits
+        code, out, _ = run(
+            capsys, "verify", "--channel", channel, "--mc-samples", MC_SAMPLES
+        )
+        assert code == 0
+        assert out.count(": PASS") == 11
+        assert "FAIL" not in out
+
     def test_sample_count_past_float_range_runs(self, capsys, tmp_path):
         cfg = tmp_path / "verify.json"
         cfg.write_text(json.dumps({"mc_samples": HUGE_INT}))

@@ -28,7 +28,6 @@ from relayregions import (
 )
 from relayregions.gaussian import (
     CovarianceSystem,
-    _LOGDET_FLOOR,
     _RANK_TOL,
     _cmi_from_sigma,
     _sample_covariance,
@@ -161,7 +160,7 @@ def _ref_reduce(sigma, base, cand):
     kept = list(base)
     out = []
     for j in cand:
-        if _ref_residual_variance(sigma, kept, j) > _RANK_TOL:
+        if _ref_residual_variance(sigma, kept, j) > _RANK_TOL * sigma[j, j]:
             out.append(j)
             kept.append(j)
     return out
@@ -171,7 +170,7 @@ def _ref_logdet(sigma, rows):
     if not rows:
         return 0.0
     sign, val = np.linalg.slogdet(sigma[np.ix_(rows, rows)])
-    if sign <= 0.0 or val <= _LOGDET_FLOOR:
+    if sign <= 0.0:
         raise SingularSubmatrix("singular covariance submatrix")
     return float(val)
 
@@ -201,7 +200,8 @@ def _ref_cmi(sigma, a_idx, b_idx, c_idx):
 def low_rank_mixes(draw):
     """Labels = mix @ basis over fewer independent components than labels,
     with small integer mixing weights, so many labels are exact linear
-    functions of others; and disjoint A, B, C in a drawn order."""
+    functions of others; each label then rescaled by 10^u, u in [-6, 6],
+    which moves no information; and disjoint A, B, C in a drawn order."""
     n = draw(st.integers(2, 7))
     r = draw(st.integers(1, n))
     mix = np.array(
@@ -209,12 +209,16 @@ def low_rank_mixes(draw):
                       min_size=n, max_size=n)),
         dtype=float,
     )
-    # variances from a seeded generator: hypothesis favours float bounds
-    var = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).uniform(0.25, 2.0, r)
+    # variances and scales from a seeded generator: hypothesis favours
+    # float bounds
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    var = rng.uniform(0.25, 2.0, r)
+    scale = 10.0 ** rng.uniform(-6.0, 6.0, n)
     roles = draw(st.lists(st.sampled_from("ABC-"), min_size=n, max_size=n))
     order = draw(st.permutations(range(n)))
     sets = [[i for i in order if roles[i] == role] for role in "ABC"]
-    return mix, (mix * var) @ mix.T, sets
+    scaled = mix * scale[:, None]
+    return mix, (scaled * var) @ scaled.T, sets
 
 
 def _rank(mix, rows):
@@ -228,10 +232,11 @@ def _finite(mix, a, b, c):
 
 def _well_conditioned(sigma, a, b, c):
     # both routes lose about eps*cond bits on the kept block; at
-    # cond < 1e5 that stays far below 1e-11
+    # cond < 1e5 of its unit-diagonal form that stays far below 1e-11
     c_kept = _ref_reduce(sigma, [], c)
     kept = _ref_reduce(sigma, c_kept, a) + _ref_reduce(sigma, c_kept, b) + c_kept
-    return not kept or np.linalg.cond(sigma[np.ix_(kept, kept)]) < 1e5
+    d = np.sqrt(np.diag(sigma)[kept])
+    return not kept or np.linalg.cond(sigma[np.ix_(kept, kept)] / np.outer(d, d)) < 1e5
 
 
 class TestResidualRoute:
@@ -251,9 +256,12 @@ class TestResidualRoute:
                 with pytest.raises(SingularSubmatrix):
                     _cmi_from_sigma(sigma, a, b, c)
                 return
-        # an infinite information has no value to match: both routes
-        # return rounding noise or raise there
-        assume(_finite(mix, a, b, c) and _well_conditioned(sigma, a, b, c))
+        if not _finite(mix, a, b, c):
+            # an infinite information has no value to match: it raises
+            with pytest.raises(SingularSubmatrix):
+                _cmi_from_sigma(sigma, a, b, c)
+            return
+        assume(_well_conditioned(sigma, a, b, c))
         want = _ref_cmi(sigma, a, b, c)
         got = _cmi_from_sigma(sigma, a, b, c)
         assert got == pytest.approx(want, abs=1e-11)
@@ -261,16 +269,14 @@ class TestResidualRoute:
     @settings(PROPERTY, max_examples=300)
     @given(low_rank_mixes(), st.randoms(use_true_random=False))
     def test_label_order_does_not_matter(self, drawn, rnd):
+        # on the index route: CovarianceSystem's absolute checks reject
+        # rescaled labels, which the residual pass does not need
         mix, sigma, (a, b, c) = drawn
         assume(_finite(mix, a, b, c) and _well_conditioned(sigma, a, b, c))
-        cov = CovarianceSystem(tuple(f"L{i}" for i in range(len(mix))), sigma)
-        names = [[cov.labels[i] for i in s] for s in (a, b, c)]
-        want = gaussian_cmi(cov, *names)
-        shuffled = [rnd.sample(s, len(s)) for s in names]
-        assert gaussian_cmi(cov, *shuffled) == pytest.approx(want, abs=1e-11)
-        assert gaussian_cmi(cov, names[1], names[0], names[2]) == pytest.approx(
-            want, abs=1e-11
-        )
+        want = _cmi_from_sigma(sigma, a, b, c)
+        shuffled = [rnd.sample(s, len(s)) for s in (a, b, c)]
+        assert _cmi_from_sigma(sigma, *shuffled) == pytest.approx(want, abs=1e-11)
+        assert _cmi_from_sigma(sigma, b, a, c) == pytest.approx(want, abs=1e-11)
 
 
 class TestInformedBothCov:
@@ -416,17 +422,30 @@ class TestInformedSourceCov:
         assert rep.passed
         assert rep.max_abs_diff < 1e-12
 
-    def test_underflowed_denominator_answers(self):
-        # b = pwt*(qprime + n1) underflows to 0 in the powers as given,
-        # while a does not; the closed forms run on the scaled powers and
-        # read those of the channel scaled to k = 0, bit for bit
+    def test_underflowed_denominator_is_singular(self):
+        # n1 is 1e-140 of Y1's variance, below double resolution: the
+        # oracle sees Y1 as a function of the layers and raises
         c = ChannelParams(1e-160, 1e-160, 1e-200, 1e-300, 2e-300)
         g = GdpcParams(0.0, 0.0, 0.0, 0.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            rep = verify_gdpc(c, g)
+            with pytest.raises(SingularSubmatrix, match="diverges"):
+                verify_gdpc(c, g)
+        # b = pwt*(qprime + n1) underflows to 0 in the powers as given,
+        # while a does not; the closed forms run on the scaled powers and
+        # read those of the channel scaled to k = 0, bit for bit
+        _, _, r1, r2, private = _gdpc_point(c, g)
         want = gdpc_rates(ChannelParams(*_scaled(c)[0]), g)
-        assert [t.closed for t in rep.details] == [want.r_private, want.r1_sum, want.r2_sum]
+        assert [private, r1, r2] == [want.r_private, want.r1_sum, want.r2_sum]
+
+    @pytest.mark.parametrize("scale", [1e-8, 1.0])
+    def test_copied_binning_layer_is_singular(self, scale):
+        # at beta = 1 the relay input is a copy of the binning layer, so
+        # I(U2;Sprime|X2) diverges; at 1e-8 it read 24.58 bits of rounding
+        c = ChannelParams(*(scale * x for x in (1.0, 1.0, 1.0, 0.1, 1.0)))
+        cov = build_cov_informed_source(c, GdpcParams(0.2, 0.3, 1.0, 0.5))
+        with pytest.raises(SingularSubmatrix):
+            gaussian_cmi(cov, ["U2"], ["Sprime"], ["X2"])
 
     @pytest.mark.parametrize(
         "g",
