@@ -59,7 +59,16 @@ _PSD_TOL = -1e-10
 
 @dataclass(frozen=True, eq=False)
 class CovarianceSystem:
-    """A labeled joint Gaussian covariance over named scalar variables."""
+    """A labeled joint Gaussian covariance over named scalar variables.
+
+    sigma must be finite, and symmetric and positive semidefinite relative
+    to its own variances: its unit-diagonal form D^-1/2 sigma D^-1/2 (D
+    the diagonal) is symmetric within 1e-9 and has no eigenvalue below
+    _PSD_TOL. A label of zero variance must have an exactly zero row and
+    column, and no variance may be negative. Rescaling a label therefore
+    moves no check, as it moves no information. The builders' covariances
+    hold these by construction and skip them (``_assemble``).
+    """
 
     labels: tuple[str, ...]
     sigma: np.ndarray
@@ -76,9 +85,20 @@ class CovarianceSystem:
             raise OutOfRange("labels must be unique")
         if not np.isfinite(sigma).all():
             raise OutOfRange("sigma must be finite")
-        if not (np.abs(sigma - sigma.T) <= 1e-9).all():
+        var = np.diag(sigma)
+        null = var == 0.0
+        if (var < 0.0).any() or sigma[null].any() or sigma[:, null].any():
+            raise OutOfRange("sigma is not positive semidefinite")
+        root = np.sqrt(np.where(null, 1.0, var))
+        with np.errstate(over="ignore"):
+            # an entry far past the root of its two variances reads inf,
+            # which no PSD matrix holds
+            unit = sigma / root[:, None] / root
+        if not np.isfinite(unit).all():
+            raise OutOfRange("sigma is not positive semidefinite")
+        if not (np.abs(unit - unit.T) <= 1e-9).all():
             raise OutOfRange("sigma must be symmetric")
-        if float(np.linalg.eigvalsh(sigma).min(initial=0.0)) < _PSD_TOL:
+        if float(np.linalg.eigvalsh(unit).min(initial=0.0)) < _PSD_TOL:
             raise OutOfRange("sigma is not positive semidefinite")
         sigma.flags.writeable = False
         object.__setattr__(self, "sigma", sigma)
@@ -183,15 +203,37 @@ def _cmi_from_sigma(
     return val
 
 
+@functools.cache
+def _upper(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Strict upper triangle indices, read-only and built once per size:
+    np.triu_indices costs more than the copy they index."""
+    rows, cols = np.triu_indices(n, 1)
+    rows.flags.writeable = cols.flags.writeable = False
+    return rows, cols
+
+
 def _assemble(labels: tuple[str, ...], mix: np.ndarray, variances) -> CovarianceSystem:
     """Covariance of labels = mix @ basis, basis independent with the
-    given variances: sigma = mix diag(variances) mix^T (exactly PSD).
-    Near the float range the product overflows or reads inf - inf;
-    CovarianceSystem rejects that non-finite sigma with OutOfRange, so
-    numpy need not warn first."""
+    given variances: sigma = mix diag(variances) mix^T, built without
+    CovarianceSystem's checks, which hold by construction.
+
+    The variances are >= 0, so sigma is PSD. The product rounds its two
+    triangles apart, so the lower one is copied onto the upper (a copy,
+    where an average could overflow), and sigma is exactly symmetric. The
+    labels are the builders' literal, unique tuples. Only finiteness is
+    checked: near the float range the product overflows or reads inf - inf,
+    which raises OutOfRange here, so numpy need not warn first."""
     with np.errstate(all="ignore"):
         sigma = (mix * np.asarray(variances, dtype=float)) @ mix.T
-    return CovarianceSystem(tuple(labels), sigma)
+    upper = _upper(len(labels))
+    sigma[upper] = sigma.T[upper]
+    if not np.isfinite(sigma).all():
+        raise OutOfRange("sigma must be finite")
+    sigma.flags.writeable = False
+    cov = object.__new__(CovarianceSystem)
+    object.__setattr__(cov, "labels", labels)
+    object.__setattr__(cov, "sigma", sigma)
+    return cov
 
 
 def _check_powers(cov: CovarianceSystem, c: ChannelParams) -> CovarianceSystem:
@@ -229,7 +271,7 @@ def build_cov_informed_both(
     """
     gbar_p1 = (1.0 - p.gamma) * c.p1
     root = math.sqrt((1.0 - p.beta) * gbar_p1) + math.sqrt(c.p2)
-    p_coop = root * root  # inf on overflow, which CovarianceSystem rejects
+    p_coop = root * root  # inf on overflow, which _assemble rejects
     p_fresh = p.beta * gbar_p1
     lam = math.sqrt((1.0 - p.beta) * gbar_p1 / p_coop) if p_coop > 0.0 else 0.0
     den = p_coop + p_fresh + p.gamma * c.p1 + c.n2

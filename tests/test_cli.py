@@ -489,11 +489,15 @@ class TestVerifyCommand:
         assert "FAIL" not in out
 
     @pytest.mark.parametrize(
-        "channel", [SCALED_EXAMPLES[0], "1e-9,1e-9,1e-9,1e-10,1e-9"], ids=["2^-600", "1e-9"]
+        "channel",
+        [SCALED_EXAMPLES[0], "1e-9,1e-9,1e-9,1e-10,1e-9", SCALED_EXAMPLES[1]],
+        ids=["2^-600", "1e-9", "2^600"],
     )
-    def test_tiny_scale_passes(self, capsys, channel):
-        # the oracle's dependence rule is relative to each label's
-        # variance; an absolute one failed both channels by up to 1.7 bits
+    def test_scaled_channel_passes(self, capsys, channel):
+        # the oracle's dependence rule and its covariance checks are
+        # relative to each label's variance: an absolute rule failed the
+        # two small channels by up to 1.7 bits, and absolute checks
+        # rejected 2^600's covariance as not positive semidefinite
         code, out, _ = run(
             capsys, "verify", "--channel", channel, "--mc-samples", MC_SAMPLES
         )

@@ -69,8 +69,10 @@ class TestCovarianceSystem:
             CovarianceSystem(("A", "A"), np.eye(2))
 
     def test_rejects_asymmetric(self):
-        with pytest.raises(OutOfRange):
-            CovarianceSystem(("A", "B"), np.array([[1.0, 0.5], [0.2, 1.0]]))
+        # at any scale: the check reads the unit-diagonal form
+        for scale in (1e-20, 1.0, 1e20):
+            with pytest.raises(OutOfRange, match="symmetric"):
+                CovarianceSystem(("A", "B"), scale * np.array([[1.0, 0.5], [0.2, 1.0]]))
 
     @pytest.mark.parametrize("bad", [math.inf, math.nan])
     def test_rejects_non_finite(self, bad):
@@ -78,13 +80,39 @@ class TestCovarianceSystem:
             CovarianceSystem(("A", "B"), np.array([[bad, 0.0], [0.0, 1.0]]))
 
     def test_rejects_indefinite(self):
-        with pytest.raises(OutOfRange):
-            _pair(1.5)
+        for scale in (1e-20, 1.0, 1e20):
+            with pytest.raises(OutOfRange, match="not positive semidefinite"):
+                CovarianceSystem(("A", "B"), scale * np.array([[1.0, 1.5], [1.5, 1.0]]))
 
     def test_matrix_is_immutable(self):
         cov = _pair(0.1)
         with pytest.raises((ValueError, RuntimeError)):
             cov.sigma[0, 0] = 9.0
+
+    def test_checks_are_relative_to_the_variances(self):
+        # a rank-6 covariance of 8 labels times 2^k: the checks read its
+        # unit-diagonal form, which 2^k does not move; absolute checks
+        # rejected the large k
+        base = build_cov_informed_both(EXAMPLE, InformedBothParams(0.5, 0.5))
+        want = gaussian_cmi(base, ["U1", "U2"], ["Y2"])
+        for k in range(-400, 401):
+            cov = CovarianceSystem(base.labels, base.sigma * 2.0**k)
+            got = gaussian_cmi(cov, ["U1", "U2"], ["Y2"])
+            assert got == pytest.approx(want, abs=1e-12), k
+
+    def test_zero_variance_label_needs_a_zero_row(self):
+        cov = CovarianceSystem(("A", "B"), np.array([[0.0, 0.0], [0.0, 1.0]]))
+        assert cov.var("A") == 0.0
+        for sigma in ([[0.0, 1e-300], [1e-300, 1.0]], [[-1e-300, 0.0], [0.0, 1.0]]):
+            with pytest.raises(OutOfRange, match="sigma is not positive semidefinite"):
+                CovarianceSystem(("A", "B"), np.array(sigma))
+
+    def test_entry_past_its_variances_is_indefinite_without_warning(self):
+        # 1e300 / sqrt(1e-300 * 1) overflows the unit-diagonal form
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OutOfRange, match="sigma is not positive semidefinite"):
+                CovarianceSystem(("A", "B"), np.array([[1e-300, 1e300], [1e300, 1.0]]))
 
 
 class TestGaussianCmi:
@@ -269,14 +297,58 @@ class TestResidualRoute:
     @settings(PROPERTY, max_examples=300)
     @given(low_rank_mixes(), st.randoms(use_true_random=False))
     def test_label_order_does_not_matter(self, drawn, rnd):
-        # on the index route: CovarianceSystem's absolute checks reject
-        # rescaled labels, which the residual pass does not need
         mix, sigma, (a, b, c) = drawn
         assume(_finite(mix, a, b, c) and _well_conditioned(sigma, a, b, c))
-        want = _cmi_from_sigma(sigma, a, b, c)
-        shuffled = [rnd.sample(s, len(s)) for s in (a, b, c)]
-        assert _cmi_from_sigma(sigma, *shuffled) == pytest.approx(want, abs=1e-11)
-        assert _cmi_from_sigma(sigma, b, a, c) == pytest.approx(want, abs=1e-11)
+        cov = CovarianceSystem(tuple(f"L{i}" for i in range(len(mix))), sigma)
+        names = [[cov.labels[i] for i in s] for s in (a, b, c)]
+        want = gaussian_cmi(cov, *names)
+        shuffled = [rnd.sample(s, len(s)) for s in names]
+        assert gaussian_cmi(cov, *shuffled) == pytest.approx(want, abs=1e-11)
+        assert gaussian_cmi(cov, names[1], names[0], names[2]) == pytest.approx(
+            want, abs=1e-11
+        )
+
+
+@st.composite
+def builder_inputs(draw):
+    """A channel whose powers p1, p2, q and n1 are log-uniform in a 2^488
+    window, with n2/n1 from 1 + 2^-40 to 1 + 2^10, so they span less than
+    2^500; the window's bottom is log-uniform over 2^-800..2^523 and p2 is
+    0 on 15% of draws. Six knobs, each 0, 1 or uniform: gamma, rho's
+    fraction of its bound, beta and alpha2, then gamma and beta of the
+    informed-both construction."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    bottom = rng.uniform(-800.0, 523.0)
+    p1, p2, q, n1 = np.exp2(bottom + 488.0 * rng.uniform(size=4))
+    p2 *= rng.uniform() >= 0.15
+    n2 = n1 * (1.0 + 2.0 ** rng.uniform(-40.0, 10.0))
+    c = ChannelParams(*(float(x) for x in (p1, p2, q, n1, n2)))
+    gamma, frac, beta, alpha2, gamma3, beta3 = (
+        float(rng.choice([0.0, 1.0, rng.uniform()])) for _ in range(6)
+    )
+    g = GdpcParams(gamma, frac * rho_upper_bound(c, gamma), beta, alpha2)
+    return c, g, InformedBothParams(gamma3, beta3)
+
+
+class TestBuildersByConstruction:
+    """The builders check only that sigma is finite: M diag(v) M^T with
+    v >= 0 is PSD, and the mirrored triangle makes it exactly symmetric.
+    The public checks must agree."""
+
+    @settings(PROPERTY, max_examples=1000)
+    @given(builder_inputs())
+    def test_symmetric_and_accepted_by_the_public_checks(self, drawn):
+        c, g, p = drawn
+        for build, params in ((build_cov_informed_source, g), (build_cov_informed_both, p)):
+            try:
+                cov = build(c, params)
+            except OutOfRange as e:
+                assert re.fullmatch(
+                    r"sigma must be finite|X[12] power \S+ exceeds its budget \S+", str(e)
+                ), str(e)
+                continue
+            assert (cov.sigma == cov.sigma.T).all()
+            CovarianceSystem(cov.labels, cov.sigma)
 
 
 class TestInformedBothCov:
@@ -514,6 +586,15 @@ class TestSampleEstimate:
         est = sample_mi_estimate(cov, ["U1", "U2"], ["Y2"], [], 200_000, 7)
         assert est == pytest.approx(exact, abs=0.02)
 
+    def test_tracks_exact_value_at_scale_1e6(self):
+        # oracle-verify seed 7's draw mc3: the absolute PSD check rejected
+        # its covariance, so that cross-check never ran
+        c = ChannelParams(1045239.1, 1165647.5, 1231959.4, 170763.4, 1179614.8)
+        cov = build_cov_informed_both(c, InformedBothParams(0.7978, 0.8153))
+        exact = gaussian_cmi(cov, ["U1", "U2"], ["Y2"])
+        est = sample_mi_estimate(cov, ["U1", "U2"], ["Y2"], [], 200_000, 7003)
+        assert est == pytest.approx(exact, abs=0.02)
+
 
 LAW_DRAWS = 2000
 LAW_N = 1000
@@ -576,7 +657,7 @@ class TestSampleCovarianceLaw:
 
 
 def test_assemble_past_float_range_raises_without_warning():
-    """sigma's product overflows to nan; CovarianceSystem rejects it, and
+    """sigma's product overflows to nan; _assemble rejects it, and
     numpy says nothing first. The covariance keeps the caller's scale, so
     a channel inside the span bound reaches it."""
     g = GdpcParams(0.2997118905373848, 0.12428327649956394, 0.42268722119765845, 0.028319671145462966)
