@@ -218,32 +218,17 @@ def _assemble(labels: tuple[str, ...], mix: np.ndarray, variances) -> Covariance
     CovarianceSystem's checks, which hold by construction.
 
     The variances are >= 0, so sigma is PSD. The product rounds its two
-    triangles apart, so the lower one is copied onto the upper (a copy,
-    where an average could overflow), and sigma is exactly symmetric. The
-    labels are the builders' literal, unique tuples. Only finiteness is
-    checked: near the float range the product overflows or reads inf - inf,
-    which raises OutOfRange here, so numpy need not warn first."""
-    with np.errstate(all="ignore"):
-        sigma = (mix * np.asarray(variances, dtype=float)) @ mix.T
+    triangles apart, so the lower one is copied onto the upper, and sigma
+    is exactly symmetric. The labels are the builders' literal, unique
+    tuples. The builders pass a channel's scaled powers (``model._scaled``),
+    on which no entry leaves the float range."""
+    sigma = (mix * np.asarray(variances, dtype=float)) @ mix.T
     upper = _upper(len(labels))
     sigma[upper] = sigma.T[upper]
-    if not np.isfinite(sigma).all():
-        raise OutOfRange("sigma must be finite")
     sigma.flags.writeable = False
     cov = object.__new__(CovarianceSystem)
     object.__setattr__(cov, "labels", labels)
     object.__setattr__(cov, "sigma", sigma)
-    return cov
-
-
-def _check_powers(cov: CovarianceSystem, c: ChannelParams) -> CovarianceSystem:
-    """Both inputs within their power budgets, up to rounding relative to
-    the budget once it exceeds 1."""
-    for label, power in (("X1", c.p1), ("X2", c.p2)):
-        if cov.var(label) > power + 1e-9 * max(1.0, power):
-            raise OutOfRange(
-                f"{label} power {cov.var(label)} exceeds its budget {power}"
-            )
     return cov
 
 
@@ -259,24 +244,31 @@ def build_cov_informed_both(
 
         U1 = alpha1*S + V1          (cooperative auxiliary)
         U2 = alpha2*S + V2          (fresh auxiliary)
-        X2 = (1-lam)*V1             (relay input)
+        X2 = mu*V1                  (relay input)
         X1 = lam*V1 + V2 + X1p      (source input)
         Y1 = X1 + S + Z1
         Y2 = Y1 + X2 + Z2p
 
     The source alone sends the fresh power p_fresh = beta*(1-gamma)*p1.
     The cooperative codeword, sent coherently with the relay, has power
-    p_coop = (sqrt((1-beta)(1-gamma)p1) + sqrt(p2))^2, and lam is the
-    source's share of it. Both power constraints hold with equality.
+    p_coop = root^2, root = sqrt((1-beta)(1-gamma)p1) + sqrt(p2), of which
+    the source sends the share lam = sqrt((1-beta)(1-gamma)p1)/root and
+    the relay mu = sqrt(p2)/root (both 0 at root = 0); mu is not formed as
+    1 - lam, which cancels. Both power constraints hold with equality.
+
+    sigma is built on the channel's scaled powers (``model._scaled``): every
+    information is unchanged, and ``cov.var("X1")`` reads p1 * 2**k.
     """
-    gbar_p1 = (1.0 - p.gamma) * c.p1
-    root = math.sqrt((1.0 - p.beta) * gbar_p1) + math.sqrt(c.p2)
-    p_coop = root * root  # inf on overflow, which _assemble rejects
+    p1, p2, q, n1, n2 = _scaled(c)[0]
+    gbar_p1 = (1.0 - p.gamma) * p1
+    src, relay = math.sqrt((1.0 - p.beta) * gbar_p1), math.sqrt(p2)
+    root = src + relay
+    p_coop = root * root
     p_fresh = p.beta * gbar_p1
-    lam = math.sqrt((1.0 - p.beta) * gbar_p1 / p_coop) if p_coop > 0.0 else 0.0
-    den = p_coop + p_fresh + p.gamma * c.p1 + c.n2
+    lam, mu = (src / root, relay / root) if root > 0.0 else (0.0, 0.0)
+    den = p_coop + p_fresh + p.gamma * p1 + n2
     alpha1, alpha2 = p_coop / den, p_fresh / den
-    variances = (c.q, p_coop, p_fresh, p.gamma * c.p1, c.n1, c.n2 - c.n1)
+    variances = (q, p_coop, p_fresh, p.gamma * p1, n1, n2 - n1)
     labels = ("S", "U1", "U2", "X1p", "X1", "X2", "Y1", "Y2")
     #          S         V1     V2   X1p  Z1   Z2p
     mix = np.array(
@@ -286,12 +278,12 @@ def build_cov_informed_both(
             [alpha2, 0.0, 1.0, 0.0, 0.0, 0.0],  # U2
             [0.0, 0.0, 0.0, 1.0, 0.0, 0.0],  # X1p
             [0.0, lam, 1.0, 1.0, 0.0, 0.0],  # X1
-            [0.0, 1.0 - lam, 0.0, 0.0, 0.0, 0.0],  # X2
+            [0.0, mu, 0.0, 0.0, 0.0, 0.0],  # X2
             [1.0, lam, 1.0, 1.0, 1.0, 0.0],  # Y1
             [1.0, 1.0, 1.0, 1.0, 1.0, 1.0],  # Y2
         ]
     )
-    return _check_powers(_assemble(labels, mix, variances), c)
+    return _assemble(labels, mix, variances)
 
 
 def build_cov_informed_source(c: ChannelParams, g: GdpcParams) -> CovarianceSystem:
@@ -309,6 +301,9 @@ def build_cov_informed_source(c: ChannelParams, g: GdpcParams) -> CovarianceSyst
 
     with alpha1 = gamma*p1/(gamma*p1 + n1), and the channel outputs obey
     Y1 = X1p + Uw + Sprime + Z1 exactly as linear relations.
+
+    sigma is built on the channel's scaled powers (``model._scaled``): every
+    information is unchanged, and ``cov.var("X1")`` reads p1 * 2**k.
     """
     validate_gdpc(c, g)
     if c.q <= 0.0:
@@ -316,19 +311,20 @@ def build_cov_informed_source(c: ChannelParams, g: GdpcParams) -> CovarianceSyst
             "interference power q must be > 0 for the encoder-informed "
             "construction; with q = 0 use the no-interference region"
         )
+    p1, p2, q, n1, n2 = _scaled(c)[0]
     gbar = 1.0 - g.gamma
-    pw = (1.0 - g.rho) * gbar * c.p1
-    s_coef = math.sqrt(g.rho * gbar * c.p1 / c.q)
+    pw = (1.0 - g.rho) * gbar * p1
+    s_coef = math.sqrt(g.rho * gbar * p1 / q)
     kappa = 1.0 - s_coef
-    alpha1 = g.gamma * c.p1 / (g.gamma * c.p1 + c.n1)
+    alpha1 = g.gamma * p1 / (g.gamma * p1 + n1)
     if pw > 0.0:
-        c_uw = g.beta * math.sqrt(c.p2 / pw)
-        e2_var = (1.0 - g.beta**2) * c.p2
+        c_uw = g.beta * math.sqrt(p2 / pw)
+        e2_var = (1.0 - g.beta**2) * p2
     else:
         # no binning power: the relay input carries its full power alone
         c_uw = 0.0
-        e2_var = c.p2
-    variances = (c.q, g.gamma * c.p1, pw, e2_var, c.n1, c.n2 - c.n1)
+        e2_var = p2
+    variances = (q, g.gamma * p1, pw, e2_var, n1, n2 - n1)
     labels = ("S", "Sprime", "U1", "U2", "Uw", "X1p", "X1", "X2", "Y1", "Y2")
     #          S                X1p  Uw   E2   Z1   Z2p
     mix = np.array(
@@ -345,7 +341,7 @@ def build_cov_informed_source(c: ChannelParams, g: GdpcParams) -> CovarianceSyst
             [kappa, 1.0, 1.0 + c_uw, 1.0, 1.0, 1.0],  # Y2
         ]
     )
-    return _check_powers(_assemble(labels, mix, variances), c)
+    return _assemble(labels, mix, variances)
 
 
 @dataclass(frozen=True)
@@ -444,8 +440,8 @@ def verify_informed_both(
     Every compared value is free of q, which is the claimed interference
     independence of the capacity region. The two sum-rate rows compare
     against ``rates.nostate_terms``, the closed form the region uses. The
-    closed forms run on the channel's scaled powers, the covariance on
-    the powers as given.
+    closed forms and the covariance both run on the channel's scaled
+    powers.
     """
     p1, _, _, n1, _ = _scaled(c)[0]
     private = _private_rate(p1, n1, p.gamma)

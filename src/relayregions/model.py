@@ -15,9 +15,9 @@ Conventions shared by every module:
 * an analytic rate expression that comes out negative, or lands on a
   0/0 boundary (vanishing signal layers), is exposed as exactly 0.0;
 * rates depend on ratios of powers only: a channel's nonzero powers span
-  at most 2**500 (``ChannelParams``), and every closed form runs on them
+  at most 2**500 (``ChannelParams``), and every computation runs on them
   times the even power of two that centres them (``_scaled``), where no
-  rate term leaves the float range.
+  term leaves the float range.
 
 All types are frozen dataclasses that check their invariants when they
 are built, so a value of one is valid and safe to share between workers.

@@ -164,12 +164,11 @@ def _best_alpha2(p1, p2, q, n1, n2, gamma, rho, beta):
     0.5*log2(min(a/b, c/d)): np.log2 never decreases and halving is
     exact, so it is min(r1_sum, r2_sum) bit for bit at one log per
     candidate, and np.minimum passes a nan ratio through to a nan value.
-    It is kept where both terms are finite and positive, and +0.0 where
-    either is nan, +-inf or <= 0, exactly as if each term were clamped
-    first. The guard needs the max as well as the
-    min: a term that overflows to +inf (a/b at p1 = 1e300 with
-    n1 = 1e-300) clamps to 0, which a test of min > 0 alone would miss.
-    Overflow, 0/0 and log 0 are silent here.
+    It is kept where it is positive, and +0.0 where either term is nan or
+    <= 0, exactly as if each term were clamped first. The inputs are the
+    scaled rows of a channel inside the span bound (``model._scaled``),
+    the only rows the search and ``_gdpc_point`` pass, on which no ratio
+    overflows. 0/0 and log 0 are silent here.
     """
     with np.errstate(all="ignore"):
         pwt, qp, a, c, m1, m2 = _alpha2_free_terms(p1, p2, q, n1, n2, gamma, rho, beta)
@@ -215,7 +214,7 @@ def _best_alpha2(p1, p2, q, n1, n2, gamma, rho, beta):
         np.log2(v, out=v)
         v *= 0.5
         # fmax reads nan (0/0), -inf (log 0) and negative values as +0.0
-        v = np.where(np.maximum(r1, r2, out=r1) < math.inf, np.fmax(v, 0.0, out=v), 0.0)
+        np.fmax(v, 0.0, out=v)
     tied = v >= v.max(axis=0) - _TIE_TOL
     # candidates equal to the pick share its value: the same operations
     # computed both

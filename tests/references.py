@@ -6,6 +6,8 @@ meshgridded axes (``_reference_max_r02_gdpc``), and the DMC search as a
 loop over every candidate with one public ``discrete_cmi`` call per term
 (``_reference_maximize``).
 
+``_scaled_row`` hands the kernel a channel's row as the search does.
+
 A change that makes one of these computations faster points the tests of
 its existing reference at the new code. It does not freeze the code it
 replaces as a second reference: the tests would then guard two
@@ -30,7 +32,7 @@ from relayregions import (
 from relayregions import dmc
 from relayregions.dmc import AXES, compose_full
 from relayregions.optimize import DEFAULT_GRID
-from relayregions.model import _TIE_TOL
+from relayregions.model import _TIE_TOL, _scaled
 from relayregions.rates import _alpha2_free_terms, _log_ratios
 
 # derandomized: a property draws the same examples on every run, seeded
@@ -43,6 +45,12 @@ def _clamp_array(r):
     elementwise: each sum-rate term clamped on its own, the mapping that
     the single clamps of ``_best_alpha2`` and ``gdpc_rates`` reproduce."""
     return np.where(np.isfinite(r) & (r > 0.0), r, 0.0)
+
+
+def _scaled_row(c, gamma, rho, beta):
+    """The kernel row of channel ``c`` as the search hands it over: its
+    ``_scaled`` powers and gamma, a rho column and a beta row."""
+    return (*_scaled(c)[0], gamma), np.array(rho)[:, np.newaxis], np.array(beta)[np.newaxis, :]
 
 
 def _reference_products(p1, p2, q, n1, n2, gamma, rho, beta):

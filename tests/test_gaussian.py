@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from relayregions import (
     ChannelParams,
@@ -312,16 +312,18 @@ class TestResidualRoute:
 @st.composite
 def builder_inputs(draw):
     """A channel whose powers p1, p2, q and n1 are log-uniform in a 2^488
-    window, with n2/n1 from 1 + 2^-40 to 1 + 2^10, so they span less than
-    2^500; the window's bottom is log-uniform over 2^-800..2^523 and p2 is
-    0 on 15% of draws. Six knobs, each 0, 1 or uniform: gamma, rho's
+    window, with n2/n1 from 1 + 2^-40 to 1 + 2^10 (n2 at least the float
+    after n1), so they span less than 2^500; the window's bottom is
+    log-uniform over 2^-1074..2^523, the whole float range, and p2 is 0
+    on 15% of draws. Six knobs, each 0, 1 or uniform: gamma, rho's
     fraction of its bound, beta and alpha2, then gamma and beta of the
     informed-both construction."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    bottom = rng.uniform(-800.0, 523.0)
+    bottom = rng.uniform(-1074.0, 523.0)
     p1, p2, q, n1 = np.exp2(bottom + 488.0 * rng.uniform(size=4))
     p2 *= rng.uniform() >= 0.15
-    n2 = n1 * (1.0 + 2.0 ** rng.uniform(-40.0, 10.0))
+    # a subnormal n1 times 1 + 2^-40 can round back to n1
+    n2 = max(n1 * (1.0 + 2.0 ** rng.uniform(-40.0, 10.0)), np.nextafter(n1, np.inf))
     c = ChannelParams(*(float(x) for x in (p1, p2, q, n1, n2)))
     gamma, frac, beta, alpha2, gamma3, beta3 = (
         float(rng.choice([0.0, 1.0, rng.uniform()])) for _ in range(6)
@@ -330,25 +332,33 @@ def builder_inputs(draw):
     return c, g, InformedBothParams(gamma3, beta3)
 
 
+# a channel near the bottom of the float range: as given, a label's
+# variance underflowed to 0 while its covariances did not
+TINY = ChannelParams(
+    9.723977378296256e-295, 6.322689017782477e-229, 1.5590704924958133e-296,
+    3.180502204840219e-253, 1.0295929872014387e-252,
+)
+
+
 class TestBuildersByConstruction:
-    """The builders check only that sigma is finite: M diag(v) M^T with
-    v >= 0 is PSD, and the mirrored triangle makes it exactly symmetric.
-    The public checks must agree."""
+    """The builders check nothing: on the channel's scaled powers
+    M diag(v) M^T with v >= 0 is finite and PSD, the mirrored triangle
+    makes it exactly symmetric, and each input keeps its budget up to
+    rounding. The public checks must agree."""
 
     @settings(PROPERTY, max_examples=1000)
     @given(builder_inputs())
+    @example((TINY, GdpcParams(0.0, rho_upper_bound(TINY, 0.0), 1.0, 1.0), InformedBothParams(0.0, 1.0)))
     def test_symmetric_and_accepted_by_the_public_checks(self, drawn):
         c, g, p = drawn
+        p1, p2, *_ = _scaled(c)[0]
         for build, params in ((build_cov_informed_source, g), (build_cov_informed_both, p)):
-            try:
-                cov = build(c, params)
-            except OutOfRange as e:
-                assert re.fullmatch(
-                    r"sigma must be finite|X[12] power \S+ exceeds its budget \S+", str(e)
-                ), str(e)
-                continue
+            cov = build(c, params)
             assert (cov.sigma == cov.sigma.T).all()
             CovarianceSystem(cov.labels, cov.sigma)
+            assert cov.var("X1") <= p1 * (1.0 + 1e-14)
+            assert cov.var("X2") <= p2 * (1.0 + 1e-14)
+            assert p2 > 0.0 or cov.var("X2") == 0.0
 
 
 class TestInformedBothCov:
@@ -400,16 +410,23 @@ class TestInformedBothCov:
         lam_sq_p_coop = cov.cov("U1", "X1") ** 2 / p_coop
         assert lam_sq_p_coop == pytest.approx((1 - p.beta) * gbar_p1, abs=1e-12)
 
-    def test_power_check_is_relative_above_unit_budget(self):
-        # at this scale X2's variance exceeds p2 by 1.9e-9 from rounding
+    def test_verify_passes_at_scale_1e7(self):
         c = ChannelParams(
             13484212.383636696, 5665736.390140798, 36386011.51134933,
             6187322.527706158, 28690876.355495475,
         )
         p = InformedBothParams(0.6299332015096252, 0.19640741415922677)
         cov = build_cov_informed_both(c, p)
-        assert cov.var("X2") == pytest.approx(c.p2, rel=1e-12)
+        assert cov.var("X2") == pytest.approx(_scaled(c)[0][1], rel=1e-12, abs=0.0)
         assert verify_informed_both(c, p).passed
+
+    def test_relay_share_keeps_its_budget_when_p2_is_tiny(self):
+        # p2/p1 = 1e-18: the relay's share sqrt(p2)/root formed as 1 - lam
+        # cancelled, and X2's variance read 1.0000002297711811 p2
+        c = ChannelParams(1e19, 10.0, 1.0, 0.1, 1.0)
+        cov = build_cov_informed_both(c, InformedBothParams(0.0, 0.509))
+        assert cov.var("X2") == pytest.approx(_scaled(c)[0][1], rel=1e-15, abs=0.0)
+        CovarianceSystem(cov.labels, cov.sigma)
 
     def test_verify_passes(self):
         rep = verify_informed_both(EXAMPLE, InformedBothParams(0.5, 0.5))
@@ -656,11 +673,25 @@ class TestSampleCovarianceLaw:
         assert spread <= 64 * np.finfo(float).eps * w.max()
 
 
-def test_assemble_past_float_range_raises_without_warning():
-    """sigma's product overflows to nan; _assemble rejects it, and
-    numpy says nothing first. The covariance keeps the caller's scale, so
-    a channel inside the span bound reaches it."""
+def _report(verify, c, params):
+    """repr of a verify entry's report as a dict, or the type of its
+    error: a SingularSubmatrix message names the channel."""
+    try:
+        return repr(verify(c, params).to_dict())
+    except RelayRegionsError as e:
+        return type(e)
+
+
+def _times(c, k):
+    return ChannelParams(*(math.ldexp(v, k) for v in (c.p1, c.p2, c.q, c.n1, c.n2)))
+
+
+def test_top_of_the_float_range_reports_as_scaled_down_without_warning():
+    """The covariance is built on the scaled powers, so a channel at the
+    top of the float range gets the report of the same channel times an
+    even 2^-k; as given, sigma's product overflowed to nan."""
     g = GdpcParams(0.2997118905373848, 0.12428327649956394, 0.42268722119765845, 0.028319671145462966)
+    p = InformedBothParams(0.5, 0.5)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         # this channel spans 2^1990
@@ -669,8 +700,9 @@ def test_assemble_past_float_range_raises_without_warning():
                 4.396429386339809e-299, 2.770549746612979e214, 1.4169195198104736e-280,
                 6.212520831057459e137, 1.7046449361437926e300,
             )
-        with pytest.raises(OutOfRange, match="sigma must be finite"):
-            verify_gdpc(ChannelParams(1.7e308, 1.7e308, 1.7e308, 1e300, 1.7e308), g)
+        c = ChannelParams(1.7e308, 1.7e308, 1.7e308, 1e300, 1.7e308)
+        for verify, params in ((verify_gdpc, g), (verify_informed_both, p), (verify_relay_identity, p)):
+            assert _report(verify, c, params) == _report(verify, _times(c, -1000), params)
 
 
 def _oracle_verify_draws(n, seed):
@@ -796,16 +828,15 @@ class TestVerifyTotality:
                 verify_informed_both(ChannelParams(*c), p)
 
     def test_informed_both_cooperative_power_overflow(self):
-        # the closed forms answer, but the cooperative power
-        # (sqrt((1-beta)(1-gamma)p1) + sqrt(p2))^2 overflows in the
-        # caller's scale: the covariance check rejects it, not an
-        # OverflowError. The channel had q = n1 = 1, past the span bound.
+        # the cooperative power (sqrt((1-beta)(1-gamma)p1) + sqrt(p2))^2
+        # overflows in the caller's scale, not on the scaled powers the
+        # covariance is built on: the report is the scaled-down channel's
         c = ChannelParams(1.7e308, 1.7e308, 1e300, 1e300, 1.7e308)
+        p = InformedBothParams(0.5, 0.5)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(OutOfRange) as info:
-                verify_informed_both(c, InformedBothParams(0.5, 0.5))
-        assert str(info.value) == "sigma must be finite"
+            got = _report(verify_informed_both, c, p)
+        assert got == _report(verify_informed_both, _times(c, -1000), p)
 
     def test_informed_both_products_past_the_float_range(self):
         # the cross term sqrt(p1*p2) overflows in the powers as given; the

@@ -19,7 +19,7 @@ from relayregions import (
 from relayregions.model import _TIE_TOL, _scaled
 from relayregions.rates import _alpha2_free_terms, _best_alpha2, _binned_pair, _log_ratios
 
-from references import PROPERTY, _clamp_array, _reference_best_alpha2, _reference_products
+from references import PROPERTY, _clamp_array, _reference_best_alpha2, _scaled_row
 
 EXAMPLE = ChannelParams(1.0, 1.0, 1.0, 0.1, 1.0)
 KNOBS = GdpcParams(0.2, 0.3, 0.4, 0.5)
@@ -196,117 +196,64 @@ def test_gdpc_rates_where_products_underflow():
     assert got.b == got.d == 0.0 < got.a
 
 
-def _kernel_row(rng, pick, powers, steps=4):
-    """The channel of ``powers`` (p1, n1, n2, p2, q) with p2 and q possibly
-    0, a gamma (0 and 1 included), and ascending rho and beta axes of 1 to
-    ``steps`` points shaped as the search passes them, rho within its
-    bound. The continuous fields come from the numpy generator ``rng``;
-    ``pick`` chooses each edge branch from a list of options."""
-    p1, n1, n2, p2, q = powers
-    p2, q = pick([0.0, p2]), pick([0.0, q])
+def _in_domain_row(rng, pick, steps=4, near_scale=False):
+    """``_scaled_row`` of a channel inside the span bound, the only row the
+    search and ``_gdpc_point`` hand the kernel: its five powers within two
+    decades of one scale, or (unless ``near_scale``) each on its own within
+    75 decades of one (10^150 < 2^500), with p2 and q possibly 0; a gamma,
+    and ascending rho (within its bound) and beta axes of 1 to ``steps``
+    points, each knob 0, 5e-324, 1 - 2^-53, 1 or random.
 
-    def unit():
-        return pick([0.0, 1.0, *rng.uniform(size=2).tolist()])
-
-    gamma = unit()
-    gbar_p1 = (1.0 - gamma) * p1
-    rho_hi = min(1.0, q / gbar_p1) if gbar_p1 > 0.0 and q > 0.0 else 0.0
-    rho = sorted(rho_hi * unit() for _ in range(rng.integers(1, steps + 1)))
-    beta = sorted(unit() for _ in range(rng.integers(1, steps + 1)))
-    return (p1, p2, q, n1, n2, gamma), rho, beta
-
-
-@st.composite
-def kernel_rows(draw, near_scale=False):
-    """``_kernel_row`` at scales 1e-300..1e300, each power drawn on its
-    own, with hypothesis choosing the edge branches. With ``near_scale``
-    the five powers lie within two decades of one scale in 1e-30..1e30,
-    with n1 < n2, where the crossing root decides cells; that range stays
-    inside the 1e+-38 past which the unscaled reference loses the root.
-
-    Everything but the edge branches comes from a numpy generator seeded
-    by one draw: derandomized hypothesis float draws favour their bounds.
-    Each branch list holds fresh generator values, so hypothesis does not
-    rerun a seed with only the branches copied between draws."""
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    if near_scale:
-        scale = rng.uniform(-28.0, 28.0) + rng.uniform(-2.0, 2.0, 5)
-        p1, n1, n2, p2, q = (10.0**scale).tolist()
-        powers = [p1, *sorted((n1, n2)), p2, q]
-    else:
-        powers = (10.0 ** rng.uniform(-300.0, 300.0, 5)).tolist()
-    return _kernel_row(rng, lambda options: draw(st.sampled_from(options)), powers)
-
-
-def seeded_kernel_rows(count):
-    """``count`` rows of ``_kernel_row`` with up to 16 points an axis and
-    n1 < n2, as a channel has them, from seeds 0, 1, ..., with the
-    generator also choosing the edge branches, and each row's axes shaped
-    (n_rho, 1) and (1, n_beta).
-
-    Odd seeds draw each power on its own over 1e-300..1e300, as
-    ``kernel_rows`` does; their bounds rarely cross inside [0, 1]. Even
-    seeds draw the powers within two decades of one scale in that range,
-    where the crossing root and the ties between candidates are live, and
-    where a scale past about 1e+-38 took the discriminant of the crossing
-    quadratic out of the float range before its coefficients were scaled."""
-    for seed in range(count):
-        rng = np.random.default_rng(seed)
-        if seed % 2:
-            powers = 10.0 ** rng.uniform(-300.0, 300.0, 5)
-        else:
-            powers = 10.0 ** (rng.uniform(-298.0, 298.0) + rng.uniform(-2.0, 2.0, 5))
-        p1, n1, n2, p2, q = powers.tolist()
-        knobs, rho, beta = _kernel_row(
-            rng, lambda options: options[rng.integers(len(options))],
-            [p1, *sorted((n1, n2)), p2, q], steps=16,
-        )
-        yield knobs, np.array(rho)[:, np.newaxis], np.array(beta)[np.newaxis, :]
-
-
-@settings(PROPERTY, max_examples=300)
-@given(kernel_rows())
-@example(((*OVERFLOW, 0.0), [0.0, 0.5, 1.0], [0.0, 0.5, 1.0]))
-@example(((*UNDERFLOW, 0.0), [0.0], [0.0, 1.0]))
-def test_single_clamp_matches_per_term_clamp(row):
-    knobs, rho, beta = row
-    axes = np.array(rho)[:, np.newaxis], np.array(beta)[np.newaxis, :]
-    alpha2, value = _best_alpha2(*knobs, *axes)
-    # the one clamp after the min reads as a clamp of each term, in every cell
-    with np.errstate(all="ignore"):
-        pwt, qp, a, c, m1, m2 = _alpha2_free_terms(*knobs, *axes)
-        b, d = _binned_pair(pwt, qp, m1, m2, alpha2)
-        r1, r2 = _log_ratios(a, b, c, d)
-    assert _bitwise_equal(value, np.minimum(_clamp_array(r1), _clamp_array(r2)))
-
-
-def _scaled_row(c, gamma, rho, beta):
-    """The kernel row of channel ``c`` as the search hands it over: its
-    ``_scaled`` powers and gamma, a rho column and a beta row."""
-    return (*_scaled(c)[0], gamma), np.array(rho)[:, np.newaxis], np.array(beta)[np.newaxis, :]
-
-
-@st.composite
-def scaled_kernel_rows(draw):
-    """``_scaled_row`` of a channel inside the span bound: its five powers
-    within two decades of one scale, or each on its own within 75 decades
-    of one (10^150 < 2^500), with p2 and q possibly 0; a gamma, and
-    ascending rho (within its bound) and beta axes of 1 to 4 points, each
-    knob 0, 5e-324, 1 - 2^-53, 1 or random."""
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    spread = draw(st.sampled_from([2.0, 75.0]))
+    Everything but the edge branches comes from the numpy generator
+    ``rng``: derandomized hypothesis float draws favour their bounds.
+    ``pick`` chooses each edge branch from a list that holds fresh
+    generator values, so hypothesis does not rerun a seed with only the
+    branches copied between draws."""
+    spread = 2.0 if near_scale else pick([2.0, 75.0])
     exponents = rng.uniform(-225.0 + spread, 225.0 - spread) + rng.uniform(-spread, spread, 5)
     p1, p2, q, n1, n2 = (10.0**exponents).tolist()
-    p2, q = draw(st.sampled_from([0.0, p2])), draw(st.sampled_from([0.0, q]))
+    p2, q = pick([0.0, p2]), pick([0.0, q])
     c = ChannelParams(p1, p2, q, *sorted((n1, n2)))
 
     def unit():
-        return draw(st.sampled_from([0.0, 5e-324, 1.0 - 2.0**-53, 1.0, rng.uniform()]))
+        return pick([0.0, 5e-324, 1.0 - 2.0**-53, 1.0, rng.uniform()])
 
     gamma = unit()
     rho_hi = rho_upper_bound(c, gamma)
-    rho = sorted(rho_hi * unit() for _ in range(rng.integers(1, 5)))
-    return _scaled_row(c, gamma, rho, sorted(unit() for _ in range(rng.integers(1, 5))))
+    rho = sorted(rho_hi * unit() for _ in range(rng.integers(1, steps + 1)))
+    return _scaled_row(c, gamma, rho, sorted(unit() for _ in range(rng.integers(1, steps + 1))))
+
+
+@st.composite
+def scaled_kernel_rows(draw, near_scale=False):
+    """``_in_domain_row`` with hypothesis choosing the edge branches."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return _in_domain_row(rng, lambda options: draw(st.sampled_from(options)), near_scale=near_scale)
+
+
+def seeded_scaled_rows(count, steps=16, near_scale=False):
+    """``count`` rows of ``_in_domain_row`` from seeds 0, 1, ..., with the
+    generator also choosing the edge branches."""
+    for seed in range(count):
+        rng = np.random.default_rng(seed)
+        yield _in_domain_row(
+            rng, lambda options: options[rng.integers(len(options))], steps, near_scale
+        )
+
+
+@settings(PROPERTY, max_examples=300)
+@given(scaled_kernel_rows())
+# unscaled, b underflowed to 0 on this channel and a/b read +inf
+@example(_scaled_row(ChannelParams(*UNDERFLOW), 0.0, [0.0], [0.0, 1.0]))
+def test_single_clamp_matches_per_term_clamp(row):
+    knobs, rho, beta = row
+    alpha2, value = _best_alpha2(*knobs, rho, beta)
+    # the one clamp after the min reads as a clamp of each term, in every cell
+    with np.errstate(all="ignore"):
+        pwt, qp, a, c, m1, m2 = _alpha2_free_terms(*knobs, rho, beta)
+        b, d = _binned_pair(pwt, qp, m1, m2, alpha2)
+        r1, r2 = _log_ratios(a, b, c, d)
+    assert _bitwise_equal(value, np.minimum(_clamp_array(r1), _clamp_array(r2)))
 
 
 @settings(PROPERTY, max_examples=300)
@@ -338,14 +285,13 @@ def test_kernel_never_below_reference_on_scaled_rows(row):
 
 
 @settings(PROPERTY, max_examples=300)
-@given(kernel_rows(near_scale=True))
+@given(scaled_kernel_rows(near_scale=True))
 def test_single_clamp_matches_per_term_clamp_near_one_scale(row):
-    # the rows of the property above draw each power on its own, so their
-    # bounds rarely cross inside [0, 1] and the crossing root seldom
-    # decides a cell; near one scale it does
+    # with the powers each on its own the bounds rarely cross inside
+    # [0, 1] and the crossing root seldom decides a cell; near one scale
+    # it does, and the reference's discriminant stays in range
     knobs, rho, beta = row
-    axes = np.array(rho)[:, np.newaxis], np.array(beta)[np.newaxis, :]
-    for x, y in zip(_best_alpha2(*knobs, *axes), _reference_best_alpha2(*knobs, *axes)):
+    for x, y in zip(_best_alpha2(*knobs, rho, beta), _reference_best_alpha2(*knobs, rho, beta)):
         assert _bitwise_equal(x, y)
 
 
@@ -354,10 +300,9 @@ def test_single_clamp_matches_per_term_clamp_near_one_scale(row):
 # A1, and the crossing root between them) where the reference evaluates
 # six. The two it drops are never the maximizer: the other root of the
 # quadratic lies outside [A2, A1], and the linear root is a root only
-# where k2 = 0, where the kept root is that root. That holds except where
-# a ratio at some candidate overflows to +inf: the clamp reads that
-# candidate as 0, and the objective in floats is no longer the min of two
-# bounds that each rise and then fall.
+# where k2 = 0, where the kept root is that root. On the scaled rows of a
+# channel inside the span bound no ratio overflows, so the objective in
+# floats is the min of two bounds that each rise and then fall.
 
 
 def _bitwise_equal(x, y):
@@ -367,17 +312,15 @@ def _bitwise_equal(x, y):
 
 def test_four_candidates_lose_nothing_against_six():
     picked_root = above = 0
-    for knobs, rho, beta in seeded_kernel_rows(2000):
+    for knobs, rho, beta in seeded_scaled_rows(2000):
         alpha2, value = _best_alpha2(*knobs, rho, beta)
         _, want = _reference_best_alpha2(*knobs, rho, beta)
         with np.errstate(all="ignore"):
             pwt, _, _, _, m1, m2 = _alpha2_free_terms(*knobs, rho, beta)
             a2, a1 = pwt / (pwt + m2), pwt / (pwt + m1)
-            _, a, b, c, d = _reference_products(*knobs, rho, beta)
-            overflow = (np.isposinf(a / b) | np.isposinf(c / d)).any(axis=0)
         zero = alpha2.view(np.int64) == 0  # +0.0, not -0.0
         assert (zero | ((alpha2 >= a2) & (alpha2 <= a1))).all()
-        assert (overflow | (value >= want - _TIE_TOL)).all()
+        assert (value >= want - _TIE_TOL).all()
         picked_root += int((~zero & (alpha2 != a2) & (alpha2 != a1)).sum())
         above += int((value > want + _TIE_TOL).sum())
     # the crossing root wins cells, and the scaled coefficients find it
@@ -389,7 +332,7 @@ def test_four_candidates_lose_nothing_against_six():
 def test_float_knobs_match_array_knobs():
     # a lone row's pass hands the kernel floats, a pass of several rows
     # (n, 1, 1) columns
-    for knobs, rho, beta in seeded_kernel_rows(2000):
+    for knobs, rho, beta in seeded_scaled_rows(2000):
         got = _best_alpha2(*knobs, rho, beta)
         want = _best_alpha2(*(np.full((1, 1), k) for k in knobs), rho, beta)
         for x, y in zip(got, want):
@@ -399,18 +342,11 @@ def test_float_knobs_match_array_knobs():
 def test_power_of_two_scale_changes_no_bit():
     # every product and ratio of the kernel scales exactly by a power of
     # two. Unscaled, the discriminant of the crossing quadratic (eighth
-    # powers of the channel) left the float range past about 2**+-128
-    rng = np.random.default_rng(0)
-    for _ in range(300):
-        p1, p2, q, n1, ratio = rng.uniform([0.2, 0.0, 0.1, 0.05, 1.5], [4.0, 4.0, 4.0, 1.0, 8.0])
-        knobs, rho, beta = _kernel_row(
-            rng, lambda options: options[rng.integers(len(options))],
-            [p1, n1, n1 * ratio, p2, q], steps=8,
-        )
-        axes = np.array(rho)[:, np.newaxis], np.array(beta)[np.newaxis, :]
-        want = _best_alpha2(*knobs, *axes)
+    # powers of the channel) left the float range past about 2**+-128,
+    # as it does inside the span bound on a centred row of a wide channel
+    for knobs, rho, beta in seeded_scaled_rows(300, steps=8, near_scale=True):
+        want = _best_alpha2(*knobs, rho, beta)
         for t in (-200, -130, 130, 200):
-            k = 2.0**t
-            got = _best_alpha2(*(v * k for v in knobs[:5]), knobs[5], *axes)
+            got = _best_alpha2(*(math.ldexp(v, t) for v in knobs[:5]), knobs[5], rho, beta)
             for x, y in zip(got, want):
                 assert _bitwise_equal(x, y)

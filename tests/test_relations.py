@@ -7,22 +7,25 @@ public entry, for every even k in -1000..1000 at which each nonzero power
 stays a normal float. k is even because the search takes sqrt(q), and an
 odd power of two moves the rounding of a square root: the helper that
 scales each channel (``model._scaled``) uses even powers for that reason.
-Channels span at most 2^500; half of them hold the five powers within two
-decades of one scale, the others draw each power on its own over a
-window of 140 decades. Knobs take the edge values 0, 5e-324, 1 - 2^-53
-and 1, and rho its bound."""
+The verify reports keep their bits too: the oracle builds its covariances
+on the scaled powers. Channels span at most 2^500; half of them hold the
+five powers within two decades of one scale, the others draw each power
+on its own over a window of 140 decades. Knobs take the edge values 0,
+5e-324, 1 - 2^-53 and 1, and rho its bound."""
 
 import math
 from dataclasses import astuple
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from relayregions import (
     SCHEMES,
     ChannelParams,
     GdpcParams,
     GridSpec,
+    InformedBothParams,
+    RelayRegionsError,
     frontier,
     gdpc_rates,
     max_beta_nostate,
@@ -30,6 +33,9 @@ from relayregions import (
     nostate_terms,
     rho_upper_bound,
     sweep_snr,
+    verify_gdpc,
+    verify_informed_both,
+    verify_relay_identity,
 )
 
 from references import PROPERTY
@@ -70,11 +76,21 @@ def _times(c, k):
     return ChannelParams(*(math.ldexp(v, k) for v in astuple(c)))
 
 
+def _report(verify, c, params):
+    """A verify report as its dict, or the type of its error: a
+    SingularSubmatrix message names the channel."""
+    try:
+        return verify(c, params).to_dict()
+    except RelayRegionsError as e:
+        return type(e)
+
+
 def _runs(c, knobs, snrs):
     """repr of every entry's answer on c, with the sweep's n1 column read
     in the scale of ``c`` itself (it is a power, so it scales)."""
     gamma, rho, beta, alpha2 = knobs
     g = GdpcParams(gamma, rho * rho_upper_bound(c, gamma), beta, alpha2)
+    p = InformedBothParams(gamma, beta)
     out = {
         "frontier": [frontier(c, s, [0.0, gamma, 0.5, 1.0], SMALL) for s in SCHEMES],
         "sweep_snr": [
@@ -84,12 +100,16 @@ def _runs(c, knobs, snrs):
         "max_beta_nostate": max_beta_nostate(c, gamma),
         "nostate_terms": nostate_terms(c, gamma, beta),
         "gdpc_rates": gdpc_rates(c, g)[:3],
+        "verify_gdpc": _report(verify_gdpc, c, g),
+        "verify_informed_both": _report(verify_informed_both, c, p),
+        "verify_relay_identity": _report(verify_relay_identity, c, p),
     }
     return {name: repr(v) for name, v in out.items()}, g
 
 
 @settings(PROPERTY, max_examples=60)
 @given(scaled_rows())
+@example((ChannelParams(1.0, 1.0, 1.0, 0.1, 1.0), [0.5, 0.5, 0.5, 0.5], [10.0, 20.0], [-600, 600]))
 def test_every_entry_keeps_its_bits_under_power_of_two_scale(row):
     c, knobs, snrs, shifts = row
     want, g = _runs(c, knobs, snrs)
