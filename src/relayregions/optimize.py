@@ -32,9 +32,10 @@ box, incumbent, tie-break, evaluation count and trace are plain Python
 floats and ints, since a handful of numpy calls on row-sized arrays
 would cost more than the arithmetic they do. Rows run in order, in
 passes of at most ``_PASS_CELLS`` grid cells, so the 21 rows of a
-default dpc frontier share one pass while a 33 x 33 gdpc row runs alone.
-``max_r02_gdpc`` is the pass of one row, and a row that fills a pass
-alone is solved by calling it. A pass of one row hands the kernel its
+default dpc frontier share one pass and 33 x 33 gdpc rows run five to a
+pass. ``max_r02_gdpc`` is the pass of one row, and a row left alone in a
+pass (a leftover after the full passes, or a row on a grid above the
+budget) is solved by calling it. A pass of one row hands the kernel its
 six channel knobs as Python floats, and a pass of several rows as
 (n, 1, 1) columns: about a dozen of the kernel's numpy calls act on the
 knobs alone, and on arrays of one entry each would cost a call's
@@ -133,10 +134,13 @@ class GridSpec:
 
 DEFAULT_GRID = GridSpec()
 
-# Most (rho, beta) cells one pass of the batched search evaluates: the
-# 33-cell rows of a dpc frontier share a pass, a 33 x 33 gdpc row runs
-# alone, and a pass's arrays stay small whatever the row count.
-_PASS_CELLS = 2048
+# Most (rho, beta) cells one pass of the batched search evaluates: five
+# default gdpc rows. A kernel call costs about 75 us of numpy dispatch
+# whatever its size, and five rows share it while the pass's temporaries,
+# about 37 floats a cell (1.6 MB), still fit a 2 MiB L2 cache; more rows
+# spill out of it and run slower. The 33-cell rows of a dpc frontier share
+# one pass.
+_PASS_CELLS = 5 * DEFAULT_GRID.steps_rho * DEFAULT_GRID.steps_beta
 
 
 @dataclass(frozen=True)
@@ -220,10 +224,11 @@ def _search(problems, grid: GridSpec | None, freeze_rho: bool) -> list[OptResult
     Rows run in order, in passes of at most _PASS_CELLS grid cells. A
     row's rho axis has one point when its rho bound is 0 (dpc, gamma = 1
     or q = 0) and steps_rho points otherwise; a pass evaluates its rows on
-    the widest of them. A row that fills a pass alone (every gdpc row on
-    the default grid) is a plain ``max_r02_gdpc`` call, so each lone
-    solve is one call of the per-point search, and its cost and cells
-    stay attributed to it. Callers check each gamma.
+    the widest of them. A row left alone in a pass (a leftover, such as a
+    gdpc frontier's gamma = 1 row after its full passes, or a row whose
+    grid is above the budget) is a plain ``max_r02_gdpc`` call, so each
+    lone solve is one call of the per-point search, and its cost and
+    cells stay attributed to it. Callers check each gamma.
     """
     grid = grid if grid is not None else DEFAULT_GRID
     # each channel is scaled once: a frontier's problems share one

@@ -118,7 +118,8 @@ class TestGoldenOutputs:
     """Default-grid CSVs of the example channel, written before the box
     search was batched over gamma, and dmc JSON; the output must not move
     by a byte. The nostate frontier and the point report were written
-    before the range checks moved into the model types."""
+    before the range checks moved into the model types, and the 101-gamma
+    gdpc frontier while each gdpc row ran a pass of the search alone."""
 
     @pytest.mark.parametrize(
         "name,argv",
@@ -131,6 +132,12 @@ class TestGoldenOutputs:
                 ["frontier", "--scheme", "nostate-outer", "--gamma-grid", "0:1:101"],
             ),
             ("point.out", ["point", "--params", "0.2,0.3,0.4,0.5"]),
+            # 100 gdpc rows over many full passes of the batched search,
+            # and the gamma = 1 row left over
+            (
+                "frontier_gdpc_101.csv",
+                ["frontier", "--scheme", "gdpc", "--gamma-grid", "0:1:101"],
+            ),
         ],
     )
     def test_byte_identical(self, capsys, name, argv):

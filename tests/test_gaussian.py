@@ -891,7 +891,7 @@ class TestReports:
 
     def test_term_check(self):
         t = TermCheck("x", 1.0, 1.0 + 1e-12)
-        assert t.abs_diff == pytest.approx(1e-12, rel=1e-3)
+        assert t.abs_diff == pytest.approx(1e-12, rel=1e-3, abs=0.0)
         assert set(t.to_dict()) == {"term", "oracle", "closed", "abs_diff"}
 
     def test_outcome_follows_details(self):

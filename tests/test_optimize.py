@@ -424,7 +424,12 @@ class TestBatchedSearch:
                 assert x[i].tobytes() == y.tobytes()
 
     @settings(PROPERTY, max_examples=150)
-    @given(search_rows(), small_grids(), st.booleans(), st.sampled_from([1, 40, 200, 2048]))
+    @given(
+        search_rows(),
+        small_grids(),
+        st.booleans(),
+        st.sampled_from([1, 40, 200, 2048, optimize._PASS_CELLS]),
+    )
     def test_matches_per_gamma_search(self, rows, grid, freeze_rho, pass_cells):
         want = [_reference_max_r02_gdpc(c, g, grid, freeze_rho=freeze_rho) for c, g in rows]
         with mock.patch.object(optimize, "_PASS_CELLS", pass_cells):
@@ -442,8 +447,8 @@ class TestBatchedSearch:
             assert repr(res.value) == repr(want)
 
     def test_dpc_frontier_over_several_passes(self):
-        gammas = [float(g) for g in np.linspace(0.0, 1.0, 101)]
-        assert 101 * DEFAULT_GRID.steps_beta > optimize._PASS_CELLS
+        gammas = [float(g) for g in np.linspace(0.0, 1.0, 201)]
+        assert 201 * DEFAULT_GRID.steps_beta > optimize._PASS_CELLS
         got = optimize._search([(STATEFUL, g) for g in gammas], None, True)
         want = [_reference_max_r02_gdpc(STATEFUL, g, freeze_rho=True) for g in gammas]
         _assert_same_results(got, want)
@@ -455,14 +460,22 @@ class TestBatchedSearch:
         _assert_same_results(got, want)
 
     def test_lone_rows_are_max_r02_gdpc_calls(self):
-        # a 33 x 33 gdpc row fills a pass alone and is solved by the
-        # per-point search; the 33-cell dpc rows share one pass
-        gammas = [0.0, 0.35, 0.97]
-        with mock.patch.object(optimize, "max_r02_gdpc", wraps=optimize.max_r02_gdpc) as spy:
+        # the 20 gdpc rows of a default frontier with a rho bound above 0
+        # run as four passes of five 33 x 33 rows; the gamma = 1 row (rho
+        # bound 0) is left over and solved by the per-point search, whose
+        # own pass holds that row alone. The 21 dpc rows share one pass
+        gammas = [float(g) for g in np.linspace(0.0, 1.0, 21)]
+        passes = mock.patch.object(optimize, "_search_pass", wraps=optimize._search_pass)
+        lone = mock.patch.object(optimize, "max_r02_gdpc", wraps=optimize.max_r02_gdpc)
+        with passes as pass_spy, lone as lone_spy:
             optimize.frontier(STATEFUL, "gdpc", gammas)
-            assert spy.call_count == len(gammas)
+            assert [len(c.args[0]) for c in pass_spy.call_args_list] == [5] * 4 + [1]
+            assert [c.args[:2] for c in lone_spy.call_args_list] == [(STATEFUL, 1.0)]
+            pass_spy.reset_mock()
+            lone_spy.reset_mock()
             optimize.frontier(STATEFUL, "dpc", gammas)
-            assert spy.call_count == len(gammas)
+            assert [len(c.args[0]) for c in pass_spy.call_args_list] == [21]
+            assert lone_spy.call_count == 0
 
     def test_zero_rho_bound_row_shares_a_pass(self):
         # at gamma = 1 nothing is left to cancel with, so that row's rho

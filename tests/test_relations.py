@@ -44,20 +44,22 @@ SMALL = GridSpec(5, 5, 2, 0.25)
 
 
 @st.composite
-def scaled_rows(draw):
+def scaled_rows(draw, informed=False):
     """A channel, four knobs, two SNRs in dB within 10 dB of the
     channel's own, and the even shifts k to compare it at: the lowest
     and the highest in -1000..1000 at which every nonzero power, the
     sweep's n1 included, stays normal, +-300 where allowed, and one
-    more between them."""
+    more between them. ``informed`` keeps q > 0 and the powers within
+    two decades, the channels whose gdpc covariance the oracle builds."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    if draw(st.booleans()):
+    if informed or draw(st.booleans()):
         exponents = rng.uniform(-280.0, 280.0) + rng.uniform(-2.0, 2.0, 4)
     else:
         exponents = rng.uniform(-220.0, 220.0) + rng.uniform(-70.0, 70.0, 4)
     p1, p2, q, n1 = (10.0**exponents).tolist()
     p2 = draw(st.sampled_from([0.0, p2]))
-    q = draw(st.sampled_from([0.0, q]))
+    if not informed:
+        q = draw(st.sampled_from([0.0, q]))
     n2 = n1 * (1.0 + 10.0 ** rng.uniform(-12.0, 8.0))
     c = ChannelParams(p1, p2, q, n1, n2)
     knobs = [draw(st.sampled_from([0.0, 5e-324, 1.0 - 2.0**-53, 1.0, u])) for u in rng.uniform(size=4)]
@@ -85,12 +87,24 @@ def _report(verify, c, params):
         return type(e)
 
 
-def _runs(c, knobs, snrs):
-    """repr of every entry's answer on c, with the sweep's n1 column read
-    in the scale of ``c`` itself (it is a power, so it scales)."""
+def _verify_runs(c, knobs):
+    """repr of each verify report on c at the knobs, and the gdpc point."""
     gamma, rho, beta, alpha2 = knobs
     g = GdpcParams(gamma, rho * rho_upper_bound(c, gamma), beta, alpha2)
     p = InformedBothParams(gamma, beta)
+    out = {
+        "verify_gdpc": _report(verify_gdpc, c, g),
+        "verify_informed_both": _report(verify_informed_both, c, p),
+        "verify_relay_identity": _report(verify_relay_identity, c, p),
+    }
+    return {name: repr(v) for name, v in out.items()}, g
+
+
+def _runs(c, knobs, snrs):
+    """repr of every entry's answer on c, with the sweep's n1 column read
+    in the scale of ``c`` itself (it is a power, so it scales)."""
+    gamma, _, beta, _ = knobs
+    reports, g = _verify_runs(c, knobs)
     out = {
         "frontier": [frontier(c, s, [0.0, gamma, 0.5, 1.0], SMALL) for s in SCHEMES],
         "sweep_snr": [
@@ -100,11 +114,8 @@ def _runs(c, knobs, snrs):
         "max_beta_nostate": max_beta_nostate(c, gamma),
         "nostate_terms": nostate_terms(c, gamma, beta),
         "gdpc_rates": gdpc_rates(c, g)[:3],
-        "verify_gdpc": _report(verify_gdpc, c, g),
-        "verify_informed_both": _report(verify_informed_both, c, p),
-        "verify_relay_identity": _report(verify_relay_identity, c, p),
     }
-    return {name: repr(v) for name, v in out.items()}, g
+    return {name: repr(v) for name, v in out.items()} | reports, g
 
 
 @settings(PROPERTY, max_examples=60)
@@ -117,4 +128,16 @@ def test_every_entry_keeps_its_bits_under_power_of_two_scale(row):
         scaled = _times(c, k)
         got, g_scaled = _runs(scaled, knobs, snrs)
         assert g_scaled == g, k
+        assert got == want, k
+
+
+@settings(PROPERTY, max_examples=80)
+@given(scaled_rows(informed=True))
+def test_verify_reports_keep_their_bits_under_power_of_two_scale(row):
+    """The draws above reach a gdpc report on few channels: q = 0 has no
+    gdpc covariance, and a 140-decade spread leaves the oracle's range."""
+    c, knobs, _, shifts = row
+    want, _ = _verify_runs(c, knobs)
+    for k in shifts:
+        got, _ = _verify_runs(_times(c, k), knobs)
         assert got == want, k
