@@ -47,6 +47,7 @@ from .model import (
     OutOfRange,
     SingularSubmatrix,
     _expression,
+    _require_count,
     _scaled,
     validate_gdpc,
 )
@@ -515,16 +516,12 @@ def sample_mi_estimate(
     law of the n-vector sample covariance.
 
     n_samples must be an integer of at least 1000 and above the label
-    count. Sampling uses numpy's default PCG64 generator seeded with
-    ``seed``, so results are reproducible run to run.
+    count, and seed an integer >= 0. Sampling uses numpy's default PCG64
+    generator seeded with ``seed``, so results are reproducible run to
+    run.
     """
-    floor = max(1000, len(cov.labels) + 1)
-    if (
-        isinstance(n_samples, bool)
-        or not isinstance(n_samples, (int, np.integer))
-        or n_samples < floor
-    ):
-        raise OutOfRange(f"n_samples must be an integer >= {floor}, got {n_samples!r}")
+    n_samples = _require_count("n_samples", n_samples, max(1000, len(cov.labels) + 1))
+    seed = _require_count("seed", seed, 0)
     sample_sigma = _sample_covariance(cov.sigma, n_samples, seed)
     a_idx = _unique_indices(cov, set_a)
     b_idx = _unique_indices(cov, set_b)

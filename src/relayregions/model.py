@@ -32,6 +32,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 
 class RelayRegionsError(Exception):
     """Base class for every error raised by this package."""
@@ -58,6 +60,14 @@ def _require_unit(name: str, value: float) -> float:
     if not 0.0 <= value <= 1.0:
         raise OutOfRange(f"{name} must lie in [0, 1], got {value}")
     return float(value) + 0.0
+
+
+def _require_count(name: str, value: int, floor: int) -> int:
+    """``value`` as an int if it is an integer (a numpy one included, a
+    bool not) of at least ``floor``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < floor:
+        raise OutOfRange(f"{name} must be an integer >= {floor}, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)

@@ -35,12 +35,7 @@ passes of at most ``_PASS_CELLS`` grid cells, so the 21 rows of a
 default dpc frontier share one pass and 33 x 33 gdpc rows run five to a
 pass. ``max_r02_gdpc`` is the pass of one row, and a row left alone in a
 pass (a leftover after the full passes, or a row on a grid above the
-budget) is solved by calling it. A pass of one row hands the kernel its
-six channel knobs as Python floats, and a pass of several rows as
-(n, 1, 1) columns: about a dozen of the kernel's numpy calls act on the
-knobs alone, and on arrays of one entry each would cost a call's
-dispatch for one multiply. Each operation rounds a float as it rounds an
-array entry, so both give the same bits. A row's trace is its
+budget) is solved by calling it. A row's trace is its
 incumbents as ``(rho, beta, alpha2, value)`` float tuples; only its
 final incumbent is built as a ``GdpcParams``, and the row's value is the
 last round's grid value there, the value the search ranked.
@@ -85,6 +80,7 @@ from .model import (
     RatePoint,
     _TIE_TOL,
     _check_scheme,
+    _require_count,
     _require_unit,
     _scaled,
     rho_upper_bound,
@@ -112,17 +108,15 @@ class GridSpec:
     refine_shrink: float = 0.25
 
     def __post_init__(self) -> None:
-        for name in ("steps_rho", "steps_beta"):
-            v = getattr(self, name)
-            if not isinstance(v, int) or v < 2:
-                raise OutOfRange(f"{name} must be an integer >= 2, got {v!r}")
+        # stored as Python numbers: a numpy field would carry numpy's
+        # integer overflow or float32 arithmetic into the limits and boxes
+        for name, floor in (("steps_rho", 2), ("steps_beta", 2), ("refine_iters", 0)):
+            object.__setattr__(self, name, _require_count(name, getattr(self, name), floor))
         if self.steps_rho * self.steps_beta > _MAX_GRID_CELLS:
             raise OutOfRange(
                 f"steps_rho * steps_beta must be <= {_MAX_GRID_CELLS}, "
                 f"got {self.steps_rho} * {self.steps_beta}"
             )
-        if not isinstance(self.refine_iters, int) or self.refine_iters < 0:
-            raise OutOfRange(f"refine_iters must be an integer >= 0, got {self.refine_iters!r}")
         if self.steps_rho * self.steps_beta * (self.refine_iters + 1) > _MAX_SEARCH_CELLS:
             raise OutOfRange(
                 f"steps_rho * steps_beta * (refine_iters + 1) must be <= {_MAX_SEARCH_CELLS}, "
@@ -130,6 +124,7 @@ class GridSpec:
             )
         if not 0.0 < self.refine_shrink < 1.0:
             raise OutOfRange(f"refine_shrink must lie in (0, 1), got {self.refine_shrink}")
+        object.__setattr__(self, "refine_shrink", float(self.refine_shrink))
 
 
 DEFAULT_GRID = GridSpec()
@@ -262,8 +257,8 @@ def _search_pass(rows, rho_hi, n_rho: int, grid: GridSpec) -> list[OptResult]:
     row's value is its incumbent's last grid value."""
     n = len(rows)
     every = np.arange(n)
-    # the six knobs: floats for one row, else each as an (n, 1, 1) column
-    knobs = rows[0] if n == 1 else np.array(rows, dtype=float).T[:, :, np.newaxis, np.newaxis]
+    # the six knobs, each as an (n, 1, 1) column
+    knobs = np.array(rows, dtype=float).T[:, :, np.newaxis, np.newaxis]
     steps_rho, n_beta, shrink = grid.steps_rho, grid.steps_beta, grid.refine_shrink
     # each row's (rho, beta) box with its cell count so far, and its
     # incumbent (rho, beta, alpha2, value); an infinite start loses every

@@ -167,8 +167,8 @@ def _best_alpha2(p1, p2, q, n1, n2, gamma, rho, beta):
     It is kept where it is positive, and +0.0 where either term is nan or
     <= 0, exactly as if each term were clamped first. The inputs are the
     scaled rows of a channel inside the span bound (``model._scaled``),
-    the only rows the search and ``_gdpc_point`` pass, on which no ratio
-    overflows. 0/0 and log 0 are silent here.
+    the only rows the search passes, on which no ratio overflows. 0/0 and
+    log 0 are silent here.
     """
     with np.errstate(all="ignore"):
         pwt, qp, a, c, m1, m2 = _alpha2_free_terms(p1, p2, q, n1, n2, gamma, rho, beta)

@@ -596,6 +596,13 @@ class TestSampleEstimate:
         v1 = sample_mi_estimate(_pair(0.5), ["A"], ["B"], [], 5000, 42)
         v2 = sample_mi_estimate(_pair(0.5), ["A"], ["B"], [], 5000, 42)
         assert v1 == v2
+        assert sample_mi_estimate(_pair(0.5), ["A"], ["B"], [], 5000, np.int64(42)) == v1
+
+    @pytest.mark.parametrize("seed", [None, -1, 1.5, True, "7"], ids=repr)
+    def test_rejects_a_seed_that_is_not_a_count(self, seed):
+        # None drew fresh entropy, so the estimate changed run to run
+        with pytest.raises(OutOfRange, match="seed must be an integer >= 0"):
+            sample_mi_estimate(_pair(0.5), ["A"], ["B"], [], 5000, seed)
 
     def test_tracks_exact_value(self):
         cov = build_cov_informed_both(EXAMPLE, InformedBothParams(0.5, 0.5))

@@ -58,6 +58,26 @@ def test_grid_spec_validation():
         GridSpec(refine_shrink=1.0)
     with pytest.raises(OutOfRange):
         GridSpec(steps_beta=2.5)
+    for flag in (False, True):
+        with pytest.raises(OutOfRange, match=f"refine_iters must be an integer >= 0, got {flag}"):
+            GridSpec(5, 5, flag)
+
+
+def test_grid_spec_stores_python_numbers():
+    # a float32 shrink ran every box after the first round in float32
+    c = ChannelParams(1.3, 2.1, 0.7, 0.4, 1.5)
+    grid = GridSpec(33, 33, 4, np.float32(0.3))
+    assert type(grid.refine_shrink) is float
+    want = max_r02_gdpc(c, 0.2, GridSpec(33, 33, 4, float(np.float32(0.3))))
+    assert max_r02_gdpc(c, 0.2, grid) == want
+
+
+def test_grid_spec_takes_numpy_integers():
+    g = GridSpec(np.int64(5), np.int32(7), np.uint8(2), 0.5)
+    assert [(v, type(v)) for v in astuple(g)[:3]] == [(5, int), (7, int), (2, int)]
+    # 2**62 * 4 wraps to 0 in int64
+    with pytest.raises(OutOfRange, match="steps_rho \\* steps_beta"):
+        GridSpec(np.int64(2**62), np.int64(4))
 
 
 def test_grid_spec_cell_limit():

@@ -330,8 +330,10 @@ def test_four_candidates_lose_nothing_against_six():
 
 
 def test_float_knobs_match_array_knobs():
-    # a lone row's pass hands the kernel floats, a pass of several rows
-    # (n, 1, 1) columns
+    # the search hands the kernel (n, 1, 1) columns, and _gdpc_point hands
+    # the same terms (_alpha2_free_terms, _binned_pair) Python floats: the
+    # value at a search's answer is the value it ranked only if both round
+    # alike
     for knobs, rho, beta in seeded_scaled_rows(2000):
         got = _best_alpha2(*knobs, rho, beta)
         want = _best_alpha2(*(np.full((1, 1), k) for k in knobs), rho, beta)
