@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import _TERMS, _TIE_TOL, OutOfRange, RatePoint, _expression
+from .model import _TERMS, _TIE_TOL, OutOfRange, RatePoint, _expression, _require_count
 
 AXES = ("s", "u1", "u2", "x1", "x2", "y1", "y2")
 _PMF_TOL = 1e-12
@@ -70,8 +70,8 @@ class DmcSpec:
         if len(self.sizes) != len(AXES):
             raise OutOfRange(f"sizes must list {len(AXES)} cardinalities {AXES}")
         for name, n in zip(AXES, self.sizes):
-            if not isinstance(n, (int, np.integer)) or not 1 <= n <= _MAX_ALPHABET:
-                raise OutOfRange(f"|{name}| must be an integer in [1, {_MAX_ALPHABET}], got {n!r}")
+            if _require_count(f"|{name}|", n, 1) > _MAX_ALPHABET:
+                raise OutOfRange(f"|{name}| must be at most {_MAX_ALPHABET}, got {n!r}")
         ns, nu1, nu2, nx1, nx2, ny1, ny2 = self.sizes
         p_s = np.array(self.p_s, dtype=float)
         channel = np.array(self.channel, dtype=float)

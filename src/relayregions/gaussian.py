@@ -105,10 +105,20 @@ class CovarianceSystem:
         object.__setattr__(self, "sigma", sigma)
         object.__setattr__(self, "labels", tuple(self.labels))
 
+    # Prepared on first use, once per covariance, for all of its terms:
+    # sigma as nested lists for the residual passes, and each label's index
+    @functools.cached_property
+    def _rows(self) -> list[list[float]]:
+        return self.sigma.tolist()
+
+    @functools.cached_property
+    def _positions(self) -> dict[str, int]:
+        return {label: i for i, label in enumerate(self.labels)}
+
     def index(self, label: str) -> int:
         try:
-            return self.labels.index(label)
-        except ValueError:
+            return self._positions[label]
+        except (KeyError, TypeError):  # TypeError: an unhashable label
             raise OutOfRange(f"unknown label {label!r}, have {self.labels}") from None
 
     def var(self, label: str) -> float:
@@ -147,9 +157,13 @@ def _extend(s: list[list[float]], factor: list, cand: list[int]) -> tuple[list, 
 
 
 def _unique_indices(cov: CovarianceSystem, labels: Iterable[str]) -> list[int]:
+    positions = cov._positions
     out: list[int] = []
     for lab in labels:
-        i = cov.index(lab)
+        try:
+            i = positions[lab]
+        except (KeyError, TypeError):
+            i = cov.index(lab)  # raises OutOfRange, naming lab
         if i not in out:
             out.append(i)
     return out
@@ -173,13 +187,14 @@ def gaussian_cmi(
     a_idx = _unique_indices(cov, set_a)
     b_idx = _unique_indices(cov, set_b)
     c_idx = _unique_indices(cov, set_c)
-    return _cmi_from_sigma(cov.sigma, a_idx, b_idx, c_idx)
+    return _cmi_from_sigma(cov._rows, a_idx, b_idx, c_idx)
 
 
 def _cmi_from_sigma(
-    sigma: np.ndarray, a_idx: list[int], b_idx: list[int], c_idx: list[int]
+    s: list[list[float]], a_idx: list[int], b_idx: list[int], c_idx: list[int]
 ) -> float:
-    s = sigma.tolist()
+    """I(A;B|C) in bits from the rows of sigma as nested lists
+    (``ndarray.tolist``)."""
     c_fac, _ = _extend(s, [], c_idx)
     a_fac, a_logs = _extend(s, c_fac, a_idx)
     b_fac, b_logs = _extend(s, c_fac, b_idx)
@@ -233,6 +248,43 @@ def _assemble(labels: tuple[str, ...], mix: np.ndarray, variances) -> Covariance
     return cov
 
 
+# Each builder's mix with its fixed 0/1 entries, read-only: the builder
+# copies it and sets the entries that the channel and knobs decide, 0 here
+_BOTH_LABELS = ("S", "U1", "U2", "X1p", "X1", "X2", "Y1", "Y2")
+_BOTH_MIX = np.array(
+    #  S  V1 V2 X1p Z1 Z2p
+    [
+        [1, 0, 0, 0, 0, 0],  # S
+        [0, 1, 0, 0, 0, 0],  # U1 = alpha1*S + V1
+        [0, 0, 1, 0, 0, 0],  # U2 = alpha2*S + V2
+        [0, 0, 0, 1, 0, 0],  # X1p
+        [0, 0, 1, 1, 0, 0],  # X1 = lam*V1 + V2 + X1p
+        [0, 0, 0, 0, 0, 0],  # X2 = mu*V1
+        [1, 0, 1, 1, 1, 0],  # Y1 = S + lam*V1 + V2 + X1p + Z1
+        [1, 1, 1, 1, 1, 1],  # Y2
+    ],
+    dtype=float,
+)
+_SOURCE_LABELS = ("S", "Sprime", "U1", "U2", "Uw", "X1p", "X1", "X2", "Y1", "Y2")
+_SOURCE_MIX = np.array(
+    #  S X1p Uw E2 Z1 Z2p
+    [
+        [1, 0, 0, 0, 0, 0],  # S
+        [0, 0, 0, 0, 0, 0],  # Sprime = kappa*S
+        [0, 1, 0, 0, 0, 0],  # U1 = alpha1*(1-alpha2)*kappa*S + X1p
+        [0, 0, 1, 0, 0, 0],  # U2 = alpha2*kappa*S + Uw
+        [0, 0, 1, 0, 0, 0],  # Uw
+        [0, 1, 0, 0, 0, 0],  # X1p
+        [0, 1, 1, 0, 0, 0],  # X1 = -s_coef*S + X1p + Uw
+        [0, 0, 0, 1, 0, 0],  # X2 = c_uw*Uw + E2
+        [0, 1, 1, 0, 1, 0],  # Y1 = kappa*S + X1p + Uw + Z1
+        [0, 1, 1, 1, 1, 1],  # Y2 = kappa*S + X1p + (1+c_uw)*Uw + E2 + Z1 + Z2p
+    ],
+    dtype=float,
+)
+_BOTH_MIX.flags.writeable = _SOURCE_MIX.flags.writeable = False
+
+
 def build_cov_informed_both(
     c: ChannelParams, p: InformedBothParams
 ) -> CovarianceSystem:
@@ -270,21 +322,11 @@ def build_cov_informed_both(
     den = p_coop + p_fresh + p.gamma * p1 + n2
     alpha1, alpha2 = p_coop / den, p_fresh / den
     variances = (q, p_coop, p_fresh, p.gamma * p1, n1, n2 - n1)
-    labels = ("S", "U1", "U2", "X1p", "X1", "X2", "Y1", "Y2")
-    #          S         V1     V2   X1p  Z1   Z2p
-    mix = np.array(
-        [
-            [1.0, 0.0, 0.0, 0.0, 0.0, 0.0],  # S
-            [alpha1, 1.0, 0.0, 0.0, 0.0, 0.0],  # U1
-            [alpha2, 0.0, 1.0, 0.0, 0.0, 0.0],  # U2
-            [0.0, 0.0, 0.0, 1.0, 0.0, 0.0],  # X1p
-            [0.0, lam, 1.0, 1.0, 0.0, 0.0],  # X1
-            [0.0, mu, 0.0, 0.0, 0.0, 0.0],  # X2
-            [1.0, lam, 1.0, 1.0, 1.0, 0.0],  # Y1
-            [1.0, 1.0, 1.0, 1.0, 1.0, 1.0],  # Y2
-        ]
-    )
-    return _assemble(labels, mix, variances)
+    mix = _BOTH_MIX.copy()
+    mix[1, 0], mix[2, 0] = alpha1, alpha2
+    mix[4, 1] = mix[6, 1] = lam
+    mix[5, 1] = mu
+    return _assemble(_BOTH_LABELS, mix, variances)
 
 
 def build_cov_informed_source(c: ChannelParams, g: GdpcParams) -> CovarianceSystem:
@@ -326,23 +368,14 @@ def build_cov_informed_source(c: ChannelParams, g: GdpcParams) -> CovarianceSyst
         c_uw = 0.0
         e2_var = p2
     variances = (q, g.gamma * p1, pw, e2_var, n1, n2 - n1)
-    labels = ("S", "Sprime", "U1", "U2", "Uw", "X1p", "X1", "X2", "Y1", "Y2")
-    #          S                X1p  Uw   E2   Z1   Z2p
-    mix = np.array(
-        [
-            [1.0, 0.0, 0.0, 0.0, 0.0, 0.0],  # S
-            [kappa, 0.0, 0.0, 0.0, 0.0, 0.0],  # Sprime
-            [alpha1 * (1.0 - g.alpha2) * kappa, 1.0, 0.0, 0.0, 0.0, 0.0],  # U1
-            [g.alpha2 * kappa, 0.0, 1.0, 0.0, 0.0, 0.0],  # U2
-            [0.0, 0.0, 1.0, 0.0, 0.0, 0.0],  # Uw
-            [0.0, 1.0, 0.0, 0.0, 0.0, 0.0],  # X1p
-            [-s_coef, 1.0, 1.0, 0.0, 0.0, 0.0],  # X1
-            [0.0, 0.0, c_uw, 1.0, 0.0, 0.0],  # X2
-            [kappa, 1.0, 1.0, 0.0, 1.0, 0.0],  # Y1
-            [kappa, 1.0, 1.0 + c_uw, 1.0, 1.0, 1.0],  # Y2
-        ]
-    )
-    return _assemble(labels, mix, variances)
+    mix = _SOURCE_MIX.copy()
+    mix[1, 0] = mix[8, 0] = mix[9, 0] = kappa
+    mix[2, 0] = alpha1 * (1.0 - g.alpha2) * kappa
+    mix[3, 0] = g.alpha2 * kappa
+    mix[6, 0] = -s_coef
+    mix[7, 2] = c_uw
+    mix[9, 2] = 1.0 + c_uw
+    return _assemble(_SOURCE_LABELS, mix, variances)
 
 
 @dataclass(frozen=True)
@@ -526,7 +559,7 @@ def sample_mi_estimate(
     a_idx = _unique_indices(cov, set_a)
     b_idx = _unique_indices(cov, set_b)
     c_idx = _unique_indices(cov, set_c)
-    return _cmi_from_sigma(sample_sigma, a_idx, b_idx, c_idx)
+    return _cmi_from_sigma(sample_sigma.tolist(), a_idx, b_idx, c_idx)
 
 
 def _sample_covariance(sigma: np.ndarray, n_samples: int, seed: int) -> np.ndarray:

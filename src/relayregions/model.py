@@ -17,7 +17,7 @@ Conventions shared by every module:
 * rates depend on ratios of powers only: a channel's nonzero powers span
   at most 2**500 (``ChannelParams``), and every computation runs on them
   times the even power of two that centres them (``_scaled``), where no
-  term leaves the float range.
+  term leaves the float range. A channel scales them once, when built.
 
 All types are frozen dataclasses that check their invariants when they
 are built, so a value of one is valid and safe to share between workers.
@@ -94,12 +94,20 @@ class ChannelParams:
             raise OutOfRange(
                 f"need n1 < n2 (far branch noisier), got n1={self.n1}, n2={self.n2}"
             )
-        lo, hi = _extremes(self)
-        if math.frexp(hi)[1] - math.frexp(lo)[1] > _MAX_SPAN:
+        # the smallest nonzero and the largest of the five powers
+        lo = min(self.p1, self.n1, self.p2 or self.p1, self.q or self.p1)
+        hi = max(self.p1, self.p2, self.q, self.n2)
+        e_lo, e_hi = math.frexp(lo)[1], math.frexp(hi)[1]
+        if e_hi - e_lo > _MAX_SPAN:
             raise OutOfRange(
                 f"the nonzero powers may span at most 2**{_MAX_SPAN} (about 1505 dB), "
                 f"got {lo} to {hi}"
             )
+        # the scaled powers, read by every computation (``_scaled``); not a
+        # field, so eq, hash and repr stay the five powers
+        k = -(e_lo + e_hi) // 4 * 2
+        powers = tuple(math.ldexp(x, k) for x in (self.p1, self.p2, self.q, self.n1, self.n2))
+        object.__setattr__(self, "_scaling", (powers, k))
 
 
 # The widest span of binary exponents of a channel's nonzero powers,
@@ -108,18 +116,12 @@ class ChannelParams:
 _MAX_SPAN = 500
 
 
-def _extremes(c: ChannelParams) -> tuple[float, float]:
-    """The smallest nonzero and the largest of the five powers of c."""
-    return min(c.p1, c.n1, c.p2 or c.p1, c.q or c.p1), max(c.p1, c.p2, c.q, c.n2)
-
-
 def _scaled(c: ChannelParams) -> tuple[tuple[float, float, float, float, float], int]:
     """(p1, p2, q, n1, n2) times 2**k, and k: the even k that centres the
-    binary exponents of the smallest nonzero and the largest power. In the
-    normal range an even power of two keeps every bit, sqrt included."""
-    lo, hi = _extremes(c)
-    k = -(math.frexp(lo)[1] + math.frexp(hi)[1]) // 4 * 2
-    return tuple(math.ldexp(x, k) for x in (c.p1, c.p2, c.q, c.n1, c.n2)), k
+    binary exponents of the smallest nonzero and the largest power, found
+    once when c was built. In the normal range an even power of two keeps
+    every bit, sqrt included."""
+    return c._scaling
 
 
 def rho_upper_bound(c: ChannelParams, gamma: float) -> float:

@@ -226,9 +226,7 @@ def _search(problems, grid: GridSpec | None, freeze_rho: bool) -> list[OptResult
     cells stay attributed to it. Callers check each gamma.
     """
     grid = grid if grid is not None else DEFAULT_GRID
-    # each channel is scaled once: a frontier's problems share one
-    powers = {c: _scaled(c)[0] for c in {c for c, _ in problems}}
-    rows = [(*powers[c], gamma) for c, gamma in problems]
+    rows = [(*_scaled(c)[0], gamma) for c, gamma in problems]
     rho_hi = [0.0 if freeze_rho else rho_upper_bound(c, gamma) for c, gamma in problems]
     widths = [grid.steps_rho if hi > 0.0 else 1 for hi in rho_hi]
     results: list[OptResult] = []

@@ -4,7 +4,9 @@ share: the alpha2 kernel with a log of each ratio and each term clamped
 (``_reference_best_alpha2``), the box search one row at a time on
 meshgridded axes (``_reference_max_r02_gdpc``), and the DMC search as a
 loop over every candidate with one public ``discrete_cmi`` call per term
-(``_reference_maximize``).
+(``_reference_maximize``), and each covariance builder as the nested
+row table of its docstring (``_reference_cov_informed_both`` and
+``_reference_cov_informed_source``).
 
 ``_scaled_row`` hands the kernel a channel's row as the search does.
 
@@ -141,6 +143,71 @@ def _reference_max_r02_gdpc(c, gamma, grid=None, *, freeze_rho=False):
     return OptResult(
         best=g, value=min(r.r1_sum, r.r2_sum), evaluations=evaluations, trace=tuple(trace)
     )
+
+
+def _reference_sigma(rows, variances):
+    """M diag(v) M^T of the nested row table M, its lower triangle
+    mirrored onto the upper, by the builders' float operations."""
+    mix = np.array(rows, dtype=float)
+    sigma = (mix * np.array(variances, dtype=float)) @ mix.T
+    upper = np.triu_indices(len(rows), 1)
+    sigma[upper] = sigma.T[upper]
+    return sigma
+
+
+def _reference_cov_informed_both(c, p):
+    """Labels and sigma of ``build_cov_informed_both`` from its docstring:
+    basis (S, V1, V2, X1p, Z1, Z2p) of variances (q, p_coop, p_fresh,
+    gamma*p1, n1, n2 - n1) on the channel's scaled powers."""
+    p1, p2, q, n1, n2 = _scaled(c)[0]
+    gbar_p1 = (1.0 - p.gamma) * p1
+    src, relay = math.sqrt((1.0 - p.beta) * gbar_p1), math.sqrt(p2)
+    root = src + relay
+    p_coop, p_fresh = root * root, p.beta * gbar_p1
+    lam, mu = (src / root, relay / root) if root > 0.0 else (0.0, 0.0)
+    den = p_coop + p_fresh + p.gamma * p1 + n2
+    alpha1, alpha2 = p_coop / den, p_fresh / den
+    rows = [
+        [1.0, 0.0, 0.0, 0.0, 0.0, 0.0],  # S
+        [alpha1, 1.0, 0.0, 0.0, 0.0, 0.0],  # U1 = alpha1*S + V1
+        [alpha2, 0.0, 1.0, 0.0, 0.0, 0.0],  # U2 = alpha2*S + V2
+        [0.0, 0.0, 0.0, 1.0, 0.0, 0.0],  # X1p
+        [0.0, lam, 1.0, 1.0, 0.0, 0.0],  # X1 = lam*V1 + V2 + X1p
+        [0.0, mu, 0.0, 0.0, 0.0, 0.0],  # X2 = mu*V1
+        [1.0, lam, 1.0, 1.0, 1.0, 0.0],  # Y1 = X1 + S + Z1
+        [1.0, 1.0, 1.0, 1.0, 1.0, 1.0],  # Y2 = Y1 + X2 + Z2p
+    ]
+    variances = (q, p_coop, p_fresh, p.gamma * p1, n1, n2 - n1)
+    return ("S", "U1", "U2", "X1p", "X1", "X2", "Y1", "Y2"), _reference_sigma(rows, variances)
+
+
+def _reference_cov_informed_source(c, g):
+    """Labels and sigma of ``build_cov_informed_source`` from its
+    docstring: basis (S, X1p, Uw, E2, Z1, Z2p), where X2 = c_uw*Uw + E2
+    carries E[Uw*X2] = beta*sqrt(pw*p2), on the channel's scaled powers."""
+    p1, p2, q, n1, n2 = _scaled(c)[0]
+    gbar = 1.0 - g.gamma
+    pw = (1.0 - g.rho) * gbar * p1
+    s_coef = math.sqrt(g.rho * gbar * p1 / q)
+    kappa = 1.0 - s_coef
+    alpha1 = g.gamma * p1 / (g.gamma * p1 + n1)
+    c_uw = g.beta * math.sqrt(p2 / pw) if pw > 0.0 else 0.0
+    e2_var = (1.0 - g.beta**2) * p2 if pw > 0.0 else p2
+    rows = [
+        [1.0, 0.0, 0.0, 0.0, 0.0, 0.0],  # S
+        [kappa, 0.0, 0.0, 0.0, 0.0, 0.0],  # Sprime = kappa*S
+        [alpha1 * (1.0 - g.alpha2) * kappa, 1.0, 0.0, 0.0, 0.0, 0.0],  # U1
+        [g.alpha2 * kappa, 0.0, 1.0, 0.0, 0.0, 0.0],  # U2 = alpha2*Sprime + Uw
+        [0.0, 0.0, 1.0, 0.0, 0.0, 0.0],  # Uw
+        [0.0, 1.0, 0.0, 0.0, 0.0, 0.0],  # X1p
+        [-s_coef, 1.0, 1.0, 0.0, 0.0, 0.0],  # X1
+        [0.0, 0.0, c_uw, 1.0, 0.0, 0.0],  # X2
+        [kappa, 1.0, 1.0, 0.0, 1.0, 0.0],  # Y1 = X1p + Uw + Sprime + Z1
+        [kappa, 1.0, 1.0 + c_uw, 1.0, 1.0, 1.0],  # Y2 = Y1 + X2 + Z2p
+    ]
+    variances = (q, g.gamma * p1, pw, e2_var, n1, n2 - n1)
+    labels = ("S", "Sprime", "U1", "U2", "Uw", "X1p", "X1", "X2", "Y1", "Y2")
+    return labels, _reference_sigma(rows, variances)
 
 
 def _product_compositions(total, cells):

@@ -206,6 +206,20 @@ class TestGoldenOutputs:
         assert code == 0
         assert out.encode() == (DATA / name).read_bytes()
 
+    def test_verify_values_byte_identical(self, capsys, tmp_path):
+        """verify's oracle and closed-form values on the example channel, as
+        CI compares them: without abs_diff and max_abs_diff, rounding noise
+        near 1e-16, and the Monte-Carlo report, whose sample depends on
+        LAPACK's eigenvectors."""
+        path = tmp_path / "verify.json"
+        assert run(capsys, "verify", "--channel", "1,1,1,0.1,1", "--out", str(path))[0] == 0
+        reports = [r for r in json.loads(path.read_text()) if r["name"] != "monte-carlo-crosscheck"]
+        for r in reports:
+            del r["max_abs_diff"]
+            for t in r["details"]:
+                del t["abs_diff"]
+        assert json.dumps(reports, indent=2) + "\n" == (DATA / "verify_example.json").read_text()
+
     def test_errors_byte_identical(self, capsys, monkeypatch):
         """stderr and exit code of each input error, written while each
         check still raised its own exception type."""

@@ -69,6 +69,13 @@ class TestSpecValidation:
                 channel=np.ones((5, 2, 2, 2, 2)) / 4,
             )
 
+    @pytest.mark.parametrize("size", [True, 2.0, 0], ids=["bool", "float", "zero"])
+    def test_alphabet_size_is_a_count(self, size):
+        """A bool is an int to Python but not a count: True once built a
+        spec with |s| = 1."""
+        with pytest.raises(OutOfRange, match=re.escape("|s| must be an integer >= 1")):
+            DmcSpec(sizes=(size, 2, 2, 2, 2, 2, 2), p_s=np.ones(1), channel=np.full((1, 2, 2, 2, 2), 0.25))
+
     def test_p_s_must_normalize(self):
         with pytest.raises(OutOfRange, match="p_s must sum to 1 within 1e-12"):
             DmcSpec(

@@ -35,7 +35,7 @@ from relayregions.gaussian import (
 from relayregions.model import _scaled
 from relayregions.rates import _gdpc_point
 
-from references import PROPERTY
+from references import PROPERTY, _reference_cov_informed_both, _reference_cov_informed_source
 
 EXAMPLE = ChannelParams(1.0, 1.0, 1.0, 0.1, 1.0)
 
@@ -144,6 +144,21 @@ class TestGaussianCmi:
     def test_self_information_is_singular(self):
         with pytest.raises(SingularSubmatrix):
             gaussian_cmi(_pair(0.3), ["A"], ["A"])
+
+    def test_prepared_rows_and_index_are_a_fresh_evaluation(self):
+        """A covariance prepares its rows and label index on first use;
+        every call after it reads them and must give the same bits."""
+        cov = CovarianceSystem(
+            ("X", "Y", "Z"), [[2.0, 0.3, 0.1], [0.3, 1.0, 0.4], [0.1, 0.4, 3.0]]
+        )
+        want = _cmi_from_sigma(cov.sigma.tolist(), [0, 2], [1], [])
+        for _ in range(2):
+            assert gaussian_cmi(cov, ["X", "Z"], ["Y"]) == want
+            for label in ("W", ["X"]):
+                message = f"unknown label {label!r}, have ('X', 'Y', 'Z')"
+                with pytest.raises(OutOfRange, match=re.escape(message)):
+                    gaussian_cmi(cov, [label], ["Y"])
+        assert want > 0.0
 
     def test_deterministic_relation_is_singular(self):
         # B = A + C exactly, so I(A;B|C) has no finite value
@@ -282,16 +297,16 @@ class TestResidualRoute:
                 with pytest.raises(SingularSubmatrix):
                     _ref_cmi(sigma, a, b, c)
                 with pytest.raises(SingularSubmatrix):
-                    _cmi_from_sigma(sigma, a, b, c)
+                    _cmi_from_sigma(sigma.tolist(), a, b, c)
                 return
         if not _finite(mix, a, b, c):
             # an infinite information has no value to match: it raises
             with pytest.raises(SingularSubmatrix):
-                _cmi_from_sigma(sigma, a, b, c)
+                _cmi_from_sigma(sigma.tolist(), a, b, c)
             return
         assume(_well_conditioned(sigma, a, b, c))
         want = _ref_cmi(sigma, a, b, c)
-        got = _cmi_from_sigma(sigma, a, b, c)
+        got = _cmi_from_sigma(sigma.tolist(), a, b, c)
         assert got == pytest.approx(want, abs=1e-11)
 
     @settings(PROPERTY, max_examples=300)
@@ -340,6 +355,9 @@ TINY = ChannelParams(
 )
 
 
+NO_RELAY = ChannelParams(1.0, 0.0, 1.0, 0.1, 1.0)
+
+
 class TestBuildersByConstruction:
     """The builders check nothing: on the channel's scaled powers
     M diag(v) M^T with v >= 0 is finite and PSD, the mirrored triangle
@@ -359,6 +377,26 @@ class TestBuildersByConstruction:
             assert cov.var("X1") <= p1 * (1.0 + 1e-14)
             assert cov.var("X2") <= p2 * (1.0 + 1e-14)
             assert p2 > 0.0 or cov.var("X2") == 0.0
+
+    @settings(PROPERTY, max_examples=300)
+    @given(builder_inputs())
+    @example((TINY, GdpcParams(0.0, rho_upper_bound(TINY, 0.0), 1.0, 1.0), InformedBothParams(0.0, 1.0)))
+    @example((NO_RELAY, GdpcParams(1.0, 0.0, 1.0, 0.0), InformedBothParams(1.0, 1.0)))
+    @example((NO_RELAY, GdpcParams(0.0, 1.0, 0.5, 0.5), InformedBothParams(0.0, 0.0)))
+    def test_equal_to_the_docstring_tables_bit_for_bit(self, drawn):
+        """Each builder sets the channel's entries of a constant mix; the
+        reference writes out the docstring's whole table, so an entry in
+        the wrong place moves a bit."""
+        c, g, p = drawn
+        for build, reference, params in (
+            (build_cov_informed_source, _reference_cov_informed_source, g),
+            (build_cov_informed_both, _reference_cov_informed_both, p),
+        ):
+            cov = build(c, params)
+            labels, sigma = reference(c, params)
+            assert cov.labels == labels
+            assert np.array_equal(cov.sigma, sigma)
+            assert cov.sigma.tobytes() == sigma.tobytes()  # -0.0 too
 
 
 class TestInformedBothCov:

@@ -1,5 +1,7 @@
+import copy
 import dataclasses
 import math
+import pickle
 import re
 import warnings
 
@@ -90,6 +92,31 @@ def test_scaled_powers_are_centred_by_an_even_power_of_two(k):
     # the example channel itself needs no shift, and every multiple of it
     # by an even power of two lands on the same powers
     assert powers == (1.0, 0.0, 3.0, 0.1, 1.0) and shift == -k
+
+
+def _fresh_scaling(c):
+    """``_scaled(c)`` computed from c's fields as they are now."""
+    fields = dataclasses.astuple(c)
+    nonzero = [v for v in fields if v > 0.0]
+    k = -(math.frexp(min(nonzero))[1] + math.frexp(max(nonzero))[1]) // 4 * 2
+    return tuple(math.ldexp(v, k) for v in fields), k
+
+
+def test_scaled_powers_are_never_stale():
+    """A channel stores its scaled powers when built: every copy, a pickle
+    round trip and a replace must read those of its own fields."""
+    c = ChannelParams(3.0e-200, 0.0, 5.0e-190, 1.0e-201, 2.0e-199)
+    copies = [
+        copy.copy(c),
+        copy.deepcopy(c),
+        pickle.loads(pickle.dumps(c)),
+        dataclasses.replace(c),
+        dataclasses.replace(c, p1=7.0e-150),
+        dataclasses.replace(c, p2=1.0e-195, n2=1.0e-170),
+    ]
+    assert _scaled(c)[1] != _scaled(copies[-1])[1]
+    for other in (c, *copies):
+        assert _scaled(other) == _fresh_scaling(other)
 
 
 def test_errors_are_both_semantic_and_builtin():

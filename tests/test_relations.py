@@ -14,9 +14,10 @@ on its own over a window of 140 decades. Knobs take the edge values 0,
 5e-324, 1 - 2^-53 and 1, and rho its bound."""
 
 import math
-from dataclasses import astuple
+from dataclasses import astuple, replace
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from relayregions import (
@@ -37,6 +38,7 @@ from relayregions import (
     verify_informed_both,
     verify_relay_identity,
 )
+from relayregions.optimize import _solve_all
 
 from references import PROPERTY
 
@@ -141,3 +143,60 @@ def test_verify_reports_keep_their_bits_under_power_of_two_scale(row):
     for k in shifts:
         got, _ = _verify_runs(_times(c, k), knobs)
         assert got == want, k
+
+
+# With p2 = 0 there is no relay, and dirty-paper coding loses nothing to
+# the interference (Costa, "Writing on dirty paper", 1983), so cancelling
+# part of it can only waste power: the dpc, gdpc and nostate-outer
+# frontiers read the same r02 at every gamma, to 1e-9 bits. The drawn
+# gamma takes the edge values across the draws.
+
+
+def _no_relay_r02(row, scheme):
+    """The r02 of each point of a scheme's frontier, before dominated
+    points are dropped, on the drawn channel without relay power at
+    gamma 0, 0.5, 1 and the drawn one."""
+    c, knobs, _, _ = row
+    c = replace(c, p2=0.0)
+    problems = [(c, gamma) for gamma in sorted({0.0, 0.5, 1.0, knobs[0]})]
+    return [value for *_, value in _solve_all(scheme, problems, None)], problems
+
+
+@settings(PROPERTY, max_examples=300)
+@given(scaled_rows())
+def test_without_relay_power_gdpc_is_dpc(row):
+    dpc, problems = _no_relay_r02(row, "dpc")
+    gdpc, _ = _no_relay_r02(row, "gdpc")
+    for (c, gamma), x, y in zip(problems, gdpc, dpc):
+        assert abs(x - y) <= 1e-9, (c, gamma, x, y)
+
+
+@settings(PROPERTY, max_examples=300)
+@given(scaled_rows())
+def test_without_relay_power_the_outer_bound_is_dpc(row):
+    dpc, problems = _no_relay_r02(row, "dpc")
+    outer, _ = _no_relay_r02(row, "nostate-outer")
+    for (c, gamma), x, y in zip(problems, outer, dpc):
+        assert abs(x - y) <= 1e-9, (c, gamma, x, y)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="a known defect (CHANGES.md): max_beta_nostate forms beta3 = 1 - s*s, "
+    "which cancels as s nears 1, where n1 lies far below n2 at gamma 0",
+)
+@pytest.mark.parametrize(
+    "c",
+    [
+        # a draw of scaled_rows that breaks the law: 3.4e-9 bits low at n2/n1 = 6e7
+        ChannelParams(6.340108270985311e-46, 0.0, 0.0, 1.6119854340435192e-90, 9.764494214339755e-83),
+        # past n2/n1 = 1e16, s*s reads 1: 0 bits against 0.5
+        ChannelParams(1.0, 0.0, 0.0, 1e-20, 1.0),
+    ],
+    ids=["n2/n1=6e7", "n2/n1=1e20"],
+)
+def test_without_relay_power_the_outer_bound_is_dpc_where_n1_is_far_below_n2(c):
+    dpc = max_r02_gdpc(c, 0.0, freeze_rho=True).value
+    outer = max_beta_nostate(c, 0.0)[1]
+    assert abs(outer - dpc) <= 1e-9, (outer, dpc)
