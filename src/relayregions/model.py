@@ -127,11 +127,13 @@ def _scaled(c: ChannelParams) -> tuple[tuple[float, float, float, float, float],
 def rho_upper_bound(c: ChannelParams, gamma: float) -> float:
     """Largest admissible interference-cancellation fraction rho for a
     given private-power split gamma: min(1, q / ((1-gamma) p1)), and 0
-    when the denominator or q vanishes."""
-    gbar_p1 = (1.0 - gamma) * c.p1
-    if gbar_p1 <= 0.0 or c.q <= 0.0:
+    when the denominator or q vanishes. Found on the scaled powers, where
+    (1-gamma) p1 cannot underflow."""
+    p1, _, q, _, _ = _scaled(c)[0]
+    gbar_p1 = (1.0 - gamma) * p1
+    if gbar_p1 <= 0.0 or q <= 0.0:
         return 0.0
-    return min(1.0, c.q / gbar_p1)
+    return min(1.0, q / gbar_p1)
 
 
 @dataclass(frozen=True)

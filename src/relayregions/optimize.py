@@ -6,8 +6,8 @@ Two optimization problems appear:
   cooperative split beta3. The first term strictly increases with beta3
   and the second strictly decreases, so the max sits at their unique
   crossing, or at beta3 = 1 when they never meet. With s = sqrt(1-beta3)
-  the crossing is the positive root of a quadratic in s, solved in
-  closed form;
+  the crossing is the positive root of a quadratic in s, and beta3 a
+  sum of non-negative terms, so it cannot cancel as s nears 1;
 
 * the encoder-informed inner bound maximizes min(r1_sum, r2_sum) over
   (rho, beta, alpha2). The optimal alpha2 has a closed form at every
@@ -162,9 +162,10 @@ def max_beta_nostate(c: ChannelParams, gamma: float) -> tuple[float, float]:
     two terms meet where s = sqrt(1 - beta3) solves A s^2 + B s + C = 0
     for A = g*D2, B = 2*sqrt(g*p2)*D1 and C = (g + p2)*D1 - g*D2. When
     C >= 0 the increasing term never overtakes the decreasing one and the
-    optimum is the endpoint beta3 = 1.
-
-    The root and both terms are found on the channel's scaled powers.
+    optimum is the endpoint beta3 = 1. Otherwise A + C = (g + p2)*D1 gives
+    beta3 = 1 - s^2 = ((g + p2)*D1 + B*s) / A, a sum of non-negative
+    terms that cannot cancel as s nears 1 (n1 far below n2), clipped at 1
+    against rounding. The root and both terms use the scaled powers.
     """
     gamma = _require_unit("gamma", gamma)
     p1, p2, q, n1, n2 = _scaled(c)[0]
@@ -178,17 +179,10 @@ def max_beta_nostate(c: ChannelParams, gamma: float) -> tuple[float, float]:
     if cc >= 0.0:
         beta = 1.0
     else:
-        aa = g * d2
-        bb = 2.0 * math.sqrt(g * p2) * d1
-        disc = bb * bb - 4.0 * aa * cc
-        # the positive root, in the form that avoids cancellation, unless
-        # B = 0 and 4AC underflowed (p2 = 0 and g tiny): that form is 0/0
-        # there, and A s^2 + C = 0 gives the root directly
-        den = bb + math.sqrt(disc)
-        s = -2.0 * cc / den if den > 0.0 else math.sqrt(-cc / aa)
-        # s lies in (0, 1) in exact arithmetic; the check keeps a rounding
-        # past 1 from passing a negative split on
-        beta = _require_unit("beta3", 1.0 - s * s)
+        aa, bb = g * d2, 2.0 * math.sqrt(g * p2) * d1
+        # B*s, s the positive root in the form that avoids cancellation
+        bs = bb * (-2.0 * cc / (bb + math.sqrt(bb * bb - 4.0 * aa * cc))) if bb > 0.0 else 0.0
+        beta = min(1.0, ((g + p2) * d1 + bs) / aa)
     return beta, min(_nostate_terms(p1, p2, q, n1, n2, gamma, beta))
 
 

@@ -2,7 +2,8 @@
 one per computation, and the hypothesis settings the property tests
 share: the alpha2 kernel with a log of each ratio and each term clamped
 (``_reference_best_alpha2``), the box search one row at a time on
-meshgridded axes (``_reference_max_r02_gdpc``), and the DMC search as a
+meshgridded axes (``_reference_max_r02_gdpc``), the cooperative split in
+60-digit decimal (``_reference_max_beta_nostate``), the DMC search as a
 loop over every candidate with one public ``discrete_cmi`` call per term
 (``_reference_maximize``), and each covariance builder as the nested
 row table of its docstring (``_reference_cov_informed_both`` and
@@ -16,8 +17,10 @@ replaces as a second reference: the tests would then guard two
 references of one computation that must be kept equal.
 """
 
+import decimal
 import itertools
 import math
+from decimal import Decimal
 
 import numpy as np
 from hypothesis import settings
@@ -143,6 +146,29 @@ def _reference_max_r02_gdpc(c, gamma, grid=None, *, freeze_rho=False):
     return OptResult(
         best=g, value=min(r.r1_sum, r.r2_sum), evaluations=evaluations, trace=tuple(trace)
     )
+
+
+def _reference_max_beta_nostate(c, gamma):
+    """``max_beta_nostate`` in 60-digit decimal on the channel's scaled
+    powers, as Decimals (beta3, value in bits): the crossing's root s of
+    A s^2 + B s + C = 0 and beta3 = 1 - s^2 by their definitions. s is
+    the root in the form without cancellation, and 1 - s^2 >= n1/n2
+    keeps at least 20 digits while n2/n1 <= 1e40."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        p1, p2, _, n1, n2 = (Decimal(v) for v in _scaled(c)[0])
+        gamma = Decimal(gamma)
+        g = (1 - gamma) * p1
+        if g == 0:
+            return Decimal(0), Decimal(0)
+        d1, d2 = gamma * p1 + n1, gamma * p1 + n2
+        aa, bb, cc = g * d2, 2 * (g * p2).sqrt() * d1, (g + p2) * d1 - g * d2
+        beta = Decimal(1)
+        if cc < 0:
+            beta -= (-2 * cc / (bb + (bb * bb - 4 * aa * cc).sqrt())) ** 2
+        x1 = beta * g / d1
+        x2 = (g + p2 + 2 * ((1 - beta) * g * p2).sqrt()) / d2
+        return beta, min((1 + x).ln() for x in (x1, x2)) / (2 * Decimal(2).ln())
 
 
 def _reference_sigma(rows, variances):

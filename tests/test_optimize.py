@@ -1,5 +1,6 @@
 import math
 from dataclasses import astuple
+from decimal import Decimal
 from unittest import mock
 
 import numpy as np
@@ -28,7 +29,7 @@ from relayregions.rates import _best_alpha2
 
 import references
 from references import PROPERTY, _reference_best_alpha2, _reference_max_r02_gdpc
-from references import _reference_products, _scaled_row
+from references import _reference_max_beta_nostate, _reference_products, _scaled_row
 
 ANCHOR = ChannelParams(1.0, 1.0, 0.0, 0.1, 1.0)
 STATEFUL = ChannelParams(1.0, 1.0, 2.0, 0.1, 1.0)
@@ -101,16 +102,18 @@ def test_grid_spec_round_limit():
 
 @st.composite
 def nostate_rows(draw):
-    """(scale exponent, p1, p2, n1, n2/n1, gamma) over the acceptance-test
-    ranges, from a generator seeded by one draw (see ``_rng``), with p2
-    and gamma on an edge value half the time."""
+    """A channel and a gamma, from a generator seeded by one draw (see
+    ``_rng``): p1 within three decades of a scale in 1e+-100, n1 up to
+    40 decades below the scale and n2/n1 up to 1e40, with p2 and gamma on
+    an edge value a share of the time."""
     rng = _rng(draw)
-    scale, p1, p2, n1, ratio, gamma = rng.uniform(
-        [-12.0, 0.2, 0.0, 0.05, 1.5, 0.0], [8.0, 4.0, 4.0, 1.0, 8.0, 1.0]
+    scale, e1, e2, en, er, gamma = rng.uniform(
+        [-100.0, -3.0, -3.0, -40.0, 0.01, 0.0], [100.0, 3.0, 3.0, 0.0, 40.0, 1.0]
     ).tolist()
-    p2 = draw(st.sampled_from([0.0, 1.0, 0.3]) | st.just(p2))
-    gamma = draw(st.sampled_from([0.0, 1.0, 0.5]) | st.just(gamma))
-    return scale, p1, p2, n1, ratio, gamma
+    p1, p2, n1 = (10.0 ** (scale + e) for e in (e1, e2, en))
+    p2 = draw(st.sampled_from([0.0, p2]))
+    gamma = draw(st.sampled_from([0.0, 1.0, gamma]))
+    return ChannelParams(p1, p2, 0.0, n1, n1 * 10.0**er), gamma
 
 
 class TestMaxBetaNostate:
@@ -162,16 +165,16 @@ class TestMaxBetaNostate:
     def test_root_without_relay_power_where_4ac_underflows(self):
         # p2 = 0 makes B = 0, and 4AC underflows to 0 on the scaled powers:
         # q centres the scale, which puts p1 and the noises near 2^-252,
-        # and g is 2^-53 p1. The root then solves A s^2 + C = 0
+        # and g is 2^-53 p1. B*s is 0 there, so the split is g*D1 / (g*D2)
+        # and needs no root
         c = ChannelParams(1.0, 0.0, 2.0**499, 1.0, 2.0)
         gamma = 1.0 - 2.0**-53
         p1, _, _, n1, n2 = _scaled(c)[0]
         g, d1, d2 = (1.0 - gamma) * p1, gamma * p1 + n1, gamma * p1 + n2
         cc = g * d1 - g * d2
         assert cc < 0.0 and 4.0 * (g * d2) * cc == 0.0
-        s = math.sqrt(-cc / (g * d2))
         beta, value = max_beta_nostate(c, gamma)
-        assert beta == 1.0 - s * s
+        assert beta == (g * d1) / (g * d2)
         assert value == min(nostate_terms(c, gamma, beta))
         # the terms balance there, as at the crossing of any channel
         assert value == pytest.approx(max(nostate_terms(c, gamma, beta)), rel=1e-12)
@@ -197,32 +200,13 @@ class TestMaxBetaNostate:
 
     @settings(PROPERTY, max_examples=300)
     @given(nostate_rows())
-    def test_matches_parent_formula_bitwise(self, row):
-        scale, p1, p2, n1, ratio, gamma = row
-        k = 10.0**scale
-        c = ChannelParams(p1 * k, p2 * k, 1.0, n1 * k, n1 * ratio * k)
-        got = max_beta_nostate(c, gamma)
-        want = _parent_max_beta_nostate(c, gamma)
-        assert repr(got) == repr(want)
-
-
-def _parent_max_beta_nostate(c, gamma):
-    """max_beta_nostate before the float-range checks, kept as the
-    reference its finite results must match bit for bit."""
-    g = (1.0 - gamma) * c.p1
-    if g <= 0.0:
-        return 0.0, 0.0
-    d1 = gamma * c.p1 + c.n1
-    d2 = gamma * c.p1 + c.n2
-    cc = (g + c.p2) * d1 - g * d2
-    if cc >= 0.0:
-        beta = 1.0
-    else:
-        aa = g * d2
-        bb = 2.0 * math.sqrt(g * c.p2) * d1
-        s = -2.0 * cc / (bb + math.sqrt(bb * bb - 4.0 * aa * cc))
-        beta = 1.0 - s * s
-    return beta, min(nostate_terms(c, gamma, beta))
+    def test_matches_60_digit_reference(self, row):
+        # n2/n1 up to 1e40 puts s near 1, where 1 - s*s cancels in floats
+        c, gamma = row
+        beta, value = max_beta_nostate(c, gamma)
+        want_beta, want_value = _reference_max_beta_nostate(c, gamma)
+        assert abs(Decimal(beta) - want_beta) <= Decimal(1e-15) * want_beta, (c, gamma, beta)
+        assert abs(Decimal(value) - want_value) <= Decimal(1e-13), (c, gamma, value)
 
 
 class TestMaxR02Gdpc:

@@ -34,6 +34,7 @@ from relayregions import (
     nostate_terms,
     rho_upper_bound,
     sweep_snr,
+    validate_gdpc,
     verify_gdpc,
     verify_informed_both,
     verify_relay_identity,
@@ -180,18 +181,13 @@ def test_without_relay_power_the_outer_bound_is_dpc(row):
         assert abs(x - y) <= 1e-9, (c, gamma, x, y)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason="a known defect (CHANGES.md): max_beta_nostate forms beta3 = 1 - s*s, "
-    "which cancels as s nears 1, where n1 lies far below n2 at gamma 0",
-)
 @pytest.mark.parametrize(
     "c",
     [
-        # a draw of scaled_rows that breaks the law: 3.4e-9 bits low at n2/n1 = 6e7
+        # a draw of scaled_rows at n2/n1 = 6e7, where s nears 1 and the
+        # split 1 - s*s cancels in floats
         ChannelParams(6.340108270985311e-46, 0.0, 0.0, 1.6119854340435192e-90, 9.764494214339755e-83),
-        # past n2/n1 = 1e16, s*s reads 1: 0 bits against 0.5
+        # past n2/n1 = 1e16, s*s rounds to 1
         ChannelParams(1.0, 0.0, 0.0, 1e-20, 1.0),
     ],
     ids=["n2/n1=6e7", "n2/n1=1e20"],
@@ -200,3 +196,52 @@ def test_without_relay_power_the_outer_bound_is_dpc_where_n1_is_far_below_n2(c):
     dpc = max_r02_gdpc(c, 0.0, freeze_rho=True).value
     outer = max_beta_nostate(c, 0.0)[1]
     assert abs(outer - dpc) <= 1e-9, (outer, dpc)
+
+
+# Ordering, outer side: nostate-outer is the region where the relay knows
+# the interference too and both cancel it, so neither inner bound can
+# pass it, however far n1 lies below p1 and n2 above n1.
+
+
+@st.composite
+def wide_rows(draw):
+    """A channel at a scale in 1e+-100, n1 = p1 * 10^U(-40, 1), n2/n1 up
+    to 1e40, p2 and q each 0 a share of the time, and a gamma."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale, e2, eq, en, er, gamma = rng.uniform(
+        [-100.0, -3.0, -3.0, -40.0, -3.0, 0.0], [100.0, 3.0, 3.0, 1.0, 40.0, 1.0]
+    ).tolist()
+    p1 = 10.0**scale
+    p2, q, n1 = (p1 * 10.0**e for e in (e2, eq, en))
+    p2 = draw(st.sampled_from([0.0, p2]))
+    q = draw(st.sampled_from([0.0, q]))
+    return ChannelParams(p1, p2, q, n1, n1 * (1.0 + 10.0**er)), gamma
+
+
+@settings(PROPERTY, max_examples=300)
+@given(wide_rows())
+def test_the_outer_bound_dominates_both_inner_bounds(row):
+    c, drawn = row
+    problems = [(c, gamma) for gamma in sorted({0.0, 0.5, drawn})]
+    dpc = [value for *_, value in _solve_all("dpc", problems, None)]
+    gdpc = [value for *_, value in _solve_all("gdpc", problems, None)]
+    for (_, gamma), x, y in zip(problems, dpc, gdpc):
+        outer = max_beta_nostate(c, gamma)[1]
+        assert outer >= max(x, y) - 1e-9, (c, gamma, outer, x, y)
+
+
+def test_rho_bound_keeps_its_bits_on_subnormal_powers():
+    # at 2^-1060 every power is subnormal, and (1-gamma)*p1 underflows to
+    # 0 in the powers as given
+    gamma = 1.0 - 2.0**-40
+    g = GdpcParams(gamma, 0.5, 0.5, 0.5)
+    runs = []
+    for k in (-1060, 0, 600):
+        c = _times(ChannelParams(1.0, 1.0, 0.5, 2.0**-4, 1.0), k)
+        try:
+            verdict = validate_gdpc(c, g)
+        except RelayRegionsError as e:
+            verdict = type(e)
+        runs.append((rho_upper_bound(c, gamma), verdict, max_r02_gdpc(c, gamma)))
+    assert runs[0] == runs[1] == runs[2]
+    assert runs[1][:2] == (1.0, g)
