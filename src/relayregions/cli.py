@@ -47,6 +47,7 @@ from .gaussian import (
     verify_relay_identity,
     TermCheck,
     VerifyReport,
+    _require_tol,
 )
 from .model import (
     ChannelParams,
@@ -146,10 +147,7 @@ def _text(value) -> str:
 
 
 def _tol(value) -> float:
-    tol = _float(value)
-    if not 0 < tol < math.inf:
-        raise OutOfRange(f"must be finite and > 0, got {tol}")
-    return tol
+    return _require_tol(_float(value))
 
 
 def _record(cls):

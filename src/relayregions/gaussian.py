@@ -219,28 +219,16 @@ def _cmi_from_sigma(
     return val
 
 
-@functools.cache
-def _upper(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Strict upper triangle indices, read-only and built once per size:
-    np.triu_indices costs more than the copy they index."""
-    rows, cols = np.triu_indices(n, 1)
-    rows.flags.writeable = cols.flags.writeable = False
-    return rows, cols
-
-
 def _assemble(labels: tuple[str, ...], mix: np.ndarray, variances) -> CovarianceSystem:
     """Covariance of labels = mix @ basis, basis independent with the
-    given variances: sigma = mix diag(variances) mix^T, built without
-    CovarianceSystem's checks, which hold by construction.
-
-    The variances are >= 0, so sigma is PSD. The product rounds its two
-    triangles apart, so the lower one is copied onto the upper, and sigma
-    is exactly symmetric. The labels are the builders' literal, unique
-    tuples. The builders pass a channel's scaled powers (``model._scaled``),
-    on which no entry leaves the float range."""
-    sigma = (mix * np.asarray(variances, dtype=float)) @ mix.T
-    upper = _upper(len(labels))
-    sigma[upper] = sigma.T[upper]
+    given variances >= 0: the Gram product L L^T of L = mix diag(sqrt(v)),
+    so PSD, and exactly symmetric because numpy forms a product with its
+    own transpose as one symmetric update. Built without CovarianceSystem's
+    checks, which hold by construction: the labels are the builders'
+    literal, unique tuples, and on a channel's scaled powers
+    (``model._scaled``) no entry leaves the float range."""
+    factor = mix * np.sqrt(variances)
+    sigma = factor @ factor.T
     sigma.flags.writeable = False
     cov = object.__new__(CovarianceSystem)
     object.__setattr__(cov, "labels", labels)
@@ -399,6 +387,13 @@ class TermCheck:
         }
 
 
+def _require_tol(tol: float) -> float:
+    """tol if it is finite and > 0: every report's pass-tolerance rule."""
+    if not 0.0 < tol < math.inf:
+        raise OutOfRange(f"must be finite and > 0, got {tol}")
+    return tol
+
+
 @dataclass(frozen=True)
 class VerifyReport:
     """Outcome of one verification: passed iff max_abs_diff <= tol."""
@@ -406,6 +401,11 @@ class VerifyReport:
     name: str
     tol: float
     details: tuple[TermCheck, ...]
+
+    def __post_init__(self) -> None:
+        _require_tol(self.tol)
+        if not self.details:
+            raise OutOfRange("a report needs at least one term row")
 
     @property
     def max_abs_diff(self) -> float:
@@ -575,5 +575,4 @@ def _sample_covariance(sigma: np.ndarray, n_samples: int, seed: int) -> np.ndarr
     bartlett = np.diag(np.sqrt(rng.chisquare(dof - np.arange(d))))
     bartlett[np.tril_indices(d, -1)] = rng.standard_normal(d * (d - 1) // 2)
     root = factor @ (bartlett / math.sqrt(dof))
-    sample_sigma = root @ root.T
-    return 0.5 * (sample_sigma + sample_sigma.T)
+    return root @ root.T

@@ -172,13 +172,10 @@ def _reference_max_beta_nostate(c, gamma):
 
 
 def _reference_sigma(rows, variances):
-    """M diag(v) M^T of the nested row table M, its lower triangle
-    mirrored onto the upper, by the builders' float operations."""
-    mix = np.array(rows, dtype=float)
-    sigma = (mix * np.array(variances, dtype=float)) @ mix.T
-    upper = np.triu_indices(len(rows), 1)
-    sigma[upper] = sigma.T[upper]
-    return sigma
+    """L L^T for L = M diag(sqrt(v)), M the nested row table, by the
+    builders' float operations."""
+    factor = np.array(rows, dtype=float) * np.sqrt(np.array(variances, dtype=float))
+    return factor @ factor.T
 
 
 def _reference_cov_informed_both(c, p):

@@ -115,6 +115,42 @@ class TestCovarianceSystem:
                 CovarianceSystem(("A", "B"), np.array([[1e-300, 1e300], [1e300, 1.0]]))
 
 
+# Two draws of sigma = F F^T, F block lower triangular over labels
+# C..., A..., B... with no B-A block, so I(A;B|C) = 0 exactly. Rounding
+# reads the first at -7.8e-11 bits (cond 5e11), within the -1e-9
+# allowance, and the second at -4.2e-9 bits (cond 8e13), past it.
+NEGATIVE_WITHIN = (
+    ("C0", "C1", "A0", "A1", "B0", "B1"),
+    [
+        [216.3604516752651, 341.0159164844136, -185.0768932521253, 235.72139846964566, 21.34785610694038, -44.90320978084048],
+        [341.0159164844136, 537.4912854798839, -291.7070228636065, 371.53285468622835, 33.64586519086034, -70.77449554996815],
+        [-185.0768932521253, -291.7070228636065, 170.45086157539072, -203.86302818074705, -18.4879860971273, 38.345863464804104],
+        [235.72139846964566, 371.53285468622835, -203.86302818074705, 257.4681902897723, 23.058004774197034, -48.978535143874794],
+        [21.34785610694038, 33.64586519086034, -18.4879860971273, 23.058004774197034, 270.8230066921592, 109.34514433242083],
+        [-44.90320978084048, -70.77449554996815, 38.345863464804104, -48.978535143874794, 109.34514433242083, 57.49694509930432],
+    ],
+)
+NEGATIVE_PAST = (
+    ("C0", "C1", "C2", "A0", "A1", "B0", "B1"),
+    [
+        [13021.631484094345, -8172.228439218269, 2783.271752307702, -7750.071614997627, 2119.0504345254512, -19463.239875116928, 1451.9538855957762],
+        [-8172.228439218269, 5128.799134588171, -1746.7531969351865, 4863.830908817482, -1329.8943253630628, 12214.924430269357, -911.2255435257532],
+        [2783.271752307702, -1746.7531969351865, 594.9126438184156, -1656.4390289168286, 452.9372065449963, -4160.161096084647, 310.3310906788692],
+        [-7750.071614997627, 4863.830908817482, -1656.4390289168286, 4613.618656461291, -1261.5238597774603, 11583.446777666313, -864.2824066529861],
+        [2119.0504345254512, -1329.8943253630628, 452.9372065449963, -1261.5238597774603, 345.4868325518731, -3167.351799465952, 236.2706988436859],
+        [-19463.239875116928, 12214.924430269357, -4160.161096084647, 11583.446777666313, -3167.351799465952, 29092.405681984867, -2169.417315808898],
+        [1451.9538855957762, -911.2255435257532, 310.3310906788692, -864.2824066529861, 236.2706988436859, -2169.417315808898, 162.66865160077037],
+    ],
+)
+
+
+def _split_cmi(drawn):
+    """I(A;B|C) of a NEGATIVE_* draw, its labels grouped by first letter."""
+    labels, sigma = drawn
+    cov = CovarianceSystem(labels, np.array(sigma))
+    return gaussian_cmi(cov, *([x for x in labels if x[0] == k] for k in "ABC"))
+
+
 class TestGaussianCmi:
     def test_independent_is_zero(self):
         assert gaussian_cmi(_pair(0.0), ["A"], ["B"]) == 0.0
@@ -182,6 +218,13 @@ class TestGaussianCmi:
     def test_empty_a_or_b(self):
         assert gaussian_cmi(_pair(0.5), [], ["B"]) == 0.0
         assert gaussian_cmi(_pair(0.5), ["A"], []) == 0.0
+
+    def test_negative_information_within_the_allowance_reads_zero(self):
+        assert _split_cmi(NEGATIVE_WITHIN) == 0.0
+
+    def test_negative_information_past_the_allowance_is_singular(self):
+        with pytest.raises(SingularSubmatrix, match="too ill-conditioned"):
+            _split_cmi(NEGATIVE_PAST)
 
 
 # Reference: the four-determinant formula on subsets reduced with
@@ -359,10 +402,11 @@ NO_RELAY = ChannelParams(1.0, 0.0, 1.0, 0.1, 1.0)
 
 
 class TestBuildersByConstruction:
-    """The builders check nothing: on the channel's scaled powers
-    M diag(v) M^T with v >= 0 is finite and PSD, the mirrored triangle
-    makes it exactly symmetric, and each input keeps its budget up to
-    rounding. The public checks must agree."""
+    """The builders check nothing: on the channel's scaled powers the
+    Gram product sigma = L L^T of L = M diag(sqrt(v)), v >= 0, is finite
+    and PSD, exactly symmetric because numpy forms a product with its own
+    transpose as one symmetric update, and each input keeps its budget up
+    to rounding. The public checks must agree."""
 
     @settings(PROPERTY, max_examples=1000)
     @given(builder_inputs())
@@ -709,6 +753,10 @@ class TestSampleCovarianceLaw:
         z = (draws.var(axis=0, ddof=1)[live] - var[live]) / se
         assert np.abs(z).max() <= LAW_Z
 
+    def test_every_draw_is_exactly_symmetric(self, wishart_draws):
+        _, draws = wishart_draws
+        assert (draws == draws.transpose(0, 2, 1)).all()
+
     def test_keeps_the_null_space(self, wishart_draws):
         sigma, draws = wishart_draws
         w, vecs = np.linalg.eigh(sigma)
@@ -950,3 +998,21 @@ class TestReports:
         assert list(d) == ["name", "tol", "max_abs_diff", "pass", "details"]
         assert d["pass"] is False
         assert len(d["details"]) == 2
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+    def test_unusable_tol_is_out_of_range(self, tol):
+        message = re.escape(f"must be finite and > 0, got {tol}")
+        with pytest.raises(OutOfRange, match=message):
+            VerifyReport("demo", tol, (TermCheck("t", 0.5, 0.5),))
+        p = InformedBothParams(0.5, 0.5)
+        for verify, params in (
+            (verify_informed_both, p),
+            (verify_gdpc, GdpcParams(0.2, 0.3, 0.4, 0.5)),
+            (verify_relay_identity, p),
+        ):
+            with pytest.raises(OutOfRange, match=message):
+                verify(EXAMPLE, params, tol)
+
+    def test_a_report_needs_a_row(self):
+        with pytest.raises(OutOfRange, match="at least one term row"):
+            VerifyReport("demo", 1e-9, ())
