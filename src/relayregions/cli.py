@@ -403,19 +403,16 @@ def _verify_reports(
             verify_informed_both(channel, InformedBothParams(gamma, beta), tol)
         )
 
-    if channel.q > 0:
-        source_points = [(0.2, 0.3, 0.4, 0.5)]
-        for _ in range(3):
-            gamma = rng.uniform(0, 0.95)
-            frac = rng.uniform(0, 1)
-            source_points.append(
-                (gamma, frac * rho_upper_bound(channel, gamma), rng.uniform(0, 0.98), rng.uniform(0, 1))
-            )
-        for gamma, rho, beta, alpha2 in source_points:
-            rho = min(rho, rho_upper_bound(channel, gamma))
-            reports.append(
-                verify_gdpc(channel, GdpcParams(gamma, rho, beta, alpha2), tol)
-            )
+    source_points = [(0.2, 0.3, 0.4, 0.5)]
+    for _ in range(3):
+        gamma = rng.uniform(0, 0.95)
+        frac = rng.uniform(0, 1)
+        source_points.append(
+            (gamma, frac * rho_upper_bound(channel, gamma), rng.uniform(0, 0.98), rng.uniform(0, 1))
+        )
+    for gamma, rho, beta, alpha2 in source_points:
+        rho = min(rho, rho_upper_bound(channel, gamma))
+        reports.append(verify_gdpc(channel, GdpcParams(gamma, rho, beta, alpha2), tol))
 
     if channel.p2 > 0:
         relay_points = [(0.0, 0.36), (rng.uniform(0, 0.95), rng.uniform(0, 1))]

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 from operator import mul
 from typing import Iterable
@@ -198,10 +199,9 @@ def _cmi_from_sigma(
     c_fac, _ = _extend(s, [], c_idx)
     a_fac, a_logs = _extend(s, c_fac, a_idx)
     b_fac, b_logs = _extend(s, c_fac, b_idx)
-    if not a_logs or not b_logs:
-        return 0.0
     # B again, now after C and A: a label of B that A and C determine
-    # (one kept in A too, say) is dropped, and the information diverges
+    # (one kept in A too, say) is dropped, and the information diverges;
+    # if A or B emptied, this repeats the B pass row for row: I reads +0.0
     b_kept = [j for j, _ in b_fac[len(c_fac):]]
     _, ab_logs = _extend(s, a_fac, b_kept)
     if len(ab_logs) < len(b_kept):
@@ -331,21 +331,19 @@ def build_cov_informed_source(c: ChannelParams, g: GdpcParams) -> CovarianceSyst
         U1 = alpha1*(1-alpha2)*Sprime + X1p           (private layer)
 
     with alpha1 = gamma*p1/(gamma*p1 + n1), and the channel outputs obey
-    Y1 = X1p + Uw + Sprime + Z1 exactly as linear relations.
+    Y1 = X1p + Uw + Sprime + Z1 exactly as linear relations. With q = 0,
+    S and Sprime carry no power, rho is 0 (``validate_gdpc``), and the
+    binning layer bins against nothing.
 
     sigma is built on the channel's scaled powers (``model._scaled``): every
     information is unchanged, and ``cov.var("X1")`` reads p1 * 2**k.
     """
     validate_gdpc(c, g)
-    if c.q <= 0.0:
-        raise OutOfRange(
-            "interference power q must be > 0 for the encoder-informed "
-            "construction; with q = 0 use the no-interference region"
-        )
     p1, p2, q, n1, n2 = _scaled(c)[0]
     gbar = 1.0 - g.gamma
     pw = (1.0 - g.rho) * gbar * p1
-    s_coef = math.sqrt(g.rho * gbar * p1 / q)
+    # rho > 0 only where q > 0 (validate_gdpc), so q = 0 never divides
+    s_coef = math.sqrt(g.rho * gbar * p1 / q) if g.rho > 0.0 else 0.0
     kappa = 1.0 - s_coef
     alpha1 = g.gamma * p1 / (g.gamma * p1 + n1)
     if pw > 0.0:
@@ -388,9 +386,9 @@ class TermCheck:
 
 
 def _require_tol(tol: float) -> float:
-    """tol if it is finite and > 0: every report's pass-tolerance rule."""
-    if not 0.0 < tol < math.inf:
-        raise OutOfRange(f"must be finite and > 0, got {tol}")
+    """tol if it is a finite real > 0, not a bool: every report's rule."""
+    if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not 0.0 < tol < math.inf:
+        raise OutOfRange(f"must be finite and > 0, got {tol!r}")
     return tol
 
 

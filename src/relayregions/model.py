@@ -131,7 +131,7 @@ def rho_upper_bound(c: ChannelParams, gamma: float) -> float:
     (1-gamma) p1 cannot underflow."""
     p1, _, q, _, _ = _scaled(c)[0]
     gbar_p1 = (1.0 - gamma) * p1
-    if gbar_p1 <= 0.0 or q <= 0.0:
+    if gbar_p1 <= 0.0:
         return 0.0
     return min(1.0, q / gbar_p1)
 

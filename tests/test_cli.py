@@ -509,6 +509,14 @@ class TestVerifyCommand:
         assert out.count("gdpc-closed-forms: PASS") == 4
         assert "FAIL" not in out
 
+    def test_channel_without_interference(self, capsys):
+        # q = 0 forces rho = 0, and the gdpc construction bins against
+        # nothing: its reports are checked as on any other channel
+        code, out, _ = run(capsys, "verify", "--channel", "1,1,0,0.1,1")
+        assert code == 0
+        assert out.count("gdpc-closed-forms: PASS") == 4
+        assert "FAIL" not in out
+
     @pytest.mark.parametrize(
         "channel",
         [SCALED_EXAMPLES[0], "1e-9,1e-9,1e-9,1e-10,1e-9", SCALED_EXAMPLES[1]],

@@ -21,7 +21,6 @@ from relayregions import (
     OutOfRange,
     RelayRegionsError,
     SingularSubmatrix,
-    build_cov_informed_source,
     cap_c,
     dmc_maximize,
     frontier,
@@ -76,14 +75,6 @@ REJECTIONS = [
         "frontier-private",
         lambda: frontier(ChannelParams(*_HUGE_SNR), "dpc", [1.0]),
         f"{_SPAN} 1e-300 to 1e+300",
-    ),
-    (
-        "q=0-source-cov",
-        lambda: build_cov_informed_source(
-            ChannelParams(1.0, 1.0, 0.0, 0.1, 1.0), GdpcParams(0.2, 0.0, 0.4, 0.5)
-        ),
-        "interference power q must be > 0 for the encoder-informed construction; "
-        "with q = 0 use the no-interference region",
     ),
     ("p_s-sum", lambda: DmcSpec((1,) * 7, [0.9], [[[[[1.0]]]]]), "p_s must sum to 1 within 1e-12"),
     ("p_s-sign", lambda: DmcSpec(p_s=[1.5, -0.5], **_TWO_STATES), "p_s has negative entries"),

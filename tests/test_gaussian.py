@@ -20,6 +20,7 @@ from relayregions import (
     build_cov_informed_source,
     gaussian_cmi,
     gdpc_rates,
+    max_r02_gdpc,
     rho_upper_bound,
     sample_mi_estimate,
     verify_gdpc,
@@ -218,6 +219,12 @@ class TestGaussianCmi:
     def test_empty_a_or_b(self):
         assert gaussian_cmi(_pair(0.5), [], ["B"]) == 0.0
         assert gaussian_cmi(_pair(0.5), ["A"], []) == 0.0
+        # sets that elimination empties: A = 2C is determined by C, and
+        # Z has zero variance
+        m = np.array([[1.0, 0.0], [2.0, 0.0], [0.5, 1.0], [0.0, 0.0]])
+        cov = CovarianceSystem(("C", "A", "B", "Z"), m @ m.T)
+        for v in (gaussian_cmi(cov, ["A"], ["B"], ["C"]), gaussian_cmi(cov, ["B"], ["Z"], ["C"])):
+            assert v == 0.0 and math.copysign(1.0, v) == 1.0
 
     def test_negative_information_within_the_allowance_reads_zero(self):
         assert _split_cmi(NEGATIVE_WITHIN) == 0.0
@@ -529,10 +536,25 @@ class TestInformedBothCov:
 
 
 class TestInformedSourceCov:
-    def test_zero_state_power_rejected(self):
-        c = ChannelParams(1.0, 1.0, 0.0, 0.1, 1.0)
-        with pytest.raises(OutOfRange, match="interference power q must be > 0"):
-            build_cov_informed_source(c, GdpcParams(0.2, 0.0, 0.4, 0.5))
+    def test_search_optima_without_interference_are_certified(self):
+        # q = 0 forces rho = 0: S and Sprime carry no power, and the
+        # oracle reads each printed optimum's two sum-rate rows. Channels
+        # in the traced-frontier ranges at scales 1e-12..1e8, p2 = 0 on
+        # every fourth
+        rng = np.random.default_rng(18)
+        for i in range(100):
+            scale = 10.0 ** rng.uniform(-12.0, 8.0)
+            p1, p2, n1 = 10.0 ** rng.uniform([-0.7, -1.0, -1.5], [0.6, 0.6, 0.0])
+            n2 = n1 * 10.0 ** rng.uniform(0.2, 1.0)
+            if i % 4 == 0:
+                p2 = 0.0
+            c = ChannelParams(*(scale * x for x in (p1, p2, 0.0, n1, n2)))
+            for gamma in (0.0, 0.3, 0.6, 0.9):
+                res = max_r02_gdpc(c, gamma)
+                rep = verify_gdpc(c, res.best)
+                assert rep.passed, (c, gamma, rep.to_dict())
+                oracle = max(0.0, min(t.oracle for t in rep.details[1:]))
+                assert oracle == pytest.approx(res.value, rel=0.0, abs=1e-9), (c, gamma)
 
     def test_rho_past_its_bound_rejected(self):
         # the covariance build's check is verify_gdpc's one check of rho:
@@ -999,9 +1021,9 @@ class TestReports:
         assert d["pass"] is False
         assert len(d["details"]) == 2
 
-    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf, "1e-9", [1e-9], None, True])
     def test_unusable_tol_is_out_of_range(self, tol):
-        message = re.escape(f"must be finite and > 0, got {tol}")
+        message = re.escape(f"must be finite and > 0, got {tol!r}")
         with pytest.raises(OutOfRange, match=message):
             VerifyReport("demo", tol, (TermCheck("t", 0.5, 0.5),))
         p = InformedBothParams(0.5, 0.5)
