@@ -47,7 +47,6 @@ from .gaussian import (
     verify_relay_identity,
     TermCheck,
     VerifyReport,
-    _require_tol,
 )
 from .model import (
     ChannelParams,
@@ -56,6 +55,9 @@ from .model import (
     OutOfRange,
     RelayRegionsError,
     SCHEMES,
+    _require_count,
+    _require_real,
+    _require_tol,
     rho_upper_bound,
 )
 from .optimize import DEFAULT_GRID, GridSpec, frontier, sweep_snr
@@ -95,15 +97,14 @@ def _write_output(path: str | None, text: str) -> None:
         raise
 
 
-def _float(value) -> float:
-    """A float field: a bool, a non-number, or an integer too large for a
-    float is an input error."""
+def _float(value):
+    """Text as the float it spells; any other value for the model to check."""
+    if not isinstance(value, str):
+        return value
     try:
-        if not isinstance(value, bool):
-            return float(value)
-    except (TypeError, ValueError, OverflowError):
-        pass
-    raise OutOfRange(f"expects a number, got {value!r}")
+        return float(value)
+    except ValueError:
+        raise OutOfRange(f"expects a number, got {value!r}") from None
 
 
 def _floats(values) -> list[float]:
@@ -133,21 +134,10 @@ def _as_int(value) -> int:
     return int(number)
 
 
-def _seed(value) -> int:
-    seed = _as_int(value)
-    if seed < 0:
-        raise OutOfRange(f"must be >= 0, got {seed}")
-    return seed
-
-
 def _text(value) -> str:
     if not isinstance(value, str):
         raise OutOfRange(f"expects a string, got {value!r}")
     return value
-
-
-def _tol(value) -> float:
-    return _require_tol(_float(value))
 
 
 def _record(cls):
@@ -184,10 +174,8 @@ def _check_points(count: int) -> int:
 
 def _linspace(a: float, b: float, n: float) -> list[float]:
     """a:b:n, n evenly spaced points."""
-    n = _as_int(n)
-    if n < 1:
-        raise OutOfRange(f"needs at least one point, got n={n}")
-    return [float(v) for v in np.linspace(a, b, _check_points(n))]
+    n = _check_points(_require_count("n", _as_int(n), 1))
+    return [float(v) for v in np.linspace(a, b, n)]
 
 
 def _ladder(a: float, b: float, step: float) -> list[float]:
@@ -200,9 +188,9 @@ def _ladder(a: float, b: float, step: float) -> list[float]:
     return [a + i * step for i in range(_check_points(math.floor(span) + 1))]
 
 
-def _axis(expand):
+def _axis(expand, name: str):
     """A parser for 'a:b:x', expanded by expand(a, b, x), or a comma or
-    JSON list of numbers."""
+    JSON list of numbers, each called name."""
 
     def parse(value) -> list[float]:
         if isinstance(value, str) and ":" in value:
@@ -212,7 +200,7 @@ def _axis(expand):
             return expand(*_floats(ends))
         if isinstance(value, str):
             value = [p for p in value.split(",") if p.strip()]
-        return _floats(value)
+        return [_require_real(name, v) for v in _floats(value)]
 
     return parse
 
@@ -240,12 +228,11 @@ def _grid(value) -> GridSpec:
 _PIPES = object()  # what --pipes stores as the dmc spec; no JSON value is it
 
 
-def _nested_floats(value):
-    """Nested lists with every entry through _float: a bool is rejected,
-    not read as 1.0."""
+def _nested_floats(name: str, value):
+    """Nested lists of numbers: a bool is rejected, not read as 1.0 by numpy."""
     if isinstance(value, list):
-        return [_nested_floats(v) for v in value]
-    return _float(value)
+        return [_nested_floats(name, v) for v in value]
+    return _require_real(name, _float(value))
 
 
 def _dmc_spec(value) -> DmcSpec:
@@ -253,9 +240,9 @@ def _dmc_spec(value) -> DmcSpec:
         return binary_pipes_spec()
     try:
         sizes = tuple(_as_int(v) for v in value["sizes"])
-        p_s = np.array(_nested_floats(value["p_s"]), dtype=float)
-        channel = np.array(_nested_floats(value["channel"]), dtype=float)
-    except (KeyError, TypeError, ValueError, OverflowError) as e:
+        p_s = np.array(_nested_floats("p_s", value["p_s"]), dtype=float)
+        channel = np.array(_nested_floats("channel", value["channel"]), dtype=float)
+    except (KeyError, TypeError, ValueError) as e:
         raise OutOfRange(f"needs sizes, p_s and channel arrays: {e}") from None
     return DmcSpec(sizes=sizes, p_s=p_s, channel=channel)
 
@@ -273,13 +260,13 @@ _OPTIONS = {
     "out": (None, _text, "output path (default: stdout)"),
     "grid": (DEFAULT_GRID, _grid, f"search grid {_GRID_FORM}"),
     "scheme": ("gdpc", _text, f"one of {', '.join(SCHEMES)}"),
-    "gamma_grid": (_linspace(0.0, 1.0, 21), _axis(_linspace), "a:b:n or explicit comma list"),
-    "snr_db": (_Required("--snr-db"), _axis(_ladder), "a:b:step or explicit comma list"),
+    "gamma_grid": (_linspace(0, 1, 21), _axis(_linspace, "gamma"), "a:b:n or explicit comma list"),
+    "snr_db": (_Required("--snr-db"), _axis(_ladder, "snr_db"), "a:b:step or explicit comma list"),
     "params": (
         _Required("--params gamma,rho,beta,alpha2"), _record(GdpcParams), "gamma,rho,beta,alpha2"
     ),
-    "tol": (1e-9, _tol, "pass tolerance in bits"),
-    "seed": (0, _seed, "seed for draws and sampling"),
+    "tol": (1e-9, lambda v: _require_tol(_float(v)), "pass tolerance in bits"),
+    "seed": (0, lambda v: _require_count("seed", _as_int(v), 0), "seed for draws and sampling"),
     "mc_samples": (10**6, _as_int, "Monte-Carlo sample count"),
     "dmc": (_Required("--pipes"), _dmc_spec, "use the built-in noiseless binary spec"),
     "bounds": ("informed-source", _text, "informed-source or informed-both"),

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 from dataclasses import dataclass
 from operator import mul
 from typing import Iterable
@@ -49,6 +48,7 @@ from .model import (
     SingularSubmatrix,
     _expression,
     _require_count,
+    _require_tol,
     _scaled,
     validate_gdpc,
 )
@@ -385,13 +385,6 @@ class TermCheck:
         }
 
 
-def _require_tol(tol: float) -> float:
-    """tol if it is a finite real > 0, not a bool: every report's rule."""
-    if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not 0.0 < tol < math.inf:
-        raise OutOfRange(f"must be finite and > 0, got {tol!r}")
-    return tol
-
-
 @dataclass(frozen=True)
 class VerifyReport:
     """Outcome of one verification: passed iff max_abs_diff <= tol."""
@@ -401,7 +394,7 @@ class VerifyReport:
     details: tuple[TermCheck, ...]
 
     def __post_init__(self) -> None:
-        _require_tol(self.tol)
+        object.__setattr__(self, "tol", _require_tol(self.tol))
         if not self.details:
             raise OutOfRange("a report needs at least one term row")
 

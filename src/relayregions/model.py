@@ -21,18 +21,17 @@ Conventions shared by every module:
 
 All types are frozen dataclasses that check their invariants when they
 are built, so a value of one is valid and safe to share between workers.
-The parameter types store each field as a Python float, so a numpy
-scalar passed in (a float32 among them) computes as a float from then on.
-The one condition no type can hold, the channel-coupled bound on rho, is
-checked by ``validate_gdpc``. A field of -0.0 is stored as +0.0.
+Every public float argument is read by one rule (``_require_real``), so a
+field is stored as a Python float, -0.0 as +0.0, and a float32 passed in
+computes as a float. The one condition no type can hold, the
+channel-coupled bound on rho, is checked by ``validate_gdpc``.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
-
-import numpy as np
 
 
 class RelayRegionsError(Exception):
@@ -48,24 +47,42 @@ class SingularSubmatrix(RelayRegionsError, ArithmeticError):
     even after redundant labels were eliminated."""
 
 
-def _require_finite(name: str, value: float) -> float:
-    if not math.isfinite(value):
-        raise OutOfRange(f"{name} must be finite, got {value!r}")
-    return float(value) + 0.0  # -0.0 reads +0.0; exact for every other float
+def _require_real(name: str, value) -> float:
+    """``value`` as a Python float (-0.0 as +0.0) if it is a ``numbers.Real``
+    in float range and no bool: a numpy scalar is one (``np.bool_`` is not),
+    text is not. A float passes on one isinstance call."""
+    if isinstance(value, float) or not isinstance(value, bool) and isinstance(value, numbers.Real):
+        try:
+            return float(value) + 0.0  # exact for every float but -0.0
+        except OverflowError:  # an integer past float range
+            pass
+    raise OutOfRange(f"{name} must be a real number in float range, got {value!r}")
 
 
-def _require_unit(name: str, value: float) -> float:
-    """``value`` as a float (-0.0 as +0.0) if it lies in [0, 1]; nan and
-    +-inf fail the comparison and raise with the rest outside it."""
-    if not 0.0 <= value <= 1.0:
-        raise OutOfRange(f"{name} must lie in [0, 1], got {value}")
-    return float(value) + 0.0
+def _require_finite(name: str, value) -> float:
+    if not math.isfinite(x := _require_real(name, value)):
+        raise OutOfRange(f"{name} must be finite, got {x!r}")
+    return x
+
+
+def _require_unit(name: str, value) -> float:
+    """A real number in [0, 1]; nan and +-inf fail the comparison."""
+    if not 0.0 <= (x := _require_real(name, value)) <= 1.0:
+        raise OutOfRange(f"{name} must lie in [0, 1], got {x}")
+    return x
+
+
+def _require_tol(value) -> float:
+    """An oracle report's pass tolerance: a finite real number > 0."""
+    if not 0.0 < (tol := _require_real("tol", value)) < math.inf:
+        raise OutOfRange(f"must be finite and > 0, got {tol!r}")
+    return tol
 
 
 def _require_count(name: str, value: int, floor: int) -> int:
     """``value`` as an int if it is an integer (a numpy one included, a
     bool not) of at least ``floor``."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < floor:
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < floor:
         raise OutOfRange(f"{name} must be an integer >= {floor}, got {value!r}")
     return int(value)
 
@@ -130,7 +147,7 @@ def rho_upper_bound(c: ChannelParams, gamma: float) -> float:
     when the denominator or q vanishes. Found on the scaled powers, where
     (1-gamma) p1 cannot underflow."""
     p1, _, q, _, _ = _scaled(c)[0]
-    gbar_p1 = (1.0 - gamma) * p1
+    gbar_p1 = (1.0 - _require_unit("gamma", gamma)) * p1
     if gbar_p1 <= 0.0:
         return 0.0
     return min(1.0, q / gbar_p1)
@@ -201,9 +218,9 @@ class RatePoint:
 
     def __post_init__(self) -> None:
         for name in ("r1", "r02"):
-            v = _require_finite(name, getattr(self, name))
-            if v < 0.0:
-                raise OutOfRange(f"{name} must be >= 0, got {v}")
+            if not 0.0 <= (v := _require_real(name, getattr(self, name))) < math.inf:
+                raise OutOfRange(f"{name} must be finite and >= 0, got {v}")
+            object.__setattr__(self, name, v)
 
     @classmethod
     def clamped(cls, r1: float, r02: float) -> "RatePoint":
@@ -220,8 +237,8 @@ _TIE_TOL = 1e-12
 
 
 def _clamp_rate(x: float) -> float:
-    """The rate clamp: nan, every negative value and -0.0 read +0.0."""
-    return float(x) if x > 0.0 else 0.0
+    """The rate clamp of a real number: nan, a negative and -0.0 read +0.0."""
+    return x if (x := _require_real("a rate", x)) > 0.0 else 0.0
 
 
 SCHEMES = ("gdpc", "dpc", "informed-both", "nostate-outer")

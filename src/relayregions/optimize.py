@@ -81,6 +81,7 @@ from .model import (
     _TIE_TOL,
     _check_scheme,
     _require_count,
+    _require_real,
     _require_unit,
     _scaled,
     rho_upper_bound,
@@ -122,9 +123,9 @@ class GridSpec:
                 f"steps_rho * steps_beta * (refine_iters + 1) must be <= {_MAX_SEARCH_CELLS}, "
                 f"got {self.steps_rho} * {self.steps_beta} * {self.refine_iters + 1}"
             )
-        if not 0.0 < self.refine_shrink < 1.0:
-            raise OutOfRange(f"refine_shrink must lie in (0, 1), got {self.refine_shrink}")
-        object.__setattr__(self, "refine_shrink", float(self.refine_shrink))
+        if not 0.0 < (shrink := _require_real("refine_shrink", self.refine_shrink)) < 1.0:
+            raise OutOfRange(f"refine_shrink must lie in (0, 1), got {shrink}")
+        object.__setattr__(self, "refine_shrink", shrink)
 
 
 DEFAULT_GRID = GridSpec()
@@ -359,7 +360,7 @@ def frontier(
     Of points with equal r1 and r02 the smallest gamma is kept.
     """
     _check_scheme(scheme)
-    gammas = sorted({_require_unit("gamma", float(g)) for g in gamma_grid})
+    gammas = sorted({_require_unit("gamma", g) for g in gamma_grid})
     if not gammas:
         raise OutOfRange("gamma_grid must hold at least one gamma")
     solved = _solve_all(scheme, [(c, gamma) for gamma in gammas], grid)
@@ -412,7 +413,7 @@ def sweep_snr(
     _check_scheme(scheme)
     points: list[tuple[float, float, ChannelParams | None]] = []
     for snr in snr_db_list:
-        snr = float(snr)
+        snr = _require_real("snr_db", snr)
         try:
             n1 = base.p1 / 10.0 ** (snr / 10.0)
         except ArithmeticError:  # 10**(snr/10) overflows, or underflows to 0

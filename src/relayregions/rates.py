@@ -72,6 +72,7 @@ from .model import (
     OutOfRange,
     _TIE_TOL,
     _clamp_rate,
+    _require_real,
     _require_unit,
     _scaled,
     validate_gdpc,
@@ -81,10 +82,11 @@ _LN2 = math.log(2.0)
 
 
 def cap_c(x: float) -> float:
-    """Gaussian capacity function 0.5*log2(1+x), x >= 0, in bits; a
-    negative or nan x raises OutOfRange."""
-    if not x >= 0:
+    """Gaussian capacity function 0.5*log2(1+x) in bits, of a finite x >= 0."""
+    if not (x := _require_real("cap_c argument", x)) >= 0:  # nan too
         raise OutOfRange(f"cap_c argument must be >= 0, got {x}")
+    if x == math.inf:
+        raise OutOfRange(f"cap_c argument must be finite, got {x}")
     return 0.5 * math.log1p(x) / _LN2
 
 

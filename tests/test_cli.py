@@ -544,7 +544,7 @@ class TestVerifyCommand:
     def test_negative_seed_rejected(self, capsys):
         code, _, err = run(capsys, "verify", "--seed", "-1")
         assert code == 2
-        assert err.startswith("error: seed: must be >= 0, got -1")
+        assert err == "error: seed: seed must be an integer >= 0, got -1\n"
 
     @pytest.mark.parametrize(
         "fields, name",

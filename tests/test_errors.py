@@ -26,6 +26,7 @@ from relayregions import (
     frontier,
     gdpc_rates,
     nostate_terms,
+    rho_upper_bound,
 )
 from relayregions import cli, dmc, gaussian, model, optimize, rates
 from relayregions.dmc import AXES, compose_full, make_degraded_channel
@@ -52,6 +53,16 @@ REJECTIONS = [
     ),
     ("span", lambda: ChannelParams(1.0, 0.0, 0.0, 2.0**-500, 2.0), f"{_SPAN} 3.054936363499605e-151 to 2.0"),
     ("cap_c", lambda: cap_c(-1e-9), "cap_c argument must be >= 0, got -1e-09"),
+    ("cap_c-inf", lambda: cap_c(math.inf), "cap_c argument must be finite, got inf"),
+    # min(1.0, nan) is 1.0, so an unchecked nan gamma read as a full bound
+    *(
+        (
+            f"rho_upper_bound-{gamma}",
+            lambda gamma=gamma: rho_upper_bound(ChannelParams(1.0, 1.0, 1.0, 0.1, 1.0), gamma),
+            f"gamma must lie in [0, 1], got {gamma}",
+        )
+        for gamma in (math.nan, -1.0, 2.0, math.inf)
+    ),
     # nan fails every comparison, so an x < 0 test would let it through
     ("cap_c-nan", lambda: cap_c(float("nan")), "cap_c argument must be >= 0, got nan"),
     # the four channels below span more than 2**500, and their closed

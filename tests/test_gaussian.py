@@ -1023,7 +1023,12 @@ class TestReports:
 
     @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf, "1e-9", [1e-9], None, True])
     def test_unusable_tol_is_out_of_range(self, tol):
-        message = re.escape(f"must be finite and > 0, got {tol!r}")
+        # the whole message, for a float outside (0, inf) or a value that is
+        # no real number
+        rule = "must be finite and > 0"
+        if not isinstance(tol, float):
+            rule = "tol must be a real number in float range"
+        message = "^" + re.escape(f"{rule}, got {tol!r}") + "$"
         with pytest.raises(OutOfRange, match=message):
             VerifyReport("demo", tol, (TermCheck("t", 0.5, 0.5),))
         p = InformedBothParams(0.5, 0.5)

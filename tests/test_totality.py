@@ -9,12 +9,19 @@ past it. Inside the bound an entry must answer: the only error left is a
 a product past the float range in the caller's scale as +inf. This
 is what guards the float-range checks the closed forms no longer make.
 Discrete specs have alphabets of 1 to 3 symbols, p_s entries of 0 or the
-smallest subnormal, and channel rows that hold zeros."""
+smallest subnormal, and channel rows that hold zeros.
+
+The type axis calls each public float argument with values of other
+types: a real number that is not a float (a numpy scalar or a Fraction)
+answers as float(value) does, and every other value (a bool, text, None,
+a complex, an integer past float range, a list) raises OutOfRange."""
 
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from relayregions import (
@@ -23,7 +30,13 @@ from relayregions import (
     DmcSpec,
     GdpcParams,
     GridSpec,
+    InformedBothParams,
+    OutOfRange,
+    RatePoint,
     RelayRegionsError,
+    TermCheck,
+    VerifyReport,
+    cap_c,
     dmc_maximize,
     frontier,
     gdpc_rates,
@@ -32,6 +45,9 @@ from relayregions import (
     nostate_terms,
     rho_upper_bound,
     sweep_snr,
+    verify_gdpc,
+    verify_informed_both,
+    verify_relay_identity,
 )
 
 from references import PROPERTY
@@ -168,3 +184,65 @@ def test_dmc_maximize_answers_or_raises_typed(d):
             res = _total(lambda: dmc_maximize(d, bounds, 4, objective))
             if res is not None:
                 _assert_rates([res.value.r1, res.value.r02])
+
+
+def _slots(cls, base):
+    """One entry per field of cls: the value in that field, base elsewhere."""
+    return {
+        f"{cls.__qualname__}.{i}": lambda x, i=i: cls(*base[:i], x, *base[i + 1:])
+        for i in range(len(base))
+    }
+
+
+_C = ChannelParams(1.0, 1.0, 1.0, 0.1, 2.0)
+_G = GdpcParams(0.2, 0.3, 0.4, 0.5)
+_P = InformedBothParams(0.5, 0.5)
+# every public float argument, as a call of the one value it varies
+TYPE_ENTRIES = {
+    **_slots(ChannelParams, (1.0, 1.0, 1.0, 0.1, 2.0)),
+    **_slots(GdpcParams, (0.5, 0.0, 0.5, 0.5)),
+    **_slots(InformedBothParams, (0.5, 0.5)),
+    **_slots(RatePoint, (0.5, 0.5)),
+    **_slots(RatePoint.clamped, (0.5, 0.5)),
+    "GridSpec.refine_shrink": lambda x: GridSpec(5, 5, 2, x),
+    "cap_c": cap_c,
+    "rho_upper_bound": lambda x: rho_upper_bound(_C, x),
+    "nostate_terms.gamma": lambda x: nostate_terms(_C, x, 0.5),
+    "nostate_terms.beta3": lambda x: nostate_terms(_C, 0.5, x),
+    "max_beta_nostate": lambda x: max_beta_nostate(_C, x),
+    "max_r02_gdpc": lambda x: max_r02_gdpc(_C, x, SMALL),
+    "frontier": lambda x: frontier(_C, "gdpc", [x], SMALL),
+    "sweep_snr": lambda x: sweep_snr(_C, [x], "dpc", SMALL),
+    "verify_gdpc": lambda x: verify_gdpc(_C, _G, x),
+    "verify_informed_both": lambda x: verify_informed_both(_C, _P, x),
+    "verify_relay_identity": lambda x: verify_relay_identity(_C, _P, x),
+    "VerifyReport": lambda x: VerifyReport("t", x, (TermCheck("t", 0.5, 0.5),)),
+}
+REALS = [np.float32(0.5), np.int64(1), Fraction(1, 2)]
+NOT_REALS = [True, np.True_, "1", None, 1 + 0j, 10**400, [1.0]]
+
+
+def _outcome(call, value):
+    """repr of what call(value) returns, or the OutOfRange it raises; any
+    other exception fails the test."""
+    try:
+        return repr(call(value))
+    except OutOfRange as e:
+        return f"OutOfRange: {e}"
+
+
+@pytest.mark.parametrize("value", REALS, ids=["float32", "int64", "fraction"])
+@pytest.mark.parametrize("entry", TYPE_ENTRIES)
+def test_a_real_number_answers_as_its_float(entry, value):
+    call = TYPE_ENTRIES[entry]
+    assert _outcome(call, value) == _outcome(call, float(value))
+
+
+@pytest.mark.parametrize(
+    "value", NOT_REALS, ids=["bool", "np-bool", "str", "none", "complex", "huge-int", "list"]
+)
+@pytest.mark.parametrize("entry", TYPE_ENTRIES)
+def test_a_value_that_is_no_float_is_out_of_range(entry, value):
+    with pytest.raises(OutOfRange) as info:
+        TYPE_ENTRIES[entry](value)
+    assert str(info.value).endswith(f"got {value!r}")
