@@ -58,7 +58,9 @@ from .model import (
     _require_count,
     _require_real,
     _require_tol,
+    _require_unit,
     rho_upper_bound,
+    validate_gdpc,
 )
 from .optimize import DEFAULT_GRID, GridSpec, frontier, sweep_snr
 from .rates import gdpc_rates
@@ -188,19 +190,19 @@ def _ladder(a: float, b: float, step: float) -> list[float]:
     return [a + i * step for i in range(_check_points(math.floor(span) + 1))]
 
 
-def _axis(expand, name: str):
+def _axis(expand, name: str, check):
     """A parser for 'a:b:x', expanded by expand(a, b, x), or a comma or
-    JSON list of numbers, each called name."""
+    JSON list of numbers; each value, called name, must pass check."""
 
     def parse(value) -> list[float]:
         if isinstance(value, str) and ":" in value:
             ends = value.split(":")
             if len(ends) != 3:
                 raise OutOfRange(f"a range has three fields a:b:x, got {value!r}")
-            return expand(*_floats(ends))
+            return [check(name, v) for v in expand(*_floats(ends))]
         if isinstance(value, str):
             value = [p for p in value.split(",") if p.strip()]
-        return [_require_real(name, v) for v in _floats(value)]
+        return [check(name, v) for v in _floats(value)]
 
     return parse
 
@@ -260,8 +262,10 @@ _OPTIONS = {
     "out": (None, _text, "output path (default: stdout)"),
     "grid": (DEFAULT_GRID, _grid, f"search grid {_GRID_FORM}"),
     "scheme": ("gdpc", _text, f"one of {', '.join(SCHEMES)}"),
-    "gamma_grid": (_linspace(0, 1, 21), _axis(_linspace, "gamma"), "a:b:n or explicit comma list"),
-    "snr_db": (_Required("--snr-db"), _axis(_ladder, "snr_db"), "a:b:step or explicit comma list"),
+    "gamma_grid": (_linspace(0, 1, 21), _axis(_linspace, "gamma", _require_unit),
+                   "a:b:n or explicit comma list"),
+    "snr_db": (_Required("--snr-db"), _axis(_ladder, "snr_db", _require_real),
+               "a:b:step or explicit comma list"),
     "params": (
         _Required("--params gamma,rho,beta,alpha2"), _record(GdpcParams), "gamma,rho,beta,alpha2"
     ),
@@ -292,11 +296,16 @@ def _options(args: argparse.Namespace, cfg: dict) -> argparse.Namespace:
             raw = (dmc_cfg if key in _DMC_KEYS else cfg).get(key)
         if raw is None and isinstance(default, _Required):
             raise OutOfRange(f"{args.command} needs {default} (or {key} in the config)")
-        try:
-            setattr(opts, key, default if raw is None else parse(raw))
-        except RelayRegionsError as e:
-            raise type(e)(f"{key}: {e}") from None
+        setattr(opts, key, default if raw is None else _keyed(key, parse, raw))
     return opts
+
+
+def _keyed(key: str, check, *args):
+    """check(*args), with a RelayRegionsError's message led by the key it concerns."""
+    try:
+        return check(*args)
+    except RelayRegionsError as e:
+        raise type(e)(f"{key}: {e}") from None
 
 
 def _load_config(path: str | None) -> dict:
@@ -465,6 +474,7 @@ def _cmd_dmc(o: argparse.Namespace) -> int:
 
 
 def _cmd_point(o: argparse.Namespace) -> int:
+    _keyed("params", validate_gdpc, o.channel, o.params)  # rho's bound depends on the channel
     r = gdpc_rates(o.channel, o.params)
     if math.inf in r[3:]:  # a product that cannot be printed
         raise OutOfRange(

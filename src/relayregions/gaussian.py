@@ -31,7 +31,6 @@ that is, one extra pass of B's kept labels on top of C and A.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from operator import mul
@@ -102,19 +101,7 @@ class CovarianceSystem:
             raise OutOfRange("sigma must be symmetric")
         if float(np.linalg.eigvalsh(unit).min(initial=0.0)) < _PSD_TOL:
             raise OutOfRange("sigma is not positive semidefinite")
-        sigma.flags.writeable = False
-        object.__setattr__(self, "sigma", sigma)
-        object.__setattr__(self, "labels", tuple(self.labels))
-
-    # Prepared on first use, once per covariance, for all of its terms:
-    # sigma as nested lists for the residual passes, and each label's index
-    @functools.cached_property
-    def _rows(self) -> list[list[float]]:
-        return self.sigma.tolist()
-
-    @functools.cached_property
-    def _positions(self) -> dict[str, int]:
-        return {label: i for i, label in enumerate(self.labels)}
+        _prepare(self, tuple(self.labels), sigma)
 
     def index(self, label: str) -> int:
         try:
@@ -128,6 +115,19 @@ class CovarianceSystem:
 
     def cov(self, a: str, b: str) -> float:
         return float(self.sigma[self.index(a), self.index(b)])
+
+
+def _prepare(cov: CovarianceSystem, labels: tuple[str, ...], sigma: np.ndarray) -> CovarianceSystem:
+    """Set cov's fields, and what every term of it reads: sigma, read-only,
+    as nested lists for the residual passes, and each label's index."""
+    sigma.flags.writeable = False
+    vars(cov).update(
+        labels=labels,
+        sigma=sigma,
+        _rows=sigma.tolist(),
+        _positions={label: i for i, label in enumerate(labels)},
+    )
+    return cov
 
 
 def _extend(s: list[list[float]], factor: list, cand: list[int]) -> tuple[list, list[float]]:
@@ -228,12 +228,7 @@ def _assemble(labels: tuple[str, ...], mix: np.ndarray, variances) -> Covariance
     literal, unique tuples, and on a channel's scaled powers
     (``model._scaled``) no entry leaves the float range."""
     factor = mix * np.sqrt(variances)
-    sigma = factor @ factor.T
-    sigma.flags.writeable = False
-    cov = object.__new__(CovarianceSystem)
-    object.__setattr__(cov, "labels", labels)
-    object.__setattr__(cov, "sigma", sigma)
-    return cov
+    return _prepare(object.__new__(CovarianceSystem), labels, factor @ factor.T)
 
 
 # Each builder's mix with its fixed 0/1 entries, read-only: the builder
@@ -387,7 +382,8 @@ class TermCheck:
 
 @dataclass(frozen=True)
 class VerifyReport:
-    """Outcome of one verification: passed iff max_abs_diff <= tol."""
+    """Outcome of one verification: passed iff every row's abs_diff <= tol.
+    max_abs_diff is nan if any row's is, whatever the row order."""
 
     name: str
     tol: float
@@ -400,11 +396,12 @@ class VerifyReport:
 
     @property
     def max_abs_diff(self) -> float:
-        return max(t.abs_diff for t in self.details)
+        diffs = [t.abs_diff for t in self.details]
+        return math.nan if any(map(math.isnan, diffs)) else max(diffs)
 
     @property
     def passed(self) -> bool:
-        return self.max_abs_diff <= self.tol
+        return all(t.abs_diff <= self.tol for t in self.details)
 
     def to_dict(self) -> dict:
         return {
@@ -416,10 +413,10 @@ class VerifyReport:
         }
 
 
-def _region_rows(terms: dict, s: str) -> tuple:
+def _region_rows(terms: dict, labels: tuple[str, ...], s: str) -> tuple:
     """(label, expression) of each expression of a ``model._TERMS`` entry,
-    r1 then r02, with axis s read as the label s and every other axis as
-    its upper-case name."""
+    r1 then r02: axis s reads as the label s and every other axis as its
+    upper-case name, and the expression holds each set as indices in labels."""
     rows = []
     for expr in terms["r1"] + terms["r02"]:
         expr = tuple(
@@ -431,18 +428,19 @@ def _region_rows(terms: dict, s: str) -> tuple:
             f"{'|' if c else ''}{','.join(c)})"
             for i, (sign, a, b, c) in enumerate(expr)
         )
-        rows.append((label, expr))
+        indexed = tuple((sign, *(tuple(map(labels.index, x)) for x in t)) for sign, *t in expr)
+        rows.append((label, indexed))
     return tuple(rows)
 
 
-_INFORMED_BOTH_ROWS = _region_rows(_TERMS["informed-both"], "S")
-_GDPC_ROWS = _region_rows(_TERMS["informed-source"], "Sprime")
+_INFORMED_BOTH_ROWS = _region_rows(_TERMS["informed-both"], _BOTH_LABELS, "S")
+_GDPC_ROWS = _region_rows(_TERMS["informed-source"], _SOURCE_LABELS, "Sprime")
 
 
 def _region_checks(cov: CovarianceSystem, rows: tuple, closed: tuple) -> tuple:
     """A TermCheck per row against its closed form; shared terms run once."""
     values: dict = {}
-    cmi = functools.partial(gaussian_cmi, cov)
+    cmi = lambda a, b, c: _cmi_from_sigma(cov._rows, a, b, c)  # noqa: E731
     return tuple(
         TermCheck(label, _expression(expr, cmi, values), x)
         for (label, expr), x in zip(rows, closed)
@@ -489,10 +487,11 @@ def verify_gdpc(c: ChannelParams, g: GdpcParams, tol: float = 1e-9) -> VerifyRep
     no finite log (log 0, or a 0/0 limit where the binning power
     vanishes) raises SingularSubmatrix.
     """
-    cov = build_cov_informed_source(c, g)
-    _, _, r1, r2, private = _gdpc_point(c, g)
+    # the closed forms first: a ratio with no finite log needs no covariance
+    _, _, r1, r2, private = _gdpc_point(c, validate_gdpc(c, g))
     if not (math.isfinite(r1) and math.isfinite(r2)):
         raise SingularSubmatrix(f"a closed-form ratio has no finite log at {g} on {c}")
+    cov = build_cov_informed_source(c, g)
     closed = (private, float(r1), float(r2))
     return VerifyReport("gdpc-closed-forms", tol, _region_checks(cov, _GDPC_ROWS, closed))
 

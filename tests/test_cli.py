@@ -53,6 +53,9 @@ ERROR_RUNS = [
     "dmc --pipes --config tests/data/dmc_top_level_key.json",
     "frontier --gamma-grid 0:1:1e14",
     "sweep-snr --snr-db 0:1e14:1",
+    "frontier --gamma-grid 0,2",
+    "frontier --gamma-grid 0:2:3",
+    "point --channel 1,1,0.1,0.1,1 --params 0.2,0.99,0.4,0.5",
 ]
 
 
@@ -190,6 +193,12 @@ class TestGoldenOutputs:
                 ["dmc", "--pipes", "--denominator", "8", "--objective", "r1"],
             ),
             ("dmc_pipes_d16.out.json", ["dmc", "--pipes", "--denominator", "16"]),
+            # a stuck-at defect at s = 1 with p_s = (3/4, 1/4): r02 reaches
+            # its capacity 1 - 1/4
+            (
+                "dmc_defect_d16.out.json",
+                ["dmc", "--config", str(DATA / "dmc_defect.json"), "--denominator", "16"],
+            ),
             # the one golden whose distinct tied keys outnumber a chunk, so
             # the pool waits to double before each compaction
             (
@@ -197,7 +206,7 @@ class TestGoldenOutputs:
                 ["dmc", "--pipes", "--denominator", "16", "--objective", "r1"],
             ),
         ],
-        ids=["pipes", "two-state", "pipes-r1", "pipes-d16", "pipes-d16-r1"],
+        ids=["pipes", "two-state", "pipes-r1", "pipes-d16", "defect-d16", "pipes-d16-r1"],
     )
     def test_dmc_byte_identical(self, capsys, name, argv):
         """dmc JSON of the search that ties rates within 1e-12 bits and
@@ -687,8 +696,10 @@ class TestInputRejections:
             (["frontier", "--channel", CHANNEL, "--gamma-grid", "0:1:0"], "gamma_grid"),
             (["frontier", "--channel", CHANNEL, "--gamma-grid", "0:1"], "gamma_grid"),
             (["sweep-snr", "--channel", CHANNEL, "--snr-db", "0:10:0"], "snr_db"),
+            # gammas past [0, 1] and rho past its bound are in ERROR_RUNS
+            (["frontier", "--gamma-grid", "0,nan"], "gamma_grid"),
         ],
-        ids=["channel-fields", "no-points", "two-fields", "zero-step"],
+        ids=["channel-fields", "no-points", "two-fields", "zero-step", "gamma-nan"],
     )
     def test_flag(self, capsys, argv, name):
         code, out, err = run(capsys, *argv)
@@ -700,8 +711,9 @@ class TestInputRejections:
         [
             ('{"channel": {"p1": 1}}', "error: channel: needs exactly the keys"),
             ("[1, 2]", "error: config file must hold a JSON object"),
+            ('{"gamma_grid": [0.5, 1.5]}', "error: gamma_grid: gamma must lie in [0, 1], got 1.5"),
         ],
-        ids=["channel-keys", "not-an-object"],
+        ids=["channel-keys", "not-an-object", "gamma-past-one"],
     )
     def test_config(self, capsys, tmp_path, text, message):
         cfg = tmp_path / "run.json"

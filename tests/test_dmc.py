@@ -22,6 +22,7 @@ from relayregions import (
 )
 from relayregions import dmc
 from relayregions.dmc import AXES, compose_full, make_degraded_channel
+from relayregions.model import _TIE_TOL
 
 from references import PROPERTY, _per_term_evaluate, _product_compositions, _reference_maximize
 
@@ -311,6 +312,37 @@ class TestMaximize:
         r2 = dmc_maximize(d, bounds="informed-source", denominator=4)
         assert np.array_equal(r1.best.pmf, r2.best.pmf)
         assert r1.value == r2.value
+
+
+def _stateful_spec(b: float, useless: bool) -> DmcSpec:
+    """|s| = |u2| = |x1| = |y1| = |y2| = 2, |u1| = |x2| = 1, y2 = y1 and
+    p_s = (1 - b, b). At s = 0, y1 = x1; at s = 1, y1 is stuck at 1 (a
+    defect), or uniform whatever x1 is (a useless state)."""
+    channel = np.zeros((2, 2, 1, 2, 2))
+    for x1 in range(2):
+        channel[0, x1, 0, x1, x1] = 1.0
+        if useless:
+            channel[1, x1, 0, 0, 0] = channel[1, x1, 0, 1, 1] = 0.5
+        else:
+            channel[1, x1, 0, 1, 1] = 1.0
+    return DmcSpec(sizes=(2, 1, 2, 2, 1, 2, 2), p_s=(1.0 - b, b), channel=channel)
+
+
+class TestStatefulAnchors:
+    """Textbook capacities with a real state. A stuck-at defect known at
+    the encoder costs only the stuck share: capacity 1 - b (Kuznetsov &
+    Tsybakov 1974; Heegard & El Gamal 1983). A state that makes y1 uniform
+    cannot help: capacity is that of a BSC(b/2), 1 - h(b/2)."""
+
+    @pytest.mark.parametrize("bounds", list(BOUNDS))
+    @pytest.mark.parametrize("denominator", [4, 8])
+    @pytest.mark.parametrize("b", [0.25, 0.5])
+    @pytest.mark.parametrize("useless", [False, True], ids=["defect", "useless-state"])
+    def test_r02_reaches_capacity(self, useless, b, denominator, bounds):
+        p = b / 2
+        want = 1.0 + p * math.log2(p) + (1 - p) * math.log2(1 - p) if useless else 1.0 - b
+        res = dmc_maximize(_stateful_spec(b, useless), bounds, denominator)
+        assert abs(res.value.r02 - want) <= _TIE_TOL
 
 
 def _assert_matches_reference(d, bounds, denominator, objective):

@@ -183,11 +183,19 @@ class TestGaussianCmi:
             gaussian_cmi(_pair(0.3), ["A"], ["A"])
 
     def test_prepared_rows_and_index_are_a_fresh_evaluation(self):
-        """A covariance prepares its rows and label index on first use;
-        every call after it reads them and must give the same bits."""
+        """A covariance prepares its rows and label index when it is built,
+        by either route; every call reads them and must give the same bits."""
         cov = CovarianceSystem(
             ("X", "Y", "Z"), [[2.0, 0.3, 0.1], [0.3, 1.0, 0.4], [0.1, 0.4, 3.0]]
         )
+        for built in (cov, build_cov_informed_both(EXAMPLE, InformedBothParams(0.5, 0.5))):
+            assert vars(built) == {
+                "labels": built.labels,
+                "sigma": built.sigma,
+                "_rows": built.sigma.tolist(),
+                "_positions": {label: i for i, label in enumerate(built.labels)},
+            }
+            assert not built.sigma.flags.writeable
         want = _cmi_from_sigma(cov.sigma.tolist(), [0, 2], [1], [])
         for _ in range(2):
             assert gaussian_cmi(cov, ["X", "Z"], ["Y"]) == want
@@ -1039,6 +1047,13 @@ class TestReports:
         ):
             with pytest.raises(OutOfRange, match=message):
                 verify(EXAMPLE, params, tol)
+
+    def test_a_nan_row_fails_in_any_order(self):
+        rows = (TermCheck("u", 0.0, 0.0), TermCheck("t", math.nan, 0.0))
+        for details in (rows, rows[::-1]):
+            rep = VerifyReport("x", 1e-9, details)
+            assert math.isnan(rep.max_abs_diff)
+            assert rep.to_dict()["pass"] is rep.passed is False
 
     def test_a_report_needs_a_row(self):
         with pytest.raises(OutOfRange, match="at least one term row"):

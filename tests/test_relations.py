@@ -246,3 +246,31 @@ def test_rho_bound_keeps_its_bits_on_subnormal_powers():
         runs.append((rho_upper_bound(c, gamma), verdict, max_r02_gdpc(c, gamma)))
     assert runs[0] == runs[1] == runs[2]
     assert runs[1][:2] == (1.0, g)
+
+
+# Concavity: time sharing between two points of a region is achievable, so
+# a traced frontier that dips below the chord of two of its points prints a
+# region smaller than the one it achieves.
+
+
+def _worst_dip(points) -> float:
+    """How far the frontier's most sunken point lies below the chord of
+    two others, with r02 read over r1 (0 for a concave frontier)."""
+    r1 = np.array([p.rate.r1 for p in points])
+    r02 = np.array([p.rate.r02 for p in points])
+    i, j, k = np.meshgrid(*[np.arange(len(points))] * 3, indexing="ij")
+    between = (r1[i] < r1[j]) & (r1[j] < r1[k])
+    i, j, k = i[between], j[between], k[between]
+    chord = r02[i] + (r02[k] - r02[i]) * (r1[j] - r1[i]) / (r1[k] - r1[i])
+    return float(np.max(chord - r02[j], initial=0.0))
+
+
+@pytest.mark.parametrize("scheme", ["gdpc", "dpc", "nostate-outer"])
+def test_frontiers_are_concave(scheme):
+    # twelve channels over the benchmark's ranges: p1 .2-4, p2 0-4, q .1-4,
+    # n1 .05-1, n2/n1 1.5-8
+    rng = np.random.default_rng(12)
+    gammas = np.linspace(0.0, 1.0, 41).tolist()
+    for p1, p2, q, n1, ratio in rng.uniform([0.2, 0.0, 0.1, 0.05, 1.5], [4, 4, 4, 1, 8], (12, 5)):
+        c = ChannelParams(p1, p2, q, n1, n1 * ratio)
+        assert _worst_dip(frontier(c, scheme, gammas).points) <= 1e-9, c
