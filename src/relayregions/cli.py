@@ -60,9 +60,8 @@ from .model import (
     _require_tol,
     _require_unit,
     rho_upper_bound,
-    validate_gdpc,
 )
-from .optimize import DEFAULT_GRID, GridSpec, frontier, sweep_snr
+from .optimize import DEFAULT_GRID, GridSpec, _snr_n1, frontier, sweep_snr
 from .rates import gdpc_rates
 
 EXAMPLE_CHANNEL = ChannelParams(p1=1.0, p2=1.0, q=1.0, n1=0.1, n2=1.0)
@@ -375,6 +374,8 @@ def _cmd_frontier(o: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(o: argparse.Namespace) -> int:
+    for snr in o.snr_db:  # n1 needs the channel, so no option parser can check it
+        _keyed("snr_db", _snr_n1, o.channel.p1, snr)
     rows = sweep_snr(o.channel, o.snr_db, o.scheme, o.grid)
     lines = ["scheme,snr_db,n1,rate,skipped"]
     for row in rows:
@@ -389,6 +390,12 @@ def _cmd_sweep(o: argparse.Namespace) -> int:
 def _verify_reports(
     channel: ChannelParams, tol: float, seed: int, mc_samples: int
 ) -> list[VerifyReport]:
+    # the sample count is checked where it is used: draw first, so a bad
+    # count fails before the other reports run; its report comes last
+    cov = build_cov_informed_both(channel, InformedBothParams(0.5, 0.5))
+    estimate = _keyed(
+        "mc_samples", sample_mi_estimate, cov, ["U1", "U2"], ["Y2"], [], mc_samples, seed
+    )
     rng = np.random.default_rng(seed)
     reports: list[VerifyReport] = []
 
@@ -420,8 +427,6 @@ def _verify_reports(
             verify_relay_identity(channel, InformedBothParams(gamma, beta), tol)
         )
 
-    cov = build_cov_informed_both(channel, InformedBothParams(0.5, 0.5))
-    estimate = sample_mi_estimate(cov, ["U1", "U2"], ["Y2"], [], mc_samples, seed)
     exact = gaussian_cmi(cov, ["U1", "U2"], ["Y2"], [])
     reports.append(
         VerifyReport(
@@ -440,13 +445,13 @@ def _verify_reports(
 
 
 def _cmd_verify(o: argparse.Namespace) -> int:
+    reports = _verify_reports(o.channel, o.tol, o.seed, o.mc_samples)
     if o.channel is EXAMPLE_CHANNEL:  # parsing always builds a new one
         print(
             "note: no channel given; using the example channel "
             "p1=1 p2=1 q=1 n1=0.1 n2=1 (noise powers ordered n1 < n2: "
             "the relay branch is the cleaner one by construction)"
         )
-    reports = _verify_reports(o.channel, o.tol, o.seed, o.mc_samples)
     for rep in reports:
         status = "PASS" if rep.passed else "FAIL"
         print(f"{rep.name}: {status} max_abs_diff={_fmt(rep.max_abs_diff)} tol={_fmt(rep.tol)}")
@@ -474,8 +479,7 @@ def _cmd_dmc(o: argparse.Namespace) -> int:
 
 
 def _cmd_point(o: argparse.Namespace) -> int:
-    _keyed("params", validate_gdpc, o.channel, o.params)  # rho's bound depends on the channel
-    r = gdpc_rates(o.channel, o.params)
+    r = _keyed("params", gdpc_rates, o.channel, o.params)  # rho's bound depends on the channel
     if math.inf in r[3:]:  # a product that cannot be printed
         raise OutOfRange(
             f"the products a, b, c, d and qprime leave the float range at {o.params} on {o.channel}"

@@ -60,7 +60,8 @@ def _check_pmf(name: str, p: np.ndarray, axis=None) -> None:
 @dataclass(frozen=True, eq=False)
 class DmcSpec:
     """A discrete channel: alphabet sizes for (s,u1,u2,x1,x2,y1,y2), the
-    interference pmf p_s and the channel law p(y1,y2|x1,x2,s)."""
+    interference pmf p_s, stored divided by its sum once checked (a sum of
+    exactly 1 keeps its bits), and the channel law p(y1,y2|x1,x2,s)."""
 
     sizes: tuple[int, ...]
     p_s: np.ndarray
@@ -84,6 +85,7 @@ class DmcSpec:
             )
         _check_pmf("p_s", p_s)
         _check_pmf("channel rows", channel, axis=(3, 4))
+        p_s /= p_s.sum()
         p_s.flags.writeable = False
         channel.flags.writeable = False
         object.__setattr__(self, "sizes", tuple(int(n) for n in self.sizes))
@@ -259,11 +261,11 @@ def dmc_maximize(
     A search of more than _MAX_CELLS joint cells (candidates times the
     cells of a joint) raises OutOfRange before anything is built.
     Candidates are enumerated in chunks of at most _CHUNK_CELLS joint
-    cells from the _compositions table; each chunk's pmf sums are checked
-    once, and _screen computes the chunk's rates at once. The state
-    marginals need no check: a candidate's is a sum of
-    fl(k/denominator * p_s[s]) whose k/denominator sum to 1 exactly, so
-    it lies within about 6e-14 of p_s[s], far inside _PMF_TOL. A pool
+    cells from the _compositions table, and _screen computes a chunk's
+    rates at once. No candidate is checked: its state marginal is a sum of
+    fl(k/denominator * p_s[s]) whose k/denominator sum to 1 exactly, so it
+    lies within about 6e-14 of p_s[s], and the spec's p_s sums to 1 up to
+    rounding, so each candidate is a valid AuxJoint by construction. A pool
     keeps the keys and indices of the candidates within the tie width of
     the best primary rate so far. Once it holds more than a chunk and
     twice its size at its last compaction, it keeps one candidate per
@@ -305,9 +307,7 @@ def dmc_maximize(
     kept = 0  # the pool's size after its last compaction
     for start in range(0, total, step):
         index = np.arange(start, min(start + step, total))
-        pmf = strategies(index)
-        _check_pmf("aux joint", pmf, axis=(1, 2, 3, 4, 5))
-        rates = _screen(d, pmf, terms)
+        rates = _screen(d, strategies(index), terms)
         chunk = np.stack(rates[::-1] if objective == "r02" else rates)
         top = max(top, float(chunk[0].max()))
         keys, ids = np.hstack([keys, chunk]), np.concatenate([ids, index])

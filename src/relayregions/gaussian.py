@@ -158,16 +158,7 @@ def _extend(s: list[list[float]], factor: list, cand: list[int]) -> tuple[list, 
 
 
 def _unique_indices(cov: CovarianceSystem, labels: Iterable[str]) -> list[int]:
-    positions = cov._positions
-    out: list[int] = []
-    for lab in labels:
-        try:
-            i = positions[lab]
-        except (KeyError, TypeError):
-            i = cov.index(lab)  # raises OutOfRange, naming lab
-        if i not in out:
-            out.append(i)
-    return out
+    return list(dict.fromkeys(map(cov.index, labels)))
 
 
 def gaussian_cmi(

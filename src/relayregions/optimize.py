@@ -132,10 +132,9 @@ DEFAULT_GRID = GridSpec()
 
 # Most (rho, beta) cells one pass of the batched search evaluates: five
 # default gdpc rows. A kernel call costs about 75 us of numpy dispatch
-# whatever its size, and five rows share it while the pass's temporaries,
-# about 37 floats a cell (1.6 MB), still fit a 2 MiB L2 cache; more rows
-# spill out of it and run slower. The 33-cell rows of a dpc frontier share
-# one pass.
+# whatever its size, and the rows of a pass share it; five rows is the
+# pass size that measured fastest in the benchmark harness. The 33-cell
+# rows of a dpc frontier share one pass.
 _PASS_CELLS = 5 * DEFAULT_GRID.steps_rho * DEFAULT_GRID.steps_beta
 
 
@@ -397,6 +396,20 @@ class SweepRow:
         return self.rate is None
 
 
+def _snr_n1(p1: float, snr: float) -> float:
+    """The n1 = p1/10**(snr/10) an SNR in dB sets, which must be a
+    positive finite power."""
+    try:
+        n1 = p1 / 10.0 ** (snr / 10.0)
+    except ArithmeticError:  # 10**(snr/10) overflows, or underflows to 0
+        n1 = math.nan
+    if not 0.0 < n1 < math.inf:
+        raise OutOfRange(
+            f"snr_db {snr} gives n1 = p1/10**(snr_db/10) = {n1}, not a positive finite power"
+        )
+    return n1
+
+
 def sweep_snr(
     base: ChannelParams,
     snr_db_list,
@@ -414,15 +427,7 @@ def sweep_snr(
     points: list[tuple[float, float, ChannelParams | None]] = []
     for snr in snr_db_list:
         snr = _require_real("snr_db", snr)
-        try:
-            n1 = base.p1 / 10.0 ** (snr / 10.0)
-        except ArithmeticError:  # 10**(snr/10) overflows, or underflows to 0
-            n1 = math.nan
-        if not 0.0 < n1 < math.inf:
-            raise OutOfRange(
-                f"snr_db {snr} gives n1 = p1/10**(snr_db/10) = {n1}, "
-                "not a positive finite power"
-            )
+        n1 = _snr_n1(base.p1, snr)
         # n1 reaching n2 is not a valid channel: the row is skipped
         ch = ChannelParams(base.p1, base.p2, base.q, n1, base.n2) if n1 < base.n2 else None
         points.append((snr, n1, ch))

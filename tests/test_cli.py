@@ -56,6 +56,8 @@ ERROR_RUNS = [
     "frontier --gamma-grid 0,2",
     "frontier --gamma-grid 0:2:3",
     "point --channel 1,1,0.1,0.1,1 --params 0.2,0.99,0.4,0.5",
+    "sweep-snr --snr-db 0,nan",
+    "verify --mc-samples 5",
 ]
 
 
@@ -344,6 +346,14 @@ class TestSweepCommand:
         assert code == 2
         assert "snr" in err
 
+    def test_scheme_error_gains_no_snr_key(self, capsys):
+        # an SNR with no n1 names snr_db (ERROR_RUNS); the scheme's error is not keyed
+        code, out, err = run(
+            capsys, "sweep-snr", "--scheme", "bogus", "--snr-db", "0", "--grid", TINY_GRID
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: unknown scheme 'bogus'")
+
     @pytest.mark.parametrize("snr", ["4000", "-4000", "-inf", ","])
     def test_unusable_snr_list_rejected(self, capsys, snr):
         code, _, err = run(
@@ -549,6 +559,13 @@ class TestVerifyCommand:
         code, out, _ = run(capsys, "verify", "--config", str(cfg))
         assert code == 0
         assert "monte-carlo-crosscheck: PASS" in out
+
+    def test_bad_sample_count_fails_before_any_report(self, capsys, monkeypatch):
+        for name in ("verify_informed_both", "verify_gdpc", "verify_relay_identity"):
+            monkeypatch.setattr(f"relayregions.cli.{name}", mock.Mock(side_effect=AssertionError))
+        code, out, err = run(capsys, "verify", "--mc-samples", "5")
+        assert (code, out) == (2, "")
+        assert err == "error: mc_samples: n_samples must be an integer >= 1000, got 5\n"
 
     def test_negative_seed_rejected(self, capsys):
         code, _, err = run(capsys, "verify", "--seed", "-1")

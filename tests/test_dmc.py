@@ -85,6 +85,15 @@ class TestSpecValidation:
                 channel=np.ones((2, 2, 2, 2, 2)) / 4,
             )
 
+    def test_p_s_is_stored_normalized(self):
+        # a p_s inside the 1e-12 band is divided by its sum; one that sums
+        # to exactly 1 keeps its bits
+        ch = np.full((2, 2, 2, 2, 2), 0.25)
+        near = DmcSpec(sizes=(2, 1, 2, 2, 2, 2, 2), p_s=[0.75 - 0.9e-12, 0.25], channel=ch)
+        assert abs(near.p_s.sum() - 1.0) <= 2**-52
+        exact = DmcSpec(sizes=(2, 1, 2, 2, 2, 2, 2), p_s=[0.1, 0.9], channel=ch)
+        assert exact.p_s.tolist() == [0.1, 0.9]
+
     def test_channel_rows_must_normalize(self):
         bad = np.ones((1, 2, 2, 2, 2)) / 4
         bad[0, 0, 0] *= 0.9
@@ -232,9 +241,10 @@ class TestEvaluators:
 
     @pytest.mark.parametrize("bounds", sorted(BOUNDS))
     def test_evaluators_accept_the_search_answer(self, bounds):
-        # p_s and every channel row each pass the 1e-12 check, but their
-        # joint misses 1 by about 1.8e-12: the evaluators must still give
-        # back the value the search reports for its best strategy
+        # every channel row passes the 1e-12 check but misses 1 by 0.9e-12,
+        # and so does p_s before the spec divides it by its sum: the
+        # evaluators must still give back the value the search reports for
+        # its best strategy
         ch = np.zeros((2, 2, 1, 2, 2))
         for s, x1, y1, y2 in itertools.product(range(2), repeat=4):
             ch[s, x1, 0, y1, y2] = (0.9 if y1 == x1 ^ s else 0.1) * (0.8 if y2 == y1 else 0.2)
@@ -312,6 +322,40 @@ class TestMaximize:
         r2 = dmc_maximize(d, bounds="informed-source", denominator=4)
         assert np.array_equal(r1.best.pmf, r2.best.pmf)
         assert r1.value == r2.value
+
+
+class TestEdgeSpecs:
+    """A p_s that misses 1 by nearly 1e-12 is legal, and every strategy
+    the search builds from it must be too: the search checks none of them."""
+
+    @pytest.mark.parametrize(
+        "bounds, want", [("informed-source", (0.0, 0.0)), ("informed-both", (1.0, 0.0))]
+    )
+    def test_noiseless_spec_at_the_band_edge(self, bounds, want):
+        # p_s sums to 1 - 9.99978e-13; y1 = x1 and y2 is a constant
+        ch = np.zeros((2, 2, 1, 2, 1))
+        for s, x1 in itertools.product(range(2), repeat=2):
+            ch[s, x1, 0, x1, 0] = 1.0
+        d = DmcSpec(
+            sizes=(2, 1, 2, 2, 1, 2, 1), p_s=(0.6232655185893089, 0.3767344814096911), channel=ch
+        )
+        r = dmc_maximize(d, bounds, 16)
+        assert (r.value.r1, r.value.r02) == want
+        assert repr(BOUNDS[bounds](d, r.best)) == repr(r.value)
+
+    def test_random_specs_at_the_band_edge(self):
+        rng = np.random.default_rng(5)
+        sizes = (2, 1, 2, 2, 1, 2, 2)
+        for _ in range(16):
+            a = rng.uniform(0.05, 0.95)
+            b = 1.0 - a - 1e-12
+            while abs(a + b - 1.0) > dmc._PMF_TOL:  # raise b by ulps until p_s is legal
+                b = np.nextafter(b, 1.0)
+            ch = rng.dirichlet(np.full(4, 0.3), size=(2, 2, 1)).reshape(2, 2, 1, 2, 2)
+            d = DmcSpec(sizes=sizes, p_s=(a, b), channel=ch)
+            for bounds in sorted(BOUNDS):
+                r = dmc_maximize(d, bounds, 8)
+                assert repr(BOUNDS[bounds](d, r.best)) == repr(r.value)
 
 
 def _stateful_spec(b: float, useless: bool) -> DmcSpec:

@@ -145,6 +145,25 @@ def test_verify_reports_keep_their_bits_under_power_of_two_scale(row):
         assert got == want, k
 
 
+# Decimal scale. A decimal factor moves the rounding of every power, so
+# the bits may change, but the optima of the three regions may not move by
+# more than the tie width.
+
+DECIMAL_FACTORS = (1e-12, 1e-3, 7.0, 1e8)
+
+
+@settings(PROPERTY, max_examples=180)
+@given(scaled_rows())
+def test_optima_keep_their_values_under_decimal_scale(row):
+    c, knobs, _, _ = row
+    channels = [c] + [ChannelParams(*(v * f for v in astuple(c))) for f in DECIMAL_FACTORS]
+    problems = [(ch, knobs[0]) for ch in channels]
+    for scheme in ("gdpc", "dpc", "nostate-outer"):
+        want, *got = [value for *_, value in _solve_all(scheme, problems, None)]
+        for f, value in zip(DECIMAL_FACTORS, got):
+            assert abs(value - want) <= 1e-12, (c, knobs[0], scheme, f, value, want)
+
+
 # With p2 = 0 there is no relay, and dirty-paper coding loses nothing to
 # the interference (Costa, "Writing on dirty paper", 1983), so cancelling
 # part of it can only waste power: the dpc, gdpc and nostate-outer
