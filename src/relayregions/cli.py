@@ -245,6 +245,8 @@ def _dmc_spec(value) -> DmcSpec:
         channel = np.array(_nested_floats("channel", value["channel"]), dtype=float)
     except (KeyError, TypeError, ValueError) as e:
         raise OutOfRange(f"needs sizes, p_s and channel arrays: {e}") from None
+    except RecursionError:
+        raise OutOfRange("p_s or channel nests too deeply to read") from None
     return DmcSpec(sizes=sizes, p_s=p_s, channel=channel)
 
 
@@ -311,7 +313,10 @@ def _load_config(path: str | None) -> dict:
     if path is None:
         return {}
     with open(path, "r") as handle:
-        cfg = json.load(handle)
+        try:
+            cfg = json.load(handle)
+        except RecursionError:
+            raise OutOfRange("config file nests too deeply to read") from None
     if not isinstance(cfg, dict):
         raise OutOfRange("config file must hold a JSON object")
     # a key that nothing reads is a typo, not a value to drop silently

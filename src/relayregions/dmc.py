@@ -126,12 +126,14 @@ def compose_full(d: DmcSpec, a: AuxJoint) -> np.ndarray:
 
 
 def discrete_cmi(joint: np.ndarray, axes, set_a, set_b, set_c=()) -> float:
-    """I(A;B|C) in bits on a named-axis joint pmf, with 0 log 0 := 0,
-    clamped at 0 against rounding noise."""
+    """I(A;B|C) in bits on a joint pmf with one unique name per axis,
+    with 0 log 0 := 0, clamped at 0 against rounding noise."""
     joint = np.asarray(joint, dtype=float)
     axes = tuple(axes)
     if joint.ndim != len(axes):
         raise OutOfRange(f"joint has {joint.ndim} axes but {len(axes)} names given")
+    if len(set(axes)) != len(axes):
+        raise OutOfRange(f"axis names must be unique, got {axes}")
     _check_pmf("joint", joint)
     set_a, set_b, set_c = tuple(set_a), tuple(set_b), tuple(set_c)
     for name in (*set_a, *set_b, *set_c):

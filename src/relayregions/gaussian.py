@@ -157,10 +157,6 @@ def _extend(s: list[list[float]], factor: list, cand: list[int]) -> tuple[list, 
     return factor, logs
 
 
-def _unique_indices(cov: CovarianceSystem, labels: Iterable[str]) -> list[int]:
-    return list(dict.fromkeys(map(cov.index, labels)))
-
-
 def gaussian_cmi(
     cov: CovarianceSystem,
     set_a: Iterable[str],
@@ -176,10 +172,8 @@ def gaussian_cmi(
     kept label of B (a label kept in both A and B, say) the information
     diverges and SingularSubmatrix is raised.
     """
-    a_idx = _unique_indices(cov, set_a)
-    b_idx = _unique_indices(cov, set_b)
-    c_idx = _unique_indices(cov, set_c)
-    return _cmi_from_sigma(cov._rows, a_idx, b_idx, c_idx)
+    a, b, c = (list(dict.fromkeys(map(cov.index, x))) for x in (set_a, set_b, set_c))
+    return _cmi_from_sigma(cov._rows, a, b, c)
 
 
 def _cmi_from_sigma(
@@ -424,7 +418,9 @@ def _region_rows(terms: dict, labels: tuple[str, ...], s: str) -> tuple:
     return tuple(rows)
 
 
-_INFORMED_BOTH_ROWS = _region_rows(_TERMS["informed-both"], _BOTH_LABELS, "S")
+_INFORMED_BOTH_ROWS = _region_rows(  # the gated private-rate row first
+    {**_TERMS["informed-both"], "r1": (((+1, ("x1",), ("y1",), ("s", "u1", "u2", "x2")),),
+                                       *_TERMS["informed-both"]["r1"])}, _BOTH_LABELS, "S")
 _GDPC_ROWS = _region_rows(_TERMS["informed-source"], _SOURCE_LABELS, "Sprime")
 
 
@@ -444,12 +440,12 @@ def verify_informed_both(
     """Check that the both-informed construction achieves the
     no-interference region, term by term.
 
-    The gated private-rate row conditions the oracle on everything the
-    nearby user has decoded (S, U1, U2, X2), which is what the decoder
-    actually does and what matches cap_c(gamma*p1/n1). The row that
-    conditions on the cooperative layer only is reported as well, against
-    its own closed form cap_c((gamma + beta*(1-gamma))*p1/n1): leaving the
-    fresh layer undecoded folds its power into the private signal.
+    Every row, the gated private-rate row first, is read from the region
+    table. The gated row conditions on everything the nearby user has
+    decoded (S, U1, U2, X2), which is what the decoder does and what
+    matches cap_c(gamma*p1/n1). The region's own r1 row conditions on the
+    cooperative layer only, against cap_c((gamma + beta*(1-gamma))*p1/n1):
+    leaving the fresh layer undecoded folds its power into the private signal.
 
     Every compared value is free of q, which is the claimed interference
     independence of the capacity region. The two sum-rate rows compare
@@ -462,9 +458,7 @@ def verify_informed_both(
     partial = cap_c((p.gamma * p1 + p.beta * ((1.0 - p.gamma) * p1)) / n1)
     relay, combine = nostate_terms(c, p.gamma, p.beta)
     cov = build_cov_informed_both(c, p)
-    gated = gaussian_cmi(cov, ["X1"], ["Y1"], ["S", "U1", "U2", "X2"])
-    details = (TermCheck("I(X1;Y1|S,U1,U2,X2)", gated, private),
-               *_region_checks(cov, _INFORMED_BOTH_ROWS, (partial, relay, combine)))
+    details = _region_checks(cov, _INFORMED_BOTH_ROWS, (private, partial, relay, combine))
     return VerifyReport("informed-both-capacity", tol, details)
 
 
@@ -515,8 +509,8 @@ def sample_mi_estimate(
     seed: int,
 ) -> float:
     """Monte-Carlo replica of gaussian_cmi: draw the sample covariance
-    (divisor n-1) of n_samples joint Gaussian vectors and evaluate the
-    same residual-variance route on it.
+    (divisor n-1) of n_samples joint Gaussian vectors and evaluate
+    gaussian_cmi on it, under cov's labels.
 
     The sample covariance is not formed from n_samples vectors. With
     sigma = F F^T (F the symmetric eigendecomposition factor, which also
@@ -536,11 +530,10 @@ def sample_mi_estimate(
     """
     n_samples = _require_count("n_samples", n_samples, max(1000, len(cov.labels) + 1))
     seed = _require_count("seed", seed, 0)
-    sample_sigma = _sample_covariance(cov.sigma, n_samples, seed)
-    a_idx = _unique_indices(cov, set_a)
-    b_idx = _unique_indices(cov, set_b)
-    c_idx = _unique_indices(cov, set_c)
-    return _cmi_from_sigma(sample_sigma.tolist(), a_idx, b_idx, c_idx)
+    # the draw is a Gram product: prepared without the checks, as _assemble prepares one
+    draw = _sample_covariance(cov.sigma, n_samples, seed)
+    sample = _prepare(object.__new__(CovarianceSystem), cov.labels, draw)
+    return gaussian_cmi(sample, set_a, set_b, set_c)
 
 
 def _sample_covariance(sigma: np.ndarray, n_samples: int, seed: int) -> np.ndarray:

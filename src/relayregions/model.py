@@ -177,19 +177,13 @@ class GdpcParams:
 def validate_gdpc(c: ChannelParams, g: GdpcParams) -> GdpcParams:
     """Check the channel-coupled bound on rho and return ``g``.
 
-    rho may not exceed min(1, q/((1-gamma) p1)); when (1-gamma) p1 = 0 or
-    q = 0 there is nothing to cancel and rho must be exactly 0. Every
-    other condition is held by the types: a ChannelParams or GdpcParams
-    is valid because it was constructed.
+    rho may not exceed min(1, q/((1-gamma) p1)), which is 0 when
+    (1-gamma) p1 = 0 or q = 0: there is nothing to cancel, and as
+    GdpcParams holds rho >= 0, rho must then be exactly 0. Every other
+    condition is held by the types: a ChannelParams or GdpcParams is
+    valid because it was constructed.
     """
-    bound = rho_upper_bound(c, g.gamma)
-    if bound == 0.0:
-        if g.rho != 0.0:
-            raise OutOfRange(
-                "rho must be 0 when (1-gamma)*p1 = 0 or q = 0, "
-                f"got rho={g.rho}"
-            )
-    elif g.rho > bound:
+    if g.rho > (bound := rho_upper_bound(c, g.gamma)):
         raise OutOfRange(f"rho must be <= {bound} for this channel, got {g.rho}")
     return g
 

@@ -56,6 +56,7 @@ ERROR_RUNS = [
     "frontier --gamma-grid 0,2",
     "frontier --gamma-grid 0:2:3",
     "point --channel 1,1,0.1,0.1,1 --params 0.2,0.99,0.4,0.5",
+    "point --channel 1,1,0,0.1,1 --params 0.2,0.3,0.4,0.5",
     "sweep-snr --snr-db 0,nan",
     "verify --mc-samples 5",
 ]
@@ -724,18 +725,26 @@ class TestInputRejections:
         assert err.startswith(f"error: {name}:")
 
     @pytest.mark.parametrize(
-        "text, message",
+        "command, text, message",
         [
-            ('{"channel": {"p1": 1}}', "error: channel: needs exactly the keys"),
-            ("[1, 2]", "error: config file must hold a JSON object"),
-            ('{"gamma_grid": [0.5, 1.5]}', "error: gamma_grid: gamma must lie in [0, 1], got 1.5"),
+            ("frontier", '{"channel": {"p1": 1}}', "error: channel: needs exactly the keys"),
+            ("frontier", "[1, 2]", "error: config file must hold a JSON object"),
+            ("frontier", '{"gamma_grid": [0.5, 1.5]}',
+             "error: gamma_grid: gamma must lie in [0, 1], got 1.5"),
+            # json.load recurses once per level
+            ("frontier", '{"channel": ' + "[" * 100_000 + "]" * 100_000 + "}",
+             "error: config file nests too deeply to read\n"),
+            # the spec reader twice per level: 600 levels load, then fail to read
+            ("dmc", '{"dmc": {"sizes": [1, 1, 1, 1, 1, 1, 1], "p_s": '
+             + "[" * 600 + "1" + "]" * 600 + ', "channel": [1]}}',
+             "error: dmc: p_s or channel nests too deeply to read\n"),
         ],
-        ids=["channel-keys", "not-an-object", "gamma-past-one"],
+        ids=["channel-keys", "not-an-object", "gamma-past-one", "deep-json", "deep-dmc-spec"],
     )
-    def test_config(self, capsys, tmp_path, text, message):
+    def test_config(self, capsys, tmp_path, command, text, message):
         cfg = tmp_path / "run.json"
         cfg.write_text(text)
-        code, out, err = run(capsys, "frontier", "--config", str(cfg))
+        code, out, err = run(capsys, command, "--config", str(cfg))
         assert (code, out) == (2, "")
         assert err.startswith(message)
 

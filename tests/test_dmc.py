@@ -164,6 +164,13 @@ class TestDiscreteCmi:
         with pytest.raises(OutOfRange, match="7 axes but 6 names"):
             discrete_cmi(joint, AXES[:6], ["s"], ["u1"])
 
+    def test_axis_names_unique(self):
+        # two axes named "a" would read as one variable: I(a,c;b) of the
+        # same joint with distinct names, not an error
+        joint = np.random.default_rng(3).dirichlet(np.ones(8)).reshape(2, 2, 2)
+        with pytest.raises(OutOfRange, match="axis names must be unique"):
+            discrete_cmi(joint, ("a", "a", "b"), ["a"], ["b"])
+
     def test_disjointness_required(self):
         joint = np.full((1, 1, 2, 2, 2, 2, 2), 1 / 32)
         with pytest.raises(OutOfRange):

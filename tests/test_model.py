@@ -156,10 +156,15 @@ def test_validate_gdpc_caps_rho():
     validate_gdpc(c, GdpcParams(0.2, 0.5, 0.3, 0.3))
     with pytest.raises(OutOfRange):
         validate_gdpc(c, GdpcParams(0.2, 0.51, 0.3, 0.3))
-    # zero bound forces rho = 0
-    validate_gdpc(c, GdpcParams(1.0, 0.0, 0.3, 0.3))
-    with pytest.raises(OutOfRange):
-        validate_gdpc(c, GdpcParams(1.0, 0.1, 0.3, 0.3))
+    # a zero bound (gamma = 1, or q = 0) forces rho = 0, down to the
+    # smallest positive float
+    no_q = ChannelParams(1.0, 1.0, 0.0, 0.1, 1.0)
+    for chan, gamma in ((c, 1.0), (no_q, 0.2), (no_q, 1.0)):
+        g = GdpcParams(gamma, 0.0, 0.3, 0.3)
+        assert validate_gdpc(chan, g) is g
+        for rho in (5e-324, 0.1):
+            with pytest.raises(OutOfRange, match=r"rho must be <= 0\.0 for this channel"):
+                validate_gdpc(chan, GdpcParams(gamma, rho, 0.3, 0.3))
 
 
 def test_informed_both_params_bounds():

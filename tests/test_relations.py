@@ -250,6 +250,35 @@ def test_the_outer_bound_dominates_both_inner_bounds(row):
         assert x <= y + 1e-9, (c, gamma, x, y)
 
 
+# Monotone in the channel: more relay power, or a far branch less noisy
+# (n2 lowered toward n1, n1 < n2 kept), enlarges what every scheme can
+# reach, so no optimum may drop by more than the search's resolution,
+# 2.31e-7 bits until the search resolves ties to 1e-12 (ROADMAP item 6).
+
+SEARCH_RESOLUTION = 2.31e-7
+
+
+def test_optima_are_monotone_in_the_channel():
+    rng = np.random.default_rng(39)
+    problems = []
+    for _ in range(150):
+        scale = 10.0 ** rng.uniform(-12.0, 8.0)
+        p1, p2, q, n1 = (scale * 10.0 ** rng.uniform([-1.0, -2.0, -2.0, -2.0], 1.0)).tolist()
+        p2, q = (0.0 if rng.random() < 0.25 else v for v in (p2, q))
+        n2 = n1 * (1.0 + 10.0 ** rng.uniform(-3.0, 2.0))
+        c = ChannelParams(p1, p2, q, n1, n2)
+        more_p2 = replace(c, p2=p2 + scale * 10.0 ** rng.uniform(-2.0, 1.0))
+        less_n2 = replace(c, n2=n1 + (n2 - n1) * rng.uniform(0.05, 0.95))
+        gamma = (0.0, 0.3, rng.uniform())[rng.integers(3)]
+        problems += [(c, gamma), (more_p2, gamma), (less_n2, gamma)]
+    for scheme in ("gdpc", "dpc", "nostate-outer"):
+        values = [value for *_, value in _solve_all(scheme, problems, None)]
+        for i in range(0, len(problems), 3):
+            base, *moved = values[i : i + 3]
+            for (chan, _), value in zip(problems[i + 1 : i + 3], moved):
+                assert value >= base - SEARCH_RESOLUTION, (scheme, problems[i], chan, value, base)
+
+
 def test_rho_bound_keeps_its_bits_on_subnormal_powers():
     # at 2^-1060 every power is subnormal, and (1-gamma)*p1 underflows to
     # 0 in the powers as given
