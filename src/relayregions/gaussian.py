@@ -13,24 +13,30 @@ Agreement between the two routes is what the verify_* reports certify.
 The constructions deliberately contain deterministic linear relations
 (the relay input is a scaled copy of a layer the source also sends), so
 the naive four-determinant formula would hit singular submatrices.
-Instead, one sequential Cholesky pass in label order gives each label's
-residual variance r given the labels kept before it. A label with r at
-most _RANK_TOL times its own variance is almost surely a linear function
-of those and is dropped, which leaves the mutual information unchanged.
-The rule is relative, so rescaling a label moves no decision, and it is
-the one rule of every pass, including the last: a label of B that the
-pass after C and A drops makes I(A;B|C) diverge. The log-det of
-a kept block is the sum of its log r, so with C reduced first and A and
-B each reduced on top of it, the formula collapses to
+Instead, one sequential Cholesky pass along a chain of labels gives each
+label's residual variance r given the labels kept before it. A label
+with r at most _RANK_TOL times its own variance is almost surely a
+linear function of those and is dropped, which leaves the mutual
+information unchanged. The rule is relative, so rescaling a label moves
+no decision, and it is the one rule of every chain. The log-det of a
+kept block is the sum of its log r, so by the chain rule, with P = C and
+the labels of B before b,
 
-    I(A; B | C) = sum over kept b in B of
-                  ( log r(b | C, earlier b) - log r(b | C, A, earlier b) ) / (2 ln 2)
+    I(A; B | C) = sum over b in B kept given P of
+                  ( log r(b | P) - log r(b | P, A) ) / (2 ln 2)
 
-that is, one extra pass of B's kept labels on top of C and A.
+where r(b | P, A) is read at the end of the chain C, A, B's earlier
+labels. A b kept given P but dropped given P and A makes I(A;B|C)
+diverge. Terms compile into a trie of these chains (``_plan``), which
+share their common prefixes, so a region table's report builds each
+factor row once. One row of B's first label against the factor of C + A
+gives both its residuals: r(b | C) sums the squares of its first kept(C)
+entries, r(b | C, A) those of the whole row.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from operator import mul
@@ -130,31 +136,87 @@ def _prepare(cov: CovarianceSystem, labels: tuple[str, ...], sigma: np.ndarray) 
     return cov
 
 
-def _extend(s: list[list[float]], factor: list, cand: list[int]) -> tuple[list, list[float]]:
-    """Extend a Cholesky factor by the labels of cand, in order.
+def _plan(terms) -> tuple:
+    """Compile terms (a, b, c), each set a tuple of label indices, into
+    the trie of the chains that ``_term`` reads: (parent node, label,
+    whether the node has children) per node in build order, node 0 the
+    empty chain; and per term, per label b of B, (b, the node that gives
+    r(b | P), P's node, the node that gives r(b | P, A))."""
+    children: dict = {}  # (parent node, label) -> node, in build order
 
-    factor is a list of (index, row) pairs: row holds that label's entries
-    of the lower-triangular factor of the covariance of the labels before
-    it, its last entry the square root of its residual variance. A
-    candidate is kept iff its residual variance given every label kept
-    before it exceeds _RANK_TOL times its own variance; this one relative
-    rule serves every pass. Returns the extended factor (a new list) and
-    the log residual variance of each kept candidate; the log-det of a
-    kept block is the sum of those logs over its labels.
-    """
-    factor = list(factor)
-    logs = []
-    for j in cand:
-        s_j = s[j]  # sigma is symmetric: row j is column j
+    def chain(node: int, labels) -> int:
+        for j in labels:
+            node = children.setdefault((node, j), len(children) + 1)
+        return node
+
+    subterms = {}
+    for a, b, c in terms:
+        p, sub = chain(0, c), []
+        pa = chain(p, a)
+        for i, j in enumerate(b):
+            if i:  # B's previous label joins both chains
+                p, pa = chain(p, b[i - 1:i]), chain(pa, b[i - 1:i])
+            node_pa = chain(pa, (j,))
+            # b_0's row against C + A begins with its row against C
+            sub.append((j, chain(p, (j,)) if i else node_pa, p, node_pa))
+        subterms[a, b, c] = tuple(sub)
+    parents = {parent for parent, _ in children}
+    return tuple((parent, j, node in parents) for (parent, j), node in children.items()), subterms
+
+
+def _walk(s: list[list[float]], nodes: tuple) -> tuple[list, list, list]:
+    """Per node of a plan, on the rows s of sigma (``ndarray.tolist``):
+    the factor of its chain, its label's entries against its parent's
+    factor, and its residual variance r. A factor is a list of (index,
+    entries, root) triples: a kept label's entries against the labels
+    kept before it and the square root of its r. A label of a node with
+    children joins the factor iff its r exceeds _RANK_TOL times its own
+    variance."""
+    factors: list = [[]]
+    ells: list = [[]]
+    rs: list = [0.0]
+    for parent, j, grows in nodes:
+        factor, s_j = factors[parent], s[j]
         ell: list[float] = []
-        for k, row in factor:
-            ell.append((s_j[k] - sum(map(mul, row, ell))) / row[-1])
+        for k, row, root in factor:
+            # the first entry has nothing to subtract: s_j[k] - 0 is s_j[k]
+            ell.append((s_j[k] - sum(map(mul, row, ell))) / root if ell else s_j[k] / root)
         r = s_j[j] - sum(map(mul, ell, ell))
-        if r > _RANK_TOL * s_j[j]:
-            ell.append(math.sqrt(r))
-            factor.append((j, ell))
-            logs.append(math.log(r))
-    return factor, logs
+        if grows and r > _RANK_TOL * s_j[j]:
+            factor = [*factor, (j, ell, math.sqrt(r))]
+        factors.append(factor)
+        ells.append(ell)
+        rs.append(r)
+    return factors, ells, rs
+
+
+def _term(s: list[list[float]], walked: tuple, subterms: tuple) -> float:
+    """I(A;B|C) in bits of a term, from its subterms and the walked plan:
+    a label's entries against a chain's factor begin with its entries
+    against the factor of each prefix of the chain."""
+    factors, ells, rs = walked
+    b_logs, ab_logs = [], []
+    for j, node_p, p, node_pa in subterms:
+        var, head = s[j][j], ells[node_p][:len(factors[p])]
+        r = var - sum(map(mul, head, head))
+        if r > _RANK_TOL * var:
+            b_logs.append(math.log(r))
+            # a b that A and C determine (one kept in A too, say) diverges;
+            # if A emptied, both residuals are one sum and I reads +0.0
+            if not rs[node_pa] > _RANK_TOL * var:
+                raise SingularSubmatrix(
+                    f"I(A;B|C) diverges: a label of B is, within {_RANK_TOL:g} of its "
+                    "variance, a linear function of A and C"
+                )
+            ab_logs.append(math.log(rs[node_pa]))
+    val = (sum(b_logs) - sum(ab_logs)) / (2.0 * _LN2)
+    if val < 0.0:
+        if val < -1e-9:
+            raise SingularSubmatrix(
+                f"mutual information evaluated to {val}; matrix too ill-conditioned"
+            )
+        return 0.0
+    return val
 
 
 def gaussian_cmi(
@@ -172,36 +234,22 @@ def gaussian_cmi(
     kept label of B (a label kept in both A and B, say) the information
     diverges and SingularSubmatrix is raised.
     """
-    a, b, c = (list(dict.fromkeys(map(cov.index, x))) for x in (set_a, set_b, set_c))
+    a, b, c = (tuple(dict.fromkeys(map(cov.index, x))) for x in (set_a, set_b, set_c))
     return _cmi_from_sigma(cov._rows, a, b, c)
 
 
-def _cmi_from_sigma(
-    s: list[list[float]], a_idx: list[int], b_idx: list[int], c_idx: list[int]
-) -> float:
+def _cmi_from_sigma(s: list[list[float]], a_idx, b_idx, c_idx) -> float:
     """I(A;B|C) in bits from the rows of sigma as nested lists
-    (``ndarray.tolist``)."""
-    c_fac, _ = _extend(s, [], c_idx)
-    a_fac, a_logs = _extend(s, c_fac, a_idx)
-    b_fac, b_logs = _extend(s, c_fac, b_idx)
-    # B again, now after C and A: a label of B that A and C determine
-    # (one kept in A too, say) is dropped, and the information diverges;
-    # if A or B emptied, this repeats the B pass row for row: I reads +0.0
-    b_kept = [j for j, _ in b_fac[len(c_fac):]]
-    _, ab_logs = _extend(s, a_fac, b_kept)
-    if len(ab_logs) < len(b_kept):
-        raise SingularSubmatrix(
-            f"I(A;B|C) diverges: a label of B is, within {_RANK_TOL:g} of its "
-            "variance, a linear function of A and C"
-        )
-    val = (sum(b_logs) - sum(ab_logs)) / (2.0 * _LN2)
-    if val < 0.0:
-        if val < -1e-9:
-            raise SingularSubmatrix(
-                f"mutual information evaluated to {val}; matrix too ill-conditioned"
-            )
-        return 0.0
-    return val
+    (``ndarray.tolist``): the plan of the one term."""
+    nodes, subterms = _term_plan((tuple(a_idx), tuple(b_idx), tuple(c_idx)))
+    return _term(s, _walk(s, nodes), subterms)
+
+
+@functools.lru_cache(maxsize=1024)
+def _term_plan(term: tuple) -> tuple:
+    """The nodes and subterms of one term's plan, compiled once per term."""
+    nodes, subterms = _plan((term,))
+    return nodes, subterms[term]
 
 
 def _assemble(labels: tuple[str, ...], mix: np.ndarray, variances) -> CovarianceSystem:
@@ -318,7 +366,11 @@ def build_cov_informed_source(c: ChannelParams, g: GdpcParams) -> CovarianceSyst
     sigma is built on the channel's scaled powers (``model._scaled``): every
     information is unchanged, and ``cov.var("X1")`` reads p1 * 2**k.
     """
-    validate_gdpc(c, g)
+    return _cov_informed_source(c, validate_gdpc(c, g))
+
+
+def _cov_informed_source(c: ChannelParams, g: GdpcParams) -> CovarianceSystem:
+    """``build_cov_informed_source`` of knobs whose rho bound is checked."""
     p1, p2, q, n1, n2 = _scaled(c)[0]
     gbar = 1.0 - g.gamma
     pw = (1.0 - g.rho) * gbar * p1
@@ -398,12 +450,13 @@ class VerifyReport:
         }
 
 
-def _region_rows(terms: dict, labels: tuple[str, ...], s: str) -> tuple:
-    """(label, expression) of each expression of a ``model._TERMS`` entry,
-    r1 then r02: axis s reads as the label s and every other axis as its
-    upper-case name, and the expression holds each set as indices in labels."""
+def _region_table(exprs, labels: tuple[str, ...], s: str) -> tuple:
+    """A region table, compiled: (label, expression) of each expression in
+    ``model._TERMS``' form, where axis s reads as the label s and every
+    other axis as its upper-case name, and the expression holds each set
+    as indices in labels; and the ``_plan`` of the rows' distinct terms."""
     rows = []
-    for expr in terms["r1"] + terms["r02"]:
+    for expr in exprs:
         expr = tuple(
             (sign, *(tuple(s if x == "s" else x.upper() for x in axes) for axes in term))
             for sign, *term in expr
@@ -415,22 +468,38 @@ def _region_rows(terms: dict, labels: tuple[str, ...], s: str) -> tuple:
         )
         indexed = tuple((sign, *(tuple(map(labels.index, x)) for x in t)) for sign, *t in expr)
         rows.append((label, indexed))
-    return tuple(rows)
+    return tuple(rows), _plan(dict.fromkeys(term[1:] for _, expr in rows for term in expr))
 
 
-_INFORMED_BOTH_ROWS = _region_rows(  # the gated private-rate row first
-    {**_TERMS["informed-both"], "r1": (((+1, ("x1",), ("y1",), ("s", "u1", "u2", "x2")),),
-                                       *_TERMS["informed-both"]["r1"])}, _BOTH_LABELS, "S")
-_GDPC_ROWS = _region_rows(_TERMS["informed-source"], _SOURCE_LABELS, "Sprime")
+_BOTH_TERMS, _SOURCE_TERMS = _TERMS["informed-both"], _TERMS["informed-source"]
+_INFORMED_BOTH_ROWS = _region_table(  # the gated private-rate row first
+    (((+1, ("x1",), ("y1",), ("s", "u1", "u2", "x2")),), *_BOTH_TERMS["r1"], *_BOTH_TERMS["r02"]),
+    _BOTH_LABELS, "S",
+)
+_GDPC_ROWS = _region_table(_SOURCE_TERMS["r1"] + _SOURCE_TERMS["r02"], _SOURCE_LABELS, "Sprime")
+# the fresh layer's rate given the relay input, then given the cooperative layer
+_RELAY_ROWS = _region_table(
+    [((+1, ("u2",), ("y1",), ("s", x)),) for x in ("x2", "u1")], _BOTH_LABELS, "S"
+)
 
 
-def _region_checks(cov: CovarianceSystem, rows: tuple, closed: tuple) -> tuple:
-    """A TermCheck per row against its closed form; shared terms run once."""
+def _row_values(cov: CovarianceSystem, table: tuple):
+    """The value of each row of a compiled region table on cov, lazily in
+    row order: the plan is walked once, and each distinct term is
+    evaluated once, when a row first reads it."""
+    rows, (nodes, subterms) = table
+    s = cov._rows
+    walked = _walk(s, nodes)
+    cmi = lambda a, b, c: _term(s, walked, subterms[a, b, c])  # noqa: E731
     values: dict = {}
-    cmi = lambda a, b, c: _cmi_from_sigma(cov._rows, a, b, c)  # noqa: E731
+    return (_expression(expr, cmi, values) for _, expr in rows)
+
+
+def _region_checks(cov: CovarianceSystem, table: tuple, closed: tuple) -> tuple:
+    """A TermCheck per row of table against its closed form."""
     return tuple(
-        TermCheck(label, _expression(expr, cmi, values), x)
-        for (label, expr), x in zip(rows, closed)
+        TermCheck(label, oracle, x)
+        for (label, _), oracle, x in zip(table[0], _row_values(cov, table), closed)
     )
 
 
@@ -476,7 +545,7 @@ def verify_gdpc(c: ChannelParams, g: GdpcParams, tol: float = 1e-9) -> VerifyRep
     _, _, r1, r2, private = _gdpc_point(c, validate_gdpc(c, g))
     if not (math.isfinite(r1) and math.isfinite(r2)):
         raise SingularSubmatrix(f"a closed-form ratio has no finite log at {g} on {c}")
-    cov = build_cov_informed_source(c, g)
+    cov = _cov_informed_source(c, g)
     closed = (private, float(r1), float(r2))
     return VerifyReport("gdpc-closed-forms", tol, _region_checks(cov, _GDPC_ROWS, closed))
 
@@ -493,10 +562,8 @@ def verify_relay_identity(
     survives at beta = 0 or beta = 1, where the cooperative auxiliary
     carries no innovation either.
     """
-    cov = build_cov_informed_both(c, p)
-    lhs = gaussian_cmi(cov, ["U2"], ["Y1"], ["S", "X2"])
-    rhs = gaussian_cmi(cov, ["U2"], ["Y1"], ["S", "U1"])
-    details = (TermCheck(term="I(U2;Y1|S,X2) vs I(U2;Y1|S,U1)", oracle=lhs, closed=rhs),)
+    lhs, rhs = _row_values(build_cov_informed_both(c, p), _RELAY_ROWS)
+    details = (TermCheck("I(U2;Y1|S,X2) vs I(U2;Y1|S,U1)", lhs, rhs),)
     return VerifyReport("relay-rate-identity", tol, details)
 
 

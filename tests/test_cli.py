@@ -218,19 +218,38 @@ class TestGoldenOutputs:
         assert code == 0
         assert out.encode() == (DATA / name).read_bytes()
 
-    def test_verify_values_byte_identical(self, capsys, tmp_path):
-        """verify's oracle and closed-form values on the example channel, as
-        CI compares them: without abs_diff and max_abs_diff, rounding noise
+    @staticmethod
+    def _verify_values(capsys, tmp_path, channel):
+        """verify's oracle and closed-form values on a channel, as CI
+        compares them: without abs_diff and max_abs_diff, rounding noise
         near 1e-16, and the Monte-Carlo report, whose sample depends on
         LAPACK's eigenvectors."""
         path = tmp_path / "verify.json"
-        assert run(capsys, "verify", "--channel", "1,1,1,0.1,1", "--out", str(path))[0] == 0
+        assert run(capsys, "verify", "--channel", channel, "--out", str(path))[0] == 0
         reports = [r for r in json.loads(path.read_text()) if r["name"] != "monte-carlo-crosscheck"]
         for r in reports:
             del r["max_abs_diff"]
             for t in r["details"]:
                 del t["abs_diff"]
-        assert json.dumps(reports, indent=2) + "\n" == (DATA / "verify_example.json").read_text()
+        return json.dumps(reports, indent=2) + "\n"
+
+    def test_verify_values_byte_identical(self, capsys, tmp_path):
+        got = self._verify_values(capsys, tmp_path, "1,1,1,0.1,1")
+        assert got == (DATA / "verify_example.json").read_text()
+
+    @pytest.mark.parametrize(
+        "name,channel",
+        [
+            ("verify_no_relay.json", "1,0,1,0.1,1"),
+            ("verify_no_interference.json", "1,1,0,0.1,1"),
+            ("verify_no_relay_no_interference.json", "1,0,0,0.1,1"),
+        ],
+        ids=["p2=0", "q=0", "p2=0,q=0"],
+    )
+    def test_zero_variance_verify_values_byte_identical(self, capsys, tmp_path, name, channel):
+        """p2 = 0 makes X2 identically 0, and q = 0 makes S and Sprime so:
+        labels the oracle drops by its rule's edge, a zero variance."""
+        assert self._verify_values(capsys, tmp_path, channel) == (DATA / name).read_text()
 
     def test_errors_byte_identical(self, capsys, monkeypatch):
         """stderr and exit code of each input error, written while each

@@ -27,13 +27,18 @@ from relayregions import (
     verify_informed_both,
     verify_relay_identity,
 )
+from relayregions import gaussian
 from relayregions.gaussian import (
     CovarianceSystem,
+    _GDPC_ROWS,
+    _INFORMED_BOTH_ROWS,
     _RANK_TOL,
+    _RELAY_ROWS,
     _cmi_from_sigma,
+    _row_values,
     _sample_covariance,
 )
-from relayregions.model import _scaled
+from relayregions.model import _expression, _scaled
 from relayregions.rates import _gdpc_point
 
 from references import PROPERTY, _reference_cov_informed_both, _reference_cov_informed_source
@@ -367,6 +372,31 @@ class TestResidualRoute:
         got = _cmi_from_sigma(sigma.tolist(), a, b, c)
         assert got == pytest.approx(want, abs=1e-11)
 
+    @staticmethod
+    def _two_label_b(mix, scale):
+        """sigma of labels C, A, B0, B1 = mix @ basis, each rescaled."""
+        scaled = np.array(mix, dtype=float) * np.array(scale)[:, None]
+        return scaled @ scaled.T
+
+    def test_first_label_of_b_determined_by_c_drops_out(self):
+        # B0 = 2C: given C it drops out of B, and I(A;B0,B1|C) = I(A;B1|C)
+        mix = [[1, 0, 0], [0, 1, 0], [2, 0, 0], [1, 1, 1]]
+        sigma = self._two_label_b(mix, [3.0, 1e-3, 0.5, 1e4])
+        want = _ref_cmi(sigma, [1], [3], [0])
+        assert want > 0.1
+        got = _cmi_from_sigma(sigma.tolist(), [1], [2, 3], [0])
+        assert got == pytest.approx(want, abs=1e-11)
+        assert got == pytest.approx(_ref_cmi(sigma, [1], [2, 3], [0]), abs=1e-11)
+
+    def test_later_label_of_b_determined_by_a_and_c_diverges(self):
+        # B1 = A + C is kept given C and B0, and dropped once A is added
+        mix = [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 0]]
+        a, b, c = [1], [2, 3], [0]
+        assert not _finite(np.array(mix, dtype=float), a, b, c)
+        sigma = self._two_label_b(mix, [3.0, 1e-3, 0.5, 1e4])
+        with pytest.raises(SingularSubmatrix, match="diverges"):
+            _cmi_from_sigma(sigma.tolist(), a, b, c)
+
     @settings(PROPERTY, max_examples=300)
     @given(low_rank_mixes(), st.randoms(use_true_random=False))
     def test_label_order_does_not_matter(self, drawn, rnd):
@@ -456,6 +486,47 @@ class TestBuildersByConstruction:
             assert cov.labels == labels
             assert np.array_equal(cov.sigma, sigma)
             assert cov.sigma.tobytes() == sigma.tobytes()  # -0.0 too
+
+
+def _outcome(rows):
+    """repr of each value of a row sequence, or the type and message of
+    the error that ends it."""
+    out = []
+    try:
+        for value in rows:
+            out.append(repr(value))
+    except RelayRegionsError as e:
+        out.append(f"{type(e).__name__}: {e}")
+    return out
+
+
+class TestSharedChains:
+    """A compiled region table walks each chain once for all its rows.
+    Each row must read, bit for bit, what ``_expression`` over one
+    ``gaussian_cmi`` call per term reads; where a row raises, both routes
+    raise the same error, the one-term route in that same row."""
+
+    @settings(PROPERTY, max_examples=300)
+    @given(builder_inputs())
+    @example((TINY, GdpcParams(0.0, rho_upper_bound(TINY, 0.0), 1.0, 1.0), InformedBothParams(0.0, 1.0)))
+    @example((NO_RELAY, GdpcParams(1.0, 0.0, 1.0, 0.0), InformedBothParams(1.0, 1.0)))
+    @example((NO_RELAY, GdpcParams(0.0, 1.0, 0.5, 0.5), InformedBothParams(0.0, 0.5)))
+    @example((ChannelParams(1.0, 0.0, 0.0, 0.1, 1.0), GdpcParams(0.2, 0.0, 0.4, 0.5), InformedBothParams(0.2, 0.5)))
+    def test_table_rows_equal_one_term_calls(self, drawn):
+        c, g, p = drawn
+        both = build_cov_informed_both(c, p)
+        for cov, table in (
+            (build_cov_informed_source(c, g), _GDPC_ROWS),
+            (both, _INFORMED_BOTH_ROWS),
+            (both, _RELAY_ROWS),
+        ):
+
+            def one_term(*term, cov=cov):
+                return gaussian_cmi(cov, *([cov.labels[i] for i in x] for x in term))
+
+            rows = table[0]
+            per_term = (_expression(expr, one_term, {}) for _, expr in rows)
+            assert _outcome(_row_values(cov, table)) == _outcome(per_term), (c, g, p, rows)
 
 
 class TestInformedBothCov:
@@ -564,13 +635,22 @@ class TestInformedSourceCov:
                 oracle = max(0.0, min(t.oracle for t in rep.details[1:]))
                 assert oracle == pytest.approx(res.value, rel=0.0, abs=1e-9), (c, gamma)
 
-    def test_rho_past_its_bound_rejected(self):
-        # the covariance build's check is verify_gdpc's one check of rho:
-        # the closed forms it compares against check nothing
-        c = ChannelParams(1.0, 1.0, 0.4, 0.1, 1.0)
+    def test_rho_past_its_bound_rejected(self, monkeypatch):
+        # the builder's check and verify_gdpc's are one check of rho, made
+        # once per call, with the same whole message; the closed forms it
+        # compares against check nothing
+        for q, bound in ((0.4, 0.5), (0.0, 0.0)):
+            c = ChannelParams(1.0, 1.0, q, 0.1, 1.0)
+            message = f"rho must be <= {bound} for this channel, got 0.6"
+            for check in (build_cov_informed_source, verify_gdpc):
+                with pytest.raises(OutOfRange, match="^" + re.escape(message) + "$"):
+                    check(c, GdpcParams(0.2, 0.6, 0.4, 0.5))
+        calls = []
+        monkeypatch.setattr(gaussian, "validate_gdpc", lambda c, g: calls.append(g) or g)
         for check in (build_cov_informed_source, verify_gdpc):
-            with pytest.raises(OutOfRange, match="rho must be <= 0.5 for this channel, got 0.6"):
-                check(c, GdpcParams(0.2, 0.6, 0.4, 0.5))
+            calls.clear()
+            check(EXAMPLE, GdpcParams(0.2, 0.3, 0.4, 0.5))
+            assert len(calls) == 1, check
 
     def test_power_constraints_exact(self):
         rng = np.random.default_rng(11)

@@ -27,6 +27,7 @@ from relayregions import (
     GridSpec,
     InformedBothParams,
     RelayRegionsError,
+    cap_c,
     frontier,
     gdpc_rates,
     max_beta_nostate,
@@ -39,6 +40,7 @@ from relayregions import (
     verify_informed_both,
     verify_relay_identity,
 )
+from relayregions.model import _scaled
 from relayregions.optimize import _solve_all
 
 from references import PROPERTY
@@ -322,3 +324,29 @@ def test_frontiers_are_concave(scheme):
     for p1, p2, q, n1, ratio in rng.uniform([0.2, 0.0, 0.1, 0.05, 1.5], [4, 4, 4, 1, 8], (12, 5)):
         c = ChannelParams(p1, p2, q, n1, n1 * ratio)
         assert _worst_dip(frontier(c, scheme, gammas).points) <= 1e-9, c
+
+
+# Cut-sets: everything either user decodes leaves the source through Y1, so
+# r1 + r02 <= cap_c(p1/n1), and the far user's rate crosses to Y2 from
+# source and relay together, at best coherently: r02 <= cap_c((sqrt(p1) +
+# sqrt(p2))^2/n2). Both on the scaled powers, to 1e-12 bits.
+
+
+def test_frontier_points_respect_the_cut_sets():
+    # 32 channels at scales 10^U(-100, 100), each power within three
+    # decades of its scale, p2 = 0 and q = 0 on a quarter each
+    rng = np.random.default_rng(12)
+    gammas = np.linspace(0.0, 1.0, 21).tolist()
+    for _ in range(32):
+        scale = 10.0 ** rng.uniform(-100.0, 100.0)
+        p1, p2, q, n1 = (scale * 10.0 ** rng.uniform(-3.0, 3.0, 4)).tolist()
+        p2, q = (0.0 if rng.random() < 0.25 else v for v in (p2, q))
+        c = ChannelParams(p1, p2, q, n1, n1 * (1.0 + 10.0 ** rng.uniform(-3.0, 3.0)))
+        sp1, sp2, _, sn1, sn2 = _scaled(c)[0]
+        broadcast = cap_c(sp1 / sn1)
+        relay = cap_c((math.sqrt(sp1) + math.sqrt(sp2)) ** 2 / sn2)
+        for scheme in ("gdpc", "dpc", "nostate-outer"):
+            for point in frontier(c, scheme, gammas).points:
+                r1, r02 = point.rate.r1, point.rate.r02
+                assert r1 + r02 <= broadcast + 1e-12, (c, scheme, point)
+                assert r02 <= relay + 1e-12, (c, scheme, point)
