@@ -57,7 +57,7 @@ def _check_pmf(name: str, p: np.ndarray, axis=None) -> None:
         raise OutOfRange(f"{name} must sum to 1 within {_PMF_TOL}")
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, slots=True, eq=False)
 class DmcSpec:
     """A discrete channel: alphabet sizes for (s,u1,u2,x1,x2,y1,y2), the
     interference pmf p_s, stored divided by its sum once checked (a sum of
@@ -93,7 +93,7 @@ class DmcSpec:
         object.__setattr__(self, "channel", channel)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, slots=True, eq=False)
 class AuxJoint:
     """A joint strategy pmf over (s,u1,u2,x1,x2)."""
 
@@ -238,7 +238,7 @@ def _compositions(total: int, cells: int) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DmcOptResult:
     best: AuxJoint
     value: RatePoint

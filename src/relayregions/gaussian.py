@@ -396,7 +396,7 @@ def _cov_informed_source(c: ChannelParams, g: GdpcParams) -> CovarianceSystem:
     return _assemble(_SOURCE_LABELS, mix, variances)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TermCheck:
     """One compared quantity: the oracle value against the closed form."""
 
@@ -417,7 +417,7 @@ class TermCheck:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VerifyReport:
     """Outcome of one verification: passed iff every row's abs_diff <= tol.
     max_abs_diff is nan if any row's is, whatever the row order."""

@@ -21,10 +21,17 @@ Conventions shared by every module:
 
 All types are frozen dataclasses that check their invariants when they
 are built, so a value of one is valid and safe to share between workers.
-Every public float argument is read by one rule (``_require_real``), so a
-field is stored as a Python float, -0.0 as +0.0, and a float32 passed in
-computes as a float. The one condition no type can hold, the
-channel-coupled bound on rho, is checked by ``validate_gdpc``.
+The package's value types keep their fields in slots (``slots=True``),
+so a caller who keeps many reports or frontier points pays no dict per
+object. Two keep a ``__dict__``, as each stores prepared private state
+beside its fields and ``slots=True`` makes a slot of each field only (a
+private field would join ``fields``, ``astuple`` and ``replace``):
+``ChannelParams`` its scaled powers, and ``gaussian.CovarianceSystem``
+its rows and label index. Every public float argument is read by one
+rule (``_require_real``), so a field is stored as a Python float, -0.0
+as +0.0, and a float32 passed in computes as a float. The one condition
+no type can hold, the channel-coupled bound on rho, is checked by
+``validate_gdpc``.
 """
 
 from __future__ import annotations
@@ -153,7 +160,7 @@ def rho_upper_bound(c: ChannelParams, gamma: float) -> float:
     return min(1.0, q / gbar_p1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GdpcParams:
     """Coding knobs of the inner bound when only the source knows the
     interference.
@@ -188,7 +195,7 @@ def validate_gdpc(c: ChannelParams, g: GdpcParams) -> GdpcParams:
     return g
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InformedBothParams:
     """Power-split knobs of the construction where source and relay both
     know the interference: gamma for the private layer, beta for the
@@ -202,7 +209,7 @@ class InformedBothParams:
             object.__setattr__(self, name, _require_unit(name, getattr(self, name)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RatePoint:
     """An achievable pair: private rate r1 to the nearby user and sum
     rate r02 (common plus far-user rate), both in bits per channel use."""
@@ -243,7 +250,7 @@ def _check_scheme(scheme: str) -> None:
         raise OutOfRange(f"unknown scheme {scheme!r}, want one of {SCHEMES}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FrontierPoint:
     """One frontier sample: the power split gamma, the optimizing knobs
     (rho and alpha2 are 0 for schemes that do not use them) and the rates."""
@@ -255,7 +262,7 @@ class FrontierPoint:
     rate: RatePoint
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Frontier:
     """A rate-region boundary traced over gamma for one scheme.
 

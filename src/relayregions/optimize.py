@@ -93,7 +93,7 @@ _MAX_GRID_CELLS = 10**6
 _MAX_SEARCH_CELLS = 10**7
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GridSpec:
     """Grid-then-shrink search schedule. refine_shrink is the factor the
     box width contracts by per refinement round. A round evaluates
@@ -138,7 +138,7 @@ DEFAULT_GRID = GridSpec()
 _PASS_CELLS = 5 * DEFAULT_GRID.steps_rho * DEFAULT_GRID.steps_beta
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OptResult:
     """Search outcome. ``value`` is the last round's grid value at
     ``best``, the value the search ranked, so it is the last trace value;
@@ -382,7 +382,7 @@ def frontier(
     return Frontier(scheme=scheme, points=tuple(kept))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SweepRow:
     """One SNR sample: n1 implied by the SNR, the relay-channel sum rate
     (None when the point violates degradedness and was skipped)."""

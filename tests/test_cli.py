@@ -1,13 +1,17 @@
+import contextlib
+import io
 import json
 import os
 import re
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from relayregions import (
     SCHEMES, ChannelParams, GdpcParams, OutOfRange, RelayRegionsError, gdpc_rates,
@@ -24,6 +28,8 @@ from relayregions.cli import (
     _options,
     main,
 )
+
+from references import PROPERTY
 
 CHANNEL = "1,1,2,0.1,1"
 TINY_GRID = "5,5,1,0.5"
@@ -1099,3 +1105,116 @@ def test_help_names_every_flag_and_choice(capsys, monkeypatch, command):
     assert set(lines) == {"-h,", "--config", *flags}
     for key, flag in zip(keys, flags):
         assert all(choice in lines[flag] for choice in CHOICES.get(key, ()))
+
+
+# Generated command lines: a subcommand (or a word that is none), a random
+# subset of its flags in random order, each spelled well or, a quarter of
+# the time, badly, and maybe a --config file holding other keys, with any
+# JSON value. Every value keeps a run to milliseconds: a range holds at
+# most a few dozen points, a JSON integer is at most 12, and no draw asks
+# for denominator 16. "{tmp}" stands for the run's own directory.
+FLAG_VALUES = {  # key: (good spellings, bad ones)
+    "channel": ([CHANNEL, "1,0,0,0.1,1", "1e-200,1e-200,1e-190,1e-201,2e-200"],
+                ["1,1,1,2,1", "1e300,1,1,1e-300,1", "1,1,1", "1,1,1,0.1,nan", "x", ""]),
+    "out": (["{tmp}/run.out"], ["{tmp}/no-such-dir/run.out", "{tmp}"]),
+    "grid": ([TINY_GRID, "5,5", "2,2,0,0.5"], ["5,0", "5,5,1,1", "1e9,1e9", "x"]),
+    "scheme": (list(SCHEMES), ["bogus", ""]),
+    "gamma_grid": (["0:1:3", "0,0.5,1", "1:0:2"], ["0:1:1e14", "0,2", "0,x", "0:1:0", "0:1", ""]),
+    "snr_db": (["10", "0:30:10", "-5,5"], ["0:1e14:1", "0,nan", "0:inf:1", "5:0:1", "x"]),
+    "params": (["0.2,0.1,0.4,0.5", "0,0,0,0", "1,0,1,1"],
+               ["0.2,0.99,0.4,0.5", "0.2,0.1,0.4,2", "x"]),
+    "tol": (["1e-9", "1e-300", "1"], ["0", "-1", "nan", "inf", "x"]),
+    "seed": (["0", "5", "5.0", str(HUGE_INT)], ["-1", "1.5", "x"]),
+    "mc_samples": (["2e4", "20000"], ["5", "4.9", "-1", "nan", "x"]),
+    "bounds": (["informed-source", "informed-both"], ["bogus"]),
+    "denominator": (["4", "8", "8.0"], ["5", "4.9", "x"]),
+    "objective": (["r02", "r1"], ["bogus"]),
+}
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 12) | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=2),
+    max_leaves=6,
+)
+FLOATS_TEXT = st.lists(st.floats().map(repr), min_size=3, max_size=6).map(",".join)
+TWO_STATE = json.loads((DATA / "dmc_two_state.json").read_text())["dmc"]
+
+
+def _rare(draw, odds: int) -> bool:
+    """True once in odds draws; hypothesis starts from 0, the common case."""
+    return draw(st.integers(0, odds - 1)) == odds - 1
+
+
+def _flag_text(draw, key: str) -> str:
+    good, bad = FLAG_VALUES[key]
+    if not _rare(draw, 4):
+        return draw(st.sampled_from(good))
+    if key in ("channel", "params") and draw(st.booleans()):
+        return draw(FLOATS_TEXT)
+    return draw(st.sampled_from(bad))
+
+
+def _config_value(draw, key: str):
+    if _rare(draw, 4):
+        return draw(JSON_VALUES)
+    if key != "dmc":
+        return _flag_text(draw, key)
+    # the two-state spec with some of its options redrawn
+    spec = dict(TWO_STATE)
+    for option in _DMC_KEYS:
+        if draw(st.booleans()):
+            spec[option] = _config_value(draw, option)
+    return spec
+
+
+@st.composite
+def command_lines(draw):
+    """argv and the --config object it names (None for no --config)."""
+    command = "bogus" if _rare(draw, 20) else draw(st.sampled_from(list(_COMMANDS)))
+    keys = _COMMANDS[command][2] if command in _COMMANDS else ("channel",)
+    argv = [command]
+    for key in draw(st.permutations(keys)):
+        if not draw(st.booleans()):
+            continue
+        if key == "dmc":
+            argv.append("--pipes")
+        else:
+            argv += ["--" + key.replace("_", "-"), _flag_text(draw, key)]
+    cfg = None
+    if draw(st.booleans()):
+        cfg = {key: _config_value(draw, key) for key in keys if draw(st.booleans())}
+        if _rare(draw, 10):
+            cfg["bogus"] = 1
+        argv += ["--config", "{tmp}/run.json"]
+    if _rare(draw, 20):
+        junk = draw(st.sampled_from(["--bogus", "-x", "--help", ""]))
+        argv.insert(draw(st.integers(0, len(argv))), junk)
+    return argv, cfg
+
+
+def _run_in_process(argv):
+    """(exit code, stdout, stderr) of main(argv), an argparse exit included."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as e:
+            code = e.code
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(PROPERTY, max_examples=300)
+@given(command_lines())
+def test_generated_command_lines_exit_cleanly_and_repeat(line):
+    """ROADMAP item 12's CLI twin: any command line exits 0, 1 or 2, raises
+    nothing out of main, and prints the same stdout when run again."""
+    argv, cfg = line
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = [arg.replace("{tmp}", tmp) for arg in argv]
+        if cfg is not None:
+            Path(tmp, "run.json").write_text(json.dumps(cfg).replace("{tmp}", tmp))
+        code, out, err = _run_in_process(argv)
+        assert code in (0, 1, 2), (argv, cfg, code, err)
+        assert "Traceback" not in out + err, (argv, cfg)
+        again = _run_in_process(argv)
+        assert again[:2] == (code, out), (argv, cfg)

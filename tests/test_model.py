@@ -19,14 +19,19 @@ from relayregions import (
     RatePoint,
     RelayRegionsError,
     SCHEMES,
+    binary_pipes_spec,
+    dmc_maximize,
     frontier,
     gdpc_rates,
     max_beta_nostate,
     max_r02_gdpc,
     nostate_terms,
     rho_upper_bound,
+    sweep_snr,
     validate_gdpc,
+    verify_gdpc,
 )
+from relayregions import dmc, gaussian, model, optimize
 from relayregions.model import _scaled
 
 
@@ -302,3 +307,94 @@ def test_float64_channel_at_extreme_powers_warns_nothing():
             ChannelParams(*map(np.float64, (1e-300, 1.0, 1e300, 0.1, 1.0)))
         c = ChannelParams(*map(np.float64, (1e-75, 1.0, 1e75, 0.1, 1.0)))
         assert rho_upper_bound(c, 0.5) == 1.0
+
+
+def _value_types():
+    """One value of each slotted type, built by the calls that return them."""
+    c = ChannelParams(1.0, 1.0, 1.0, 0.1, 1.0)
+    g = GdpcParams(0.2, 0.3, 0.4, 0.5)
+    front = frontier(c, "dpc", [0.0, 0.5])
+    report = verify_gdpc(c, g)
+    found = dmc_maximize(binary_pipes_spec(), denominator=4)
+    return [
+        g,
+        InformedBothParams(0.3, 0.6),
+        front.points[0].rate,
+        front.points[0],
+        front,
+        GridSpec(steps_rho=5, steps_beta=7),
+        max_r02_gdpc(c, 0.3, GridSpec(steps_rho=5, steps_beta=5, refine_iters=1)),
+        sweep_snr(c, [10.0], "dpc")[0],
+        report.details[0],
+        report,
+        binary_pipes_spec(),
+        found.best,
+        found,
+    ]
+
+
+_VALUES = _value_types()
+
+
+def _same(a, b) -> bool:
+    """a and b hold the same fields, arrays compared by value."""
+    if dataclasses.is_dataclass(a):
+        return type(a) is type(b) and all(
+            _same(getattr(a, f.name), getattr(b, f.name)) for f in dataclasses.fields(a)
+        )
+    if isinstance(a, np.ndarray):
+        return a.dtype == b.dtype and np.array_equal(a, b)
+    if isinstance(a, tuple):
+        return type(b) is tuple and len(a) == len(b) and all(map(_same, a, b))
+    return type(a) is type(b) and a == b
+
+
+# the eq=False types compare by identity, and a DmcOptResult holds one
+_BY_IDENTITY = {"DmcSpec", "AuxJoint", "DmcOptResult"}
+
+
+def test_every_dataclass_but_two_is_a_slotted_value_type():
+    """The two that store prepared state beside their fields keep a dict."""
+    defined = {
+        obj
+        for module in (model, gaussian, optimize, dmc)
+        for obj in vars(module).values()
+        if isinstance(obj, type) and dataclasses.is_dataclass(obj)
+        and obj.__module__ == module.__name__
+    }
+    slotted = {cls for cls in defined if "__slots__" in vars(cls)}
+    assert slotted == {type(v) for v in _VALUES}
+    assert defined - slotted == {ChannelParams, gaussian.CovarianceSystem}
+
+
+@pytest.mark.parametrize("value", _VALUES, ids=lambda v: type(v).__name__)
+class TestValueTypes:
+    """Every value type but ``ChannelParams`` and ``CovarianceSystem``
+    keeps its fields in slots and stays a frozen value: no instance dict,
+    no assignment, and a copy of any kind holds the same fields."""
+
+    def test_has_no_instance_dict(self, value):
+        assert not hasattr(value, "__dict__")
+        assert type(value).__slots__ == tuple(f.name for f in dataclasses.fields(value))
+
+    def test_fields_cannot_be_assigned(self, value):
+        name = dataclasses.fields(value)[0].name
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(value, name, getattr(value, name))
+
+    @pytest.mark.parametrize(
+        "duplicate",
+        [lambda v: pickle.loads(pickle.dumps(v)), copy.deepcopy, copy.copy, dataclasses.replace],
+        ids=["pickle", "deepcopy", "copy", "replace"],
+    )
+    def test_copies_hold_the_same_value(self, value, duplicate):
+        other = duplicate(value)
+        assert _same(other, value)
+        if type(value).__name__ not in _BY_IDENTITY:
+            assert other == value and hash(other) == hash(value)
+
+
+def test_replace_checks_the_new_value():
+    # replace builds through __init__, so __post_init__ checks the result
+    with pytest.raises(OutOfRange, match="rho must lie in"):
+        dataclasses.replace(GdpcParams(0.2, 0.3, 0.4, 0.5), rho=1.5)

@@ -350,3 +350,71 @@ def test_frontier_points_respect_the_cut_sets():
                 r1, r02 = point.rate.r1, point.rate.r02
                 assert r1 + r02 <= broadcast + 1e-12, (c, scheme, point)
                 assert r02 <= relay + 1e-12, (c, scheme, point)
+
+
+# Interference without bound: as q grows at fixed gamma, gdpc and dpc fall
+# to cap_c((1-gamma)*p1/(gamma*p1 + n2)), the far user's rate with no help
+# from the relay, whatever p2 is. This limit is derived here from the
+# closed forms of ``rates``, not read from the paper. With m2 = n2 +
+# gamma*p1, the far bound's denominator is d = qprime*f(alpha2) +
+# m2*pwt, where f(x) = (1-x)^2*pwt + m2*x^2 is least at the Costa point
+# A2 = pwt/(pwt + m2), f(A2) = pwt*m2/(pwt + m2). Writing S = pw + p2 +
+# 2*beta*sqrt(pw*p2) for the far user's signal power, c = pwt*(S + qprime +
+# m2), so for every knob
+#
+#     r2_sum <= cap_c(pwt/m2) + 0.5*log2(1 + (S - pwt)/(qprime + pwt + m2)),
+#
+# with equality at alpha2 = A2. p2 lives only in S, where the binning
+# against qprime swamps it: the relay's and the correlated signal's share
+# S - pwt = (sqrt(p2) + beta*sqrt(pw))^2 adds only O(1/q) bits. With pwt
+# <= (1-gamma)*p1, S - pwt <= (sqrt((1-gamma)*p1) + sqrt(p2))^2 and
+# qprime >= (sqrt(q) - sqrt((1-gamma)*p1))^2, the search's value exceeds the
+# limit by at most ``_remainder`` below, which decays as 1/q: 2^10 times
+# the interference leaves about a thousandth of the gap. And it is not
+# below the limit, where q is large enough that the near bound does not
+# bind at A2: rho = beta = 0 and alpha2 = A2 reach the limit plus p2's
+# share. On the example channel the gap reads 7.0e-4, 6.9e-7, 6.7e-10 and
+# 6.6e-13 bits at q = 2^10, 2^20, 2^30 and 2^40 times p1, for gdpc and
+# dpc alike.
+
+
+def _q_limit(c, gamma):
+    p1, _, _, _, n2 = _scaled(c)[0]
+    return cap_c((1.0 - gamma) * p1 / (gamma * p1 + n2))
+
+
+def _remainder(c, gamma):
+    """The derived bound on gdpc's or dpc's excess over ``_q_limit``."""
+    p1, p2, q, _, n2 = _scaled(c)[0]
+    gp1 = (1.0 - gamma) * p1
+    if q <= gp1:
+        return math.inf
+    spread = (math.sqrt(q) - math.sqrt(gp1)) ** 2 + gamma * p1 + n2
+    return (math.sqrt(gp1) + math.sqrt(p2)) ** 2 / (2.0 * math.log(2.0) * spread)
+
+
+def test_gdpc_and_dpc_fall_to_the_unhelped_rate_as_interference_grows():
+    # 40 channels at scales 10^U(-100, 100), each power within three
+    # decades of its scale, p2 = 0 on a quarter; q climbs from p1/2^8 by
+    # factors of 2^4 up to the first 2^k * p1 whose remainder is below
+    # 1e-10 at every gamma
+    rng = np.random.default_rng(26)
+    for _ in range(40):
+        scale = 10.0 ** rng.uniform(-100.0, 100.0)
+        p1, p2, n1 = (scale * 10.0 ** rng.uniform(-3.0, 3.0, 3)).tolist()
+        p2 = 0.0 if rng.random() < 0.25 else p2
+        c = ChannelParams(p1, p2, p1, n1, n1 * (1.0 + 10.0 ** rng.uniform(-3.0, 3.0)))
+        gammas = (0.0, float(rng.uniform()), 1.0 - 2.0**-20)
+        k = next(
+            k for k in range(-8, 200, 4)
+            if all(_remainder(replace(c, q=math.ldexp(p1, k)), g) < 1e-10 for g in gammas)
+        )
+        ladder = [replace(c, q=math.ldexp(p1, j)) for j in range(-8, k + 1, 4)]
+        problems = [(chan, g) for chan in ladder for g in gammas]
+        for scheme in ("gdpc", "dpc"):
+            values = np.array([v for *_, v in _solve_all(scheme, problems, None)])
+            rungs = values.reshape(len(ladder), len(gammas))
+            rise = np.max(rungs[1:] - rungs[:-1], initial=0.0)
+            assert rise <= SEARCH_RESOLUTION, (scheme, c, rise)
+            for g, v in zip(gammas, rungs[-1]):
+                assert abs(v - _q_limit(ladder[-1], g)) <= 1e-9, (scheme, ladder[-1], g, v)
