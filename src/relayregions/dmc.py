@@ -11,10 +11,12 @@ probabilities are multiples of 1/denominator, which is crude but exact:
 an oracle, not a solver.
 
 Each bound is written once, as signed conditional mutual informations,
-in ``model._TERMS``, which the Gaussian oracle reads too. One evaluator
-reads it: _screen sums every term out of a stack of strategies at once,
-in numpy, one entropy per marginal once one-symbol axes are dropped. The
-evaluators run it on a batch of one, and dmc_maximize on chunks drawn
+in ``model._TERMS``, which the Gaussian oracle reads too, and compiled
+once into _PROGRAMS: its distinct terms and its rows by term id
+(``model._program``). One evaluator reads it: _screen sums every
+distinct term out of a stack of strategies at once, in numpy, one
+entropy per marginal once one-symbol axes are dropped. The evaluators
+run it on a batch of one, and dmc_maximize on chunks drawn
 from a composition table built in numpy, with a tie pool of at most
 twice the distinct keys near the best plus a chunk. Rates within
 ``model._TIE_TOL`` (1e-12 bits) of each other tie, and ties go to the
@@ -30,11 +32,11 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .model import _TERMS, _TIE_TOL, OutOfRange, RatePoint, _expression, _require_count
+from .model import _TERMS, _TIE_TOL, OutOfRange, RatePoint, _expression, _program, _require_count
 
 AXES = ("s", "u1", "u2", "x1", "x2", "y1", "y2")
 _PMF_TOL = 1e-12
@@ -55,6 +57,18 @@ def _check_pmf(name: str, p: np.ndarray, axis=None) -> None:
     # nan and +-inf fail the comparison
     if not (np.abs(sums - 1.0) <= _PMF_TOL).all():
         raise OutOfRange(f"{name} must sum to 1 within {_PMF_TOL}")
+
+
+def _restore(cls, *values):
+    """A copied or unpickled DmcSpec or AuxJoint: its fields set as they
+    were, arrays read-only again, and nothing checked or divided again,
+    since dividing a normalised p_s by its sum once more can move bits."""
+    value = object.__new__(cls)
+    for field, x in zip(fields(cls), values):
+        if isinstance(x, np.ndarray):
+            x.flags.writeable = False
+        object.__setattr__(value, field.name, x)
+    return value
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -92,10 +106,18 @@ class DmcSpec:
         object.__setattr__(self, "p_s", p_s)
         object.__setattr__(self, "channel", channel)
 
+    def __reduce__(self):  # copy, deepcopy and pickle
+        return _restore, (type(self), self.sizes, self.p_s, self.channel)
+
 
 @dataclass(frozen=True, slots=True, eq=False)
 class AuxJoint:
-    """A joint strategy pmf over (s,u1,u2,x1,x2)."""
+    """A joint strategy pmf over (s,u1,u2,x1,x2).
+
+    Build a strategy for a spec from ``spec.p_s``, which is stored
+    normalised, as ``spec.p_s[:, None] * cond`` with cond's rows summing
+    to 1: a caller's own p_s at the edge of the 1e-12 band can make the
+    product miss this sum check."""
 
     pmf: np.ndarray
 
@@ -106,6 +128,9 @@ class AuxJoint:
         _check_pmf("aux joint", pmf)
         pmf.flags.writeable = False
         object.__setattr__(self, "pmf", pmf)
+
+    def __reduce__(self):  # copy, deepcopy and pickle
+        return _restore, (type(self), self.pmf)
 
 
 def _check_aux(d: DmcSpec, a: AuxJoint) -> None:
@@ -153,21 +178,27 @@ def discrete_cmi(joint: np.ndarray, axes, set_a, set_b, set_c=()) -> float:
     return max(0.0, h(a | c) + h(b | c) - h(c) - h(a | b | c))
 
 
-def _combine(terms: dict, cmi) -> tuple:
-    """(r1, r02) of one _TERMS entry before the rate clamp; cmi(a, b, c)
-    is called once per distinct term."""
-    values: dict = {}
-    return tuple(
-        functools.reduce(np.minimum, [_expression(e, cmi, values) for e in terms[rate]])
-        for rate in ("r1", "r02")
-    )
+# each bound of _TERMS compiled once (model._program), with its count of r1 rows
+_PROGRAMS = {
+    bounds: (_program(rates["r1"] + rates["r02"]), len(rates["r1"]))
+    for bounds, rates in _TERMS.items()
+}
 
 
-def _rates(d: DmcSpec, pmf: np.ndarray, terms: dict) -> RatePoint:
-    """The (r1, r02) of one _TERMS entry on one aux joint, screened as a
-    batch of one. The joint is not checked: the factors' rounding can
+def _combine(program: tuple, cmi) -> tuple:
+    """(r1, r02) of one _PROGRAMS entry before the rate clamp; cmi(a, b, c)
+    is called once per distinct term, in first-use order."""
+    (terms, rows), n_r1 = program
+    values = [cmi(*term) for term in terms]
+    rates = [_expression(e, values) for e in rows]
+    return functools.reduce(np.minimum, rates[:n_r1]), functools.reduce(np.minimum, rates[n_r1:])
+
+
+def _rates(d: DmcSpec, pmf: np.ndarray, program: tuple) -> RatePoint:
+    """The (r1, r02) of one _PROGRAMS entry on one aux joint, screened as
+    a batch of one. The joint is not checked: the factors' rounding can
     compound past the tolerance each one passed."""
-    r1, r02 = _screen(d, pmf[None], terms)
+    r1, r02 = _screen(d, pmf[None], program)
     return RatePoint.clamped(r1[0], r02[0])
 
 
@@ -175,21 +206,22 @@ def eval_informed_both(d: DmcSpec, a: AuxJoint) -> RatePoint:
     """Achievable pair when source and relay both know the interference:
     every bound conditions on s, and no binning penalty appears."""
     _check_aux(d, a)
-    return _rates(d, a.pmf, _TERMS["informed-both"])
+    return _rates(d, a.pmf, _PROGRAMS["informed-both"])
 
 
 def eval_informed_source(d: DmcSpec, a: AuxJoint) -> RatePoint:
     """Achievable pair when only the source knows the interference: each
     mutual information pays the binning penalty I(aux; s | ...)."""
     _check_aux(d, a)
-    return _rates(d, a.pmf, _TERMS["informed-source"])
+    return _rates(d, a.pmf, _PROGRAMS["informed-source"])
 
 
-def _screen(d: DmcSpec, pmf: np.ndarray, terms: dict) -> tuple[np.ndarray, np.ndarray]:
-    """Batched (r1, r02) of aux joints stacked on a leading axis, each
-    term and each rate clamped at 0. Sums run in another order than in
-    discrete_cmi, and a candidate's sums in a batch of one run in another
-    order than in a larger batch, so rates agree up to rounding only."""
+def _screen(d: DmcSpec, pmf: np.ndarray, program: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """Batched (r1, r02) of a _PROGRAMS entry on aux joints stacked on a
+    leading axis, each term and each rate clamped at 0. Sums run in
+    another order than in discrete_cmi, and a candidate's sums in a batch
+    of one run in another order than in a larger batch, so rates agree
+    up to rounding only."""
     n = pmf.shape[0]
     # joints indexed [s][u1][u2][x1][x2][y1][y2][candidate]: with the
     # candidates innermost, every marginal sum adds contiguous rows, ~10x
@@ -216,7 +248,7 @@ def _screen(d: DmcSpec, pmf: np.ndarray, terms: dict) -> tuple[np.ndarray, np.nd
         a, b, c = frozenset(a), frozenset(b), frozenset(c)
         return np.maximum(h(a | c) + h(b | c) - h(c) - h(a | b | c), 0.0)
 
-    r1, r02 = _combine(terms, cmi)
+    r1, r02 = _combine(program, cmi)
     return np.maximum(r1, 0.0), np.maximum(r02, 0.0)
 
 
@@ -283,7 +315,7 @@ def dmc_maximize(
         raise OutOfRange(f"denominator must be the integer 4, 8 or 16, got {denominator!r}")
     if objective not in ("r02", "r1"):
         raise OutOfRange(f"objective must be 'r02' or 'r1', got {objective!r}")
-    terms = _TERMS[bounds]
+    program = _PROGRAMS[bounds]
     denominator = int(denominator)
     ns, nu1, nu2, nx1, nx2 = d.sizes[:5]
     cells = nu1 * nu2 * nx1 * nx2
@@ -309,7 +341,7 @@ def dmc_maximize(
     kept = 0  # the pool's size after its last compaction
     for start in range(0, total, step):
         index = np.arange(start, min(start + step, total))
-        rates = _screen(d, strategies(index), terms)
+        rates = _screen(d, strategies(index), program)
         chunk = np.stack(rates[::-1] if objective == "r02" else rates)
         top = max(top, float(chunk[0].max()))
         keys, ids = np.hstack([keys, chunk]), np.concatenate([ids, index])
@@ -324,7 +356,7 @@ def dmc_maximize(
             kept = ids.size
     tied = strategies(ids[keys[1] >= keys[1].max() - _TIE_TOL])
     best = tied[np.lexsort(tied.reshape(len(tied), -1).T[::-1])[0]]
-    return DmcOptResult(AuxJoint(best), _rates(d, best, terms), total, bounds)
+    return DmcOptResult(AuxJoint(best), _rates(d, best, program), total, bounds)
 
 
 def make_degraded_channel(p_y1: np.ndarray, p_y2_given_y1x2: np.ndarray) -> np.ndarray:

@@ -31,7 +31,10 @@ diverge. Terms compile into a trie of these chains (``_plan``), which
 share their common prefixes, so a region table's report builds each
 factor row once. One row of B's first label against the factor of C + A
 gives both its residuals: r(b | C) sums the squares of its first kept(C)
-entries, r(b | C, A) those of the whole row.
+entries, r(b | C, A) those of the whole row. A region table is a term-id
+program too (``model._program``): its report evaluates each distinct
+term once, in first-use order, and reads each row through
+``model._expression``.
 """
 
 from __future__ import annotations
@@ -52,6 +55,7 @@ from .model import (
     OutOfRange,
     SingularSubmatrix,
     _expression,
+    _program,
     _require_count,
     _require_tol,
     _scaled,
@@ -74,7 +78,8 @@ class CovarianceSystem:
     _PSD_TOL. A label of zero variance must have an exactly zero row and
     column, and no variance may be negative. Rescaling a label therefore
     moves no check, as it moves no information. The builders' covariances
-    hold these by construction and skip them (``_assemble``).
+    hold these by construction and skip them (``_assemble``). A copy or an
+    unpickled covariance is prepared from its fields again (``_restore``).
     """
 
     labels: tuple[str, ...]
@@ -107,7 +112,11 @@ class CovarianceSystem:
             raise OutOfRange("sigma must be symmetric")
         if float(np.linalg.eigvalsh(unit).min(initial=0.0)) < _PSD_TOL:
             raise OutOfRange("sigma is not positive semidefinite")
-        _prepare(self, tuple(self.labels), sigma)
+        labels = tuple(self.labels)
+        _prepare(self, labels, sigma, _index(labels))
+
+    def __reduce__(self):  # copy, deepcopy and pickle
+        return _restore, (type(self), self.labels, self.sigma)
 
     def index(self, label: str) -> int:
         try:
@@ -123,25 +132,41 @@ class CovarianceSystem:
         return float(self.sigma[self.index(a), self.index(b)])
 
 
-def _prepare(cov: CovarianceSystem, labels: tuple[str, ...], sigma: np.ndarray) -> CovarianceSystem:
+def _index(labels: tuple[str, ...]) -> dict:
+    """Each label's position in labels."""
+    return {label: i for i, label in enumerate(labels)}
+
+
+def _prepare(
+    cov: CovarianceSystem, labels: tuple[str, ...], sigma: np.ndarray, positions: dict
+) -> CovarianceSystem:
     """Set cov's fields, and what every term of it reads: sigma, read-only,
-    as nested lists for the residual passes, and each label's index."""
+    as nested lists for the residual passes, and positions, the label
+    index (``_index(labels)``), which covariances over one label tuple
+    share."""
     sigma.flags.writeable = False
     vars(cov).update(
         labels=labels,
         sigma=sigma,
         _rows=sigma.tolist(),
-        _positions={label: i for i, label in enumerate(labels)},
+        _positions=positions,
     )
     return cov
+
+
+def _restore(cls, labels: tuple[str, ...], sigma: np.ndarray) -> CovarianceSystem:
+    """A copied or unpickled covariance, prepared again from its fields,
+    so its sigma is read-only and its rows and index match it; its checks
+    held when the original was built."""
+    return _prepare(object.__new__(cls), labels, sigma, _index(labels))
 
 
 def _plan(terms) -> tuple:
     """Compile terms (a, b, c), each set a tuple of label indices, into
     the trie of the chains that ``_term`` reads: (parent node, label,
     whether the node has children) per node in build order, node 0 the
-    empty chain; and per term, per label b of B, (b, the node that gives
-    r(b | P), P's node, the node that gives r(b | P, A))."""
+    empty chain; and per term, in order, per label b of B, (b, the node
+    that gives r(b | P), P's node, the node that gives r(b | P, A))."""
     children: dict = {}  # (parent node, label) -> node, in build order
 
     def chain(node: int, labels) -> int:
@@ -149,7 +174,7 @@ def _plan(terms) -> tuple:
             node = children.setdefault((node, j), len(children) + 1)
         return node
 
-    subterms = {}
+    subterms = []
     for a, b, c in terms:
         p, sub = chain(0, c), []
         pa = chain(p, a)
@@ -159,9 +184,10 @@ def _plan(terms) -> tuple:
             node_pa = chain(pa, (j,))
             # b_0's row against C + A begins with its row against C
             sub.append((j, chain(p, (j,)) if i else node_pa, p, node_pa))
-        subterms[a, b, c] = tuple(sub)
+        subterms.append(tuple(sub))
     parents = {parent for parent, _ in children}
-    return tuple((parent, j, node in parents) for (parent, j), node in children.items()), subterms
+    nodes = tuple((parent, j, node in parents) for (parent, j), node in children.items())
+    return nodes, tuple(subterms)
 
 
 def _walk(s: list[list[float]], nodes: tuple) -> tuple[list, list, list]:
@@ -248,20 +274,23 @@ def _cmi_from_sigma(s: list[list[float]], a_idx, b_idx, c_idx) -> float:
 @functools.lru_cache(maxsize=1024)
 def _term_plan(term: tuple) -> tuple:
     """The nodes and subterms of one term's plan, compiled once per term."""
-    nodes, subterms = _plan((term,))
-    return nodes, subterms[term]
+    nodes, (subterms,) = _plan((term,))
+    return nodes, subterms
 
 
-def _assemble(labels: tuple[str, ...], mix: np.ndarray, variances) -> CovarianceSystem:
+def _assemble(
+    labels: tuple[str, ...], positions: dict, mix: np.ndarray, variances
+) -> CovarianceSystem:
     """Covariance of labels = mix @ basis, basis independent with the
     given variances >= 0: the Gram product L L^T of L = mix diag(sqrt(v)),
     so PSD, and exactly symmetric because numpy forms a product with its
     own transpose as one symmetric update. Built without CovarianceSystem's
     checks, which hold by construction: the labels are the builders'
-    literal, unique tuples, and on a channel's scaled powers
-    (``model._scaled``) no entry leaves the float range."""
+    literal, unique tuples, each with its index built once, and on a
+    channel's scaled powers (``model._scaled``) no entry leaves the float
+    range."""
     factor = mix * np.sqrt(variances)
-    return _prepare(object.__new__(CovarianceSystem), labels, factor @ factor.T)
+    return _prepare(object.__new__(CovarianceSystem), labels, factor @ factor.T, positions)
 
 
 # Each builder's mix with its fixed 0/1 entries, read-only: the builder
@@ -299,6 +328,7 @@ _SOURCE_MIX = np.array(
     dtype=float,
 )
 _BOTH_MIX.flags.writeable = _SOURCE_MIX.flags.writeable = False
+_BOTH_INDEX, _SOURCE_INDEX = _index(_BOTH_LABELS), _index(_SOURCE_LABELS)
 
 
 def build_cov_informed_both(
@@ -342,7 +372,7 @@ def build_cov_informed_both(
     mix[1, 0], mix[2, 0] = alpha1, alpha2
     mix[4, 1] = mix[6, 1] = lam
     mix[5, 1] = mu
-    return _assemble(_BOTH_LABELS, mix, variances)
+    return _assemble(_BOTH_LABELS, _BOTH_INDEX, mix, variances)
 
 
 def build_cov_informed_source(c: ChannelParams, g: GdpcParams) -> CovarianceSystem:
@@ -393,7 +423,7 @@ def _cov_informed_source(c: ChannelParams, g: GdpcParams) -> CovarianceSystem:
     mix[6, 0] = -s_coef
     mix[7, 2] = c_uw
     mix[9, 2] = 1.0 + c_uw
-    return _assemble(_SOURCE_LABELS, mix, variances)
+    return _assemble(_SOURCE_LABELS, _SOURCE_INDEX, mix, variances)
 
 
 @dataclass(frozen=True, slots=True)
@@ -451,11 +481,12 @@ class VerifyReport:
 
 
 def _region_table(exprs, labels: tuple[str, ...], s: str) -> tuple:
-    """A region table, compiled: (label, expression) of each expression in
-    ``model._TERMS``' form, where axis s reads as the label s and every
-    other axis as its upper-case name, and the expression holds each set
-    as indices in labels; and the ``_plan`` of the rows' distinct terms."""
-    rows = []
+    """A region table, compiled: per expression in ``model._TERMS``' form,
+    where axis s reads as the label s and every other axis as its
+    upper-case name, (label, its ``model._program`` row, the count of
+    terms it needs, its largest term id + 1); the program's distinct
+    terms, each set a tuple of indices in labels; and their ``_plan``."""
+    names, indexed = [], []
     for expr in exprs:
         expr = tuple(
             (sign, *(tuple(s if x == "s" else x.upper() for x in axes) for axes in term))
@@ -466,9 +497,15 @@ def _region_table(exprs, labels: tuple[str, ...], s: str) -> tuple:
             f"{'|' if c else ''}{','.join(c)})"
             for i, (sign, a, b, c) in enumerate(expr)
         )
-        indexed = tuple((sign, *(tuple(map(labels.index, x)) for x in t)) for sign, *t in expr)
-        rows.append((label, indexed))
-    return tuple(rows), _plan(dict.fromkeys(term[1:] for _, expr in rows for term in expr))
+        names.append(label)
+        indexed.append(
+            tuple((sign, *(tuple(map(labels.index, x)) for x in t)) for sign, *t in expr)
+        )
+    terms, program = _program(indexed)
+    rows = tuple(
+        (label, expr, max(i for _, i in expr) + 1) for label, expr in zip(names, program)
+    )
+    return rows, terms, _plan(terms)
 
 
 _BOTH_TERMS, _SOURCE_TERMS = _TERMS["informed-both"], _TERMS["informed-source"]
@@ -486,20 +523,23 @@ _RELAY_ROWS = _region_table(
 def _row_values(cov: CovarianceSystem, table: tuple):
     """The value of each row of a compiled region table on cov, lazily in
     row order: the plan is walked once, and each distinct term is
-    evaluated once, when a row first reads it."""
-    rows, (nodes, subterms) = table
+    evaluated once, in id order, when a row first reads it, so a term
+    that raises does so in that row."""
+    rows, _, (nodes, subterms) = table
     s = cov._rows
     walked = _walk(s, nodes)
-    cmi = lambda a, b, c: _term(s, walked, subterms[a, b, c])  # noqa: E731
-    values: dict = {}
-    return (_expression(expr, cmi, values) for _, expr in rows)
+    values: list = []
+    for _, expr, need in rows:
+        while len(values) < need:
+            values.append(_term(s, walked, subterms[len(values)]))
+        yield _expression(expr, values)
 
 
 def _region_checks(cov: CovarianceSystem, table: tuple, closed: tuple) -> tuple:
     """A TermCheck per row of table against its closed form."""
     return tuple(
         TermCheck(label, oracle, x)
-        for (label, _), oracle, x in zip(table[0], _row_values(cov, table), closed)
+        for (label, _, _), oracle, x in zip(table[0], _row_values(cov, table), closed)
     )
 
 
@@ -597,9 +637,10 @@ def sample_mi_estimate(
     """
     n_samples = _require_count("n_samples", n_samples, max(1000, len(cov.labels) + 1))
     seed = _require_count("seed", seed, 0)
-    # the draw is a Gram product: prepared without the checks, as _assemble prepares one
+    # the draw is a Gram product: prepared without the checks, as _assemble
+    # prepares one, and under cov's labels, so with cov's index
     draw = _sample_covariance(cov.sigma, n_samples, seed)
-    sample = _prepare(object.__new__(CovarianceSystem), cov.labels, draw)
+    sample = _prepare(object.__new__(CovarianceSystem), cov.labels, draw, cov._positions)
     return gaussian_cmi(sample, set_a, set_b, set_c)
 
 

@@ -32,6 +32,11 @@ rule (``_require_real``), so a field is stored as a Python float, -0.0
 as +0.0, and a float32 passed in computes as a float. The one condition
 no type can hold, the channel-coupled bound on rho, is checked by
 ``validate_gdpc``.
+
+``_TERMS`` states both achievable regions once. ``_program`` compiles a
+bound or a region table, at import, into its distinct terms and its rows
+of (sign, term id) pairs, and ``_expression`` is the one evaluator of
+such a row, in ``dmc`` and in ``gaussian``.
 """
 
 from __future__ import annotations
@@ -307,13 +312,23 @@ _TERMS = {
 }
 
 
-def _expression(expr, cmi, values: dict):
-    """The value of one _TERMS expression; cmi(a, b, c) runs once per term
-    not yet in values, which keeps each term for the bound's other ones."""
+def _program(exprs) -> tuple:
+    """Compile expressions of ``_TERMS``' form: their distinct terms
+    (a, b, c) in first-use order, and each expression as ((sign, id), ...),
+    id the term's place in that order."""
+    ids: dict = {}
+    rows = tuple(
+        tuple((sign, ids.setdefault((a, b, c), len(ids))) for sign, a, b, c in expr)
+        for expr in exprs
+    )
+    return tuple(ids), rows
+
+
+def _expression(expr, values):
+    """The value of one compiled expression (``_program``), where values[i]
+    is the value of term i: its first term plus or minus the others."""
     total = None
-    for sign, a, b, c in expr:
-        v = values.get((a, b, c))
-        if v is None:
-            v = values[a, b, c] = cmi(a, b, c)
+    for sign, i in expr:
+        v = values[i]
         total = v if total is None else (total + v if sign > 0 else total - v)
     return total

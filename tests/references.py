@@ -243,10 +243,10 @@ def _product_compositions(total, cells):
 
 def _per_term_evaluate(d, a, bounds):
     """The rates of one strategy from its composed joint, with one public
-    ``discrete_cmi`` call per term of the bound."""
+    ``discrete_cmi`` call per distinct term of the bound."""
     full = compose_full(d, a)
     return RatePoint.clamped(
-        *dmc._combine(dmc._TERMS[bounds], lambda *t: discrete_cmi(full, AXES, *t))
+        *dmc._combine(dmc._PROGRAMS[bounds], lambda *t: discrete_cmi(full, AXES, *t))
     )
 
 

@@ -544,7 +544,7 @@ def test_screen_matches_scalar_evaluators(seed, sizes, bounds):
     rng = np.random.default_rng(seed)
     d = _random_spec(rng, sizes)
     pmfs = _random_strategies(rng, d, 8)
-    r1, r02 = dmc._screen(d, pmfs, dmc._TERMS[bounds])
+    r1, r02 = dmc._screen(d, pmfs, dmc._PROGRAMS[bounds])
     for i, pmf in enumerate(pmfs):
         want = BOUNDS[bounds](d, AuxJoint(pmf))
         assert abs(r1[i] - want.r1) <= 1e-12

@@ -44,6 +44,7 @@ from relayregions.rates import _gdpc_point
 from references import PROPERTY, _reference_cov_informed_both, _reference_cov_informed_source
 
 EXAMPLE = ChannelParams(1.0, 1.0, 1.0, 0.1, 1.0)
+IB = InformedBothParams(0.3, 0.6)
 
 
 def _pair(r):
@@ -503,8 +504,9 @@ def _outcome(rows):
 class TestSharedChains:
     """A compiled region table walks each chain once for all its rows.
     Each row must read, bit for bit, what ``_expression`` over one
-    ``gaussian_cmi`` call per term reads; where a row raises, both routes
-    raise the same error, the one-term route in that same row."""
+    ``gaussian_cmi`` call per term reads, each term called when a row
+    first reads it; where a row raises, both routes raise the same error,
+    the one-term route in that same row."""
 
     @settings(PROPERTY, max_examples=300)
     @given(builder_inputs())
@@ -521,12 +523,43 @@ class TestSharedChains:
             (both, _RELAY_ROWS),
         ):
 
-            def one_term(*term, cov=cov):
-                return gaussian_cmi(cov, *([cov.labels[i] for i in x] for x in term))
+            def per_term(cov=cov, table=table):
+                rows, terms, _ = table
+                values = {}
+                for _, expr, _ in rows:
+                    for _, i in expr:
+                        if i not in values:
+                            names = ([cov.labels[k] for k in x] for x in terms[i])
+                            values[i] = gaussian_cmi(cov, *names)
+                    yield _expression(expr, values)
 
-            rows = table[0]
-            per_term = (_expression(expr, one_term, {}) for _, expr in rows)
-            assert _outcome(_row_values(cov, table)) == _outcome(per_term), (c, g, p, rows)
+            assert _outcome(_row_values(cov, table)) == _outcome(per_term()), (c, g, p, table)
+
+    @pytest.mark.parametrize(
+        "report, table, calls",
+        [
+            (lambda: verify_gdpc(EXAMPLE, GdpcParams(0.2, 0.3, 0.4, 0.5)), _GDPC_ROWS, 5),
+            (lambda: verify_informed_both(EXAMPLE, IB), _INFORMED_BOTH_ROWS, 5),
+            (lambda: verify_relay_identity(EXAMPLE, IB), _RELAY_ROWS, 2),
+        ],
+        ids=["gdpc", "informed-both", "relay"],
+    )
+    def test_each_distinct_term_once_in_first_use_order(self, monkeypatch, report, table, calls):
+        """A report calls ``_term`` once per distinct term of its table,
+        in id order, and ids follow first use, never set or hash order."""
+        seen, term = [], gaussian._term
+
+        def counted(s, walked, sub):
+            seen.append(sub)
+            return term(s, walked, sub)
+
+        monkeypatch.setattr(gaussian, "_term", counted)
+        report()
+        rows, terms, (_, subterms) = table
+        first_use = list(dict.fromkeys(terms[i] for _, expr, _ in rows for _, i in expr))
+        assert len(seen) == len(terms) == calls
+        assert list(terms) == first_use
+        assert seen == list(subterms)
 
 
 class TestInformedBothCov:

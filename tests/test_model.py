@@ -353,6 +353,29 @@ def _same(a, b) -> bool:
 _BY_IDENTITY = {"DmcSpec", "AuxJoint", "DmcOptResult"}
 
 
+def _arrays(x):
+    """Every array a value holds, through its nested values."""
+    if dataclasses.is_dataclass(x):
+        for f in dataclasses.fields(x):
+            yield from _arrays(getattr(x, f.name))
+    elif isinstance(x, tuple):
+        for y in x:
+            yield from _arrays(y)
+    elif isinstance(x, np.ndarray):
+        yield x
+
+
+# the routes that restore a value as it was, and replace, which builds it again
+_COPIES = {
+    "pickle": lambda v: pickle.loads(pickle.dumps(v)),
+    "deepcopy": copy.deepcopy,
+    "copy": copy.copy,
+}
+_DUPLICATES = pytest.mark.parametrize(
+    "duplicate", [*_COPIES.values(), dataclasses.replace], ids=[*_COPIES, "replace"]
+)
+
+
 def test_every_dataclass_but_two_is_a_slotted_value_type():
     """The two that store prepared state beside their fields keep a dict."""
     defined = {
@@ -382,16 +405,51 @@ class TestValueTypes:
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(value, name, getattr(value, name))
 
-    @pytest.mark.parametrize(
-        "duplicate",
-        [lambda v: pickle.loads(pickle.dumps(v)), copy.deepcopy, copy.copy, dataclasses.replace],
-        ids=["pickle", "deepcopy", "copy", "replace"],
-    )
+    @_DUPLICATES
     def test_copies_hold_the_same_value(self, value, duplicate):
         other = duplicate(value)
         assert _same(other, value)
         if type(value).__name__ not in _BY_IDENTITY:
             assert other == value and hash(other) == hash(value)
+
+    @_DUPLICATES
+    def test_copies_keep_their_arrays_read_only(self, value, duplicate):
+        assert not any(x.flags.writeable for x in _arrays(duplicate(value)))
+
+
+@pytest.mark.parametrize("duplicate", _COPIES.values(), ids=list(_COPIES))
+def test_copied_spec_keeps_its_normalised_p_s_bits(duplicate):
+    """A copy restores p_s as stored; ``replace`` builds a new spec, which
+    divides by the sum again."""
+    p_s = [0.4325152177214142, 0.5637771777263074, 0.0037076045522782953]
+    d = dmc.DmcSpec((3, 1, 1, 1, 1, 1, 1), p_s, np.ones((3, 1, 1, 1, 1)))
+    # the stored p_s, divided by its sum once more, moves a bit
+    assert (d.p_s / d.p_s.sum()).tobytes() != d.p_s.tobytes()
+    other = duplicate(d)
+    assert other.p_s.tobytes() == d.p_s.tobytes()
+
+
+@_DUPLICATES
+@pytest.mark.parametrize(
+    "cov",
+    [
+        gaussian.build_cov_informed_both(
+            ChannelParams(1.0, 1.0, 1.0, 0.1, 1.0), InformedBothParams(0.3, 0.6)
+        ),
+        gaussian.CovarianceSystem(("A", "B"), np.array([[1.0, 0.25], [0.25, 1.0]])),
+    ],
+    ids=["assembled", "checked"],
+)
+def test_copied_covariance_is_read_only_and_prepared_from_its_sigma(cov, duplicate):
+    """A copy's sigma is read-only, and the rows and label index its terms
+    read match its own sigma and labels."""
+    other = duplicate(cov)
+    assert other.labels == cov.labels and np.array_equal(other.sigma, cov.sigma)
+    assert not other.sigma.flags.writeable
+    assert other._rows == other.sigma.tolist()
+    assert other._positions == {label: i for i, label in enumerate(other.labels)}
+    a, b = cov.labels[-1], cov.labels[0]
+    assert gaussian.gaussian_cmi(other, [a], [b]) == gaussian.gaussian_cmi(cov, [a], [b])
 
 
 def test_replace_checks_the_new_value():
