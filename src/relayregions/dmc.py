@@ -32,11 +32,13 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
-from .model import _TERMS, _TIE_TOL, OutOfRange, RatePoint, _expression, _program, _require_count
+from .model import (
+    _TERMS, _TIE_TOL, OutOfRange, RatePoint, _expression, _program, _require_count, _unchecked,
+)
 
 AXES = ("s", "u1", "u2", "x1", "x2", "y1", "y2")
 _PMF_TOL = 1e-12
@@ -57,18 +59,6 @@ def _check_pmf(name: str, p: np.ndarray, axis=None) -> None:
     # nan and +-inf fail the comparison
     if not (np.abs(sums - 1.0) <= _PMF_TOL).all():
         raise OutOfRange(f"{name} must sum to 1 within {_PMF_TOL}")
-
-
-def _restore(cls, *values):
-    """A copied or unpickled DmcSpec or AuxJoint: its fields set as they
-    were, arrays read-only again, and nothing checked or divided again,
-    since dividing a normalised p_s by its sum once more can move bits."""
-    value = object.__new__(cls)
-    for field, x in zip(fields(cls), values):
-        if isinstance(x, np.ndarray):
-            x.flags.writeable = False
-        object.__setattr__(value, field.name, x)
-    return value
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -107,7 +97,8 @@ class DmcSpec:
         object.__setattr__(self, "channel", channel)
 
     def __reduce__(self):  # copy, deepcopy and pickle
-        return _restore, (type(self), self.sizes, self.p_s, self.channel)
+        # p_s restored as stored: dividing it by its sum again can move bits
+        return _unchecked, (type(self), self.sizes, self.p_s, self.channel)
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -130,7 +121,7 @@ class AuxJoint:
         object.__setattr__(self, "pmf", pmf)
 
     def __reduce__(self):  # copy, deepcopy and pickle
-        return _restore, (type(self), self.pmf)
+        return _unchecked, (type(self), self.pmf)
 
 
 def _check_aux(d: DmcSpec, a: AuxJoint) -> None:
@@ -313,7 +304,7 @@ def dmc_maximize(
         raise OutOfRange(f"bounds must be one of {tuple(_TERMS)}, got {bounds!r}")
     if not isinstance(denominator, (int, np.integer)) or denominator not in (4, 8, 16):
         raise OutOfRange(f"denominator must be the integer 4, 8 or 16, got {denominator!r}")
-    if objective not in ("r02", "r1"):
+    if not isinstance(objective, str) or objective not in ("r02", "r1"):
         raise OutOfRange(f"objective must be 'r02' or 'r1', got {objective!r}")
     program = _PROGRAMS[bounds]
     denominator = int(denominator)

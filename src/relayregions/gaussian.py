@@ -28,18 +28,20 @@ the labels of B before b,
 where r(b | P, A) is read at the end of the chain C, A, B's earlier
 labels. A b kept given P but dropped given P and A makes I(A;B|C)
 diverge. Terms compile into a trie of these chains (``_plan``), which
-share their common prefixes, so a region table's report builds each
-factor row once. One row of B's first label against the factor of C + A
-gives both its residuals: r(b | C) sums the squares of its first kept(C)
-entries, r(b | C, A) those of the whole row. A region table is a term-id
-program too (``model._program``): its report evaluates each distinct
-term once, in first-use order, and reads each row through
-``model._expression``.
+share their common prefixes, and ``_term_values`` walks the trie once
+and evaluates every term in id order, so a region table's report builds
+each factor row once. One row of B's first label against the factor of
+C + A gives both its residuals: r(b | C) sums the squares of its first
+kept(C) entries, r(b | C, A) those of the whole row. A region table is a
+term-id program too (``model._program``): its report evaluates each
+distinct term once, in first-use order, and reads each row through
+``model._expression``. A covariance is its labels and its read-only
+sigma, nothing more: a term reads sigma's rows as nested lists when it
+is evaluated.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from operator import mul
@@ -59,6 +61,7 @@ from .model import (
     _require_count,
     _require_tol,
     _scaled,
+    _unchecked,
     validate_gdpc,
 )
 from .rates import _gdpc_point, _private_rate, cap_c, nostate_terms
@@ -68,7 +71,7 @@ _RANK_TOL = 1e-10
 _PSD_TOL = -1e-10
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, slots=True, eq=False)
 class CovarianceSystem:
     """A labeled joint Gaussian covariance over named scalar variables.
 
@@ -77,9 +80,10 @@ class CovarianceSystem:
     the diagonal) is symmetric within 1e-9 and has no eigenvalue below
     _PSD_TOL. A label of zero variance must have an exactly zero row and
     column, and no variance may be negative. Rescaling a label therefore
-    moves no check, as it moves no information. The builders' covariances
-    hold these by construction and skip them (``_assemble``). A copy or an
-    unpickled covariance is prepared from its fields again (``_restore``).
+    moves no check, as it moves no information. sigma is stored read-only.
+    The builders' covariances hold these by construction and skip them
+    (``_assemble``), and a copy or an unpickled covariance held them when
+    it was built (``model._unchecked``).
     """
 
     labels: tuple[str, ...]
@@ -112,16 +116,20 @@ class CovarianceSystem:
             raise OutOfRange("sigma must be symmetric")
         if float(np.linalg.eigvalsh(unit).min(initial=0.0)) < _PSD_TOL:
             raise OutOfRange("sigma is not positive semidefinite")
-        labels = tuple(self.labels)
-        _prepare(self, labels, sigma, _index(labels))
+        sigma.flags.writeable = False
+        object.__setattr__(self, "labels", tuple(self.labels))
+        object.__setattr__(self, "sigma", sigma)
 
     def __reduce__(self):  # copy, deepcopy and pickle
-        return _restore, (type(self), self.labels, self.sigma)
+        return _unchecked, (type(self), self.labels, self.sigma)
 
     def index(self, label: str) -> int:
         try:
-            return self._positions[label]
-        except (KeyError, TypeError):  # TypeError: an unhashable label
+            # labels are hashable, so an unhashable label (an array, whose
+            # == is elementwise) is no label
+            hash(label)
+            return self.labels.index(label)
+        except (TypeError, ValueError):
             raise OutOfRange(f"unknown label {label!r}, have {self.labels}") from None
 
     def var(self, label: str) -> float:
@@ -130,35 +138,6 @@ class CovarianceSystem:
 
     def cov(self, a: str, b: str) -> float:
         return float(self.sigma[self.index(a), self.index(b)])
-
-
-def _index(labels: tuple[str, ...]) -> dict:
-    """Each label's position in labels."""
-    return {label: i for i, label in enumerate(labels)}
-
-
-def _prepare(
-    cov: CovarianceSystem, labels: tuple[str, ...], sigma: np.ndarray, positions: dict
-) -> CovarianceSystem:
-    """Set cov's fields, and what every term of it reads: sigma, read-only,
-    as nested lists for the residual passes, and positions, the label
-    index (``_index(labels)``), which covariances over one label tuple
-    share."""
-    sigma.flags.writeable = False
-    vars(cov).update(
-        labels=labels,
-        sigma=sigma,
-        _rows=sigma.tolist(),
-        _positions=positions,
-    )
-    return cov
-
-
-def _restore(cls, labels: tuple[str, ...], sigma: np.ndarray) -> CovarianceSystem:
-    """A copied or unpickled covariance, prepared again from its fields,
-    so its sigma is read-only and its rows and index match it; its checks
-    held when the original was built."""
-    return _prepare(object.__new__(cls), labels, sigma, _index(labels))
 
 
 def _plan(terms) -> tuple:
@@ -245,6 +224,15 @@ def _term(s: list[list[float]], walked: tuple, subterms: tuple) -> float:
     return val
 
 
+def _term_values(s: list[list[float]], plan: tuple) -> list[float]:
+    """Every term of a plan (``_plan``) on the rows s of sigma
+    (``ndarray.tolist``), in id order: the chains are walked once, and
+    the first term that raises raises."""
+    nodes, subterms = plan
+    walked = _walk(s, nodes)
+    return [_term(s, walked, sub) for sub in subterms]
+
+
 def gaussian_cmi(
     cov: CovarianceSystem,
     set_a: Iterable[str],
@@ -261,36 +249,25 @@ def gaussian_cmi(
     diverges and SingularSubmatrix is raised.
     """
     a, b, c = (tuple(dict.fromkeys(map(cov.index, x))) for x in (set_a, set_b, set_c))
-    return _cmi_from_sigma(cov._rows, a, b, c)
+    return _cmi_from_sigma(cov.sigma.tolist(), a, b, c)
 
 
 def _cmi_from_sigma(s: list[list[float]], a_idx, b_idx, c_idx) -> float:
     """I(A;B|C) in bits from the rows of sigma as nested lists
-    (``ndarray.tolist``): the plan of the one term."""
-    nodes, subterms = _term_plan((tuple(a_idx), tuple(b_idx), tuple(c_idx)))
-    return _term(s, _walk(s, nodes), subterms)
+    (``ndarray.tolist``): the one term of its own plan."""
+    return _term_values(s, _plan([(a_idx, b_idx, c_idx)]))[0]
 
 
-@functools.lru_cache(maxsize=1024)
-def _term_plan(term: tuple) -> tuple:
-    """The nodes and subterms of one term's plan, compiled once per term."""
-    nodes, (subterms,) = _plan((term,))
-    return nodes, subterms
-
-
-def _assemble(
-    labels: tuple[str, ...], positions: dict, mix: np.ndarray, variances
-) -> CovarianceSystem:
+def _assemble(labels: tuple[str, ...], mix: np.ndarray, variances) -> CovarianceSystem:
     """Covariance of labels = mix @ basis, basis independent with the
     given variances >= 0: the Gram product L L^T of L = mix diag(sqrt(v)),
     so PSD, and exactly symmetric because numpy forms a product with its
     own transpose as one symmetric update. Built without CovarianceSystem's
     checks, which hold by construction: the labels are the builders'
-    literal, unique tuples, each with its index built once, and on a
-    channel's scaled powers (``model._scaled``) no entry leaves the float
-    range."""
+    literal, unique tuples, and on a channel's scaled powers
+    (``model._scaled``) no entry leaves the float range."""
     factor = mix * np.sqrt(variances)
-    return _prepare(object.__new__(CovarianceSystem), labels, factor @ factor.T, positions)
+    return _unchecked(CovarianceSystem, labels, factor @ factor.T)
 
 
 # Each builder's mix with its fixed 0/1 entries, read-only: the builder
@@ -328,7 +305,6 @@ _SOURCE_MIX = np.array(
     dtype=float,
 )
 _BOTH_MIX.flags.writeable = _SOURCE_MIX.flags.writeable = False
-_BOTH_INDEX, _SOURCE_INDEX = _index(_BOTH_LABELS), _index(_SOURCE_LABELS)
 
 
 def build_cov_informed_both(
@@ -372,7 +348,7 @@ def build_cov_informed_both(
     mix[1, 0], mix[2, 0] = alpha1, alpha2
     mix[4, 1] = mix[6, 1] = lam
     mix[5, 1] = mu
-    return _assemble(_BOTH_LABELS, _BOTH_INDEX, mix, variances)
+    return _assemble(_BOTH_LABELS, mix, variances)
 
 
 def build_cov_informed_source(c: ChannelParams, g: GdpcParams) -> CovarianceSystem:
@@ -423,7 +399,7 @@ def _cov_informed_source(c: ChannelParams, g: GdpcParams) -> CovarianceSystem:
     mix[6, 0] = -s_coef
     mix[7, 2] = c_uw
     mix[9, 2] = 1.0 + c_uw
-    return _assemble(_SOURCE_LABELS, _SOURCE_INDEX, mix, variances)
+    return _assemble(_SOURCE_LABELS, mix, variances)
 
 
 @dataclass(frozen=True, slots=True)
@@ -481,11 +457,11 @@ class VerifyReport:
 
 
 def _region_table(exprs, labels: tuple[str, ...], s: str) -> tuple:
-    """A region table, compiled: per expression in ``model._TERMS``' form,
+    """A region table, compiled from expressions in ``model._TERMS``' form,
     where axis s reads as the label s and every other axis as its
-    upper-case name, (label, its ``model._program`` row, the count of
-    terms it needs, its largest term id + 1); the program's distinct
-    terms, each set a tuple of indices in labels; and their ``_plan``."""
+    upper-case name: per expression, (its label, its ``model._program``
+    row); the program's distinct terms, each set a tuple of indices in
+    labels; and their ``_plan``."""
     names, indexed = [], []
     for expr in exprs:
         expr = tuple(
@@ -502,10 +478,7 @@ def _region_table(exprs, labels: tuple[str, ...], s: str) -> tuple:
             tuple((sign, *(tuple(map(labels.index, x)) for x in t)) for sign, *t in expr)
         )
     terms, program = _program(indexed)
-    rows = tuple(
-        (label, expr, max(i for _, i in expr) + 1) for label, expr in zip(names, program)
-    )
-    return rows, terms, _plan(terms)
+    return tuple(zip(names, program)), terms, _plan(terms)
 
 
 _BOTH_TERMS, _SOURCE_TERMS = _TERMS["informed-both"], _TERMS["informed-source"]
@@ -520,26 +493,20 @@ _RELAY_ROWS = _region_table(
 )
 
 
-def _row_values(cov: CovarianceSystem, table: tuple):
-    """The value of each row of a compiled region table on cov, lazily in
-    row order: the plan is walked once, and each distinct term is
-    evaluated once, in id order, when a row first reads it, so a term
-    that raises does so in that row."""
-    rows, _, (nodes, subterms) = table
-    s = cov._rows
-    walked = _walk(s, nodes)
-    values: list = []
-    for _, expr, need in rows:
-        while len(values) < need:
-            values.append(_term(s, walked, subterms[len(values)]))
-        yield _expression(expr, values)
+def _row_values(cov: CovarianceSystem, table: tuple) -> list:
+    """The value of each row of a compiled region table on cov, in row
+    order, read from its distinct terms, each evaluated once
+    (``_term_values``)."""
+    rows, _, plan = table
+    values = _term_values(cov.sigma.tolist(), plan)
+    return [_expression(expr, values) for _, expr in rows]
 
 
 def _region_checks(cov: CovarianceSystem, table: tuple, closed: tuple) -> tuple:
     """A TermCheck per row of table against its closed form."""
     return tuple(
         TermCheck(label, oracle, x)
-        for (label, _, _), oracle, x in zip(table[0], _row_values(cov, table), closed)
+        for (label, _), oracle, x in zip(table[0], _row_values(cov, table), closed)
     )
 
 
@@ -637,11 +604,10 @@ def sample_mi_estimate(
     """
     n_samples = _require_count("n_samples", n_samples, max(1000, len(cov.labels) + 1))
     seed = _require_count("seed", seed, 0)
-    # the draw is a Gram product: prepared without the checks, as _assemble
-    # prepares one, and under cov's labels, so with cov's index
+    # the draw is a Gram product: built without the checks, as _assemble
+    # builds one
     draw = _sample_covariance(cov.sigma, n_samples, seed)
-    sample = _prepare(object.__new__(CovarianceSystem), cov.labels, draw, cov._positions)
-    return gaussian_cmi(sample, set_a, set_b, set_c)
+    return gaussian_cmi(_unchecked(CovarianceSystem, cov.labels, draw), set_a, set_b, set_c)
 
 
 def _sample_covariance(sigma: np.ndarray, n_samples: int, seed: int) -> np.ndarray:

@@ -23,13 +23,15 @@ All types are frozen dataclasses that check their invariants when they
 are built, so a value of one is valid and safe to share between workers.
 The package's value types keep their fields in slots (``slots=True``),
 so a caller who keeps many reports or frontier points pays no dict per
-object. Two keep a ``__dict__``, as each stores prepared private state
-beside its fields and ``slots=True`` makes a slot of each field only (a
-private field would join ``fields``, ``astuple`` and ``replace``):
-``ChannelParams`` its scaled powers, and ``gaussian.CovarianceSystem``
-its rows and label index. Every public float argument is read by one
-rule (``_require_real``), so a field is stored as a Python float, -0.0
-as +0.0, and a float32 passed in computes as a float. The one condition
+object. Only ``ChannelParams`` keeps a ``__dict__``, as it stores its
+scaled powers beside its fields and ``slots=True`` makes a slot of each
+field only (a private field would join ``fields``, ``astuple`` and
+``replace``). A copied or unpickled value with arrays, and a covariance
+that a builder or the Monte-Carlo draw assembles, is built by
+``_unchecked``: its fields set, its arrays read-only, nothing checked.
+Every public float argument is read by one rule (``_require_real``), so
+a field is stored as a Python float, -0.0 as +0.0, and a float32 passed
+in computes as a float. The one condition
 no type can hold, the channel-coupled bound on rho, is checked by
 ``validate_gdpc``.
 
@@ -44,6 +46,8 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+
+import numpy as np
 
 
 class RelayRegionsError(Exception):
@@ -87,7 +91,7 @@ def _require_unit(name: str, value) -> float:
 def _require_tol(value) -> float:
     """An oracle report's pass tolerance: a finite real number > 0."""
     if not 0.0 < (tol := _require_real("tol", value)) < math.inf:
-        raise OutOfRange(f"must be finite and > 0, got {tol!r}")
+        raise OutOfRange(f"tol must be finite and > 0, got {tol!r}")
     return tol
 
 
@@ -97,6 +101,19 @@ def _require_count(name: str, value: int, floor: int) -> int:
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < floor:
         raise OutOfRange(f"{name} must be an integer >= {floor}, got {value!r}")
     return int(value)
+
+
+def _unchecked(cls, *values):
+    """A cls, a value type whose ``__slots__`` are its fields, holding
+    values as its fields, in order, each array made read-only, and nothing
+    checked: a copy of a value whose checks held when it was built, or one
+    that holds them by construction."""
+    value = object.__new__(cls)
+    for name, x in zip(cls.__slots__, values):
+        if isinstance(x, np.ndarray):
+            x.flags.writeable = False
+        object.__setattr__(value, name, x)
+    return value
 
 
 @dataclass(frozen=True)
@@ -251,7 +268,7 @@ SCHEMES = ("gdpc", "dpc", "informed-both", "nostate-outer")
 
 
 def _check_scheme(scheme: str) -> None:
-    if scheme not in SCHEMES:
+    if not isinstance(scheme, str) or scheme not in SCHEMES:
         raise OutOfRange(f"unknown scheme {scheme!r}, want one of {SCHEMES}")
 
 

@@ -65,6 +65,7 @@ ERROR_RUNS = [
     "point --channel 1,1,0,0.1,1 --params 0.2,0.3,0.4,0.5",
     "sweep-snr --snr-db 0,nan",
     "verify --mc-samples 5",
+    "verify --tol 0",
 ]
 
 

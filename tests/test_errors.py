@@ -8,6 +8,7 @@ needs vanished.
 
 import inspect
 import math
+import re
 
 import numpy as np
 import pytest
@@ -18,15 +19,18 @@ from relayregions import (
     ChannelParams,
     DmcSpec,
     GdpcParams,
+    GridSpec,
     OutOfRange,
     RelayRegionsError,
     SingularSubmatrix,
+    binary_pipes_spec,
     cap_c,
     dmc_maximize,
     frontier,
     gdpc_rates,
     nostate_terms,
     rho_upper_bound,
+    sweep_snr,
 )
 from relayregions import cli, dmc, gaussian, model, optimize, rates
 from relayregions.dmc import AXES, compose_full, make_degraded_channel
@@ -117,6 +121,31 @@ def test_rejection_is_out_of_range(call, message):
     assert str(info.value) == message
     assert isinstance(info.value, ValueError)
     assert isinstance(info.value, RelayRegionsError)
+
+
+_EXAMPLE = ChannelParams(1.0, 1.0, 1.0, 0.1, 1.0)
+_SMALL_GRID = GridSpec(steps_rho=5, steps_beta=5, refine_iters=1)
+# each choice argument, called on a value, and two of its choices
+_CHOICES = {
+    "frontier-scheme": (lambda x: frontier(_EXAMPLE, x, [0.5], _SMALL_GRID), ("gdpc", "dpc")),
+    "sweep_snr-scheme": (lambda x: sweep_snr(_EXAMPLE, [10.0], x, _SMALL_GRID), ("gdpc", "dpc")),
+    "dmc_maximize-objective": (
+        lambda x: dmc_maximize(binary_pipes_spec(), denominator=4, objective=x),
+        ("r1", "r02"),
+    ),
+}
+
+
+@pytest.mark.parametrize("size", [2, 1])
+@pytest.mark.parametrize("name", list(_CHOICES))
+def test_choice_given_as_an_array_is_out_of_range(name, size):
+    """An array compares elementwise, so ``in`` reads a 1-element array of
+    a choice as that choice; it is no choice. A numpy string is one."""
+    call, choices = _CHOICES[name]
+    value = np.array(choices[:size])
+    with pytest.raises(OutOfRange, match=re.escape(repr(value))):
+        call(value)
+    call(np.str_(choices[0]))
 
 
 def test_gdpc_rates_answers_where_products_leave_the_float_range():

@@ -330,6 +330,7 @@ def _value_types():
         binary_pipes_spec(),
         found.best,
         found,
+        gaussian.build_cov_informed_both(c, InformedBothParams(0.3, 0.6)),
     ]
 
 
@@ -350,7 +351,7 @@ def _same(a, b) -> bool:
 
 
 # the eq=False types compare by identity, and a DmcOptResult holds one
-_BY_IDENTITY = {"DmcSpec", "AuxJoint", "DmcOptResult"}
+_BY_IDENTITY = {"DmcSpec", "AuxJoint", "DmcOptResult", "CovarianceSystem"}
 
 
 def _arrays(x):
@@ -376,8 +377,8 @@ _DUPLICATES = pytest.mark.parametrize(
 )
 
 
-def test_every_dataclass_but_two_is_a_slotted_value_type():
-    """The two that store prepared state beside their fields keep a dict."""
+def test_every_dataclass_but_one_is_a_slotted_value_type():
+    """The one that stores prepared state beside its fields keeps a dict."""
     defined = {
         obj
         for module in (model, gaussian, optimize, dmc)
@@ -387,14 +388,14 @@ def test_every_dataclass_but_two_is_a_slotted_value_type():
     }
     slotted = {cls for cls in defined if "__slots__" in vars(cls)}
     assert slotted == {type(v) for v in _VALUES}
-    assert defined - slotted == {ChannelParams, gaussian.CovarianceSystem}
+    assert defined - slotted == {ChannelParams}
 
 
 @pytest.mark.parametrize("value", _VALUES, ids=lambda v: type(v).__name__)
 class TestValueTypes:
-    """Every value type but ``ChannelParams`` and ``CovarianceSystem``
-    keeps its fields in slots and stays a frozen value: no instance dict,
-    no assignment, and a copy of any kind holds the same fields."""
+    """Every value type but ``ChannelParams`` keeps its fields in slots and
+    stays a frozen value: no instance dict, no assignment, and a copy of
+    any kind holds the same fields."""
 
     def test_has_no_instance_dict(self, value):
         assert not hasattr(value, "__dict__")
@@ -441,13 +442,10 @@ def test_copied_spec_keeps_its_normalised_p_s_bits(duplicate):
     ids=["assembled", "checked"],
 )
 def test_copied_covariance_is_read_only_and_prepared_from_its_sigma(cov, duplicate):
-    """A copy's sigma is read-only, and the rows and label index its terms
-    read match its own sigma and labels."""
+    """A copy's sigma is read-only, and its terms read its own sigma."""
     other = duplicate(cov)
     assert other.labels == cov.labels and np.array_equal(other.sigma, cov.sigma)
     assert not other.sigma.flags.writeable
-    assert other._rows == other.sigma.tolist()
-    assert other._positions == {label: i for i, label in enumerate(other.labels)}
     a, b = cov.labels[-1], cov.labels[0]
     assert gaussian.gaussian_cmi(other, [a], [b]) == gaussian.gaussian_cmi(cov, [a], [b])
 
