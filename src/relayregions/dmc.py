@@ -307,7 +307,8 @@ def dmc_maximize(
     if not isinstance(objective, str) or objective not in ("r02", "r1"):
         raise OutOfRange(f"objective must be 'r02' or 'r1', got {objective!r}")
     program = _PROGRAMS[bounds]
-    denominator = int(denominator)
+    # a np.str_ would keep its repr in the result
+    bounds, denominator = str(bounds), int(denominator)
     ns, nu1, nu2, nx1, nx2 = d.sizes[:5]
     cells = nu1 * nu2 * nx1 * nx2
     per_state = math.comb(denominator + cells - 1, cells - 1)

@@ -267,9 +267,11 @@ def _clamp_rate(x: float) -> float:
 SCHEMES = ("gdpc", "dpc", "informed-both", "nostate-outer")
 
 
-def _check_scheme(scheme: str) -> None:
+def _check_scheme(scheme: str) -> str:
+    """The scheme as a plain ``str`` (a ``np.str_`` would keep its repr)."""
     if not isinstance(scheme, str) or scheme not in SCHEMES:
         raise OutOfRange(f"unknown scheme {scheme!r}, want one of {SCHEMES}")
+    return str(scheme)
 
 
 @dataclass(frozen=True, slots=True)
@@ -296,7 +298,7 @@ class Frontier:
     points: tuple[FrontierPoint, ...]
 
     def __post_init__(self) -> None:
-        _check_scheme(self.scheme)
+        object.__setattr__(self, "scheme", _check_scheme(self.scheme))
         for prev, cur in zip(self.points, self.points[1:]):
             if cur.rate.r1 <= prev.rate.r1:
                 raise OutOfRange("frontier r1 coordinates must strictly increase")

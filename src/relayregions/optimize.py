@@ -86,7 +86,7 @@ from .model import (
     _scaled,
     rho_upper_bound,
 )
-from .rates import _best_alpha2, _nostate_terms, _private_rate
+from .rates import _best_alpha2, _nostate_terms, _private_rate, _row_terms
 
 
 _MAX_GRID_CELLS = 10**6
@@ -133,8 +133,11 @@ DEFAULT_GRID = GridSpec()
 # Most (rho, beta) cells one pass of the batched search evaluates: five
 # default gdpc rows. A kernel call costs about 75 us of numpy dispatch
 # whatever its size, and the rows of a pass share it; five rows is the
-# pass size that measured fastest in the benchmark harness. The 33-cell
-# rows of a dpc frontier share one pass.
+# pass size that measured fastest in the benchmark harness. At five rows
+# each of the kernel's three-candidate temporaries, 3 * 5,445 floats, is
+# 130,680 bytes, under glibc's 128 KiB mmap threshold, so it comes from
+# the heap and not from fresh, faulting pages. The 33-cell rows of a dpc
+# frontier share one pass.
 _PASS_CELLS = 5 * DEFAULT_GRID.steps_rho * DEFAULT_GRID.steps_beta
 
 
@@ -249,8 +252,9 @@ def _search_pass(rows, rho_hi, n_rho: int, grid: GridSpec) -> list[OptResult]:
     row's value is its incumbent's last grid value."""
     n = len(rows)
     every = np.arange(n)
-    # the six knobs, each as an (n, 1, 1) column
-    knobs = np.array(rows, dtype=float).T[:, :, np.newaxis, np.newaxis]
+    # the terms of the six knobs that no cell moves, each as an (n, 1, 1)
+    # column
+    terms = _row_terms(*np.array(rows, dtype=float).T[:, :, np.newaxis, np.newaxis])
     steps_rho, n_beta, shrink = grid.steps_rho, grid.steps_beta, grid.refine_shrink
     # each row's (rho, beta) box with its cell count so far, and its
     # incumbent (rho, beta, alpha2, value); an infinite start loses every
@@ -262,7 +266,7 @@ def _search_pass(rows, rho_hi, n_rho: int, grid: GridSpec) -> list[OptResult]:
         rlo, rhi, blo, bhi, _ = zip(*boxes)
         rho = _axes(rlo, rhi, n_rho)
         beta = _axes(blo, bhi, n_beta)
-        aa, v = _best_alpha2(*knobs, rho[:, :, np.newaxis], beta[:, np.newaxis, :])
+        aa, v = _best_alpha2(terms, rho[:, :, np.newaxis], beta[:, np.newaxis, :])
         aa, v = aa.reshape(n, -1), v.reshape(n, -1)
         threshold = [
             t if t >= inc[3] else inc[3]

@@ -35,9 +35,10 @@ both fall, so min(r1_sum, r2_sum) peaks over alpha2 in [0, 1] at A2, at
 A1, or where the bounds cross in the bracket [A2, A1]: at a root of the
 quadratic c*b(alpha2) = a*d(alpha2), whose other root lies outside the
 bracket. The optimizer evaluates those three candidates and alpha2 = 0
-instead of searching alpha2. 0 is kept for the tie rule: where pwt = 0
-or qprime = 0 every alpha2 gives the same value, and the smallest tied
-candidate is the one returned.
+instead of searching alpha2: the three in one stacked pass, and 0 on its
+own, where b and d reduce to m*pwt + pwt*qprime. 0 is kept for the tie
+rule: where pwt = 0 or qprime = 0 every alpha2 gives the same value, and
+the smallest tied candidate is the one returned.
 
 Interference known everywhere (or absent): the capacity region is the
 no-interference one. With power split gamma and cooperative split beta3,
@@ -95,19 +96,27 @@ def _private_rate(p1, n1, gamma):
     return cap_c(gamma * p1 / n1)
 
 
-def _alpha2_free_terms(p1, p2, q, n1, n2, gamma, rho, beta):
-    """The parts of the sum-rate bounds that alpha2 does not touch,
-    elementwise: (pwt, qprime, a, c, n1 + gamma*p1, n2 + gamma*p1)."""
-    gbar = 1.0 - gamma
+def _row_terms(p1, p2, q, n1, n2, gamma):
+    """The terms of a row that rho and beta do not touch, which a search
+    computes once a pass: (p1, p2, n1, n2, 1 - gamma, gamma*p1, p2 > 0,
+    sqrt(q), n1 + gamma*p1, n2 + gamma*p1)."""
+    gp1 = gamma * p1
+    return p1, p2, n1, n2, 1.0 - gamma, gp1, p2 > 0.0, np.sqrt(q), n1 + gp1, n2 + gp1
+
+
+def _cell_terms(row, rho, beta):
+    """The parts of the sum-rate bounds that alpha2 does not touch, at a
+    ``_row_terms`` row, elementwise: (pwt, qprime, a, c, n1 + gamma*p1,
+    n2 + gamma*p1)."""
+    p1, p2, n1, n2, gbar, gp1, relay, sq, m1, m2 = row
     pw = (1.0 - rho) * gbar * p1
     # with no relay power X2 = 0 reveals nothing: all of pw stays unknown
-    pwt = (1.0 - beta * beta * (p2 > 0.0)) * pw
-    qs = np.sqrt(q) - np.sqrt(rho * gbar * p1)
+    pwt = (1.0 - beta * beta * relay) * pw
+    qs = sq - np.sqrt(rho * gbar * p1)
     qp = qs * qs
-    gp1 = gamma * p1
     a = pwt * (pwt + qp + gp1 + n1)
     c = pwt * (pw + p2 + qp + 2.0 * beta * np.sqrt(pw * p2) + gp1 + n2)
-    return pwt, qp, a, c, n1 + gp1, n2 + gp1
+    return pwt, qp, a, c, m1, m2
 
 
 def _binned_pair(pwt, qp, m1, m2, alpha2):
@@ -115,8 +124,8 @@ def _binned_pair(pwt, qp, m1, m2, alpha2):
     share (1-alpha2)^2*pwt*qprime and pwt + alpha2^2*qprime. An array
     alpha2 must have the full broadcast shape: the products are formed in
     place in arrays of its shape. The scalar rates pass a float and
-    ``_best_alpha2`` its full candidate stack. Squares are products, as
-    numpy forms them on arrays, so a float rounds as a grid cell does."""
+    ``_best_alpha2`` its stack of three candidates. Squares are products,
+    as numpy forms them on arrays, so a float rounds as a grid cell does."""
     shared = 1.0 - alpha2
     shared *= shared
     shared *= pwt
@@ -136,44 +145,60 @@ def _log_ratios(a, b, c, d):
         return 0.5 * np.log2(a / b), 0.5 * np.log2(c / d)
 
 
-def _best_alpha2(p1, p2, q, n1, n2, gamma, rho, beta):
+def _clamped_value(a, b, c, d):
+    """0.5*log2(min(a/b, c/d)), with nan, -inf and negative values read
+    as +0.0, elementwise and in b's buffer."""
+    np.divide(a, b, out=b)
+    np.divide(c, d, out=d)
+    v = np.minimum(b, d, out=b)
+    np.log2(v, out=v)
+    v *= 0.5
+    # fmax reads nan (0/0), -inf (log 0) and negative values as +0.0
+    return np.fmax(v, 0.0, out=v)
+
+
+def _best_alpha2(row, rho, beta):
     """Exact maximizer of min(r1_sum, r2_sum) over alpha2 in [0, 1],
-    elementwise over numpy inputs that broadcast against each other: a
-    grid passes its axes as rho of shape (..., n_rho, 1) and beta of shape
-    (..., 1, n_beta) rather than meshgridded copies, so the terms that
-    depend on rho alone are computed once per rho.
+    elementwise at a ``_row_terms`` row whose terms broadcast against rho
+    and beta: a grid passes its axes as rho of shape (..., n_rho, 1) and
+    beta of shape (..., 1, n_beta) rather than meshgridded copies, so the
+    terms that depend on rho alone are computed once per rho.
 
-    Returns (alpha2, value) with the value clamped. Four candidates are
-    evaluated in one stacked pass, in this order: +0.0, the far user's
-    Costa point A2, the smaller root of c*b - a*d = 0 that lies in the
-    bracket [A2, A1] (+0.0 when neither root does) and the near user's
-    Costa point A1; the module docstring says why they suffice for
-    n1 < n2. The roots are h/k2 and k0/h of k2*x^2 - 2*kh*x + k0 with
-    h = kh + sign(kh)*sqrt(kh^2 - k2*k0), and where the quadratic
-    degenerates to a linear equation (k2 = 0) k0/h is the linear root.
-    The three coefficients are first scaled by the power of two that
-    brings |kh| into [0.5, 1): the roots keep every bit, and the
-    discriminant stays in range wherever the coefficients are. Unscaled,
-    it over- or underflowed at channel powers beyond about 1e+-38 and
-    lost the crossing. A candidate that is not positive (nan, or a zero
-    of either sign) becomes +0.0; none exceeds 1, since pwt/(pwt + m) <= 1
-    for m > 0. Every candidate's value is computed by the same float
-    operations. Of the candidates within _TIE_TOL of the best value the
-    smallest wins, and its own value is returned, not the best one:
-    where pwt = 0 or qprime = 0 every candidate ties and +0.0 wins.
+    Returns (alpha2, value) with the value clamped. The candidates are
+    +0.0, the far user's Costa point A2, the smaller root of c*b - a*d = 0
+    that lies in the bracket [A2, A1] (+0.0 when neither root does) and
+    the near user's Costa point A1; the module docstring says why they
+    suffice for n1 < n2. The last three are evaluated in one stacked
+    pass. At +0.0, b and d are m1*pwt + pwt*qprime and m2*pwt +
+    pwt*qprime, the values ``_binned_pair`` rounds to there (1*x = x,
+    0*qprime = +0.0 and +0.0 + pwt = pwt), so every candidate's value is
+    computed by the same float operations. The roots are h/k2 and k0/h of
+    k2*x^2 - 2*kh*x + k0 with h = kh + sign(kh)*sqrt(kh^2 - k2*k0), and
+    where the quadratic degenerates to a linear equation (k2 = 0) k0/h is
+    the linear root. The three coefficients are first scaled by the power
+    of two that brings |kh| into [0.5, 1): the roots keep every bit, and
+    the discriminant stays in range wherever the coefficients are.
+    Unscaled, it over- or underflowed at channel powers beyond about
+    1e+-38 and lost the crossing. A root that is not positive (nan, or a
+    zero of either sign) becomes +0.0; no candidate exceeds 1, since
+    pwt/(pwt + m) <= 1 for m > 0. Of the candidates within _TIE_TOL of
+    the best value the smallest wins, and its own value is returned, not
+    the best one: where pwt = 0 or qprime = 0 every candidate ties and
+    +0.0 wins. As +0.0 <= A2 <= root <= A1, and a root that fell back to
+    +0.0 has the value of +0.0, the smallest is the first tied candidate
+    in that order.
 
-    The log and the clamp each run once, after the min. The value is
-    0.5*log2(min(a/b, c/d)): np.log2 never decreases and halving is
-    exact, so it is min(r1_sum, r2_sum) bit for bit at one log per
-    candidate, and np.minimum passes a nan ratio through to a nan value.
-    It is kept where it is positive, and +0.0 where either term is nan or
-    <= 0, exactly as if each term were clamped first. The inputs are the
-    scaled rows of a channel inside the span bound (``model._scaled``),
-    the only rows the search passes, on which no ratio overflows. 0/0 and
-    log 0 are silent here.
+    The log and the clamp each run once per candidate, after the min. The
+    value is 0.5*log2(min(a/b, c/d)): np.log2 never decreases and halving
+    is exact, so it is min(r1_sum, r2_sum) bit for bit, and np.minimum
+    passes a nan ratio through to a nan value. It is kept where it is
+    positive, and +0.0 where either term is nan or <= 0, exactly as if
+    each term were clamped first. The row is a channel's scaled row
+    inside the span bound (``model._scaled``), the only row the search
+    passes, on which no ratio overflows. 0/0 and log 0 are silent here.
     """
     with np.errstate(all="ignore"):
-        pwt, qp, a, c, m1, m2 = _alpha2_free_terms(p1, p2, q, n1, n2, gamma, rho, beta)
+        pwt, qp, a, c, m1, m2 = _cell_terms(row, rho, beta)
         s1 = pwt + m1
         s2 = pwt + m2
         # c*b(x) - a*d(x) = k2*x^2 - 2*kh*x + k0; k2 and k0 share a
@@ -185,8 +210,8 @@ def _best_alpha2(p1, p2, q, n1, n2, gamma, rho, beta):
         x = (qp + m1) * c
         x -= (qp + m2) * a
         np.multiply(pwt, x, out=kk[1])
-        kh = pwt * qp
-        kh *= c - a
+        pq = pwt * qp
+        kh = pq * (c - a)
         # |kh| into [0.5, 1), and k2 and k0 by the same power of two: the
         # roots keep every bit, and the discriminant stays in range
         # wherever the coefficients are
@@ -199,29 +224,34 @@ def _best_alpha2(p1, p2, q, n1, n2, gamma, rho, beta):
         h += kh
         np.divide(h, kk[0], out=kk[0])
         np.divide(kk[1], h, out=kk[1])
-        cand = np.zeros((4,) + h.shape)
-        a2 = np.divide(pwt, s2, out=cand[1])
-        a1 = np.divide(pwt, s1, out=cand[3])
+        cand = np.zeros((3,) + h.shape)
+        a2 = np.divide(pwt, s2, out=cand[0])
+        a1 = np.divide(pwt, s1, out=cand[2])
         inside = kk >= a2
         inside &= kk <= a1
         # a root outside [A2, A1], or nan, becomes nan, which fmin skips
         root = np.fmin(*np.where(inside, kk, np.nan))
         # nan fails the comparison, so it and zeros of either sign leave
         # the +0.0 in place; A2 and A1 are +0.0 or positive already
-        np.copyto(cand[2], root, where=root > 0.0)
+        np.copyto(cand[1], root, where=root > 0.0)
         b, d = _binned_pair(pwt, qp, m1, m2, cand)
-        r1 = np.divide(a, b, out=b)
-        r2 = np.divide(c, d, out=d)
-        v = np.minimum(r1, r2)
-        np.log2(v, out=v)
-        v *= 0.5
-        # fmax reads nan (0/0), -inf (log 0) and negative values as +0.0
-        np.fmax(v, 0.0, out=v)
-    tied = v >= v.max(axis=0) - _TIE_TOL
-    # candidates equal to the pick share its value: the same operations
-    # computed both
-    alpha2 = np.where(tied, cand, np.inf).min(axis=0)
-    return alpha2, np.where(cand == alpha2, v, -np.inf).max(axis=0)
+        v = _clamped_value(a, b, c, d)
+        # +0.0 on its own layer, by _binned_pair's rounding there
+        b0 = m1 * pwt
+        b0 += pq
+        d0 = m2 * pwt
+        d0 += pq
+        v0 = _clamped_value(a, b0, c, d0)
+    top = np.maximum(v.max(axis=0), v0)
+    top -= _TIE_TOL
+    # scan from A1 down to +0.0: the last tied candidate written is the
+    # first tied one in ascending order
+    alpha2, value = cand[2], v[2]
+    for x, vx in ((cand[1], v[1]), (cand[0], v[0]), (0.0, v0)):
+        tied = vx >= top
+        np.copyto(alpha2, x, where=tied)
+        np.copyto(value, vx, where=tied)
+    return alpha2, value
 
 
 class GdpcRates(NamedTuple):
@@ -245,7 +275,8 @@ def _gdpc_point(c: ChannelParams, g: GdpcParams):
     0.5*log2(a/b) and 0.5*log2(c/d), and the private rate. Callers hold
     the point's rho bound already."""
     (p1, p2, q, n1, n2), k = _scaled(c)
-    pwt, qp, a, cc, m1, m2 = _alpha2_free_terms(p1, p2, q, n1, n2, g.gamma, g.rho, g.beta)
+    row = _row_terms(p1, p2, q, n1, n2, g.gamma)
+    pwt, qp, a, cc, m1, m2 = _cell_terms(row, g.rho, g.beta)
     b, d = _binned_pair(pwt, qp, m1, m2, g.alpha2)
     return (a, b, cc, d, qp), k, *_log_ratios(a, b, cc, d), _private_rate(p1, n1, g.gamma)
 

@@ -1,7 +1,8 @@
 """The reference implementations the tests compare the library against,
 one per computation, and the hypothesis settings the property tests
 share: the alpha2 kernel with a log of each ratio and each term clamped
-(``_reference_best_alpha2``), the box search one row at a time on
+(``_reference_best_alpha2``) and the library's former four-layer kernel
+(``_stacked_best_alpha2``), the box search one row at a time on
 meshgridded axes (``_reference_max_r02_gdpc``), the cooperative split in
 60-digit decimal (``_reference_max_beta_nostate``), the DMC search as a
 loop over every candidate with one public ``discrete_cmi`` call per term
@@ -14,7 +15,11 @@ row table of its docstring (``_reference_cov_informed_both`` and
 A change that makes one of these computations faster points the tests of
 its existing reference at the new code. It does not freeze the code it
 replaces as a second reference: the tests would then guard two
-references of one computation that must be kept equal.
+references of one computation that must be kept equal. The stacked
+kernel is the one exception: it is not a reference the library is
+checked against for its math but the float operations the pinned
+outputs were made with, which the three-layer kernel reproduces by IEEE
+identities at alpha2 = +0.0 and by an ordered tie pick.
 """
 
 import decimal
@@ -38,7 +43,7 @@ from relayregions import dmc
 from relayregions.dmc import AXES, compose_full
 from relayregions.optimize import DEFAULT_GRID
 from relayregions.model import _TIE_TOL, _scaled
-from relayregions.rates import _alpha2_free_terms, _log_ratios
+from relayregions.rates import _binned_pair, _log_ratios
 
 # derandomized: a property draws the same examples on every run, seeded
 # from its source, so a change to its body draws new ones
@@ -56,6 +61,80 @@ def _scaled_row(c, gamma, rho, beta):
     """The kernel row of channel ``c`` as the search hands it over: its
     ``_scaled`` powers and gamma, a rho column and a beta row."""
     return (*_scaled(c)[0], gamma), np.array(rho)[:, np.newaxis], np.array(beta)[np.newaxis, :]
+
+
+def _alpha2_free_terms(p1, p2, q, n1, n2, gamma, rho, beta):
+    """(pwt, qprime, a, c, n1 + gamma*p1, n2 + gamma*p1) of every cell, in
+    one function, by the float operations of ``rates._row_terms`` and
+    ``rates._cell_terms``."""
+    gbar = 1.0 - gamma
+    pw = (1.0 - rho) * gbar * p1
+    # with no relay power X2 = 0 reveals nothing: all of pw stays unknown
+    pwt = (1.0 - beta * beta * (p2 > 0.0)) * pw
+    qs = np.sqrt(q) - np.sqrt(rho * gbar * p1)
+    qp = qs * qs
+    gp1 = gamma * p1
+    a = pwt * (pwt + qp + gp1 + n1)
+    c = pwt * (pw + p2 + qp + 2.0 * beta * np.sqrt(pw * p2) + gp1 + n2)
+    return pwt, qp, a, c, n1 + gp1, n2 + gp1
+
+
+def _stacked_best_alpha2(p1, p2, q, n1, n2, gamma, rho, beta):
+    """``rates._best_alpha2`` as it was when it stacked all four alpha2
+    candidates, +0.0 included, on one axis and picked among them with
+    where, min, == and max, kept as it was with its free terms
+    (``_alpha2_free_terms``). The kernel must return its bytes: the
+    golden outputs and the region-trace pins were made with it."""
+    with np.errstate(all="ignore"):
+        pwt, qp, a, c, m1, m2 = _alpha2_free_terms(p1, p2, q, n1, n2, gamma, rho, beta)
+        s1 = pwt + m1
+        s2 = pwt + m2
+        # c*b(x) - a*d(x) = k2*x^2 - 2*kh*x + k0; k2 and k0 share a
+        # buffer, which then holds the two roots
+        x = s1 * c
+        x -= s2 * a
+        kk = np.empty((2,) + x.shape)
+        np.multiply(qp, x, out=kk[0])
+        x = (qp + m1) * c
+        x -= (qp + m2) * a
+        np.multiply(pwt, x, out=kk[1])
+        kh = pwt * qp
+        kh *= c - a
+        # |kh| into [0.5, 1), and k2 and k0 by the same power of two: the
+        # roots keep every bit, and the discriminant stays in range
+        # wherever the coefficients are
+        kh, e = np.frexp(kh)
+        np.ldexp(kk, -e, out=kk)
+        h = kh * kh
+        h -= kk[0] * kk[1]
+        np.sqrt(h, out=h)
+        np.copysign(h, kh, out=h)
+        h += kh
+        np.divide(h, kk[0], out=kk[0])
+        np.divide(kk[1], h, out=kk[1])
+        cand = np.zeros((4,) + h.shape)
+        a2 = np.divide(pwt, s2, out=cand[1])
+        a1 = np.divide(pwt, s1, out=cand[3])
+        inside = kk >= a2
+        inside &= kk <= a1
+        # a root outside [A2, A1], or nan, becomes nan, which fmin skips
+        root = np.fmin(*np.where(inside, kk, np.nan))
+        # nan fails the comparison, so it and zeros of either sign leave
+        # the +0.0 in place; A2 and A1 are +0.0 or positive already
+        np.copyto(cand[2], root, where=root > 0.0)
+        b, d = _binned_pair(pwt, qp, m1, m2, cand)
+        r1 = np.divide(a, b, out=b)
+        r2 = np.divide(c, d, out=d)
+        v = np.minimum(r1, r2)
+        np.log2(v, out=v)
+        v *= 0.5
+        # fmax reads nan (0/0), -inf (log 0) and negative values as +0.0
+        np.fmax(v, 0.0, out=v)
+    tied = v >= v.max(axis=0) - _TIE_TOL
+    # candidates equal to the pick share its value: the same operations
+    # computed both
+    alpha2 = np.where(tied, cand, np.inf).min(axis=0)
+    return alpha2, np.where(cand == alpha2, v, -np.inf).max(axis=0)
 
 
 def _reference_products(p1, p2, q, n1, n2, gamma, rho, beta):

@@ -133,6 +133,10 @@ _CHOICES = {
         lambda x: dmc_maximize(binary_pipes_spec(), denominator=4, objective=x),
         ("r1", "r02"),
     ),
+    "dmc_maximize-bounds": (
+        lambda x: dmc_maximize(binary_pipes_spec(), bounds=x, denominator=4),
+        ("informed-both", "informed-source"),
+    ),
 }
 
 
@@ -146,6 +150,14 @@ def test_choice_given_as_an_array_is_out_of_range(name, size):
     with pytest.raises(OutOfRange, match=re.escape(repr(value))):
         call(value)
     call(np.str_(choices[0]))
+
+
+@pytest.mark.parametrize("name", list(_CHOICES))
+def test_choice_given_as_a_numpy_string_is_kept_as_str(name):
+    # the result holds the choice as a plain str, so it reads as the same
+    # call made with one (a np.str_ keeps its own repr)
+    call, choices = _CHOICES[name]
+    assert repr(call(np.str_(choices[0]))) == repr(call(choices[0]))
 
 
 def test_gdpc_rates_answers_where_products_leave_the_float_range():

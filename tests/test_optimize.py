@@ -25,7 +25,7 @@ from relayregions import (
 from relayregions import optimize
 from relayregions.model import _scaled
 from relayregions.optimize import DEFAULT_GRID
-from relayregions.rates import _best_alpha2
+from relayregions.rates import _best_alpha2, _row_terms
 
 import references
 from references import PROPERTY, _reference_best_alpha2, _reference_max_r02_gdpc
@@ -418,9 +418,8 @@ class TestBatchedSearch:
         shape = (len(rows), n_beta)
         beta = np.sort(np.where(rng.uniform(size=shape) < 0.5, 1.0, rng.uniform(size=shape)))
         knobs = np.array([(c.p1, c.p2, c.q, c.n1, c.n2, g) for c, g in rows])
-        got = _best_alpha2(
-            *knobs.T[:, :, np.newaxis, np.newaxis], rho[:, :, np.newaxis], beta[:, np.newaxis, :]
-        )
+        terms = _row_terms(*knobs.T[:, :, np.newaxis, np.newaxis])
+        got = _best_alpha2(terms, rho[:, :, np.newaxis], beta[:, np.newaxis, :])
         for i, (c, g) in enumerate(rows):
             rr, bb = np.meshgrid(rho[i], beta[i], indexing="ij")
             want = _reference_best_alpha2(c.p1, c.p2, c.q, c.n1, c.n2, g, rr, bb)
@@ -449,6 +448,12 @@ class TestBatchedSearch:
             res = max_r02_gdpc(c, gamma, grid, freeze_rho=freeze_rho)
             want = min(gdpc_rates(c, res.best)[:2])
             assert repr(res.value) == repr(want)
+
+    def test_kernel_stacks_stay_under_the_mmap_threshold(self):
+        # a full pass's three-candidate float64 stack stays under glibc's
+        # default 128 KiB mmap threshold, so no kernel call maps and
+        # faults in fresh pages
+        assert 3 * optimize._PASS_CELLS * 8 < 128 * 1024
 
     def test_dpc_frontier_over_several_passes(self):
         gammas = [float(g) for g in np.linspace(0.0, 1.0, 201)]
@@ -606,8 +611,11 @@ class TestPassBookkeeping:
         # peaks at beta = 0.5; round 2 (step 1/16) adds 0.3125 within the
         # tie tolerance below that value and 0.4375 at it. The threshold
         # is the incumbent's value, so the first cell at it is 0.4375,
-        # which ties and moves the incumbent to the smaller knob.
-        def kernel(p1, p2, q, n1, n2, gamma, rho, beta):
+        # which ties and moves the incumbent to the smaller knob. The
+        # search hands it (row terms, rho, beta), the reference the six
+        # knobs, rho and beta.
+        def kernel(*knobs_rho_beta):
+            rho, beta = knobs_rho_beta[-2:]
             beta = beta + 0.0 * rho  # the full (row, rho, beta) shape
             v = np.select([beta == 0.5, beta == 0.4375, beta == 0.3125], [1.0, 1.0, 1.0 - 0.5e-12])
             return np.zeros_like(v), v
@@ -754,7 +762,7 @@ class TestOneLog:
     def test_matches_two_log_reference_at_ties(self, row):
         knobs, rho, beta = row
         axes = _axes(rho, beta)
-        got = _best_alpha2(*knobs, *axes)
+        got = _best_alpha2(_row_terms(*knobs), *axes)
         with np.errstate(all="ignore"):
             want = _reference_best_alpha2(*knobs, *axes)
         for x, y in zip(got, want):

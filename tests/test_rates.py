@@ -17,9 +17,10 @@ from relayregions import (
     rho_upper_bound,
 )
 from relayregions.model import _TIE_TOL, _scaled
-from relayregions.rates import _alpha2_free_terms, _best_alpha2, _binned_pair, _log_ratios
+from relayregions.rates import _best_alpha2, _binned_pair, _cell_terms, _log_ratios, _row_terms
 
 from references import PROPERTY, _clamp_array, _reference_best_alpha2, _scaled_row
+from references import _stacked_best_alpha2
 
 EXAMPLE = ChannelParams(1.0, 1.0, 1.0, 0.1, 1.0)
 KNOBS = GdpcParams(0.2, 0.3, 0.4, 0.5)
@@ -247,10 +248,10 @@ def seeded_scaled_rows(count, steps=16, near_scale=False):
 @example(_scaled_row(ChannelParams(*UNDERFLOW), 0.0, [0.0], [0.0, 1.0]))
 def test_single_clamp_matches_per_term_clamp(row):
     knobs, rho, beta = row
-    alpha2, value = _best_alpha2(*knobs, rho, beta)
+    alpha2, value = _best_alpha2(_row_terms(*knobs), rho, beta)
     # the one clamp after the min reads as a clamp of each term, in every cell
     with np.errstate(all="ignore"):
-        pwt, qp, a, c, m1, m2 = _alpha2_free_terms(*knobs, rho, beta)
+        pwt, qp, a, c, m1, m2 = _cell_terms(_row_terms(*knobs), rho, beta)
         b, d = _binned_pair(pwt, qp, m1, m2, alpha2)
         r1, r2 = _log_ratios(a, b, c, d)
     assert _bitwise_equal(value, np.minimum(_clamp_array(r1), _clamp_array(r2)))
@@ -274,10 +275,10 @@ def test_kernel_never_below_reference_on_scaled_rows(row):
     # the span bound and loses the root there; the kernel never does
     # worse, and picks +0.0 or an alpha2 between the Costa points
     knobs, rho, beta = row
-    alpha2, value = _best_alpha2(*knobs, rho, beta)
+    alpha2, value = _best_alpha2(_row_terms(*knobs), rho, beta)
     _, want = _reference_best_alpha2(*knobs, rho, beta)
     with np.errstate(all="ignore"):
-        pwt, _, _, _, m1, m2 = _alpha2_free_terms(*knobs, rho, beta)
+        pwt, _, _, _, m1, m2 = _cell_terms(_row_terms(*knobs), rho, beta)
         a2, a1 = pwt / (pwt + m2), pwt / (pwt + m1)
     zero = alpha2.view(np.int64) == 0  # +0.0, not -0.0
     assert (zero | ((alpha2 >= a2) & (alpha2 <= a1))).all()
@@ -291,7 +292,8 @@ def test_single_clamp_matches_per_term_clamp_near_one_scale(row):
     # [0, 1] and the crossing root seldom decides a cell; near one scale
     # it does, and the reference's discriminant stays in range
     knobs, rho, beta = row
-    for x, y in zip(_best_alpha2(*knobs, rho, beta), _reference_best_alpha2(*knobs, rho, beta)):
+    got = _best_alpha2(_row_terms(*knobs), rho, beta)
+    for x, y in zip(got, _reference_best_alpha2(*knobs, rho, beta)):
         assert _bitwise_equal(x, y)
 
 
@@ -313,10 +315,10 @@ def _bitwise_equal(x, y):
 def test_four_candidates_lose_nothing_against_six():
     picked_root = above = 0
     for knobs, rho, beta in seeded_scaled_rows(2000):
-        alpha2, value = _best_alpha2(*knobs, rho, beta)
+        alpha2, value = _best_alpha2(_row_terms(*knobs), rho, beta)
         _, want = _reference_best_alpha2(*knobs, rho, beta)
         with np.errstate(all="ignore"):
-            pwt, _, _, _, m1, m2 = _alpha2_free_terms(*knobs, rho, beta)
+            pwt, _, _, _, m1, m2 = _cell_terms(_row_terms(*knobs), rho, beta)
             a2, a1 = pwt / (pwt + m2), pwt / (pwt + m1)
         zero = alpha2.view(np.int64) == 0  # +0.0, not -0.0
         assert (zero | ((alpha2 >= a2) & (alpha2 <= a1))).all()
@@ -331,12 +333,12 @@ def test_four_candidates_lose_nothing_against_six():
 
 def test_float_knobs_match_array_knobs():
     # the search hands the kernel (n, 1, 1) columns, and _gdpc_point hands
-    # the same terms (_alpha2_free_terms, _binned_pair) Python floats: the
+    # the same terms (_row_terms, _cell_terms, _binned_pair) Python floats: the
     # value at a search's answer is the value it ranked only if both round
     # alike
     for knobs, rho, beta in seeded_scaled_rows(2000):
-        got = _best_alpha2(*knobs, rho, beta)
-        want = _best_alpha2(*(np.full((1, 1), k) for k in knobs), rho, beta)
+        got = _best_alpha2(_row_terms(*knobs), rho, beta)
+        want = _best_alpha2(_row_terms(*(np.full((1, 1), k) for k in knobs)), rho, beta)
         for x, y in zip(got, want):
             assert _bitwise_equal(x, y)
 
@@ -347,8 +349,103 @@ def test_power_of_two_scale_changes_no_bit():
     # powers of the channel) left the float range past about 2**+-128,
     # as it does inside the span bound on a centred row of a wide channel
     for knobs, rho, beta in seeded_scaled_rows(300, steps=8, near_scale=True):
-        want = _best_alpha2(*knobs, rho, beta)
+        want = _best_alpha2(_row_terms(*knobs), rho, beta)
         for t in (-200, -130, 130, 200):
-            got = _best_alpha2(*(math.ldexp(v, t) for v in knobs[:5]), knobs[5], rho, beta)
+            scaled = _row_terms(*(math.ldexp(v, t) for v in knobs[:5]), knobs[5])
+            got = _best_alpha2(scaled, rho, beta)
             for x, y in zip(got, want):
                 assert _bitwise_equal(x, y)
+
+
+# ---------------------------------------------------------------------------
+# The kernel stacks three candidates and computes +0.0's b and d on their
+# own layer; the four-layer kernel before it stacked all four. The golden
+# outputs and the region-trace pins were made with that kernel, so the two
+# agree to the bit, ties included, on the calls a pass makes.
+
+# (rows, rho points, beta points): one gdpc row, a full gdpc pass, and a
+# dpc frontier's 21 rows, whose rho axis is the single point 0
+PASS_SHAPES = [(1, 33, 33), (5, 33, 33), (21, 1, 33)]
+
+
+def _ridge(knobs, rho):
+    """Four adjacent betas about the one where the two bounds meet at A2,
+    found by bisection, or none. There the crossing root sits an ulp or
+    so from A2, and the two candidates tie with different alpha2."""
+
+    def r1_above(beta):
+        with np.errstate(all="ignore"):
+            pwt, qp, a, c, m1, m2 = _cell_terms(_row_terms(*knobs), rho, beta)
+            b, d = _binned_pair(pwt, qp, m1, m2, pwt / (pwt + m2))
+            return bool(a / b > c / d)
+
+    grid = np.linspace(0.0, 1.0, 17)[:-1].tolist()
+    sides = [r1_above(beta) for beta in grid]
+    starts = [i for i in range(15) if sides[i] != sides[i + 1]]
+    if not starts:
+        return []
+    lo, hi = grid[starts[0]], grid[starts[0] + 1]
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        lo, hi = (mid, hi) if r1_above(mid) == sides[starts[0]] else (lo, mid)
+    return [math.nextafter(lo, 0.0), lo, hi, math.nextafter(hi, 1.0)]
+
+
+def _pass_call(rng, shape):
+    """The kernel call of one pass of ``shape``: (knobs, rho, beta) with
+    the knobs as (rows, 1, 1) columns. Each row is a scaled channel as
+    ``_in_domain_row`` draws it, with its own ascending axes. Half the
+    knobs sit on an edge: p2 = 0, q = 0, gamma = 1, rho at its bound and
+    beta = 1, where every candidate ties (pwt = 0 or qprime = 0), or
+    5e-324 and 1 - 2^-53, which leave the candidates a hair apart. Half
+    the beta axes hold the ``_ridge`` of one of their row's rho points."""
+
+    def pick(options):
+        return options[rng.integers(len(options))]
+
+    def unit():
+        return pick([0.0, 5e-324, 1.0 - 2.0**-53, 1.0, *rng.uniform(size=4)])
+
+    n, n_rho, n_beta = shape
+    knobs, rhos, betas = [], [], []
+    for _ in range(n):
+        spread = pick([2.0, 75.0])
+        exponents = rng.uniform(-225.0 + spread, 225.0 - spread) + rng.uniform(-spread, spread, 5)
+        p1, p2, q, n1, n2 = (10.0**exponents).tolist()
+        c = ChannelParams(p1, pick([0.0, p2]), pick([0.0, q]), *sorted((n1, n2)))
+        gamma = unit()
+        rho_hi = rho_upper_bound(c, gamma) if n_rho > 1 else 0.0
+        knobs.append((*_scaled(c)[0], gamma))
+        rhos.append(sorted(rho_hi * unit() for _ in range(n_rho)))
+        ridge = _ridge(knobs[-1], pick(rhos[-1])) if rng.uniform() < 0.5 else []
+        betas.append(sorted([*ridge, *(unit() for _ in range(n_beta - len(ridge)))]))
+    columns = np.array(knobs).T[:, :, np.newaxis, np.newaxis]
+    return tuple(columns), np.array(rhos)[:, :, np.newaxis], np.array(betas)[:, np.newaxis, :]
+
+
+@settings(PROPERTY, max_examples=150)
+@given(st.sampled_from(PASS_SHAPES), st.integers(0, 2**32 - 1))
+def test_three_layers_match_the_stacked_kernel(shape, seed):
+    knobs, rho, beta = _pass_call(np.random.default_rng(seed), shape)
+    got = _best_alpha2(_row_terms(*knobs), rho, beta)
+    want = _stacked_best_alpha2(*knobs, rho, beta)
+    for x, y in zip(got, want):
+        assert _bitwise_equal(x, y)
+
+
+def test_pass_calls_reach_every_tie():
+    # the draws above reach the cells where +0.0 wins because every
+    # candidate ties (pwt = 0 or qprime = 0), and cells where it wins with
+    # pwt and qprime both positive, where its value is m*pwt + pwt*qprime
+    # rounded in that order
+    tied = apart = 0
+    for seed in range(60):
+        knobs, rho, beta = _pass_call(np.random.default_rng(seed), PASS_SHAPES[seed % 3])
+        row = _row_terms(*knobs)
+        alpha2, _ = _best_alpha2(row, rho, beta)
+        with np.errstate(all="ignore"):
+            pwt, qp = _cell_terms(row, rho, beta)[:2]
+        zero = alpha2.view(np.int64) == 0
+        tied += int((zero & ((pwt == 0.0) | (qp == 0.0))).sum())
+        apart += int((zero & (pwt > 0.0) & (qp > 0.0)).sum())
+    assert tied > 10_000
+    assert apart > 1_000
