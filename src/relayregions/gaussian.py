@@ -262,10 +262,12 @@ def _assemble(labels: tuple[str, ...], mix: np.ndarray, variances) -> Covariance
     """Covariance of labels = mix @ basis, basis independent with the
     given variances >= 0: the Gram product L L^T of L = mix diag(sqrt(v)),
     so PSD, and exactly symmetric because numpy forms a product with its
-    own transpose as one symmetric update. Built without CovarianceSystem's
-    checks, which hold by construction: the labels are the builders'
-    literal, unique tuples, and on a channel's scaled powers
-    (``model._scaled``) no entry leaves the float range."""
+    own transpose as one symmetric update. Each builder's inputs spend
+    the power budgets p1 and p2 exactly, so they hold up to rounding.
+    Built without CovarianceSystem's checks, which hold by construction:
+    the labels are the builders' literal, unique tuples, and on a
+    channel's scaled powers (``model._scaled``) no entry leaves the float
+    range."""
     factor = mix * np.sqrt(variances)
     return _unchecked(CovarianceSystem, labels, factor @ factor.T)
 

@@ -210,7 +210,9 @@ def validate_gdpc(c: ChannelParams, g: GdpcParams) -> GdpcParams:
     (1-gamma) p1 = 0 or q = 0: there is nothing to cancel, and as
     GdpcParams holds rho >= 0, rho must then be exactly 0. Every other
     condition is held by the types: a ChannelParams or GdpcParams is
-    valid because it was constructed.
+    valid because it was constructed. It runs once where a caller's pair
+    enters: in ``gdpc_rates``, ``build_cov_informed_source`` and
+    ``verify_gdpc``.
     """
     if g.rho > (bound := rho_upper_bound(c, g.gamma)):
         raise OutOfRange(f"rho must be <= {bound} for this channel, got {g.rho}")

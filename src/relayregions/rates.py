@@ -55,9 +55,10 @@ test suite checks on the q = 0 reduction.
 Negative or 0/0-indeterminate expressions clamp to exactly 0 (they mark
 useless parameter choices, not invalid inputs). Every form runs on the
 channel's scaled powers (``model._scaled``), where no term leaves the
-float range. One point's gdpc terms come from one evaluation
-(``_gdpc_point``) by the grid kernel's float operations, so its clamped
-min(r1_sum, r2_sum) is the value the box search ranked there.
+float range, so none is checked. One point's gdpc terms come from one
+evaluation (``_gdpc_point``) by the grid kernel's float operations, so
+its clamped min(r1_sum, r2_sum) is the value the box search ranked
+there.
 """
 
 from __future__ import annotations
@@ -270,7 +271,8 @@ class GdpcRates(NamedTuple):
 
 def _gdpc_point(c: ChannelParams, g: GdpcParams):
     """The gdpc terms at one point of a channel, on its scaled powers
-    (``model._scaled``), by the grid kernel's float operations: the
+    (``model._scaled``), by the grid kernel's float operations
+    (``_row_terms``, then ``_cell_terms`` and ``_binned_pair``): the
     products (a, b, c, d, qprime), the scale exponent k, the unclamped
     0.5*log2(a/b) and 0.5*log2(c/d), and the private rate. Callers hold
     the point's rho bound already."""

@@ -418,10 +418,10 @@ class TestValueTypes:
         assert not any(x.flags.writeable for x in _arrays(duplicate(value)))
 
 
-@pytest.mark.parametrize("duplicate", _COPIES.values(), ids=list(_COPIES))
+@_DUPLICATES
 def test_copied_spec_keeps_its_normalised_p_s_bits(duplicate):
-    """A copy restores p_s as stored; ``replace`` builds a new spec, which
-    divides by the sum again."""
+    """A copy restores p_s as stored, and ``replace`` builds a new spec
+    whose p_s sums within 2**-51 of 1, so it is not divided again."""
     p_s = [0.4325152177214142, 0.5637771777263074, 0.0037076045522782953]
     d = dmc.DmcSpec((3, 1, 1, 1, 1, 1, 1), p_s, np.ones((3, 1, 1, 1, 1)))
     # the stored p_s, divided by its sum once more, moves a bit
