@@ -360,20 +360,12 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_frontier(o: argparse.Namespace) -> int:
     front = frontier(o.channel, o.scheme, o.gamma_grid, o.grid)
     lines = ["scheme,gamma,rho,beta,alpha2,r1,r02"]
-    for pt in front.points:
-        lines.append(
-            ",".join(
-                (
-                    front.scheme,
-                    _fmt(pt.gamma),
-                    _fmt(pt.rho),
-                    _fmt(pt.beta),
-                    _fmt(pt.alpha2),
-                    _fmt(pt.rate.r1),
-                    _fmt(pt.rate.r02),
-                )
-            )
-        )
+    # every field is a Python float, so each reads as _fmt writes it
+    lines += (
+        f"{front.scheme},{pt.gamma:.12g},{pt.rho:.12g},{pt.beta:.12g},{pt.alpha2:.12g},"
+        f"{pt.rate.r1:.12g},{pt.rate.r02:.12g}"
+        for pt in front.points
+    )
     _write_output(o.out, "\n".join(lines) + "\n")
     return 0
 

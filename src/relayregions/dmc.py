@@ -269,6 +269,12 @@ def _compositions(total: int, cells: int) -> np.ndarray:
 
 @dataclass(frozen=True, slots=True)
 class DmcOptResult:
+    """Outcome of ``dmc_maximize``: ``best`` is the winning strategy,
+    ``value`` its rates as ``eval_informed_both`` or
+    ``eval_informed_source`` return them, ``evaluations`` the number of
+    candidate strategies screened, and ``bounds`` the region searched
+    ("informed-both" or "informed-source")."""
+
     best: AuxJoint
     value: RatePoint
     evaluations: int

@@ -35,14 +35,15 @@ passes of at most ``_PASS_CELLS`` grid cells, so the 21 rows of a
 default dpc frontier share one pass and 33 x 33 gdpc rows run five to a
 pass. ``max_r02_gdpc`` is the pass of one row, and a row left alone in a
 pass (a leftover after the full passes, or a row on a grid above the
-budget) is solved by calling it. A row's trace is its
-incumbents as ``(rho, beta, alpha2, value)`` float tuples; only its
-final incumbent is built as a ``GdpcParams``, and the row's value is the
-last round's grid value there, the value the search ranked.
-``gdpc_rates`` at that point runs the same float operations
+budget) is solved by calling it. A row is the floats (p1, p2, q, n1, n2,
+gamma) on its channel's scaled powers (``model._scaled``), and a pass
+returns it as its incumbent ``(rho, beta, alpha2, value)``, its cell
+count and its trace, the incumbent after each round, all plain floats
+and ints; only ``max_r02_gdpc`` wraps a row into an ``OptResult``. The
+value is the last round's grid value at the incumbent, the value the
+search ranked. ``gdpc_rates`` there runs the same float operations
 (``rates._gdpc_point``), so its min(r1_sum, r2_sum) is that value bit
-for bit. A row is the floats (p1, p2, q, n1, n2, gamma) on its
-channel's scaled powers (``model._scaled``).
+for bit.
 
 A row's result is bit-identical to searching it alone. Every cell value
 is computed elementwise by the same float operations in the same order,
@@ -143,13 +144,13 @@ _PASS_CELLS = 5 * DEFAULT_GRID.steps_rho * DEFAULT_GRID.steps_beta
 
 @dataclass(frozen=True, slots=True)
 class OptResult:
-    """Search outcome. ``value`` is the last round's grid value at
-    ``best``, the value the search ranked, so it is the last trace value;
-    ``gdpc_rates`` at ``best`` runs the grid's float operations, so
-    min(r1_sum, r2_sum) there equals it bit for bit. ``evaluations``
-    counts the (rho, beta) cells searched. ``trace`` holds the incumbent
-    after each round as a plain ``(rho, beta, alpha2, value)`` float
-    tuple, the round's grid value; gamma is ``best.gamma``."""
+    """Outcome of one ``max_r02_gdpc`` search. ``value`` is the last
+    round's grid value at ``best``, the value the search ranked, so it is
+    the last trace value; ``gdpc_rates`` at ``best`` runs the grid's float
+    operations, so min(r1_sum, r2_sum) there equals it bit for bit.
+    ``evaluations`` counts the (rho, beta) cells searched. ``trace`` holds
+    the incumbent after each round as a plain ``(rho, beta, alpha2,
+    value)`` float tuple; gamma is ``best.gamma``."""
 
     best: GdpcParams
     value: float
@@ -207,11 +208,12 @@ def max_r02_gdpc(
     grid = grid if grid is not None else DEFAULT_GRID
     hi = 0.0 if freeze_rho else rho_upper_bound(c, gamma)
     row = (*_scaled(c)[0], gamma)
-    return _search_pass([row], [hi], grid.steps_rho if hi > 0.0 else 1, grid)[0]
+    [(inc, cells, trace)] = _search_pass([row], [hi], grid.steps_rho if hi > 0.0 else 1, grid)
+    return OptResult(GdpcParams(gamma, *inc[:3]), inc[3], cells, trace)
 
 
-def _search(problems, grid: GridSpec | None, freeze_rho: bool) -> list[OptResult]:
-    """``max_r02_gdpc`` of every (channel, gamma) problem, all rows at once.
+def _search(problems, grid: GridSpec | None, freeze_rho: bool) -> list[tuple]:
+    """The ``_search_pass`` row of every (channel, gamma) problem, at once.
 
     Rows run in order, in passes of at most _PASS_CELLS grid cells. A
     row's rho axis has one point when its rho bound is 0 (dpc, gamma = 1
@@ -226,7 +228,7 @@ def _search(problems, grid: GridSpec | None, freeze_rho: bool) -> list[OptResult
     rows = [(*_scaled(c)[0], gamma) for c, gamma in problems]
     rho_hi = [0.0 if freeze_rho else rho_upper_bound(c, gamma) for c, gamma in problems]
     widths = [grid.steps_rho if hi > 0.0 else 1 for hi in rho_hi]
-    results: list[OptResult] = []
+    results = []
     start = 0
     while start < len(problems):
         stop, n_rho = start + 1, widths[start]
@@ -237,19 +239,20 @@ def _search(problems, grid: GridSpec | None, freeze_rho: bool) -> list[OptResult
             stop += 1
         if stop - start == 1:
             c, gamma = problems[start]
-            results.append(max_r02_gdpc(c, gamma, grid, freeze_rho=freeze_rho))
+            res = max_r02_gdpc(c, gamma, grid, freeze_rho=freeze_rho)
+            results.append((res.trace[-1], res.evaluations, res.trace))
         else:
             results += _search_pass(rows[start:stop], rho_hi[start:stop], n_rho, grid)
         start = stop
     return results
 
 
-def _search_pass(rows, rho_hi, n_rho: int, grid: GridSpec) -> list[OptResult]:
+def _search_pass(rows, rho_hi, n_rho: int, grid: GridSpec) -> list[tuple]:
     """Grid-then-shrink over the (rho, beta) boxes of one pass's rows; see
     the module docstring for why each row's result equals a search of
     that row alone. Each row's box, incumbent, trace and cell count are
-    plain floats and ints, numpy holds only the cell arrays, and each
-    row's value is its incumbent's last grid value."""
+    plain floats and ints, numpy holds only the cell arrays, and each row
+    is returned as (incumbent, cell count, trace)."""
     n = len(rows)
     every = np.arange(n)
     # the terms of the six knobs that no cell moves, each as an (n, 1, 1)
@@ -304,10 +307,7 @@ def _search_pass(rows, rho_hi, n_rho: int, grid: GridSpec) -> list[OptResult]:
                  blo if blo > 0.0 else 0.0, bhi if bhi < 1.0 else 1.0, k)
             )
         history.append(best)
-    return [
-        OptResult(best=GdpcParams(row[5], *inc[:3]), value=inc[3], evaluations=box[4], trace=path)
-        for row, inc, box, path in zip(rows, best, boxes, zip(*history))
-    ]
+    return list(zip(best, [box[4] for box in boxes], zip(*history)))
 
 
 def _axes(lo, hi, n: int) -> np.ndarray:
@@ -339,10 +339,7 @@ def _solve_all(
     problem. gdpc and dpc run one batched box search; for the exact region
     beta is the cooperative split beta3 and rho = alpha2 = 0."""
     if scheme in ("gdpc", "dpc"):
-        return [
-            (res.best.rho, res.best.beta, res.best.alpha2, res.value)
-            for res in _search(problems, grid, scheme == "dpc")
-        ]
+        return [inc for inc, _, _ in _search(problems, grid, scheme == "dpc")]
     splits = [max_beta_nostate(c, gamma) for c, gamma in problems]
     return [(0.0, beta, 0.0, value) for beta, value in splits]
 
@@ -368,8 +365,9 @@ def frontier(
         raise OutOfRange("gamma_grid must hold at least one gamma")
     solved = _solve_all(scheme, [(c, gamma) for gamma in gammas], grid)
     p1, _, _, n1, _ = _scaled(c)[0]
+    # r02 needs no clamp: it is a clamped grid value or a cap_c value
     pts = [
-        FrontierPoint(g, rho, beta, alpha2, RatePoint.clamped(_private_rate(p1, n1, g), r02))
+        FrontierPoint(g, rho, beta, alpha2, RatePoint(_private_rate(p1, n1, g), r02))
         for g, (rho, beta, alpha2, r02) in zip(gammas, solved)
     ]
     kept: list[FrontierPoint] = []

@@ -354,16 +354,31 @@ class TestSweepSnr:
 # ---------------------------------------------------------------------------
 # The batched box search against the single-row reference search, one
 # (channel, gamma) at a time on meshgridded axes with the two-log alpha2
-# kernel: the batched one must reproduce every field of its OptResult
+# kernel: each batched row must reproduce every field of its OptResult
 # bit for bit.
 
 
+def _row(res):
+    """An OptResult as the batched search returns a row: its incumbent
+    (rho, beta, alpha2, value), its cell count and its trace."""
+    return (res.best.rho, res.best.beta, res.best.alpha2, res.value), res.evaluations, res.trace
+
+
 def _assert_same_results(got, want):
+    """Batched rows against reference OptResults."""
+    want = [_row(w) for w in want]
     assert len(got) == len(want)
     for g, w in zip(got, want):
         assert g == w
         # == treats -0.0 and 0.0 alike; the CSV writer does not
         assert repr(g) == repr(w)
+
+
+def _assert_in_bounds(rows, got):
+    """The pass runs no validate_gdpc: every incumbent is in bounds."""
+    for (c, gamma), (inc, _, _) in zip(rows, got, strict=True):
+        knobs = GdpcParams(gamma, *inc[:3])
+        assert validate_gdpc(c, knobs) is knobs
 
 
 def _rng(draw):
@@ -438,8 +453,7 @@ class TestBatchedSearch:
         with mock.patch.object(optimize, "_PASS_CELLS", pass_cells):
             got = optimize._search(rows, grid, freeze_rho)
         _assert_same_results(got, want)
-        # the pass runs no validate_gdpc: every incumbent is in bounds
-        assert all(validate_gdpc(c, res.best) is res.best for (c, _), res in zip(rows, got))
+        _assert_in_bounds(rows, got)
 
     @settings(PROPERTY, max_examples=60)
     @given(search_rows(), small_grids(), st.booleans())
@@ -493,8 +507,8 @@ class TestBatchedSearch:
         rows = [(STATEFUL, 0.3), (STATEFUL, 1.0), (STATEFUL, 0.6)]
         assert len(rows) * 5 * 5 <= optimize._PASS_CELLS
         got = optimize._search(rows, grid, False)
-        assert got[1].evaluations == (grid.refine_iters + 1) * grid.steps_beta
-        assert got[0].evaluations == (grid.refine_iters + 1) * 5 * 5
+        assert got[1][1] == (grid.refine_iters + 1) * grid.steps_beta
+        assert got[0][1] == (grid.refine_iters + 1) * 5 * 5
         _assert_same_results(got, [_reference_max_r02_gdpc(c, g, grid) for c, g in rows])
 
     def test_axes_match_linspace(self):
@@ -512,7 +526,7 @@ class TestBatchedSearch:
 # ---------------------------------------------------------------------------
 # The pass keeps each row's box, incumbent, trace and cell count in plain
 # floats, and reports each row's incumbent value as its value.
-# Each row's OptResult must equal, in == and in repr, the single-row
+# Each row must equal, in == and in repr, the fields of the single-row
 # reference search of that row: the threshold, the tie rule, the shrink
 # and the clip are the same IEEE operations on the same floats.
 
@@ -558,15 +572,15 @@ def _pass_edges(rows, rho_hi, grid, results):
     if min(rho_hi) == 0.0 < max(rho_hi):
         edges.add("mixed bounds")
     full = (grid.refine_iters + 1) * grid.steps_beta
-    for hi, res in zip(rho_hi, results):
-        for rho, beta, _, _ in res.trace[:-1]:
+    for hi, ((*_, value), cells, trace) in zip(rho_hi, results):
+        for rho, beta, _, _ in trace[:-1]:
             if rho == 0.0 < hi or beta == 0.0:
                 edges.add("clip at 0")
             if rho == hi > 0.0 or beta == 1.0:
                 edges.add("clip at bound")
-        if res.evaluations < full * (grid.steps_rho if hi > 0.0 else 1):
+        if cells < full * (grid.steps_rho if hi > 0.0 else 1):
             edges.add(f"collapse at {grid.refine_shrink:g}")
-        if res.value == 0.0:
+        if value == 0.0:
             edges.add("ties")
     return edges
 
@@ -578,8 +592,7 @@ class TestPassBookkeeping:
         rows, rho_hi, n_rho, grid = _draw_pass(np.random.default_rng(seed))
         got = optimize._search_pass(_float_rows(rows), rho_hi, n_rho, grid)
         _assert_same_results(got, _reference_pass(rows, rho_hi, grid))
-        # the pass runs no validate_gdpc: every incumbent is in bounds
-        assert all(validate_gdpc(c, res.best) is res.best for (c, _), res in zip(rows, got))
+        _assert_in_bounds(rows, got)
 
     def test_seeded_passes_reach_every_edge(self):
         edges = set()
@@ -602,8 +615,9 @@ class TestPassBookkeeping:
         rho_hi = [rho_upper_bound(ch, g) for ch, g in rows]
         grid = GridSpec(3, 3, 1, 0.9)
         got = optimize._search_pass(_float_rows(rows), rho_hi, 3, grid)
-        assert [beta for _, beta, _, _ in got[0].trace] == [0.5, 0.49999999999999994]
-        assert got[0].trace[0][3] == got[0].trace[1][3]
+        trace = got[0][2]
+        assert [beta for _, beta, _, _ in trace] == [0.5, 0.49999999999999994]
+        assert trace[0][3] == trace[1][3]
         _assert_same_results(got, _reference_pass(rows, rho_hi, grid))
 
     def test_threshold_holds_the_incumbent_value(self):
@@ -626,13 +640,14 @@ class TestPassBookkeeping:
             got = optimize._search_pass(_float_rows(rows), [0.0, 0.0], 1, grid)
         with mock.patch.object(references, "_reference_best_alpha2", kernel):
             want = _reference_pass(rows, [0.0, 0.0], grid)
-        assert [beta for _, beta, _, _ in got[0].trace] == [0.5, 0.4375]
+        assert [beta for _, beta, _, _ in got[0][2]] == [0.5, 0.4375]
         # the reference's value is the real gdpc_rates at its best point,
         # which the synthetic values cannot match: the value is the last
         # value the synthetic kernel ranked
-        for g, w in zip(got, want):
-            assert (g.best, g.evaluations, g.trace) == (w.best, w.evaluations, w.trace)
-            assert g.value.hex() == g.trace[-1][3].hex()
+        for (inc, cells, trace), w in zip(got, want, strict=True):
+            want_inc, want_cells, want_trace = _row(w)
+            assert repr((inc[:3], cells, trace)) == repr((want_inc[:3], want_cells, want_trace))
+            assert inc[3].hex() == trace[-1][3].hex()
 
 
 # ---------------------------------------------------------------------------
@@ -655,11 +670,11 @@ def frontier_channels(draw):
     return ChannelParams(p1 * k, p2 * k, q * k, n1 * k, n1 * ratio * k)
 
 
-def _assert_value_is_scalar_rate(c, results):
-    for res in results:
+def _assert_value_is_scalar_rate(rows, results):
+    for (c, gamma), (inc, _, trace) in zip(rows, results, strict=True):
         # float.hex tells -0.0 from 0.0
-        assert res.value.hex() == res.trace[-1][3].hex(), res
-        assert res.value.hex() == min(gdpc_rates(c, res.best)[:2]).hex(), res
+        assert inc[3].hex() == trace[-1][3].hex(), inc
+        assert inc[3].hex() == min(gdpc_rates(c, GdpcParams(gamma, *inc[:3]))[:2]).hex(), inc
 
 
 class TestValueIsScalarRate:
@@ -673,17 +688,18 @@ class TestValueIsScalarRate:
         # are cheap
         for n, freeze_rho in ((21, False), (21, True), (301, True)):
             rows = [(c, float(g)) for g in np.linspace(0.0, 1.0, n)]
-            _assert_value_is_scalar_rate(c, optimize._search(rows, None, freeze_rho))
+            _assert_value_is_scalar_rate(rows, optimize._search(rows, None, freeze_rho))
 
     def test_dpc_row_where_pow_and_product_differ(self):
         # squaring with C pow on the scalar path only read one ulp above
         # the grid value at gamma = 0.13
         c = ChannelParams(1.0, 1.0, 2.0, 0.1, 1.0)
         gammas = [float(g) for g in np.linspace(0.0, 1.0, 101)]
-        results = optimize._search([(c, g) for g in gammas], None, True)
+        rows = [(c, g) for g in gammas]
+        results = optimize._search(rows, None, True)
         assert gammas[13] == 0.13
-        assert results[13].value == 0.6545741087580708
-        _assert_value_is_scalar_rate(c, results)
+        assert results[13][0][3] == 0.6545741087580708
+        _assert_value_is_scalar_rate(rows, results)
 
 
 # ---------------------------------------------------------------------------

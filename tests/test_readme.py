@@ -1,9 +1,12 @@
 """README holds the package's contract: its examples run, its library
 tour names each public name in the row of the module that defines it,
-in at most 600 characters a row, and it names no private name."""
+in at most 600 characters a row, it names each type a public function
+returns, and it names no private name."""
 
+import inspect
 import re
 import shlex
+import typing
 from pathlib import Path
 
 import pytest
@@ -68,6 +71,31 @@ def test_library_tour_names_each_public_name_in_its_module_row():
         if f"`{name}`" not in row and f"`{name}(" not in row:
             missing[name] = module.__name__
     assert missing == {}
+
+
+def _classes(hint):
+    """The classes a type hint names, inside ``tuple[...]`` and unions too."""
+    if isinstance(hint, type) and not typing.get_args(hint):
+        yield hint
+    if isinstance(origin := typing.get_origin(hint), type):
+        yield origin
+    for arg in typing.get_args(hint):
+        yield from _classes(arg)
+
+
+def test_public_functions_return_types_readme_names():
+    # the public-surface sentence names each returned type __all__ lacks
+    sentence = re.search(r"The public surface is .*?\.(?=\s+[A-Z])", README, re.S).group(0)
+    named = set(relayregions.__all__) | set(re.findall(r"`(\w+)`", sentence))
+    unnamed = {}
+    for name in relayregions.__all__:
+        if inspect.isfunction(fn := getattr(relayregions, name)):
+            returned = _classes(typing.get_type_hints(fn)["return"])
+            unnamed |= {
+                cls.__qualname__: name for cls in returned
+                if cls.__module__ != "builtins" and cls.__qualname__ not in named
+            }
+    assert unnamed == {}
 
 
 def test_public_surface_count_is_that_of_all():
