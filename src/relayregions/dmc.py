@@ -13,12 +13,16 @@ an oracle, not a solver.
 Each bound is written once, as signed conditional mutual informations,
 in ``model._TERMS``, which the Gaussian oracle reads too, and compiled
 once into _PROGRAMS: its distinct terms and its rows by term id
-(``model._program``). One evaluator reads it: _screen sums every
-distinct term out of a stack of strategies at once, in numpy, one
-entropy per marginal once one-symbol axes are dropped. The evaluators
-run it on a batch of one, and dmc_maximize on chunks drawn
+(``model._program``). A joint is linear in its strategy, so _plan
+compiles each marginal a program reads on a spec, once one-symbol axes
+are dropped, into a matrix, and a term that the chain rule makes 0
+(_vanishes) into +0.0. One evaluator reads a plan: _screen forms each
+marginal of a stack of strategies as one matrix product, without
+building their joints, and takes one entropy per marginal. The
+evaluators run it on a batch of one, and dmc_maximize on chunks drawn
 from a composition table built in numpy, with a tie pool of at most
-twice the distinct keys near the best plus a chunk. Rates within
+twice the distinct keys near the best plus a chunk. Rates agree with
+discrete_cmi's up to rounding only. Rates within
 ``model._TIE_TOL`` (1e-12 bits) of each other tie, and ties go to the
 lexicographically smallest flattened pmf, so rounding noise does not
 pick the answer. discrete_cmi evaluates one term of a joint the caller
@@ -43,11 +47,16 @@ from .model import (
 AXES = ("s", "u1", "u2", "x1", "x2", "y1", "y2")
 _PMF_TOL = 1e-12
 _MAX_ALPHABET = 4
-# joint cells (candidates x |s,u1,u2,x1,x2,y1,y2|) one search may screen:
-# this bounds its work and its composition table (per_state x cells <= it)
+# joint cells (candidates x |s,u1,u2,x1,x2,y1,y2|) one search may screen,
+# though no joint is built: this bounds its work, its composition table
+# (per_state x cells <= it) and its _plan, whose unit strategies times
+# joint cells are at most 20,736 (36 x 576, at sizes (1,1,3,3,4,4,4))
 _MAX_CELLS = 2**26
-# joint cells (candidates x |s,u1,u2,x1,x2,y1,y2|) screened at once, which
-# caps the screen's memory at a few MB whatever the candidate count
+# joint cells (candidates x |s,u1,u2,x1,x2,y1,y2|) screened at once. A
+# chunk holds its strategies, its entropies and one marginal with its
+# p log p at a time, each no larger than the chunk's joints would be: a
+# pipes chunk at denominator 8 peaks near 400 KB, not the 512 KiB of its
+# joints
 _CHUNK_CELLS = 2**16
 
 
@@ -147,7 +156,8 @@ def compose_full(d: DmcSpec, a: AuxJoint) -> np.ndarray:
 
 def discrete_cmi(joint: np.ndarray, axes, set_a, set_b, set_c=()) -> float:
     """I(A;B|C) in bits on a joint pmf with one unique name per axis,
-    with 0 log 0 := 0, clamped at 0 against rounding noise."""
+    with 0 log 0 := 0, clamped at 0 against rounding noise, and exactly
+    +0.0 where the chain rule makes it 0 (_vanishes)."""
     joint = np.asarray(joint, dtype=float)
     axes = tuple(axes)
     if joint.ndim != len(axes):
@@ -169,6 +179,9 @@ def discrete_cmi(joint: np.ndarray, axes, set_a, set_b, set_c=()) -> float:
         p = p[p > 0.0]
         return float(-(p * np.log2(p)).sum())
 
+    wide = {name for name, k in zip(axes, joint.shape) if k > 1}
+    if _vanishes(*(group & wide for group in groups)):
+        return 0.0
     a, b, c = groups
     return max(0.0, h(a | c) + h(b | c) - h(c) - h(a | b | c))
 
@@ -189,11 +202,18 @@ def _combine(program: tuple, cmi) -> tuple:
     return functools.reduce(np.minimum, rates[:n_r1]), functools.reduce(np.minimum, rates[n_r1:])
 
 
-def _rates(d: DmcSpec, pmf: np.ndarray, program: tuple) -> RatePoint:
-    """The (r1, r02) of one _PROGRAMS entry on one aux joint, screened as
-    a batch of one. The joint is not checked: the factors' rounding can
-    compound past the tolerance each one passed."""
-    r1, r02 = _screen(d, pmf[None], program)
+def _vanishes(a, b, c) -> bool:
+    """The chain rule: I(A;B|C) is exactly 0 where A or B, once its
+    one-symbol axes are dropped, lies inside C, so such a term is +0.0,
+    not the rounding residue of its four entropies."""
+    return a <= c or b <= c
+
+
+def _rates(plan: tuple, pmf: np.ndarray) -> RatePoint:
+    """The (r1, r02) of a _plan on one aux joint, screened as a batch of
+    one. The joint is not checked: the factors' rounding can compound
+    past the tolerance each one passed."""
+    r1, r02 = _screen(plan, pmf[None])
     return RatePoint.clamped(r1[0], r02[0])
 
 
@@ -201,47 +221,63 @@ def eval_informed_both(d: DmcSpec, a: AuxJoint) -> RatePoint:
     """Achievable pair when source and relay both know the interference:
     every bound conditions on s, and no binning penalty appears."""
     _check_aux(d, a)
-    return _rates(d, a.pmf, _PROGRAMS["informed-both"])
+    return _rates(_plan(d, _PROGRAMS["informed-both"]), a.pmf)
 
 
 def eval_informed_source(d: DmcSpec, a: AuxJoint) -> RatePoint:
     """Achievable pair when only the source knows the interference: each
     mutual information pays the binning penalty I(aux; s | ...)."""
     _check_aux(d, a)
-    return _rates(d, a.pmf, _PROGRAMS["informed-source"])
+    return _rates(_plan(d, _PROGRAMS["informed-source"]), a.pmf)
 
 
-def _screen(d: DmcSpec, pmf: np.ndarray, program: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """Batched (r1, r02) of a _PROGRAMS entry on aux joints stacked on a
-    leading axis, each term and each rate clamped at 0. Sums run in
-    another order than in discrete_cmi, and a candidate's sums in a batch
-    of one run in another order than in a larger batch, so rates agree
-    up to rounding only."""
-    n = pmf.shape[0]
-    # joints indexed [s][u1][u2][x1][x2][y1][y2][candidate]: with the
-    # candidates innermost, every marginal sum adds contiguous rows, ~10x
-    # faster than reducing strided axes of candidate-major joints
-    joint = (
-        np.moveaxis(pmf, 0, -1)[..., None, None, :]
-        * d.channel[:, None, None, :, :, :, :, None]
-    )
-    entropies: dict[frozenset, np.ndarray] = {}
-    # summing out a one-symbol axis is exact, so keep sets that differ
-    # only in such axes share one marginal and one entropy
+def _plan(d: DmcSpec, program: tuple) -> tuple:
+    """A _PROGRAMS entry compiled for d's screen, as (matrices, terms,
+    program). A joint is linear in its strategy, so each marginal the
+    program reads, keyed by its kept axes of more than one symbol, is a
+    matrix whose column j is that marginal of the j-th unit strategy (by
+    flattened (s,u1,u2,x1,x2) index), made by the joint reduction of
+    the identity batch. terms maps each term of the program to the keys
+    of its four entropies, or to None where it _vanishes."""
+    m = math.prod(d.sizes[:5])
+    # the joints of the m unit strategies, indexed [s][u1]...[y2][strategy]
+    joint = np.eye(m).reshape(*d.sizes[:5], 1, 1, m) * d.channel[:, None, None, ..., None]
     wide = frozenset(name for name, k in zip(AXES, d.sizes) if k > 1)
+    matrices, terms = {}, {}
+    for term in program[0][0]:
+        a, b, c = (frozenset(axes) & wide for axes in term)
+        terms[term] = None if _vanishes(a, b, c) else (a | c, b | c, c, a | b | c)
+        for keep in terms[term] or ():
+            if keep not in matrices:
+                drop = tuple(i for i, name in enumerate(AXES) if name not in keep)
+                matrices[keep] = joint.sum(axis=drop).reshape(-1, m)
+    return matrices, terms, program
 
-    def h(keep: frozenset) -> np.ndarray:
-        keep &= wide
-        if keep not in entropies:
-            drop = tuple(i for i, name in enumerate(AXES) if name not in keep)
-            marg = joint.sum(axis=drop).reshape(-1, n)
-            plogp = marg * np.log2(np.where(marg > 0.0, marg, 1.0))
-            entropies[keep] = -plogp.sum(axis=0)
-        return entropies[keep]
 
-    def cmi(a, b, c):
-        a, b, c = frozenset(a), frozenset(b), frozenset(c)
-        return np.maximum(h(a | c) + h(b | c) - h(c) - h(a | b | c), 0.0)
+def _screen(plan: tuple, pmf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Batched (r1, r02) of a _plan on aux joints stacked on a leading
+    axis, each term and each rate clamped at 0. Each marginal is one
+    matrix product of the batch's flattened strategies, so no joint is
+    built. Sums run in another order than in discrete_cmi, and a
+    candidate's products in a batch of one may run in another order than
+    in a larger batch, so rates agree up to rounding only."""
+    matrices, terms, program = plan
+    flat = pmf.reshape(len(pmf), -1).T
+
+    def entropy(marg: np.ndarray) -> np.ndarray:
+        # marg indexed [cell][candidate], so the sum adds contiguous rows;
+        # p log2 p in place, with 0 log 0 := 0 (a masked log2 runs 2x slower)
+        logs = np.where(marg > 0.0, marg, 1.0)
+        marg *= np.log2(logs, out=logs)
+        return -marg.sum(axis=0)
+
+    entropies = {keep: entropy(matrix @ flat) for keep, matrix in matrices.items()}
+
+    def cmi(*term):
+        if terms[term] is None:
+            return np.zeros(len(pmf))
+        ac, bc, c, abc = (entropies[keep] for keep in terms[term])
+        return np.maximum(ac + bc - c - abc, 0.0)
 
     r1, r02 = _combine(program, cmi)
     return np.maximum(r1, 0.0), np.maximum(r02, 0.0)
@@ -299,7 +335,8 @@ def dmc_maximize(
     cells of a joint) raises OutOfRange before anything is built.
     Candidates are enumerated in chunks of at most _CHUNK_CELLS joint
     cells from the _compositions table, and _screen computes a chunk's
-    rates at once. No candidate is checked: its state marginal is a sum of
+    rates at once through the search's _plan, built once after the
+    budget check. No candidate is checked: its state marginal is a sum of
     fl(k/denominator * p_s[s]) whose k/denominator sum to 1 exactly, so it
     lies within about 6e-14 of p_s[s], and the spec's p_s sums to 1 up to
     rounding, so each candidate is a valid AuxJoint by construction. A pool
@@ -330,6 +367,7 @@ def dmc_maximize(
             f"{total} candidate strategies of {math.prod(d.sizes)} joint cells each "
             f"exceed the budget of {_MAX_CELLS} joint cells"
         )
+    plan = _plan(d, program)
     cond = _compositions(denominator, cells)
     cond /= denominator
 
@@ -345,7 +383,7 @@ def dmc_maximize(
     kept = 0  # the pool's size after its last compaction
     for start in range(0, total, step):
         index = np.arange(start, min(start + step, total))
-        rates = _screen(d, strategies(index), program)
+        rates = _screen(plan, strategies(index))
         chunk = np.stack(rates[::-1] if objective == "r02" else rates)
         top = max(top, float(chunk[0].max()))
         keys, ids = np.hstack([keys, chunk]), np.concatenate([ids, index])
@@ -360,7 +398,7 @@ def dmc_maximize(
             kept = ids.size
     tied = strategies(ids[keys[1] >= keys[1].max() - _TIE_TOL])
     best = tied[np.lexsort(tied.reshape(len(tied), -1).T[::-1])[0]]
-    return DmcOptResult(AuxJoint(best), _rates(d, best, program), total, bounds)
+    return DmcOptResult(AuxJoint(best), _rates(plan, best), total, bounds)
 
 
 def make_degraded_channel(p_y1: np.ndarray, p_y2_given_y1x2: np.ndarray) -> np.ndarray:

@@ -215,8 +215,24 @@ class TestGoldenOutputs:
                 "dmc_pipes_d16_r1.out.json",
                 ["dmc", "--pipes", "--denominator", "16", "--objective", "r1"],
             ),
+            # the two-state spec under the informed-source bound
+            (
+                "dmc_two_state_is.out.json",
+                ["dmc", "--config", str(DATA / "dmc_two_state.json"), "--bounds", "informed-source"],
+            ),
+            # the defect spec under informed-both: (r1, r02) = (0.75, 0.75)
+            (
+                "dmc_defect_d16_ib.out.json",
+                [
+                    "dmc", "--config", str(DATA / "dmc_defect.json"), "--denominator", "16",
+                    "--bounds", "informed-both",
+                ],
+            ),
         ],
-        ids=["pipes", "two-state", "pipes-r1", "pipes-d16", "defect-d16", "pipes-d16-r1"],
+        ids=[
+            "pipes", "two-state", "pipes-r1", "pipes-d16", "defect-d16", "pipes-d16-r1",
+            "two-state-is", "defect-d16-ib",
+        ],
     )
     def test_dmc_byte_identical(self, capsys, name, argv):
         """dmc JSON of the search that ties rates within 1e-12 bits and

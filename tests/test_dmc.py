@@ -1,7 +1,9 @@
 import itertools
+import json
 import math
 import re
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -20,12 +22,13 @@ from relayregions import (
     eval_informed_both,
     eval_informed_source,
 )
-from relayregions import dmc
+from relayregions import cli, dmc
 from relayregions.dmc import AXES, compose_full, make_degraded_channel
 from relayregions.model import _TIE_TOL
 
 from references import PROPERTY, _per_term_evaluate, _product_compositions, _reference_maximize
 
+DATA = Path(__file__).parent / "data"
 BOUNDS = {"informed-source": eval_informed_source, "informed-both": eval_informed_both}
 
 
@@ -261,6 +264,33 @@ class TestEvaluators:
         assert repr(BOUNDS[bounds](d, r.best)) == repr(r.value)
 
 
+class TestChainRuleZero:
+    """A term whose A or B has only one-symbol axes outside C is exactly
+    +0.0: u1 has one symbol in this spec, so both r1 terms of the
+    informed-source bound vanish, and r1 is 0.0 rather than the residue
+    (h1 + h2) - h1 - h2 of their entropies."""
+
+    SPEC = DATA / "dmc_residue.json"
+
+    def _spec(self):
+        config = json.loads(self.SPEC.read_text())["dmc"]
+        return DmcSpec(tuple(config["sizes"]), config["p_s"], config["channel"])
+
+    def test_search_and_evaluator(self):
+        d = self._spec()
+        res = dmc_maximize(d, "informed-source", 4)
+        assert res.value.r1 == 0.0
+        assert eval_informed_source(d, res.best).r1 == 0.0
+        joint = compose_full(d, res.best)
+        assert discrete_cmi(joint, AXES, ["u1"], ["y1"], ["u2", "x2"]) == 0.0
+
+    def test_cli(self, tmp_path):
+        out = tmp_path / "residue.json"
+        assert cli.main(["dmc", "--config", str(self.SPEC), "--out", str(out)]) == 0
+        value = json.loads(out.read_text())["value"]
+        assert value["r1"] == 0.0 and value["r02"] > 0.0
+
+
 class TestMaximize:
     def test_pipes_reach_one_bit(self):
         res = dmc_maximize(binary_pipes_spec(), bounds="informed-source", denominator=4)
@@ -490,6 +520,24 @@ class TestBatchedSearch:
         assert max(held) - held[0] < 4 * 245_157
 
     @pytest.mark.parametrize("bounds", sorted(BOUNDS))
+    def test_screen_builds_no_joint(self, bounds):
+        # one full chunk of the pipes search at denominator 8: its 2,048
+        # joints would take 2**16 floats, 512 KiB, but the screen forms
+        # each marginal as a product of the plan's matrix and the strategies
+        d = binary_pipes_spec()
+        step = dmc._CHUNK_CELLS // int(np.prod(d.sizes))
+        pmfs = (dmc._compositions(8, 8)[:step] / 8.0).reshape(step, *d.sizes[:5])
+        plan = dmc._plan(d, dmc._PROGRAMS[bounds])
+        tracemalloc.start()
+        try:
+            r1, r02 = dmc._screen(plan, pmfs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert step == 2048 and r02.max() == pytest.approx(1.0, abs=1e-12)
+        assert peak < 8 * dmc._CHUNK_CELLS
+
+    @pytest.mark.parametrize("bounds", sorted(BOUNDS))
     @pytest.mark.parametrize("objective", ["r02", "r1"])
     def test_subnormal_state_ties_follow_pmf_order(self, bounds, objective):
         # every key ties, and the state-0 rows round to zero or to p_s[0]:
@@ -544,7 +592,7 @@ def test_screen_matches_scalar_evaluators(seed, sizes, bounds):
     rng = np.random.default_rng(seed)
     d = _random_spec(rng, sizes)
     pmfs = _random_strategies(rng, d, 8)
-    r1, r02 = dmc._screen(d, pmfs, dmc._PROGRAMS[bounds])
+    r1, r02 = dmc._screen(dmc._plan(d, dmc._PROGRAMS[bounds]), pmfs)
     for i, pmf in enumerate(pmfs):
         want = BOUNDS[bounds](d, AuxJoint(pmf))
         assert abs(r1[i] - want.r1) <= 1e-12
