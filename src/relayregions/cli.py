@@ -20,8 +20,8 @@ everywhere except the ``--snr-db`` axis of sweep-snr, which is the one
 deliberate dB boundary.
 Every number in CSV or JSON output is rendered with 12 significant
 digits and files are written atomically (write to a temp file in the
-same directory, then rename), so identical configs produce byte
-identical outputs.
+same directory, then rename) with the permissions a plain write gives,
+so identical configs produce byte identical outputs.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ import json
 import math
 import os
 import sys
-import tempfile
 from dataclasses import fields
 
 import numpy as np
@@ -57,6 +56,7 @@ from .model import (
     SCHEMES,
     _require_count,
     _require_real,
+    _require_reals,
     _require_tol,
     _require_unit,
     rho_upper_bound,
@@ -86,11 +86,15 @@ def _write_output(path: str | None, text: str) -> None:
     if path is None:
         sys.stdout.write(text)
         return
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".relayregions-", text=True)
+    # a fresh name beside the target, created as open(path, "w") creates a
+    # file: 0o666 less the umask; a replaced file keeps its permission bits
+    tmp = os.path.join(os.path.dirname(path), f".relayregions-{os.urandom(8).hex()}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as handle:
             handle.write(text)
+        if os.path.exists(path):
+            os.chmod(tmp, os.stat(path).st_mode & 0o777)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -229,24 +233,18 @@ def _grid(value) -> GridSpec:
 _PIPES = object()  # what --pipes stores as the dmc spec; no JSON value is it
 
 
-def _nested_floats(name: str, value):
-    """Nested lists of numbers: a bool is rejected, not read as 1.0 by numpy."""
-    if isinstance(value, list):
-        return [_nested_floats(name, v) for v in value]
-    return _require_real(name, _float(value))
-
-
 def _dmc_spec(value) -> DmcSpec:
+    """The spec of a config's dmc object. Each entry of p_s and channel is
+    read as a float field is: text as the number it spells (``_float``),
+    then the library's number rule."""
     if value is _PIPES:
         return binary_pipes_spec()
     try:
         sizes = tuple(_as_int(v) for v in value["sizes"])
-        p_s = np.array(_nested_floats("p_s", value["p_s"]), dtype=float)
-        channel = np.array(_nested_floats("channel", value["channel"]), dtype=float)
+        p_s = _require_reals("p_s", value["p_s"], _float)
+        channel = _require_reals("channel", value["channel"], _float)
     except (KeyError, TypeError, ValueError) as e:
         raise OutOfRange(f"needs sizes, p_s and channel arrays: {e}") from None
-    except RecursionError:
-        raise OutOfRange("p_s or channel nests too deeply to read") from None
     return DmcSpec(sizes=sizes, p_s=p_s, channel=channel)
 
 

@@ -41,7 +41,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (
-    _TERMS, _TIE_TOL, OutOfRange, RatePoint, _expression, _program, _require_count, _unchecked,
+    _TERMS, _TIE_TOL, OutOfRange, RatePoint, _expression, _program, _require_count,
+    _require_reals, _unchecked,
 )
 
 AXES = ("s", "u1", "u2", "x1", "x2", "y1", "y2")
@@ -75,7 +76,9 @@ class DmcSpec:
     """A discrete channel: alphabet sizes for (s,u1,u2,x1,x2,y1,y2), the
     interference pmf p_s, stored divided by its sum once checked unless
     that sum lies within 2**-51 of 1 (so a sum of exactly 1, or a stored
-    p_s, keeps its bits), and the channel law p(y1,y2|x1,x2,s)."""
+    p_s, keeps its bits), and the channel law p(y1,y2|x1,x2,s). Each
+    entry of p_s and channel meets the number rule (``_require_reals``):
+    a bool, text or complex entry, or a ragged nesting, is OutOfRange."""
 
     sizes: tuple[int, ...]
     p_s: np.ndarray
@@ -88,8 +91,8 @@ class DmcSpec:
             if _require_count(f"|{name}|", n, 1) > _MAX_ALPHABET:
                 raise OutOfRange(f"|{name}| must be at most {_MAX_ALPHABET}, got {n!r}")
         ns, nu1, nu2, nx1, nx2, ny1, ny2 = self.sizes
-        p_s = np.array(self.p_s, dtype=float)
-        channel = np.array(self.channel, dtype=float)
+        p_s = _require_reals("p_s", self.p_s)
+        channel = _require_reals("channel", self.channel)
         if p_s.shape != (ns,):
             raise OutOfRange(f"p_s must have shape ({ns},), got {p_s.shape}")
         if channel.shape != (ns, nx1, nx2, ny1, ny2):
@@ -121,12 +124,13 @@ class AuxJoint:
     Build a strategy for a spec from ``spec.p_s``, which is stored
     normalised, as ``spec.p_s[:, None] * cond`` with cond's rows summing
     to 1: a caller's own p_s at the edge of the 1e-12 band can make the
-    product miss this sum check."""
+    product miss this sum check. Its entries meet the number rule
+    (``_require_reals``), as a spec's do."""
 
     pmf: np.ndarray
 
     def __post_init__(self) -> None:
-        pmf = np.array(self.pmf, dtype=float)
+        pmf = _require_reals("aux joint", self.pmf)
         if pmf.ndim != 5:
             raise OutOfRange(f"aux joint must be 5-dimensional, got shape {pmf.shape}")
         _check_pmf("aux joint", pmf)
@@ -157,8 +161,9 @@ def compose_full(d: DmcSpec, a: AuxJoint) -> np.ndarray:
 def discrete_cmi(joint: np.ndarray, axes, set_a, set_b, set_c=()) -> float:
     """I(A;B|C) in bits on a joint pmf with one unique name per axis,
     with 0 log 0 := 0, clamped at 0 against rounding noise, and exactly
-    +0.0 where the chain rule makes it 0 (_vanishes)."""
-    joint = np.asarray(joint, dtype=float)
+    +0.0 where the chain rule makes it 0 (_vanishes). The joint's entries
+    meet the number rule (``_require_reals``)."""
+    joint = _require_reals("joint", joint)
     axes = tuple(axes)
     if joint.ndim != len(axes):
         raise OutOfRange(f"joint has {joint.ndim} axes but {len(axes)} names given")
@@ -408,8 +413,8 @@ def make_degraded_channel(p_y1: np.ndarray, p_y2_given_y1x2: np.ndarray) -> np.n
     The evaluators accept any channel tensor; this factory is for specs
     that do want the far output built from the relay output.
     """
-    p_y1 = np.asarray(p_y1, dtype=float)
-    p_y2 = np.asarray(p_y2_given_y1x2, dtype=float)
+    p_y1 = _require_reals("p(y1|x1,x2,s)", p_y1)
+    p_y2 = _require_reals("p(y2|y1,x2)", p_y2_given_y1x2)
     _check_pmf("p(y1|x1,x2,s)", p_y1, axis=3)
     _check_pmf("p(y2|y1,x2)", p_y2, axis=2)
     return np.einsum("sabc,cbd->sabcd", p_y1, p_y2)

@@ -59,6 +59,7 @@ from .model import (
     _expression,
     _program,
     _require_count,
+    _require_reals,
     _require_tol,
     _scaled,
     _unchecked,
@@ -80,7 +81,9 @@ class CovarianceSystem:
     the diagonal) is symmetric within 1e-9 and has no eigenvalue below
     _PSD_TOL. A label of zero variance must have an exactly zero row and
     column, and no variance may be negative. Rescaling a label therefore
-    moves no check, as it moves no information. sigma is stored read-only.
+    moves no check, as it moves no information. Each entry of sigma meets
+    the number rule (``model._require_reals``), and sigma is stored as a
+    new read-only float array.
     The builders' covariances hold these by construction and skip them
     (``_assemble``), and a copy or an unpickled covariance held them when
     it was built (``model._unchecked``).
@@ -90,7 +93,7 @@ class CovarianceSystem:
     sigma: np.ndarray
 
     def __post_init__(self) -> None:
-        sigma = np.array(self.sigma, dtype=float)
+        sigma = _require_reals("sigma", self.sigma)
         if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1]:
             raise OutOfRange(f"sigma must be square, got shape {sigma.shape}")
         if len(self.labels) != sigma.shape[0]:

@@ -31,7 +31,9 @@ that a builder or the Monte-Carlo draw assembles, is built by
 ``_unchecked``: its fields set, its arrays read-only, nothing checked.
 Every public float argument is read by one rule (``_require_real``), so
 a field is stored as a Python float, -0.0 as +0.0, and a float32 passed
-in computes as a float. The one condition
+in computes as a float. Every entry of a public array argument is read
+by the same rule (``_require_reals``), which stores the array as a new
+float array. The one condition
 no type can hold, the channel-coupled bound on rho, is checked by
 ``validate_gdpc``.
 
@@ -73,6 +75,33 @@ def _require_real(name: str, value) -> float:
         except OverflowError:  # an integer past float range
             pass
     raise OutOfRange(f"{name} must be a real number in float range, got {value!r}")
+
+
+def _require_reals(name: str, value, read=lambda v: v) -> np.ndarray:
+    """``value`` as a new float array. A float or integer ndarray passes by
+    value (-0.0 as +0.0). Any other value is walked through its lists,
+    tuples and ndarrays, and ``_require_real`` reads each entry after
+    ``read`` (the CLI's text step): a bool, text, None or complex entry is
+    OutOfRange, and so is a ragged nesting or one more than 32 levels deep
+    (numpy 1's limit), which numpy or Python would raise as a ValueError
+    or a RecursionError."""
+    if isinstance(value, np.ndarray) and value.dtype.kind in "fiu":
+        return np.add(value, 0.0, dtype=float)  # exact for every float but -0.0
+
+    def walk(v, depth: int):
+        if isinstance(v, np.ndarray):  # of another dtype, or inside a list
+            v = v.tolist()
+        if not isinstance(v, (list, tuple)):
+            return _require_real(name, read(v))
+        if depth == 32:
+            raise OutOfRange(f"{name} nests too deeply to read")
+        return [walk(x, depth + 1) for x in v]
+
+    nested = walk(value, 0)
+    try:
+        return np.array(nested, dtype=float)
+    except ValueError:  # numpy's error for a ragged nesting
+        raise OutOfRange(f"{name} must nest as a regular array, got a ragged one") from None
 
 
 def _require_finite(name: str, value) -> float:

@@ -133,12 +133,12 @@ DEFAULT_GRID = GridSpec()
 
 # Most (rho, beta) cells one pass of the batched search evaluates: five
 # default gdpc rows. A kernel call costs about 75 us of numpy dispatch
-# whatever its size, and the rows of a pass share it; five rows is the
-# pass size that measured fastest in the benchmark harness. At five rows
-# each of the kernel's three-candidate temporaries, 3 * 5,445 floats, is
-# 130,680 bytes, under glibc's 128 KiB mmap threshold, so it comes from
-# the heap and not from fresh, faulting pages. The 33-cell rows of a dpc
-# frontier share one pass.
+# whatever its size, and the rows of a pass share it, yet larger passes
+# measured slower: in a loop that calibrates as the benchmark worker
+# does, passes of 7, 10 and 21 rows took 9.1-9.5 ms per 21-gamma gdpc
+# frontier against 8.5 ms at five, and 1,332-2,047 minor faults against
+# none, once the kernel's temporaries outgrew glibc's trim threshold. The
+# 33-cell rows of a dpc frontier share one pass.
 _PASS_CELLS = 5 * DEFAULT_GRID.steps_rho * DEFAULT_GRID.steps_beta
 
 

@@ -187,7 +187,10 @@ def _best_alpha2(row, rho, beta):
     the best one: where pwt = 0 or qprime = 0 every candidate ties and
     +0.0 wins. As +0.0 <= A2 <= root <= A1, and a root that fell back to
     +0.0 has the value of +0.0, the smallest is the first tied candidate
-    in that order.
+    in that order. The tie width is measured from the best of the three
+    stacked values alone: +0.0 is the last candidate the scan writes, so
+    where its value exceeds theirs it ties and wins, as it would against
+    a best that counted it, and elsewhere that best is the same.
 
     The log and the clamp each run once per candidate, after the min. The
     value is 0.5*log2(min(a/b, c/d)): np.log2 never decreases and halving
@@ -243,7 +246,7 @@ def _best_alpha2(row, rho, beta):
         d0 = m2 * pwt
         d0 += pq
         v0 = _clamped_value(a, b0, c, d0)
-    top = np.maximum(v.max(axis=0), v0)
+    top = v.max(axis=0)
     top -= _TIE_TOL
     # scan from A1 down to +0.0: the last tied candidate written is the
     # first tied one in ascending order

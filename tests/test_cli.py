@@ -98,6 +98,25 @@ class TestFrontierCommand:
         assert f1.read_bytes() == f2.read_bytes()
         assert not list(tmp_path.glob(".relayregions-*"))
 
+    @pytest.mark.parametrize("before,after", [(None, 0o644), (0o640, 0o640), (0o666, 0o666)],
+                             ids=["new", "replaced-0640", "replaced-0666"])
+    def test_out_has_the_mode_a_plain_write_gives(self, capsys, tmp_path, before, after):
+        # under umask 022, open(path, "w") makes a new file 0o644 and keeps
+        # a replaced file's bits, even those the umask would clear
+        out = tmp_path / "front.csv"
+        if before is not None:
+            out.write_text("old\n")
+            out.chmod(before)
+        mask = os.umask(0o022)
+        try:
+            code, _, _ = run(capsys, "frontier", "--gamma-grid", "0,1", "--grid", TINY_GRID,
+                             "--out", str(out))
+        finally:
+            os.umask(mask)
+        assert (code, out.stat().st_mode & 0o777) == (0, after)
+        assert out.read_text().startswith("scheme,")
+        assert not list(tmp_path.glob(".relayregions-*"))
+
     def test_scheme_flag(self, capsys):
         code, out, _ = run(
             capsys, "frontier", "--channel", CHANNEL, "--scheme", "nostate-outer",
@@ -776,10 +795,10 @@ class TestInputRejections:
             # json.load recurses once per level
             ("frontier", '{"channel": ' + "[" * 100_000 + "]" * 100_000 + "}",
              "error: config file nests too deeply to read\n"),
-            # the spec reader twice per level: 600 levels load, then fail to read
+            # 600 levels load, and the array reader stops at 32
             ("dmc", '{"dmc": {"sizes": [1, 1, 1, 1, 1, 1, 1], "p_s": '
              + "[" * 600 + "1" + "]" * 600 + ', "channel": [1]}}',
-             "error: dmc: p_s or channel nests too deeply to read\n"),
+             "error: dmc: needs sizes, p_s and channel arrays: p_s nests too deeply to read\n"),
         ],
         ids=["channel-keys", "not-an-object", "gamma-past-one", "deep-json", "deep-dmc-spec"],
     )

@@ -11,12 +11,16 @@ is what guards the float-range checks the closed forms no longer make.
 Discrete specs have alphabets of 1 to 3 symbols, p_s entries of 0 or the
 smallest subnormal, and channel rows that hold zeros.
 
-The type axis calls each public float argument with values of other
-types: a real number that is not a float (a numpy scalar or a Fraction)
-answers as float(value) does, and every other value (a bool, text, None,
-a complex, an integer past float range, a list) raises OutOfRange."""
+The type axis calls each public float argument, and one entry of each
+public array argument, with values of other types: a real number that is
+not a float (a numpy scalar or a Fraction) answers as float(value) does,
+and every other value (a bool, text, None, a complex, an integer past
+float range, a list) raises OutOfRange. A list entry makes an array
+ragged, which is OutOfRange too. Valid arrays are stored as the same
+float array whether they come as nested lists or as ndarrays."""
 
 import math
+import re
 import warnings
 from fractions import Fraction
 
@@ -26,6 +30,7 @@ from hypothesis import given, settings, strategies as st
 
 from relayregions import (
     SCHEMES,
+    AuxJoint,
     ChannelParams,
     DmcSpec,
     GdpcParams,
@@ -37,6 +42,7 @@ from relayregions import (
     TermCheck,
     VerifyReport,
     cap_c,
+    discrete_cmi,
     dmc_maximize,
     frontier,
     gdpc_rates,
@@ -49,6 +55,9 @@ from relayregions import (
     verify_informed_both,
     verify_relay_identity,
 )
+
+from relayregions.dmc import make_degraded_channel
+from relayregions.gaussian import CovarianceSystem
 
 from references import PROPERTY
 
@@ -218,6 +227,45 @@ TYPE_ENTRIES = {
     "verify_relay_identity": lambda x: verify_relay_identity(_C, _P, x),
     "VerifyReport": lambda x: VerifyReport("t", x, (TermCheck("t", 0.5, 0.5),)),
 }
+
+
+def _stored(x):
+    """What an array entry stores or returns, as exact Python floats."""
+    return x.tolist() if isinstance(x, np.ndarray) else x
+
+
+_SIZES = (2, 1, 1, 1, 1, 1, 2)
+# every public array argument: (a call of the array it varies, what that
+# call stores or returns; a valid array of fractions; one of integers)
+ARRAYS = {
+    "DmcSpec.p_s": (lambda a: DmcSpec(_SIZES, a, [[[[[1, 0]]]]] * 2).p_s,
+                    [0.5, 0.5], [1, 0]),
+    "DmcSpec.channel": (lambda a: DmcSpec(_SIZES, [0.5, 0.5], a).channel,
+                        [[[[[0.5, 0.5]]]], [[[[0.25, 0.75]]]]], [[[[[1, 0]]]], [[[[0, 1]]]]]),
+    "AuxJoint.pmf": (lambda a: AuxJoint(a).pmf,
+                     [[[[[0.5]]]], [[[[0.5]]]]], [[[[[1]]]], [[[[0]]]]]),
+    "discrete_cmi": (lambda a: discrete_cmi(a, ("a", "b"), ("a",), ("b",)),
+                     [[0.5, 0.25], [0.0, 0.25]], [[1, 0], [0, 0]]),
+    "CovarianceSystem.sigma": (lambda a: CovarianceSystem(("a", "b"), a).sigma,
+                               [[0.5, 0.25], [0.25, 1.0]], [[2, 1], [1, 2]]),
+    "make_degraded_channel.p_y1": (lambda a: make_degraded_channel(a, [[[1.0]], [[1.0]]]),
+                                   [[[[0.5, 0.5]]]], [[[[1, 0]]]]),
+    "make_degraded_channel.p_y2": (lambda a: make_degraded_channel([[[[1.0]]]], a),
+                                   [[[0.5, 0.5]]], [[[0, 1]]]),
+}
+
+
+def _first_entry(nested, x):
+    """nested lists with their first entry replaced by x"""
+    return [_first_entry(nested[0], x), *nested[1:]] if isinstance(nested, list) else x
+
+
+# the first entry of each array argument, as a call of the one value it varies
+ARRAY_ENTRIES = {
+    name: lambda x, call=call, base=base: _stored(call(_first_entry(base, x)))
+    for name, (call, base, _) in ARRAYS.items()
+}
+TYPE_ENTRIES.update(ARRAY_ENTRIES)
 REALS = [np.float32(0.5), np.int64(1), Fraction(1, 2)]
 NOT_REALS = [True, np.True_, "1", None, 1 + 0j, 10**400, [1.0]]
 
@@ -245,4 +293,88 @@ def test_a_real_number_answers_as_its_float(entry, value):
 def test_a_value_that_is_no_float_is_out_of_range(entry, value):
     with pytest.raises(OutOfRange) as info:
         TYPE_ENTRIES[entry](value)
-    assert str(info.value).endswith(f"got {value!r}")
+    # a list where an array holds a number makes the array ragged, which
+    # its own message says
+    if not (entry in ARRAY_ENTRIES and isinstance(value, list)):
+        assert str(info.value).endswith(f"got {value!r}")
+
+
+def _same(got, want) -> bool:
+    """Equal bit for bit: floats with the same bits, arrays with the same
+    shape, dtype and bytes."""
+    if isinstance(want, np.ndarray):
+        return (got.shape, got.dtype, got.tobytes()) == (want.shape, want.dtype, want.tobytes())
+    return np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+@pytest.mark.parametrize("entry", ARRAYS)
+def test_a_valid_array_is_stored_the_same_whatever_its_form(entry):
+    call, fractions, integers = ARRAYS[entry]
+    for base in (fractions, integers):
+        # the float array numpy reads, and what the call makes of it
+        want = call(np.array(base, dtype=float))
+        forms = [base, np.array(base), np.array(base, dtype=np.float32),
+                 [np.array(row) for row in base], tuple(base)]
+        for form in forms:
+            assert _same(call(form), want), form
+    for form in (np.array(integers), np.array(integers, dtype=np.uint8)):
+        assert _same(call(form), call(integers))
+    # a new array: the caller's stays as it was, writeable
+    source = np.array(fractions, dtype=float)
+    if isinstance(stored := call(source), np.ndarray):
+        assert not np.shares_memory(stored, source) and source.flags.writeable
+
+
+@pytest.mark.parametrize("entry", ["DmcSpec.p_s", "DmcSpec.channel", "AuxJoint.pmf"])
+def test_a_negative_zero_entry_is_stored_as_zero(entry):
+    call, _, integers = ARRAYS[entry]
+    negated = np.where(np.array(integers) == 0, -0.0, np.array(integers, dtype=float))
+    assert np.signbit(negated).any()
+    for form in (negated, negated.tolist()):
+        stored = call(form)
+        assert not np.signbit(stored).any()
+        assert (stored == negated).all()
+
+
+@pytest.mark.parametrize(
+    "value,message",
+    [
+        (np.array([True, False]), "got True"),
+        (np.array([1 + 0j, 0j]), "got (1+0j)"),
+        (np.array(["1", "0"]), "got '1'"),
+        (np.array(True), "got True"),
+        (np.array([1.0, 0.0], dtype=object), None),
+        ([[1.0], [0.0, 0.0]], "ragged"),
+        ([[1.0], 0.0], "ragged"),
+        (_first_entry([[[1.0]]] * 2, [[0.5]]), "ragged"),
+    ],
+    ids=["bool-array", "complex-array", "str-array", "0-d-bool-array", "object-array",
+         "ragged-rows", "list-and-number", "deeper-entry"],
+)
+def test_an_array_of_no_numbers_is_out_of_range(value, message):
+    call = ARRAYS["DmcSpec.p_s"][0]
+    if message is None:  # an object array of floats is read entry by entry
+        assert call(value).tolist() == [1.0, 0.0]
+        return
+    with pytest.raises(OutOfRange, match=re.escape(message)):
+        call(value)
+
+
+def _nest(depth: int) -> list:
+    value = [1.0]
+    for _ in range(depth - 1):
+        value = [value]
+    return value
+
+
+@pytest.mark.parametrize("depth", [33, 600, 100_000])
+def test_a_nesting_too_deep_to_read_is_out_of_range(depth):
+    for call, _, _ in ARRAYS.values():
+        with pytest.raises(OutOfRange, match="nests too deeply to read"):
+            call(_nest(depth))
+
+
+def test_32_levels_are_read():
+    # numpy 1's limit: the array is read, and only the shape check fails
+    with pytest.raises(OutOfRange, match=re.escape("p_s must have shape (2,), got (1, 1,")):
+        ARRAYS["DmcSpec.p_s"][0](_nest(32))
