@@ -89,16 +89,18 @@ def _write_output(path: str | None, text: str) -> None:
     # a fresh name beside the target, created as open(path, "w") creates a
     # file: 0o666 less the umask; a replaced file keeps its permission bits
     tmp = os.path.join(os.path.dirname(path), f".relayregions-{os.urandom(8).hex()}")
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         with os.fdopen(fd, "w") as handle:
             handle.write(text)
         if os.path.exists(path):
             os.chmod(tmp, os.stat(path).st_mode & 0o777)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except BaseException as e:
+        if os.path.exists(tmp) and not isinstance(e, FileExistsError):  # a taken name is not ours
             os.unlink(tmp)
+        if isinstance(e, OSError) and e.filename:  # named as open(path, "w") names it
+            raise type(e)(e.errno, e.strerror, path) from None
         raise
 
 

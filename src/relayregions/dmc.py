@@ -151,18 +151,13 @@ def _check_aux(d: DmcSpec, a: AuxJoint) -> None:
         raise OutOfRange("aux joint marginal over s must equal p_s")
 
 
-def compose_full(d: DmcSpec, a: AuxJoint) -> np.ndarray:
-    """Full 7-dim joint p(s,u1,u2,x1,x2,y1,y2) = aux * channel of an aux
-    joint that fits the spec (see _check_aux)."""
-    _check_aux(d, a)
-    return a.pmf[..., None, None] * d.channel[:, None, None, :, :, :, :]
-
-
 def discrete_cmi(joint: np.ndarray, axes, set_a, set_b, set_c=()) -> float:
     """I(A;B|C) in bits on a joint pmf with one unique name per axis,
     with 0 log 0 := 0, clamped at 0 against rounding noise, and exactly
     +0.0 where the chain rule makes it 0 (_vanishes). The joint's entries
-    meet the number rule (``_require_reals``)."""
+    meet the number rule (``_require_reals``). A spec d's full joint under
+    a strategy a is ``a.pmf[..., None, None] * d.channel[:, None, None]``,
+    indexed [s][u1][u2][x1][x2][y1][y2] (AXES)."""
     joint = _require_reals("joint", joint)
     axes = tuple(axes)
     if joint.ndim != len(axes):
@@ -406,29 +401,10 @@ def dmc_maximize(
     return DmcOptResult(AuxJoint(best), _rates(plan, best), total, bounds)
 
 
-def make_degraded_channel(p_y1: np.ndarray, p_y2_given_y1x2: np.ndarray) -> np.ndarray:
-    """Compose p(y1,y2|x1,x2,s) = p(y1|x1,x2,s) * p(y2|y1,x2).
-
-    p_y1 is indexed [s][x1][x2][y1], p_y2_given_y1x2 is [y1][x2][y2].
-    The evaluators accept any channel tensor; this factory is for specs
-    that do want the far output built from the relay output.
-    """
-    p_y1 = _require_reals("p(y1|x1,x2,s)", p_y1)
-    p_y2 = _require_reals("p(y2|y1,x2)", p_y2_given_y1x2)
-    _check_pmf("p(y1|x1,x2,s)", p_y1, axis=3)
-    _check_pmf("p(y2|y1,x2)", p_y2, axis=2)
-    return np.einsum("sabc,cbd->sabcd", p_y1, p_y2)
-
-
 def binary_pipes_spec() -> DmcSpec:
     """Noiseless binary test channel: y1 copies x1, y2 copies x2, a
     single interference symbol and a singleton u1 alphabet."""
     eye = np.eye(2)
-    p_y1 = np.zeros((1, 2, 2, 2))
-    p_y1[0] = eye[:, None, :]  # p(y1|x1,x2) = [x1 == y1]
-    p_y2 = np.zeros((2, 2, 2))
-    p_y2[:] = eye[None, :, :]  # p(y2|y1,x2) = [x2 == y2]
-    channel = make_degraded_channel(p_y1, p_y2)
-    return DmcSpec(
-        sizes=(1, 1, 2, 2, 2, 2, 2), p_s=np.array([1.0]), channel=channel
-    )
+    # p(y1,y2|x1,x2) = [x1 == y1] * [x2 == y2]
+    channel = (eye[:, None, :, None] * eye[None, :, None, :])[None]
+    return DmcSpec(sizes=(1, 1, 2, 2, 2, 2, 2), p_s=np.array([1.0]), channel=channel)

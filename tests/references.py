@@ -6,9 +6,9 @@ share: the alpha2 kernel with a log of each ratio and each term clamped
 meshgridded axes (``_reference_max_r02_gdpc``), the cooperative split in
 60-digit decimal (``_reference_max_beta_nostate``), the DMC search as a
 loop over every candidate with one public ``discrete_cmi`` call per term
-(``_reference_maximize``), and each covariance builder as the nested
-row table of its docstring (``_reference_cov_informed_both`` and
-``_reference_cov_informed_source``).
+(``_reference_maximize``) on joints that ``compose_full`` builds, and
+each covariance builder as the nested row table of its docstring
+(``_reference_cov_informed_both`` and ``_reference_cov_informed_source``).
 
 ``_scaled_row`` hands the kernel a channel's row as the search does.
 
@@ -40,7 +40,7 @@ from relayregions import (
     rho_upper_bound,
 )
 from relayregions import dmc
-from relayregions.dmc import AXES, compose_full
+from relayregions.dmc import AXES
 from relayregions.optimize import DEFAULT_GRID
 from relayregions.model import _TIE_TOL, _scaled
 from relayregions.rates import _binned_pair, _log_ratios
@@ -318,6 +318,13 @@ def _product_compositions(total, cells):
     last, filtered by their sum, with the last taking what they leave."""
     heads = itertools.product(range(total + 1), repeat=cells - 1)
     return [(*head, total - sum(head)) for head in heads if sum(head) <= total]
+
+
+def compose_full(d, a):
+    """The full joint p(s,u1,u2,x1,x2,y1,y2) = aux * channel of an aux
+    joint that fits the spec, as the evaluators check it."""
+    dmc._check_aux(d, a)
+    return a.pmf[..., None, None] * d.channel[:, None, None]
 
 
 def _per_term_evaluate(d, a, bounds):

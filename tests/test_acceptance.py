@@ -37,7 +37,9 @@ from relayregions import (
     verify_informed_both,
     verify_relay_identity,
 )
-from relayregions.dmc import AXES, compose_full
+from relayregions.dmc import AXES
+
+from references import compose_full
 
 
 @contextlib.contextmanager

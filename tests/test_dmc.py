@@ -23,10 +23,12 @@ from relayregions import (
     eval_informed_source,
 )
 from relayregions import cli, dmc
-from relayregions.dmc import AXES, compose_full, make_degraded_channel
+from relayregions.dmc import AXES
 from relayregions.model import _TIE_TOL
 
-from references import PROPERTY, _per_term_evaluate, _product_compositions, _reference_maximize
+from references import (
+    PROPERTY, _per_term_evaluate, _product_compositions, _reference_maximize, compose_full,
+)
 
 DATA = Path(__file__).parent / "data"
 BOUNDS = {"informed-source": eval_informed_source, "informed-both": eval_informed_both}
@@ -131,8 +133,9 @@ class TestSpecValidation:
 class TestCompose:
     def test_shape_mismatch(self):
         d = binary_pipes_spec()
-        with pytest.raises(OutOfRange):
-            compose_full(d, AuxJoint(np.full((1, 2, 2, 2, 2), 1 / 16)))
+        message = "aux joint shape (1, 2, 2, 2, 2) does not match spec sizes (1, 1, 2, 2, 2)"
+        with pytest.raises(OutOfRange, match=re.escape(message)):
+            eval_informed_both(d, AuxJoint(np.full((1, 2, 2, 2, 2), 1 / 16)))
 
     def test_marginal_must_match_state_law(self):
         rng = np.random.default_rng(0)
@@ -141,7 +144,7 @@ class TestCompose:
         cond = rng.dirichlet(np.ones(cells), size=2)
         wrong = AuxJoint((np.array([[0.9], [0.1]]) * cond).reshape(2, 1, 2, 2, 2))
         with pytest.raises(OutOfRange, match="aux joint marginal over s must equal p_s"):
-            compose_full(d, wrong)
+            eval_informed_source(d, wrong)
 
     def test_joint_normalizes_and_factors(self):
         rng = np.random.default_rng(1)
@@ -554,7 +557,7 @@ def test_candidate_state_marginals_match_p_s(shape):
     """dmc_maximize checks no candidate's state marginal: it is a sum of
     fl(k/den * p) whose k/den sum to 1 exactly, so it lies within about
     cells * 2**-53 * p of p, 6e-14 at most, far inside the 1e-12 that
-    compose_full checks for a caller's joint. The candidates are composed
+    the evaluators check for a caller's joint. The candidates are composed
     and summed as the search does, with p_s entries as states."""
     cells = int(np.prod(shape))
     rng = np.random.default_rng(cells)
@@ -616,6 +619,46 @@ def test_evaluators_match_per_term_route(seed, sizes, bounds):
         want = _per_term_evaluate(d, a, bounds)
         assert abs(got.r1 - want.r1) <= 1e-12
         assert abs(got.r02 - want.r02) <= 1e-12
+
+
+# (|s|, |u1|, |u2|, |x1|, |x2|) with an input of two symbols or more to
+# relabel and at most 8 strategy cells a state, or 6 with two states, so
+# that a search at denominator 4 screens at most 15,876 candidates
+_RELABELLED = [
+    (ns, *c)
+    for ns in (1, 2)
+    for c in itertools.product(range(1, 5), repeat=4)
+    if c[2] * c[3] > 1 and math.prod(c) <= (8 if ns == 1 else 6)
+]
+
+
+def _moved(rng, n):
+    """A random permutation of n symbols, one that moves some where n > 1."""
+    p = rng.permutation(n)
+    return np.roll(p, 1) if n > 1 and (p == np.arange(n)).all() else p
+
+
+@settings(PROPERTY, max_examples=24)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    head=st.sampled_from(_RELABELLED),
+    ny=st.tuples(st.integers(2, 3), st.integers(2, 3)),
+)
+def test_the_optimum_is_invariant_under_relabelling(seed, head, ny):
+    """Relabelling the symbols of s, x1, x2, y1 and y2, with p_s and the
+    channel permuted to match, keeps the optimum's primary rate within
+    1e-12 bits under both bounds and both objectives: neither the search
+    nor a rule on which strategies it plays may read symbol order."""
+    rng = np.random.default_rng(seed)
+    d = _random_spec(rng, (*head, *ny))
+    perms = [_moved(rng, d.sizes[axis]) for axis in (0, 3, 4, 5, 6)]
+    relabelled = DmcSpec(d.sizes, d.p_s[perms[0]], d.channel[np.ix_(*perms)])
+    for bounds, objective in itertools.product(sorted(BOUNDS), ("r02", "r1")):
+        got, want = (
+            getattr(dmc_maximize(spec, bounds, 4, objective).value, objective)
+            for spec in (relabelled, d)
+        )
+        assert abs(got - want) <= 1e-12
 
 
 def _allclose_check(p, axis=None):
@@ -706,20 +749,6 @@ class TestCompositions:
 
 
 class TestFactories:
-    def test_make_degraded_channel_normalizes(self):
-        rng = np.random.default_rng(4)
-        p_y1 = rng.dirichlet(np.ones(2), size=(2, 2, 2))
-        p_y2 = rng.dirichlet(np.ones(3), size=(2, 2))
-        chan = make_degraded_channel(p_y1, p_y2)
-        assert chan.shape == (2, 2, 2, 2, 3)
-        np.testing.assert_allclose(chan.sum(axis=(3, 4)), 1.0, atol=1e-12)
-
-    def test_make_degraded_channel_checks_rows(self):
-        with pytest.raises(OutOfRange, match=re.escape("p(y1|x1,x2,s) must sum to 1 within 1e-12")):
-            make_degraded_channel(
-                np.full((1, 2, 2, 2), 0.4), np.full((2, 2, 2), 0.5)
-            )
-
     def test_pipes_spec_shape(self):
         d = binary_pipes_spec()
         assert d.sizes == (1, 1, 2, 2, 2, 2, 2)

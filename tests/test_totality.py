@@ -56,7 +56,6 @@ from relayregions import (
     verify_relay_identity,
 )
 
-from relayregions.dmc import make_degraded_channel
 from relayregions.gaussian import CovarianceSystem
 
 from references import PROPERTY
@@ -248,10 +247,6 @@ ARRAYS = {
                      [[0.5, 0.25], [0.0, 0.25]], [[1, 0], [0, 0]]),
     "CovarianceSystem.sigma": (lambda a: CovarianceSystem(("a", "b"), a).sigma,
                                [[0.5, 0.25], [0.25, 1.0]], [[2, 1], [1, 2]]),
-    "make_degraded_channel.p_y1": (lambda a: make_degraded_channel(a, [[[1.0]], [[1.0]]]),
-                                   [[[[0.5, 0.5]]]], [[[[1, 0]]]]),
-    "make_degraded_channel.p_y2": (lambda a: make_degraded_channel([[[[1.0]]]], a),
-                                   [[[0.5, 0.5]]], [[[0, 1]]]),
 }
 
 
