@@ -65,7 +65,7 @@ from .model import (
     _unchecked,
     validate_gdpc,
 )
-from .rates import _gdpc_point, _private_rate, cap_c, nostate_terms
+from .rates import _gdpc_point, _private_rate, nostate_terms
 
 _LN2 = math.log(2.0)
 _RANK_TOL = 1e-10
@@ -487,10 +487,7 @@ def _region_table(exprs, labels: tuple[str, ...], s: str) -> tuple:
 
 
 _BOTH_TERMS, _SOURCE_TERMS = _TERMS["informed-both"], _TERMS["informed-source"]
-_INFORMED_BOTH_ROWS = _region_table(  # the gated private-rate row first
-    (((+1, ("x1",), ("y1",), ("s", "u1", "u2", "x2")),), *_BOTH_TERMS["r1"], *_BOTH_TERMS["r02"]),
-    _BOTH_LABELS, "S",
-)
+_INFORMED_BOTH_ROWS = _region_table(_BOTH_TERMS["r1"] + _BOTH_TERMS["r02"], _BOTH_LABELS, "S")
 _GDPC_ROWS = _region_table(_SOURCE_TERMS["r1"] + _SOURCE_TERMS["r02"], _SOURCE_LABELS, "Sprime")
 # the fresh layer's rate given the relay input, then given the cooperative layer
 _RELAY_ROWS = _region_table(
@@ -521,12 +518,8 @@ def verify_informed_both(
     """Check that the both-informed construction achieves the
     no-interference region, term by term.
 
-    Every row, the gated private-rate row first, is read from the region
-    table. The gated row conditions on everything the nearby user has
-    decoded (S, U1, U2, X2), which is what the decoder does and what
-    matches cap_c(gamma*p1/n1). The region's own r1 row conditions on the
-    cooperative layer only, against cap_c((gamma + beta*(1-gamma))*p1/n1):
-    leaving the fresh layer undecoded folds its power into the private signal.
+    Every row is read from the region table (``model._TERMS``), the
+    private rate first, which matches cap_c(gamma*p1/n1).
 
     Every compared value is free of q, which is the claimed interference
     independence of the capacity region. The two sum-rate rows compare
@@ -536,10 +529,9 @@ def verify_informed_both(
     """
     p1, _, _, n1, _ = _scaled(c)[0]
     private = _private_rate(p1, n1, p.gamma)
-    partial = cap_c((p.gamma * p1 + p.beta * ((1.0 - p.gamma) * p1)) / n1)
     relay, combine = nostate_terms(c, p.gamma, p.beta)
     cov = build_cov_informed_both(c, p)
-    details = _region_checks(cov, _INFORMED_BOTH_ROWS, (private, partial, relay, combine))
+    details = _region_checks(cov, _INFORMED_BOTH_ROWS, (private, relay, combine))
     return VerifyReport("informed-both-capacity", tol, details)
 
 

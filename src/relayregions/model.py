@@ -342,9 +342,15 @@ class Frontier:
 # them off each construction's covariance. Each bound is its two rates. A
 # rate is the min over its expressions; an expression is its first term
 # I(a; b | c) plus (+1) or minus (-1) the others, in order.
+# Informed-both r1 is I(X1;Y1|S,U1,U2,X2), the private layer given all the
+# nearby user decodes, read as I(X1;Y1|S,X2) - I(U1,U2;Y1|S,X2): the two
+# agree because Y1 depends on the strategy only through (S,X1,X2), the
+# chain (U1,U2) - (S,X1,X2) - Y1 that every DmcSpec and both Gaussian
+# constructions hold. Given also U2 - (S,U1) - X2, the chain rule bounds
+# the relay cut: r1 + r02 <= I(X1;Y1|S,X2).
 _TERMS = {
     "informed-both": {
-        "r1": (((+1, ("x1",), ("y1",), ("s", "u1", "x2")),),),
+        "r1": (((+1, ("x1",), ("y1",), ("s", "x2")), (-1, ("u1", "u2"), ("y1",), ("s", "x2"))),),
         "r02": (
             ((+1, ("u2",), ("y1",), ("s", "u1")),),
             ((+1, ("u1", "u2"), ("y2",), ()), (-1, ("u1", "u2"), ("s",), ())),

@@ -238,7 +238,7 @@ class TestGoldenOutputs:
                 "dmc_two_state_is.out.json",
                 ["dmc", "--config", str(DATA / "dmc_two_state.json"), "--bounds", "informed-source"],
             ),
-            # the defect spec under informed-both: (r1, r02) = (0.75, 0.75)
+            # the defect spec under informed-both: (r1, r02) = (0.0, 0.75)
             (
                 "dmc_defect_d16_ib.out.json",
                 [

@@ -625,7 +625,7 @@ class TestInformedBothCov:
         rep = verify_informed_both(EXAMPLE, InformedBothParams(0.5, 0.5))
         assert rep.passed
         assert rep.max_abs_diff < 1e-12
-        assert len(rep.details) == 4
+        assert len(rep.details) == 3
 
     def test_rows_do_not_depend_on_state_power(self):
         p = InformedBothParams(0.35, 0.7)
@@ -1105,8 +1105,7 @@ class TestReports:
             return [t.term for t in rep.details]
 
         assert terms(verify_informed_both(EXAMPLE, p)) == [
-            "I(X1;Y1|S,U1,U2,X2)",
-            "I(X1;Y1|S,U1,X2)",
+            "I(X1;Y1|S,X2)-I(U1,U2;Y1|S,X2)",
             "I(U2;Y1|S,U1)",
             "I(U1,U2;Y2)-I(U1,U2;S)",
         ]

@@ -22,12 +22,16 @@ from hypothesis import example, given, settings, strategies as st
 
 from relayregions import (
     SCHEMES,
+    AuxJoint,
     ChannelParams,
+    DmcSpec,
     GdpcParams,
     GridSpec,
     InformedBothParams,
     RelayRegionsError,
     cap_c,
+    discrete_cmi,
+    eval_informed_both,
     frontier,
     gdpc_rates,
     max_beta_nostate,
@@ -40,10 +44,11 @@ from relayregions import (
     verify_informed_both,
     verify_relay_identity,
 )
+from relayregions.dmc import AXES
 from relayregions.model import _scaled
 from relayregions.optimize import _solve_all
 
-from references import PROPERTY
+from references import PROPERTY, compose_full
 
 SMALL = GridSpec(5, 5, 2, 0.25)
 
@@ -350,6 +355,32 @@ def test_frontier_points_respect_the_cut_sets():
                 r1, r02 = point.rate.r1, point.rate.r02
                 assert r1 + r02 <= broadcast + 1e-12, (c, scheme, point)
                 assert r02 <= relay + 1e-12, (c, scheme, point)
+
+
+# The relay cut of the discrete informed-both region. Y1 hears the
+# strategy only through (S, X1, X2), so I(X1;Y1|S,X2) = I(U1,U2;Y1|S,X2) +
+# r1; given U2 - (S,U1) - X2, I(U2;Y1|S,U1) <= I(U2;Y1|S,U1,X2), which is
+# at most I(U1,U2;Y1|S,X2). So r1 + r02 <= I(X1;Y1|S,X2). The strategies
+# hold that chain by their form, p(u1|s) p(u2|s,u1) p(x2|s,u1)
+# p(x1|s,u1,u2,x2).
+
+
+def test_informed_both_rates_respect_the_relay_cut():
+    # 2,000 specs and strategies, each alphabet of 1 or 2 symbols
+    rng = np.random.default_rng(23)
+    for _ in range(2000):
+        sizes = tuple(rng.integers(1, 3, 7).tolist())
+        ns, nu1, nu2, nx1, nx2, ny1, ny2 = sizes
+        channel = rng.dirichlet(np.ones(ny1 * ny2), size=(ns, nx1, nx2))
+        d = DmcSpec(sizes, rng.dirichlet(np.ones(ns)), channel.reshape(ns, nx1, nx2, ny1, ny2))
+        u1 = rng.dirichlet(np.ones(nu1), size=ns)
+        u2 = rng.dirichlet(np.ones(nu2), size=(ns, nu1))
+        x2 = rng.dirichlet(np.ones(nx2), size=(ns, nu1))
+        x1 = rng.dirichlet(np.ones(nx1), size=(ns, nu1, nu2, nx2))
+        a = AuxJoint(np.einsum("s,sa,sab,sac,sabcd->sabdc", d.p_s, u1, u2, x2, x1))
+        pt = eval_informed_both(d, a)
+        cut = discrete_cmi(compose_full(d, a), AXES, ["x1"], ["y1"], ["s", "x2"])
+        assert pt.r1 + pt.r02 <= cut + 1e-12, (sizes, pt, cut)
 
 
 # Interference without bound: as q grows at fixed gamma, gdpc and dpc fall
