@@ -21,6 +21,23 @@ Two optimization problems appear:
   tied alpha2. The incumbent always stays in the candidate set, so the
   value never decreases across refinement rounds.
 
+Without interference (q = 0) the second problem is the first: qprime is
+0, so binning costs nothing (Costa, "Writing on dirty paper", 1983), the
+rho bound is 0, every alpha2 ties, and with beta3 = 1 - beta^2 the two
+sum-rate bounds are the two no-interference terms. ``max_r02_gdpc``
+answers such a row, gdpc or dpc alike, at (gamma, 0, s, +0.0) for the
+root s that ``_crossing`` solves, with no grid, which fell short of
+that crossing by over 1e-5 bits. s is +0.0 wherever every beta ties (no
+relay power, or gamma = 1) and at the endpoint beta3 = 1. The kernel
+forms beta3 as 1 - beta^2, which cancels as beta nears 1: there it is a
+multiple of 2^-53, and at the bare root it could fall below beta3 and
+read r1_sum low (by 1.6e-11 bits where p1/n1 and n2/n1 are near 3e5).
+s is therefore stepped down, a few ulps at most, to the first float
+whose 1 - s^2 is at least beta3. The value
+is what ``gdpc_rates`` reads there (``rates._gdpc_point`` and the rate
+clamp), so the row's ``OptResult`` keeps its bit-for-bit promise
+without a kernel call; it counts 1 evaluation and traces that one point.
+
 A frontier or an SNR sweep solves the second problem at many (channel,
 gamma) rows, and a dpc row (rho frozen at 0) is only 33 cells a round,
 so one solve at a time would be mostly numpy call overhead. The search
@@ -34,14 +51,15 @@ would cost more than the arithmetic they do. Rows run in order, in
 passes of at most ``_PASS_CELLS`` grid cells, so the 21 rows of a
 default dpc frontier share one pass and 33 x 33 gdpc rows run five to a
 pass. ``max_r02_gdpc`` is the pass of one row, and a row left alone in a
-pass (a leftover after the full passes, or a row on a grid above the
-budget) is solved by calling it. A row is the floats (p1, p2, q, n1, n2,
-gamma) on its channel's scaled powers (``model._scaled``), and a pass
-returns it as its incumbent ``(rho, beta, alpha2, value)``, its cell
-count and its trace, the incumbent after each round, all plain floats
-and ints; only ``max_r02_gdpc`` wraps a row into an ``OptResult``. The
-value is the last round's grid value at the incumbent, the value the
-search ranked. ``gdpc_rates`` there runs the same float operations
+pass (a leftover after the full passes, a row on a grid above the
+budget, or a q = 0 row, which joins no pass) is solved by calling it. A
+row is the floats (p1, p2, q, n1, n2, gamma) on its channel's scaled
+powers (``model._scaled``), and a pass returns it as its incumbent
+``(rho, beta, alpha2, value)``, its cell count and its trace, the
+incumbent after each round, all plain floats and ints; only
+``max_r02_gdpc`` wraps a row into an ``OptResult``. The value is the
+last round's grid value at the incumbent, the value the search ranked.
+``gdpc_rates`` there runs the same float operations
 (``rates._gdpc_point``), so its min(r1_sum, r2_sum) is that value bit
 for bit.
 
@@ -81,13 +99,14 @@ from .model import (
     RatePoint,
     _TIE_TOL,
     _check_scheme,
+    _clamp_rate,
     _require_count,
     _require_real,
     _require_unit,
     _scaled,
     rho_upper_bound,
 )
-from .rates import _best_alpha2, _nostate_terms, _private_rate, _row_terms
+from .rates import _best_alpha2, _gdpc_point, _nostate_terms, _private_rate, _row_terms
 
 
 _MAX_GRID_CELLS = 10**6
@@ -150,7 +169,9 @@ class OptResult:
     operations, so min(r1_sum, r2_sum) there equals it bit for bit.
     ``evaluations`` counts the (rho, beta) cells searched. ``trace`` holds
     the incumbent after each round as a plain ``(rho, beta, alpha2,
-    value)`` float tuple; gamma is ``best.gamma``."""
+    value)`` float tuple; gamma is ``best.gamma``. A q = 0 row is the
+    closed-form split, not a search: ``value`` is ``gdpc_rates``' at
+    ``best``, ``evaluations`` is 1 and ``trace`` holds that one point."""
 
     best: GdpcParams
     value: float
@@ -160,34 +181,42 @@ class OptResult:
 
 def max_beta_nostate(c: ChannelParams, gamma: float) -> tuple[float, float]:
     """Best cooperative split of the no-interference region at a fixed
-    power split gamma: returns (beta3_star, value in bits).
+    power split gamma: returns (beta3_star, value in bits), beta3_star
+    the crossing ``_crossing`` solves and the value the min of the two
+    terms there, on the scaled powers."""
+    gamma = _require_unit("gamma", gamma)
+    row = (*_scaled(c)[0], gamma)
+    _, beta = _crossing(*row)
+    return beta, min(_nostate_terms(*row, beta))
+
+
+def _crossing(p1, p2, q, n1, n2, gamma) -> tuple[float, float]:
+    """(s, beta3) where the two no-interference terms meet, on a channel's
+    scaled powers (q unused), at a gamma already checked.
 
     With g = (1-gamma)*p1, D1 = gamma*p1 + n1 and D2 = gamma*p1 + n2, the
     two terms meet where s = sqrt(1 - beta3) solves A s^2 + B s + C = 0
-    for A = g*D2, B = 2*sqrt(g*p2)*D1 and C = (g + p2)*D1 - g*D2. When
-    C >= 0 the increasing term never overtakes the decreasing one and the
-    optimum is the endpoint beta3 = 1. Otherwise A + C = (g + p2)*D1 gives
+    for A = g*D2, B = 2*sqrt(g*p2)*D1 and C = (g + p2)*D1 - g*D2. s is the
+    positive root in the form that avoids cancellation. When C >= 0 the
+    increasing term never overtakes the decreasing one and the optimum is
+    the endpoint beta3 = 1, s = 0. Otherwise A + C = (g + p2)*D1 gives
     beta3 = 1 - s^2 = ((g + p2)*D1 + B*s) / A, a sum of non-negative
     terms that cannot cancel as s nears 1 (n1 far below n2), clipped at 1
-    against rounding. The root and both terms use the scaled powers.
+    against rounding. Where s does not move the terms it is +0.0: with no
+    relay power (B = 0, beta3 = D1/D2 needs no root) and with no common
+    power (g = 0, where both terms vanish and beta3 is +0.0 too).
     """
-    gamma = _require_unit("gamma", gamma)
-    p1, p2, q, n1, n2 = _scaled(c)[0]
     g = (1.0 - gamma) * p1
     if g <= 0.0:
-        # no common power at all: both terms vanish
         return 0.0, 0.0
     d1 = gamma * p1 + n1
     d2 = gamma * p1 + n2
     cc = (g + p2) * d1 - g * d2
     if cc >= 0.0:
-        beta = 1.0
-    else:
-        aa, bb = g * d2, 2.0 * math.sqrt(g * p2) * d1
-        # B*s, s the positive root in the form that avoids cancellation
-        bs = bb * (-2.0 * cc / (bb + math.sqrt(bb * bb - 4.0 * aa * cc))) if bb > 0.0 else 0.0
-        beta = min(1.0, ((g + p2) * d1 + bs) / aa)
-    return beta, min(_nostate_terms(p1, p2, q, n1, n2, gamma, beta))
+        return 0.0, 1.0
+    aa, bb = g * d2, 2.0 * math.sqrt(g * p2) * d1
+    s = -2.0 * cc / (bb + math.sqrt(bb * bb - 4.0 * aa * cc)) if bb > 0.0 else 0.0
+    return s, min(1.0, ((g + p2) * d1 + bb * s) / aa)
 
 
 def max_r02_gdpc(
@@ -199,15 +228,27 @@ def max_r02_gdpc(
 ) -> OptResult:
     """Maximize min(r1_sum, r2_sum) at fixed gamma: vectorized grid search
     plus box shrinking over (rho, beta), with the exact alpha2 at every
-    cell.
+    cell. Without interference (q = 0) the maximum is the exact region's
+    split in closed form (module docstring), with ``evaluations`` 1 and
+    one ``trace`` point, whatever the grid.
 
     ``freeze_rho`` pins rho = 0, which is the plain-binning baseline
     without interference cancellation.
     """
     gamma = _require_unit("gamma", gamma)
+    row = (*_scaled(c)[0], gamma)
+    if row[2] == 0.0:
+        # the exact region's split, with s stepped down where the kernel's
+        # 1 - s*s would fall below beta3 (module docstring)
+        s, beta3 = _crossing(*row)
+        while s * s >= 0.5 and 1.0 - s * s < beta3:
+            s = math.nextafter(s, 0.0)
+        best = GdpcParams(gamma, 0.0, s, 0.0)
+        _, _, r1, r2, _ = _gdpc_point(c, best)
+        value = min(_clamp_rate(r1), _clamp_rate(r2))
+        return OptResult(best, value, 1, ((0.0, s, 0.0, value),))
     grid = grid if grid is not None else DEFAULT_GRID
     hi = 0.0 if freeze_rho else rho_upper_bound(c, gamma)
-    row = (*_scaled(c)[0], gamma)
     [(inc, cells, trace)] = _search_pass([row], [hi], grid.steps_rho if hi > 0.0 else 1, grid)
     return OptResult(GdpcParams(gamma, *inc[:3]), inc[3], cells, trace)
 
@@ -216,13 +257,14 @@ def _search(problems, grid: GridSpec | None, freeze_rho: bool) -> list[tuple]:
     """The ``_search_pass`` row of every (channel, gamma) problem, at once.
 
     Rows run in order, in passes of at most _PASS_CELLS grid cells. A
-    row's rho axis has one point when its rho bound is 0 (dpc, gamma = 1
-    or q = 0) and steps_rho points otherwise; a pass evaluates its rows on
-    the widest of them. A row left alone in a pass (a leftover, such as a
-    gdpc frontier's gamma = 1 row after its full passes, or a row whose
-    grid is above the budget) is a plain ``max_r02_gdpc`` call, so each
-    lone solve is one call of the per-point search, and its cost and
-    cells stay attributed to it. Callers check each gamma.
+    row's rho axis has one point when its rho bound is 0 (dpc or gamma =
+    1) and steps_rho points otherwise; a pass evaluates its rows on the
+    widest of them. A q = 0 row joins no pass. A row left alone in a pass
+    (a q = 0 row, a leftover such as a gdpc frontier's gamma = 1 row after
+    its full passes, or a row whose grid is above the budget) is a plain
+    ``max_r02_gdpc`` call, so each lone solve is one call of the
+    per-point search or the closed-form split, and its cost and cells
+    stay attributed to it. Callers check each gamma.
     """
     grid = grid if grid is not None else DEFAULT_GRID
     rows = [(*_scaled(c)[0], gamma) for c, gamma in problems]
@@ -232,7 +274,8 @@ def _search(problems, grid: GridSpec | None, freeze_rho: bool) -> list[tuple]:
     start = 0
     while start < len(problems):
         stop, n_rho = start + 1, widths[start]
-        while stop < len(problems) and (
+        # a q = 0 row joins no pass
+        while stop < len(problems) and min(rows[start][2], rows[stop][2]) > 0.0 and (
             (stop + 1 - start) * max(n_rho, widths[stop]) * grid.steps_beta <= _PASS_CELLS
         ):
             n_rho = max(n_rho, widths[stop])

@@ -3,7 +3,8 @@ one per computation, and the hypothesis settings the property tests
 share: the alpha2 kernel with a log of each ratio and each term clamped
 (``_reference_best_alpha2``) and the library's former four-layer kernel
 (``_stacked_best_alpha2``), the box search one row at a time on
-meshgridded axes (``_reference_max_r02_gdpc``), the cooperative split in
+meshgridded axes (``_reference_box_search``, which
+``_reference_max_r02_gdpc`` is at q > 0), the cooperative split in
 60-digit decimal (``_reference_max_beta_nostate``), the DMC search as a
 loop over every candidate with one public ``discrete_cmi`` call per term
 (``_reference_maximize``) on joints that ``compose_full`` builds, and
@@ -37,6 +38,7 @@ from relayregions import (
     RatePoint,
     discrete_cmi,
     gdpc_rates,
+    max_r02_gdpc,
     rho_upper_bound,
 )
 from relayregions import dmc
@@ -177,11 +179,26 @@ def _reference_axis(lo, hi, steps):
 
 
 def _reference_max_r02_gdpc(c, gamma, grid=None, *, freeze_rho=False):
-    """``max_r02_gdpc`` of one row: each round evaluates the meshgridded
-    box through ``_reference_best_alpha2``, keeps the first cell within
-    the tie tolerance of the round's best and not below the incumbent,
-    and takes it on a clear gain or on a tie at smaller knobs; the box
-    then shrinks around the incumbent, clipped to the bounds."""
+    """``max_r02_gdpc`` of one row: the box search of a row with q > 0,
+    and the package's own ``max_r02_gdpc(c, gamma)`` of a row with q = 0.
+    The library answers a q = 0 row by the exact region's closed-form
+    split, not the grid, so a test of the batched search against this
+    reference checks that both entry points reach that one rule bit for
+    bit. The split's math is checked against the 60-digit
+    ``_reference_max_beta_nostate``
+    (``test_optimize.TestInterferenceFree``)."""
+    if c.q == 0.0:
+        return max_r02_gdpc(c, gamma)
+    return _reference_box_search(c, gamma, grid, freeze_rho=freeze_rho)
+
+
+def _reference_box_search(c, gamma, grid=None, *, freeze_rho=False):
+    """The grid-and-shrink search of one row, q = 0 included, as one pass
+    runs it: each round evaluates the meshgridded box through
+    ``_reference_best_alpha2``, keeps the first cell within the tie
+    tolerance of the round's best and not below the incumbent, and takes
+    it on a clear gain or on a tie at smaller knobs; the box then shrinks
+    around the incumbent, clipped to the bounds."""
     grid = grid if grid is not None else DEFAULT_GRID
     rho_hi = 0.0 if freeze_rho else rho_upper_bound(c, gamma)
     bounds = ((0.0, rho_hi), (0.0, 1.0))

@@ -29,7 +29,8 @@ from relayregions.rates import _best_alpha2, _row_terms
 
 import references
 from references import PROPERTY, _reference_best_alpha2, _reference_max_r02_gdpc
-from references import _reference_max_beta_nostate, _reference_products, _scaled_row
+from references import _reference_box_search, _reference_max_beta_nostate, _reference_products
+from references import _scaled_row
 
 ANCHOR = ChannelParams(1.0, 1.0, 0.0, 0.1, 1.0)
 STATEFUL = ChannelParams(1.0, 1.0, 2.0, 0.1, 1.0)
@@ -253,6 +254,65 @@ class TestMaxR02Gdpc:
         assert all(type(x) is float for row in res.trace for x in row)
         rho, beta, alpha2, _ = res.trace[-1]
         assert res.best == GdpcParams(0.2, rho, beta, alpha2)
+
+
+def _interference_free_rows():
+    """120 seeded channels with q = 0, each at gammas 0, 0.3, a drawn one
+    and 1: p1, p2 and n1 within three decades of a scale in 1e+-100,
+    n2/n1 up to 1e6, and p2 = 0 on every third channel."""
+    rng = np.random.default_rng(28)
+    rows = []
+    for i in range(120):
+        scale, e1, e2, en, er, gamma = rng.uniform(
+            [-100.0, -3.0, -3.0, -3.0, 0.01, 0.0], [100.0, 3.0, 3.0, 3.0, 6.0, 1.0]
+        ).tolist()
+        p1, p2, n1 = (10.0 ** (scale + e) for e in (e1, e2, en))
+        c = ChannelParams(p1, 0.0 if i % 3 == 0 else p2, 0.0, n1, n1 * 10.0**er)
+        rows += [(c, g) for g in (0.0, 0.3, gamma, 1.0)]
+    return rows
+
+
+class TestInterferenceFree:
+    # with q = 0 nothing is left to bin against, so a gdpc or dpc row is
+    # the exact region's split at beta3 = 1 - beta^2, in closed form
+
+    def test_rows_are_the_closed_form_split(self):
+        rows = _interference_free_rows()
+        batched = zip(optimize._search(rows, None, False), optimize._search(rows, None, True))
+        for (c, gamma), (gdpc, dpc) in zip(rows, batched, strict=True):
+            res = max_r02_gdpc(c, gamma)
+            assert max_r02_gdpc(c, gamma, freeze_rho=True) == res
+            assert _row(res) == gdpc == dpc
+            best, value = res.best, res.value
+            assert repr(value) == repr(min(gdpc_rates(c, best)[:2]))
+            assert res.evaluations == 1
+            assert repr(res.trace) == repr(((0.0, best.beta, 0.0, value),))
+            beta3, want = _reference_max_beta_nostate(c, gamma)
+            # 4e-16 at worst; without the step down from the bare root, six
+            # rows read over 1e-14 low, by up to 2.7e-13
+            assert abs(Decimal(value) - want) <= Decimal(1e-14), (c, gamma)
+            if c.p2 == 0.0 or gamma == 1.0:
+                # every beta ties, and the smallest is taken
+                assert repr(best.beta) == "0.0"
+            elif beta3 < 1:
+                # the root s, to 1e-12 relative, and to the 1e-15/s that C's
+                # own rounding allows as the crossing nears beta3 = 1
+                s = (1 - beta3).sqrt()
+                assert abs(Decimal(best.beta) - s) <= Decimal(1e-12) * s + Decimal(1e-15) / s
+            # never below the grid search on the same row
+            [(inc, _, _)] = optimize._search_pass([(*_scaled(c)[0], gamma)], [0.0], 1, DEFAULT_GRID)
+            assert value >= inc[3], (c, gamma)
+
+    def test_high_snr_split_keeps_beta3(self):
+        # p1/n1 and n2/n1 near 3e5: the kernel's 1 - beta^2 is a multiple of
+        # 2^-53 there, and at the bare root it fell below beta3 and read
+        # r1_sum 1.6e-11 bits low
+        c = ChannelParams(5.86463328240541e-86, 1.2077994957131236e-86, 0.0,
+                          1.8701083312705223e-91, 7.274643570685296e-86)
+        res = max_r02_gdpc(c, 0.0)
+        _, want = _reference_max_beta_nostate(c, 0.0)
+        assert abs(Decimal(res.value) - want) <= Decimal(1e-15)
+        assert 1.0 - res.best.beta * res.best.beta >= max_beta_nostate(c, 0.0)[0]
 
 
 class TestFrontier:
@@ -535,7 +595,7 @@ def _reference_pass(rows, rho_hi, grid):
     """The reference search of each row of a pass, in order; a row whose
     rho bound is 0 searches rho = 0 alone, as the pass does."""
     return [
-        _reference_max_r02_gdpc(c, gamma, grid, freeze_rho=hi == 0.0)
+        _reference_box_search(c, gamma, grid, freeze_rho=hi == 0.0)
         for (c, gamma), hi in zip(rows, rho_hi)
     ]
 
