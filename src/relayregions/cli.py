@@ -36,7 +36,7 @@ from dataclasses import fields
 
 import numpy as np
 
-from .dmc import DmcSpec, binary_pipes_spec, dmc_maximize
+from .dmc import AXES, _DENOMINATORS, _OBJECTIVES, DmcSpec, binary_pipes_spec, dmc_maximize
 from .gaussian import (
     build_cov_informed_both,
     gaussian_cmi,
@@ -54,6 +54,7 @@ from .model import (
     OutOfRange,
     RelayRegionsError,
     SCHEMES,
+    _TERMS,
     _require_count,
     _require_real,
     _require_reals,
@@ -254,15 +255,20 @@ class _Required(str):
     """The default of a field that must be given: the flag to name if it is not."""
 
 
+def _one_of(choices) -> str:
+    return f"one of {', '.join(map(str, choices))}"
+
+
 # One row per option: config key (also the flag's dest): (default, parser,
 # help). Defaults are stated parsed; the parser takes a flag string or a
 # JSON value. scheme, bounds, denominator and objective are checked against
-# their choices by the function that takes them, which names the field.
+# their choices by the function that takes them, which names the field, and
+# their help lists the choices the library states.
 _OPTIONS = {
     "channel": (EXAMPLE_CHANNEL, _record(ChannelParams), "p1,p2,q,n1,n2 (linear powers)"),
     "out": (None, _text, "output path (default: stdout)"),
     "grid": (DEFAULT_GRID, _grid, f"search grid {_GRID_FORM}"),
-    "scheme": ("gdpc", _text, f"one of {', '.join(SCHEMES)}"),
+    "scheme": ("gdpc", _text, _one_of(SCHEMES)),
     "gamma_grid": (_linspace(0, 1, 21), _axis(_linspace, "gamma", _require_unit),
                    "a:b:n or explicit comma list"),
     "snr_db": (_Required("--snr-db"), _axis(_ladder, "snr_db", _require_real),
@@ -274,9 +280,9 @@ _OPTIONS = {
     "seed": (0, lambda v: _require_count("seed", _as_int(v), 0), "seed for draws and sampling"),
     "mc_samples": (10**6, _as_int, "Monte-Carlo sample count"),
     "dmc": (_Required("--pipes"), _dmc_spec, "use the built-in noiseless binary spec"),
-    "bounds": ("informed-source", _text, "informed-source or informed-both"),
-    "denominator": (8, _as_int, "4, 8 or 16"),
-    "objective": ("r02", _text, "r02 or r1"),
+    "bounds": ("informed-source", _text, _one_of(_TERMS)),
+    "denominator": (8, _as_int, _one_of(_DENOMINATORS)),
+    "objective": ("r02", _text, _one_of(_OBJECTIVES)),
 }
 _DMC_KEYS = ("bounds", "denominator", "objective")  # read from the config's dmc object
 _SPEC_KEYS = ("sizes", "p_s", "channel")  # the spec itself, read by _dmc_spec
@@ -468,7 +474,7 @@ def _cmd_dmc(o: argparse.Namespace) -> int:
             "evaluations": result.evaluations,
             "value": {"r1": result.value.r1, "r02": result.value.r02},
             "best_pmf": result.best.pmf.tolist(),
-            "axis_order": ["s", "u1", "u2", "x1", "x2"],
+            "axis_order": list(AXES[:5]),
         }
     )
     _write_output(o.out, json.dumps(payload, indent=2) + "\n")

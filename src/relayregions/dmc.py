@@ -41,11 +41,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (
-    _TERMS, _TIE_TOL, OutOfRange, RatePoint, _expression, _program, _require_count,
-    _require_reals, _unchecked,
+    _TERMS, _TIE_TOL, OutOfRange, RatePoint, _expression, _program, _require_choice,
+    _require_count, _require_reals, _require_sequence, _unchecked,
 )
 
+__all__ = [
+    "AuxJoint", "DmcSpec", "binary_pipes_spec", "discrete_cmi", "dmc_maximize",
+    "eval_informed_both", "eval_informed_source",
+]
+
 AXES = ("s", "u1", "u2", "x1", "x2", "y1", "y2")
+# the choices of dmc_maximize beside its bounds (the keys of model._TERMS)
+_DENOMINATORS = (4, 8, 16)
+_OBJECTIVES = ("r02", "r1")
 _PMF_TOL = 1e-12
 _MAX_ALPHABET = 4
 # joint cells (candidates x |s,u1,u2,x1,x2,y1,y2|) one search may screen,
@@ -85,12 +93,12 @@ class DmcSpec:
     channel: np.ndarray
 
     def __post_init__(self) -> None:
-        if len(self.sizes) != len(AXES):
+        if len(sizes := _require_sequence("sizes", self.sizes)) != len(AXES):
             raise OutOfRange(f"sizes must list {len(AXES)} cardinalities {AXES}")
-        for name, n in zip(AXES, self.sizes):
+        for name, n in zip(AXES, sizes):
             if _require_count(f"|{name}|", n, 1) > _MAX_ALPHABET:
                 raise OutOfRange(f"|{name}| must be at most {_MAX_ALPHABET}, got {n!r}")
-        ns, nu1, nu2, nx1, nx2, ny1, ny2 = self.sizes
+        ns, nu1, nu2, nx1, nx2, ny1, ny2 = sizes
         p_s = _require_reals("p_s", self.p_s)
         channel = _require_reals("channel", self.channel)
         if p_s.shape != (ns,):
@@ -108,7 +116,7 @@ class DmcSpec:
             p_s /= total
         p_s.flags.writeable = False
         channel.flags.writeable = False
-        object.__setattr__(self, "sizes", tuple(int(n) for n in self.sizes))
+        object.__setattr__(self, "sizes", tuple(int(n) for n in sizes))
         object.__setattr__(self, "p_s", p_s)
         object.__setattr__(self, "channel", channel)
 
@@ -159,13 +167,16 @@ def discrete_cmi(joint: np.ndarray, axes, set_a, set_b, set_c=()) -> float:
     a strategy a is ``a.pmf[..., None, None] * d.channel[:, None, None]``,
     indexed [s][u1][u2][x1][x2][y1][y2] (AXES)."""
     joint = _require_reals("joint", joint)
-    axes = tuple(axes)
+    axes = _require_sequence("axes", axes)
     if joint.ndim != len(axes):
         raise OutOfRange(f"joint has {joint.ndim} axes but {len(axes)} names given")
     if len(set(axes)) != len(axes):
         raise OutOfRange(f"axis names must be unique, got {axes}")
     _check_pmf("joint", joint)
-    set_a, set_b, set_c = tuple(set_a), tuple(set_b), tuple(set_c)
+    set_a, set_b, set_c = (
+        _require_sequence(name, x)
+        for name, x in zip(("set_a", "set_b", "set_c"), (set_a, set_b, set_c))
+    )
     for name in (*set_a, *set_b, *set_c):
         if name not in axes:
             raise OutOfRange(f"unknown axis {name!r}, have {axes}")
@@ -349,15 +360,10 @@ def dmc_maximize(
     chunk. value is the winner's rates screened alone, as eval_informed_*
     return them. evaluations counts the candidates screened.
     """
-    if not isinstance(bounds, str) or bounds not in _TERMS:
-        raise OutOfRange(f"bounds must be one of {tuple(_TERMS)}, got {bounds!r}")
-    if not isinstance(denominator, (int, np.integer)) or denominator not in (4, 8, 16):
-        raise OutOfRange(f"denominator must be the integer 4, 8 or 16, got {denominator!r}")
-    if not isinstance(objective, str) or objective not in ("r02", "r1"):
-        raise OutOfRange(f"objective must be 'r02' or 'r1', got {objective!r}")
+    bounds = _require_choice("bounds", bounds, tuple(_TERMS))
+    denominator = _require_choice("denominator", denominator, _DENOMINATORS)
+    objective = _require_choice("objective", objective, _OBJECTIVES)
     program = _PROGRAMS[bounds]
-    # a np.str_ would keep its repr in the result
-    bounds, denominator = str(bounds), int(denominator)
     ns, nu1, nu2, nx1, nx2 = d.sizes[:5]
     cells = nu1 * nu2 * nx1 * nx2
     per_state = math.comb(denominator + cells - 1, cells - 1)

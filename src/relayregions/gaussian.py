@@ -60,14 +60,20 @@ from .model import (
     _program,
     _require_count,
     _require_reals,
+    _require_sequence,
     _require_tol,
     _scaled,
     _unchecked,
     validate_gdpc,
 )
-from .rates import _gdpc_point, _private_rate, nostate_terms
+from .rates import _LN2, _gdpc_point, _private_rate, nostate_terms
 
-_LN2 = math.log(2.0)
+__all__ = [
+    "TermCheck", "VerifyReport", "build_cov_informed_both", "build_cov_informed_source",
+    "gaussian_cmi", "sample_mi_estimate", "verify_gdpc", "verify_informed_both",
+    "verify_relay_identity",
+]
+
 _RANK_TOL = 1e-10
 _PSD_TOL = -1e-10
 
@@ -96,11 +102,9 @@ class CovarianceSystem:
         sigma = _require_reals("sigma", self.sigma)
         if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1]:
             raise OutOfRange(f"sigma must be square, got shape {sigma.shape}")
-        if len(self.labels) != sigma.shape[0]:
-            raise OutOfRange(
-                f"{len(self.labels)} labels for a {sigma.shape[0]}-dim sigma"
-            )
-        if len(set(self.labels)) != len(self.labels):
+        if len(labels := _require_sequence("labels", self.labels)) != sigma.shape[0]:
+            raise OutOfRange(f"{len(labels)} labels for a {sigma.shape[0]}-dim sigma")
+        if len(set(labels)) != len(labels):
             raise OutOfRange("labels must be unique")
         if not np.isfinite(sigma).all():
             raise OutOfRange("sigma must be finite")
@@ -120,7 +124,7 @@ class CovarianceSystem:
         if float(np.linalg.eigvalsh(unit).min(initial=0.0)) < _PSD_TOL:
             raise OutOfRange("sigma is not positive semidefinite")
         sigma.flags.writeable = False
-        object.__setattr__(self, "labels", tuple(self.labels))
+        object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "sigma", sigma)
 
     def __reduce__(self):  # copy, deepcopy and pickle
@@ -251,7 +255,10 @@ def gaussian_cmi(
     kept label of B (a label kept in both A and B, say) the information
     diverges and SingularSubmatrix is raised.
     """
-    a, b, c = (tuple(dict.fromkeys(map(cov.index, x))) for x in (set_a, set_b, set_c))
+    a, b, c = (
+        tuple(dict.fromkeys(map(cov.index, _require_sequence(name, x))))
+        for name, x in zip(("set_a", "set_b", "set_c"), (set_a, set_b, set_c))
+    )
     return _cmi_from_sigma(cov.sigma.tolist(), a, b, c)
 
 

@@ -33,9 +33,14 @@ Every public float argument is read by one rule (``_require_real``), so
 a field is stored as a Python float, -0.0 as +0.0, and a float32 passed
 in computes as a float. Every entry of a public array argument is read
 by the same rule (``_require_reals``), which stores the array as a new
-float array. The one condition
-no type can hold, the channel-coupled bound on rho, is checked by
-``validate_gdpc``.
+float array. A choice (a scheme, the DMC bounds, denominator or
+objective) is read by one rule (``_require_choice``): text or an
+integer equal to one of its choices, stored as that choice, so a numpy
+string or integer keeps no numpy repr. A sequence argument (a gamma or
+SNR list, a set of labels or axes, DMC sizes) is read by one rule too
+(``_require_sequence``): a value that cannot be iterated is OutOfRange,
+not a TypeError. The one condition no type can hold, the
+channel-coupled bound on rho, is checked by ``validate_gdpc``.
 
 ``_TERMS`` states both achievable regions once. ``_program`` compiles a
 bound or a region table, at import, into its distinct terms and its rows
@@ -50,6 +55,12 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
+
+__all__ = [
+    "ChannelParams", "Frontier", "FrontierPoint", "GdpcParams", "InformedBothParams",
+    "OutOfRange", "RatePoint", "RelayRegionsError", "SCHEMES", "SingularSubmatrix",
+    "rho_upper_bound", "validate_gdpc",
+]
 
 
 class RelayRegionsError(Exception):
@@ -130,6 +141,27 @@ def _require_count(name: str, value: int, floor: int) -> int:
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < floor:
         raise OutOfRange(f"{name} must be an integer >= {floor}, got {value!r}")
     return int(value)
+
+
+def _require_choice(name: str, value, choices: tuple) -> str | int:
+    """The entry of ``choices`` that ``value`` equals, a plain ``str`` or
+    ``int``, if value is text or an integer (a numpy one included, a bool
+    not): a ``np.str_`` or ``np.int64`` leaves no numpy repr in a result.
+    A float, a bool or an array is no choice, even one that compares equal."""
+    if isinstance(value, (str, numbers.Integral)) and not isinstance(value, bool):
+        if value in choices:
+            return choices[choices.index(value)]
+    raise OutOfRange(f"unknown {name} {value!r}, want one of {choices}")
+
+
+def _require_sequence(name: str, values) -> tuple:
+    """``values`` as a tuple, if it is iterable: a generator is read once,
+    and text is the sequence of its characters, each read as an entry."""
+    try:
+        it = iter(values)
+    except TypeError:
+        raise OutOfRange(f"{name} must be a sequence, got {values!r}") from None
+    return tuple(it)
 
 
 def _unchecked(cls, *values):
@@ -298,13 +330,6 @@ def _clamp_rate(x: float) -> float:
 SCHEMES = ("gdpc", "dpc", "informed-both", "nostate-outer")
 
 
-def _check_scheme(scheme: str) -> str:
-    """The scheme as a plain ``str`` (a ``np.str_`` would keep its repr)."""
-    if not isinstance(scheme, str) or scheme not in SCHEMES:
-        raise OutOfRange(f"unknown scheme {scheme!r}, want one of {SCHEMES}")
-    return str(scheme)
-
-
 @dataclass(frozen=True, slots=True)
 class FrontierPoint:
     """One frontier sample: the power split gamma, the optimizing knobs
@@ -329,7 +354,7 @@ class Frontier:
     points: tuple[FrontierPoint, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "scheme", _check_scheme(self.scheme))
+        object.__setattr__(self, "scheme", _require_choice("scheme", self.scheme, SCHEMES))
         for prev, cur in zip(self.points, self.points[1:]):
             if cur.rate.r1 <= prev.rate.r1:
                 raise OutOfRange("frontier r1 coordinates must strictly increase")

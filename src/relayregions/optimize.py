@@ -97,17 +97,20 @@ from .model import (
     GdpcParams,
     OutOfRange,
     RatePoint,
+    SCHEMES,
     _TIE_TOL,
-    _check_scheme,
     _clamp_rate,
+    _require_choice,
     _require_count,
     _require_real,
+    _require_sequence,
     _require_unit,
     _scaled,
     rho_upper_bound,
 )
 from .rates import _best_alpha2, _gdpc_point, _nostate_terms, _private_rate, _row_terms
 
+__all__ = ["GridSpec", "OptResult", "frontier", "max_beta_nostate", "max_r02_gdpc", "sweep_snr"]
 
 _MAX_GRID_CELLS = 10**6
 _MAX_SEARCH_CELLS = 10**7
@@ -402,8 +405,10 @@ def frontier(
     r02 wiggle upward) are dropped so the result is a monotone staircase.
     Of points with equal r1 and r02 the smallest gamma is kept.
     """
-    _check_scheme(scheme)
-    gammas = sorted({_require_unit("gamma", g) for g in gamma_grid})
+    scheme = _require_choice("scheme", scheme, SCHEMES)
+    gammas = sorted(
+        {_require_unit("gamma", g) for g in _require_sequence("gamma_grid", gamma_grid)}
+    )
     if not gammas:
         raise OutOfRange("gamma_grid must hold at least one gamma")
     solved = _solve_all(scheme, [(c, gamma) for gamma in gammas], grid)
@@ -468,9 +473,9 @@ def sweep_snr(
     be represented (the far branch must be noisier) and are emitted as
     skipped rows rather than silently dropped. Rows keep input order.
     """
-    _check_scheme(scheme)
+    _require_choice("scheme", scheme, SCHEMES)
     points: list[tuple[float, float, ChannelParams | None]] = []
-    for snr in snr_db_list:
+    for snr in _require_sequence("snr_db_list", snr_db_list):
         snr = _require_real("snr_db", snr)
         n1 = _snr_n1(base.p1, snr)
         # n1 reaching n2 is not a valid channel: the row is skipped

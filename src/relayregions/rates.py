@@ -80,6 +80,8 @@ from .model import (
     validate_gdpc,
 )
 
+__all__ = ["cap_c", "gdpc_rates", "nostate_terms"]
+
 _LN2 = math.log(2.0)
 
 

@@ -1,4 +1,5 @@
 import contextlib
+import inspect
 import io
 import json
 import os
@@ -13,9 +14,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from relayregions import (
-    SCHEMES, ChannelParams, GdpcParams, OutOfRange, RelayRegionsError, gdpc_rates,
+    SCHEMES, ChannelParams, GdpcParams, OutOfRange, RelayRegionsError, dmc_maximize, gdpc_rates,
+    verify_gdpc, verify_informed_both, verify_relay_identity,
 )
-from relayregions import rates
+from relayregions import optimize, rates
 from relayregions.cli import (
     _COMMANDS,
     _DMC_KEYS,
@@ -65,6 +67,10 @@ ERROR_RUNS = [
     "sweep-snr --snr-db 0,nan",
     "verify --mc-samples 5",
     "verify --tol 0",
+    "frontier --scheme bogus",
+    "dmc --pipes --bounds bogus",
+    "dmc --pipes --denominator 5",
+    "dmc --pipes --objective bogus",
 ]
 
 
@@ -871,6 +877,26 @@ class TestConfigKeys:
         path.write_text(json.dumps(cfg))
         assert run(capsys, "frontier", "--config", str(path))[0] == 0
         assert run(capsys, "dmc", "--pipes", "--config", str(path))[0] == 0
+
+
+@pytest.mark.parametrize("key, function", [
+    ("bounds", dmc_maximize),
+    ("denominator", dmc_maximize),
+    ("objective", dmc_maximize),
+    ("tol", verify_gdpc),
+    ("tol", verify_informed_both),
+    ("tol", verify_relay_identity),
+    ("grid", None),
+], ids=lambda x: getattr(x, "__name__", x))
+def test_cli_defaults_are_the_librarys(key, function):
+    # each default is stated in _OPTIONS and again in the library: the two
+    # must hold the same type and value; the grid is the library's object
+    default = _OPTIONS[key][0]
+    if function is None:
+        assert default is optimize.DEFAULT_GRID
+        return
+    library = inspect.signature(function).parameters[key].default
+    assert (type(default), default) == (type(library), library)
 
 
 class TestAxisBound:

@@ -17,7 +17,14 @@ not a float (a numpy scalar or a Fraction) answers as float(value) does,
 and every other value (a bool, text, None, a complex, an integer past
 float range, a list) raises OutOfRange. A list entry makes an array
 ragged, which is OutOfRange too. Valid arrays are stored as the same
-float array whether they come as nested lists or as ndarrays."""
+float array whether they come as nested lists or as ndarrays.
+
+The sequence axis calls each public sequence argument with a value that
+cannot be iterated, which is OutOfRange, and with a valid one as a
+list, a tuple and a generator, which answer alike. The choice axis calls
+each choice argument with values that are not text or an integer, or
+that are none of its choices, each OutOfRange with one message form, and
+with numpy spellings of a valid choice, which answer as the plain one."""
 
 import math
 import re
@@ -33,6 +40,7 @@ from relayregions import (
     AuxJoint,
     ChannelParams,
     DmcSpec,
+    Frontier,
     GdpcParams,
     GridSpec,
     InformedBothParams,
@@ -41,15 +49,18 @@ from relayregions import (
     RelayRegionsError,
     TermCheck,
     VerifyReport,
+    binary_pipes_spec,
     cap_c,
     discrete_cmi,
     dmc_maximize,
     frontier,
+    gaussian_cmi,
     gdpc_rates,
     max_beta_nostate,
     max_r02_gdpc,
     nostate_terms,
     rho_upper_bound,
+    sample_mi_estimate,
     sweep_snr,
     verify_gdpc,
     verify_informed_both,
@@ -373,3 +384,83 @@ def test_32_levels_are_read():
     # numpy 1's limit: the array is read, and only the shape check fails
     with pytest.raises(OutOfRange, match=re.escape("p_s must have shape (2,), got (1, 1,")):
         ARRAYS["DmcSpec.p_s"][0](_nest(32))
+
+
+_COV = CovarianceSystem(("a", "b"), [[1.0, 0.5], [0.5, 1.0]])
+_JOINT = [[0.5, 0.0], [0.0, 0.5]]
+# every public sequence argument: (a call of the value it varies, a valid value)
+SEQUENCES = {
+    "frontier.gamma_grid": (lambda x: frontier(_C, "gdpc", x, SMALL), [0.0, 0.5]),
+    "sweep_snr.snr_db_list": (lambda x: sweep_snr(_C, x, "dpc", SMALL), [10.0, 20.0]),
+    "gaussian_cmi.set_a": (lambda x: gaussian_cmi(_COV, x, ["b"]), ["a"]),
+    "gaussian_cmi.set_b": (lambda x: gaussian_cmi(_COV, ["a"], x), ["b"]),
+    "gaussian_cmi.set_c": (lambda x: gaussian_cmi(_COV, ["a"], ["b"], x), []),
+    "sample_mi_estimate.set_a": (lambda x: sample_mi_estimate(_COV, x, ["b"], [], 1000, 0), ["a"]),
+    "sample_mi_estimate.set_b": (lambda x: sample_mi_estimate(_COV, ["a"], x, [], 1000, 0), ["b"]),
+    "sample_mi_estimate.set_c": (lambda x: sample_mi_estimate(_COV, ["a"], ["b"], x, 1000, 0), []),
+    "discrete_cmi.axes": (lambda x: discrete_cmi(_JOINT, x, ("a",), ("b",)), ["a", "b"]),
+    "discrete_cmi.set_a": (lambda x: discrete_cmi(_JOINT, ("a", "b"), x, ("b",)), ["a"]),
+    "discrete_cmi.set_b": (lambda x: discrete_cmi(_JOINT, ("a", "b"), ("a",), x), ["b"]),
+    "discrete_cmi.set_c": (lambda x: discrete_cmi(_JOINT, ("a", "b"), ("a",), ("b",), x), []),
+    "DmcSpec.sizes": (lambda x: DmcSpec(x, [1.0], [[[[[1.0]]]]]), [1] * 7),
+    "CovarianceSystem.labels": (lambda x: CovarianceSystem(x, [[1.0]]), ["a"]),
+}
+
+
+@pytest.mark.parametrize(
+    "value", [0.5, None, 5, np.array(0.5)], ids=["float", "none", "int", "0-d-array"]
+)
+@pytest.mark.parametrize("entry", SEQUENCES)
+def test_a_value_that_is_no_sequence_is_out_of_range(entry, value):
+    name = entry.rpartition(".")[2]
+    with pytest.raises(OutOfRange) as info:
+        SEQUENCES[entry][0](value)
+    assert str(info.value) == f"{name} must be a sequence, got {value!r}"
+
+
+@pytest.mark.parametrize("entry", SEQUENCES)
+def test_a_sequence_answers_alike_as_a_list_a_tuple_or_a_generator(entry):
+    call, valid = SEQUENCES[entry]
+    want = _outcome(call, list(valid))
+    assert not want.startswith("OutOfRange")
+    assert _outcome(call, tuple(valid)) == want
+    assert _outcome(call, (x for x in valid)) == want
+
+
+_PIPES = binary_pipes_spec()
+# every choice argument: (a call of the value it varies, its name, its choices)
+CHOICES = {
+    "frontier.scheme": (lambda x: frontier(_C, x, [0.5], SMALL), "scheme", SCHEMES),
+    "sweep_snr.scheme": (lambda x: sweep_snr(_C, [10.0], x, SMALL), "scheme", SCHEMES),
+    "Frontier.scheme": (lambda x: Frontier(x, ()), "scheme", SCHEMES),
+    "dmc_maximize.bounds": (lambda x: dmc_maximize(_PIPES, x, 4), "bounds",
+                            ("informed-both", "informed-source")),
+    "dmc_maximize.denominator": (lambda x: dmc_maximize(_PIPES, denominator=x), "denominator",
+                                 (4, 8, 16)),
+    "dmc_maximize.objective": (lambda x: dmc_maximize(_PIPES, denominator=4, objective=x),
+                               "objective", ("r02", "r1")),
+}
+
+
+@pytest.mark.parametrize(
+    "make", [lambda c: True, lambda c: None, lambda c: 8.0, lambda c: "", lambda c: [c],
+             np.array],
+    ids=["bool", "none", "float", "empty-text", "list", "0-d-array"],
+)
+@pytest.mark.parametrize("entry", CHOICES)
+def test_a_value_that_is_no_choice_is_out_of_range(entry, make):
+    call, name, choices = CHOICES[entry]
+    value = make(choices[0])
+    with pytest.raises(OutOfRange) as info:
+        call(value)
+    assert str(info.value) == f"unknown {name} {value!r}, want one of {choices}"
+
+
+@pytest.mark.parametrize("entry", CHOICES)
+def test_a_numpy_choice_answers_as_the_plain_one(entry):
+    # a result that stores the choice stores it as a plain str or int, so
+    # it reads as the same call made with one
+    call, _, choices = CHOICES[entry]
+    for choice in choices[:2]:
+        spelling = np.str_(choice) if isinstance(choice, str) else np.int64(choice)
+        assert repr(call(spelling)) == repr(call(choice))
