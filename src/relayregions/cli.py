@@ -56,9 +56,9 @@ from .model import (
     SCHEMES,
     _TERMS,
     _require_count,
+    _require_in,
     _require_real,
     _require_reals,
-    _require_tol,
     _require_unit,
     rho_upper_bound,
 )
@@ -188,9 +188,7 @@ def _linspace(a: float, b: float, n: float) -> list[float]:
 
 def _ladder(a: float, b: float, step: float) -> list[float]:
     """a:b:step, the inclusive arithmetic ladder."""
-    if not step > 0:
-        raise OutOfRange(f"step must be > 0, got {step}")
-    span = (b - a) / step + 1e-9
+    span = (b - a) / _require_in("step", step, "(0, inf]") + 1e-9
     if not 0 <= span < math.inf:
         raise OutOfRange(f"range {a}:{b}:{step} has no points or no end")
     return [a + i * step for i in range(_check_points(math.floor(span) + 1))]
@@ -276,7 +274,7 @@ _OPTIONS = {
     "params": (
         _Required("--params gamma,rho,beta,alpha2"), _record(GdpcParams), "gamma,rho,beta,alpha2"
     ),
-    "tol": (1e-9, lambda v: _require_tol(_float(v)), "pass tolerance in bits"),
+    "tol": (1e-9, lambda v: _require_in("tol", _float(v), "(0, inf)"), "pass tolerance in bits"),
     "seed": (0, lambda v: _require_count("seed", _as_int(v), 0), "seed for draws and sampling"),
     "mc_samples": (10**6, _as_int, "Monte-Carlo sample count"),
     "dmc": (_Required("--pipes"), _dmc_spec, "use the built-in noiseless binary spec"),

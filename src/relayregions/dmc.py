@@ -42,7 +42,7 @@ import numpy as np
 
 from .model import (
     _TERMS, _TIE_TOL, OutOfRange, RatePoint, _expression, _program, _require_choice,
-    _require_count, _require_reals, _require_sequence, _unchecked,
+    _require_count, _require_names, _require_reals, _require_sequence, _unchecked,
 )
 
 __all__ = [
@@ -167,14 +167,14 @@ def discrete_cmi(joint: np.ndarray, axes, set_a, set_b, set_c=()) -> float:
     a strategy a is ``a.pmf[..., None, None] * d.channel[:, None, None]``,
     indexed [s][u1][u2][x1][x2][y1][y2] (AXES)."""
     joint = _require_reals("joint", joint)
-    axes = _require_sequence("axes", axes)
+    axes = _require_names("axes", axes)
     if joint.ndim != len(axes):
         raise OutOfRange(f"joint has {joint.ndim} axes but {len(axes)} names given")
     if len(set(axes)) != len(axes):
         raise OutOfRange(f"axis names must be unique, got {axes}")
     _check_pmf("joint", joint)
     set_a, set_b, set_c = (
-        _require_sequence(name, x)
+        _require_names(name, x)
         for name, x in zip(("set_a", "set_b", "set_c"), (set_a, set_b, set_c))
     )
     for name in (*set_a, *set_b, *set_c):

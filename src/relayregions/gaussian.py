@@ -59,9 +59,10 @@ from .model import (
     _expression,
     _program,
     _require_count,
+    _require_in,
+    _require_names,
     _require_reals,
     _require_sequence,
-    _require_tol,
     _scaled,
     _unchecked,
     validate_gdpc,
@@ -102,7 +103,7 @@ class CovarianceSystem:
         sigma = _require_reals("sigma", self.sigma)
         if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1]:
             raise OutOfRange(f"sigma must be square, got shape {sigma.shape}")
-        if len(labels := _require_sequence("labels", self.labels)) != sigma.shape[0]:
+        if len(labels := _require_names("labels", self.labels)) != sigma.shape[0]:
             raise OutOfRange(f"{len(labels)} labels for a {sigma.shape[0]}-dim sigma")
         if len(set(labels)) != len(labels):
             raise OutOfRange("labels must be unique")
@@ -445,7 +446,8 @@ class VerifyReport:
     details: tuple[TermCheck, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "tol", _require_tol(self.tol))
+        object.__setattr__(self, "tol", _require_in("tol", self.tol, "(0, inf)"))
+        object.__setattr__(self, "details", _require_sequence("details", self.details, TermCheck))
         if not self.details:
             raise OutOfRange("a report needs at least one term row")
 

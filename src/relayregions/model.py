@@ -33,14 +33,22 @@ Every public float argument is read by one rule (``_require_real``), so
 a field is stored as a Python float, -0.0 as +0.0, and a float32 passed
 in computes as a float. Every entry of a public array argument is read
 by the same rule (``_require_reals``), which stores the array as a new
-float array. A choice (a scheme, the DMC bounds, denominator or
-objective) is read by one rule (``_require_choice``): text or an
-integer equal to one of its choices, stored as that choice, so a numpy
-string or integer keeps no numpy repr. A sequence argument (a gamma or
-SNR list, a set of labels or axes, DMC sizes) is read by one rule too
-(``_require_sequence``): a value that cannot be iterated is OutOfRange,
-not a TypeError. The one condition no type can hold, the
-channel-coupled bound on rho, is checked by ``validate_gdpc``.
+float array. A bounded real (a power, a knob, a rate, a pass tolerance,
+the grid's shrink factor or a CLI step) is read by one range rule
+(``_require_in``): a real number inside an interval written with 0, 1
+and inf, such as ``[0, 1]`` or ``(0, inf)``, whose ends are fixed at
+import. nan lies in none, and each range error reads ``{name} must lie
+in {interval}, got {x}``. A choice (a scheme, the DMC bounds,
+denominator or objective) is read by one rule (``_require_choice``):
+text or an integer equal to one of its choices, stored as that choice,
+so a numpy string or integer keeps no numpy repr. A sequence argument (a gamma or
+SNR list, a set of labels or axes, DMC sizes, a frontier's points, a
+report's rows) is read by one rule too (``_require_sequence``): a value
+that cannot be iterated, or an entry of the wrong type, is OutOfRange,
+not a TypeError. Labels and axis names are hashed first
+(``_require_names``), so an unhashable one is OutOfRange too. The one
+condition no type can hold, the channel-coupled bound on rho, is checked
+by ``validate_gdpc``.
 
 ``_TERMS`` states both achievable regions once. ``_program`` compiles a
 bound or a region table, at import, into its distinct terms and its rows
@@ -115,24 +123,31 @@ def _require_reals(name: str, value, read=lambda v: v) -> np.ndarray:
         raise OutOfRange(f"{name} must nest as a regular array, got a ragged one") from None
 
 
-def _require_finite(name: str, value) -> float:
-    if not math.isfinite(x := _require_real(name, value)):
-        raise OutOfRange(f"{name} must be finite, got {x!r}")
+def _ends(interval: str) -> tuple[float, float]:
+    """The float ends (lo, hi) of an interval written with 0, 1 and inf,
+    an open end moved one float inward: a float x lies in the interval iff
+    lo <= x <= hi, and nan lies in none."""
+    lo, hi = map(float, interval[1:-1].split(", "))
+    return (math.nextafter(lo, hi) if interval[0] == "(" else lo,
+            math.nextafter(hi, lo) if interval[-1] == ")" else hi)
+
+
+# every interval a bounded real lies in, its ends found once, at import
+_INTERVALS = {i: _ends(i) for i in ("[0, 1]", "(0, 1)", "[0, inf)", "(0, inf)", "(0, inf]")}
+
+
+def _require_in(name: str, value, interval: str) -> float:
+    """``value`` read by ``_require_real``, if it lies in ``interval``, one
+    of ``_INTERVALS``: one chain of comparisons, which nan fails."""
+    lo, hi = _INTERVALS[interval]
+    if not lo <= (x := _require_real(name, value)) <= hi:
+        raise OutOfRange(f"{name} must lie in {interval}, got {x}")
     return x
 
 
 def _require_unit(name: str, value) -> float:
-    """A real number in [0, 1]; nan and +-inf fail the comparison."""
-    if not 0.0 <= (x := _require_real(name, value)) <= 1.0:
-        raise OutOfRange(f"{name} must lie in [0, 1], got {x}")
-    return x
-
-
-def _require_tol(value) -> float:
-    """An oracle report's pass tolerance: a finite real number > 0."""
-    if not 0.0 < (tol := _require_real("tol", value)) < math.inf:
-        raise OutOfRange(f"tol must be finite and > 0, got {tol!r}")
-    return tol
+    """A real number in [0, 1], the range rule's case for a knob or a split."""
+    return _require_in(name, value, "[0, 1]")
 
 
 def _require_count(name: str, value: int, floor: int) -> int:
@@ -154,14 +169,31 @@ def _require_choice(name: str, value, choices: tuple) -> str | int:
     raise OutOfRange(f"unknown {name} {value!r}, want one of {choices}")
 
 
-def _require_sequence(name: str, values) -> tuple:
-    """``values`` as a tuple, if it is iterable: a generator is read once,
-    and text is the sequence of its characters, each read as an entry."""
+def _require_sequence(name: str, values, kind: type = object) -> tuple:
+    """``values`` as a tuple of ``kind`` entries, if it is iterable: a
+    generator is read once, and text is the sequence of its characters,
+    each read as an entry."""
     try:
         it = iter(values)
     except TypeError:
         raise OutOfRange(f"{name} must be a sequence, got {values!r}") from None
-    return tuple(it)
+    values = tuple(it)
+    for v in values:
+        if not isinstance(v, kind):
+            raise OutOfRange(f"{name} must hold {kind.__name__} entries, got {v!r}")
+    return values
+
+
+def _require_names(name: str, values) -> tuple:
+    """A sequence of labels or axis names, hashed first, as a label is read:
+    an unhashable name (a list, or an array, whose == is elementwise) is
+    OutOfRange, not a TypeError from a set or a numpy ValueError from ==."""
+    names = _require_sequence(name, values)
+    try:
+        hash(names)
+    except TypeError:
+        raise OutOfRange(f"{name} must hold hashable names, got {names!r}") from None
+    return names
 
 
 def _unchecked(cls, *values):
@@ -189,14 +221,11 @@ class ChannelParams:
     n2: float
 
     def __post_init__(self) -> None:
-        for name in ("p1", "p2", "q", "n1", "n2"):
-            object.__setattr__(self, name, _require_finite(name, getattr(self, name)))
-        for name in ("p1", "n1", "n2"):
-            if (v := getattr(self, name)) <= 0:
-                raise OutOfRange(f"{name} must be > 0, got {v}")
-        for name in ("p2", "q"):
-            if (v := getattr(self, name)) < 0:
-                raise OutOfRange(f"{name} must be >= 0, got {v}")
+        # in field order: the source power and both noises are positive,
+        # the relay and interference powers may vanish
+        for name, interval in (("p1", "(0, inf)"), ("p2", "[0, inf)"), ("q", "[0, inf)"),
+                               ("n1", "(0, inf)"), ("n2", "(0, inf)")):
+            object.__setattr__(self, name, _require_in(name, getattr(self, name), interval))
         if self.n1 >= self.n2:
             raise OutOfRange(
                 f"need n1 < n2 (far branch noisier), got n1={self.n1}, n2={self.n2}"
@@ -304,9 +333,7 @@ class RatePoint:
 
     def __post_init__(self) -> None:
         for name in ("r1", "r02"):
-            if not 0.0 <= (v := _require_real(name, getattr(self, name))) < math.inf:
-                raise OutOfRange(f"{name} must be finite and >= 0, got {v}")
-            object.__setattr__(self, name, v)
+            object.__setattr__(self, name, _require_in(name, getattr(self, name), "[0, inf)"))
 
     @classmethod
     def clamped(cls, r1: float, r02: float) -> "RatePoint":
@@ -355,6 +382,7 @@ class Frontier:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "scheme", _require_choice("scheme", self.scheme, SCHEMES))
+        object.__setattr__(self, "points", _require_sequence("points", self.points, FrontierPoint))
         for prev, cur in zip(self.points, self.points[1:]):
             if cur.rate.r1 <= prev.rate.r1:
                 raise OutOfRange("frontier r1 coordinates must strictly increase")

@@ -102,6 +102,7 @@ from .model import (
     _clamp_rate,
     _require_choice,
     _require_count,
+    _require_in,
     _require_real,
     _require_sequence,
     _require_unit,
@@ -146,8 +147,7 @@ class GridSpec:
                 f"steps_rho * steps_beta * (refine_iters + 1) must be <= {_MAX_SEARCH_CELLS}, "
                 f"got {self.steps_rho} * {self.steps_beta} * {self.refine_iters + 1}"
             )
-        if not 0.0 < (shrink := _require_real("refine_shrink", self.refine_shrink)) < 1.0:
-            raise OutOfRange(f"refine_shrink must lie in (0, 1), got {shrink}")
+        shrink = _require_in("refine_shrink", self.refine_shrink, "(0, 1)")
         object.__setattr__(self, "refine_shrink", shrink)
 
 

@@ -71,10 +71,9 @@ import numpy as np
 from .model import (
     ChannelParams,
     GdpcParams,
-    OutOfRange,
     _TIE_TOL,
     _clamp_rate,
-    _require_real,
+    _require_in,
     _require_unit,
     _scaled,
     validate_gdpc,
@@ -86,12 +85,8 @@ _LN2 = math.log(2.0)
 
 
 def cap_c(x: float) -> float:
-    """Gaussian capacity function 0.5*log2(1+x) in bits, of a finite x >= 0."""
-    if not (x := _require_real("cap_c argument", x)) >= 0:  # nan too
-        raise OutOfRange(f"cap_c argument must be >= 0, got {x}")
-    if x == math.inf:
-        raise OutOfRange(f"cap_c argument must be finite, got {x}")
-    return 0.5 * math.log1p(x) / _LN2
+    """Gaussian capacity function 0.5*log2(1+x) in bits, of an x in [0, inf)."""
+    return 0.5 * math.log1p(_require_in("cap_c argument", x, "[0, inf)")) / _LN2
 
 
 def _private_rate(p1, n1, gamma):

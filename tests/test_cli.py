@@ -47,31 +47,10 @@ SCALED_EXAMPLES = [
     "4.149515568880993e+180,4.149515568880993e+180,4.149515568880993e+180,"
     "4.149515568880993e+179,4.149515568880993e+180",
 ]
-# input errors the CLI reports with their message and exit code 2, the
-# config paths relative to the repository root
-ERROR_RUNS = [
-    "point --channel 0,1,1,0.1,1 --params 0,0,0,0",
-    "point --channel 1,-1,1,0.1,1 --params 0,0,0,0",
-    "point --channel 1,1,1,1,0.5 --params 0,0,0,0",
-    "dmc --config tests/data/dmc_p_s.json",
-    "dmc --config tests/data/dmc_too_large.json",
-    "dmc --config tests/data/dmc_many_cells.json",
-    "frontier --config tests/data/frontier_misspelt_key.json",
-    "dmc --pipes --config tests/data/dmc_top_level_key.json",
-    "frontier --gamma-grid 0:1:1e14",
-    "sweep-snr --snr-db 0:1e14:1",
-    "frontier --gamma-grid 0,2",
-    "frontier --gamma-grid 0:2:3",
-    "point --channel 1,1,0.1,0.1,1 --params 0.2,0.99,0.4,0.5",
-    "point --channel 1,1,0,0.1,1 --params 0.2,0.3,0.4,0.5",
-    "sweep-snr --snr-db 0,nan",
-    "verify --mc-samples 5",
-    "verify --tol 0",
-    "frontier --scheme bogus",
-    "dmc --pipes --bounds bogus",
-    "dmc --pipes --denominator 5",
-    "dmc --pipes --objective bogus",
-]
+# input errors the CLI reports with their message and exit code 2, one
+# run a line, the config paths relative to the repository root; CI's
+# "Golden input errors" step reads the same file
+ERROR_RUNS = (DATA / "errors.args").read_text().splitlines()
 
 
 def run(capsys, *argv):

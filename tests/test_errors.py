@@ -48,19 +48,19 @@ _SPAN = "the nonzero powers may span at most 2**500 (about 1505 dB), got"
 
 # one row per domain or budget check, with the message it raises
 REJECTIONS = [
-    ("p1", lambda: ChannelParams(0.0, 1.0, 1.0, 0.1, 1.0), "p1 must be > 0, got 0.0"),
-    ("n1", lambda: ChannelParams(1.0, 1.0, 1.0, 0.0, 1.0), "n1 must be > 0, got 0.0"),
-    ("n2", lambda: ChannelParams(1.0, 1.0, 1.0, 0.1, -1.0), "n2 must be > 0, got -1.0"),
-    ("p2", lambda: ChannelParams(1.0, -1.0, 1.0, 0.1, 1.0), "p2 must be >= 0, got -1.0"),
-    ("q", lambda: ChannelParams(1.0, 1.0, -2.0, 0.1, 1.0), "q must be >= 0, got -2.0"),
+    ("p1", lambda: ChannelParams(0.0, 1.0, 1.0, 0.1, 1.0), "p1 must lie in (0, inf), got 0.0"),
+    ("n1", lambda: ChannelParams(1.0, 1.0, 1.0, 0.0, 1.0), "n1 must lie in (0, inf), got 0.0"),
+    ("n2", lambda: ChannelParams(1.0, 1.0, 1.0, 0.1, -1.0), "n2 must lie in (0, inf), got -1.0"),
+    ("p2", lambda: ChannelParams(1.0, -1.0, 1.0, 0.1, 1.0), "p2 must lie in [0, inf), got -1.0"),
+    ("q", lambda: ChannelParams(1.0, 1.0, -2.0, 0.1, 1.0), "q must lie in [0, inf), got -2.0"),
     (
         "n1<n2",
         lambda: ChannelParams(1.0, 1.0, 1.0, 1.0, 0.5),
         "need n1 < n2 (far branch noisier), got n1=1.0, n2=0.5",
     ),
     ("span", lambda: ChannelParams(1.0, 0.0, 0.0, 2.0**-500, 2.0), f"{_SPAN} 3.054936363499605e-151 to 2.0"),
-    ("cap_c", lambda: cap_c(-1e-9), "cap_c argument must be >= 0, got -1e-09"),
-    ("cap_c-inf", lambda: cap_c(math.inf), "cap_c argument must be finite, got inf"),
+    ("cap_c", lambda: cap_c(-1e-9), "cap_c argument must lie in [0, inf), got -1e-09"),
+    ("cap_c-inf", lambda: cap_c(math.inf), "cap_c argument must lie in [0, inf), got inf"),
     # min(1.0, nan) is 1.0, so an unchecked nan gamma read as a full bound
     *(
         (
@@ -71,7 +71,7 @@ REJECTIONS = [
         for gamma in (math.nan, -1.0, 2.0, math.inf)
     ),
     # nan fails every comparison, so an x < 0 test would let it through
-    ("cap_c-nan", lambda: cap_c(float("nan")), "cap_c argument must be >= 0, got nan"),
+    ("cap_c-nan", lambda: cap_c(float("nan")), "cap_c argument must lie in [0, inf), got nan"),
     # the four channels below span more than 2**500, and their closed
     # forms leave the float range in the powers as given
     (

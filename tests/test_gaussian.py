@@ -1137,7 +1137,7 @@ class TestReports:
     def test_unusable_tol_is_out_of_range(self, tol):
         # the whole message, for a float outside (0, inf) or a value that is
         # no real number
-        rule = "tol must be finite and > 0"
+        rule = "tol must lie in (0, inf)"
         if not isinstance(tol, float):
             rule = "tol must be a real number in float range"
         message = "^" + re.escape(f"{rule}, got {tol!r}") + "$"

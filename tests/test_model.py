@@ -43,17 +43,17 @@ def test_channel_params_roundtrip():
 
 
 def test_channel_params_rejects_bad_powers():
-    with pytest.raises(OutOfRange, match="p1 must be > 0"):
+    with pytest.raises(OutOfRange, match=r"^p1 must lie in \(0, inf\), got 0\.0$"):
         ChannelParams(0.0, 1.0, 1.0, 0.1, 1.0)
-    with pytest.raises(OutOfRange, match="n1 must be > 0"):
+    with pytest.raises(OutOfRange, match=r"^n1 must lie in \(0, inf\), got 0\.0$"):
         ChannelParams(1.0, 1.0, 1.0, 0.0, 1.0)
-    with pytest.raises(OutOfRange, match="n2 must be > 0"):
+    with pytest.raises(OutOfRange, match=r"^n2 must lie in \(0, inf\), got 0\.0$"):
         ChannelParams(1.0, 1.0, 1.0, 0.1, 0.0)
     with pytest.raises(OutOfRange):
         ChannelParams(1.0, 1.0, 1.0, 0.1, float("nan"))
-    with pytest.raises(OutOfRange, match="p2 must be >= 0"):
+    with pytest.raises(OutOfRange, match=r"^p2 must lie in \[0, inf\), got -0\.1$"):
         ChannelParams(1.0, -0.1, 1.0, 0.1, 1.0)
-    with pytest.raises(OutOfRange, match="q must be >= 0"):
+    with pytest.raises(OutOfRange, match=r"^q must lie in \[0, inf\), got -2\.0$"):
         ChannelParams(1.0, 1.0, -2.0, 0.1, 1.0)
 
 

@@ -34,7 +34,7 @@ def test_cap_c_values():
 
 
 def test_cap_c_rejects_negative():
-    with pytest.raises(OutOfRange, match="cap_c argument must be >= 0, got -1e-09"):
+    with pytest.raises(OutOfRange, match=r"^cap_c argument must lie in \[0, inf\), got -1e-09$"):
         cap_c(-1e-9)
 
 

@@ -19,13 +19,21 @@ float range, a list) raises OutOfRange. A list entry makes an array
 ragged, which is OutOfRange too. Valid arrays are stored as the same
 float array whether they come as nested lists or as ndarrays.
 
+The range axis calls each bounded real argument with nan, both
+infinities and the nearest float past each end of its interval, each
+OutOfRange with one message form, and with each closed end, which
+answers.
+
 The sequence axis calls each public sequence argument with a value that
 cannot be iterated, which is OutOfRange, and with a valid one as a
-list, a tuple and a generator, which answer alike. The choice axis calls
+list, a tuple and a generator, which answer alike. An entry of the wrong
+value type, and a label or axis name that cannot be hashed, is
+OutOfRange too. The choice axis calls
 each choice argument with values that are not text or an integer, or
 that are none of its choices, each OutOfRange with one message form, and
 with numpy spellings of a valid choice, which answer as the plain one."""
 
+import dataclasses
 import math
 import re
 import warnings
@@ -41,6 +49,7 @@ from relayregions import (
     ChannelParams,
     DmcSpec,
     Frontier,
+    FrontierPoint,
     GdpcParams,
     GridSpec,
     InformedBothParams,
@@ -67,6 +76,7 @@ from relayregions import (
     verify_relay_identity,
 )
 
+from relayregions.cli import _OPTIONS, _ladder
 from relayregions.gaussian import CovarianceSystem
 
 from references import PROPERTY
@@ -386,8 +396,80 @@ def test_32_levels_are_read():
         ARRAYS["DmcSpec.p_s"][0](_nest(32))
 
 
+def _fields(cls, intervals):
+    """The TYPE_ENTRIES of cls's fields, each with its name and interval."""
+    return {
+        f"{cls.__qualname__}.{i}": (TYPE_ENTRIES[f"{cls.__qualname__}.{i}"], f.name, interval)
+        for i, (f, interval) in enumerate(zip(dataclasses.fields(cls), intervals))
+    }
+
+
+# every bounded real argument: (a call of the value it varies, its name,
+# the interval it must lie in)
+RANGES = {
+    **_fields(ChannelParams, ("(0, inf)", "[0, inf)", "[0, inf)", "(0, inf)", "(0, inf)")),
+    **_fields(GdpcParams, ("[0, 1]",) * 4),
+    **_fields(InformedBothParams, ("[0, 1]",) * 2),
+    **_fields(RatePoint, ("[0, inf)",) * 2),
+    "GridSpec.refine_shrink": (TYPE_ENTRIES["GridSpec.refine_shrink"], "refine_shrink", "(0, 1)"),
+    "cap_c": (cap_c, "cap_c argument", "[0, inf)"),
+    **{
+        entry: (TYPE_ENTRIES[entry], "gamma", "[0, 1]")
+        for entry in ("rho_upper_bound", "nostate_terms.gamma", "max_beta_nostate",
+                      "max_r02_gdpc", "frontier")
+    },
+    "nostate_terms.beta3": (TYPE_ENTRIES["nostate_terms.beta3"], "beta3", "[0, 1]"),
+    **{
+        entry: (TYPE_ENTRIES[entry], "tol", "(0, inf)")
+        for entry in ("verify_gdpc", "verify_informed_both", "verify_relay_identity",
+                      "VerifyReport")
+    },
+    "cli.tol": (_OPTIONS["tol"][1], "tol", "(0, inf)"),
+    "cli.step": (lambda x: _ladder(0.0, 1.0, x), "step", "(0, inf]"),
+}
+# the float arguments no interval bounds: a rate to clamp, an SNR in dB
+# (its n1 is checked), and an array entry (its array is checked)
+UNBOUNDED = {"RatePoint.clamped.0", "RatePoint.clamped.1", "sweep_snr", *ARRAY_ENTRIES}
+
+
+def _ends(interval):
+    """The interval's two ends as floats, and whether each is closed."""
+    lo, hi = map(float, interval[1:-1].split(", "))
+    return (lo, interval[0] == "["), (hi, interval[-1] == "]")
+
+
+def test_every_float_argument_is_bounded_or_named_unbounded():
+    assert set(TYPE_ENTRIES) - UNBOUNDED <= set(RANGES)
+    assert not UNBOUNDED & set(RANGES)
+
+
+@pytest.mark.parametrize("entry", RANGES)
+def test_a_real_past_its_interval_is_out_of_range(entry):
+    call, name, interval = RANGES[entry]
+    ends = (lo, lo_closed), (hi, hi_closed) = _ends(interval)
+    # the nearest float past each end: an open end itself, or the float
+    # beyond a closed one
+    past = {math.nextafter(lo, -math.inf) if lo_closed else lo,
+            math.nextafter(hi, math.inf) if hi_closed else hi}
+    # with nan and both infinities, less a closed end at inf
+    for x in {math.nan, -math.inf, math.inf, *past} - {end for end, closed in ends if closed}:
+        with pytest.raises(OutOfRange) as info:
+            call(x)
+        assert str(info.value) == f"{name} must lie in {interval}, got {x}"
+
+
+@pytest.mark.parametrize("entry", RANGES)
+def test_a_closed_end_answers(entry):
+    call, _, interval = RANGES[entry]
+    for end, closed in _ends(interval):
+        if closed:
+            call(end)
+
+
 _COV = CovarianceSystem(("a", "b"), [[1.0, 0.5], [0.5, 1.0]])
 _JOINT = [[0.5, 0.0], [0.0, 0.5]]
+_POINT = FrontierPoint(0.5, 0.0, 0.5, 0.0, RatePoint(0.25, 0.5))
+_ROW = TermCheck("t", 0.5, 0.5)
 # every public sequence argument: (a call of the value it varies, a valid value)
 SEQUENCES = {
     "frontier.gamma_grid": (lambda x: frontier(_C, "gdpc", x, SMALL), [0.0, 0.5]),
@@ -404,6 +486,8 @@ SEQUENCES = {
     "discrete_cmi.set_c": (lambda x: discrete_cmi(_JOINT, ("a", "b"), ("a",), ("b",), x), []),
     "DmcSpec.sizes": (lambda x: DmcSpec(x, [1.0], [[[[[1.0]]]]]), [1] * 7),
     "CovarianceSystem.labels": (lambda x: CovarianceSystem(x, [[1.0]]), ["a"]),
+    "Frontier.points": (lambda x: Frontier("gdpc", x), [_POINT]),
+    "VerifyReport.details": (lambda x: VerifyReport("t", 1e-9, x), [_ROW]),
 }
 
 
@@ -425,6 +509,43 @@ def test_a_sequence_answers_alike_as_a_list_a_tuple_or_a_generator(entry):
     assert not want.startswith("OutOfRange")
     assert _outcome(call, tuple(valid)) == want
     assert _outcome(call, (x for x in valid)) == want
+
+
+@pytest.mark.parametrize(
+    "call,name,kind",
+    [
+        (lambda x: Frontier("gdpc", x), "points", FrontierPoint),
+        (lambda x: VerifyReport("t", 1e-9, x), "details", TermCheck),
+    ],
+    ids=["Frontier.points", "VerifyReport.details"],
+)
+def test_an_entry_of_another_type_is_out_of_range(call, name, kind):
+    for entries in ((5,), (5, 6), (_POINT, _ROW), [None]):
+        bad = next(x for x in entries if not isinstance(x, kind))
+        with pytest.raises(OutOfRange) as info:
+            call(entries)
+        assert str(info.value) == f"{name} must hold {kind.__name__} entries, got {bad!r}"
+
+
+@pytest.mark.parametrize(
+    "call,name",
+    [
+        (lambda: CovarianceSystem(([1], [2]), [[1.0, 0.0], [0.0, 1.0]]), "labels"),
+        (lambda: CovarianceSystem((("a", [1]), "b"), [[1.0, 0.0], [0.0, 1.0]]), "labels"),
+        (lambda: discrete_cmi(_JOINT, ([1], [2]), ([1],), ([2],)), "axes"),
+        (lambda: discrete_cmi(_JOINT, ("a", np.array([1])), ["a"], ["b"]), "axes"),
+        (lambda: discrete_cmi(_JOINT, ("a", "b"), [np.array([1, 2])], ["b"]), "set_a"),
+        (lambda: discrete_cmi(_JOINT, ("a", "b"), ["a"], [["b"]]), "set_b"),
+        (lambda: discrete_cmi(_JOINT, ("a", "b"), ["a"], ["b"], [{}]), "set_c"),
+    ],
+    ids=["list-labels", "tuple-holding-a-list", "list-axes", "array-axis", "array-in-set_a",
+         "list-in-set_b", "dict-in-set_c"],
+)
+def test_a_name_that_cannot_be_hashed_is_out_of_range(call, name):
+    # read as CovarianceSystem.index reads a label: hashed first, so no
+    # set raises a TypeError and no array compares elementwise
+    with pytest.raises(OutOfRange, match=f"^{name} must hold hashable names, got "):
+        call()
 
 
 _PIPES = binary_pipes_spec()
